@@ -31,6 +31,8 @@
 //! required key, 2 on usage or parse errors. Offline and dependency-free,
 //! like everything else here.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 /// One timing sample: which case, under which run configuration, how long.

@@ -44,7 +44,8 @@
 //!   `dichotomy_bench::json` for the schema;
 //! * `--bench PATH` — **append** per-experiment worker-time timings to the
 //!   bench-trajectory history at PATH (created if missing; refuses documents
-//!   that are not a `repro-bench-history`);
+//!   that are not a `repro-bench-history`), and name the SHA-256 kernel the
+//!   process selected (`sha256 kernel: sha-ni` / `scalar`) on stderr;
 //! * `--bench-key KEY` — the label of the appended history entry (pass
 //!   `git describe`/a date; the run never reads the wall clock for it).
 //!   Without the flag the entry is keyed by a stable digest of the run's
@@ -96,12 +97,15 @@
 //! A panic outside any probe (plan construction itself) is still caught per
 //! experiment.
 
+#![forbid(unsafe_code)]
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 use dichotomy_bench::{
     cache, json, list_experiments, plan_for, ArrivalOverride, RunOptions, EXPERIMENTS,
 };
+use dichotomy_core::common::hash;
 use dichotomy_core::experiments::ExperimentReport;
 use dichotomy_core::metrics::MetricsMode;
 use dichotomy_core::scenario::{
@@ -296,6 +300,7 @@ fn main() {
     }
 
     if let Some(path) = &cli.bench_path {
+        print_hash_kernel();
         // No explicit key: derive a stable one from the run's own
         // parameters, so trajectories stay comparable where `git describe`
         // is unavailable (tarball checkouts, CI containers without tags).
@@ -542,6 +547,13 @@ fn cache_command(args: &[String]) -> i32 {
     }
 }
 
+/// Every `--bench` path calls this: a recorded timing names its hash lane.
+/// Stderr only, so reports, JSON and cache keys stay byte-identical across
+/// hosts.
+fn print_hash_kernel() {
+    eprintln!("sha256 kernel: {}", hash::kernel_name());
+}
+
 /// `repro explore` — run the design-space explorer: enumerate the
 /// `ExploreSpec` grid, prune by forecast, measure the survivors on the
 /// shared probe pool, and report the Pareto front plus the forecast
@@ -768,6 +780,7 @@ fn explore_command(args: &[String]) -> i32 {
     }
 
     if let Some(path) = &bench_path {
+        print_hash_kernel();
         let effective_jobs = ExecOptions::with_jobs(jobs).effective_jobs();
         let timing = json::BenchTiming {
             key: "explore".to_string(),

@@ -15,6 +15,8 @@
 //! crate scales them (quick vs full), executes them through the generic
 //! `run_plan` engine and serializes the reports.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod json;
 

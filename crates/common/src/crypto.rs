@@ -56,6 +56,9 @@ impl Encode for Signature {
     }
 }
 
+/// Domain-separation prefix of the secret-key derivation.
+const SECRET_DOMAIN: &[u8] = b"dichotomy-secret-key";
+
 /// A signing key pair.
 #[derive(Debug, Clone)]
 pub struct KeyPair {
@@ -66,7 +69,10 @@ pub struct KeyPair {
 impl KeyPair {
     /// Derive a key pair deterministically from a byte seed.
     pub fn from_seed(seed: &[u8]) -> Self {
-        let secret = Hash::of_parts(&[b"dichotomy-secret-key", seed]);
+        Self::from_secret(Hash::of_parts(&[SECRET_DOMAIN, seed]))
+    }
+
+    fn from_secret(secret: Hash) -> Self {
         let public = PublicKey(Hash::of_parts(&[b"dichotomy-public-key", &secret.0]));
         KeyPair { secret, public }
     }
@@ -80,7 +86,13 @@ impl KeyPair {
 
     /// Key pair for a simulated client.
     pub fn for_client(client_id: u64) -> Self {
-        KeyPair::from_seed(&[b"client".as_slice(), &client_id.to_be_bytes()].concat())
+        // `from_seed` of `"client" || id`, hashed in parts: this runs once per
+        // generated transaction, so it must not allocate the concatenation.
+        Self::from_secret(Hash::of_parts(&[
+            SECRET_DOMAIN,
+            b"client",
+            &client_id.to_be_bytes(),
+        ]))
     }
 
     /// The public half.
@@ -163,6 +175,22 @@ mod tests {
         let b = KeyPair::for_node(NodeId(4));
         assert_eq!(a1.public(), a2.public());
         assert_ne!(a1.public(), b.public());
+    }
+
+    /// Captured at the commit before the SHA-256 kernel was replaced: a kernel
+    /// that is wrong but self-consistent would still sign and verify.
+    #[test]
+    fn client_key_matches_golden_digest() {
+        assert_eq!(
+            KeyPair::for_client(1).public().0.to_hex(),
+            "0d6a7d86810d54c939527819f20578af9e4a96ecb7ad4b7c18c7e457f4c9c91e"
+        );
+        let mut seed = b"client".to_vec();
+        seed.extend_from_slice(&1u64.to_be_bytes());
+        assert_eq!(
+            KeyPair::for_client(1).public(),
+            KeyPair::from_seed(&seed).public()
+        );
     }
 
     #[test]

@@ -7,6 +7,13 @@
 //! (FIPS 180-4) avoids pulling a cryptography dependency into the workspace
 //! while keeping digests collision-resistant enough for the data-structure
 //! invariants the tests assert.
+//!
+//! Hashing sits under every layer of the simulator (signatures, block
+//! digests, MPT/MBT nodes), so the compression function has two kernels
+//! behind one entry point, `compress_blocks`: x86-64 SHA-NI where the CPU
+//! reports it at run time, the portable scalar kernel everywhere else. The
+//! choice depends on the CPU alone and digests are bit-identical, so no
+//! seeded output can tell which one ran.
 
 use std::fmt;
 
@@ -144,81 +151,94 @@ impl Hasher {
 
     /// Absorb `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
+        self.absorb(data, compress_blocks);
+    }
+
+    /// Finish the hash and return the digest. Consumes the hasher.
+    pub fn finalize(self) -> Hash {
+        self.finish(compress_blocks)
+    }
+
+    /// `update` over an explicit kernel, so the tests can drive the buffering
+    /// logic through each implementation.
+    #[inline]
+    fn absorb(&mut self, data: &[u8], compress: impl Fn(&mut [u32; 8], &[u8])) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut input = data;
         // Fill a partially full buffer first.
         if self.buffer_len > 0 {
-            let need = 64 - self.buffer_len;
-            let take = need.min(input.len());
+            let take = (64 - self.buffer_len).min(input.len());
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
             self.buffer_len += take;
             input = &input[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffer_len = 0;
         }
-        // Process full blocks directly from the input.
-        while input.len() >= 64 {
-            let block: [u8; 64] = input[..64].try_into().expect("slice is 64 bytes");
-            self.compress(&block);
-            input = &input[64..];
+        // Every whole block goes to the kernel in one call, straight from the
+        // caller's slice; only the remainder is copied.
+        let (blocks, rest) = input.split_at(input.len() & !63);
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
-        // Stash the remainder.
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
-        }
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffer_len = rest.len();
     }
 
-    /// Finish the hash and return the digest. Consumes the hasher.
-    pub fn finalize(mut self) -> Hash {
+    /// `finalize` over an explicit kernel.
+    #[inline]
+    fn finish(mut self, compress: impl Fn(&mut [u32; 8], &[u8])) -> Hash {
+        // Padding: 0x80, zeros, then the 64-bit big-endian bit length, which
+        // spills into a second block when fewer than 9 bytes are free.
+        let mut tail = [0u8; 128];
+        tail[..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
+        tail[self.buffer_len] = 0x80;
+        let end = if self.buffer_len < 56 { 64 } else { 128 };
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update_padding_byte();
-        while self.buffer_len != 56 {
-            self.update_zero_byte();
-        }
-        let len_bytes = bit_len.to_be_bytes();
-        self.buffer[56..64].copy_from_slice(&len_bytes);
-        let block = self.buffer;
-        self.compress(&block);
+        tail[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &tail[..end]);
 
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         Hash(out)
     }
+}
 
-    fn update_padding_byte(&mut self) {
-        self.buffer[self.buffer_len] = 0x80;
-        self.buffer_len += 1;
-        if self.buffer_len == 64 {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffer_len = 0;
-            self.buffer = [0u8; 64];
-        }
+/// Name of the compression kernel this process runs, for benchmark output: a
+/// recorded hashing number must say which lane produced it. Never part of a
+/// report, cache key or JSON document — digests are the same on both.
+pub fn kernel_name() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni::available() {
+        return "sha-ni";
     }
+    "scalar"
+}
 
-    fn update_zero_byte(&mut self) {
-        self.buffer[self.buffer_len] = 0;
-        self.buffer_len += 1;
-        if self.buffer_len == 64 {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffer_len = 0;
-            self.buffer = [0u8; 64];
-        }
+/// Apply the compression function to every 64-byte block of `blocks` (whose
+/// length must be a multiple of 64). The SHA-NI kernel runs wherever the CPU
+/// reports the extension; everything else runs the scalar kernel.
+#[inline]
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni::try_compress_blocks(state, blocks) {
+        return;
     }
+    compress_blocks_scalar(state, blocks);
+}
 
-    /// One compression-function application over a 64-byte block.
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The portable FIPS 180-4 kernel: the only path off x86-64 or without the
+/// SHA extensions, and the reference the accelerated kernel is tested against.
+fn compress_blocks_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes(bytes.try_into().expect("4 bytes"));
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -229,7 +249,7 @@ impl Hasher {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
@@ -253,14 +273,100 @@ impl Hasher {
             a = temp1.wrapping_add(temp2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The x86-64 SHA-extensions kernel. The only module in the workspace that
+/// contains `unsafe`: the instructions exist only as `core::arch` intrinsics
+/// behind `#[target_feature]`.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod sha_ni {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Whether this CPU has every extension the kernel is compiled for. The
+    /// standard library detects once and caches the answer.
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Run the kernel if the CPU supports it; `false` means `state` is
+    /// untouched and the caller must use the scalar kernel.
+    #[inline]
+    pub(super) fn try_compress_blocks(state: &mut [u32; 8], blocks: &[u8]) -> bool {
+        if !available() {
+            return false;
+        }
+        // SAFETY: `available()` has just confirmed through
+        // `is_x86_feature_detected!` that this CPU implements sha, sse2,
+        // ssse3 and sse4.1, the features `compress_blocks` is compiled with.
+        unsafe { compress_blocks(state, blocks) };
+        true
+    }
+
+    /// All blocks of one call with ABEF/CDGH held in registers throughout.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the `sha`, `sse2`, `ssse3` and `sse4.1` target
+    /// features (check with `is_x86_feature_detected!`). There is no other
+    /// requirement: all loads and stores are unaligned and stay inside
+    /// `state`, `K` and the whole 64-byte chunks of `blocks`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % 64, 0);
+        // Big-endian message words to little-endian lanes.
+        let byte_swap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+
+        // The rounds instruction wants the state as (A,B,E,F) and (C,D,G,H).
+        let dcba = _mm_loadu_si128(state.as_ptr().cast());
+        let hgfe = _mm_loadu_si128(state.as_ptr().add(4).cast());
+        let cdab = _mm_shuffle_epi32::<0xB1>(dcba);
+        let efgh = _mm_shuffle_epi32::<0x1B>(hgfe);
+        let mut abef = _mm_alignr_epi8::<8>(cdab, efgh);
+        let mut cdgh = _mm_blend_epi16::<0xF0>(efgh, cdab);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let words: *const __m128i = block.as_ptr().cast();
+            // Rolling window over the message schedule, four words a lane.
+            let mut w = [
+                _mm_shuffle_epi8(_mm_loadu_si128(words), byte_swap),
+                _mm_shuffle_epi8(_mm_loadu_si128(words.add(1)), byte_swap),
+                _mm_shuffle_epi8(_mm_loadu_si128(words.add(2)), byte_swap),
+                _mm_shuffle_epi8(_mm_loadu_si128(words.add(3)), byte_swap),
+            ];
+            // Sixteen groups of four rounds; constant trip count, so the
+            // compiler unrolls it and `w` stays in registers.
+            for i in 0..16 {
+                if i >= 4 {
+                    // W[i] from W[i-4], W[i-3], W[i-2], W[i-1].
+                    let sigma0 = _mm_sha256msg1_epu32(w[i % 4], w[(i + 1) % 4]);
+                    let w_minus_7 = _mm_alignr_epi8::<4>(w[(i + 3) % 4], w[(i + 2) % 4]);
+                    w[i % 4] =
+                        _mm_sha256msg2_epu32(_mm_add_epi32(sigma0, w_minus_7), w[(i + 3) % 4]);
+                }
+                let wk = _mm_add_epi32(w[i % 4], _mm_loadu_si128(K.as_ptr().add(4 * i).cast()));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32::<0x1B>(abef);
+        let dchg = _mm_shuffle_epi32::<0xB1>(cdgh);
+        let dcba = _mm_blend_epi16::<0xF0>(feba, dchg);
+        let hgfe = _mm_alignr_epi8::<8>(dchg, feba);
+        _mm_storeu_si128(state.as_mut_ptr().cast(), dcba);
+        _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), hgfe);
     }
 }
 
@@ -275,38 +381,116 @@ pub fn sha256(data: &[u8]) -> Hash {
 mod tests {
     use super::*;
 
-    /// FIPS 180-4 / NIST test vectors.
-    #[test]
-    fn sha256_empty_string() {
-        assert_eq!(
-            sha256(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+    use crate::rng::{seeded, Rng};
+
+    type Kernel = fn(&mut [u32; 8], &[u8]);
+
+    /// The SHA-NI kernel called directly, or `None` with a printed note when
+    /// this host cannot run it: an accelerated arm never passes silently.
+    fn sha_ni_kernel() -> Option<Kernel> {
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni::available() {
+            return Some(|state, blocks| assert!(sha_ni::try_compress_blocks(state, blocks)));
+        }
+        eprintln!("skip: SHA-NI kernel not exercised, this CPU lacks sha/ssse3/sse4.1");
+        None
     }
 
-    #[test]
-    fn sha256_abc() {
-        assert_eq!(
-            sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+    /// Every kernel this host can run, called directly rather than through
+    /// the run-time selection.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut all: Vec<(&'static str, Kernel)> = vec![("scalar", compress_blocks_scalar)];
+        all.extend(sha_ni_kernel().map(|k| ("sha-ni", k)));
+        all
     }
 
-    #[test]
-    fn sha256_two_block_message() {
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+    /// Digest of the concatenated `pieces`, one `update` per piece, with every
+    /// compression done by `kernel`.
+    fn digest_with(kernel: Kernel, pieces: &[&[u8]]) -> Hash {
+        let mut h = Hasher::new();
+        for piece in pieces {
+            h.absorb(piece, kernel);
+        }
+        h.finish(kernel)
     }
 
+    /// FIPS 180-4 / NIST test vectors, against each kernel and the selected
+    /// one.
     #[test]
-    fn sha256_one_million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256(&data).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+    fn nist_vectors_on_every_kernel() {
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 4] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                &million_a,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        for (message, expected) in vectors {
+            assert_eq!(sha256(message).to_hex(), expected, "selected kernel");
+            for (name, kernel) in kernels() {
+                assert_eq!(
+                    digest_with(kernel, &[message]).to_hex(),
+                    expected,
+                    "{name} kernel, {} bytes",
+                    message.len()
+                );
+            }
+        }
+    }
+
+    /// Every length 0..=300 (so the 55/56/63/64-byte padding edges, exact
+    /// blocks and multi-block slices all occur), fed whole and in seeded
+    /// random pieces (so the buffered remainder is filled, topped up and
+    /// bypassed): every kernel and the public one-shot agree.
+    #[test]
+    fn kernels_agree_over_lengths_and_split_points() {
+        let mut rng = seeded(0x5a17);
+        let data: Vec<u8> = (0..300).map(|_| rng.gen::<u8>()).collect();
+        let kernels = kernels();
+        for len in 0..=300usize {
+            let message = &data[..len];
+            let reference = digest_with(compress_blocks_scalar, &[message]);
+            assert_eq!(sha256(message), reference, "one-shot, {len} bytes");
+            for round in 0..8 {
+                let mut pieces: Vec<&[u8]> = Vec::new();
+                let mut rest = message;
+                while !rest.is_empty() {
+                    let take = rng.gen_range(0..=rest.len().min(130));
+                    let (piece, tail) = rest.split_at(take);
+                    pieces.push(piece);
+                    rest = tail;
+                }
+                let streamed = pieces.iter().fold(Hasher::new(), |mut h, p| {
+                    h.update(p);
+                    h
+                });
+                assert_eq!(
+                    streamed.finalize(),
+                    reference,
+                    "selected kernel, {len} bytes, round {round}"
+                );
+                for (name, kernel) in &kernels {
+                    assert_eq!(
+                        digest_with(*kernel, &pieces),
+                        reference,
+                        "{name} kernel, {len} bytes, round {round}, pieces {:?}",
+                        pieces.iter().map(|p| p.len()).collect::<Vec<_>>()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //! Everything here is pure data and pure computation: no clocks, no I/O, no
 //! threads. Time and cost live in `dichotomy-simnet`.
 
+// `unsafe` is confined to the SHA-NI kernel in `hash`, the one module that
+// opts back in; every other crate of the workspace forbids it outright.
+#![deny(unsafe_code)]
+
 pub mod block;
 pub mod codec;
 pub mod crypto;

@@ -523,6 +523,30 @@ mod tests {
         assert!(!t.verify_signature());
     }
 
+    /// Captured at the commit before the SHA-256 kernel was replaced: sign and
+    /// verify agree with each other under any self-consistent hash, so only a
+    /// fixed digest and tag pin the function itself.
+    #[test]
+    fn signed_transaction_matches_golden_digests() {
+        let t = Transaction::signed(
+            TxnId::new(ClientId(1), 42),
+            vec![
+                Operation::read(Key::from_str("user00000007")),
+                Operation::write(Key::from_str("user00000042"), Value::filler(100)),
+            ],
+            1_000,
+            &KeyPair::for_client(1),
+        );
+        assert_eq!(
+            t.digest().to_hex(),
+            "6149839011409216d45a598a74aba3fecff36361582d843000ccf6ecbcf1dd73"
+        );
+        assert_eq!(
+            t.signature.expect("signed").tag.to_hex(),
+            "f4b12240136aa315766ab8928f81d73a97303303850c7b31e7e79caf41f6e27c"
+        );
+    }
+
     #[test]
     fn unsigned_transaction_does_not_verify() {
         let t = Transaction::new(txn_id(), vec![]);

@@ -20,6 +20,8 @@
 //! The protocol implementations are deterministic state machines; all
 //! nondeterminism (timeouts, network jitter) comes from the seeded simulator.
 
+#![forbid(unsafe_code)]
+
 pub mod pbft;
 pub mod pow;
 pub mod profile;

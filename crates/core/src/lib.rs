@@ -22,6 +22,8 @@
 //!   monotonicity, clamp-free queueing), the correctness half of the
 //!   fault-injection chaos engine.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod driver;
 pub mod experiments;

@@ -26,6 +26,8 @@
 //! `repro explore` is the CLI face; `repro lint` checks explore specs with
 //! the `S008` zero-survivor deny ([`lint_spec`]).
 
+#![forbid(unsafe_code)]
+
 pub mod calib;
 pub mod pareto;
 pub mod report;

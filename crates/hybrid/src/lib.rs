@@ -2,6 +2,8 @@
 //! back-of-the-envelope forecast framework for hybrid blockchain–database
 //! systems (Section 5.6, Figure 15).
 
+#![forbid(unsafe_code)]
+
 pub mod forecast;
 pub mod taxonomy;
 

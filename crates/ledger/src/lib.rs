@@ -7,6 +7,8 @@
 //! support the verifiability arguments of Section 3.1.1 (client signature,
 //! block height, validation flag).
 
+#![forbid(unsafe_code)]
+
 use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
 use dichotomy_common::{Block, Hash, NodeId, Timestamp, Transaction, TxnId};
 

@@ -29,6 +29,8 @@
 //! line, or — when the comment stands alone — on the next token-bearing
 //! line. Test code (`#[cfg(test)]` items, `tests/` directories) is exempt.
 
+#![forbid(unsafe_code)]
+
 pub mod lexer;
 pub mod scan;
 

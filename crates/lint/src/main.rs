@@ -9,6 +9,8 @@
 //! so fixtures can be checked explicitly. Exit 1 when any deny-level
 //! diagnostic survives the allowlist.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

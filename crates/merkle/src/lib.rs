@@ -23,6 +23,8 @@
 //! model's constants to charge CPU time (Section 5.3.3's 56 µs → 2.5 ms MPT
 //! reconstruction growth).
 
+#![forbid(unsafe_code)]
+
 pub mod bucket_tree;
 pub mod merkle_tree;
 pub mod mpt;

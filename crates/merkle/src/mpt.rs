@@ -86,10 +86,6 @@ impl Node {
             }
         }
     }
-
-    fn hash(&self) -> Hash {
-        Hash::of(&self.encode())
-    }
 }
 
 /// Split a byte key into nibbles (high nibble first).
@@ -168,9 +164,9 @@ impl MerklePatriciaTrie {
     }
 
     fn put_node(&mut self, node: Node) -> Hash {
-        let encoded_len = node.encode().len();
-        let h = node.hash();
-        self.store.insert(h, (node, encoded_len));
+        let encoded = node.encode();
+        let h = Hash::of(&encoded);
+        self.store.insert(h, (node, encoded.len()));
         h
     }
 

@@ -10,6 +10,7 @@
 use std::collections::HashMap;
 
 use dichotomy_common::rng::{derive_seed, seeded, Rng, StdRng};
+use dichotomy_common::size::StorageFootprint;
 use dichotomy_common::{Hash, Key, Value};
 use dichotomy_merkle::{MerkleBucketTree, MerklePatriciaTrie, MerkleTree};
 
@@ -33,6 +34,36 @@ fn for_each_case(label: &str, mut check: impl FnMut(u64, &mut StdRng)) {
         let seed = derive_seed(derive_seed(0xAD5, label), &case.to_string());
         check(seed, &mut seeded(seed));
     }
+}
+
+/// Roots and the MPT footprint of three fixed records, captured at the commit
+/// before the SHA-256 kernel and `put_node` changed: the properties below hold
+/// under any self-consistent hash, these constants only under SHA-256.
+#[test]
+fn roots_and_footprint_match_golden_values() {
+    let mut mpt = MerklePatriciaTrie::new();
+    let mut mbt = MerkleBucketTree::fabric_default();
+    for (key, len) in [
+        ("user00000001", 10),
+        ("user00000002", 100),
+        ("account-7", 1000),
+    ] {
+        mpt.insert(&Key::from_str(key), &Value::filler(len));
+        mbt.put(&Key::from_str(key), &Value::filler(len));
+    }
+    assert_eq!(
+        mpt.root_hash().to_hex(),
+        "5d3517ed24ca31324366d40b803f95d2d6d86d33af202d233fd2524d5a24189e"
+    );
+    assert_eq!(
+        mbt.root_hash().to_hex(),
+        "85d86f09033eb67c5060a48780f2f70ea52fa9e3d7db22d7f9e0c59769095a7b"
+    );
+    let footprint = mpt.footprint();
+    assert_eq!(
+        (footprint.payload_bytes, footprint.index_bytes),
+        (1110, 562)
+    );
 }
 
 #[test]

@@ -13,6 +13,8 @@
 //!   BFT-replicated coordinator shard for blockchains (AHL), which adds a
 //!   consensus round per 2PC phase.
 
+#![forbid(unsafe_code)]
+
 pub mod partition;
 pub mod two_pc;
 

@@ -17,6 +17,8 @@
 //! Nothing in this crate knows about blockchains or databases; the consensus
 //! protocols and system models are built on top of it.
 
+#![forbid(unsafe_code)]
+
 pub mod costs;
 pub mod engine;
 pub mod event;

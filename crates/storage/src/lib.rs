@@ -14,6 +14,8 @@
 //! *cost* is charged by the simulator's [`CostModel`]
 //! (`dichotomy_simnet::costs`), not by wall-clock time of this code.
 
+#![forbid(unsafe_code)]
+
 pub mod btree;
 pub mod engine;
 pub mod lsm;

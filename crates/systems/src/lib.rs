@@ -20,6 +20,8 @@
 //! regenerates every figure, with backlog and saturation emerging from real
 //! queueing.
 
+#![forbid(unsafe_code)]
+
 pub mod etcd;
 pub mod fabric;
 pub mod pipeline;

@@ -19,6 +19,8 @@
 //! All schemes execute against the shared [`MvccStore`](dichotomy_storage::MvccStore)
 //! so their effects are directly comparable.
 
+#![forbid(unsafe_code)]
+
 pub mod locking;
 pub mod occ;
 pub mod percolator;

@@ -13,6 +13,8 @@
 //! Both implement the [`Workload`] trait so the driver and benches can treat
 //! them uniformly.
 
+#![forbid(unsafe_code)]
+
 pub mod smallbank;
 pub mod spec;
 pub mod ycsb;

@@ -18,6 +18,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --release -p dichotomy-common (SHA-256 kernels under optimisation)"
+# The hash kernels are wrapping arithmetic plus the workspace's one unsafe
+# module; the debug run above checks them with overflow and debug assertions
+# on, this one as they actually ship.
+cargo test -q --release -p dichotomy-common
+
 echo "==> dichotomy-lint (determinism & cache-soundness source auditor)"
 # The workspace must be clean: zero findings of any severity. Allowed uses
 # carry `// lint: allow(CODE) -- reason` annotations in place.
@@ -37,7 +43,7 @@ fi
 grep -q '"code":"D001"' /tmp/ci_lint_neg.json
 grep -q '"severity":"deny"' /tmp/ci_lint_neg.json
 # The explorer crate on its own: no deny-level determinism/cache hazards in
-# the 16th crate (it feeds the shared probe cache, so the D0xx rules bite).
+# the 15th crate (it feeds the shared probe cache, so the D0xx rules bite).
 "$LINT_BIN" --json /tmp/ci_lint_explore.json crates/explore
 grep -q '"deny":0' /tmp/ci_lint_explore.json
 
