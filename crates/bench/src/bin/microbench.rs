@@ -44,8 +44,10 @@ use dichotomy_core::simnet::{CostModel, EventQueue, HeapEventQueue, NetworkConfi
 use dichotomy_core::storage::{BPlusTree, KvEngine, LsmTree, MvccStore};
 use dichotomy_core::systems::{
     Etcd, EtcdConfig, Quorum, QuorumConfig, SystemKind, SystemRegistry, SystemSpec,
+    TransactionalSystem,
 };
 use dichotomy_core::txn::OccExecutor;
+use dichotomy_core::workload::Workload;
 use dichotomy_core::workload::{WorkloadSpec, YcsbConfig, YcsbMix, YcsbWorkload};
 
 /// Whether `--smoke` was passed: scale iteration counts down for CI.
@@ -379,6 +381,31 @@ fn bench_end_to_end() {
     });
 }
 
+fn bench_state_sharing() {
+    // What the plan executor pays per probe of a state group: the first
+    // probe loads (MPT + LSM inserts of every record), every later one forks
+    // the frozen state. The suite's YCSB shape: 5 000 records of 1 KB.
+    let records = YcsbWorkload::new(YcsbConfig {
+        record_count: 5_000,
+        record_size: 1_024,
+        ..YcsbConfig::default()
+    })
+    .initial_records();
+    bench("quorum_load_5k_1kb", 10, || {
+        let mut system = Quorum::new(QuorumConfig::default());
+        system.load(&records);
+        system
+    });
+    let mut loaded = Quorum::new(QuorumConfig::default());
+    loaded.load(&records);
+    let shared = loaded.share_state().expect("Quorum shares its state");
+    bench("quorum_fork_5k_1kb", 200, || {
+        let mut system = Quorum::new(QuorumConfig::default());
+        assert!(system.adopt_state(&shared));
+        system
+    });
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut filters: Vec<String> = Vec::new();
@@ -415,6 +442,7 @@ fn main() {
         ("metrics latency", bench_metric_sketches),
         ("event_queue engine", bench_event_engine),
         ("plan", bench_plan_executor),
+        ("quorum_load quorum_fork", bench_state_sharing),
         ("end_to_end", bench_end_to_end),
     ];
     for (keys, run) in groups {

@@ -831,7 +831,24 @@ impl ArrivalBook {
     }
 }
 
-/// Run `workload` against `system` under the given driver configuration.
+/// Run `workload` against `system` under the given driver configuration:
+/// the untimed preload of the workload's initial records (when the
+/// configuration asks for it), then [`drive`]. The plan executor calls
+/// `drive` directly, because it replaces the preload with a shared state for
+/// all but the first probe of a state group (`scenario::run_plans_with`).
+pub fn run_workload(
+    system: &mut dyn TransactionalSystem,
+    workload: &mut dyn Workload,
+    config: &DriverConfig,
+) -> RunStats {
+    if config.preload {
+        system.load(&workload.initial_records());
+    }
+    drive(system, workload, config)
+}
+
+/// The second half of [`run_workload`]: drive `workload` against an already
+/// loaded (or deliberately empty) `system`.
 ///
 /// The event loop: the client model seeds its initial arrivals, events
 /// dispatch in `(time, seq)` order — arrivals and stage events to the
@@ -839,15 +856,11 @@ impl ArrivalBook {
 /// channel is polled so the model can react (open loops schedule their next
 /// arrival per dispatch; closed loops per completion). The queue then
 /// drains and the receipts aggregate.
-pub fn run_workload(
+pub fn drive(
     system: &mut dyn TransactionalSystem,
     workload: &mut dyn Workload,
     config: &DriverConfig,
 ) -> RunStats {
-    if config.preload {
-        let records = workload.initial_records();
-        system.load(&records);
-    }
     let mut engine = Engine::new();
     system.attach(&mut engine);
 

@@ -53,10 +53,10 @@ use dichotomy_common::{AbortReason, Decode, Diagnostic, Encode, Hash, Key, Value
 use dichotomy_hybrid::{all_systems, forecast_throughput, forecast_txn_cost_us, HybridSpec};
 use dichotomy_merkle::{MerkleBucketTree, MerklePatriciaTrie};
 use dichotomy_simnet::{CostModel, FaultPlan, NetworkConfig};
-use dichotomy_systems::{SystemRegistry, SystemSpec};
+use dichotomy_systems::{SharedState, SystemRegistry, SystemSpec};
 use dichotomy_workload::WorkloadSpec;
 
-use crate::driver::{run_workload, ArrivalSpec, DriverConfig};
+use crate::driver::{drive, ArrivalSpec, DriverConfig};
 use crate::experiments::{ExperimentReport, ProbeFailure, Row, RowSeries};
 use crate::metrics::Metrics;
 
@@ -599,6 +599,35 @@ pub fn probe_key_bytes(probe: &Probe) -> Vec<u8> {
     out
 }
 
+/// The **state group** of a probe: the canonical bytes of everything its
+/// untimed preload can depend on — the system's
+/// [`state_shape`](SystemSpec::state_shape) (what `load` may read of the
+/// spec) and the workload's
+/// [`initial_state_key`](WorkloadSpec::initial_state_key) (variant, record
+/// count, record size; seed-free). Probes with equal keys start from
+/// byte-identical loaded state, so [`run_plans_with`] loads it once per
+/// batch and forks it. `None` for probes that load nothing (non-driving
+/// probes, `preload: false`).
+pub fn state_group_key(probe: &Probe) -> Option<Vec<u8>> {
+    let Probe::Drive {
+        system,
+        workload,
+        driver,
+    } = probe
+    else {
+        return None;
+    };
+    if !driver.preload {
+        return None;
+    }
+    let mut out = system.state_shape().encode();
+    let (variant, records, record_size) = workload.initial_state_key();
+    variant.encode_into(&mut out);
+    records.encode_into(&mut out);
+    record_size.encode_into(&mut out);
+    Some(out)
+}
+
 /// 64-bit FNV-1a over a byte string (names cache entries; collisions are
 /// guarded by comparing the full key bytes, never by trusting the hash).
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
@@ -674,7 +703,8 @@ pub fn predicted_probe_cost(probe: &Probe) -> f64 {
 
 /// How [`run_plan_with`] executes a plan's probes.
 ///
-/// Every probe is an isolated engine + system pair, so probes run on a
+/// Every probe drives its own engine + system pair (systems of one state
+/// group start as forks of one loaded state, invisibly), so probes run on a
 /// worker pool: results are reassembled in plan order and the report is
 /// byte-identical to sequential execution for the same seed, whatever the
 /// worker count.
@@ -688,11 +718,16 @@ pub struct ExecOptions<'a> {
     /// Invoked once per finished probe, in completion order, from the thread
     /// that called [`run_plan_with`] — live per-probe status for a CLI.
     pub progress: Option<&'a (dyn Fn(&ProbeStatus) + Sync)>,
-    /// Stop scheduling new probes once one fails: probes already in flight
-    /// finish, everything still queued reports a labelled "skipped" failure
-    /// with NaN columns instead of running. With more than one worker the
-    /// skipped set depends on timing; `jobs = 1` skips everything after the
-    /// first failure deterministically.
+    /// Stop starting new probes once one fails: probes already in flight
+    /// finish, everything not yet started reports a labelled "skipped"
+    /// failure with NaN columns instead of running. With more than one
+    /// worker the skipped set depends on timing. `jobs = 1` is
+    /// deterministic: batches run in order of their first probe and probes
+    /// inside a batch in plan order (see [`run_plans_with`]), so the skipped
+    /// slots are the failing probe's batch-mates after it in plan order plus
+    /// every probe of every batch whose first probe comes after the failing
+    /// batch's first — which can include slots *before* the failure in plan
+    /// order, and never includes a batch-mate the failing batch already ran.
     pub fail_fast: bool,
     /// Persistent result cache consulted before executing each distinct
     /// probe and fed after each successful execution. `None` (the default)
@@ -894,6 +929,25 @@ struct WorkItem {
     cost: f64,
 }
 
+/// A unit of scheduling: work items one worker executes back to back, in
+/// plan order, on forks of one loaded state (or a single item that loads
+/// nothing).
+#[derive(Debug, PartialEq)]
+struct Batch {
+    items: Vec<usize>,
+    cost: f64,
+}
+
+/// What the first executed probe of a batch leaves for the later ones,
+/// owned by the worker running the batch and dropped with it.
+enum GroupState {
+    /// The first system's frozen substrates: later systems adopt forks.
+    Shared(SharedState),
+    /// The model does not share (`TransactionalSystem::share_state`'s
+    /// default): later systems are loaded from the same initial records.
+    Records(Vec<(Key, Value)>),
+}
+
 /// What one work item produced, fanned out to every slot by the collector.
 struct ItemOutcome {
     result: Result<ProbeResult, String>,
@@ -910,24 +964,88 @@ struct PlanAccounting {
     calibration: Vec<ProbeCalibration>,
 }
 
+/// Partition work items (given as `(state group, predicted cost)` in
+/// first-occurrence order) into [`Batch`]es for `jobs` workers.
+///
+/// Items of one state group form one batch, so the group's state is loaded
+/// once; items without a group are batches of their own. A group predicted
+/// to cost more than a worker's fair share (`total / jobs`) would serialize
+/// the pool behind one worker, so it is split into ⌈cost / fair share⌉
+/// batches (each loading its own copy), items dealt in plan order to the
+/// lightest batch so far. Batches come back ordered by first item; with one
+/// worker nothing is ever split. Splitting adds at most `jobs` batches in
+/// total, since the shares sum to the whole.
+fn plan_batches(items: &[(Option<Vec<u8>>, f64)], jobs: usize) -> Vec<Batch> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut group_of_key: BTreeMap<&[u8], usize> = BTreeMap::new();
+    for (index, (key, _)) in items.iter().enumerate() {
+        let group = match key {
+            Some(key) => *group_of_key.entry(key).or_insert(groups.len()),
+            None => groups.len(),
+        };
+        if group == groups.len() {
+            groups.push(Vec::new());
+        }
+        groups[group].push(index);
+    }
+    let fair_share = items.iter().map(|(_, cost)| cost).sum::<f64>() / jobs.max(1) as f64;
+    let mut batches = Vec::new();
+    for members in groups {
+        let cost: f64 = members.iter().map(|&i| items[i].1).sum();
+        let parts = if cost > fair_share && fair_share > 0.0 {
+            ((cost / fair_share).ceil() as usize).min(members.len())
+        } else {
+            1
+        };
+        let mut split: Vec<Batch> = (0..parts)
+            .map(|_| Batch {
+                items: Vec::new(),
+                cost: 0.0,
+            })
+            .collect();
+        for index in members {
+            let lightest = split
+                .iter_mut()
+                .min_by(|a, b| a.cost.total_cmp(&b.cost))
+                .expect("parts >= 1");
+            lightest.items.push(index);
+            lightest.cost += items[index].1;
+        }
+        batches.extend(split);
+    }
+    batches
+}
+
 /// Execute several plans on **one shared worker pool**: the probes of every
 /// plan go into a single queue, so workers stay busy across experiment
 /// boundaries instead of draining at each experiment's tail (`repro all`
 /// goes through this). Reports come back in plan order and are byte-identical
 /// to running each plan alone with the same seed, whatever the worker count.
 ///
-/// The queue is **deduplicated and scheduled** before anything runs:
+/// The queue is **deduplicated, grouped and scheduled** before anything runs:
 ///
 /// 1. every probe is keyed by [`probe_key_bytes`]; slots with equal keys
 ///    collapse into one [`WorkItem`] executed once, its [`ProbeResult`]
 ///    fanned out to every slot (column extraction stays per slot, so the
 ///    reports are byte-identical to executing each slot separately);
-/// 2. with a cache configured ([`ExecOptions::cache`]), each distinct item
+/// 2. work items are batched by [`state_group_key`]: one worker runs a
+///    batch's items in plan order, generates the workload's initial records
+///    once, loads the first system, and starts every later system as a fork
+///    of that loaded state (`TransactionalSystem::share_state` /
+///    `adopt_state`; a model that does not share is loaded from the same
+///    records instead). The state is owned by the batch and dropped with it.
+///    A group costlier than a worker's fair share is split ([`plan_batches`]);
+/// 3. with a cache configured ([`ExecOptions::cache`]), each distinct item
 ///    is answered from the cache when possible and stored after executing;
-/// 3. with more than one worker the item queue is ordered
-///    longest-predicted-first ([`predicted_probe_cost`]) to shrink the
-///    pool's makespan; one worker keeps first-occurrence order so
-///    fail-fast skips stay deterministic in plan order.
+///    a batch whose items all hit never builds its state;
+/// 4. with more than one worker the batch queue is ordered
+///    longest-predicted-first (summed [`predicted_probe_cost`]) to shrink
+///    the pool's makespan; one worker keeps first-occurrence order so
+///    fail-fast skips stay deterministic ([`ExecOptions::fail_fast`]).
+///
+/// A probe's measured wall ([`ProbeCalibration::wall_ms`]) covers whatever
+/// it executed: the first executed probe of a batch pays the record
+/// generation and the load, its batch-mates only a fork.
 pub fn run_plans_with(
     plans: &[&ExperimentPlan],
     registry: &SystemRegistry,
@@ -974,57 +1092,84 @@ pub fn run_plans_with(
     for item in &mut items {
         item.cost = predicted_probe_cost(&flat[item.slots[0]].run.probe);
     }
-    let distinct = items.len();
-    let jobs = options.effective_jobs().min(distinct.max(1));
+    let probe_of = |item: &WorkItem| &flat[item.slots[0]].run.probe;
+    let jobs = options.effective_jobs();
+    let batches = plan_batches(
+        &items
+            .iter()
+            .map(|item| (state_group_key(probe_of(item)), item.cost))
+            .collect::<Vec<_>>(),
+        jobs,
+    );
+    let jobs = jobs.min(batches.len().max(1));
 
     // Longest-predicted-first ordering (ties broken by first occurrence)
-    // keeps the big probes off the pool's tail; a single worker runs every
-    // item anyway, so it keeps plan order for deterministic fail-fast.
+    // keeps the big batches off the pool's tail; a single worker runs every
+    // batch anyway, so it keeps first-occurrence order for deterministic
+    // fail-fast.
     let order: Vec<usize> = if jobs > 1 {
-        lpt_order(&items.iter().map(|i| i.cost).collect::<Vec<_>>())
+        lpt_order(&batches.iter().map(|b| b.cost).collect::<Vec<_>>())
     } else {
-        (0..distinct).collect()
+        (0..batches.len()).collect()
     };
 
     let abort = std::sync::atomic::AtomicBool::new(false);
-    let execute_item = |item: &WorkItem| -> ItemOutcome {
-        if options.fail_fast && abort.load(std::sync::atomic::Ordering::Relaxed) {
-            return ItemOutcome {
-                result: Err(SKIPPED_MESSAGE.to_string()),
-                wall_ms: 0.0,
-                cache_hit: false,
-            };
-        }
-        if let Some(cache) = options.cache {
-            if let Some(result) = cache.load(&item.key) {
+    // `group` is the executing batch's state (built by its first executed
+    // probe); `share` says whether a later item of the batch could use it.
+    let execute_item =
+        |item: &WorkItem, group: &mut Option<GroupState>, share: bool| -> ItemOutcome {
+            if options.fail_fast && abort.load(std::sync::atomic::Ordering::Relaxed) {
                 return ItemOutcome {
-                    result: Ok(result),
+                    result: Err(SKIPPED_MESSAGE.to_string()),
                     wall_ms: 0.0,
-                    cache_hit: true,
+                    cache_hit: false,
                 };
             }
-        }
-        // lint: allow(D004) -- wall-clock probe timing for the bench trajectory; never enters a report or a cache key
-        let started = std::time::Instant::now();
-        let rep = &flat[item.slots[0]];
-        let result = match catch_unwind(AssertUnwindSafe(|| observe(&rep.run.probe, registry))) {
-            Ok(result) => Ok(result),
-            Err(payload) => Err(panic_text(payload.as_ref())),
-        };
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        match &result {
-            Ok(result) => {
-                if let Some(cache) = options.cache {
-                    cache.store(&item.key, result);
+            if let Some(cache) = options.cache {
+                if let Some(result) = cache.load(&item.key) {
+                    return ItemOutcome {
+                        result: Ok(result),
+                        wall_ms: 0.0,
+                        cache_hit: true,
+                    };
                 }
             }
-            Err(_) => abort.store(true, std::sync::atomic::Ordering::Relaxed),
-        }
-        ItemOutcome {
-            result,
-            wall_ms,
-            cache_hit: false,
-        }
+            // lint: allow(D004) -- wall-clock probe timing for the bench trajectory; never enters a report or a cache key
+            let started = std::time::Instant::now();
+            let observed = catch_unwind(AssertUnwindSafe(|| {
+                observe(probe_of(item), registry, group, share)
+            }));
+            let result = match observed {
+                Ok(result) => Ok(result),
+                Err(payload) => Err(panic_text(payload.as_ref())),
+            };
+            let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+            match &result {
+                Ok(result) => {
+                    if let Some(cache) = options.cache {
+                        cache.store(&item.key, result);
+                    }
+                }
+                Err(_) => abort.store(true, std::sync::atomic::Ordering::Relaxed),
+            }
+            ItemOutcome {
+                result,
+                wall_ms,
+                cache_hit: false,
+            }
+        };
+    // One batch on the calling thread: items in plan order over one group
+    // state, each outcome reported as it lands. Stops early, returning
+    // `false`, once `report` says nobody is listening any more.
+    let run_batch = |batch: &Batch, report: &mut dyn FnMut(usize, ItemOutcome) -> bool| {
+        let mut group = None;
+        batch.items.iter().enumerate().all(|(pos, &item_index)| {
+            let share = pos + 1 < batch.items.len();
+            report(
+                item_index,
+                execute_item(&items[item_index], &mut group, share),
+            )
+        })
     };
 
     // The collector: fan one item's outcome out to every slot that shares
@@ -1102,30 +1247,32 @@ pub fn run_plans_with(
     let mut accounting: Vec<PlanAccounting> =
         plans.iter().map(|_| PlanAccounting::default()).collect();
     if jobs <= 1 {
-        for &item_index in &order {
-            let outcome = execute_item(&items[item_index]);
-            absorb(
-                item_index,
-                outcome,
-                &mut outcomes,
-                &mut accounting,
-                &mut done,
-            );
+        for &batch_index in &order {
+            run_batch(&batches[batch_index], &mut |item_index, outcome| {
+                absorb(
+                    item_index,
+                    outcome,
+                    &mut outcomes,
+                    &mut accounting,
+                    &mut done,
+                );
+                true
+            });
         }
     } else {
-        // The work queue: item indexes in scheduled order, shared through a
-        // mutex so idle workers pull the next item as they finish. Results
-        // come back over a second channel; the collector fans them out and
-        // runs the progress callback.
+        // The work queue: batch indexes in scheduled order, shared through a
+        // mutex so idle workers pull the next batch as they finish. Results
+        // come back item by item over a second channel; the collector fans
+        // them out and runs the progress callback.
         let (job_tx, job_rx) = mpsc::channel::<usize>();
-        for &item_index in &order {
-            let _ = job_tx.send(item_index);
+        for &batch_index in &order {
+            let _ = job_tx.send(batch_index);
         }
         drop(job_tx);
         let job_rx = Arc::new(Mutex::new(job_rx));
         let (result_tx, result_rx) = mpsc::channel::<(usize, ItemOutcome)>();
-        let items_ref = &items;
-        let execute_ref = &execute_item;
+        let batches_ref = &batches;
+        let run_ref = &run_batch;
         std::thread::scope(|scope| {
             for _ in 0..jobs {
                 let job_rx = Arc::clone(&job_rx);
@@ -1139,9 +1286,11 @@ pub fn run_plans_with(
                     let Ok(queue) = job_rx.lock() else { break };
                     let next = queue.recv();
                     drop(queue);
-                    let Ok(item_index) = next else { break };
-                    let outcome = execute_ref(&items_ref[item_index]);
-                    if result_tx.send((item_index, outcome)).is_err() {
+                    let Ok(batch_index) = next else { break };
+                    let delivered = run_ref(&batches_ref[batch_index], &mut |index, outcome| {
+                        result_tx.send((index, outcome)).is_ok()
+                    });
+                    if !delivered {
                         break;
                     }
                 });
@@ -1219,7 +1368,18 @@ pub fn run_plans_with(
 
 /// Run one probe to its [`ProbeResult`] (panics propagate to the caller's
 /// unwind boundary).
-fn observe(probe: &Probe, registry: &SystemRegistry) -> ProbeResult {
+///
+/// A preloading probe starts from its batch's `group` state when there is
+/// one — as a fork of the shared substrates, or loaded from the retained
+/// records when the model does not share — and builds that state itself
+/// when it is the batch's first (`share` says whether any later probe could
+/// use it).
+fn observe(
+    probe: &Probe,
+    registry: &SystemRegistry,
+    group: &mut Option<GroupState>,
+    share: bool,
+) -> ProbeResult {
     match probe {
         Probe::Drive {
             system,
@@ -1230,7 +1390,29 @@ fn observe(probe: &Probe, registry: &SystemRegistry) -> ProbeResult {
                 .build(system)
                 .unwrap_or_else(|e| panic!("cannot build {}: {e}", system.label()));
             let mut wl = workload.build();
-            let stats = run_workload(sys.as_mut(), wl.as_mut(), driver);
+            if driver.preload {
+                match group {
+                    Some(GroupState::Shared(state)) => {
+                        // Declined only by a registry that builds different
+                        // models for one state shape: load that one afresh.
+                        if !sys.adopt_state(state) {
+                            sys.load(&wl.initial_records());
+                        }
+                    }
+                    Some(GroupState::Records(records)) => sys.load(records),
+                    None => {
+                        let records = wl.initial_records();
+                        sys.load(&records);
+                        if share {
+                            *group = Some(match sys.share_state() {
+                                Some(state) => GroupState::Shared(state),
+                                None => GroupState::Records(records),
+                            });
+                        }
+                    }
+                }
+            }
+            let stats = drive(sys.as_mut(), wl.as_mut(), driver);
             // A violated invariant is a model bug, not a measurement: panic
             // inside the probe boundary so it surfaces as a labelled
             // ProbeFailure and the rest of the grid still completes.
@@ -1886,47 +2068,187 @@ mod tests {
         }
         let mut registry = SystemRegistry::with_builtins();
         registry.register(SystemKind::Tikv, bomb);
-        // Three rows: etcd (ok), TiKV (bomb), etcd (would be ok). With
-        // fail_fast and one worker the third probe must be skipped, with a
-        // distinguishable failure message and NaN columns.
+        let entry = |spec: SystemSpec| SystemEntry {
+            spec,
+            columns: vec![ColumnSpec::new("tps", Metric::ThroughputTps)],
+        };
+        // Plan order: Fabric (ok), TiKV (bomb), Fabric-b (same state group as
+        // Fabric), etcd (would be ok). One worker runs batches in order of
+        // their first probe and a batch's probes in plan order: Fabric,
+        // Fabric-b, then TiKV fails, then etcd is skipped — so Fabric-b runs
+        // although it follows the failure in plan order, and only the batch
+        // that starts after the failing one is drained.
         let scenario = Scenario {
             systems: vec![
-                SystemEntry {
-                    spec: SystemSpec::new(SystemKind::Etcd),
-                    columns: vec![ColumnSpec::new("tps", Metric::ThroughputTps)],
-                },
-                SystemEntry {
-                    spec: SystemSpec::new(SystemKind::Tikv),
-                    columns: vec![ColumnSpec::new("tps", Metric::ThroughputTps)],
-                },
-                SystemEntry {
-                    spec: SystemSpec::new(SystemKind::Etcd).with_label("etcd-5"),
-                    columns: vec![ColumnSpec::new("tps", Metric::ThroughputTps)],
-                },
+                entry(SystemSpec::new(SystemKind::Fabric)),
+                entry(SystemSpec::new(SystemKind::Tikv)),
+                entry(SystemSpec::new(SystemKind::Fabric).with_label("Fabric-b")),
+                entry(SystemSpec::new(SystemKind::Etcd)),
             ],
             ..tiny_scenario(1)
         };
+        let statuses: Mutex<Vec<ProbeStatus>> = Mutex::new(Vec::new());
+        let record = |s: &ProbeStatus| statuses.lock().unwrap().push(s.clone());
         let options = ExecOptions {
             jobs: 1,
             fail_fast: true,
+            progress: Some(&record),
             ..ExecOptions::default()
         };
         let report = run_plan_with(&scenario.plan(), &registry, &options);
+        assert!(report.value("Fabric", "tps").unwrap() > 0.0);
         assert!(
-            report.value("etcd", "tps").unwrap() > 0.0,
-            "ran before the failure"
+            report.value("Fabric-b", "tps").unwrap() > 0.0,
+            "a batch-mate of an earlier probe runs before the failing batch"
         );
         assert!(report.value("TiKV", "tps").unwrap().is_nan());
-        assert!(report.value("etcd-5", "tps").unwrap().is_nan());
+        assert!(report.value("etcd", "tps").unwrap().is_nan());
         assert_eq!(report.failures.len(), 2);
         assert_eq!(report.failures[0].message, "intentional probe failure");
         assert_eq!(
             report.failures[1].message,
             "skipped: an earlier probe failed (fail-fast)"
         );
+        // Completion order is batch order, and `done` stays monotone.
+        let statuses = statuses.into_inner().unwrap();
+        assert_eq!(
+            statuses.iter().map(|s| s.index).collect::<Vec<_>>(),
+            vec![0, 2, 1, 3]
+        );
+        assert_eq!(
+            statuses.iter().map(|s| s.done).collect::<Vec<_>>(),
+            vec![1, 2, 3, 4]
+        );
         // Without fail_fast the trailing probe still runs.
         let report = run_plan_with(&scenario.plan(), &registry, &ExecOptions::with_jobs(1));
-        assert!(report.value("etcd-5", "tps").unwrap() > 0.0);
+        assert!(report.value("etcd", "tps").unwrap() > 0.0);
         assert_eq!(report.failures.len(), 1);
+    }
+
+    #[test]
+    fn state_group_keys_follow_the_state_shape_and_the_initial_records_only() {
+        use dichotomy_simnet::NodeFault;
+        let drive = |system: SystemSpec, workload: WorkloadSpec, driver: DriverConfig| {
+            state_group_key(&Probe::Drive {
+                system,
+                workload,
+                driver,
+            })
+        };
+        let workload = || WorkloadSpec::ycsb(YcsbMix::UpdateOnly).with_records(400);
+        let driver = || DriverConfig::saturating(100);
+        let key = drive(SystemSpec::new(SystemKind::TiDb), workload(), driver());
+        assert!(key.is_some());
+        // Nothing `load` may not read, and nothing about the driven
+        // transactions, moves a probe to another group.
+        let mut faults = FaultPlan::none();
+        faults.add(NodeFault::crash_until(dichotomy_common::NodeId(0), 10, 20));
+        let elsewhere = SystemSpec::new(SystemKind::TiDb)
+            .with_label("other")
+            .with_nodes(9)
+            .with_frontends(2)
+            .with_consensus(dichotomy_consensus::ProtocolKind::Pbft)
+            .with_blocks(7, 7)
+            .with_faults(faults)
+            .with_seed(99);
+        let skewed = workload().with_theta(0.99).with_ops_per_txn(5).with_seed(3);
+        let closed = DriverConfig::unsaturated(7).with_seed(5).with_window(10);
+        assert_eq!(key, drive(elsewhere, skewed, closed));
+        // The state shape and the initial records do.
+        for other in [
+            drive(SystemSpec::new(SystemKind::Tikv), workload(), driver()),
+            drive(
+                SystemSpec::new(SystemKind::TiDb).with_shards(4),
+                workload(),
+                driver(),
+            ),
+            drive(
+                SystemSpec::new(SystemKind::TiDb),
+                workload().with_records(401),
+                driver(),
+            ),
+            drive(
+                SystemSpec::new(SystemKind::TiDb),
+                workload().with_record_size(9),
+                driver(),
+            ),
+            drive(
+                SystemSpec::new(SystemKind::TiDb),
+                WorkloadSpec::smallbank().with_records(400),
+                driver(),
+            ),
+        ] {
+            assert!(other.is_some());
+            assert_ne!(key, other);
+        }
+        // etcd ignores a shard count, so it cannot split its group.
+        assert_eq!(
+            drive(SystemSpec::new(SystemKind::Etcd), workload(), driver()),
+            drive(
+                SystemSpec::new(SystemKind::Etcd).with_shards(4),
+                workload(),
+                driver()
+            ),
+        );
+        // Probes that load nothing belong to no group.
+        let unloaded = DriverConfig {
+            preload: false,
+            ..driver()
+        };
+        assert_eq!(
+            drive(SystemSpec::new(SystemKind::TiDb), workload(), unloaded),
+            None
+        );
+        assert_eq!(
+            state_group_key(&Probe::Forecast { profile: "Veritas" }),
+            None
+        );
+    }
+
+    #[test]
+    fn batches_follow_state_groups_and_split_only_past_a_fair_share() {
+        let key = |k: u8| Some(vec![k]);
+        let batch = |items: &[usize], cost: f64| Batch {
+            items: items.to_vec(),
+            cost,
+        };
+        // Plan order: a0 b0 - a1 b1 a2 (`-` loads nothing).
+        let items = [
+            (key(b'a'), 1.0),
+            (key(b'b'), 1.0),
+            (None, 1.0),
+            (key(b'a'), 1.0),
+            (key(b'b'), 1.0),
+            (key(b'a'), 1.0),
+        ];
+        // One worker: one batch per group in first-occurrence order, items in
+        // plan order; different keys never share a batch.
+        assert_eq!(
+            plan_batches(&items, 1),
+            vec![
+                batch(&[0, 3, 5], 3.0),
+                batch(&[1, 4], 2.0),
+                batch(&[2], 1.0)
+            ]
+        );
+        // Two workers, fair share 3.0: nothing exceeds it, nothing splits.
+        assert_eq!(plan_batches(&items, 2), plan_batches(&items, 1));
+        // A group dominating the queue is split into ⌈cost / share⌉ batches,
+        // items dealt in plan order to the lightest batch.
+        let skewed = [
+            (key(b'a'), 4.0),
+            (key(b'a'), 1.0),
+            (key(b'b'), 1.0),
+            (key(b'a'), 2.0),
+            (key(b'a'), 2.0),
+        ];
+        assert_eq!(
+            plan_batches(&skewed, 2),
+            vec![batch(&[0], 4.0), batch(&[1, 3, 4], 5.0), batch(&[2], 1.0)]
+        );
+        // Never more batches than items, and never more than `jobs` extra.
+        let lone = [(key(b'a'), 5.0)];
+        assert_eq!(plan_batches(&lone, 8), vec![batch(&[0], 5.0)]);
+        assert_eq!(plan_batches(&[], 4), vec![]);
     }
 }

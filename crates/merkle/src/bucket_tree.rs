@@ -25,7 +25,7 @@ struct BucketEntry {
 }
 
 /// The Merkle Bucket Tree.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MerkleBucketTree {
     num_buckets: usize,
     fanout: usize,

@@ -22,6 +22,7 @@
 
 // lint: allow(D003) -- hash-addressed node store on the insert hot path; all iterations fold order-insensitive sums
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
 use dichotomy_common::{Hash, Key, Value};
@@ -121,13 +122,36 @@ impl MptProof {
     }
 }
 
+/// Hash-addressed nodes (the LevelDB role), each with its encoded size.
+// lint: allow(D003) -- keyed by content hash; iterated only for retain and order-insensitive merges
+type NodeMap = HashMap<Hash, (Node, usize)>;
+
+/// A node store with its running footprint: what [`MerklePatriciaTrie`]
+/// writes into, and — behind an `Arc` — the immutable base its forks share.
+#[derive(Debug, Clone, Default)]
+struct NodeStore {
+    nodes: NodeMap,
+    /// Σ (encoded size + 32-byte hash key) over `nodes`, kept current by
+    /// every insert and retain so `footprint()` never walks the store.
+    bytes: u64,
+}
+
 /// The Merkle Patricia Trie.
-#[derive(Debug, Default)]
+///
+/// A trie may sit on a shared immutable **base**: [`freeze`](Self::freeze)
+/// moves everything stored so far behind an `Arc`, after which `clone()` is a
+/// *fork* — a second trie over the same base that pays only for its own
+/// (initially empty) overlay. Forks never observe each other's writes, and
+/// every accessor answers as an unshared trie with the same history would
+/// (node identity is the content hash, so a node the base already holds is
+/// never stored twice).
+#[derive(Debug, Clone, Default)]
 pub struct MerklePatriciaTrie {
-    /// Hash-addressed node store (the LevelDB role). Holds the encoded size
-    /// alongside the node to make footprint accounting cheap.
-    // lint: allow(D003) -- keyed by content hash; iterated only for order-insensitive byte totals and retain
-    store: HashMap<Hash, (Node, usize)>,
+    /// Frozen nodes shared with other forks; `None` for an unshared trie.
+    base: Option<Arc<NodeStore>>,
+    /// Nodes written by this trie (all of them when unshared), disjoint
+    /// from `base`.
+    store: NodeStore,
     root: Option<Hash>,
     /// Number of live key/value pairs.
     len: usize,
@@ -160,18 +184,51 @@ impl MerklePatriciaTrie {
     /// Number of nodes in the node store, including superseded (archival)
     /// nodes.
     pub fn stored_node_count(&self) -> usize {
-        self.store.len()
+        self.store.nodes.len() + self.base.as_ref().map_or(0, |b| b.nodes.len())
+    }
+
+    /// Move every node stored so far into a shared immutable base, so that
+    /// `clone()` forks this trie in O(1) instead of copying the node store.
+    /// Observable state (root, reads, proofs, footprint, node count) is
+    /// unchanged.
+    pub fn freeze(&mut self) {
+        if self.base.is_some() && self.store.nodes.is_empty() {
+            return;
+        }
+        self.materialise();
+        self.base = Some(Arc::new(std::mem::take(&mut self.store)));
+    }
+
+    /// Fold the shared base back into this trie's own store (copying it when
+    /// other forks still hold it), leaving an unshared trie.
+    fn materialise(&mut self) {
+        let Some(base) = self.base.take() else { return };
+        let base = Arc::try_unwrap(base).unwrap_or_else(|shared| NodeStore::clone(&shared));
+        let overlay = std::mem::replace(&mut self.store, base);
+        self.store.nodes.extend(overlay.nodes);
+        self.store.bytes += overlay.bytes;
     }
 
     fn put_node(&mut self, node: Node) -> Hash {
         let encoded = node.encode();
         let h = Hash::of(&encoded);
-        self.store.insert(h, (node, encoded.len()));
+        if let Some(base) = &self.base {
+            if base.nodes.contains_key(&h) {
+                return h;
+            }
+        }
+        if self.store.nodes.insert(h, (node, encoded.len())).is_none() {
+            self.store.bytes += encoded.len() as u64 + 32;
+        }
         h
     }
 
     fn get_node(&self, h: &Hash) -> Option<&Node> {
-        self.store.get(h).map(|(n, _)| n)
+        self.store
+            .nodes
+            .get(h)
+            .or_else(|| self.base.as_ref()?.nodes.get(h))
+            .map(|(n, _)| n)
     }
 
     /// Insert or overwrite `key` with `value`, returning the structural
@@ -550,8 +607,11 @@ impl MerklePatriciaTrie {
 
     /// Garbage-collect every node not reachable from the current root
     /// (switching from geth's archival behaviour to a pruned state trie).
-    /// Returns the number of nodes dropped.
+    /// Returns the number of nodes dropped. A forked trie first copies the
+    /// shared base into its own store: the base itself, and every other
+    /// fork, is left untouched.
     pub fn prune(&mut self) -> usize {
+        self.materialise();
         // lint: allow(D003) -- reachability membership set; order never observed
         let mut reachable = std::collections::HashSet::new();
         if let Some(root) = self.root {
@@ -569,9 +629,17 @@ impl MerklePatriciaTrie {
                 }
             }
         }
-        let before = self.store.len();
-        self.store.retain(|h, _| reachable.contains(h));
-        before - self.store.len()
+        let before = self.store.nodes.len();
+        let mut bytes = 0;
+        self.store.nodes.retain(|h, (_, len)| {
+            let keep = reachable.contains(h);
+            if keep {
+                bytes += *len as u64 + 32;
+            }
+            keep
+        });
+        self.store.bytes = bytes;
+        before - self.store.nodes.len()
     }
 }
 
@@ -579,7 +647,7 @@ impl StorageFootprint for MerklePatriciaTrie {
     fn footprint(&self) -> StorageBreakdown {
         // Every stored node costs its encoding plus the 32-byte hash key under
         // which the node store (LevelDB) files it.
-        let node_bytes: u64 = self.store.values().map(|(_, len)| *len as u64 + 32).sum();
+        let node_bytes = self.store.bytes + self.base.as_ref().map_or(0, |b| b.bytes);
         StorageBreakdown {
             payload_bytes: self.live_value_bytes,
             index_bytes: node_bytes.saturating_sub(self.live_value_bytes),
@@ -737,6 +805,91 @@ mod tests {
             per_record > 1000.0,
             "per-record cost {per_record:.0} B should exceed 1 KB"
         );
+    }
+
+    /// Everything an observer can read off a trie, for fork-vs-fresh checks.
+    fn observe(t: &MerklePatriciaTrie, keys: &[u64]) -> impl PartialEq + std::fmt::Debug {
+        (
+            t.root_hash(),
+            t.len(),
+            t.stored_node_count(),
+            t.footprint(),
+            keys.iter()
+                .map(|&i| (t.get(&key16(i)), t.prove(&key16(i))))
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn a_fork_is_indistinguishable_from_an_unshared_trie_with_the_same_history() {
+        let load = |t: &mut MerklePatriciaTrie| {
+            for i in 0..300 {
+                t.insert(&key16(i), &Value::filler(40));
+            }
+        };
+        // Overwrites (archival garbage), a rewrite of the base's own bytes
+        // (content-addressed: stores nothing new), fresh keys and re-splits.
+        let mutate = |t: &mut MerklePatriciaTrie| {
+            for i in (0..300).step_by(7) {
+                t.insert(&key16(i), &Value::filler(64));
+            }
+            t.insert(&key16(3), &Value::filler(40));
+            for i in 300..360 {
+                t.insert(&key16(i), &Value::filler(12));
+            }
+        };
+        let keys: Vec<u64> = (0..365).collect();
+        let mut fresh = MerklePatriciaTrie::new();
+        load(&mut fresh);
+        let mut base = MerklePatriciaTrie::new();
+        load(&mut base);
+        base.freeze();
+        let mut fork = base.clone();
+        assert_eq!(observe(&fork, &keys), observe(&fresh, &keys));
+        mutate(&mut fresh);
+        mutate(&mut fork);
+        assert_eq!(observe(&fork, &keys), observe(&fresh, &keys));
+        let root = fork.root_hash();
+        let proof = fork.prove(&key16(7)).unwrap();
+        assert!(MerklePatriciaTrie::verify_proof(root, &key16(7), &proof));
+        // A second freeze (fork of a fork) changes nothing observable either.
+        fork.freeze();
+        assert_eq!(observe(&fork.clone(), &keys), observe(&fresh, &keys));
+    }
+
+    #[test]
+    fn forks_never_observe_each_other_and_prune_never_touches_the_base() {
+        let mut base = MerklePatriciaTrie::new();
+        for i in 0..200 {
+            base.insert(&key16(i), &Value::filler(30));
+        }
+        base.freeze();
+        let keys: Vec<u64> = (0..210).collect();
+        let untouched = observe(&base, &keys);
+        let mut a = base.clone();
+        let mut b = base.clone();
+        for i in 0..200 {
+            a.insert(&key16(i), &Value::filler(50));
+        }
+        a.insert(&key16(205), &Value::filler(9));
+        assert_eq!(observe(&b, &keys), untouched, "b saw a's writes");
+        b.insert(&key16(1), &Value::filler(77));
+        assert_eq!(a.get(&key16(1)).unwrap().len(), 50);
+        // Pruning a: matches pruning an unshared trie with a's history, and
+        // the base (and b on top of it) keeps every archival node.
+        let mut fresh = MerklePatriciaTrie::new();
+        for i in 0..200 {
+            fresh.insert(&key16(i), &Value::filler(30));
+        }
+        for i in 0..200 {
+            fresh.insert(&key16(i), &Value::filler(50));
+        }
+        fresh.insert(&key16(205), &Value::filler(9));
+        assert_eq!(a.prune(), fresh.prune());
+        assert_eq!(observe(&a, &keys), observe(&fresh, &keys));
+        assert_eq!(observe(&base, &keys), untouched);
+        assert_eq!(b.get(&key16(2)).unwrap().len(), 30);
+        assert!(b.stored_node_count() > base.stored_node_count());
     }
 
     #[test]

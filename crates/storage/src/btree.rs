@@ -29,7 +29,7 @@ enum Node {
 
 /// The B+ tree. Nodes are stored in an arena (`Vec<Node>`) the way pages live
 /// in a page file; `root` indexes into it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BPlusTree {
     nodes: Vec<Node>,
     root: usize,

@@ -12,6 +12,7 @@
 //! compaction reclaims them, and tombstones occupy space.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
 use dichotomy_common::{Key, Value};
@@ -90,13 +91,17 @@ impl Default for LsmConfig {
 }
 
 /// The LSM tree.
-#[derive(Debug)]
+///
+/// Runs are immutable once written, so `clone()` shares them and copies only
+/// the memtable (bounded by its flush budget); flushes and compactions on
+/// either side build new runs and leave the shared ones intact.
+#[derive(Debug, Clone)]
 pub struct LsmTree {
     config: LsmConfig,
     memtable: BTreeMap<Key, Slot>,
     memtable_bytes: usize,
     /// Immutable runs, newest last.
-    runs: Vec<Run>,
+    runs: Vec<Arc<Run>>,
     live_count: usize,
     /// Counters exposed for tests and ablations.
     flushes: u64,
@@ -184,7 +189,7 @@ impl LsmTree {
         if self.memtable.is_empty() {
             return;
         }
-        self.runs.push(Run::from_memtable(&self.memtable));
+        self.runs.push(Arc::new(Run::from_memtable(&self.memtable)));
         self.memtable.clear();
         self.memtable_bytes = 0;
         self.flushes += 1;
@@ -207,9 +212,9 @@ impl LsmTree {
         }
         // Drop tombstones entirely: after a full merge nothing older remains.
         merged.retain(|_, s| matches!(s, Slot::Live(_)));
-        self.runs = vec![Run {
+        self.runs = vec![Arc::new(Run {
             entries: merged.into_iter().collect(),
-        }];
+        })];
         self.compactions += 1;
     }
 }
@@ -221,8 +226,8 @@ impl StorageFootprint for LsmTree {
             .iter()
             .map(|(k, s)| (k.len() + s.bytes()) as u64)
             .sum();
-        let run_payload: u64 = self.runs.iter().map(Run::bytes).sum();
-        let run_index: u64 = self.runs.iter().map(Run::index_bytes).sum();
+        let run_payload: u64 = self.runs.iter().map(|r| r.bytes()).sum();
+        let run_index: u64 = self.runs.iter().map(|r| r.index_bytes()).sum();
         // Memtable skiplist/tree node overhead ≈ 32 B per entry.
         let memtable_index = self.memtable.len() as u64 * 32;
         StorageBreakdown {
@@ -376,6 +381,38 @@ mod tests {
         t.compact();
         assert_eq!(t.get(&Key::from_str("gone")), None);
         assert_eq!(t.footprint().payload_bytes, 0);
+    }
+
+    #[test]
+    fn flushes_and_compactions_after_a_clone_leave_the_shared_runs_intact() {
+        let key = |i: usize| Key::from_str(&format!("k{i:03}"));
+        let mut base = tiny();
+        for i in 0..20 {
+            base.put(key(i), Value::filler(32));
+        }
+        assert!(base.run_count() >= 1 && !base.memtable.is_empty());
+        let snapshot = |t: &LsmTree| (t.scan(&key(0), &key(999)), t.footprint(), t.run_count());
+        let before = snapshot(&base);
+        let mut fork = base.clone();
+        assert_eq!(snapshot(&fork), before);
+        // Overwrite and delete through the fork until it has flushed and
+        // compacted several times over the runs it shares with `base`.
+        for round in 0..10 {
+            for i in 0..20 {
+                fork.put(key(i), Value::filler(40 + round));
+            }
+        }
+        assert!(fork.delete(&key(0)));
+        fork.flush();
+        fork.compact();
+        assert!(fork.compactions() > base.compactions());
+        assert_eq!(fork.len(), 19);
+        assert_eq!(fork.get(&key(5)).unwrap().len(), 49);
+        assert_eq!(snapshot(&base), before, "the fork disturbed its origin");
+        // And the other way round: the origin moving on does not reach the fork.
+        base.put(key(5), Value::filler(7));
+        base.flush();
+        assert_eq!(fork.get(&key(5)).unwrap().len(), 49);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! version, and can garbage-collect versions older than a watermark.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
 use dichotomy_common::{Key, Value, Version};
@@ -22,19 +23,90 @@ pub struct VersionedValue {
     pub value: Option<Value>,
 }
 
+/// Per key: committed versions in ascending version order.
+type VersionMap = BTreeMap<Key, Vec<VersionedValue>>;
+
 /// The multi-version store.
-#[derive(Debug, Default)]
+///
+/// A store may sit on a shared immutable **base**: [`freeze`](Self::freeze)
+/// moves every version committed so far behind an `Arc`, after which
+/// `clone()` is a *fork* that shares the base and keeps only the versions it
+/// appends itself. Forks never observe each other's commits, and every read
+/// answers as an unshared store with the same history would.
+#[derive(Debug, Clone, Default)]
 pub struct MvccStore {
-    /// Per key: committed versions in ascending version order.
-    data: BTreeMap<Key, Vec<VersionedValue>>,
+    /// Frozen history shared with other forks; `None` for an unshared store.
+    base: Option<Arc<VersionMap>>,
+    /// Versions committed through this store since the base was frozen (all
+    /// of them when unshared); per key they continue the base's list.
+    data: VersionMap,
     /// Highest version committed so far.
     latest_version: Version,
+}
+
+/// The newest of `versions` with `version <= snapshot`.
+fn visible_at(versions: &[VersionedValue], snapshot: Version) -> Option<&VersionedValue> {
+    versions[..versions.partition_point(|v| v.version <= snapshot)].last()
 }
 
 impl MvccStore {
     /// An empty store at version 0.
     pub fn new() -> Self {
         MvccStore::default()
+    }
+
+    /// Move every committed version into a shared immutable base, so that
+    /// `clone()` forks this store without copying its history. Reads are
+    /// unchanged.
+    pub fn freeze(&mut self) {
+        if self.base.is_some() && self.data.is_empty() {
+            return;
+        }
+        self.materialise();
+        self.base = Some(Arc::new(std::mem::take(&mut self.data)));
+    }
+
+    /// Fold the shared base back into this store's own map (copying it when
+    /// other forks still hold it), leaving an unshared store.
+    fn materialise(&mut self) {
+        let Some(base) = self.base.take() else { return };
+        let base = Arc::try_unwrap(base).unwrap_or_else(|shared| VersionMap::clone(&shared));
+        for (key, appended) in std::mem::replace(&mut self.data, base) {
+            self.data.entry(key).or_default().extend(appended);
+        }
+    }
+
+    /// The base's versions of `key` (empty when unshared or never written).
+    fn base_versions(&self, key: &Key) -> &[VersionedValue] {
+        self.base
+            .as_ref()
+            .and_then(|base| base.get(key))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// This store's own versions of `key`.
+    fn own_versions(&self, key: &Key) -> &[VersionedValue] {
+        self.data.get(key).map_or(&[], Vec::as_slice)
+    }
+
+    /// The newest version of `key` across base and overlay.
+    fn newest(&self, key: &Key) -> Option<&VersionedValue> {
+        self.own_versions(key)
+            .last()
+            .or_else(|| self.base_versions(key).last())
+    }
+
+    /// Every key ever written with its version list split as (base part,
+    /// own part), base keys first. Either part may be empty, never both.
+    fn histories(&self) -> impl Iterator<Item = (&Key, &[VersionedValue], &[VersionedValue])> {
+        let base = self.base.iter().flat_map(|base| base.iter());
+        let shared = base.map(|(key, versions)| (key, versions.as_slice(), self.own_versions(key)));
+        let own_only = self
+            .data
+            .iter()
+            .filter(|(key, _)| self.base_versions(key).is_empty())
+            .map(|(key, versions)| (key, &[][..], versions.as_slice()));
+        shared.chain(own_only)
     }
 
     /// Highest committed version.
@@ -55,75 +127,70 @@ impl MvccStore {
     /// guaranteed when versions come from [`begin_commit`](Self::begin_commit).
     pub fn commit_write(&mut self, key: Key, version: Version, value: Option<Value>) {
         self.latest_version = self.latest_version.max(version);
-        let versions = self.data.entry(key).or_default();
         debug_assert!(
-            versions.last().map_or(true, |v| v.version <= version),
+            self.newest(&key).map_or(true, |v| v.version <= version),
             "versions must be appended in order"
         );
-        versions.push(VersionedValue { version, value });
+        self.data
+            .entry(key)
+            .or_default()
+            .push(VersionedValue { version, value });
     }
 
     /// The latest committed version number of `key`, if the key has ever been
     /// written (deletions still count as versions — Fabric's validation
     /// treats a deleted key's version as its latest write).
     pub fn latest_key_version(&self, key: &Key) -> Option<Version> {
-        self.data.get(key).and_then(|v| v.last()).map(|v| v.version)
+        self.newest(key).map(|v| v.version)
     }
 
     /// Read the latest committed value of `key`.
     pub fn get_latest(&self, key: &Key) -> Option<Value> {
-        self.data
-            .get(key)
-            .and_then(|v| v.last())
-            .and_then(|v| v.value.clone())
+        self.newest(key).and_then(|v| v.value.clone())
     }
 
     /// Read the value of `key` as of `snapshot` (the newest version with
     /// `version <= snapshot`).
     pub fn get_at(&self, key: &Key, snapshot: Version) -> Option<Value> {
-        let versions = self.data.get(key)?;
-        let idx = versions.partition_point(|v| v.version <= snapshot);
-        if idx == 0 {
-            None
-        } else {
-            versions[idx - 1].value.clone()
-        }
+        self.read_versioned(key, snapshot).and_then(|(_, v)| v)
     }
 
     /// Read the (version, value) pair visible at `snapshot`.
     pub fn read_versioned(&self, key: &Key, snapshot: Version) -> Option<(Version, Option<Value>)> {
-        let versions = self.data.get(key)?;
-        let idx = versions.partition_point(|v| v.version <= snapshot);
-        if idx == 0 {
-            None
-        } else {
-            let v = &versions[idx - 1];
-            Some((v.version, v.value.clone()))
-        }
+        visible_at(self.own_versions(key), snapshot)
+            .or_else(|| visible_at(self.base_versions(key), snapshot))
+            .map(|v| (v.version, v.value.clone()))
     }
 
     /// Number of keys that have ever been written.
     pub fn key_count(&self) -> usize {
-        self.data.len()
+        self.histories().count()
     }
 
     /// Number of live keys (latest version is not a deletion).
     pub fn live_key_count(&self) -> usize {
-        self.data
-            .values()
-            .filter(|v| v.last().is_some_and(|vv| vv.value.is_some()))
+        self.histories()
+            .filter(|(_, base, own)| {
+                own.last()
+                    .or(base.last())
+                    .is_some_and(|v| v.value.is_some())
+            })
             .count()
     }
 
     /// Total number of stored versions across all keys.
     pub fn version_count(&self) -> usize {
-        self.data.values().map(Vec::len).sum()
+        self.histories()
+            .map(|(_, base, own)| base.len() + own.len())
+            .sum()
     }
 
     /// Drop all versions strictly older than the newest version that is
     /// `<= watermark` for each key (standard MVCC garbage collection: the
-    /// snapshot at `watermark` must remain readable).
+    /// snapshot at `watermark` must remain readable). A forked store first
+    /// copies the shared base into its own map; other forks keep theirs.
     pub fn gc(&mut self, watermark: Version) {
+        self.materialise();
         for versions in self.data.values_mut() {
             let keep_from = versions
                 .partition_point(|v| v.version <= watermark)
@@ -139,11 +206,12 @@ impl StorageFootprint for MvccStore {
         let mut payload = 0u64;
         let mut history = 0u64;
         let mut index = 0u64;
-        for (key, versions) in &self.data {
+        for (key, base, own) in self.histories() {
             index += key.len() as u64 + 16;
-            for (i, v) in versions.iter().enumerate() {
+            let count = base.len() + own.len();
+            for (i, v) in base.iter().chain(own).enumerate() {
                 let bytes = v.value.as_ref().map_or(1, Value::len) as u64 + 8;
-                if i + 1 == versions.len() {
+                if i + 1 == count {
                     payload += bytes;
                 } else {
                     history += bytes;
@@ -234,6 +302,65 @@ mod tests {
         assert_eq!(fp.payload_bytes, 200 + 8);
         assert_eq!(fp.history_bytes, 100 + 8);
         assert!(fp.index_bytes > 0);
+    }
+
+    #[test]
+    fn a_fork_reads_through_the_base_and_keeps_its_commits_to_itself() {
+        let load = |s: &mut MvccStore| {
+            let v = s.begin_commit();
+            for name in ["a", "b", "c"] {
+                s.commit_write(k(name), v, Some(Value::filler(10)));
+            }
+        };
+        let mutate = |s: &mut MvccStore| {
+            let v = s.begin_commit();
+            s.commit_write(k("a"), v, Some(Value::filler(20)));
+            s.commit_write(k("new"), v, Some(Value::filler(5)));
+            let v = s.begin_commit();
+            s.commit_write(k("b"), v, None);
+        };
+        let observe = |s: &MvccStore| {
+            let reads: Vec<_> = ["a", "b", "c", "new", "missing"]
+                .iter()
+                .flat_map(|name| (0..=4).map(move |snap| (*name, snap)))
+                .map(|(name, snap)| {
+                    (
+                        s.read_versioned(&k(name), snap),
+                        s.get_at(&k(name), snap),
+                        s.get_latest(&k(name)),
+                        s.latest_key_version(&k(name)),
+                    )
+                })
+                .collect();
+            (
+                reads,
+                s.latest_version(),
+                s.key_count(),
+                s.live_key_count(),
+                s.version_count(),
+                s.footprint(),
+            )
+        };
+        let mut fresh = MvccStore::new();
+        load(&mut fresh);
+        let mut base = MvccStore::new();
+        load(&mut base);
+        base.freeze();
+        let untouched = observe(&base);
+        let mut fork = base.clone();
+        let sibling = base.clone();
+        assert_eq!(observe(&fork), observe(&fresh));
+        mutate(&mut fresh);
+        mutate(&mut fork);
+        assert_eq!(observe(&fork), observe(&fresh));
+        assert_eq!(observe(&base), untouched);
+        assert_eq!(observe(&sibling), untouched);
+        // GC on the fork copies the base instead of trimming it in place.
+        fresh.gc(2);
+        fork.gc(2);
+        assert_eq!(observe(&fork), observe(&fresh));
+        assert_eq!(fork.get_at(&k("a"), 1), None, "gc dropped the old version");
+        assert_eq!(observe(&sibling), untouched);
     }
 
     #[test]

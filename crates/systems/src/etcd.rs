@@ -24,7 +24,8 @@ use dichotomy_simnet::{CostModel, FaultPlan, NetworkConfig, ProcessId, StageEven
 use dichotomy_storage::{BPlusTree, KvEngine, LsmTree};
 
 use crate::pipeline::{
-    Completion, Engine, ReceiptLog, SysEvent, SystemKind, TokenMap, TransactionalSystem,
+    Completion, Engine, ReceiptLog, SharedState, SysEvent, SystemKind, TokenMap,
+    TransactionalSystem,
 };
 
 /// Configuration shared by the etcd and TiKV models.
@@ -94,7 +95,7 @@ struct KvSystem<E: KvEngine> {
     apply_overhead_us: u64,
 }
 
-impl<E: KvEngine> KvSystem<E> {
+impl<E: KvEngine + Clone + 'static> KvSystem<E> {
     fn new(config: EtcdConfig, store: E, apply_overhead_us: u64) -> Self {
         let raft = ReplicationProfile::new(
             ProtocolKind::Raft,
@@ -133,6 +134,25 @@ impl<E: KvEngine> KvSystem<E> {
             Some(Some(heal)) => Some(heal + self.config.failover_us),
             Some(None) => None,
         }
+    }
+
+    fn load(&mut self, records: &[(Key, Value)]) {
+        for (k, v) in records {
+            self.store.put(k.clone(), v.clone());
+        }
+    }
+
+    /// The loaded engine itself is the snapshot: adopters clone it.
+    fn share_state(&mut self) -> Option<SharedState> {
+        Some(SharedState::new(self.store.clone()))
+    }
+
+    fn adopt_state(&mut self, state: &SharedState) -> bool {
+        let Some(store) = state.downcast_ref::<E>() else {
+            return false;
+        };
+        self.store = store.clone();
+        true
     }
 
     fn on_arrival(&mut self, txn: Transaction, engine: &mut Engine) {
@@ -249,9 +269,13 @@ impl TransactionalSystem for Etcd {
         SystemKind::Etcd
     }
     fn load(&mut self, records: &[(Key, Value)]) {
-        for (k, v) in records {
-            self.inner.store.put(k.clone(), v.clone());
-        }
+        self.inner.load(records);
+    }
+    fn share_state(&mut self) -> Option<SharedState> {
+        self.inner.share_state()
+    }
+    fn adopt_state(&mut self, state: &SharedState) -> bool {
+        self.inner.adopt_state(state)
     }
     fn attach(&mut self, engine: &mut Engine) {
         self.inner.attach(engine);
@@ -302,9 +326,13 @@ impl TransactionalSystem for Tikv {
         SystemKind::Tikv
     }
     fn load(&mut self, records: &[(Key, Value)]) {
-        for (k, v) in records {
-            self.inner.store.put(k.clone(), v.clone());
-        }
+        self.inner.load(records);
+    }
+    fn share_state(&mut self) -> Option<SharedState> {
+        self.inner.share_state()
+    }
+    fn adopt_state(&mut self, state: &SharedState) -> bool {
+        self.inner.adopt_state(state)
     }
     fn attach(&mut self, engine: &mut Engine) {
         self.inner.attach(engine);

@@ -32,8 +32,8 @@ use dichotomy_storage::{KvEngine, LsmTree, MvccStore};
 use dichotomy_txn::OccExecutor;
 
 use crate::pipeline::{
-    Completion, Engine, ReceiptLog, SysEvent, SystemKind, TimedCutter, TokenMap,
-    TransactionalSystem,
+    Completion, Engine, ReceiptLog, SharedState, SysEvent, SystemKind, TimedCutter, TokenMap,
+    TransactionalSystem, VersionedKvState,
 };
 
 /// Configuration of a Fabric deployment.
@@ -410,6 +410,15 @@ impl TransactionalSystem for Fabric {
             self.state.commit_write(k.clone(), version, Some(v.clone()));
             self.state_db.put(k.clone(), v.clone());
         }
+    }
+
+    fn share_state(&mut self) -> Option<SharedState> {
+        let state = VersionedKvState::capture(&mut self.state, &self.state_db);
+        Some(SharedState::new(state))
+    }
+
+    fn adopt_state(&mut self, state: &SharedState) -> bool {
+        VersionedKvState::adopt(state, &mut self.state, &mut self.state_db)
     }
 
     fn attach(&mut self, engine: &mut Engine) {

@@ -34,9 +34,11 @@ pub use etcd::{Etcd, EtcdConfig, Tikv};
 pub use fabric::{Fabric, FabricConfig};
 pub use pipeline::{
     drive_arrivals, run_to_completion, run_to_completion_with, BlockCutter, Completion, Engine,
-    ReceiptLog, SysEvent, SystemKind, TimedCutter, TokenMap, TransactionalSystem,
+    ReceiptLog, SharedState, SysEvent, SystemKind, TimedCutter, TokenMap, TransactionalSystem,
 };
 pub use quorum::{Quorum, QuorumConfig};
 pub use sharded::{Ahl, AhlConfig, ShardedTiDb, SpannerLike, SpannerLikeConfig};
-pub use spec::{SystemBuilder, SystemRegistry, SystemSpec, TaxonomyPoint, UnknownSystem};
+pub use spec::{
+    StateShape, SystemBuilder, SystemRegistry, SystemSpec, TaxonomyPoint, UnknownSystem,
+};
 pub use tidb::{TiDb, TiDbConfig};

@@ -12,6 +12,7 @@
 use dichotomy_common::size::StorageBreakdown;
 use dichotomy_common::{ClientId, Key, Timestamp, Transaction, TxnReceipt, Value};
 use dichotomy_simnet::{SimEngine, StageEvent};
+use dichotomy_storage::{LsmTree, MvccStore};
 
 /// Which of the benchmarked systems a model stands for (used in reports and
 /// as the lookup key of the [`SystemRegistry`](crate::spec::SystemRegistry)).
@@ -222,9 +223,69 @@ impl ReceiptLog {
     }
 }
 
+/// A model's loaded substrates, frozen so that other instances of the same
+/// model can start from them instead of re-running [`load`].
+///
+/// Produced by [`TransactionalSystem::share_state`] and consumed by
+/// [`TransactionalSystem::adopt_state`]; opaque to everything in between
+/// (the plan executor just carries it from the first system of a batch to
+/// the later ones). The payload is whatever the model chooses — typically a
+/// struct of its cheaply cloneable stores.
+///
+/// [`load`]: TransactionalSystem::load
+pub struct SharedState(Box<dyn std::any::Any>);
+
+impl SharedState {
+    /// Wrap a model-defined snapshot.
+    pub fn new<T: 'static>(snapshot: T) -> Self {
+        SharedState(Box::new(snapshot))
+    }
+
+    /// The snapshot, if it is a `T` (a model checks for its own type and
+    /// declines anything else).
+    pub fn downcast_ref<T: 'static>(&self) -> Option<&T> {
+        self.0.downcast_ref()
+    }
+}
+
+/// The loaded (versioned state, storage engine) pair of the models that keep
+/// an [`MvccStore`] beside an [`LsmTree`] — Fabric, TiDB and the sharded
+/// databases all bulk-load that pair the same way.
+pub(crate) struct VersionedKvState {
+    pub(crate) state: MvccStore,
+    pub(crate) db: LsmTree,
+}
+
+impl VersionedKvState {
+    /// Freeze `state` and fork both stores.
+    pub(crate) fn capture(state: &mut MvccStore, db: &LsmTree) -> Self {
+        state.freeze();
+        VersionedKvState {
+            state: state.clone(),
+            db: db.clone(),
+        }
+    }
+
+    /// Overwrite `state` and `db` with forks of the captured pair.
+    pub(crate) fn restore(&self, state: &mut MvccStore, db: &mut LsmTree) {
+        *state = self.state.clone();
+        *db = self.db.clone();
+    }
+
+    /// [`restore`](Self::restore) from `shared` if it holds a captured pair
+    /// (the body of such a model's `adopt_state`).
+    pub(crate) fn adopt(shared: &SharedState, state: &mut MvccStore, db: &mut LsmTree) -> bool {
+        shared
+            .downcast_ref::<VersionedKvState>()
+            .map(|pair| pair.restore(state, db))
+            .is_some()
+    }
+}
+
 /// The interface every system model exposes to the experiment driver.
 ///
-/// Lifecycle: [`load`](Self::load) (untimed bulk load), then exactly one
+/// Lifecycle: [`load`](Self::load) (untimed bulk load) or
+/// [`adopt_state`](Self::adopt_state) in its place, then exactly one
 /// [`attach`](Self::attach) on a fresh engine, then any number of
 /// [`on_arrival`](Self::on_arrival) / [`on_stage`](Self::on_stage) callbacks
 /// in event order, then [`on_drain`](Self::on_drain) once the arrival stream
@@ -235,7 +296,36 @@ pub trait TransactionalSystem {
     fn kind(&self) -> SystemKind;
 
     /// Bulk-load the initial records (not timed).
+    ///
+    /// **Contract:** the state `load` leaves behind may depend only on
+    /// `records` and on the fields of the building spec that
+    /// [`SystemSpec::state_shape`](crate::spec::SystemSpec::state_shape)
+    /// declares — never on node counts, consensus, block cutting, cost or
+    /// network models, fault schedules or seeds. The plan executor loads
+    /// once per distinct (state shape, initial records) and hands the result
+    /// to every other probe of that shape, so a `load` that reads anything
+    /// else is a bug: probes would silently measure a state built for a
+    /// different spec.
     fn load(&mut self, records: &[(Key, Value)]);
+
+    /// Right after [`load`](Self::load): freeze the loaded substrates into a
+    /// snapshot other instances can [`adopt`](Self::adopt_state), and keep
+    /// running on top of it. Sharing must be invisible — this system and
+    /// every adopter behave exactly as if each had run `load` itself.
+    /// `None` (the default) opts out: every instance is loaded separately.
+    fn share_state(&mut self) -> Option<SharedState> {
+        None
+    }
+
+    /// Instead of [`load`](Self::load): start from a snapshot another
+    /// instance of this model shared after loading the same records under
+    /// the same state shape. Returns `false` (the default), leaving the
+    /// system untouched, when the snapshot is not one this model produced;
+    /// the caller then falls back to `load`.
+    fn adopt_state(&mut self, state: &SharedState) -> bool {
+        let _ = state;
+        false
+    }
 
     /// Register the model's service processes (pipeline-stage servers) on
     /// the engine. Called once, before any event fires.

@@ -25,7 +25,7 @@ use dichotomy_simnet::{CostModel, FaultPlan, NetworkConfig, ProcessId, StageEven
 use dichotomy_storage::{KvEngine, LsmTree};
 
 use crate::pipeline::{
-    Completion, Engine, ReceiptLog, SysEvent, SystemKind, TimedCutter, TokenMap,
+    Completion, Engine, ReceiptLog, SharedState, SysEvent, SystemKind, TimedCutter, TokenMap,
     TransactionalSystem,
 };
 
@@ -101,6 +101,13 @@ struct QuorumProcs {
     consensus: ProcessId,
     /// A representative validator's serial commit engine.
     committer: ProcessId,
+}
+
+/// What [`Quorum::load`](TransactionalSystem::load) builds: forks of both
+/// stores over the preloaded records.
+pub(crate) struct QuorumState {
+    pub(crate) trie: MerklePatriciaTrie,
+    pub(crate) db: LsmTree,
 }
 
 /// The Quorum system model.
@@ -262,6 +269,23 @@ impl TransactionalSystem for Quorum {
             self.state_trie.insert(k, v);
             self.state_db.put(k.clone(), v.clone());
         }
+    }
+
+    fn share_state(&mut self) -> Option<SharedState> {
+        self.state_trie.freeze();
+        Some(SharedState::new(QuorumState {
+            trie: self.state_trie.clone(),
+            db: self.state_db.clone(),
+        }))
+    }
+
+    fn adopt_state(&mut self, state: &SharedState) -> bool {
+        let Some(state) = state.downcast_ref::<QuorumState>() else {
+            return false;
+        };
+        self.state_trie = state.trie.clone();
+        self.state_db = state.db.clone();
+        true
     }
 
     fn attach(&mut self, engine: &mut Engine) {

@@ -23,7 +23,8 @@ use dichotomy_storage::{KvEngine, LsmTree, MvccStore};
 use dichotomy_txn::locking::{LockManager, LockMode, LockOutcome};
 
 use crate::pipeline::{
-    Completion, Engine, ReceiptLog, SysEvent, SystemKind, TokenMap, TransactionalSystem,
+    Completion, Engine, ReceiptLog, SharedState, SysEvent, SystemKind, TokenMap,
+    TransactionalSystem, VersionedKvState,
 };
 
 /// Stage: a decided transaction's receipt surfaces to the client at its
@@ -172,6 +173,14 @@ impl ShardedDb {
         }
     }
 
+    fn capture(&mut self) -> VersionedKvState {
+        VersionedKvState::capture(&mut self.state, &self.engine_db)
+    }
+
+    fn adopt_state(&mut self, state: &SharedState) -> bool {
+        VersionedKvState::adopt(state, &mut self.state, &mut self.engine_db)
+    }
+
     /// Per-shard work + cross-shard 2PC for a transaction whose per-shard
     /// processing cost is `shard_cost_us`. Returns the commit time, or
     /// `Err(finish)` when a permanent outage makes the decision unreachable
@@ -269,6 +278,14 @@ impl TransactionalSystem for SpannerLike {
 
     fn load(&mut self, records: &[(Key, Value)]) {
         self.db.load(records);
+    }
+
+    fn share_state(&mut self) -> Option<SharedState> {
+        Some(SharedState::new(self.db.capture()))
+    }
+
+    fn adopt_state(&mut self, state: &SharedState) -> bool {
+        self.db.adopt_state(state)
     }
 
     fn attach(&mut self, engine: &mut Engine) {
@@ -461,6 +478,14 @@ impl TransactionalSystem for ShardedTiDb {
         self.db.load(records);
     }
 
+    fn share_state(&mut self) -> Option<SharedState> {
+        Some(SharedState::new(self.db.capture()))
+    }
+
+    fn adopt_state(&mut self, state: &SharedState) -> bool {
+        self.db.adopt_state(state)
+    }
+
     fn attach(&mut self, engine: &mut Engine) {
         self.db.attach(engine);
     }
@@ -595,6 +620,13 @@ impl Default for AhlConfig {
     }
 }
 
+/// What [`Ahl::load`](TransactionalSystem::load) builds: the sharded
+/// database's pair plus the authenticated index over the same records.
+pub(crate) struct AhlState {
+    pub(crate) db: VersionedKvState,
+    pub(crate) mbt: MerkleBucketTree,
+}
+
 /// The AHL sharded-blockchain model.
 pub struct Ahl {
     config: AhlConfig,
@@ -708,6 +740,22 @@ impl TransactionalSystem for Ahl {
         for (k, v) in records {
             self.mbt.put(k, v);
         }
+    }
+
+    fn share_state(&mut self) -> Option<SharedState> {
+        Some(SharedState::new(AhlState {
+            db: self.db.capture(),
+            mbt: self.mbt.clone(),
+        }))
+    }
+
+    fn adopt_state(&mut self, state: &SharedState) -> bool {
+        let Some(state) = state.downcast_ref::<AhlState>() else {
+            return false;
+        };
+        state.db.restore(&mut self.db.state, &mut self.db.engine_db);
+        self.mbt = state.mbt.clone();
+        true
     }
 
     fn attach(&mut self, engine: &mut Engine) {

@@ -195,6 +195,22 @@ impl SystemSpec {
         self.shards.unwrap_or(0)
     }
 
+    /// The part of this spec a model's
+    /// [`load`](TransactionalSystem::load) may depend on. Two specs with
+    /// equal shapes load identical state from identical records, whatever
+    /// their nodes, consensus, block cutting, costs, network, faults or seed
+    /// — which is what lets the plan executor load once per shape.
+    pub fn state_shape(&self) -> StateShape {
+        StateShape {
+            kind: self.kind,
+            shards: if self.kind.shards_scale() {
+                self.shard_count()
+            } else {
+                0
+            },
+        }
+    }
+
     /// Build through the built-in registry.
     pub fn build(&self) -> Result<Box<dyn TransactionalSystem>, UnknownSystem> {
         SystemRegistry::with_builtins().build(self)
@@ -304,6 +320,26 @@ impl Encode for SystemSpec {
         self.costs.encode_into(out);
         self.faults.encode_into(out);
         self.seed.encode_into(out);
+    }
+}
+
+/// What a model's bulk load may read of its spec
+/// ([`SystemSpec::state_shape`]): which model it is and how its data is
+/// partitioned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct StateShape {
+    /// The model.
+    pub kind: SystemKind,
+    /// The shard count for the kinds that honour one
+    /// ([`SystemKind::shards_scale`]; an unsharded TiDB spec builds a
+    /// different model than a sharded one), 0 for the rest.
+    pub shards: u32,
+}
+
+impl Encode for StateShape {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.kind.encode_into(out);
+        self.shards.encode_into(out);
     }
 }
 
@@ -527,6 +563,7 @@ fn build_ahl(spec: &SystemSpec) -> Box<dyn TransactionalSystem> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dichotomy_common::{Key, Value};
     use dichotomy_hybrid::all_systems;
 
     #[test]
@@ -637,6 +674,108 @@ mod tests {
         }
         // Quorum, Fabric v2.2, TiDB, etcd, Spanner.
         assert_eq!(derived, 5);
+    }
+
+    /// Everything observable about what `load` built, read off the
+    /// snapshot `share_state` hands out (roots, key counts, footprints) plus
+    /// the system's own footprint.
+    fn loaded_state_digest(spec: &SystemSpec, records: &[(Key, Value)]) -> String {
+        use crate::pipeline::VersionedKvState;
+        use dichotomy_common::size::StorageFootprint;
+        use dichotomy_storage::{BPlusTree, KvEngine, LsmTree};
+        let mut system = spec.build().unwrap();
+        system.load(records);
+        let footprint = system.footprint();
+        let state = system.share_state().expect("every builtin shares");
+        let kv = |s: &VersionedKvState| {
+            format!(
+                "{} keys @v{} {:?} / {} keys {:?}",
+                s.state.key_count(),
+                s.state.latest_version(),
+                s.state.footprint(),
+                s.db.len(),
+                s.db.footprint()
+            )
+        };
+        let substrates = if let Some(s) = state.downcast_ref::<crate::quorum::QuorumState>() {
+            format!(
+                "{:?} {} keys {:?} / {} keys {:?}",
+                s.trie.root_hash(),
+                s.trie.len(),
+                s.trie.footprint(),
+                s.db.len(),
+                s.db.footprint()
+            )
+        } else if let Some(s) = state.downcast_ref::<crate::sharded::AhlState>() {
+            let mbt = (s.mbt.root_hash(), s.mbt.len(), s.mbt.footprint());
+            format!("{} / {mbt:?}", kv(&s.db))
+        } else if let Some(s) = state.downcast_ref::<VersionedKvState>() {
+            kv(s)
+        } else if let Some(s) = state.downcast_ref::<BPlusTree>() {
+            format!("{} keys {:?}", s.len(), s.footprint())
+        } else if let Some(s) = state.downcast_ref::<LsmTree>() {
+            format!("{} keys {:?}", s.len(), s.footprint())
+        } else {
+            panic!("{:?} shared a snapshot this test does not know", spec.kind)
+        };
+        format!("{footprint:?} | {substrates}")
+    }
+
+    #[test]
+    fn load_reads_nothing_outside_the_declared_state_shape() {
+        use dichotomy_common::NodeId;
+        use dichotomy_simnet::NodeFault;
+        let records: Vec<(Key, Value)> = (0..400u32)
+            .map(|i| {
+                (
+                    Key::from_str(&format!("user{i:08}")),
+                    Value::filler(10 + i as usize % 90),
+                )
+            })
+            .collect();
+        let mut faults = FaultPlan::none();
+        faults.add(NodeFault::crash_until(NodeId(0), 100, 900));
+        faults.add_partition(vec![NodeId(1)], 50, Some(70));
+        for kind in SystemKind::ALL {
+            for shards in [None, Some(3)] {
+                let mut plain = SystemSpec::new(kind);
+                plain.shards = shards;
+                // Same shape, every other knob different.
+                let mut other = plain
+                    .clone()
+                    .with_label("elsewhere")
+                    .with_nodes(9)
+                    .with_frontends(5)
+                    .with_consensus(ProtocolKind::Ibft)
+                    .with_blocks(3, 1_234)
+                    .with_endorsement_divergence(0.5)
+                    .with_periodic_reconfiguration(false)
+                    .with_reconfiguration(77, 7)
+                    .with_faults(faults.clone())
+                    .with_seed(0xfeed);
+                other.network = Some(NetworkConfig::wan());
+                other.costs = Some(CostModel::calibrated().without_crypto());
+                assert_eq!(plain.state_shape(), other.state_shape());
+                assert_eq!(
+                    loaded_state_digest(&plain, &records),
+                    loaded_state_digest(&other, &records),
+                    "{kind:?} shards={shards:?}: load read a field outside its state shape"
+                );
+                // The digest does see the records.
+                assert_ne!(
+                    loaded_state_digest(&plain, &records),
+                    loaded_state_digest(&plain, &records[1..]),
+                );
+            }
+            // Only the kinds that honour a shard count put it in the shape.
+            let sharded = SystemSpec::new(kind).with_shards(3).state_shape();
+            assert_eq!(
+                sharded != SystemSpec::new(kind).state_shape(),
+                kind.shards_scale(),
+                "{kind:?}"
+            );
+            assert_eq!(sharded.kind, kind);
+        }
     }
 
     #[test]

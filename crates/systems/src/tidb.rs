@@ -29,7 +29,8 @@ use dichotomy_storage::{KvEngine, LsmTree, MvccStore};
 use dichotomy_txn::PercolatorExecutor;
 
 use crate::pipeline::{
-    Completion, Engine, ReceiptLog, SysEvent, SystemKind, TokenMap, TransactionalSystem,
+    Completion, Engine, ReceiptLog, SharedState, SysEvent, SystemKind, TokenMap,
+    TransactionalSystem, VersionedKvState,
 };
 
 /// Configuration of a TiDB deployment.
@@ -344,6 +345,15 @@ impl TransactionalSystem for TiDb {
             self.state.commit_write(k.clone(), version, Some(v.clone()));
             self.engine_db.put(k.clone(), v.clone());
         }
+    }
+
+    fn share_state(&mut self) -> Option<SharedState> {
+        let state = VersionedKvState::capture(&mut self.state, &self.engine_db);
+        Some(SharedState::new(state))
+    }
+
+    fn adopt_state(&mut self, state: &SharedState) -> bool {
+        VersionedKvState::adopt(state, &mut self.state, &mut self.engine_db)
     }
 
     fn attach(&mut self, engine: &mut Engine) {

@@ -50,6 +50,18 @@ impl WorkloadSpec {
         }
     }
 
+    /// What determines [`Workload::initial_records`]: the workload variant,
+    /// its record (account) count and its record size — not the seed, skew,
+    /// mix or transaction shape. Specs with equal keys pre-load identical
+    /// records, so a loaded system state can be shared between them.
+    pub fn initial_state_key(&self) -> (u8, u64, u64) {
+        match self {
+            // YCSB never loads an empty value.
+            WorkloadSpec::Ycsb(c) => (0, c.record_count, c.record_size.max(1) as u64),
+            WorkloadSpec::Smallbank(c) => (1, c.accounts, c.record_size as u64),
+        }
+    }
+
     /// The RNG seed the built generator will use.
     pub fn seed(&self) -> u64 {
         match self {
@@ -154,6 +166,42 @@ mod tests {
         }
         assert_eq!(spec.seed(), 9);
         assert_eq!(spec.build().initial_records().len(), 123);
+    }
+
+    #[test]
+    fn the_initial_state_key_covers_exactly_what_the_preload_depends_on() {
+        let base = WorkloadSpec::ycsb(YcsbMix::UpdateOnly)
+            .with_records(50)
+            .with_record_size(20);
+        let same = WorkloadSpec::ycsb(YcsbMix::QueryOnly)
+            .with_records(50)
+            .with_record_size(20)
+            .with_theta(0.99)
+            .with_ops_per_txn(4)
+            .with_seed(99);
+        assert_eq!(base.initial_state_key(), same.initial_state_key());
+        assert_eq!(
+            base.build().initial_records(),
+            same.build().initial_records()
+        );
+        let smallbank = WorkloadSpec::smallbank()
+            .with_records(50)
+            .with_record_size(20);
+        for other in [
+            base.clone().with_records(51),
+            base.clone().with_record_size(21),
+            smallbank.clone(),
+        ] {
+            assert_ne!(base.initial_state_key(), other.initial_state_key());
+            assert_ne!(
+                base.build().initial_records(),
+                other.build().initial_records()
+            );
+        }
+        assert_eq!(
+            smallbank.initial_state_key(),
+            smallbank.clone().with_seed(3).initial_state_key()
+        );
     }
 
     #[test]

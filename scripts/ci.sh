@@ -275,9 +275,22 @@ grep -q "plan_parallel_8probe_etcd" /tmp/ci_microbench.out
 # their timings ride the bench trajectory alongside the experiment runs.
 grep -q "event_queue_heap_churn_256k" /tmp/ci_microbench.out
 grep -q "latency_sketch_stream_100k" /tmp/ci_microbench.out
+# Load vs fork of a shared Quorum state: the per-probe saving of a state
+# group, printed as two ns/op lines.
+grep -q "quorum_load_5k_1kb" /tmp/ci_microbench.out
+grep -q "quorum_fork_5k_1kb" /tmp/ci_microbench.out
 grep -q "\"label\":\"${BENCH_KEY}-micro\"" BENCH_history.json
 grep -q '"key":"event_queue_heap_churn_256k"' BENCH_history.json
 grep -q '"key":"latency_sketch_stream_100k"' BENCH_history.json
+
+echo "==> benchmark/ (the frozen harness against this tree: smoke check + fidelity digests)"
+# The standalone harness package builds from this checkout's crates, so a
+# widened trait or a drifted `observe` breaks here, not in the next
+# benchmark run: check.sh smoke-runs every workload and cross-checks traced
+# against untraced digests; the test suite pins the mirror to the real path
+# and the suite document to `repro --json`.
+benchmark/check.sh
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> bench_gate (wall-clock trajectory regression gate + coverage keys)"
 scripts/bench_gate --require-key scale01 --require-key chaos01 \
