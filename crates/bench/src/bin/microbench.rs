@@ -69,6 +69,18 @@ fn effective_iters(iters: u32) -> u32 {
 fn bench_batched<S, R>(
     name: &str,
     iters: u32,
+    setup: impl FnMut() -> S,
+    routine: impl FnMut(S) -> R,
+) {
+    bench_batched_ops(name, iters, 1, setup, routine)
+}
+
+/// [`bench_batched`] for a routine that performs `ops` operations per call:
+/// an operation far cheaper than the timer is timed a thousand at a go.
+fn bench_batched_ops<S, R>(
+    name: &str,
+    iters: u32,
+    ops: u32,
     mut setup: impl FnMut() -> S,
     mut routine: impl FnMut(S) -> R,
 ) {
@@ -84,7 +96,7 @@ fn bench_batched<S, R>(
         total += start.elapsed();
         black_box(result);
     }
-    let ns_per_op = total.as_nanos() as f64 / iters as f64;
+    let ns_per_op = total.as_nanos() as f64 / iters as f64 / ops as f64;
     println!("{name:<34} {iters:>7} iters {ns_per_op:>14.0} ns/op");
     RESULTS.lock().unwrap().push((name.to_string(), ns_per_op));
 }
@@ -406,6 +418,52 @@ fn bench_state_sharing() {
     });
 }
 
+fn bench_payload_ownership() {
+    // What a payload costs as it moves between layers: a key handle, a value
+    // handle, one generated transaction (a key rendered on the stack plus the
+    // generator's one shared filler) and freezing a full 4 MB memtable into a
+    // run (its entries move; nothing is cloned).
+    fn bench_clone<T: Clone>(name: &str, handle: &T) {
+        const CLONES: u32 = 1_000;
+        bench_batched_ops(
+            name,
+            2_000,
+            CLONES,
+            || (),
+            |()| (0..CLONES).for_each(|_| drop(black_box(black_box(handle).clone()))),
+        );
+    }
+    bench_clone("key_clone_16b", &YcsbWorkload::key_for(42));
+    let value = Value::filler(1_024);
+    bench_clone("value_clone_1kb", &value);
+    let mut workload = YcsbWorkload::new(YcsbConfig {
+        record_count: 100_000,
+        record_size: 1_024,
+        ..YcsbConfig::default()
+    });
+    let mut seq = 0;
+    bench("ycsb_next_txn_1kb", 20_000, || {
+        seq += 1;
+        workload.next_transaction(ClientId(seq % 64), seq)
+    });
+    bench_batched(
+        "lsm_flush_4mb",
+        20,
+        || {
+            // Default budget: 4 MB. 4 000 records stay just under it.
+            let mut t = LsmTree::new();
+            for i in 0..4_000 {
+                t.put(YcsbWorkload::key_for(i), value.clone());
+            }
+            t
+        },
+        |mut t| {
+            t.flush();
+            t
+        },
+    );
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut filters: Vec<String> = Vec::new();
@@ -443,6 +501,10 @@ fn main() {
         ("event_queue engine", bench_event_engine),
         ("plan", bench_plan_executor),
         ("quorum_load quorum_fork", bench_state_sharing),
+        (
+            "key_clone value_clone ycsb_next_txn lsm_flush",
+            bench_payload_ownership,
+        ),
         ("end_to_end", bench_end_to_end),
     ];
     for (keys, run) in groups {

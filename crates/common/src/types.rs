@@ -2,6 +2,7 @@
 //! substrate and system model in the workspace.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::codec::Encode;
 
@@ -81,61 +82,150 @@ pub type Timestamp = u64;
 /// commit timestamp; we use a single monotonically increasing counter.
 pub type Version = u64;
 
+/// Longest key stored inline; one byte more would grow [`Key`] past 24 bytes.
+const INLINE_KEY_BYTES: usize = 22;
+
 /// Record key. Keys are opaque byte strings; YCSB-style workloads use
 /// `user<zero-padded-number>` keys, Smallbank uses `acct:<n>:<field>`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Key(pub Vec<u8>);
+///
+/// Cloning never allocates or copies a heap payload: keys of up to 22 bytes
+/// (every generated key) live inline in the 24-byte handle, longer ones share
+/// one immutable buffer. Equality, ordering and hashing are those of the byte
+/// string, whichever representation holds it.
+#[derive(Clone)]
+pub struct Key(KeyRepr);
+
+#[derive(Clone)]
+enum KeyRepr {
+    /// `bytes[len..]` is always zero, which makes (`bytes`, `len`) order
+    /// exactly as the byte strings do: two inline keys compare as fixed-size
+    /// arrays, with no length-dependent loop.
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_KEY_BYTES],
+    },
+    Shared(Arc<[u8]>),
+}
 
 impl Key {
     /// Construct a key from anything byte-like.
-    pub fn new(bytes: impl Into<Vec<u8>>) -> Self {
-        Key(bytes.into())
+    pub fn new(bytes: impl AsRef<[u8]>) -> Self {
+        let bytes = bytes.as_ref();
+        Key(if bytes.len() <= INLINE_KEY_BYTES {
+            let mut inline = [0u8; INLINE_KEY_BYTES];
+            inline[..bytes.len()].copy_from_slice(bytes);
+            KeyRepr::Inline {
+                len: bytes.len() as u8,
+                bytes: inline,
+            }
+        } else {
+            KeyRepr::Shared(bytes.into())
+        })
     }
 
     /// Construct a key from a UTF-8 string slice. Unlike `FromStr` this is
     /// infallible, hence the inherent method.
     #[allow(clippy::should_implement_trait)]
     pub fn from_str(s: &str) -> Self {
-        Key(s.as_bytes().to_vec())
+        Key::new(s)
     }
 
     /// View the key as a byte slice.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+        match &self.0 {
+            KeyRepr::Inline { len, bytes } => &bytes[..*len as usize],
+            KeyRepr::Shared(bytes) => bytes,
+        }
     }
 
     /// Length of the key in bytes.
     pub fn len(&self) -> usize {
-        self.0.len()
+        match &self.0 {
+            KeyRepr::Inline { len, .. } => *len as usize,
+            KeyRepr::Shared(bytes) => bytes.len(),
+        }
     }
 
     /// Whether the key is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len() == 0
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        match (&self.0, &other.0) {
+            (KeyRepr::Inline { len, bytes }, KeyRepr::Inline { len: l, bytes: b }) => {
+                inline_words(*len, bytes).cmp(&inline_words(*l, b))
+            }
+            _ => self.as_bytes().cmp(other.as_bytes()),
+        }
+    }
+}
+
+/// An inline key as three big-endian words — its zero-padded bytes, then its
+/// length — which order as the byte strings do: a shorter key that is a prefix
+/// reads zeros where the longer one has bytes (less, or equal and then the
+/// length decides).
+fn inline_words(len: u8, bytes: &[u8; INLINE_KEY_BYTES]) -> [u64; 3] {
+    let word = |at: usize| u64::from_be_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+    let mut tail = [0u8; 8];
+    tail[..6].copy_from_slice(&bytes[16..]);
+    tail[7] = len;
+    [word(0), word(8), u64::from_be_bytes(tail)]
+}
+
+impl std::hash::Hash for Key {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state);
+    }
+}
+
+impl fmt::Debug for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Key").field(&self.as_bytes()).finish()
     }
 }
 
 impl fmt::Display for Key {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_bytes_as_ascii(&self.0, f)
+        fmt_bytes_as_ascii(self.as_bytes(), f)
     }
 }
 
 /// Record value: an opaque byte payload whose size is one of the paper's
 /// experiment knobs (Table 3: 10–5000 bytes).
+///
+/// The payload is one shared immutable buffer: `clone()` bumps a reference
+/// count, so a value travels from the generator through every store to the
+/// receipt without being copied.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Value(pub Vec<u8>);
+pub struct Value(Arc<[u8]>);
 
 impl Value {
     /// Construct a value from anything byte-like.
-    pub fn new(bytes: impl Into<Vec<u8>>) -> Self {
-        Value(bytes.into())
+    pub fn new(bytes: impl AsRef<[u8]>) -> Self {
+        Value(bytes.as_ref().into())
     }
 
     /// A value consisting of `len` filler bytes, used by the workload
     /// generators when only the size matters.
     pub fn filler(len: usize) -> Self {
-        Value(vec![b'x'; len])
+        Value(std::iter::repeat(b'x').take(len).collect())
     }
 
     /// View the value as a byte slice.
@@ -199,10 +289,10 @@ impl Encode for TxnId {
 
 impl Encode for Key {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
+        self.as_bytes().encode_into(out);
     }
     fn encoded_len(&self) -> usize {
-        4 + self.0.len()
+        4 + self.len()
     }
 }
 
@@ -211,7 +301,7 @@ impl Encode for Value {
         self.0.encode_into(out);
     }
     fn encoded_len(&self) -> usize {
-        4 + self.0.len()
+        4 + self.len()
     }
 }
 
@@ -256,10 +346,94 @@ mod tests {
 
     #[test]
     fn key_constructors_agree() {
-        assert_eq!(Key::from_str("user42"), Key::new(b"user42".to_vec()));
+        assert_eq!(Key::from_str("user42"), Key::new(b"user42"));
         assert_eq!(Key::from_str("user42").len(), 6);
         assert!(!Key::from_str("user42").is_empty());
         assert!(Key::new(Vec::new()).is_empty());
+    }
+
+    /// The hash under SipHash with its fixed (zero) key.
+    fn sip<T: std::hash::Hash + ?Sized>(value: &T) -> u64 {
+        use std::hash::Hasher;
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// Byte strings on both sides of the inline/shared boundary: every length
+    /// of interest, plus equal, prefix-of (also by a zero byte, which inline
+    /// padding must not confuse) and differ-in-last-byte neighbours.
+    fn contract_strings() -> Vec<Vec<u8>> {
+        let mut strings: Vec<Vec<u8>> = [0usize, 1, 15, 16, 22, 23, 24, 64, 1_000]
+            .iter()
+            .map(|&len| (0..len).map(|i| b'a' + (i % 26) as u8).collect())
+            .collect();
+        for len in [21usize, 22, 23] {
+            let base: Vec<u8> = (0..len).map(|i| b'a' + (i % 26) as u8).collect();
+            let mut last_differs = base.clone();
+            *last_differs.last_mut().unwrap() ^= 1;
+            let mut zero_extended = base.clone();
+            zero_extended.push(0);
+            strings.extend([base.clone(), base, last_differs, zero_extended]);
+        }
+        strings.extend([vec![0], vec![0, 0], vec![0xff; 22], vec![0xff; 23]]);
+        strings
+    }
+
+    #[test]
+    fn key_behaves_as_the_byte_string_it_was_built_from() {
+        assert!(std::mem::size_of::<Key>() <= 24);
+        let strings = contract_strings();
+        for a in &strings {
+            let key = Key::new(a);
+            assert_eq!(key.as_bytes(), a.as_slice());
+            assert_eq!((key.len(), key.is_empty()), (a.len(), a.is_empty()));
+            assert_eq!(key.clone().as_bytes(), a.as_slice());
+            assert_eq!(sip(&key), sip(a), "hash of {a:?}");
+            assert_eq!(key.encode(), a.encode());
+            assert_eq!(key.encoded_len(), a.encoded_len());
+            assert_eq!(format!("{key:?}"), format!("Key({a:?})"));
+            for b in &strings {
+                let other = Key::new(b);
+                assert_eq!(key.cmp(&other), a.cmp(b), "{a:?} vs {b:?}");
+                assert_eq!(key.partial_cmp(&other), a.partial_cmp(b));
+                assert_eq!(key == other, a == b, "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn key_display_is_that_of_its_bytes_on_either_side_of_the_boundary() {
+        let ascii =
+            |len: usize| -> String { (0..len).map(|i| (b'a' + (i % 26) as u8) as char).collect() };
+        for len in [0, 1, 16, 22, 23, 48] {
+            assert_eq!(Key::from_str(&ascii(len)).to_string(), ascii(len));
+        }
+        assert_eq!(
+            Key::from_str(&ascii(64)).to_string(),
+            format!("{}…(64B)", ascii(45))
+        );
+        assert_eq!(Key::new([0xff, 0x00, 0x12]).to_string(), "ff0012");
+        assert_eq!(
+            Key::new([0xffu8; 23]).to_string(),
+            format!("{}…(23B)", "ff".repeat(16))
+        );
+    }
+
+    #[test]
+    fn a_value_clone_is_the_same_buffer_and_encodes_as_its_bytes() {
+        for bytes in contract_strings() {
+            let value = Value::new(&bytes);
+            let clone = value.clone();
+            assert!(std::ptr::eq(value.as_bytes(), clone.as_bytes()));
+            assert_eq!(clone, value);
+            assert_eq!(value.as_bytes(), bytes.as_slice());
+            assert_eq!(value.encode(), bytes.encode());
+            assert_eq!(value.encoded_len(), bytes.encoded_len());
+            assert_eq!(sip(&value), sip(&bytes));
+            assert_eq!(format!("{value:?}"), format!("Value({bytes:?})"));
+        }
+        assert_eq!(Value::filler(1_000), Value::new(vec![b'x'; 1_000]));
     }
 
     #[test]

@@ -1442,10 +1442,10 @@ fn observe(
         } => {
             let mut mbt = MerkleBucketTree::fabric_default();
             let mut mpt = MerklePatriciaTrie::new();
+            let value = Value::filler(*record_size);
             for i in 0..*records {
                 // 16-byte keys, as in the paper's setup.
-                let key = Key::new(Hash::of(&i.to_be_bytes()).0[..16].to_vec());
-                let value = Value::filler(*record_size);
+                let key = Key::new(&Hash::of(&i.to_be_bytes()).0[..16]);
                 mbt.put(&key, &value);
                 mpt.insert(&key, &value);
             }

@@ -227,7 +227,7 @@ mod tests {
     use super::*;
 
     fn key(i: u64) -> Key {
-        Key::new(Hash::of(&i.to_be_bytes()).0[..16].to_vec())
+        Key::new(&Hash::of(&i.to_be_bytes()).0[..16])
     }
 
     #[test]

@@ -20,8 +20,10 @@
 //! [`MerklePatriciaTrie::prune`] garbage-collects unreachable nodes so that
 //! the difference can be quantified in an ablation.
 
+use std::collections::hash_map::Entry;
 // lint: allow(D003) -- hash-addressed node store on the insert hot path; all iterations fold order-insensitive sums
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
@@ -29,74 +31,161 @@ use dichotomy_common::{Hash, Key, Value};
 
 use crate::UpdateStats;
 
-/// A trie node. The `Branch` variant dominates the enum's size, but nodes
-/// live behind hashes in the node store, so the size gap is paid once per
-/// stored node either way.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[allow(clippy::large_enum_variant)]
+/// A nibble string, one nibble per byte as the node encoding stores it, in
+/// the workspace's small byte string: up to 22 nibbles sit inline in the
+/// node, longer ones in a buffer that rewritten nodes share.
+type Path = Key;
+
+/// The occupied child slots of a branch in slot order, plus their bitmap —
+/// the shape of the encoding, so a sparse branch costs what it holds.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Children {
+    occupied: u16,
+    hashes: Vec<Hash>,
+}
+
+impl Children {
+    fn has(&self, slot: u8) -> bool {
+        self.occupied & (1 << slot) != 0
+    }
+
+    /// Index into `hashes` of `slot`, whether or not it is occupied.
+    fn rank(&self, slot: u8) -> usize {
+        (self.occupied & ((1 << slot) - 1)).count_ones() as usize
+    }
+
+    fn get(&self, slot: u8) -> Option<Hash> {
+        self.has(slot).then(|| self.hashes[self.rank(slot)])
+    }
+
+    fn set(&mut self, slot: u8, child: Hash) {
+        let at = self.rank(slot);
+        if self.has(slot) {
+            self.hashes[at] = child;
+        } else {
+            self.occupied |= 1 << slot;
+            self.hashes.insert(at, child);
+        }
+    }
+
+    /// A copy with `slot` pointing at `child`.
+    fn with(&self, slot: u8, child: Hash) -> Children {
+        let len = self.hashes.len() + usize::from(!self.has(slot));
+        let mut hashes = Vec::with_capacity(len);
+        hashes.extend_from_slice(&self.hashes);
+        let mut next = Children {
+            occupied: self.occupied,
+            hashes,
+        };
+        next.set(slot, child);
+        next
+    }
+}
+
+/// A trie node. Nodes are immutable once stored and are never cloned: the
+/// store holds each behind an `Arc`, and a rewritten spine shares its values
+/// (and long paths) with the nodes it supersedes.
+#[derive(Debug, PartialEq, Eq)]
 enum Node {
     /// Terminal node holding the remaining path and the value.
-    Leaf { path: Vec<u8>, value: Vec<u8> },
+    Leaf { path: Path, value: Value },
     /// Path compression node pointing at a single child.
-    Extension { path: Vec<u8>, child: Hash },
+    Extension { path: Path, child: Hash },
     /// 16-way branch with an optional value for keys ending here.
     Branch {
-        children: [Option<Hash>; 16],
-        value: Option<Vec<u8>>,
+        children: Children,
+        value: Option<Value>,
     },
 }
 
 impl Node {
-    /// Deterministic byte encoding, standing in for RLP. The encoding is what
-    /// gets hashed (node identity) and what the footprint counts.
-    fn encode(&self) -> Vec<u8> {
+    fn leaf(path: &[u8], value: &Value) -> Node {
+        Node::Leaf {
+            path: Path::new(path),
+            value: value.clone(),
+        }
+    }
+
+    /// Deterministic byte encoding, standing in for RLP, written over `out`.
+    /// The encoding is what gets hashed (node identity) and what the
+    /// footprint counts.
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
         match self {
             Node::Leaf { path, value } => {
-                let mut out = Vec::with_capacity(2 + path.len() + value.len());
-                out.push(0u8);
-                out.push(path.len() as u8);
-                out.extend_from_slice(path);
-                out.extend_from_slice(value);
-                out
+                out.extend_from_slice(&[0u8, path.len() as u8]);
+                out.extend_from_slice(path.as_bytes());
+                out.extend_from_slice(value.as_bytes());
             }
             Node::Extension { path, child } => {
-                let mut out = Vec::with_capacity(2 + path.len() + 32);
-                out.push(1u8);
-                out.push(path.len() as u8);
-                out.extend_from_slice(path);
+                out.extend_from_slice(&[1u8, path.len() as u8]);
+                out.extend_from_slice(path.as_bytes());
                 out.extend_from_slice(&child.0);
-                out
             }
             Node::Branch { children, value } => {
-                let mut out = Vec::with_capacity(3 + 16 * 32 + value.as_ref().map_or(0, Vec::len));
                 out.push(2u8);
-                let mut bitmap: u16 = 0;
-                for (i, c) in children.iter().enumerate() {
-                    if c.is_some() {
-                        bitmap |= 1 << i;
-                    }
-                }
-                out.extend_from_slice(&bitmap.to_be_bytes());
-                for c in children.iter().flatten() {
+                out.extend_from_slice(&children.occupied.to_be_bytes());
+                for c in &children.hashes {
                     out.extend_from_slice(&c.0);
                 }
                 if let Some(v) = value {
-                    out.extend_from_slice(v);
+                    out.extend_from_slice(v.as_bytes());
                 }
-                out
+            }
+        }
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Length of the encoding, without producing it.
+    fn encoded_len(&self) -> usize {
+        match self {
+            Node::Leaf { path, value } => 2 + path.len() + value.len(),
+            Node::Extension { path, .. } => 2 + path.len() + 32,
+            Node::Branch { children, value } => {
+                3 + 32 * children.hashes.len() + value.as_ref().map_or(0, Value::len)
             }
         }
     }
 }
 
-/// Split a byte key into nibbles (high nibble first).
-fn to_nibbles(key: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(key.len() * 2);
-    for b in key {
-        out.push(b >> 4);
-        out.push(b & 0x0f);
+/// The nibbles of a key (high nibble first): on the stack for keys of up to
+/// 32 bytes, so a lookup or insert allocates nothing for its path.
+struct Nibbles {
+    stack: [u8; 64],
+    heap: Vec<u8>,
+    len: usize,
+}
+
+impl Nibbles {
+    fn of(key: &[u8]) -> Self {
+        let len = key.len() * 2;
+        let mut stack = [0u8; 64];
+        let mut heap = Vec::new();
+        let buf = if len <= stack.len() {
+            &mut stack[..len]
+        } else {
+            heap.resize(len, 0);
+            &mut heap[..]
+        };
+        for (pair, b) in buf.chunks_exact_mut(2).zip(key) {
+            pair[0] = b >> 4;
+            pair[1] = b & 0x0f;
+        }
+        Nibbles { stack, heap, len }
     }
-    out
+
+    fn as_slice(&self) -> &[u8] {
+        if self.heap.is_empty() {
+            &self.stack[..self.len]
+        } else {
+            &self.heap
+        }
+    }
 }
 
 /// Length of the common prefix of two nibble slices.
@@ -122,9 +211,32 @@ impl MptProof {
     }
 }
 
-/// Hash-addressed nodes (the LevelDB role), each with its encoded size.
+/// The node store's hasher. Its keys are SHA-256 digests, uniform already,
+/// so the first eight digest bytes are the table hash as they stand: no
+/// second hash over the 32 bytes, and no per-process random state.
+#[derive(Debug, Default)]
+struct DigestPrefix(u64);
+
+impl std::hash::Hasher for DigestPrefix {
+    /// [`Hash`] hashes as its byte array: one call with the 32 digest bytes.
+    fn write(&mut self, bytes: &[u8]) {
+        let mut prefix = [0u8; 8];
+        let n = bytes.len().min(8);
+        prefix[..n].copy_from_slice(&bytes[..n]);
+        self.0 = u64::from_le_bytes(prefix);
+    }
+
+    /// The array's length prefix, the same for every key.
+    fn write_usize(&mut self, _len: usize) {}
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Hash-addressed nodes (the LevelDB role), each stored once.
 // lint: allow(D003) -- keyed by content hash; iterated only for retain and order-insensitive merges
-type NodeMap = HashMap<Hash, (Node, usize)>;
+type NodeMap = HashMap<Hash, Arc<Node>, BuildHasherDefault<DigestPrefix>>;
 
 /// A node store with its running footprint: what [`MerklePatriciaTrie`]
 /// writes into, and — behind an `Arc` — the immutable base its forks share.
@@ -134,6 +246,13 @@ struct NodeStore {
     /// Σ (encoded size + 32-byte hash key) over `nodes`, kept current by
     /// every insert and retain so `footprint()` never walks the store.
     bytes: u64,
+}
+
+/// What one insert learns on its way down, beside the new root.
+struct Insertion {
+    stats: UpdateStats,
+    /// Length of the value the key held before, if it held one.
+    replaced: Option<usize>,
 }
 
 /// The Merkle Patricia Trie.
@@ -157,6 +276,8 @@ pub struct MerklePatriciaTrie {
     len: usize,
     /// Total bytes of raw values currently reachable (payload accounting).
     live_value_bytes: u64,
+    /// The encoding of the node being stored; reused by every `put_node`.
+    scratch: Vec<u8>,
 }
 
 impl MerklePatriciaTrie {
@@ -199,8 +320,9 @@ impl MerklePatriciaTrie {
         self.base = Some(Arc::new(std::mem::take(&mut self.store)));
     }
 
-    /// Fold the shared base back into this trie's own store (copying it when
-    /// other forks still hold it), leaving an unshared trie.
+    /// Fold the shared base back into this trie's own store (copying its
+    /// table of node handles when other forks still hold it), leaving an
+    /// unshared trie.
     fn materialise(&mut self) {
         let Some(base) = self.base.take() else { return };
         let base = Arc::try_unwrap(base).unwrap_or_else(|shared| NodeStore::clone(&shared));
@@ -210,50 +332,46 @@ impl MerklePatriciaTrie {
     }
 
     fn put_node(&mut self, node: Node) -> Hash {
-        let encoded = node.encode();
-        let h = Hash::of(&encoded);
+        node.encode_into(&mut self.scratch);
+        let h = Hash::of(&self.scratch);
         if let Some(base) = &self.base {
             if base.nodes.contains_key(&h) {
                 return h;
             }
         }
-        if self.store.nodes.insert(h, (node, encoded.len())).is_none() {
-            self.store.bytes += encoded.len() as u64 + 32;
+        if let Entry::Vacant(slot) = self.store.nodes.entry(h) {
+            slot.insert(Arc::new(node));
+            self.store.bytes += self.scratch.len() as u64 + 32;
         }
         h
     }
 
-    fn get_node(&self, h: &Hash) -> Option<&Node> {
+    fn get_node(&self, h: &Hash) -> Option<&Arc<Node>> {
         self.store
             .nodes
             .get(h)
             .or_else(|| self.base.as_ref()?.nodes.get(h))
-            .map(|(n, _)| n)
     }
 
     /// Insert or overwrite `key` with `value`, returning the structural
     /// update statistics (used for CPU-cost charging).
     pub fn insert(&mut self, key: &Key, value: &Value) -> UpdateStats {
-        let nibbles = to_nibbles(key.as_bytes());
-        let mut stats = UpdateStats {
-            nodes_touched: 0,
-            leaf_bytes: value.len(),
+        let nibbles = Nibbles::of(key.as_bytes());
+        let mut insertion = Insertion {
+            stats: UpdateStats {
+                nodes_touched: 0,
+                leaf_bytes: value.len(),
+            },
+            replaced: None,
         };
-        let existing = self.get(key);
-        match &existing {
-            Some(old) => {
-                self.live_value_bytes =
-                    self.live_value_bytes - old.len() as u64 + value.len() as u64
-            }
-            None => {
-                self.len += 1;
-                self.live_value_bytes += value.len() as u64;
-            }
-        }
-        let root = self.root;
-        let new_root = self.insert_at(root, &nibbles, value.as_bytes(), &mut stats);
+        let new_root = self.insert_at(self.root, nibbles.as_slice(), value, &mut insertion);
         self.root = Some(new_root);
-        stats
+        match insertion.replaced {
+            Some(old_len) => self.live_value_bytes -= old_len as u64,
+            None => self.len += 1,
+        }
+        self.live_value_bytes += value.len() as u64;
+        insertion.stats
     }
 
     /// Recursive insert; returns the hash of the new node replacing
@@ -262,237 +380,173 @@ impl MerklePatriciaTrie {
         &mut self,
         node_hash: Option<Hash>,
         path: &[u8],
-        value: &[u8],
-        stats: &mut UpdateStats,
+        value: &Value,
+        insertion: &mut Insertion,
     ) -> Hash {
-        stats.nodes_touched += 1;
-        let node = match node_hash {
-            None => {
-                return self.put_node(Node::Leaf {
-                    path: path.to_vec(),
-                    value: value.to_vec(),
-                });
-            }
-            Some(h) => self
-                .get_node(&h)
-                .expect("child hash must resolve in the node store")
-                .clone(),
+        insertion.stats.nodes_touched += 1;
+        let Some(h) = node_hash else {
+            return self.put_node(Node::leaf(path, value));
         };
-        match node {
+        // A second handle on the spine node, not a copy of it: the store can
+        // then be written while the node is read.
+        let node = Arc::clone(
+            self.get_node(&h)
+                .expect("child hash must resolve in the node store"),
+        );
+        match &*node {
             Node::Leaf {
                 path: leaf_path,
                 value: leaf_value,
             } => {
+                let leaf_path = leaf_path.as_bytes();
                 if leaf_path == path {
-                    return self.put_node(Node::Leaf {
-                        path: path.to_vec(),
-                        value: value.to_vec(),
-                    });
+                    insertion.replaced = Some(leaf_value.len());
+                    return self.put_node(Node::leaf(path, value));
                 }
-                let cp = common_prefix_len(&leaf_path, path);
-                let mut children: [Option<Hash>; 16] = Default::default();
+                let cp = common_prefix_len(leaf_path, path);
+                let mut children = Children::default();
                 let mut branch_value = None;
-
                 // Re-home the existing leaf under the branch.
-                let leaf_rest = &leaf_path[cp..];
-                if leaf_rest.is_empty() {
-                    branch_value = Some(leaf_value);
-                } else {
-                    let child = self.put_node(Node::Leaf {
-                        path: leaf_rest[1..].to_vec(),
-                        value: leaf_value,
-                    });
-                    stats.nodes_touched += 1;
-                    children[leaf_rest[0] as usize] = Some(child);
+                match leaf_path[cp..].split_first() {
+                    None => branch_value = Some(leaf_value.clone()),
+                    Some((&slot, rest)) => {
+                        let child = self.put_node(Node::leaf(rest, leaf_value));
+                        insertion.stats.nodes_touched += 1;
+                        children.set(slot, child);
+                    }
                 }
-                // Place the new value.
-                let new_rest = &path[cp..];
-                if new_rest.is_empty() {
-                    branch_value = Some(value.to_vec());
-                } else {
-                    let child = self.put_node(Node::Leaf {
-                        path: new_rest[1..].to_vec(),
-                        value: value.to_vec(),
-                    });
-                    stats.nodes_touched += 1;
-                    children[new_rest[0] as usize] = Some(child);
-                }
-                let branch = self.put_node(Node::Branch {
-                    children,
-                    value: branch_value,
-                });
-                stats.nodes_touched += 1;
-                if cp == 0 {
-                    branch
-                } else {
-                    stats.nodes_touched += 1;
-                    self.put_node(Node::Extension {
-                        path: path[..cp].to_vec(),
-                        child: branch,
-                    })
-                }
+                self.split_at(cp, children, branch_value, path, value, insertion)
             }
             Node::Extension {
                 path: ext_path,
                 child,
             } => {
-                let cp = common_prefix_len(&ext_path, path);
+                let cp = common_prefix_len(ext_path.as_bytes(), path);
                 if cp == ext_path.len() {
                     // Descend into the child with the remaining path.
-                    let new_child = self.insert_at(Some(child), &path[cp..], value, stats);
+                    let new_child = self.insert_at(Some(*child), &path[cp..], value, insertion);
                     return self.put_node(Node::Extension {
-                        path: ext_path,
+                        path: ext_path.clone(),
                         child: new_child,
                     });
                 }
                 // Split the extension at the divergence point.
-                let mut children: [Option<Hash>; 16] = Default::default();
-                let mut branch_value = None;
-                let ext_rest = &ext_path[cp..];
+                let ext_rest = &ext_path.as_bytes()[cp..];
                 let under_ext = if ext_rest.len() == 1 {
-                    child
+                    *child
                 } else {
-                    stats.nodes_touched += 1;
+                    insertion.stats.nodes_touched += 1;
                     self.put_node(Node::Extension {
-                        path: ext_rest[1..].to_vec(),
-                        child,
+                        path: Path::new(&ext_rest[1..]),
+                        child: *child,
                     })
                 };
-                children[ext_rest[0] as usize] = Some(under_ext);
-
-                let new_rest = &path[cp..];
-                if new_rest.is_empty() {
-                    branch_value = Some(value.to_vec());
-                } else {
-                    stats.nodes_touched += 1;
-                    let leaf = self.put_node(Node::Leaf {
-                        path: new_rest[1..].to_vec(),
-                        value: value.to_vec(),
-                    });
-                    children[new_rest[0] as usize] = Some(leaf);
-                }
-                let branch = self.put_node(Node::Branch {
-                    children,
-                    value: branch_value,
-                });
-                stats.nodes_touched += 1;
-                if cp == 0 {
-                    branch
-                } else {
-                    stats.nodes_touched += 1;
-                    self.put_node(Node::Extension {
-                        path: path[..cp].to_vec(),
-                        child: branch,
-                    })
-                }
+                let mut children = Children::default();
+                children.set(ext_rest[0], under_ext);
+                self.split_at(cp, children, None, path, value, insertion)
             }
             Node::Branch {
-                mut children,
+                children,
                 value: branch_value,
             } => {
-                if path.is_empty() {
+                let Some((&slot, rest)) = path.split_first() else {
+                    insertion.replaced = branch_value.as_ref().map(Value::len);
                     return self.put_node(Node::Branch {
-                        children,
-                        value: Some(value.to_vec()),
+                        children: children.clone(),
+                        value: Some(value.clone()),
                     });
-                }
-                let slot = path[0] as usize;
-                let new_child = self.insert_at(children[slot], &path[1..], value, stats);
-                children[slot] = Some(new_child);
+                };
+                let new_child = self.insert_at(children.get(slot), rest, value, insertion);
                 self.put_node(Node::Branch {
-                    children,
-                    value: branch_value,
+                    children: children.with(slot, new_child),
+                    value: branch_value.clone(),
                 })
+            }
+        }
+    }
+
+    /// Finish splitting a leaf or extension whose path leaves `path` after
+    /// `cp` nibbles: `children` and `branch_value` already hold the re-homed
+    /// old node; place the new value beside it, store the branch and, when
+    /// the two share a prefix, the extension above it.
+    fn split_at(
+        &mut self,
+        cp: usize,
+        mut children: Children,
+        mut branch_value: Option<Value>,
+        path: &[u8],
+        value: &Value,
+        insertion: &mut Insertion,
+    ) -> Hash {
+        match path[cp..].split_first() {
+            None => branch_value = Some(value.clone()),
+            Some((&slot, rest)) => {
+                let leaf = self.put_node(Node::leaf(rest, value));
+                insertion.stats.nodes_touched += 1;
+                children.set(slot, leaf);
+            }
+        }
+        let branch = self.put_node(Node::Branch {
+            children,
+            value: branch_value,
+        });
+        insertion.stats.nodes_touched += 1;
+        if cp == 0 {
+            return branch;
+        }
+        insertion.stats.nodes_touched += 1;
+        self.put_node(Node::Extension {
+            path: Path::new(&path[..cp]),
+            child: branch,
+        })
+    }
+
+    /// Walk from the root towards `key`, handing every node on the way to
+    /// `visit`, and return the value the key holds.
+    fn walk(&self, key: &Key, mut visit: impl FnMut(&Node)) -> Option<&Value> {
+        let nibbles = Nibbles::of(key.as_bytes());
+        let mut path = nibbles.as_slice();
+        let mut current = self.root?;
+        loop {
+            let node = &**self.get_node(&current)?;
+            visit(node);
+            match node {
+                Node::Leaf {
+                    path: leaf_path,
+                    value,
+                } => return (leaf_path.as_bytes() == path).then_some(value),
+                Node::Extension {
+                    path: ext_path,
+                    child,
+                } => {
+                    path = path.strip_prefix(ext_path.as_bytes())?;
+                    current = *child;
+                }
+                Node::Branch { children, value } => {
+                    let Some((&slot, rest)) = path.split_first() else {
+                        return value.as_ref();
+                    };
+                    current = children.get(slot)?;
+                    path = rest;
+                }
             }
         }
     }
 
     /// Read the value of `key`, if present.
     pub fn get(&self, key: &Key) -> Option<Value> {
-        let nibbles = to_nibbles(key.as_bytes());
-        let mut current = self.root?;
-        let mut path: &[u8] = &nibbles;
-        loop {
-            match self.get_node(&current)? {
-                Node::Leaf {
-                    path: leaf_path,
-                    value,
-                } => {
-                    return if leaf_path.as_slice() == path {
-                        Some(Value::new(value.clone()))
-                    } else {
-                        None
-                    };
-                }
-                Node::Extension {
-                    path: ext_path,
-                    child,
-                } => {
-                    if path.len() < ext_path.len() || &path[..ext_path.len()] != ext_path.as_slice()
-                    {
-                        return None;
-                    }
-                    path = &path[ext_path.len()..];
-                    current = *child;
-                }
-                Node::Branch { children, value } => {
-                    if path.is_empty() {
-                        return value.clone().map(Value::new);
-                    }
-                    current = children[path[0] as usize]?;
-                    path = &path[1..];
-                }
-            }
-        }
+        self.walk(key, |_| {}).cloned()
     }
 
     /// Produce a membership proof for `key`: the encodings of the nodes from
     /// the root down to the key. Returns `None` if the key is absent.
     pub fn prove(&self, key: &Key) -> Option<MptProof> {
-        let nibbles = to_nibbles(key.as_bytes());
         let mut nodes = Vec::new();
-        let mut current = self.root?;
-        let mut path: &[u8] = &nibbles;
-        loop {
-            let node = self.get_node(&current)?;
-            nodes.push(node.encode());
-            match node {
-                Node::Leaf {
-                    path: leaf_path,
-                    value,
-                } => {
-                    return if leaf_path.as_slice() == path {
-                        Some(MptProof {
-                            nodes,
-                            value: value.clone(),
-                        })
-                    } else {
-                        None
-                    };
-                }
-                Node::Extension {
-                    path: ext_path,
-                    child,
-                } => {
-                    if path.len() < ext_path.len() || &path[..ext_path.len()] != ext_path.as_slice()
-                    {
-                        return None;
-                    }
-                    path = &path[ext_path.len()..];
-                    current = *child;
-                }
-                Node::Branch { children, value } => {
-                    if path.is_empty() {
-                        return value.as_ref().map(|v| MptProof {
-                            nodes,
-                            value: v.clone(),
-                        });
-                    }
-                    current = children[path[0] as usize]?;
-                    path = &path[1..];
-                }
-            }
-        }
+        let value = self.walk(key, |node| nodes.push(node.encode()))?;
+        Some(MptProof {
+            value: value.as_bytes().to_vec(),
+            nodes,
+        })
     }
 
     /// Verify a proof against a trusted root hash and the claimed key/value:
@@ -500,46 +554,41 @@ impl MerklePatriciaTrie {
     /// previous node references along the key's nibble path, and the terminal
     /// node must carry the claimed value.
     pub fn verify_proof(root: Hash, key: &Key, proof: &MptProof) -> bool {
-        if proof.nodes.is_empty() {
-            return false;
-        }
         // Each node encoding must hash to the reference held by its parent.
         let mut expected = root;
-        let nibbles = to_nibbles(key.as_bytes());
-        let mut path: &[u8] = &nibbles;
+        let nibbles = Nibbles::of(key.as_bytes());
+        let mut path = nibbles.as_slice();
         for (i, encoded) in proof.nodes.iter().enumerate() {
             if Hash::of(encoded) != expected {
                 return false;
             }
+            let last = i + 1 == proof.nodes.len();
             match Self::decode(encoded) {
                 Some(Node::Leaf {
                     path: leaf_path,
                     value,
                 }) => {
-                    return i + 1 == proof.nodes.len()
-                        && leaf_path.as_slice() == path
-                        && value == proof.value;
+                    return last && leaf_path.as_bytes() == path && value.as_bytes() == proof.value;
                 }
                 Some(Node::Extension {
                     path: ext_path,
                     child,
                 }) => {
-                    if path.len() < ext_path.len() || &path[..ext_path.len()] != ext_path.as_slice()
-                    {
+                    let Some(rest) = path.strip_prefix(ext_path.as_bytes()) else {
                         return false;
-                    }
-                    path = &path[ext_path.len()..];
+                    };
+                    path = rest;
                     expected = child;
                 }
                 Some(Node::Branch { children, value }) => {
-                    if path.is_empty() {
-                        return i + 1 == proof.nodes.len()
-                            && value.as_deref() == Some(&proof.value[..]);
-                    }
-                    match children[path[0] as usize] {
+                    let Some((&slot, rest)) = path.split_first() else {
+                        return last
+                            && value.as_ref().map(Value::as_bytes) == Some(&proof.value[..]);
+                    };
+                    match children.get(slot) {
                         Some(c) => {
                             expected = c;
-                            path = &path[1..];
+                            path = rest;
                         }
                         None => return false,
                     }
@@ -550,7 +599,7 @@ impl MerklePatriciaTrie {
         false
     }
 
-    /// Decode a node encoding (inverse of [`Node::encode`]); `None` on
+    /// Decode a node encoding (inverse of [`Node::encode_into`]); `None` on
     /// malformed input.
     fn decode(bytes: &[u8]) -> Option<Node> {
         let (&tag, rest) = bytes.split_first()?;
@@ -561,17 +610,14 @@ impl MerklePatriciaTrie {
                 if rest.len() < plen {
                     return None;
                 }
-                let path = rest[..plen].to_vec();
-                let body = &rest[plen..];
+                let (path, body) = rest.split_at(plen);
+                let path = Path::new(path);
                 if tag == 0 {
                     Some(Node::Leaf {
                         path,
-                        value: body.to_vec(),
+                        value: Value::new(body),
                     })
                 } else {
-                    if body.len() != 32 {
-                        return None;
-                    }
                     Some(Node::Extension {
                         path,
                         child: Hash(body.try_into().ok()?),
@@ -582,24 +628,21 @@ impl MerklePatriciaTrie {
                 if rest.len() < 2 {
                     return None;
                 }
-                let bitmap = u16::from_be_bytes(rest[..2].try_into().ok()?);
-                let mut body = &rest[2..];
-                let mut children: [Option<Hash>; 16] = Default::default();
-                for (i, child) in children.iter_mut().enumerate() {
-                    if bitmap & (1 << i) != 0 {
-                        if body.len() < 32 {
-                            return None;
-                        }
-                        *child = Some(Hash(body[..32].try_into().ok()?));
-                        body = &body[32..];
-                    }
+                let (bitmap, body) = rest.split_at(2);
+                let occupied = u16::from_be_bytes(bitmap.try_into().ok()?);
+                let child_bytes = 32 * occupied.count_ones() as usize;
+                if body.len() < child_bytes {
+                    return None;
                 }
-                let value = if body.is_empty() {
-                    None
-                } else {
-                    Some(body.to_vec())
-                };
-                Some(Node::Branch { children, value })
+                let (hashes, value) = body.split_at(child_bytes);
+                let hashes = hashes
+                    .chunks_exact(32)
+                    .map(|c| Some(Hash(c.try_into().ok()?)))
+                    .collect::<Option<Vec<_>>>()?;
+                Some(Node::Branch {
+                    children: Children { occupied, hashes },
+                    value: (!value.is_empty()).then(|| Value::new(value)),
+                })
             }
             _ => None,
         }
@@ -620,21 +663,19 @@ impl MerklePatriciaTrie {
                 if !reachable.insert(h) {
                     continue;
                 }
-                match self.get_node(&h) {
+                match self.get_node(&h).map(|node| &**node) {
                     Some(Node::Extension { child, .. }) => stack.push(*child),
-                    Some(Node::Branch { children, .. }) => {
-                        stack.extend(children.iter().flatten().copied())
-                    }
+                    Some(Node::Branch { children, .. }) => stack.extend(&children.hashes),
                     _ => {}
                 }
             }
         }
         let before = self.store.nodes.len();
         let mut bytes = 0;
-        self.store.nodes.retain(|h, (_, len)| {
+        self.store.nodes.retain(|h, node| {
             let keep = reachable.contains(h);
             if keep {
-                bytes += *len as u64 + 32;
+                bytes += node.encoded_len() as u64 + 32;
             }
             keep
         });
@@ -894,24 +935,54 @@ mod tests {
 
     #[test]
     fn node_decode_roundtrip() {
-        let leaf = Node::Leaf {
-            path: vec![1, 2, 3],
-            value: b"hello".to_vec(),
+        let roundtrip = |node: Node| {
+            let encoded = node.encode();
+            assert_eq!(node.encoded_len(), encoded.len());
+            assert_eq!(MerklePatriciaTrie::decode(&encoded), Some(node));
         };
-        assert_eq!(MerklePatriciaTrie::decode(&leaf.encode()), Some(leaf));
-        let ext = Node::Extension {
-            path: vec![4, 5],
+        roundtrip(Node::leaf(&[1, 2, 3], &Value::new(b"hello")));
+        roundtrip(Node::Extension {
+            path: Path::new([4, 5]),
             child: Hash::of(b"child"),
-        };
-        assert_eq!(MerklePatriciaTrie::decode(&ext.encode()), Some(ext));
-        let mut children: [Option<Hash>; 16] = Default::default();
-        children[3] = Some(Hash::of(b"a"));
-        children[15] = Some(Hash::of(b"b"));
-        let branch = Node::Branch {
+        });
+        let mut children = Children::default();
+        children.set(15, Hash::of(b"b"));
+        children.set(3, Hash::of(b"a"));
+        assert_eq!(children.hashes, [Hash::of(b"a"), Hash::of(b"b")]);
+        assert_eq!(children.get(3), Some(Hash::of(b"a")));
+        assert_eq!(children.get(4), None);
+        assert_eq!(
+            children.with(15, Hash::of(b"c")).get(15),
+            Some(Hash::of(b"c"))
+        );
+        roundtrip(Node::Branch {
             children,
-            value: Some(b"v".to_vec()),
-        };
-        assert_eq!(MerklePatriciaTrie::decode(&branch.encode()), Some(branch));
+            value: Some(Value::new(b"v")),
+        });
         assert_eq!(MerklePatriciaTrie::decode(&[9, 9, 9]), None);
+        // A bitmap that promises more children than the body holds.
+        assert_eq!(MerklePatriciaTrie::decode(&[2, 0xff, 0xff, 1, 2, 3]), None);
+    }
+
+    #[test]
+    fn nibble_paths_of_long_keys_leave_the_stack() {
+        let mut t = MerklePatriciaTrie::new();
+        let long = |tail: u8| Key::new([[7u8; 40].as_slice(), &[tail]].concat());
+        assert_eq!(
+            Nibbles::of(long(0xab).as_bytes()).as_slice()[78..],
+            [0, 7, 10, 11]
+        );
+        assert_eq!(Nibbles::of(&[0xab; 32]).as_slice().len(), 64);
+        t.insert(&long(1), &Value::filler(3));
+        t.insert(&long(2), &Value::filler(4));
+        t.insert(&Key::new([7u8; 40]), &Value::filler(5));
+        assert_eq!(t.get(&long(2)).unwrap().len(), 4);
+        assert_eq!(t.get(&Key::new([7u8; 40])).unwrap().len(), 5);
+        let proof = t.prove(&long(1)).unwrap();
+        assert!(MerklePatriciaTrie::verify_proof(
+            t.root_hash(),
+            &long(1),
+            &proof
+        ));
     }
 }

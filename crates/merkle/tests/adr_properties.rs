@@ -26,7 +26,7 @@ fn arb_kv(rng: &mut StdRng) -> Vec<(u16, u8)> {
 }
 
 fn key_of(i: u16) -> Key {
-    Key::new(Hash::of(&i.to_be_bytes()).0[..16].to_vec())
+    Key::new(&Hash::of(&i.to_be_bytes()).0[..16])
 }
 
 fn for_each_case(label: &str, mut check: impl FnMut(u64, &mut StdRng)) {
@@ -177,4 +177,98 @@ fn merkle_tree_proofs_bind_leaf_index_and_content() {
             "seed {seed}"
         );
     });
+}
+
+/// Four key shapes: YCSB and Smallbank keys (long shared prefixes, digit
+/// fan-out), hashed 16-byte keys (`Probe::AdrOverhead`), and byte strings of
+/// 1–40 bytes cut from one digest per eight indices, so some are prefixes of
+/// others (values on branches) and some exceed 32 bytes.
+fn golden_key(i: u64) -> Key {
+    match i % 4 {
+        0 => Key::from_str(&format!("user{i:012}")),
+        1 => Key::new(&Hash::of(&i.to_be_bytes()).0[..16]),
+        2 => {
+            let digest = Hash::of(&(i / 8).to_be_bytes()).0;
+            let bytes = [digest, digest].concat();
+            Key::new(&bytes[..1 + (i as usize * 7) % 40])
+        }
+        _ => Key::from_str(&format!("chk:{i:09}")),
+    }
+}
+
+/// A fixed 2 000-key insert / overwrite / re-split history. Every constant was
+/// recorded at the commit before the node store held each node once, leaf and
+/// branch values became shared `Value`s and the old-value lookup moved into
+/// the insert recursion: archival node identity, accounting and proofs must
+/// not notice any of that.
+#[test]
+fn mpt_archival_history_matches_golden_values() {
+    let mut trie = MerklePatriciaTrie::new();
+    for i in 0..2_000u64 {
+        let value = if i % 5 == 0 {
+            Value::new(Hash::of(&i.to_le_bytes()).0)
+        } else {
+            Value::filler(1 + (i as usize * 37) % 300)
+        };
+        trie.insert(&golden_key(i), &value);
+    }
+    // Overwrites: new sizes (archival garbage), then bytes a node already
+    // holds (content-addressed: nothing new is stored).
+    for i in (0..2_000u64).step_by(3) {
+        trie.insert(&golden_key(i), &Value::filler(1 + (i as usize * 11) % 900));
+    }
+    for i in (0..2_000u64).step_by(21) {
+        trie.insert(&golden_key(i), &Value::filler(1 + (i as usize * 11) % 900));
+    }
+    // Re-splits: keys that extend or cut short a stored key re-home its leaf
+    // under a new branch, with the old value on the branch or beside it.
+    for i in (0..2_000u64).step_by(10) {
+        let stored = golden_key(i);
+        let mut longer = stored.as_bytes().to_vec();
+        longer.push(b'0' + (i % 10) as u8);
+        trie.insert(&Key::new(longer), &Value::filler(1_000));
+        let shorter = &stored.as_bytes()[..stored.len() - 1];
+        trie.insert(&Key::new(shorter), &Value::filler(17));
+    }
+    let observed = |t: &MerklePatriciaTrie| {
+        let fp = t.footprint();
+        (
+            t.root_hash().to_hex(),
+            t.len(),
+            t.stored_node_count(),
+            (fp.payload_bytes, fp.index_bytes, fp.history_bytes),
+        )
+    };
+    assert_eq!(
+        observed(&trie),
+        (
+            "e47d86e386978d62fb536c4ba45ee3634b41a06d37939b972c01d30b2d8c8819".to_string(),
+            2_400,
+            21_460,
+            (669_893, 4_648_476, 0)
+        )
+    );
+    // (index, nodes on the path, proof bytes): one key of each shape.
+    for (i, nodes, bytes) in [(0, 12, 2_123), (1, 5, 1_297), (2, 6, 1_336), (3, 11, 1_970)] {
+        let proof = trie.prove(&golden_key(i)).unwrap();
+        assert_eq!((proof.nodes.len(), proof.size_bytes()), (nodes, bytes));
+        assert!(MerklePatriciaTrie::verify_proof(
+            trie.root_hash(),
+            &golden_key(i),
+            &proof
+        ));
+    }
+    assert_eq!(trie.get(&golden_key(30)).map(|v| v.len()), Some(331));
+    // Identical (path suffix, value) leaves are one node, so the reachable
+    // store is smaller than the payload it authenticates.
+    assert_eq!(trie.prune(), 18_707);
+    assert_eq!(
+        observed(&trie),
+        (
+            "e47d86e386978d62fb536c4ba45ee3634b41a06d37939b972c01d30b2d8c8819".to_string(),
+            2_400,
+            2_753,
+            (669_893, 0, 0)
+        )
+    );
 }

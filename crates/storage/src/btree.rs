@@ -15,6 +15,11 @@ use crate::engine::{EngineKind, KvEngine};
 /// it splits. BoltDB pages hold on the order of tens of small entries.
 const FANOUT: usize = 32;
 
+/// Deepest descent the fixed path array holds. The tree grows a level only
+/// when a root of more than `FANOUT` children splits in two, so 16 levels
+/// would take 2 × 16¹⁵ leaves.
+const MAX_HEIGHT: usize = 16;
+
 #[derive(Debug, Clone)]
 enum Node {
     Leaf {
@@ -70,29 +75,27 @@ impl BPlusTree {
     }
 
     /// Walk from the root to the leaf responsible for `key`, returning the
-    /// path of node indices (root first, leaf last).
-    fn path_to_leaf(&self, key: &Key) -> Vec<usize> {
-        let mut path = vec![self.root];
-        loop {
-            let idx = *path.last().expect("path never empty");
-            match &self.nodes[idx] {
-                Node::Leaf { .. } => return path,
-                Node::Interior {
-                    separators,
-                    children,
-                } => {
-                    // First child whose separator exceeds the key.
-                    let pos = separators.partition_point(|s| s <= key);
-                    path.push(children[pos]);
-                }
-            }
+    /// node indices passed (root first, leaf last) and how many there are.
+    fn path_to_leaf(&self, key: &Key) -> ([usize; MAX_HEIGHT], usize) {
+        let mut path = [self.root; MAX_HEIGHT];
+        let mut depth = 1;
+        while let Node::Interior {
+            separators,
+            children,
+        } = &self.nodes[path[depth - 1]]
+        {
+            // First child whose separator exceeds the key.
+            path[depth] = children[separators.partition_point(|s| s <= key)];
+            depth += 1;
         }
+        (path, depth)
     }
 
     /// Split the node at `path.last()` if it is over-full, propagating splits
     /// upwards and growing a new root when necessary.
-    fn split_if_needed(&mut self, mut path: Vec<usize>) {
-        while let Some(idx) = path.pop() {
+    fn split_if_needed(&mut self, mut path: &[usize]) {
+        while let Some((&idx, parents)) = path.split_last() {
+            path = parents;
             let (split_key, new_node) = match &mut self.nodes[idx] {
                 Node::Leaf { entries } if entries.len() > FANOUT => {
                     let right = entries.split_off(entries.len() / 2);
@@ -190,9 +193,8 @@ impl StorageFootprint for BPlusTree {
 
 impl KvEngine for BPlusTree {
     fn put(&mut self, key: Key, value: Value) {
-        let path = self.path_to_leaf(&key);
-        let leaf_idx = *path.last().expect("path never empty");
-        if let Node::Leaf { entries } = &mut self.nodes[leaf_idx] {
+        let (path, depth) = self.path_to_leaf(&key);
+        if let Node::Leaf { entries } = &mut self.nodes[path[depth - 1]] {
             match entries.binary_search_by(|(k, _)| k.cmp(&key)) {
                 Ok(i) => entries[i].1 = value,
                 Err(i) => {
@@ -203,13 +205,12 @@ impl KvEngine for BPlusTree {
         } else {
             unreachable!("path_to_leaf must end at a leaf");
         }
-        self.split_if_needed(path);
+        self.split_if_needed(&path[..depth]);
     }
 
     fn get(&self, key: &Key) -> Option<Value> {
-        let path = self.path_to_leaf(key);
-        let leaf_idx = *path.last()?;
-        if let Node::Leaf { entries } = &self.nodes[leaf_idx] {
+        let (path, depth) = self.path_to_leaf(key);
+        if let Node::Leaf { entries } = &self.nodes[path[depth - 1]] {
             entries
                 .binary_search_by(|(k, _)| k.cmp(key))
                 .ok()
@@ -220,9 +221,8 @@ impl KvEngine for BPlusTree {
     }
 
     fn delete(&mut self, key: &Key) -> bool {
-        let path = self.path_to_leaf(key);
-        let leaf_idx = *path.last().expect("path never empty");
-        if let Node::Leaf { entries } = &mut self.nodes[leaf_idx] {
+        let (path, depth) = self.path_to_leaf(key);
+        if let Node::Leaf { entries } = &mut self.nodes[path[depth - 1]] {
             if let Ok(i) = entries.binary_search_by(|(k, _)| k.cmp(key)) {
                 entries.remove(i);
                 self.len -= 1;

@@ -79,7 +79,7 @@ pub mod conformance {
     pub fn check_basic(engine: &mut dyn KvEngine) {
         assert!(engine.is_empty());
         let k = |s: &str| Key::from_str(s);
-        let v = |s: &str| Value::new(s.as_bytes().to_vec());
+        let v = |s: &str| Value::new(s);
 
         engine.put(k("b"), v("2"));
         engine.put(k("a"), v("1"));

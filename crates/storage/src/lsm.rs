@@ -42,15 +42,6 @@ struct Run {
 }
 
 impl Run {
-    fn from_memtable(memtable: &BTreeMap<Key, Slot>) -> Self {
-        Run {
-            entries: memtable
-                .iter()
-                .map(|(k, s)| (k.clone(), s.clone()))
-                .collect(),
-        }
-    }
-
     fn get(&self, key: &Key) -> Option<&Slot> {
         self.entries
             .binary_search_by(|(k, _)| k.cmp(key))
@@ -189,8 +180,9 @@ impl LsmTree {
         if self.memtable.is_empty() {
             return;
         }
-        self.runs.push(Arc::new(Run::from_memtable(&self.memtable)));
-        self.memtable.clear();
+        // The memtable's entries move into the run: nothing is cloned.
+        let entries = std::mem::take(&mut self.memtable).into_iter().collect();
+        self.runs.push(Arc::new(Run { entries }));
         self.memtable_bytes = 0;
         self.flushes += 1;
         if self.runs.len() > self.config.max_runs {

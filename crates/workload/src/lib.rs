@@ -38,3 +38,48 @@ pub trait Workload {
     /// A short human-readable name for reports.
     fn name(&self) -> &'static str;
 }
+
+/// `prefix` followed by `index` in decimal, zero-padded to at least `width`
+/// digits: the bytes `format!("{prefix}{index:0width$}")` renders, written
+/// into a stack buffer so that generating a key allocates nothing.
+fn padded_key(prefix: &str, width: usize, index: u64) -> Key {
+    const MAX_DIGITS: usize = 20; // u64::MAX
+    let mut digits = [b'0'; MAX_DIGITS];
+    let mut first = MAX_DIGITS;
+    let mut rest = index;
+    while rest > 0 {
+        first -= 1;
+        digits[first] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    // Pad up to the width; a wider index keeps all its digits.
+    let digits = &digits[first.min(MAX_DIGITS - width)..];
+    let mut buf = [0u8; 4 + MAX_DIGITS];
+    let len = prefix.len() + digits.len();
+    buf[..prefix.len()].copy_from_slice(prefix.as_bytes());
+    buf[prefix.len()..len].copy_from_slice(digits);
+    Key::new(&buf[..len])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn padded_keys_equal_the_format_rendering() {
+        for index in [0, 9, 10, 999_999_999_999, 1_000_000_000_000, u64::MAX] {
+            assert_eq!(
+                YcsbWorkload::key_for(index),
+                Key::from_str(&format!("user{index:012}"))
+            );
+            assert_eq!(
+                SmallbankWorkload::checking_key(index),
+                Key::from_str(&format!("chk:{index:09}"))
+            );
+            assert_eq!(
+                SmallbankWorkload::savings_key(index),
+                Key::from_str(&format!("sav:{index:09}"))
+            );
+        }
+    }
+}

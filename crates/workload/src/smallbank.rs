@@ -12,7 +12,7 @@ use dichotomy_common::rng::{self, Rng, StdRng};
 use dichotomy_common::{ClientId, Encode, Key, KeyPair, Operation, Transaction, TxnId, Value};
 
 use crate::zipf::ZipfianGenerator;
-use crate::Workload;
+use crate::{padded_key, Workload};
 
 /// The six Smallbank procedures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,6 +84,8 @@ pub struct SmallbankWorkload {
     config: SmallbankConfig,
     zipf: ZipfianGenerator,
     rng: StdRng,
+    /// The one balance payload: every loaded record and every write shares it.
+    filler: Value,
 }
 
 impl SmallbankWorkload {
@@ -91,21 +93,27 @@ impl SmallbankWorkload {
     pub fn new(config: SmallbankConfig) -> Self {
         let zipf = ZipfianGenerator::new(config.accounts, config.zipf_theta, config.seed);
         let rng = rng::seeded(rng::derive_seed(config.seed, "smallbank"));
-        SmallbankWorkload { config, zipf, rng }
+        let filler = Value::filler(config.record_size);
+        SmallbankWorkload {
+            config,
+            zipf,
+            rng,
+            filler,
+        }
     }
 
     /// Checking-account key of a customer.
     pub fn checking_key(customer: u64) -> Key {
-        Key::from_str(&format!("chk:{customer:09}"))
+        padded_key("chk:", 9, customer)
     }
 
     /// Savings-account key of a customer.
     pub fn savings_key(customer: u64) -> Key {
-        Key::from_str(&format!("sav:{customer:09}"))
+        padded_key("sav:", 9, customer)
     }
 
     fn value(&self) -> Value {
-        Value::filler(self.config.record_size)
+        self.filler.clone()
     }
 
     fn build_ops(&mut self, proc: Procedure, a: u64, b: u64) -> Vec<Operation> {
@@ -141,11 +149,8 @@ impl Workload for SmallbankWorkload {
     fn initial_records(&self) -> Vec<(Key, Value)> {
         let mut records = Vec::with_capacity(self.config.accounts as usize * 2);
         for c in 0..self.config.accounts {
-            records.push((
-                Self::checking_key(c),
-                Value::filler(self.config.record_size),
-            ));
-            records.push((Self::savings_key(c), Value::filler(self.config.record_size)));
+            records.push((Self::checking_key(c), self.value()));
+            records.push((Self::savings_key(c), self.value()));
         }
         records
     }

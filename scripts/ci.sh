@@ -279,6 +279,12 @@ grep -q "latency_sketch_stream_100k" /tmp/ci_microbench.out
 # group, printed as two ns/op lines.
 grep -q "quorum_load_5k_1kb" /tmp/ci_microbench.out
 grep -q "quorum_fork_5k_1kb" /tmp/ci_microbench.out
+# What a payload costs between layers (printed, not gated): a key handle, a
+# value handle, one generated transaction, one memtable frozen into a run.
+grep -q "key_clone_16b" /tmp/ci_microbench.out
+grep -q "value_clone_1kb" /tmp/ci_microbench.out
+grep -q "ycsb_next_txn_1kb" /tmp/ci_microbench.out
+grep -q "lsm_flush_4mb" /tmp/ci_microbench.out
 grep -q "\"label\":\"${BENCH_KEY}-micro\"" BENCH_history.json
 grep -q '"key":"event_queue_heap_churn_256k"' BENCH_history.json
 grep -q '"key":"latency_sketch_stream_100k"' BENCH_history.json
