@@ -8,8 +8,6 @@
 //! cargo run -p dichotomy-bench --release --bin microbench
 //! cargo run -p dichotomy-bench --release --bin microbench -- mpt lsm
 //! cargo run -p dichotomy-bench --release --bin microbench -- --smoke
-//! cargo run -p dichotomy-bench --release --bin microbench -- --smoke \
-//!     --bench BENCH_history.json --bench-key microbench-pr6
 //! ```
 //!
 //! This is a dependency-free replacement for the Criterion bench the seed
@@ -17,20 +15,14 @@
 //! with `std::time::Instant`, excluding per-iteration setup. Arguments filter
 //! benchmarks by substring match on the name; `--smoke` scales the iteration
 //! counts down so CI can run every case as an engine-hot-path regression
-//! check in seconds. `--bench PATH` appends every case's mean per-op time to
-//! the same bench-trajectory history `repro --bench` writes (one entry per
-//! run, `wall_ms` = ns/op ÷ 10⁶), labelled by `--bench-key` — so wheel-vs-
-//! heap and sketch-vs-exact ratios accumulate next to the experiment
-//! timings.
+//! check in seconds. It is a developer tool: it prints ns/op and records
+//! nothing — the repo's performance record is `benchmark/` (`BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use dichotomy_bench::json;
 
 use dichotomy_core::common::{hash, ClientId, Key, Operation, Transaction, TxnId, Value};
 use dichotomy_core::consensus::{ProtocolKind, ReplicationProfile};
@@ -40,7 +32,7 @@ use dichotomy_core::metrics::{LatencySummary, StreamingLatency};
 use dichotomy_core::scenario::{
     run_plan_with, ColumnSpec, ExecOptions, Metric, Scenario, Sweep, SystemEntry,
 };
-use dichotomy_core::simnet::{CostModel, EventQueue, HeapEventQueue, NetworkConfig, SimEngine};
+use dichotomy_core::simnet::{CostModel, EventQueue, NetworkConfig, SimEngine};
 use dichotomy_core::storage::{BPlusTree, KvEngine, LsmTree, MvccStore};
 use dichotomy_core::systems::{
     Etcd, EtcdConfig, Quorum, QuorumConfig, SystemKind, SystemRegistry, SystemSpec,
@@ -52,9 +44,6 @@ use dichotomy_core::workload::{WorkloadSpec, YcsbConfig, YcsbMix, YcsbWorkload};
 
 /// Whether `--smoke` was passed: scale iteration counts down for CI.
 static SMOKE: AtomicBool = AtomicBool::new(false);
-
-/// Every (case name, mean ns/op) measured this run, for `--bench` recording.
-static RESULTS: Mutex<Vec<(String, f64)>> = Mutex::new(Vec::new());
 
 fn effective_iters(iters: u32) -> u32 {
     if SMOKE.load(Ordering::Relaxed) {
@@ -98,7 +87,6 @@ fn bench_batched_ops<S, R>(
     }
     let ns_per_op = total.as_nanos() as f64 / iters as f64 / ops as f64;
     println!("{name:<34} {iters:>7} iters {ns_per_op:>14.0} ns/op");
-    RESULTS.lock().unwrap().push((name.to_string(), ns_per_op));
 }
 
 /// Time a self-contained routine (no per-iteration setup).
@@ -233,24 +221,10 @@ fn bench_event_engine() {
         }
         acc
     });
-    // The same schedule-then-drain pattern through the reference
-    // `BinaryHeap` queue: the wheel-vs-heap events/sec ratio CI records.
-    bench("event_queue_heap_pop_10k", 200, || {
-        let mut q: HeapEventQueue<u64> = HeapEventQueue::new();
-        for i in 0..10_000u64 {
-            q.schedule_at(i ^ 0x2a5a, i);
-        }
-        let mut acc = 0u64;
-        while let Some((t, _)) = q.pop() {
-            acc = acc.wrapping_add(t);
-        }
-        acc
-    });
     // Steady-state churn at closed-loop scale: 256k events stay pending
     // while every pop schedules a replacement at a pseudo-random offset
-    // (identical xorshift streams for both implementations). This is the
-    // shape of the `scale01` million-client run, where the heap pays
-    // O(log n) with cache misses on every pop and the wheel does not.
+    // from a fixed xorshift stream. This is the shape of the `scale01`
+    // million-client run.
     const CHURN: u64 = 1 << 18;
     let prefill_times = |seed: u64| {
         let mut x = seed;
@@ -266,26 +240,6 @@ fn bench_event_engine() {
         20,
         || {
             let mut q: EventQueue<u64> = EventQueue::new();
-            for (i, t) in prefill_times(0x9E37_79B9).take(CHURN as usize).enumerate() {
-                q.schedule_at(t, i as u64);
-            }
-            q
-        },
-        |mut q| {
-            let mut acc = 0u64;
-            for (i, dt) in prefill_times(0xD1B5_4A32).take(CHURN as usize).enumerate() {
-                let (t, _) = q.pop().expect("queue stays full");
-                acc = acc.wrapping_add(t);
-                q.schedule_at(q.now() + dt, i as u64);
-            }
-            acc
-        },
-    );
-    bench_batched(
-        "event_queue_heap_churn_256k",
-        20,
-        || {
-            let mut q: HeapEventQueue<u64> = HeapEventQueue::new();
             for (i, t) in prefill_times(0x9E37_79B9).take(CHURN as usize).enumerate() {
                 q.schedule_at(t, i as u64);
             }
@@ -465,31 +419,18 @@ fn bench_payload_ownership() {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut filters: Vec<String> = Vec::new();
-    let mut bench_path: Option<String> = None;
-    let mut bench_key: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
+    for arg in std::env::args().skip(1) {
         if arg == "--smoke" {
             SMOKE.store(true, Ordering::Relaxed);
-        } else if let Some(v) = arg.strip_prefix("--bench-key=") {
-            bench_key = Some(v.to_string());
-        } else if arg == "--bench-key" {
-            i += 1;
-            bench_key = args.get(i).cloned();
-        } else if let Some(v) = arg.strip_prefix("--bench=") {
-            bench_path = Some(v.to_string());
-        } else if arg == "--bench" {
-            i += 1;
-            bench_path = args.get(i).cloned();
+        } else if arg.starts_with("--") {
+            eprintln!("unknown flag '{arg}'\nusage: microbench [--smoke] [FILTER...]");
+            std::process::exit(2);
         } else {
-            filters.push(arg.clone());
+            filters.push(arg);
         }
-        i += 1;
     }
-    // Every number this run records depends on the hash kernel; name the lane.
+    // Every number this run prints depends on the hash kernel; name the lane.
     eprintln!("sha256 kernel: {}", hash::kernel_name());
     let groups: &[(&str, fn())] = &[
         ("sha256", bench_hashing),
@@ -514,38 +455,6 @@ fn main() {
                 .any(|f| keys.split(' ').any(|k| k.contains(f.as_str())));
         if selected {
             run();
-        }
-    }
-
-    // `--bench PATH`: append this run's per-case timings to the same
-    // trajectory history `repro --bench` maintains (wall_ms = ns/op ÷ 10⁶),
-    // so CI can gate on microbenchmark regressions too.
-    if let Some(path) = bench_path {
-        let smoke = SMOKE.load(Ordering::Relaxed);
-        let timings: Vec<json::BenchTiming> = RESULTS
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(name, ns_per_op)| json::BenchTiming {
-                wall_ms: ns_per_op / 1e6,
-                ..json::BenchTiming::empty(name.clone(), true)
-            })
-            .collect();
-        let label = bench_key
-            .unwrap_or_else(|| format!("microbench-{}", if smoke { "smoke" } else { "full" }));
-        let entry = json::bench_document(&label, smoke, None, 0, 1, &timings);
-        let existing = std::fs::read_to_string(&path).ok();
-        match json::append_history(existing.as_deref(), &entry)
-            .and_then(|doc| std::fs::write(&path, doc).map_err(|e| e.to_string()))
-        {
-            Ok(()) => eprintln!(
-                "appended '{label}' ({} case timings) to {path}",
-                timings.len()
-            ),
-            Err(e) => {
-                eprintln!("cannot append bench history to {path}: {e}");
-                std::process::exit(1);
-            }
         }
     }
 }

@@ -6,8 +6,6 @@
 //! cargo run -p dichotomy-bench --release --bin repro -- --quick fig04 fig14
 //! cargo run -p dichotomy-bench --release --bin repro -- --list
 //! cargo run -p dichotomy-bench --release --bin repro -- --quick --seed 7 --json out.json all
-//! cargo run -p dichotomy-bench --release --bin repro -- --quick --jobs 8 \
-//!     --bench BENCH_history.json --bench-key "$(git describe --always)" all
 //! cargo run -p dichotomy-bench --release --bin repro -- --arrival closed --think-us 500 fig04
 //! ```
 //!
@@ -17,7 +15,8 @@
 //! * `--list` — print every experiment id with its report title and exit;
 //!   experiments whose probes carry a declarative fault schedule are marked
 //!   `[faults]`;
-//! * `--txns N` — override the per-experiment transaction/record count;
+//! * `--txns N` — override the per-experiment transaction/record count
+//!   (N ≥ 1: a zero-transaction run is a usage error, not an all-zero table);
 //! * `--seed S` — reseed every run (same seed ⇒ bit-identical output);
 //! * `--jobs N` — worker threads for the probe pool (default: the
 //!   `DICHOTOMY_JOBS` environment variable, else all available cores). One
@@ -42,15 +41,6 @@
 //!   row of a driving experiment carries its windowed time series (`series`:
 //!   per-window offered/achieved tps, abort %, p50/p95/p99 latency) — see
 //!   `dichotomy_bench::json` for the schema;
-//! * `--bench PATH` — **append** per-experiment worker-time timings to the
-//!   bench-trajectory history at PATH (created if missing; refuses documents
-//!   that are not a `repro-bench-history`), and name the SHA-256 kernel the
-//!   process selected (`sha256 kernel: sha-ni` / `scalar`) on stderr;
-//! * `--bench-key KEY` — the label of the appended history entry (pass
-//!   `git describe`/a date; the run never reads the wall clock for it).
-//!   Without the flag the entry is keyed by a stable digest of the run's
-//!   own parameters (quick/txns/seed/jobs), so history stays comparable
-//!   even where `git describe` is unavailable;
 //! * `--cache` — answer probes from the persistent content-addressed result
 //!   cache at `.repro-cache/` and store misses back into it. A hit is
 //!   byte-identical to a cold run: results are keyed by a hash of every
@@ -59,7 +49,7 @@
 //!   the in-repo codec. `--no-cache` (the default) turns it back off;
 //! * `repro cache stats` / `repro cache clear` — inspect or delete the
 //!   cache (per schema-tag entry counts and sizes);
-//! * `repro lint [--quick] [--txns N] [--seed S] [--json PATH] [ID…]` —
+//! * `repro lint [FLAGS] [ID…|explore]` (flags: `LINT_FLAGS` below) —
 //!   expand the requested experiments (default: all) **without executing
 //!   them** and report semantic plan diagnostics (`S0xx`): out-of-horizon
 //!   faults, duplicate sweep points, mixed populations that round to a zero
@@ -68,29 +58,26 @@
 //!   design-space explorer's spec instead (`S008`: a prune configuration
 //!   that eliminates every candidate). Exit 1 when any deny-level finding
 //!   survives;
-//! * `repro explore [--quick] [--txns N] [--seed S] [--jobs N] [--progress]
-//!   [--cache] [--keep-frac F] [--min-forecast-tps T] [--max-candidates N]
-//!   [--json PATH] [--sched-walls] [--bench PATH] [--bench-key KEY]` — the
+//! * `repro explore [FLAGS]` (flags: `EXPLORE_FLAGS` below) — the
 //!   design-space explorer: enumerate the system × workload grid, prune
 //!   forecast-dominated candidates (every cut is reported), measure the
 //!   survivors on the shared probe pool (dedup, cache and LPT scheduling
 //!   apply), and report the Pareto front over throughput / p99 latency /
 //!   fault-recovery time plus the forecast-calibration summary (Kendall's
 //!   τ, per-taxonomy-cell error and correction). Stdout and the `--json`
-//!   document are byte-identical across `--jobs` counts and cache states;
-//!   `--sched-walls` additionally fills measured walls into the
-//!   `calibration.scheduling` entries (trading away that byte-identity).
+//!   document are byte-identical across `--jobs` counts and cache states.
 //!
 //! Whatever the flags, duplicate probes *within* a run execute once and fan
 //! out to every table cell that needs them, and the deduplicated queue is
 //! ordered longest-predicted-first (the `dichotomy-hybrid` forecast model)
 //! to shrink the worker pool's makespan. The run prints a dedup summary —
-//! `probes: N scheduled, K distinct, D cache hits …` — on stderr, and the
-//! `--bench` entries carry per-experiment `dedup_saved_ms`, `cache_hits`
-//! and a predicted-vs-actual `calibration` array. Text-only experiments
-//! (`tab02`) schedule no probes and are left out of the bench timings.
+//! `probes: N scheduled, K distinct, D cache hits; worker time … ms, dedup
+//! saved … ms` — on stderr. Wall-clock performance is not recorded here: the
+//! repo's performance record is `benchmark/` (`BENCHMARK.json`).
 //!
-//! Unknown experiment ids exit nonzero after printing the valid list. An
+//! Usage errors — an unknown flag or experiment id, a value that does not
+//! parse, `--txns 0` — exit 2 before anything runs, after printing the usage
+//! line generated from the command's flag table. An
 //! `all` run continues past failures at *probe* granularity: a panicking
 //! probe reports NaN columns plus a failure line naming the experiment, row
 //! and probe, completed rows are kept, and the run exits nonzero at the end.
@@ -105,7 +92,6 @@ use std::path::Path;
 use dichotomy_bench::{
     cache, json, list_experiments, plan_for, ArrivalOverride, RunOptions, EXPERIMENTS,
 };
-use dichotomy_core::common::hash;
 use dichotomy_core::experiments::ExperimentReport;
 use dichotomy_core::metrics::MetricsMode;
 use dichotomy_core::scenario::{
@@ -117,14 +103,9 @@ use dichotomy_core::systems::SystemRegistry;
 const CACHE_ROOT: &str = ".repro-cache";
 
 struct Cli {
+    flags: Shared,
     options: RunOptions,
-    json_path: Option<String>,
-    bench_path: Option<String>,
-    bench_key: Option<String>,
-    jobs: usize,
-    progress: bool,
     fail_fast: bool,
-    cache: bool,
     list: bool,
     targets: Vec<String>,
 }
@@ -146,7 +127,7 @@ fn main() {
     if raw.first().map(String::as_str) == Some("explore") {
         std::process::exit(explore_command(&raw[1..]));
     }
-    let cli = parse_args(raw.into_iter());
+    let cli = parse_args(&raw);
 
     if cli.list {
         for (key, id, title, has_faults) in list_experiments() {
@@ -205,7 +186,7 @@ fn main() {
             ),
         }
     };
-    let disk_cache = if cli.cache {
+    let disk_cache = if cli.flags.cache {
         match cache::DiskCache::open(Path::new(CACHE_ROOT)) {
             Ok(c) => Some(c),
             Err(e) => {
@@ -218,8 +199,12 @@ fn main() {
         None
     };
     let exec = ExecOptions {
-        jobs: cli.jobs,
-        progress: if cli.progress { Some(&progress) } else { None },
+        jobs: cli.flags.jobs,
+        progress: if cli.flags.progress {
+            Some(&progress)
+        } else {
+            None
+        },
         fail_fast: cli.fail_fast,
         cache: disk_cache.as_ref().map(|c| c as &dyn ProbeCache),
     };
@@ -228,12 +213,11 @@ fn main() {
 
     let mut completed: Vec<(String, ExperimentReport)> = Vec::new();
     let mut failures: Vec<(&str, String)> = Vec::new();
-    let mut timings: Vec<json::BenchTiming> = Vec::new();
     let (mut sum_probes, mut sum_distinct, mut sum_hits) = (0usize, 0usize, 0usize);
     let (mut sum_wall_ms, mut sum_saved_ms) = (0.0f64, 0.0f64);
     for (id, plan) in planned {
         match plan {
-            Planned::Ready(plan) => {
+            Planned::Ready(_) => {
                 let outcome = outcomes.next().expect("one outcome per ready plan");
                 let report = outcome.report;
                 println!("{}", report.render());
@@ -250,28 +234,9 @@ fn main() {
                 sum_hits += outcome.cache_hits;
                 sum_wall_ms += outcome.probe_wall_ms;
                 sum_saved_ms += outcome.dedup_saved_ms;
-                // Text-only experiments (tab02) schedule no probes: a
-                // 0-row/0-ms timing entry is noise in the trajectory.
-                if plan.probe_count() > 0 {
-                    timings.push(json::BenchTiming {
-                        key: id.to_string(),
-                        wall_ms: outcome.probe_wall_ms,
-                        rows: report.rows.len(),
-                        failed_probes: report.failures.len(),
-                        ok: true,
-                        probes: outcome.probes,
-                        distinct_probes: outcome.distinct_probes,
-                        cache_hits: outcome.cache_hits,
-                        dedup_saved_ms: outcome.dedup_saved_ms,
-                        calibration: outcome.calibration,
-                    });
-                }
                 completed.push((id.to_string(), report));
             }
-            Planned::Failed(message) => {
-                failures.push((id, message));
-                timings.push(json::BenchTiming::empty(id.to_string(), false));
-            }
+            Planned::Failed(message) => failures.push((id, message)),
         }
     }
     eprintln!(
@@ -279,11 +244,10 @@ fn main() {
          worker time {sum_wall_ms:.0} ms, dedup saved {sum_saved_ms:.0} ms"
     );
 
-    // Write both output documents before deciding the exit code: a broken
-    // --json path must not swallow the --bench document or the failure
-    // summary (and vice versa).
+    // Write the document before deciding the exit code: a broken --json
+    // path must not swallow the failure summary.
     let mut write_failed = false;
-    if let Some(path) = &cli.json_path {
+    if let Some(path) = &cli.flags.json_path {
         let doc = json::document(
             cli.options.quick,
             cli.options.txns,
@@ -296,43 +260,6 @@ fn main() {
                 write_failed = true;
             }
             Ok(()) => eprintln!("wrote {} report(s) to {path}", completed.len()),
-        }
-    }
-
-    if let Some(path) = &cli.bench_path {
-        print_hash_kernel();
-        // No explicit key: derive a stable one from the run's own
-        // parameters, so trajectories stay comparable where `git describe`
-        // is unavailable (tarball checkouts, CI containers without tags).
-        let bench_key = cli.bench_key.clone().unwrap_or_else(|| {
-            json::stable_bench_key(
-                cli.options.quick,
-                cli.options.txns,
-                cli.options.seed,
-                ExecOptions::with_jobs(cli.jobs).effective_jobs(),
-            )
-        });
-        let entry = json::bench_document(
-            &bench_key,
-            cli.options.quick,
-            cli.options.txns,
-            cli.options.seed,
-            ExecOptions::with_jobs(cli.jobs).effective_jobs(),
-            &timings,
-        );
-        let existing = std::fs::read_to_string(path).ok();
-        match json::append_history(existing.as_deref(), &entry)
-            .map_err(|e| e.to_string())
-            .and_then(|doc| std::fs::write(path, doc).map_err(|e| e.to_string()))
-        {
-            Err(e) => {
-                eprintln!("cannot append bench history to {path}: {e}");
-                write_failed = true;
-            }
-            Ok(()) => eprintln!(
-                "appended '{bench_key}' ({} experiment timings) to {path}",
-                timings.len()
-            ),
         }
     }
 
@@ -351,160 +278,282 @@ fn main() {
     }
 }
 
-fn parse_args(args: impl Iterator<Item = String>) -> Cli {
-    let mut cli = Cli {
-        options: RunOptions::default(),
-        json_path: None,
-        bench_path: None,
-        bench_key: None,
+/// A flag a command accepts and, when it takes a value, the value's
+/// placeholder in the usage line. A command's table is both what its parser
+/// accepts and what its usage line prints.
+type FlagSpec = (&'static str, Option<&'static str>);
+
+const RUN_FLAGS: &[FlagSpec] = &[
+    ("--quick", None),
+    ("--list", None),
+    ("--progress", None),
+    ("--fail-fast", None),
+    ("--cache", None),
+    ("--no-cache", None),
+    ("--txns", Some("N")),
+    ("--seed", Some("S")),
+    ("--jobs", Some("N")),
+    ("--arrival", Some("open|closed")),
+    ("--think-us", Some("N")),
+    ("--outstanding", Some("N")),
+    ("--metrics", Some("exact|streaming")),
+    ("--json", Some("PATH")),
+];
+
+const EXPLORE_FLAGS: &[FlagSpec] = &[
+    ("--quick", None),
+    ("--txns", Some("N")),
+    ("--seed", Some("S")),
+    ("--jobs", Some("N")),
+    ("--progress", None),
+    ("--cache", None),
+    ("--no-cache", None),
+    ("--keep-frac", Some("F")),
+    ("--min-forecast-tps", Some("T")),
+    ("--max-candidates", Some("N")),
+    ("--json", Some("PATH")),
+];
+
+const LINT_FLAGS: &[FlagSpec] = &[
+    ("--quick", None),
+    ("--txns", Some("N")),
+    ("--seed", Some("S")),
+    ("--keep-frac", Some("F")),
+    ("--min-forecast-tps", Some("T")),
+    ("--json", Some("PATH")),
+];
+
+/// The flags more than one of `repro`, `repro explore` and `repro lint`
+/// take, parsed once ([`Shared::set`]) whichever command they were given to.
+struct Shared {
+    quick: bool,
+    txns: Option<u64>,
+    seed: u64,
+    jobs: usize,
+    progress: bool,
+    cache: bool,
+    json_path: Option<String>,
+    keep_frac: Option<f64>,
+    min_forecast_tps: Option<f64>,
+}
+
+impl Shared {
+    /// Record one occurrence of a shared flag; `false` when `flag` is not
+    /// one (it is then the command's own).
+    fn set(&mut self, flag: &str, v: &str, bad_usage: &mut Vec<String>) -> bool {
+        match flag {
+            "--quick" => self.quick = true,
+            "--progress" => self.progress = true,
+            "--cache" => self.cache = true,
+            "--no-cache" => self.cache = false,
+            "--txns" => {
+                // Zero transactions would print an all-zero table (or rank
+                // designs on 0.0 tps) and exit 0: a wrong number, not a run.
+                let ok = |n: &u64| *n >= 1;
+                self.txns = parsed(flag, v, "a transaction count ≥ 1", ok, bad_usage).or(self.txns);
+            }
+            "--seed" => {
+                self.seed = parsed(flag, v, "a u64", |_| true, bad_usage).unwrap_or(self.seed)
+            }
+            "--jobs" => {
+                let ok = |n: &usize| *n >= 1;
+                self.jobs =
+                    parsed(flag, v, "a worker count ≥ 1", ok, bad_usage).unwrap_or(self.jobs);
+            }
+            "--json" => self.json_path = Some(v.to_string()),
+            "--keep-frac" => {
+                let ok = |f: &f64| (0.0..=1.0).contains(f);
+                self.keep_frac =
+                    parsed(flag, v, "a fraction in [0,1]", ok, bad_usage).or(self.keep_frac);
+            }
+            "--min-forecast-tps" => {
+                let ok = |t: &f64| *t >= 0.0 && t.is_finite();
+                self.min_forecast_tps =
+                    parsed(flag, v, "a rate ≥ 0", ok, bad_usage).or(self.min_forecast_tps);
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// The spec `repro explore` runs and `repro lint explore` checks: built
+    /// in one place so the linted configuration is the one that would run.
+    fn explore_spec(&self) -> dichotomy_explore::ExploreSpec {
+        let txns = self.txns.unwrap_or(if self.quick { 300 } else { 2_000 });
+        let mut spec = if self.quick {
+            dichotomy_explore::ExploreSpec::quick(txns, self.seed)
+        } else {
+            dichotomy_explore::ExploreSpec::full(txns, self.seed)
+        };
+        if let Some(f) = self.keep_frac {
+            spec.prune.keep_frac = f;
+        }
+        if let Some(t) = self.min_forecast_tps {
+            spec.prune.min_forecast_tps = t;
+        }
+        spec
+    }
+}
+
+/// `v` as a `T` that passes `ok`, or `None` after recording the usage error
+/// `FLAG: 'v' is not WHAT`.
+fn parsed<T: std::str::FromStr>(
+    flag: &str,
+    v: &str,
+    what: &str,
+    ok: impl Fn(&T) -> bool,
+    bad_usage: &mut Vec<String>,
+) -> Option<T> {
+    let value = v.parse::<T>().ok().filter(|n| ok(n));
+    if value.is_none() {
+        bad_usage.push(format!("{flag}: '{v}' is not {what}"));
+    }
+    value
+}
+
+/// Parse `args` against a command's `accepted` table. Shared flags land in
+/// the returned [`Shared`], the command's own flags are handed to `own` with
+/// their value (`""` for a flag that takes none), and arguments that are not
+/// flags are returned in order. Both `--flag value` and `--flag=value` are
+/// accepted. Every problem is recorded in `bad_usage`; nothing runs or exits
+/// here.
+fn parse_flags(
+    args: &[String],
+    accepted: &[FlagSpec],
+    bad_usage: &mut Vec<String>,
+    mut own: impl FnMut(&str, &str, &mut Vec<String>),
+) -> (Shared, Vec<String>) {
+    let mut shared = Shared {
+        quick: false,
+        txns: None,
+        seed: dichotomy_core::common::rng::DEFAULT_SEED,
         jobs: 0,
         progress: false,
-        fail_fast: false,
         cache: false,
-        list: false,
-        targets: Vec::new(),
+        json_path: None,
+        keep_frac: None,
+        min_forecast_tps: None,
     };
-    let mut args = args.peekable();
+    let mut positionals = Vec::new();
+    let mut args = args.iter().cloned().peekable();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            positionals.push(arg);
+            continue;
+        }
+        let (flag, inline) = match arg.split_once('=') {
+            Some((f, v)) => (f, Some(v.to_string())),
+            None => (arg.as_str(), None),
+        };
+        let value = match accepted.iter().find(|(name, _)| *name == flag) {
+            None => {
+                bad_usage.push(format!("unknown flag '{flag}'"));
+                continue;
+            }
+            Some((_, None)) if inline.is_some() => {
+                bad_usage.push(format!("flag '{flag}' takes no value"));
+                continue;
+            }
+            Some((_, None)) => String::new(),
+            Some((_, Some(_))) => match value_of(flag, inline, &mut args, bad_usage) {
+                Some(v) => v,
+                None => continue,
+            },
+        };
+        if !shared.set(flag, &value, bad_usage) {
+            own(flag, &value, bad_usage);
+        }
+    }
+    (shared, positionals)
+}
+
+/// Print a command's usage errors and the usage line generated from its
+/// flag table. The caller exits 2.
+fn report_usage(command: &str, bad_usage: &[String], accepted: &[FlagSpec], positionals: &str) {
+    for msg in bad_usage {
+        eprintln!("{command}: {msg}");
+    }
+    let flags: Vec<String> = accepted
+        .iter()
+        .map(|(flag, value)| match value {
+            Some(v) => format!("[{flag} {v}]"),
+            None => format!("[{flag}]"),
+        })
+        .collect();
+    eprintln!("usage: {command} {}{positionals}", flags.join(" "));
+}
+
+fn parse_args(args: &[String]) -> Cli {
     let mut bad_usage = Vec::new();
+    let mut list = false;
+    let mut fail_fast = false;
+    let mut metrics: Option<MetricsMode> = None;
     let mut think_us: Option<u64> = None;
     let mut outstanding: Option<u64> = None;
     let mut arrival: Option<String> = None;
-    while let Some(arg) = args.next() {
-        // Accept both `--flag value` and `--flag=value`.
-        let (flag, inline_value) = match arg.split_once('=') {
-            Some((f, v)) if f.starts_with("--") => (f.to_string(), Some(v.to_string())),
-            _ => (arg.clone(), None),
-        };
-        match flag.as_str() {
-            "--quick" | "--list" | "--progress" | "--fail-fast" | "--cache" | "--no-cache"
-                if inline_value.is_some() =>
-            {
-                bad_usage.push(format!("flag '{flag}' takes no value"));
-            }
-            "--quick" => cli.options.quick = true,
-            "--list" => cli.list = true,
-            "--progress" => cli.progress = true,
-            "--fail-fast" => cli.fail_fast = true,
-            "--cache" => cli.cache = true,
-            "--no-cache" => cli.cache = false,
-            "--txns" => {
-                if let Some(v) = value_of(&flag, inline_value.clone(), &mut args, &mut bad_usage) {
-                    match v.parse::<u64>() {
-                        Ok(n) => cli.options.txns = Some(n),
-                        Err(_) => bad_usage.push(format!("--txns: '{v}' is not a count")),
-                    }
+    let (flags, targets) =
+        parse_flags(
+            args,
+            RUN_FLAGS,
+            &mut bad_usage,
+            |flag, v, bad_usage| match flag {
+                "--list" => list = true,
+                "--fail-fast" => fail_fast = true,
+                "--arrival" => match v {
+                    "open" | "closed" => arrival = Some(v.to_string()),
+                    _ => bad_usage.push(format!("--arrival: '{v}' is not open|closed")),
+                },
+                "--think-us" => think_us = parsed(flag, v, "µs", |_| true, bad_usage).or(think_us),
+                "--outstanding" => {
+                    let ok = |n: &u64| *n >= 1;
+                    outstanding = parsed(flag, v, "a cap ≥ 1", ok, bad_usage).or(outstanding);
                 }
-            }
-            "--seed" => {
-                if let Some(v) = value_of(&flag, inline_value.clone(), &mut args, &mut bad_usage) {
-                    match v.parse::<u64>() {
-                        Ok(s) => cli.options.seed = s,
-                        Err(_) => bad_usage.push(format!("--seed: '{v}' is not a u64")),
-                    }
-                }
-            }
-            "--jobs" => {
-                if let Some(v) = value_of(&flag, inline_value.clone(), &mut args, &mut bad_usage) {
-                    match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => cli.jobs = n,
-                        _ => bad_usage.push(format!("--jobs: '{v}' is not a worker count ≥ 1")),
-                    }
-                }
-            }
-            "--arrival" => {
-                if let Some(v) = value_of(&flag, inline_value.clone(), &mut args, &mut bad_usage) {
-                    match v.as_str() {
-                        "open" | "closed" => arrival = Some(v),
-                        _ => bad_usage.push(format!("--arrival: '{v}' is not open|closed")),
-                    }
-                }
-            }
-            "--think-us" => {
-                if let Some(v) = value_of(&flag, inline_value.clone(), &mut args, &mut bad_usage) {
-                    match v.parse::<u64>() {
-                        Ok(n) => think_us = Some(n),
-                        Err(_) => bad_usage.push(format!("--think-us: '{v}' is not µs")),
-                    }
-                }
-            }
-            "--outstanding" => {
-                if let Some(v) = value_of(&flag, inline_value.clone(), &mut args, &mut bad_usage) {
-                    match v.parse::<u64>() {
-                        Ok(n) if n >= 1 => outstanding = Some(n),
-                        _ => bad_usage.push(format!("--outstanding: '{v}' is not a cap ≥ 1")),
-                    }
-                }
-            }
-            "--json" => {
-                if let Some(v) = value_of(&flag, inline_value.clone(), &mut args, &mut bad_usage) {
-                    cli.json_path = Some(v);
-                }
-            }
-            "--bench" => {
-                if let Some(v) = value_of(&flag, inline_value.clone(), &mut args, &mut bad_usage) {
-                    cli.bench_path = Some(v);
-                }
-            }
-            "--bench-key" => {
-                if let Some(v) = value_of(&flag, inline_value.clone(), &mut args, &mut bad_usage) {
-                    cli.bench_key = Some(v);
-                }
-            }
-            "--metrics" => {
-                if let Some(v) = value_of(&flag, inline_value.clone(), &mut args, &mut bad_usage) {
-                    match v.as_str() {
-                        "exact" => cli.options.metrics = Some(MetricsMode::Exact),
-                        "streaming" => cli.options.metrics = Some(MetricsMode::Streaming),
-                        _ => bad_usage.push(format!("--metrics: '{v}' is not exact|streaming")),
-                    }
-                }
-            }
-            f if f.starts_with("--") => bad_usage.push(format!("unknown flag '{f}'")),
-            _ => cli.targets.push(arg),
-        }
-    }
+                "--metrics" => match v {
+                    "exact" => metrics = Some(MetricsMode::Exact),
+                    "streaming" => metrics = Some(MetricsMode::Streaming),
+                    _ => bad_usage.push(format!("--metrics: '{v}' is not exact|streaming")),
+                },
+                _ => unreachable!("'{flag}' is in RUN_FLAGS but has no parser"),
+            },
+        );
 
-    cli.options.arrival = match arrival.as_deref() {
-        None => {
-            if think_us.is_some() || outstanding.is_some() {
-                bad_usage.push("--think-us/--outstanding need --arrival closed".to_string());
-            }
-            None
-        }
-        Some("open") => {
-            if think_us.is_some() || outstanding.is_some() {
-                bad_usage.push("--think-us/--outstanding need --arrival closed".to_string());
-            }
-            Some(ArrivalOverride::Open)
-        }
-        Some(_) => Some(ArrivalOverride::Closed {
+    let arrival = match arrival.as_deref() {
+        Some("closed") => Some(ArrivalOverride::Closed {
             think_time_us: think_us.unwrap_or(1_000),
             max_outstanding: outstanding.unwrap_or(1),
         }),
+        open_or_none => {
+            if think_us.is_some() || outstanding.is_some() {
+                bad_usage.push("--think-us/--outstanding need --arrival closed".to_string());
+            }
+            open_or_none.map(|_| ArrivalOverride::Open)
+        }
     };
 
-    let unknown: Vec<&String> = cli
-        .targets
-        .iter()
-        .filter(|id| id.as_str() != "all" && !EXPERIMENTS.contains(&id.as_str()))
-        .collect();
-    for id in &unknown {
-        bad_usage.push(format!("unknown experiment '{id}'"));
+    for id in &targets {
+        if id != "all" && !EXPERIMENTS.contains(&id.as_str()) {
+            bad_usage.push(format!("unknown experiment '{id}'"));
+        }
     }
     if !bad_usage.is_empty() {
-        for msg in &bad_usage {
-            eprintln!("{msg}");
-        }
-        eprintln!(
-            "valid flags: --quick --list --progress --fail-fast --cache --no-cache --txns N \
-             --seed S --jobs N --arrival open|closed --think-us N --outstanding N \
-             --metrics exact|streaming --json PATH --bench PATH --bench-key KEY"
-        );
+        report_usage("repro", &bad_usage, RUN_FLAGS, " [all|ID...]");
         eprintln!("subcommands: cache stats|clear, explore, lint");
         eprintln!("valid experiments: all {}", EXPERIMENTS.join(" "));
         std::process::exit(2);
     }
-    cli
+    Cli {
+        options: RunOptions {
+            quick: flags.quick,
+            txns: flags.txns,
+            seed: flags.seed,
+            arrival,
+            metrics,
+        },
+        flags,
+        fail_fast,
+        list,
+        targets,
+    }
 }
 
 /// `repro cache stats|clear`: inspect or delete the persistent result
@@ -547,13 +596,6 @@ fn cache_command(args: &[String]) -> i32 {
     }
 }
 
-/// Every `--bench` path calls this: a recorded timing names its hash lane.
-/// Stderr only, so reports, JSON and cache keys stay byte-identical across
-/// hosts.
-fn print_hash_kernel() {
-    eprintln!("sha256 kernel: {}", hash::kernel_name());
-}
-
 /// `repro explore` — run the design-space explorer: enumerate the
 /// `ExploreSpec` grid, prune by forecast, measure the survivors on the
 /// shared probe pool, and report the Pareto front plus the forecast
@@ -561,110 +603,28 @@ fn print_hash_kernel() {
 /// (`S008` zero-survivor), a probe fails, or an output path cannot be
 /// written, 2 on usage errors.
 fn explore_command(args: &[String]) -> i32 {
-    let mut quick = false;
-    let mut txns_override: Option<u64> = None;
-    let mut seed = dichotomy_core::common::rng::DEFAULT_SEED;
-    let mut jobs = 0usize;
-    let mut progress = false;
-    let mut use_cache = false;
-    let mut keep_frac: Option<f64> = None;
-    let mut min_forecast_tps: Option<f64> = None;
+    let mut bad_usage = Vec::new();
     let mut max_candidates: Option<usize> = None;
-    let mut json_path: Option<String> = None;
-    let mut sched_walls = false;
-    let mut bench_path: Option<String> = None;
-    let mut bench_key: Option<String> = None;
-    let mut bad_usage: Vec<String> = Vec::new();
-    let mut it = args.iter().cloned().peekable();
-    while let Some(arg) = it.next() {
-        let (flag, inline) = match arg.split_once('=') {
-            Some((f, v)) if f.starts_with("--") => (f.to_string(), Some(v.to_string())),
-            _ => (arg.clone(), None),
-        };
-        match flag.as_str() {
-            "--quick" => quick = true,
-            "--progress" => progress = true,
-            "--cache" => use_cache = true,
-            "--no-cache" => use_cache = false,
-            "--sched-walls" => sched_walls = true,
-            "--txns" => {
-                if let Some(v) = value_of(&flag, inline, &mut it, &mut bad_usage) {
-                    match v.parse::<u64>() {
-                        Ok(n) => txns_override = Some(n),
-                        Err(_) => bad_usage.push(format!("--txns: not a count: '{v}'")),
-                    }
-                }
-            }
-            "--seed" => {
-                if let Some(v) = value_of(&flag, inline, &mut it, &mut bad_usage) {
-                    match v.parse::<u64>() {
-                        Ok(s) => seed = s,
-                        Err(_) => bad_usage.push(format!("--seed: not a seed: '{v}'")),
-                    }
-                }
-            }
-            "--jobs" => {
-                if let Some(v) = value_of(&flag, inline, &mut it, &mut bad_usage) {
-                    match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => jobs = n,
-                        _ => bad_usage.push(format!("--jobs: not a worker count ≥ 1: '{v}'")),
-                    }
-                }
-            }
-            "--keep-frac" => {
-                if let Some(v) = value_of(&flag, inline, &mut it, &mut bad_usage) {
-                    match v.parse::<f64>() {
-                        Ok(f) if (0.0..=1.0).contains(&f) => keep_frac = Some(f),
-                        _ => bad_usage.push(format!("--keep-frac: not a fraction in [0,1]: '{v}'")),
-                    }
-                }
-            }
-            "--min-forecast-tps" => {
-                if let Some(v) = value_of(&flag, inline, &mut it, &mut bad_usage) {
-                    match v.parse::<f64>() {
-                        Ok(f) if f >= 0.0 && f.is_finite() => min_forecast_tps = Some(f),
-                        _ => bad_usage.push(format!("--min-forecast-tps: not a rate ≥ 0: '{v}'")),
-                    }
-                }
-            }
+    let (flags, positionals) = parse_flags(
+        args,
+        EXPLORE_FLAGS,
+        &mut bad_usage,
+        |flag, v, bad_usage| match flag {
             "--max-candidates" => {
-                if let Some(v) = value_of(&flag, inline, &mut it, &mut bad_usage) {
-                    match v.parse::<usize>() {
-                        Ok(n) => max_candidates = Some(n),
-                        Err(_) => bad_usage.push(format!("--max-candidates: not a count: '{v}'")),
-                    }
-                }
+                max_candidates = parsed(flag, v, "a count", |_| true, bad_usage).or(max_candidates)
             }
-            "--json" => json_path = value_of(&flag, inline, &mut it, &mut bad_usage),
-            "--bench" => bench_path = value_of(&flag, inline, &mut it, &mut bad_usage),
-            "--bench-key" => bench_key = value_of(&flag, inline, &mut it, &mut bad_usage),
-            _ => bad_usage.push(format!("unknown argument '{arg}'")),
-        }
+            _ => unreachable!("'{flag}' is in EXPLORE_FLAGS but has no parser"),
+        },
+    );
+    for arg in &positionals {
+        bad_usage.push(format!("unknown argument '{arg}'"));
     }
     if !bad_usage.is_empty() {
-        for b in &bad_usage {
-            eprintln!("repro explore: {b}");
-        }
-        eprintln!(
-            "usage: repro explore [--quick] [--txns N] [--seed S] [--jobs N] [--progress] \
-             [--cache|--no-cache] [--keep-frac F] [--min-forecast-tps T] [--max-candidates N] \
-             [--json PATH] [--sched-walls] [--bench PATH] [--bench-key KEY]"
-        );
+        report_usage("repro explore", &bad_usage, EXPLORE_FLAGS, "");
         return 2;
     }
 
-    let txns = txns_override.unwrap_or(if quick { 300 } else { 2_000 });
-    let mut spec = if quick {
-        dichotomy_explore::ExploreSpec::quick(txns, seed)
-    } else {
-        dichotomy_explore::ExploreSpec::full(txns, seed)
-    };
-    if let Some(f) = keep_frac {
-        spec.prune.keep_frac = f;
-    }
-    if let Some(t) = min_forecast_tps {
-        spec.prune.min_forecast_tps = t;
-    }
+    let mut spec = flags.explore_spec();
     if let Some(n) = max_candidates {
         spec.max_candidates = if n == 0 { None } else { Some(n) };
     }
@@ -699,7 +659,7 @@ fn explore_command(args: &[String]) -> i32 {
             ),
         }
     };
-    let disk_cache = if use_cache {
+    let disk_cache = if flags.cache {
         match cache::DiskCache::open(Path::new(CACHE_ROOT)) {
             Ok(c) => Some(c),
             Err(e) => {
@@ -711,8 +671,12 @@ fn explore_command(args: &[String]) -> i32 {
         None
     };
     let exec = ExecOptions {
-        jobs,
-        progress: if progress { Some(&progress_fn) } else { None },
+        jobs: flags.jobs,
+        progress: if flags.progress {
+            Some(&progress_fn)
+        } else {
+            None
+        },
         fail_fast: false,
         cache: disk_cache.as_ref().map(|c| c as &dyn ProbeCache),
     };
@@ -744,29 +708,16 @@ fn explore_command(args: &[String]) -> i32 {
     }
 
     let mut write_failed = false;
-    if let Some(path) = &json_path {
-        // The scheduling calibration feed: deterministic predictions always;
-        // measured walls only under --sched-walls (cache hits carry none),
-        // because walls vary run to run and the default document is compared
-        // byte-for-byte across worker counts and cache states.
+    if let Some(path) = &flags.json_path {
+        // The scheduling calibration feed carries the deterministic
+        // predictions only: walls vary run to run, and the document is
+        // compared byte-for-byte across worker counts and cache states.
         let sched: Vec<(String, f64, Option<f64>)> = outcome
             .scheduling
             .iter()
-            .map(|(probe, predicted)| {
-                let wall = if sched_walls {
-                    outcome
-                        .plan
-                        .calibration
-                        .iter()
-                        .find(|c| &c.probe == probe)
-                        .map(|c| c.wall_ms)
-                } else {
-                    None
-                };
-                (probe.clone(), *predicted, wall)
-            })
+            .map(|(probe, predicted)| (probe.clone(), *predicted, None))
             .collect();
-        let doc = json::explore_document(quick, txns, seed, &outcome, &sched);
+        let doc = json::explore_document(flags.quick, spec.txns, spec.seed, &outcome, &sched);
         match std::fs::write(path, doc) {
             Err(e) => {
                 eprintln!("cannot write {path}: {e}");
@@ -776,36 +727,6 @@ fn explore_command(args: &[String]) -> i32 {
                 "wrote the exploration report ({} designs) to {path}",
                 outcome.designs.len()
             ),
-        }
-    }
-
-    if let Some(path) = &bench_path {
-        print_hash_kernel();
-        let effective_jobs = ExecOptions::with_jobs(jobs).effective_jobs();
-        let timing = json::BenchTiming {
-            key: "explore".to_string(),
-            wall_ms: outcome.plan.probe_wall_ms,
-            rows: outcome.plan.report.rows.len(),
-            failed_probes: outcome.plan.report.failures.len(),
-            ok: true,
-            probes: outcome.plan.probes,
-            distinct_probes: outcome.plan.distinct_probes,
-            cache_hits: outcome.plan.cache_hits,
-            dedup_saved_ms: outcome.plan.dedup_saved_ms,
-            calibration: outcome.plan.calibration.clone(),
-        };
-        let key = bench_key
-            .unwrap_or_else(|| json::stable_bench_key(quick, Some(txns), seed, effective_jobs));
-        let entry = json::bench_document(&key, quick, Some(txns), seed, effective_jobs, &[timing]);
-        let existing = std::fs::read_to_string(path).ok();
-        match json::append_history(existing.as_deref(), &entry)
-            .and_then(|doc| std::fs::write(path, doc).map_err(|e| e.to_string()))
-        {
-            Err(e) => {
-                eprintln!("cannot append bench history to {path}: {e}");
-                write_failed = true;
-            }
-            Ok(()) => eprintln!("appended '{key}' (explore timing) to {path}"),
         }
     }
 
@@ -827,69 +748,20 @@ fn explore_command(args: &[String]) -> i32 {
 /// about to run is what gets checked. Exit status: 0 clean (notes/warnings
 /// allowed), 1 on any deny-level finding, 2 on usage errors.
 fn lint_command(args: &[String]) -> i32 {
-    let mut opts = RunOptions::default();
-    let mut json_path: Option<String> = None;
-    let mut keep_frac: Option<f64> = None;
-    let mut min_forecast_tps: Option<f64> = None;
-    let mut targets: Vec<String> = Vec::new();
-    let mut bad_usage: Vec<String> = Vec::new();
-    let mut it = args.iter().cloned().peekable();
-    while let Some(arg) = it.next() {
-        let (flag, inline) = match arg.split_once('=') {
-            Some((f, v)) => (f.to_string(), Some(v.to_string())),
-            None => (arg.clone(), None),
-        };
-        match flag.as_str() {
-            "--quick" => opts.quick = true,
-            "--keep-frac" => {
-                if let Some(v) = value_of(&flag, inline, &mut it, &mut bad_usage) {
-                    match v.parse::<f64>() {
-                        Ok(f) if (0.0..=1.0).contains(&f) => keep_frac = Some(f),
-                        _ => bad_usage.push(format!("--keep-frac: not a fraction in [0,1]: '{v}'")),
-                    }
-                }
-            }
-            "--min-forecast-tps" => {
-                if let Some(v) = value_of(&flag, inline, &mut it, &mut bad_usage) {
-                    match v.parse::<f64>() {
-                        Ok(f) if f >= 0.0 && f.is_finite() => min_forecast_tps = Some(f),
-                        _ => bad_usage.push(format!("--min-forecast-tps: not a rate ≥ 0: '{v}'")),
-                    }
-                }
-            }
-            "--txns" => {
-                if let Some(v) = value_of(&flag, inline, &mut it, &mut bad_usage) {
-                    match v.parse::<u64>() {
-                        Ok(n) => opts.txns = Some(n),
-                        Err(_) => bad_usage.push(format!("--txns: not a count: '{v}'")),
-                    }
-                }
-            }
-            "--seed" => {
-                if let Some(v) = value_of(&flag, inline, &mut it, &mut bad_usage) {
-                    match v.parse::<u64>() {
-                        Ok(s) => opts.seed = s,
-                        Err(_) => bad_usage.push(format!("--seed: not a seed: '{v}'")),
-                    }
-                }
-            }
-            "--json" => {
-                json_path = value_of(&flag, inline, &mut it, &mut bad_usage);
-            }
-            _ if flag.starts_with("--") => bad_usage.push(format!("unknown flag '{flag}'")),
-            _ => targets.push(arg),
-        }
-    }
+    let mut bad_usage = Vec::new();
+    let (flags, targets) = parse_flags(args, LINT_FLAGS, &mut bad_usage, |flag, _, _| {
+        unreachable!("'{flag}' is in LINT_FLAGS but is not a shared flag")
+    });
     if !bad_usage.is_empty() {
-        for b in &bad_usage {
-            eprintln!("repro lint: {b}");
-        }
-        eprintln!(
-            "usage: repro lint [--quick] [--txns N] [--seed S] [--keep-frac F] \
-             [--min-forecast-tps T] [--json PATH] [ID...|explore]"
-        );
+        report_usage("repro lint", &bad_usage, LINT_FLAGS, " [ID...|explore]");
         return 2;
     }
+    let opts = RunOptions {
+        quick: flags.quick,
+        txns: flags.txns,
+        seed: flags.seed,
+        ..RunOptions::default()
+    };
 
     let all = targets.is_empty() || targets.iter().any(|t| t == "all");
     let want_explore = all || targets.iter().any(|t| t == "explore");
@@ -932,20 +804,7 @@ fn lint_command(args: &[String]) -> i32 {
     }
 
     if want_explore {
-        // Lint the explore spec exactly as `repro explore` would build it
-        // from the same flags.
-        let txns = opts.txns.unwrap_or(if opts.quick { 300 } else { 2_000 });
-        let mut spec = if opts.quick {
-            dichotomy_explore::ExploreSpec::quick(txns, opts.seed)
-        } else {
-            dichotomy_explore::ExploreSpec::full(txns, opts.seed)
-        };
-        if let Some(f) = keep_frac {
-            spec.prune.keep_frac = f;
-        }
-        if let Some(t) = min_forecast_tps {
-            spec.prune.min_forecast_tps = t;
-        }
+        let spec = flags.explore_spec();
         expanded += 1;
         diags.extend(dichotomy_explore::lint_spec(&spec));
     }
@@ -966,7 +825,7 @@ fn lint_command(args: &[String]) -> i32 {
         denies
     );
 
-    if let Some(path) = json_path {
+    if let Some(path) = flags.json_path {
         let doc = format!(
             "{{\"generator\":\"repro-lint\",\"experiments\":{},\"findings\":{},\"deny\":{},\"diagnostics\":{}}}\n",
             expanded,

@@ -19,56 +19,7 @@
 //! becomes a labelled entry in `failures` instead).
 
 use dichotomy_core::experiments::{ExperimentReport, RowSeries};
-use dichotomy_core::scenario::ProbeCalibration;
 use dichotomy_explore::ExploreOutcome;
-
-/// One experiment's wall-clock timing, for the `repro --bench` document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchTiming {
-    /// Experiment key (`fig04`, ...).
-    pub key: String,
-    /// Wall-clock milliseconds spent running the experiment.
-    pub wall_ms: f64,
-    /// Rows the report produced (0 when the whole experiment failed).
-    pub rows: usize,
-    /// Probes that panicked inside the run.
-    pub failed_probes: usize,
-    /// Whether the experiment completed (false: it panicked outright or was
-    /// missing from the dispatch table).
-    pub ok: bool,
-    /// Probe slots the plan scheduled.
-    pub probes: usize,
-    /// Distinct probe keys actually executed (or loaded) — the rest were
-    /// deduplicated onto these.
-    pub distinct_probes: usize,
-    /// Distinct probes answered from the result cache.
-    pub cache_hits: usize,
-    /// Worker milliseconds the probe deduplication saved this experiment
-    /// (the representative's wall, once per avoided duplicate).
-    pub dedup_saved_ms: f64,
-    /// Predicted-vs-actual wall per executed probe, in execution order —
-    /// the calibration record of the cost-predicted scheduler.
-    pub calibration: Vec<ProbeCalibration>,
-}
-
-impl BenchTiming {
-    /// A timing entry with the given headline numbers and no probe
-    /// accounting (used for plans that failed to expand).
-    pub fn empty(key: String, ok: bool) -> Self {
-        BenchTiming {
-            key,
-            wall_ms: 0.0,
-            rows: 0,
-            failed_probes: 0,
-            ok,
-            probes: 0,
-            distinct_probes: 0,
-            cache_hits: 0,
-            dedup_saved_ms: 0.0,
-            calibration: Vec::new(),
-        }
-    }
-}
 
 /// Escape a string for a JSON string literal (quotes, backslashes, control
 /// characters).
@@ -233,79 +184,6 @@ pub fn document(
     out
 }
 
-/// Serialize one `repro --bench` run: the label (`--bench-key`, typically a
-/// `git describe`/date tag so the trajectory is keyed per PR), the options
-/// and worker count used, the total worker time, and one timing entry per
-/// experiment. Entries accumulate in a history document (see
-/// [`append_history`]) — `scripts/ci.sh` appends a `--jobs 1` / `--jobs N`
-/// pair to `BENCH_history.json` on every run.
-pub fn bench_document(
-    label: &str,
-    quick: bool,
-    txns: Option<u64>,
-    seed: u64,
-    jobs: usize,
-    timings: &[BenchTiming],
-) -> String {
-    let total_wall_ms: f64 = timings.iter().map(|t| t.wall_ms).sum();
-    // The scheduling regime is part of the run configuration: with more
-    // than one worker the deduped queue runs longest-predicted-first, which
-    // changes which probes contend on oversubscribed hosts — per-experiment
-    // worker time is only comparable within one regime, so `bench_gate`
-    // folds `sched` into the trajectory lane (absent = the historical
-    // "fifo").
-    let sched = if jobs > 1 { "lpt" } else { "fifo" };
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"generator\":\"repro-bench\",\"label\":\"{}\",\"quick\":{quick},\"txns\":{},\
-         \"seed\":{seed},\"jobs\":{jobs},\"sched\":\"{sched}\",\"total_wall_ms\":{},\
-         \"experiments\":[",
-        escape(label),
-        match txns {
-            Some(n) => n.to_string(),
-            None => "null".to_string(),
-        },
-        number(total_wall_ms)
-    ));
-    for (i, t) in timings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        // Scalars first, nested objects last: `bench_gate` reads the FIRST
-        // `"wall_ms":` in each entry and splits entries on `{"key":`, so the
-        // experiment-level scalars must precede the calibration array and
-        // its objects must be keyed `"probe"`, never `"key"`.
-        out.push_str(&format!(
-            "{{\"key\":\"{}\",\"wall_ms\":{},\"rows\":{},\"failed_probes\":{},\"ok\":{},\
-             \"probes\":{},\"distinct_probes\":{},\"cache_hits\":{},\"dedup_saved_ms\":{},\
-             \"calibration\":[",
-            escape(&t.key),
-            number(t.wall_ms),
-            t.rows,
-            t.failed_probes,
-            t.ok,
-            t.probes,
-            t.distinct_probes,
-            t.cache_hits,
-            number(t.dedup_saved_ms)
-        ));
-        for (j, c) in t.calibration.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"probe\":\"{}\",\"predicted\":{},\"wall_ms\":{}}}",
-                escape(&c.probe),
-                number(c.predicted),
-                number(c.wall_ms)
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
-}
-
 /// Serialize one `repro explore` run.
 ///
 /// The document is deterministic for a given spec: the grid funnel, every
@@ -314,9 +192,9 @@ pub fn bench_document(
 /// Kendall's τ rank agreement, per-taxonomy-cell forecast error with the
 /// fitted correction, and the scheduler's per-probe cost predictions.
 /// `scheduling` carries `(probe, predicted, wall_ms)` triples in plan
-/// order; `wall_ms` is `None` (→ `null`) unless the caller opted into
-/// actual walls (`--sched-walls`), which trades byte-identical output for
-/// the predicted-vs-actual feed.
+/// order; `repro explore` always passes `None` (→ `null`) for `wall_ms`,
+/// because a measured wall would break the byte-identity of the document
+/// across worker counts and cache states.
 pub fn explore_document(
     quick: bool,
     txns: u64,
@@ -410,73 +288,6 @@ pub fn explore_document(
         outcome.plan.probes, outcome.plan.distinct_probes
     ));
     out
-}
-
-/// The fixed head of a bench-history document.
-const HISTORY_PREFIX: &str = "{\"generator\":\"repro-bench-history\",\"entries\":[";
-
-/// A stable fallback `--bench-key`: a digest of the run's own parameters,
-/// for environments where `git describe` has nothing to say (tarball
-/// checkouts, shallow CI clones). Identical run configurations map to the
-/// same key, so trailing-entry comparisons in the trajectory still line up;
-/// the wall clock is never consulted.
-pub fn stable_bench_key(quick: bool, txns: Option<u64>, seed: u64, jobs: usize) -> String {
-    // FNV-1a over the canonical parameter string: tiny, stable, no deps.
-    let params = format!(
-        "quick={quick};txns={};seed={seed};jobs={jobs}",
-        match txns {
-            Some(n) => n.to_string(),
-            None => "default".to_string(),
-        }
-    );
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in params.bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!(
-        "run-{}{}-j{jobs}-{hash:08x}",
-        if quick { "quick" } else { "full" },
-        match txns {
-            Some(n) => format!("-t{n}"),
-            None => String::new(),
-        }
-    )
-}
-
-/// Append one [`bench_document`] entry to a bench-history document,
-/// returning the new document. `existing` is the current file content
-/// (`None` or empty starts a fresh history). The history format is fixed —
-/// `{"generator":"repro-bench-history","entries":[…]}` — and a file that
-/// does not match it is refused rather than silently overwritten. An entry
-/// that is byte-identical to one already recorded (same key *and* payload —
-/// e.g. a re-run script appending the same document twice) leaves the
-/// history unchanged instead of duplicating it.
-pub fn append_history(existing: Option<&str>, entry: &str) -> Result<String, String> {
-    let fresh = || format!("{HISTORY_PREFIX}{entry}]}}");
-    match existing.map(str::trim) {
-        None | Some("") => Ok(fresh()),
-        Some(doc) => {
-            let entries = doc
-                .strip_prefix(HISTORY_PREFIX)
-                .and_then(|body| body.strip_suffix("]}"))
-                .ok_or_else(|| {
-                    "not a repro-bench-history document (refusing to overwrite)".to_string()
-                })?;
-            if entries.is_empty() {
-                Ok(fresh())
-            } else if entries == entry
-                || entries.starts_with(&format!("{entry},"))
-                || entries.ends_with(&format!(",{entry}"))
-                || entries.contains(&format!(",{entry},"))
-            {
-                // Exact duplicate (key and payload): keep the history as-is.
-                Ok(doc.to_string())
-            } else {
-                Ok(format!("{HISTORY_PREFIX}{entries},{entry}]}}"))
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -613,102 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_documents_carry_jobs_and_per_experiment_wall_clock() {
-        let timings = vec![
-            BenchTiming {
-                key: "fig04".into(),
-                wall_ms: 12.5,
-                rows: 5,
-                failed_probes: 0,
-                ok: true,
-                probes: 8,
-                distinct_probes: 7,
-                cache_hits: 2,
-                dedup_saved_ms: 3.5,
-                calibration: vec![ProbeCalibration {
-                    probe: "etcd".into(),
-                    predicted: 1200.0,
-                    wall_ms: 11.5,
-                }],
-            },
-            BenchTiming {
-                key: "fig09".into(),
-                wall_ms: 7.5,
-                rows: 0,
-                failed_probes: 1,
-                ok: false,
-                probes: 0,
-                distinct_probes: 0,
-                cache_hits: 0,
-                dedup_saved_ms: 0.0,
-                calibration: Vec::new(),
-            },
-        ];
-        let doc = bench_document("pr5-jobs4", true, None, 7, 4, &timings);
-        assert!(doc.starts_with(
-            "{\"generator\":\"repro-bench\",\"label\":\"pr5-jobs4\",\"quick\":true,\
-             \"txns\":null,\"seed\":7,\"jobs\":4,\"sched\":\"lpt\",\"total_wall_ms\":20,\
-             \"experiments\":["
-        ));
-        assert!(doc.contains(
-            "{\"key\":\"fig04\",\"wall_ms\":12.5,\"rows\":5,\"failed_probes\":0,\"ok\":true,\
-             \"probes\":8,\"distinct_probes\":7,\"cache_hits\":2,\"dedup_saved_ms\":3.5,\
-             \"calibration\":[{\"probe\":\"etcd\",\"predicted\":1200,\"wall_ms\":11.5}]}"
-        ));
-        assert!(doc.contains(
-            "{\"key\":\"fig09\",\"wall_ms\":7.5,\"rows\":0,\"failed_probes\":1,\"ok\":false,\
-             \"probes\":0,\"distinct_probes\":0,\"cache_hits\":0,\"dedup_saved_ms\":0,\
-             \"calibration\":[]}"
-        ));
-        assert!(doc.ends_with("]}"));
-        let empty = bench_document("x", false, Some(42), 1, 1, &[]);
-        assert!(empty.contains("\"txns\":42") && empty.contains("\"experiments\":[]"));
-        assert!(
-            empty.contains("\"sched\":\"fifo\""),
-            "one worker keeps first-occurrence order"
-        );
-    }
-
-    #[test]
-    fn calibration_objects_never_collide_with_the_entry_scanner() {
-        // `bench_gate` splits entries on `{"key":` and reads the first
-        // `"wall_ms":` of each chunk — the calibration array must not defeat
-        // either convention.
-        let timings = vec![BenchTiming {
-            key: "fig04".into(),
-            wall_ms: 99.0,
-            rows: 1,
-            failed_probes: 0,
-            ok: true,
-            probes: 2,
-            distinct_probes: 2,
-            cache_hits: 0,
-            dedup_saved_ms: 0.0,
-            calibration: vec![
-                ProbeCalibration {
-                    probe: "a".into(),
-                    predicted: 1.0,
-                    wall_ms: 1.0,
-                },
-                ProbeCalibration {
-                    probe: "b".into(),
-                    predicted: f64::NAN,
-                    wall_ms: 2.0,
-                },
-            ],
-        }];
-        let doc = bench_document("k", true, None, 7, 1, &timings);
-        assert_eq!(doc.matches("{\"key\":").count(), 1, "one entry, one key");
-        let entry = doc.split("{\"key\":").nth(1).unwrap();
-        let first_wall = entry.split("\"wall_ms\":").nth(1).unwrap();
-        assert!(
-            first_wall.starts_with("99"),
-            "experiment wall_ms precedes calibration walls: {first_wall}"
-        );
-        assert!(doc.contains("{\"probe\":\"b\",\"predicted\":null,\"wall_ms\":2}"));
-    }
-
-    #[test]
     fn explore_documents_hold_the_funnel_front_and_calibration() {
         use dichotomy_core::scenario::PlanOutcome;
         use dichotomy_explore::{CellCalibration, CutDesign, Design, ExploreOutcome};
@@ -780,64 +495,5 @@ mod tests {
         // Wall clocks and cache hits are nondeterministic: they must never
         // reach this document (cold/warm runs are compared byte-for-byte).
         assert!(!doc.contains("cache_hits") && !doc.contains("123"));
-    }
-
-    #[test]
-    fn bench_history_accumulates_entries_across_appends() {
-        let entry = |label: &str| bench_document(label, true, None, 7, 1, &[]);
-        // A fresh history wraps the first entry.
-        let first = append_history(None, &entry("pr5-jobs1")).unwrap();
-        assert!(first.starts_with("{\"generator\":\"repro-bench-history\",\"entries\":["));
-        assert!(first.ends_with("]}"));
-        assert_eq!(first.matches("\"generator\":\"repro-bench\"").count(), 1);
-        // Appending keeps earlier entries; whitespace around the document is
-        // tolerated (editors add trailing newlines).
-        let second = append_history(Some(&format!("{first}\n")), &entry("pr6-jobs1")).unwrap();
-        assert_eq!(second.matches("\"generator\":\"repro-bench\"").count(), 2);
-        assert!(second.contains("\"label\":\"pr5-jobs1\""));
-        assert!(second.contains("\"label\":\"pr6-jobs1\""));
-        let third = append_history(Some(&second), &entry("pr7-jobs4")).unwrap();
-        assert_eq!(third.matches("\"label\":").count(), 3);
-        // An empty file behaves like a missing one; an alien document is
-        // refused, never clobbered.
-        assert_eq!(append_history(Some("  \n"), &entry("a")).unwrap(), {
-            append_history(None, &entry("a")).unwrap()
-        });
-        assert!(append_history(Some("{\"generator\":\"repro\"}"), &entry("a")).is_err());
-        assert!(append_history(Some("garbage"), &entry("a")).is_err());
-    }
-
-    #[test]
-    fn bench_history_dedupes_byte_identical_entries() {
-        let entry = bench_document("same", true, None, 7, 1, &[]);
-        let other = bench_document("other", true, None, 7, 1, &[]);
-        // Re-appending the identical entry leaves the history unchanged,
-        // wherever in the entry list it already sits.
-        let first = append_history(None, &entry).unwrap();
-        assert_eq!(append_history(Some(&first), &entry).unwrap(), first);
-        let two = append_history(Some(&first), &other).unwrap();
-        assert_eq!(append_history(Some(&two), &entry).unwrap(), two);
-        assert_eq!(append_history(Some(&two), &other).unwrap(), two);
-        // A same-key entry with a *different* payload still appends: re-runs
-        // with new numbers are trajectory, not duplication.
-        let rerun = bench_document("same", true, None, 9, 1, &[]);
-        let three = append_history(Some(&two), &rerun).unwrap();
-        assert_eq!(three.matches("\"label\":\"same\"").count(), 2);
-    }
-
-    #[test]
-    fn stable_bench_key_is_deterministic_and_parameter_sensitive() {
-        let key = stable_bench_key(true, None, 7, 1);
-        assert_eq!(key, stable_bench_key(true, None, 7, 1));
-        assert!(key.starts_with("run-quick-j1-"));
-        // Every parameter reaches the digest.
-        for different in [
-            stable_bench_key(false, None, 7, 1),
-            stable_bench_key(true, Some(42), 7, 1),
-            stable_bench_key(true, None, 8, 1),
-            stable_bench_key(true, None, 7, 2),
-        ] {
-            assert_ne!(key, different);
-        }
     }
 }

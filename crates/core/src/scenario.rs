@@ -831,8 +831,8 @@ struct ProbeOutcome {
     series: Option<RowSeries>,
     error: Option<String>,
     /// Wall-clock milliseconds spent executing the probe (0 for skipped
-    /// probes). Feeds the per-experiment bench trajectory; never part of the
-    /// deterministic report itself.
+    /// probes). Feeds [`PlanOutcome::probe_wall_ms`] and the calibration
+    /// records; never part of the deterministic report itself.
     wall_ms: f64,
 }
 
@@ -848,7 +848,7 @@ struct FlatProbe<'p> {
 }
 
 /// Predicted-vs-actual wall for one executed probe: the forecast
-/// calibration datum the bench document records per experiment.
+/// calibration datum the `benchmark/` harness reads per plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProbeCalibration {
     /// The probe's label.
@@ -1134,7 +1134,7 @@ pub fn run_plans_with(
                     };
                 }
             }
-            // lint: allow(D004) -- wall-clock probe timing for the bench trajectory; never enters a report or a cache key
+            // lint: allow(D004) -- wall-clock probe timing for the stderr summary and the benchmark/ harness; never enters a report or a cache key
             let started = std::time::Instant::now();
             let observed = catch_unwind(AssertUnwindSafe(|| {
                 observe(probe_of(item), registry, group, share)

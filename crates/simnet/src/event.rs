@@ -4,21 +4,14 @@
 //! are broken by insertion order, which makes every run reproducible
 //! regardless of the payload type.
 //!
-//! Two implementations share the same contract:
-//!
-//! * [`EventQueue`] — a hierarchical timer wheel (calendar queue). Scheduling
-//!   and popping are O(1) amortized: an event is filed into one of 11 levels
-//!   of 64 slots by the highest 6-bit group in which its time differs from
-//!   the wheel's base, and cascades down at most once per level as the clock
-//!   reaches it. This is the queue the engine runs on.
-//! * [`HeapEventQueue`] — the original `BinaryHeap` implementation, O(log n)
-//!   per operation. Kept as the reference baseline: the differential tests
-//!   pop identical randomized schedules through both and assert identical
-//!   `(time, seq)` streams, and `microbench` pins the wheel-vs-heap
-//!   events/sec ratio.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! [`EventQueue`] is a hierarchical timer wheel (calendar queue). Scheduling
+//! and popping are O(1) amortized: an event is filed into one of 11 levels of
+//! 64 slots by the highest 6-bit group in which its time differs from the
+//! wheel's base, and cascades down at most once per level as the clock
+//! reaches it. Its reference is the `BinaryHeap` queue in
+//! `tests/wheel_vs_heap.rs`: the differential tests there pop identical
+//! randomized schedules through both and assert identical `(time, seq)`
+//! streams.
 
 use dichotomy_common::Timestamp;
 
@@ -31,29 +24,6 @@ pub struct ScheduledEvent<E> {
     pub seq: u64,
     /// The payload.
     pub event: E,
-}
-
-impl<E> PartialEq for ScheduledEvent<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for ScheduledEvent<E> {}
-
-impl<E> PartialOrd for ScheduledEvent<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for ScheduledEvent<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse so the BinaryHeap (a max-heap) pops the earliest event.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// Bits per wheel level: 64 slots each.
@@ -260,98 +230,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The original `BinaryHeap`-backed queue: same contract as [`EventQueue`],
-/// O(log n) per operation. Retained as the reference implementation for the
-/// wheel's differential tests and as the microbench baseline — production
-/// code should use [`EventQueue`].
-#[derive(Debug)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<ScheduledEvent<E>>,
-    now: Timestamp,
-    next_seq: u64,
-    popped: u64,
-    clamped: u64,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// An empty queue at time zero.
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            now: 0,
-            next_seq: 0,
-            popped: 0,
-            clamped: 0,
-        }
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> Timestamp {
-        self.now
-    }
-
-    /// Number of events waiting.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are waiting.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total number of events delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.popped
-    }
-
-    /// Number of clamped (scheduled-in-the-past) events.
-    pub fn clamped(&self) -> u64 {
-        self.clamped
-    }
-
-    /// Schedule `event` at absolute time `at` (clamped to `now()`).
-    pub fn schedule_at(&mut self, at: Timestamp, event: E) {
-        if at < self.now {
-            self.clamped += 1;
-        }
-        let time = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(ScheduledEvent { time, seq, event });
-    }
-
-    /// Schedule `event` to fire `delay` microseconds from now.
-    pub fn schedule_in(&mut self, delay: u64, event: E) {
-        self.schedule_at(self.now.saturating_add(delay), event);
-    }
-
-    /// Pop the earliest event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(Timestamp, E)> {
-        let ev = self.heap.pop()?;
-        debug_assert!(ev.time >= self.now, "event queue moved backwards");
-        self.now = ev.time;
-        self.popped += 1;
-        Some((ev.time, ev.event))
-    }
-
-    /// Time of the next event without popping it.
-    pub fn peek_time(&self) -> Option<Timestamp> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Advance the clock directly (never backwards).
-    pub fn advance_to(&mut self, t: Timestamp) {
-        self.now = self.now.max(t);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,20 +357,5 @@ mod tests {
         q.schedule_in(u64::MAX, "beyond");
         assert_eq!(q.pop(), Some((u64::MAX, "beyond")));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn heap_reference_queue_matches_the_contract() {
-        let mut q = HeapEventQueue::new();
-        q.schedule_at(30, "c");
-        q.schedule_at(10, "a");
-        q.schedule_at(20, "b");
-        assert_eq!(q.peek_time(), Some(10));
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(order, vec![(10, "a"), (20, "b"), (30, "c")]);
-        assert_eq!((q.now(), q.delivered(), q.clamped()), (30, 3, 0));
-        q.schedule_at(5, "late");
-        assert_eq!(q.clamped(), 1);
-        assert_eq!(q.pop(), Some((30, "late")));
     }
 }

@@ -28,7 +28,7 @@ pub mod resource;
 
 pub use costs::CostModel;
 pub use engine::{Process, ProcessId, SimEngine, StageEvent};
-pub use event::{EventQueue, HeapEventQueue, ScheduledEvent};
+pub use event::{EventQueue, ScheduledEvent};
 pub use fault::{Failover, FaultPlan, NodeFault, Partition, Reconfiguration};
 pub use network::{NetworkConfig, NetworkModel};
 pub use resource::{MultiResource, Resource};

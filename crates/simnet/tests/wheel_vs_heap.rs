@@ -3,8 +3,138 @@
 //! stream, same clock, same clamp counter — over randomized schedules that
 //! mix near-term, far-future, clamped and tied events.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use dichotomy_common::rng::{self, Rng};
-use dichotomy_simnet::{EventQueue, HeapEventQueue};
+use dichotomy_common::Timestamp;
+use dichotomy_simnet::EventQueue;
+
+/// A pending event of the reference queue, ordered so that a `BinaryHeap`
+/// (a max-heap) pops the earliest `(time, seq)` first.
+#[derive(Debug)]
+struct HeapEntry<E> {
+    time: Timestamp,
+    seq: u64,
+    event: E,
+}
+
+impl<E> PartialEq for HeapEntry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+impl<E> Eq for HeapEntry<E> {}
+
+impl<E> PartialOrd for HeapEntry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for HeapEntry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .time
+            .cmp(&self.time)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// The original `BinaryHeap`-backed queue: same contract as [`EventQueue`],
+/// O(log n) per operation. It lives here, not in the crate, because its only
+/// job is to be the reference the wheel is compared against.
+#[derive(Debug)]
+struct HeapEventQueue<E> {
+    heap: BinaryHeap<HeapEntry<E>>,
+    now: Timestamp,
+    next_seq: u64,
+    popped: u64,
+    clamped: u64,
+}
+
+impl<E> HeapEventQueue<E> {
+    /// An empty queue at time zero.
+    fn new() -> Self {
+        HeapEventQueue {
+            heap: BinaryHeap::new(),
+            now: 0,
+            next_seq: 0,
+            popped: 0,
+            clamped: 0,
+        }
+    }
+
+    /// Current simulated time.
+    fn now(&self) -> Timestamp {
+        self.now
+    }
+
+    /// Number of events waiting.
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Total number of events delivered so far.
+    fn delivered(&self) -> u64 {
+        self.popped
+    }
+
+    /// Number of clamped (scheduled-in-the-past) events.
+    fn clamped(&self) -> u64 {
+        self.clamped
+    }
+
+    /// Schedule `event` at absolute time `at` (clamped to `now()`).
+    fn schedule_at(&mut self, at: Timestamp, event: E) {
+        if at < self.now {
+            self.clamped += 1;
+        }
+        let time = at.max(self.now);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(HeapEntry { time, seq, event });
+    }
+
+    /// Schedule `event` to fire `delay` microseconds from now.
+    fn schedule_in(&mut self, delay: u64, event: E) {
+        self.schedule_at(self.now.saturating_add(delay), event);
+    }
+
+    /// Pop the earliest event, advancing the clock to its timestamp.
+    fn pop(&mut self) -> Option<(Timestamp, E)> {
+        let ev = self.heap.pop()?;
+        debug_assert!(ev.time >= self.now, "event queue moved backwards");
+        self.now = ev.time;
+        self.popped += 1;
+        Some((ev.time, ev.event))
+    }
+
+    /// Time of the next event without popping it.
+    fn peek_time(&self) -> Option<Timestamp> {
+        self.heap.peek().map(|e| e.time)
+    }
+
+    /// Advance the clock directly (never backwards).
+    fn advance_to(&mut self, t: Timestamp) {
+        self.now = self.now.max(t);
+    }
+}
+
+#[test]
+fn heap_reference_queue_matches_the_contract() {
+    let mut q = HeapEventQueue::new();
+    q.schedule_at(30, "c");
+    q.schedule_at(10, "a");
+    q.schedule_at(20, "b");
+    assert_eq!(q.peek_time(), Some(10));
+    let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+    assert_eq!(order, vec![(10, "a"), (20, "b"), (30, "c")]);
+    assert_eq!((q.now(), q.delivered(), q.clamped()), (30, 3, 0));
+    q.schedule_at(5, "late");
+    assert_eq!(q.clamped(), 1);
+    assert_eq!(q.pop(), Some((30, "late")));
+}
 
 /// Drive both queues through one scripted schedule and assert the pop
 /// streams agree event for event. Payloads carry the insertion index, so a

@@ -6,6 +6,11 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# What the checkout looked like before any stage ran (which paths differ from
+# HEAD, and the content of the tracked ones); the last stage compares.
+tree_state() { git status --porcelain; git diff | cksum; }
+TREE_BEFORE="$(tree_state)"
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -165,43 +170,16 @@ if grep -q '"failures":\[{' /tmp/ci_chaos_a.json; then
     exit 1
 fi
 
-echo "==> BENCH_history.json (bench trajectory: append --jobs 1 and --jobs $JOBS entries)"
-BENCH_KEY="$(git describe --always 2>/dev/null || echo untagged)"
-# Text-only experiments (tab02) schedule no probes and must stay OUT of the
-# bench timings — count its occurrences before and after the appends.
-TAB02_BEFORE="$(grep -o '"key":"tab02"' BENCH_history.json 2>/dev/null | wc -l)"
-cargo run -p dichotomy-bench --release --bin repro -- \
-    --quick --seed 7 --jobs 1 --bench BENCH_history.json \
-    --bench-key "${BENCH_KEY}-jobs1" all > /dev/null
-cargo run -p dichotomy-bench --release --bin repro -- \
-    --quick --seed 7 --jobs "$JOBS" --bench BENCH_history.json \
-    --bench-key "${BENCH_KEY}-jobs${JOBS}" all > /dev/null
-grep -q '"generator":"repro-bench-history"' BENCH_history.json
-grep -q "\"label\":\"${BENCH_KEY}-jobs1\"" BENCH_history.json
-grep -q "\"label\":\"${BENCH_KEY}-jobs${JOBS}\"" BENCH_history.json
-# `all` includes the chaos grid, so its wall clock rides the trajectory too.
-grep -q '"key":"chaos01"' BENCH_history.json
-TAB02_AFTER="$(grep -o '"key":"tab02"' BENCH_history.json | wc -l)"
-if [ "$TAB02_AFTER" -ne "$TAB02_BEFORE" ]; then
-    echo "ci.sh: tab02 (0 probes) leaked into the bench timings" >&2
-    exit 1
-fi
-# The new entries carry the measurement-layer accounting.
-grep -q '"dedup_saved_ms":' BENCH_history.json
-grep -q '"calibration":\[{' BENCH_history.json
-
 echo "==> repro --cache (cold vs warm: byte-identical JSON, >=5x wall-clock win)"
-# Seed 8 keeps the cache trajectory in its own (key, config) lane so the
-# near-zero warm walls never skew the seed-7 regression baselines above.
 REPRO_BIN=target/release/repro
 "$REPRO_BIN" cache clear > /dev/null
 COLD_NS="$(date +%s%N)"
 "$REPRO_BIN" --quick --seed 8 --jobs "$JOBS" --cache --json /tmp/ci_cache_cold.json \
-    --bench BENCH_history.json --bench-key pr8-cache-cold all > /tmp/ci_cache_cold.out
+    all > /tmp/ci_cache_cold.out
 COLD_MS=$(( ($(date +%s%N) - COLD_NS) / 1000000 ))
 WARM_NS="$(date +%s%N)"
 "$REPRO_BIN" --quick --seed 8 --jobs "$JOBS" --cache --json /tmp/ci_cache_warm.json \
-    --bench BENCH_history.json --bench-key pr8-cache-warm all > /tmp/ci_cache_warm.out 2> /tmp/ci_cache_warm.err
+    all > /tmp/ci_cache_warm.out 2> /tmp/ci_cache_warm.err
 WARM_MS=$(( ($(date +%s%N) - WARM_NS) / 1000000 ))
 # A cache hit is pinned byte-identical to a cold run, reports and JSON both.
 cmp /tmp/ci_cache_cold.out /tmp/ci_cache_warm.out
@@ -218,8 +196,6 @@ if [ "$COLD_MS" -lt $(( 5 * WARM_MS )) ]; then
     exit 1
 fi
 echo "    cold ${COLD_MS} ms, warm ${WARM_MS} ms"
-grep -q '"label":"pr8-cache-cold"' BENCH_history.json
-grep -q '"label":"pr8-cache-warm"' BENCH_history.json
 "$REPRO_BIN" cache stats | grep -q entries
 "$REPRO_BIN" cache clear > /dev/null
 
@@ -254,26 +230,14 @@ if grep -q ' 0 cache hits' /tmp/ci_explore_warm.err; then
     exit 1
 fi
 "$REPRO_BIN" cache clear > /dev/null
-# --sched-walls is the opt-out: measured ProbeCalibration walls replace the
-# byte-stable nulls in calibration.scheduling.
-"$REPRO_BIN" explore --quick --seed 9 --jobs 1 --no-cache --sched-walls \
-    --json /tmp/ci_explore_walls.json > /dev/null
-grep -qE '"wall_ms":[0-9]' /tmp/ci_explore_walls.json
-# The explorer's own wall clock joins the bench trajectory.
-"$REPRO_BIN" explore --quick --seed 7 --jobs "$JOBS" \
-    --bench BENCH_history.json --bench-key pr10-explore > /dev/null
-grep -q '"label":"pr10-explore"' BENCH_history.json
 
 echo "==> microbench --smoke (engine hot-path regression canary)"
-cargo run -p dichotomy-bench --release --bin microbench -- --smoke \
-    --bench BENCH_history.json --bench-key "${BENCH_KEY}-micro" > /tmp/ci_microbench.out
+cargo run -p dichotomy-bench --release --bin microbench -- --smoke > /tmp/ci_microbench.out
 test -s /tmp/ci_microbench.out
 grep -q "event_queue_schedule_pop_10k" /tmp/ci_microbench.out
 grep -q "engine_loop_etcd_update_300" /tmp/ci_microbench.out
 grep -q "plan_parallel_8probe_etcd" /tmp/ci_microbench.out
-# The wheel-vs-heap and sketch-vs-exact cases pin this PR's two hot paths;
-# their timings ride the bench trajectory alongside the experiment runs.
-grep -q "event_queue_heap_churn_256k" /tmp/ci_microbench.out
+grep -q "event_queue_wheel_churn_256k" /tmp/ci_microbench.out
 grep -q "latency_sketch_stream_100k" /tmp/ci_microbench.out
 # Load vs fork of a shared Quorum state: the per-probe saving of a state
 # group, printed as two ns/op lines.
@@ -285,9 +249,6 @@ grep -q "key_clone_16b" /tmp/ci_microbench.out
 grep -q "value_clone_1kb" /tmp/ci_microbench.out
 grep -q "ycsb_next_txn_1kb" /tmp/ci_microbench.out
 grep -q "lsm_flush_4mb" /tmp/ci_microbench.out
-grep -q "\"label\":\"${BENCH_KEY}-micro\"" BENCH_history.json
-grep -q '"key":"event_queue_heap_churn_256k"' BENCH_history.json
-grep -q '"key":"latency_sketch_stream_100k"' BENCH_history.json
 
 echo "==> benchmark/ (the frozen harness against this tree: smoke check + fidelity digests)"
 # The standalone harness package builds from this checkout's crates, so a
@@ -298,9 +259,14 @@ echo "==> benchmark/ (the frozen harness against this tree: smoke check + fideli
 benchmark/check.sh
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> bench_gate (wall-clock trajectory regression gate + coverage keys)"
-scripts/bench_gate --require-key scale01 --require-key chaos01 \
-    --require-key pr8-cache-cold --require-key pr8-cache-warm \
-    --require-key pr10-explore BENCH_history.json
+echo "==> git status (CI writes only to /tmp, target/, .repro-cache and benchmark/{target,out})"
+# Every stage above writes to ignored paths only: a tracked file modified or
+# an untracked file left behind is a bug in the stage that did it. On a clean
+# checkout this is `git status --porcelain` must print nothing.
+if [ "$(tree_state)" != "$TREE_BEFORE" ]; then
+    echo "ci.sh: a stage modified the checkout:" >&2
+    git status --porcelain >&2
+    exit 1
+fi
 
 echo "==> ci.sh: all checks passed"
