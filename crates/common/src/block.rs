@@ -51,13 +51,17 @@ impl BlockHeader {
     }
 }
 
-/// A block: header plus the transaction batch it commits.
+/// A block: header plus the transaction batch it commits. The body is sealed:
+/// a constructor sets and digests it, and it cannot change afterwards, so
+/// [`verify_txns_digest`](Self::verify_txns_digest) compares two hashes and no
+/// validator re-hashes a body. A different body is a different `Block`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// The chained header.
     pub header: BlockHeader,
-    /// Ordered transactions.
-    pub txns: Vec<Transaction>,
+    txns: Vec<Transaction>,
+    /// `digest_txns(&txns)`, computed once at construction.
+    body_digest: Hash,
 }
 
 impl Block {
@@ -71,17 +75,30 @@ impl Block {
         timestamp: Timestamp,
         state_root: Option<Hash>,
     ) -> Self {
-        let txns_digest = Self::digest_txns(&txns);
+        let body_digest = Self::digest_txns(&txns);
         Block {
             header: BlockHeader {
                 height,
                 prev_hash,
-                txns_digest,
+                txns_digest: body_digest,
                 state_root,
                 proposer,
                 timestamp,
             },
             txns,
+            body_digest,
+        }
+    }
+
+    /// A block from a header produced elsewhere (a peer, storage) and the body
+    /// that came with it. The body is digested here; `verify_txns_digest`
+    /// tells whether the header commits to it.
+    pub fn from_parts(header: BlockHeader, txns: Vec<Transaction>) -> Self {
+        let body_digest = Self::digest_txns(&txns);
+        Block {
+            header,
+            txns,
+            body_digest,
         }
     }
 
@@ -119,6 +136,16 @@ impl Block {
         self.header.hash()
     }
 
+    /// The ordered transactions.
+    pub fn txns(&self) -> &[Transaction] {
+        &self.txns
+    }
+
+    /// Take the transactions out of the block.
+    pub fn into_txns(self) -> Vec<Transaction> {
+        self.txns
+    }
+
     /// Number of transactions in the block.
     pub fn txn_count(&self) -> usize {
         self.txns.len()
@@ -127,7 +154,7 @@ impl Block {
     /// Whether the header's transactions digest matches the body. Validators
     /// check this before committing a block received from the network.
     pub fn verify_txns_digest(&self) -> bool {
-        self.header.txns_digest == Self::digest_txns(&self.txns)
+        self.header.txns_digest == self.body_digest
     }
 
     /// Approximate serialized size of the block in bytes: header plus every
@@ -150,6 +177,7 @@ impl Encode for BlockHeader {
     }
 }
 
+// lint: allow(D001) -- `body_digest` is derived from `txns`, which is encoded; a decoder recomputes it in `from_parts`
 impl Encode for Block {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.header.encode_into(out);
@@ -210,7 +238,7 @@ mod tests {
 
     #[test]
     fn tampered_body_fails_digest_check() {
-        let mut b = Block::assemble(
+        let b = Block::assemble(
             1,
             Hash::ZERO,
             vec![sample_txn(1, 10), sample_txn(2, 10)],
@@ -219,8 +247,52 @@ mod tests {
             None,
         );
         assert!(b.verify_txns_digest());
-        b.txns.pop();
+        // The same header over a shortened body.
+        let header = b.header.clone();
+        let mut txns = b.into_txns();
+        txns.pop();
+        assert!(!Block::from_parts(header, txns).verify_txns_digest());
+        // And the same body under a header that commits to something else.
+        let mut b = Block::assemble(1, Hash::ZERO, vec![sample_txn(1, 10)], NodeId(0), 0, None);
+        b.header.txns_digest = Hash::of(b"forged");
         assert!(!b.verify_txns_digest());
+    }
+
+    /// Recorded at the commit before the body was sealed behind one digest
+    /// per block: five signed transactions fold 5 → 3 → 2 → 1, promoting the
+    /// odd node twice.
+    #[test]
+    fn assembled_block_matches_golden_digests() {
+        let txns: Vec<_> = (1..=5)
+            .map(|seq| {
+                Transaction::signed(
+                    TxnId::new(ClientId(seq % 2), seq),
+                    vec![
+                        Operation::read(Key::from_str(&format!("user{seq:012}"))),
+                        Operation::write(Key::from_str("user000000000042"), Value::filler(100)),
+                    ],
+                    seq * 10,
+                    &crate::crypto::KeyPair::for_client(seq % 2),
+                )
+            })
+            .collect();
+        let b = Block::assemble(
+            3,
+            Hash::of(b"parent"),
+            txns,
+            NodeId(2),
+            1_234,
+            Some(Hash::of(b"root")),
+        );
+        assert!(b.verify_txns_digest());
+        assert_eq!(
+            b.header.txns_digest.to_hex(),
+            "9900b62657e800d02956bbecc54ebe68d8188ac2d92b8dae29fc1a30133c6855"
+        );
+        assert_eq!(
+            b.hash().to_hex(),
+            "2d69ba1724d9bddccbdf1ece2d7898e78026312016fcf7c801b1235483ca0003"
+        );
     }
 
     #[test]

@@ -4,20 +4,26 @@
 //! signature creation and verification — the paper reports that a saturated
 //! Fabric peer spends 42 % of block-validation time verifying transaction
 //! signatures, and that client authentication dominates Fabric's read path
-//! (Figure 8b). What matters for the reproduction is therefore (i) that
-//! signatures are *checked* — a forged or mis-bound signature must be
-//! rejected so the protocol logic is honest — and (ii) that each
-//! create/verify call carries a realistic CPU cost, which the simulator
-//! charges via `dichotomy_simnet::costs`.
+//! (Figure 8b). What matters for the reproduction is therefore (i) that a
+//! signature *can* be checked — a forged or mis-bound one is rejected — and
+//! (ii) that each create/verify call carries a realistic CPU cost.
+//!
+//! The two are kept apart: no system model calls
+//! `Transaction::verify_signature` while it runs — validators *charge* the
+//! check through `CostModel::verify_signatures_us` (`dichotomy_simnet::costs`)
+//! — and verification itself is exercised by tests: the unit tests here and
+//! in `txn.rs`, the generators' tests in `dichotomy-workload`, and
+//! `dichotomy-core`'s cross-crate integration test.
 //!
 //! We implement a deterministic hash-based scheme: a key pair is derived from
 //! a seed, the public key is the hash of the secret key, and a signature is
 //! `H(secret_key || message)` together with the public key. Verification
-//! recomputes the tag from the *claimed* signer's registered secret (looked
-//! up through a keyring held by the verifier model). This is obviously not a
-//! real public-key scheme, but it preserves the two properties above without
-//! pulling in a cryptography dependency, and it is stated as a substitution
-//! in DESIGN.md.
+//! recomputes the tag from the *claimed* signer's secret, which the verifier
+//! rederives from the signer's id (standing in for a certificate lookup).
+//! This is obviously not a real public-key scheme, but it preserves the two
+//! properties above without pulling in a cryptography dependency; the README
+//! lists it among the in-repo substitutes ("Offline /
+//! no-external-dependencies constraint").
 
 use crate::codec::Encode;
 use crate::hash::Hash;

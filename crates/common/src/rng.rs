@@ -3,7 +3,7 @@
 //! Every stochastic choice in the workspace — workload key selection, PoW
 //! "mining", network jitter — flows from a seeded [`StdRng`] so that an
 //! experiment re-run with the same seed reproduces the same numbers bit for
-//! bit (DESIGN.md, "Determinism").
+//! bit (README, "The discrete-event engine": determinism per seed).
 //!
 //! The generator is implemented in-repo (xoshiro256++ seeded through
 //! SplitMix64) because the workspace builds offline with no crates.io

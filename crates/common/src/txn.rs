@@ -189,24 +189,25 @@ impl Transaction {
 
     /// Keys read by this transaction (deduplicated, in first-occurrence order).
     pub fn read_set(&self) -> Vec<&Key> {
-        let mut seen = std::collections::BTreeSet::new();
-        self.ops
-            .iter()
-            .filter(|op| op.reads())
-            .filter(|op| seen.insert(&op.key))
-            .map(|op| &op.key)
-            .collect()
+        self.distinct_keys(Operation::reads)
     }
 
     /// Keys written by this transaction (deduplicated, in first-occurrence order).
     pub fn write_set(&self) -> Vec<&Key> {
-        let mut seen = std::collections::BTreeSet::new();
-        self.ops
-            .iter()
-            .filter(|op| op.writes())
-            .filter(|op| seen.insert(&op.key))
-            .map(|op| &op.key)
-            .collect()
+        self.distinct_keys(Operation::writes)
+    }
+
+    /// Keys of the operations `selected` picks, each once, in first-occurrence
+    /// order. Transactions carry at most a handful of operations, so scanning
+    /// the keys already chosen beats building a set per call.
+    fn distinct_keys(&self, selected: fn(&Operation) -> bool) -> Vec<&Key> {
+        let mut keys: Vec<&Key> = Vec::with_capacity(self.ops.len());
+        for op in self.ops.iter().filter(|op| selected(op)) {
+            if !keys.contains(&&op.key) {
+                keys.push(&op.key);
+            }
+        }
+        keys
     }
 
     /// Whether the transaction performs no writes.
@@ -487,6 +488,27 @@ mod tests {
         assert_eq!(t.read_set(), vec![&k1]);
         assert_eq!(t.write_set(), vec![&k1, &k2]);
         assert!(!t.is_read_only());
+
+        // Ten operations over four keys, repeats far apart and of every kind.
+        let k = |i: usize| Key::from_str(&format!("user{i:012}"));
+        let v = || Value::filler(4);
+        let t = Transaction::new(
+            txn_id(),
+            vec![
+                Operation::read(k(3)),
+                Operation::write(k(1), v()),
+                Operation::read(k(3)),
+                Operation::read_modify_write(k(2), v()),
+                Operation::write(k(3), v()),
+                Operation::read(k(1)),
+                Operation::write(k(1), v()),
+                Operation::read(k(4)),
+                Operation::read_modify_write(k(2), v()),
+                Operation::read(k(3)),
+            ],
+        );
+        assert_eq!(t.read_set(), vec![&k(3), &k(2), &k(1), &k(4)]);
+        assert_eq!(t.write_set(), vec![&k(1), &k(2), &k(3)]);
     }
 
     #[test]

@@ -742,54 +742,65 @@ struct ArrivalBook {
     used: TimestampLedger,
 }
 
-/// The set of already-claimed arrival timestamps, kept as coalesced
-/// inclusive runs `[start, last]` rather than one hash entry per
-/// microsecond. Arrival streams are dense (collisions bump forward one tick
-/// at a time), so the runs merge aggressively: memory is O(gaps in the
-/// schedule), not O(transactions).
+/// Microseconds per [`TimestampLedger`] page, as a power of two.
+const PAGE_BITS: u32 = 16;
+/// 64-bit words per page.
+const PAGE_WORDS: usize = 1 << (PAGE_BITS - 6);
+
+/// The set of already-claimed arrival timestamps as a paged bitmap: one bit
+/// per microsecond, in pages of 2^16 µs keyed by `t >> PAGE_BITS`. A claim is
+/// a word scan inside one page, and pages the run has moved past are dropped,
+/// so memory is O(live window of the schedule), not O(transactions). The
+/// pages sit in an ordered map so that a sparse or far-future timeline costs
+/// one page per touched 65 ms, wherever it lies.
 #[derive(Default)]
 struct TimestampLedger {
-    runs: BTreeMap<Timestamp, Timestamp>,
+    pages: BTreeMap<u64, Box<[u64; PAGE_WORDS]>>,
 }
 
 impl TimestampLedger {
     /// Claim the first free microsecond at or after `at` and mark it used —
     /// exactly the `while !used.insert(t) { t += 1 }` bump the driver has
-    /// always performed, resolved in one range lookup.
-    fn claim(&mut self, at: Timestamp) -> Timestamp {
-        let mut t = at;
-        // The run at or before `at` decides where the claim lands: inside it
-        // (first free tick is just past its end) or immediately after it
-        // (extend). Runs are never adjacent, so `last + 1` is always free.
-        let mut grow_left = None;
-        if let Some((&start, &last)) = self.runs.range(..=at).next_back() {
-            if at <= last {
-                t = last + 1;
-                grow_left = Some(start);
-            } else if last + 1 == at {
-                grow_left = Some(start);
-            }
+    /// always performed. `now` is the engine clock: pages wholly behind both
+    /// it and `at` are forgotten. Only a claim behind the clock can reach a
+    /// forgotten page; the first to do so finds it empty, gets `at` itself
+    /// and is clamped and counted by the engine, so every run with
+    /// `events_clamped == 0` gets the timestamps the full set would give.
+    fn claim(&mut self, at: Timestamp, now: Timestamp) -> Timestamp {
+        let floor = at.min(now) >> PAGE_BITS;
+        while self
+            .pages
+            .first_key_value()
+            .is_some_and(|(&p, _)| p < floor)
+        {
+            self.pages.pop_first();
         }
-        let grow_right = t
-            .checked_add(1)
-            .and_then(|next| self.runs.get(&next).copied());
-        match (grow_left, grow_right) {
-            (Some(start), Some(right_last)) => {
-                self.runs.remove(&(t + 1));
-                self.runs.insert(start, right_last);
+        let mut page_no = at >> PAGE_BITS;
+        let mut first_word = ((at >> 6) as usize) & (PAGE_WORDS - 1);
+        // Bits below `at` in its own word are not candidates.
+        let mut mask = !0u64 << (at & 63);
+        loop {
+            let page = self
+                .pages
+                .entry(page_no)
+                .or_insert_with(|| Box::new([0; PAGE_WORDS]));
+            for (w, word) in page.iter_mut().enumerate().skip(first_word) {
+                let free = !*word & mask;
+                if free != 0 {
+                    let bit = free.trailing_zeros();
+                    *word |= 1 << bit;
+                    return (page_no << PAGE_BITS) | ((w as u64) << 6) | u64::from(bit);
+                }
+                mask = !0;
             }
-            (Some(start), None) => {
-                self.runs.insert(start, t);
-            }
-            (None, Some(right_last)) => {
-                self.runs.remove(&(t + 1));
-                self.runs.insert(t, right_last);
-            }
-            (None, None) => {
-                self.runs.insert(t, t);
-            }
+            // Full from `at` to its end: the bump chain spills into the next page.
+            assert!(
+                page_no < Timestamp::MAX >> PAGE_BITS,
+                "arrival timestamps exhausted"
+            );
+            page_no += 1;
+            first_word = 0;
         }
-        t
     }
 }
 
@@ -816,7 +827,7 @@ impl ArrivalBook {
         self.issued += 1;
         // Unique timestamps make delivery order strictly monotonic in time:
         // no arrival interleaving is ever left to heap tie-breaking.
-        let t = self.used.claim(at);
+        let t = self.used.claim(at, engine.now());
         let slot = client.0 as usize;
         if slot >= self.seqs.len() {
             // Client ids normally stay inside the spec's span; tolerate
@@ -1754,5 +1765,122 @@ mod tests {
         assert_eq!(open + closed, 400, "no clients outside the two ranges");
         assert_eq!(open, 300, "3:1 weights over a 400-txn budget");
         assert_eq!(closed, 100);
+    }
+
+    /// What the ledger must return: every claimed tick in a set, a collision
+    /// bumped forward one tick at a time.
+    #[derive(Default)]
+    struct BumpReference(std::collections::BTreeSet<Timestamp>);
+
+    impl BumpReference {
+        fn claim(&mut self, at: Timestamp) -> Timestamp {
+            let mut t = at;
+            while !self.0.insert(t) {
+                t = t.checked_add(1).expect("reference ran past the last tick");
+            }
+            t
+        }
+    }
+
+    /// Feed `(at, now)` claims to a fresh ledger and to the reference; after
+    /// each one the page map may hold nothing outside the live window
+    /// `[now, latest claimed tick]`.
+    fn ledger_against_reference(
+        claims: impl Iterator<Item = (Timestamp, Timestamp)>,
+    ) -> TimestampLedger {
+        let mut ledger = TimestampLedger::default();
+        let mut reference = BumpReference::default();
+        let mut latest = 0;
+        for (i, (at, now)) in claims.enumerate() {
+            let t = ledger.claim(at, now);
+            assert_eq!(t, reference.claim(at), "claim {i} at {at} (now {now})");
+            latest = latest.max(t);
+            let window = (latest >> PAGE_BITS) - (now >> PAGE_BITS) + 1;
+            assert!(
+                ledger.pages.len() as u64 <= window,
+                "claim {i}: {} pages for a {window}-page window",
+                ledger.pages.len()
+            );
+        }
+        ledger
+    }
+
+    #[test]
+    fn timestamp_ledger_matches_reference_on_a_dense_open_loop() {
+        // 200k tps: a claim every ~5 µs, gaps of 0 collide and bump. The
+        // engine clock trails one arrival behind.
+        let mut rng = rng::seeded(11);
+        let mut at = 0;
+        ledger_against_reference((0..120_000).map(|_| {
+            let now = at;
+            at += rng.gen_range(0..10u64);
+            (at, now)
+        }));
+    }
+
+    #[test]
+    fn timestamp_ledger_matches_reference_on_scattered_think_times_and_prunes() {
+        // A closed loop: the clock advances, each claim lands an exponential
+        // think time ahead of it, so claims arrive in no order at all.
+        let mut rng = rng::seeded(12);
+        let mut now = 0;
+        let ledger = ledger_against_reference((0..120_000).map(|_| {
+            now += rng.gen_range(0..200u64);
+            (now + rng::exp_delay_us(&mut rng, 300_000.0), now)
+        }));
+        // ~180 pages went by; only the think-time tail is still held.
+        assert!(now >> PAGE_BITS > 150);
+        let (&first, _) = ledger.pages.first_key_value().expect("live pages");
+        assert!(
+            first >= now >> PAGE_BITS,
+            "page {first} is behind the clock"
+        );
+        assert!(ledger.pages.len() < 100, "{} pages", ledger.pages.len());
+    }
+
+    #[test]
+    fn timestamp_ledger_bump_chain_fills_a_page_and_spills_into_the_next() {
+        // Every claim asks for the same tick, 1 000 µs before a page boundary:
+        // the chain runs to that page's end, through all of the next page and
+        // into a third. The bump loop is quadratic in the chain length, so it
+        // referees the first 1 500 claims (across the boundary); by induction
+        // claim `i` of one tick is `tick + i`.
+        let tick = (5u64 << PAGE_BITS) - 1_000;
+        let mut ledger = ledger_against_reference((0..1_500).map(|_| (tick, 0)));
+        for i in 1_500..120_000 {
+            assert_eq!(ledger.claim(tick, 0), tick + i);
+        }
+        assert_eq!(ledger.pages.len(), 3);
+        assert!(ledger.pages[&5].iter().all(|word| *word == !0));
+        // A claim inside the filled page still finds the chain's end.
+        assert_eq!(ledger.claim((5 << PAGE_BITS) + 77, 0), tick + 120_000);
+    }
+
+    #[test]
+    fn timestamp_ledger_matches_reference_on_sparse_far_future_ticks() {
+        // Ticks hours apart, each claimed four times; the clock follows one
+        // tick behind, so only that tick's page and the current one are held.
+        let mut rng = rng::seeded(14);
+        let mut now = 0;
+        let ledger = ledger_against_reference((0..30_000u64).flat_map(|hour| {
+            let tick = hour * 3_600_000_000 + rng.gen_range(0..1_000u64);
+            let claims = [(tick, now); 4];
+            now = tick;
+            claims
+        }));
+        assert_eq!(ledger.pages.len(), 2);
+    }
+
+    #[test]
+    fn timestamp_ledger_claims_up_to_the_last_tick_without_overflow() {
+        // The last two pages of the timeline hold 131 072 ticks, so this
+        // shape stops at 40 000 claims, and short of the final 30 000 ticks so
+        // that no chain reaches `Timestamp::MAX` before the two explicit claims.
+        let last_page = Timestamp::MAX >> PAGE_BITS << PAGE_BITS;
+        let (lo, hi) = (last_page - (1 << PAGE_BITS), Timestamp::MAX - 30_000);
+        let mut rng = rng::seeded(15);
+        let mut ledger = ledger_against_reference((0..40_000).map(|_| (rng.gen_range(lo..hi), lo)));
+        assert_eq!(ledger.claim(Timestamp::MAX - 1, lo), Timestamp::MAX - 1);
+        assert_eq!(ledger.claim(Timestamp::MAX - 1, last_page), Timestamp::MAX);
     }
 }

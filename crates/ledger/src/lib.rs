@@ -28,7 +28,7 @@ pub enum TxnValidationFlag {
 pub struct CommittedBlock {
     /// The block as agreed by consensus.
     pub block: Block,
-    /// One flag per transaction, same order as `block.txns`.
+    /// One flag per transaction, same order as `block.txns()`.
     pub flags: Vec<TxnValidationFlag>,
     /// When the block was committed locally (simulated µs).
     pub commit_time: Timestamp,
@@ -154,10 +154,10 @@ impl Ledger {
         if !block.verify_txns_digest() {
             return Err(LedgerError::BadTxnsDigest);
         }
-        if flags.len() != block.txns.len() {
+        if flags.len() != block.txn_count() {
             return Err(LedgerError::FlagMismatch);
         }
-        self.txn_count += block.txns.len() as u64;
+        self.txn_count += block.txn_count() as u64;
         self.valid_txn_count += flags
             .iter()
             .filter(|f| **f == TxnValidationFlag::Valid)
@@ -201,7 +201,7 @@ impl Ledger {
     /// query — the ability databases lack per Section 3.3.1).
     pub fn find_txn(&self, id: TxnId) -> Option<(u64, &Transaction)> {
         for cb in &self.blocks {
-            for txn in &cb.block.txns {
+            for txn in cb.block.txns() {
                 if txn.id == id {
                     return Some((cb.block.header.height, txn));
                 }
@@ -231,13 +231,17 @@ impl Ledger {
     }
 
     /// Test hook: tamper with a stored transaction to demonstrate that
-    /// [`verify_chain`](Self::verify_chain) catches it.
+    /// [`verify_chain`](Self::verify_chain) catches it. A block's body cannot
+    /// be edited in place, so the stored block is replaced by one with the
+    /// old header over the edited body.
     #[doc(hidden)]
     pub fn tamper_for_test(&mut self, height: u64) {
         if let Some(cb) = self.blocks.get_mut(height as usize) {
-            if let Some(txn) = cb.block.txns.first_mut() {
+            let mut txns = cb.block.txns().to_vec();
+            if let Some(txn) = txns.first_mut() {
                 txn.ops.clear();
             }
+            cb.block = Block::from_parts(cb.block.header.clone(), txns);
         }
     }
 }
@@ -301,6 +305,27 @@ mod tests {
         assert!(l.find_txn(TxnId::new(ClientId(9), 9)).is_none());
     }
 
+    /// Recorded at the commit before `append` stopped re-hashing the body
+    /// `append_txns` had just assembled.
+    #[test]
+    fn appended_chain_matches_golden_tip_hash() {
+        let mut l = Ledger::new(NodeId(0));
+        l.append_txns(
+            vec![txn(1, 10), txn(2, 1_000), txn(3, 10)],
+            NodeId(0),
+            100,
+            Some(Hash::of(b"root")),
+        )
+        .unwrap();
+        l.append_txns(vec![txn(4, 64)], NodeId(1), 200, None)
+            .unwrap();
+        assert_eq!(
+            l.tip_hash().to_hex(),
+            "a1830b3a3f57fdc59031091b2a0b629421a82758f98e1dbf1956f0da79b9b3c8"
+        );
+        assert_eq!(l.verify_chain(), None);
+    }
+
     #[test]
     fn append_rejects_wrong_height_and_broken_chain() {
         let mut l = Ledger::new(NodeId(0));
@@ -322,8 +347,8 @@ mod tests {
     #[test]
     fn append_rejects_tampered_body_and_flag_mismatch() {
         let mut l = Ledger::new(NodeId(0));
-        let mut block = Block::assemble(1, l.tip_hash(), vec![txn(1, 10)], NodeId(0), 0, None);
-        block.txns.push(txn(2, 10));
+        let header = Block::assemble(1, l.tip_hash(), vec![txn(1, 10)], NodeId(0), 0, None).header;
+        let block = Block::from_parts(header, vec![txn(1, 10), txn(2, 10)]);
         assert_eq!(
             l.append(block, vec![TxnValidationFlag::Valid; 2], 0),
             Err(LedgerError::BadTxnsDigest)

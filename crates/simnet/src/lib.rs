@@ -1,8 +1,8 @@
 //! Deterministic discrete-event cluster simulation kernel.
 //!
 //! The paper's evaluation runs real systems on a 96-node cluster; this crate
-//! is the substitute substrate (see DESIGN.md §2). It provides the four
-//! building blocks every simulated system is made of:
+//! is the substitute substrate (see the README, "The discrete-event engine").
+//! It provides the four building blocks every simulated system is made of:
 //!
 //! * a [`SimEngine`] — the discrete-event core: an [`EventQueue`] with a
 //!   simulated clock (microsecond granularity) plus named [`Process`]

@@ -9,10 +9,10 @@
 //! measurements.
 
 use dichotomy_common::rng::{self, Rng, StdRng};
-use dichotomy_common::{ClientId, Encode, Key, KeyPair, Operation, Transaction, TxnId, Value};
+use dichotomy_common::{ClientId, Encode, Key, Operation, Transaction, TxnId, Value};
 
 use crate::zipf::ZipfianGenerator;
-use crate::{padded_key, Workload};
+use crate::{padded_key, ClientKeys, Workload};
 
 /// The six Smallbank procedures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,6 +86,7 @@ pub struct SmallbankWorkload {
     rng: StdRng,
     /// The one balance payload: every loaded record and every write shares it.
     filler: Value,
+    keys: ClientKeys,
 }
 
 impl SmallbankWorkload {
@@ -99,6 +100,7 @@ impl SmallbankWorkload {
             zipf,
             rng,
             filler,
+            keys: ClientKeys::default(),
         }
     }
 
@@ -165,7 +167,7 @@ impl Workload for SmallbankWorkload {
         let ops = self.build_ops(proc, a, b);
         let id = TxnId::new(client, seq);
         if self.config.sign_transactions {
-            Transaction::signed(id, ops, 0, &KeyPair::for_client(client.0))
+            self.keys.sign(id, ops)
         } else {
             Transaction::new(id, ops)
         }
@@ -209,6 +211,22 @@ mod tests {
             assert!((1..=4).contains(&t.op_count()), "{} ops", t.op_count());
             assert!(t.verify_signature());
         }
+    }
+
+    /// Recorded at the commit before client key pairs were kept between
+    /// transactions: the procedure draw, both Zipf draws and the `b == a`
+    /// fix-up, then the signature.
+    #[test]
+    fn colliding_client_ids_match_golden_digest() {
+        let mut w = SmallbankWorkload::new(SmallbankConfig {
+            accounts: 50,
+            seed: 7,
+            ..SmallbankConfig::default()
+        });
+        assert_eq!(
+            crate::tests::colliding_clients_digest(&mut w, 200),
+            "08c8e344cf5d8b101e09cb70406ff681947188bcbeebce9657bdb97cb5ffd68f"
+        );
     }
 
     #[test]

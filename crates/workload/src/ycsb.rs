@@ -1,10 +1,10 @@
 //! The YCSB core workload with the knobs of Table 3.
 
 use dichotomy_common::rng::{self, Rng, StdRng};
-use dichotomy_common::{ClientId, Encode, Key, KeyPair, Operation, Transaction, TxnId, Value};
+use dichotomy_common::{ClientId, Encode, Key, Operation, Transaction, TxnId, Value};
 
 use crate::zipf::ZipfianGenerator;
-use crate::{padded_key, Workload};
+use crate::{padded_key, ClientKeys, Workload};
 
 /// Read/write mix.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,6 +135,7 @@ pub struct YcsbWorkload {
     rng: StdRng,
     /// The one record payload: every loaded record and every write shares it.
     filler: Value,
+    keys: ClientKeys,
 }
 
 impl YcsbWorkload {
@@ -149,6 +150,7 @@ impl YcsbWorkload {
             zipf,
             rng,
             filler,
+            keys: ClientKeys::default(),
         }
     }
 
@@ -198,7 +200,7 @@ impl Workload for YcsbWorkload {
         }
         let id = TxnId::new(client, seq);
         if self.config.sign_transactions {
-            Transaction::signed(id, ops, 0, &KeyPair::for_client(client.0))
+            self.keys.sign(id, ops)
         } else {
             Transaction::new(id, ops)
         }
@@ -314,6 +316,24 @@ mod tests {
             }
             assert_eq!(h.finalize().to_hex(), golden, "{ops} ops per transaction");
         }
+    }
+
+    /// Recorded at the commit before client key pairs were kept between
+    /// transactions.
+    #[test]
+    fn colliding_client_ids_match_golden_digest() {
+        let mut w = YcsbWorkload::new(YcsbConfig {
+            record_count: 50,
+            record_size: 8,
+            ops_per_txn: 4,
+            zipf_theta: 0.99,
+            seed: 7,
+            ..YcsbConfig::default()
+        });
+        assert_eq!(
+            crate::tests::colliding_clients_digest(&mut w, 200),
+            "28f5250df59fcbcf60a373bef100c5b326cab664bad0375251ce45acd3e6d057"
+        );
     }
 
     #[test]

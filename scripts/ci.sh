@@ -29,6 +29,11 @@ echo "==> cargo test --release -p dichotomy-common (SHA-256 kernels under optimi
 # on, this one as they actually ship.
 cargo test -q --release -p dichotomy-common
 
+echo "==> cargo test --release -p dichotomy-core ledger (arrival-timestamp bitmap under optimisation)"
+# The driver's TimestampLedger is shift-and-mask arithmetic up to
+# Timestamp::MAX: overflow panics in the debug run above and would wrap here.
+cargo test -q --release -p dichotomy-core ledger
+
 echo "==> dichotomy-lint (determinism & cache-soundness source auditor)"
 # The workspace must be clean: zero findings of any severity. Allowed uses
 # carry `// lint: allow(CODE) -- reason` annotations in place.
