@@ -3,7 +3,8 @@
 //!
 //! Layout: `.repro-cache/<schema-tag>/<key-hash>.bin`, one file per distinct
 //! probe key. The schema tag folds the binary layout of [`ProbeResult`]
-//! (described by [`SCHEMA_DESCRIPTOR`]) together with [`CACHE_EPOCH`], so a
+//! (its [`Decode::schema`], generated from the `codec!` declarations of the
+//! result and everything nested in it) together with [`CACHE_EPOCH`], so a
 //! codec change or a deliberate epoch bump retires every old entry at once —
 //! stale formats land in a different directory and read as misses, never as
 //! wrong answers.
@@ -33,35 +34,18 @@ use dichotomy_core::scenario::{fnv1a_64, ProbeCache, ProbeResult};
 
 /// Bumped to retire every existing cache entry when the probe semantics
 /// change without the serialized layout changing (e.g. a model fix that
-/// alters what a probe measures). Layout changes are caught separately by
-/// [`SCHEMA_DESCRIPTOR`].
+/// alters what a probe measures). Layout changes move the schema tag by
+/// themselves.
 pub const CACHE_EPOCH: u32 = 1;
-
-/// A human-readable description of the serialized [`ProbeResult`] layout.
-/// **Update this string whenever any `Encode`/`Decode` impl it mentions
-/// changes shape** — the schema tag hashes it, so old entries are retired
-/// instead of being mis-decoded.
-pub const SCHEMA_DESCRIPTOR: &str = "ProbeResult{\
-     metrics:Metrics{committed:u64,aborts:[(AbortReason:u8,u64)],throughput_tps:f64,\
-     latency:LatencySummary{mean_us:f64,p50_us:u64,p95_us:u64,p99_us:u64,max_us:u64},\
-     phase_means_us:[(str,f64)],duration_us:u64},\
-     footprint:StorageBreakdown{payload_bytes:u64,index_bytes:u64,history_bytes:u64},\
-     records:u64,extras:[(String,f64)],\
-     series:Option<RowSeries{name:String,events_clamped:u64,\
-     oracles:[{name:str,violation:Option<String>}],\
-     series:TimeSeries{window_us:u64,warmup_us:u64,windows:[TimeWindow{start_us:u64,end_us:u64,\
-     submitted:u64,committed:u64,aborted:u64,offered_tps:f64,throughput_tps:f64,\
-     abort_rate_percent:f64,latency:LatencySummary}]}}>}";
 
 /// Entry-file magic.
 const MAGIC: &[u8; 4] = b"RPC1";
 
 /// The versioned directory name entries of the current format live under.
 pub fn schema_tag() -> String {
-    format!(
-        "v{CACHE_EPOCH}-{:016x}",
-        fnv1a_64(SCHEMA_DESCRIPTOR.as_bytes())
-    )
+    let mut schema = String::new();
+    ProbeResult::schema(&mut schema);
+    format!("v{CACHE_EPOCH}-{:016x}", fnv1a_64(schema.as_bytes()))
 }
 
 /// The on-disk probe-result cache (see the module docs for the layout).

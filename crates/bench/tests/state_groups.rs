@@ -9,7 +9,7 @@ use std::sync::Mutex;
 
 use dichotomy_bench::{plan_for, RunOptions, EXPERIMENTS};
 use dichotomy_core::common::size::StorageBreakdown;
-use dichotomy_core::common::{Key, Transaction, TxnReceipt, Value};
+use dichotomy_core::common::{sha256, Encode, Key, Transaction, TxnReceipt, Value};
 use dichotomy_core::scenario::{
     probe_key_bytes, run_plans_with, state_group_key, ExecOptions, ExperimentPlan, PlanOutcome,
     Probe, ProbeCache, ProbeResult,
@@ -109,6 +109,11 @@ fn counted(plans: &[&ExperimentPlan], options: &ExecOptions) -> (u64, u64, Vec<P
     )
 }
 
+/// SHA-256 (hex) over the concatenation of `parts`.
+fn digest(parts: impl Iterator<Item = Vec<u8>>) -> String {
+    sha256(&parts.flatten().collect::<Vec<u8>>()).to_hex()
+}
+
 // One test: the counters are process-wide (registry builders are plain `fn`
 // pointers), so the phases must not overlap.
 #[test]
@@ -151,6 +156,18 @@ fn the_quick_suite_loads_each_distinct_state_once() {
     assert_eq!(groups.len(), 51);
     assert_eq!(groups.values().sum::<u64>(), 360_000);
 
+    // Byte goldens, recorded at 6dc1462: every probe's identity in plan
+    // order. A reordered, retyped or dropped field in any spec's codec
+    // declaration moves a digest.
+    assert_eq!(
+        digest(probes().map(probe_key_bytes)),
+        "2f9f67570ec0823b576476e593a1b091dcd62e572d655125f1724081122c156a"
+    );
+    assert_eq!(
+        digest(probes().filter_map(state_group_key)),
+        "acc2f539aba54f08fd4657bcb2b37ed6c8a9cd242977fba9fc7fcc3b174cca21"
+    );
+
     // One worker, cold cache: one load per group, and every executed probe
     // still reports its own wall (the first of a batch carries the build).
     let cache = MemCache::default();
@@ -167,6 +184,15 @@ fn the_quick_suite_loads_each_distinct_state_once() {
         .iter()
         .flat_map(|o| &o.calibration)
         .all(|c| c.wall_ms > 0.0));
+    // The third golden: the `Encode` bytes of every result the suite
+    // produced (what the persistent cache stores), in probe-key order.
+    let results = cache.0.lock().unwrap();
+    assert_eq!(results.len(), distinct.len());
+    assert_eq!(
+        digest(results.values().map(Encode::encode)),
+        "8acd89df9d07cfae45866788f0198b455b8179a87b79551cce79dc5aec990a24"
+    );
+    drop(results);
 
     // Warm cache: nothing executes, so no state is ever built.
     let (loads, _, warm) = counted(&refs, &cached(1));

@@ -7,6 +7,7 @@
 //! leaves it empty (Fabric ≥ v1 has no authenticated state index), and the
 //! Fabric-v0.6 / AHL models fill it with the Merkle Bucket Tree root.
 
+use crate::codec;
 use crate::codec::Encode;
 use crate::hash::{Hash, Hasher};
 use crate::txn::Transaction;
@@ -29,6 +30,7 @@ pub struct BlockHeader {
     /// Simulated time at which the block was proposed.
     pub timestamp: Timestamp,
 }
+codec!(Encode for struct BlockHeader { height, prev_hash, txns_digest, state_root, proposer, timestamp });
 
 impl BlockHeader {
     /// Hash of the header; this is "the block hash" that the next block's
@@ -166,18 +168,8 @@ impl Block {
     }
 }
 
-impl Encode for BlockHeader {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.height.encode_into(out);
-        self.prev_hash.encode_into(out);
-        self.txns_digest.encode_into(out);
-        self.state_root.encode_into(out);
-        self.proposer.encode_into(out);
-        self.timestamp.encode_into(out);
-    }
-}
-
-// lint: allow(D001) -- `body_digest` is derived from `txns`, which is encoded; a decoder recomputes it in `from_parts`
+// Hand-written: `body_digest` is derived from `txns` and stays off the wire
+// (`from_parts` recomputes it), so the wire form is not the field list.
 impl Encode for Block {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.header.encode_into(out);

@@ -25,13 +25,14 @@
 //! lists it among the in-repo substitutes ("Offline /
 //! no-external-dependencies constraint").
 
-use crate::codec::Encode;
+use crate::codec;
 use crate::hash::Hash;
 use crate::types::NodeId;
 
 /// Public identity of a signer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PublicKey(pub Hash);
+codec!(Encode for struct PublicKey(digest));
 
 /// A signature over a message: the authentication tag plus the signer's
 /// public key (as carried in real transaction envelopes).
@@ -42,25 +43,7 @@ pub struct Signature {
     /// Claimed signer.
     pub signer: PublicKey,
 }
-
-impl Encode for PublicKey {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
-    }
-    fn encoded_len(&self) -> usize {
-        32
-    }
-}
-
-impl Encode for Signature {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.tag.encode_into(out);
-        self.signer.encode_into(out);
-    }
-    fn encoded_len(&self) -> usize {
-        64
-    }
-}
+codec!(Encode for struct Signature { tag, signer });
 
 /// Domain-separation prefix of the secret-key derivation.
 const SECRET_DOMAIN: &[u8] = b"dichotomy-secret-key";

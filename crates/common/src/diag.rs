@@ -142,7 +142,7 @@ impl Diagnostic {
     }
 
     /// One-line human rendering:
-    /// `deny[D001] crates/foo/src/bar.rs:12: message (help: ...)`.
+    /// `deny[D003] crates/foo/src/bar.rs:12: message (help: ...)`.
     pub fn render(&self) -> String {
         let mut out = format!("{}[{}]", self.severity, self.code);
         match &self.locus {
@@ -248,13 +248,13 @@ mod tests {
 
     #[test]
     fn render_source_locus() {
-        let d = Diagnostic::new("D001", Severity::Deny, "field `x` never encoded")
+        let d = Diagnostic::new("D003", Severity::Deny, "`HashMap` iterates in random order")
             .at_source("crates/foo/src/bar.rs", 12)
-            .with_help("encode every named field");
+            .with_help("use BTreeMap");
         assert_eq!(
             d.render(),
-            "deny[D001] crates/foo/src/bar.rs:12: field `x` never encoded \
-             (help: encode every named field)"
+            "deny[D003] crates/foo/src/bar.rs:12: `HashMap` iterates in random order \
+             (help: use BTreeMap)"
         );
     }
 
@@ -290,7 +290,7 @@ mod tests {
     #[test]
     fn has_deny_policy() {
         let warn = Diagnostic::new("S001", Severity::Warn, "w");
-        let deny = Diagnostic::new("D001", Severity::Deny, "d");
+        let deny = Diagnostic::new("D003", Severity::Deny, "d");
         assert!(!has_deny(&[warn.clone()]));
         assert!(has_deny(&[warn, deny]));
     }

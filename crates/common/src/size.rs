@@ -8,6 +8,7 @@
 //! the canonical [`Encode`] byte encoding, so accounting matches what would
 //! actually sit on a wire or on disk.
 
+use crate::codec;
 use crate::codec::Encode;
 
 /// Total canonical encoded size of a collection of values, in bytes — the
@@ -34,6 +35,7 @@ pub struct StorageBreakdown {
     /// Bytes holding historical data: ledger blocks, old versions, WAL.
     pub history_bytes: u64,
 }
+codec!(Encode + Decode for struct StorageBreakdown { payload_bytes, index_bytes, history_bytes });
 
 impl StorageBreakdown {
     /// Total footprint in bytes.
@@ -84,27 +86,6 @@ impl StorageBreakdown {
             index_bytes: 0,
             history_bytes: 0,
         }
-    }
-}
-
-impl Encode for StorageBreakdown {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.payload_bytes.encode_into(out);
-        self.index_bytes.encode_into(out);
-        self.history_bytes.encode_into(out);
-    }
-    fn encoded_len(&self) -> usize {
-        24
-    }
-}
-
-impl crate::codec::Decode for StorageBreakdown {
-    fn decode_from(input: &mut &[u8]) -> Option<Self> {
-        Some(StorageBreakdown {
-            payload_bytes: u64::decode_from(input)?,
-            index_bytes: u64::decode_from(input)?,
-            history_bytes: u64::decode_from(input)?,
-        })
     }
 }
 

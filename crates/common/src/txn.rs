@@ -8,7 +8,7 @@
 //! pessimistic, Percolator-style — live in `dichotomy-txn`; this module only
 //! defines the data.
 
-use crate::codec::{Decode, Encode};
+use crate::codec;
 use crate::crypto::{KeyPair, Signature};
 use crate::hash::{Hash, Hasher};
 use crate::types::{ClientId, Key, Timestamp, TxnId, Value, Version};
@@ -25,6 +25,7 @@ pub enum OperationKind {
     /// Section 5.3.1: "first read, then update and write back").
     ReadModifyWrite,
 }
+codec!(Encode for enum OperationKind { Read = 0, Write = 1, ReadModifyWrite = 2 });
 
 /// One key-level operation inside a transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,6 +37,7 @@ pub struct Operation {
     /// Payload for writes; `None` for pure reads.
     pub value: Option<Value>,
 }
+codec!(Encode for struct Operation { kind, key, value });
 
 impl Operation {
     /// A read of `key`.
@@ -98,6 +100,7 @@ pub enum IsolationLevel {
     /// Full serializability.
     Serializable,
 }
+codec!(Encode for enum IsolationLevel { Snapshot = 0, Serializable = 1 });
 
 /// A client-signed transaction.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,6 +118,7 @@ pub struct Transaction {
     /// Client signature over the transaction content.
     pub signature: Option<Signature>,
 }
+codec!(Encode for struct Transaction { id, ops, isolation, submit_time, signature });
 
 impl Transaction {
     /// Build an unsigned transaction.
@@ -246,59 +250,6 @@ impl Transaction {
     }
 }
 
-impl Encode for OperationKind {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            OperationKind::Read => 0,
-            OperationKind::Write => 1,
-            OperationKind::ReadModifyWrite => 2,
-        });
-    }
-    fn encoded_len(&self) -> usize {
-        1
-    }
-}
-
-impl Encode for Operation {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.kind.encode_into(out);
-        self.key.encode_into(out);
-        self.value.encode_into(out);
-    }
-    fn encoded_len(&self) -> usize {
-        self.kind.encoded_len() + self.key.encoded_len() + self.value.encoded_len()
-    }
-}
-
-impl Encode for IsolationLevel {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            IsolationLevel::Snapshot => 0,
-            IsolationLevel::Serializable => 1,
-        });
-    }
-    fn encoded_len(&self) -> usize {
-        1
-    }
-}
-
-impl Encode for Transaction {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.id.encode_into(out);
-        self.ops.encode_into(out);
-        self.isolation.encode_into(out);
-        self.submit_time.encode_into(out);
-        self.signature.encode_into(out);
-    }
-    fn encoded_len(&self) -> usize {
-        self.id.encoded_len()
-            + self.ops.encoded_len()
-            + self.isolation.encoded_len()
-            + 8
-            + self.signature.encoded_len()
-    }
-}
-
 /// Why a transaction aborted. The categories mirror the paper's abort-rate
 /// analysis (Figures 9b and 10b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -323,6 +274,15 @@ pub enum AbortReason {
     /// balance); counted separately because it is not a concurrency artifact.
     ApplicationConstraint,
 }
+codec!(Encode + Decode for enum AbortReason {
+    ReadWriteConflict = 0,
+    InconsistentRead = 1,
+    WriteWriteConflict = 2,
+    LockConflict = 3,
+    CrossShardAbort = 4,
+    Overload = 5,
+    ApplicationConstraint = 6,
+});
 
 /// Final status of a transaction as observed by the issuing client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -332,6 +292,7 @@ pub enum TxnStatus {
     /// Aborted for the given reason.
     Aborted(AbortReason),
 }
+codec!(Encode for enum TxnStatus { Committed = 0, Aborted(reason) = 1 });
 
 impl TxnStatus {
     /// Whether this status is `Committed`.
@@ -363,6 +324,15 @@ pub struct TxnReceipt {
     /// Quorum. Phases are system-specific; the harness aggregates them by name.
     pub phase_latencies: Vec<(&'static str, u64)>,
 }
+codec!(Encode for struct TxnReceipt {
+    txn_id,
+    status,
+    submit_time,
+    finish_time,
+    reads,
+    commit_version,
+    phase_latencies,
+});
 
 impl TxnReceipt {
     /// End-to-end latency in microseconds.
@@ -399,68 +369,6 @@ impl TxnReceipt {
             commit_version: None,
             phase_latencies: Vec::new(),
         }
-    }
-}
-
-impl Encode for AbortReason {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            AbortReason::ReadWriteConflict => 0,
-            AbortReason::InconsistentRead => 1,
-            AbortReason::WriteWriteConflict => 2,
-            AbortReason::LockConflict => 3,
-            AbortReason::CrossShardAbort => 4,
-            AbortReason::Overload => 5,
-            AbortReason::ApplicationConstraint => 6,
-        });
-    }
-    fn encoded_len(&self) -> usize {
-        1
-    }
-}
-
-impl Decode for AbortReason {
-    fn decode_from(input: &mut &[u8]) -> Option<Self> {
-        Some(match u8::decode_from(input)? {
-            0 => AbortReason::ReadWriteConflict,
-            1 => AbortReason::InconsistentRead,
-            2 => AbortReason::WriteWriteConflict,
-            3 => AbortReason::LockConflict,
-            4 => AbortReason::CrossShardAbort,
-            5 => AbortReason::Overload,
-            6 => AbortReason::ApplicationConstraint,
-            _ => return None,
-        })
-    }
-}
-
-impl Encode for TxnStatus {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            TxnStatus::Committed => out.push(0),
-            TxnStatus::Aborted(reason) => {
-                out.push(1);
-                reason.encode_into(out);
-            }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        match self {
-            TxnStatus::Committed => 1,
-            TxnStatus::Aborted(_) => 2,
-        }
-    }
-}
-
-impl Encode for TxnReceipt {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.txn_id.encode_into(out);
-        self.status.encode_into(out);
-        self.submit_time.encode_into(out);
-        self.finish_time.encode_into(out);
-        self.reads.encode_into(out);
-        self.commit_version.encode_into(out);
-        self.phase_latencies.encode_into(out);
     }
 }
 

@@ -4,11 +4,13 @@
 use std::fmt;
 use std::sync::Arc;
 
+use crate::codec;
 use crate::codec::Encode;
 
 /// A logical node (replica/peer/orderer/server) in a simulated cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u64);
+codec!(Encode for struct NodeId(id));
 
 impl NodeId {
     /// Convenience constructor used throughout tests and benches.
@@ -31,6 +33,7 @@ impl fmt::Display for NodeId {
 /// A client issuing transactions against one of the systems.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(pub u64);
+codec!(Encode for struct ClientId(id));
 
 impl fmt::Display for ClientId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -41,6 +44,7 @@ impl fmt::Display for ClientId {
 /// A shard (data partition) identifier used by the sharding substrate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShardId(pub u32);
+codec!(Encode for struct ShardId(id));
 
 impl fmt::Display for ShardId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -56,6 +60,7 @@ pub struct TxnId {
     /// Per-client monotonically increasing sequence number.
     pub seq: u64,
 }
+codec!(Encode for struct TxnId { client, seq });
 
 impl TxnId {
     /// Build a transaction id from a client and its sequence counter.
@@ -250,43 +255,8 @@ impl fmt::Display for Value {
     }
 }
 
-impl Encode for NodeId {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
-    }
-    fn encoded_len(&self) -> usize {
-        8
-    }
-}
-
-impl Encode for ClientId {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
-    }
-    fn encoded_len(&self) -> usize {
-        8
-    }
-}
-
-impl Encode for ShardId {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
-    }
-    fn encoded_len(&self) -> usize {
-        4
-    }
-}
-
-impl Encode for TxnId {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.client.encode_into(out);
-        self.seq.encode_into(out);
-    }
-    fn encoded_len(&self) -> usize {
-        16
-    }
-}
-
+// Hand-written: the wire form is the byte string, not the inline-or-shared
+// representation holding it.
 impl Encode for Key {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.as_bytes().encode_into(out);
@@ -296,6 +266,7 @@ impl Encode for Key {
     }
 }
 
+// Hand-written: the wire form is the byte string behind the `Arc`.
 impl Encode for Value {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.0.encode_into(out);

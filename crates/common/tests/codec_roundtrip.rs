@@ -4,19 +4,49 @@
 //! (The higher-level codec types — metrics, probe results, series — live in
 //! `dichotomy-core`; `crates/core/tests/codec_roundtrip.rs` covers those.)
 //!
-//! Two properties per value: `decode(encode(v)) == v`, and re-encoding the
-//! decoded value reproduces the original bytes exactly — the property the
-//! content-addressed probe cache depends on.
+//! Per value: `decode(encode(v)) == v`, re-encoding the decoded value
+//! reproduces the original bytes exactly — the property the content-addressed
+//! probe cache depends on — and truncated or mutated bytes never panic and
+//! never decode to something that encodes differently.
 
+use dichotomy_common::rng::{self, Rng};
 use dichotomy_common::size::StorageBreakdown;
 use dichotomy_common::{AbortReason, Decode, Encode};
 
-/// Round-trip one value and prove byte-stability of the re-encoding.
+/// Round-trip one value and prove byte-stability of the re-encoding, then
+/// turn the encoding hostile: every strict prefix must decode to `None`, and
+/// every single-byte mutation must decode — without panicking — to `None` or
+/// to a value whose encoding is exactly the mutated bytes (no accepted byte
+/// string is non-canonical).
 fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: T) {
     let bytes = value.encode();
     let decoded = T::decode(&bytes).expect("decode of a canonical encoding");
     assert_eq!(decoded, value);
     assert_eq!(decoded.encode(), bytes, "re-encoding must be byte-stable");
+    assert_eq!(value.encoded_len(), bytes.len());
+
+    for cut in 0..bytes.len() {
+        assert!(T::decode(&bytes[..cut]).is_none(), "prefix of {cut} bytes");
+    }
+    // Every position of an encoding up to 256 bytes (between them those
+    // samples hold every kind of tag and count byte), 256 seeded positions
+    // of a longer one; all 255 other values at each.
+    let positions: Vec<usize> = if bytes.len() <= 256 {
+        (0..bytes.len()).collect()
+    } else {
+        let mut rng = rng::seeded(bytes.len() as u64);
+        (0..256).map(|_| rng.gen_range(0..bytes.len())).collect()
+    };
+    let mut hostile = bytes.clone();
+    for pos in positions {
+        for delta in 1..=255u8 {
+            hostile[pos] = bytes[pos].wrapping_add(delta);
+            if let Some(accepted) = T::decode(&hostile) {
+                assert_eq!(accepted.encode(), hostile, "byte {pos} + {delta}");
+            }
+        }
+        hostile[pos] = bytes[pos];
+    }
 }
 
 #[test]

@@ -41,23 +41,15 @@ pub enum ProtocolKind {
     /// Primary-backup without consensus (H-Store, Cassandra, DynamoDB).
     PrimaryBackup,
 }
-
-impl dichotomy_common::Encode for ProtocolKind {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            ProtocolKind::Raft => 0,
-            ProtocolKind::Pbft => 1,
-            ProtocolKind::Ibft => 2,
-            ProtocolKind::Tendermint => 3,
-            ProtocolKind::SharedLog => 4,
-            ProtocolKind::ProofOfWork => 5,
-            ProtocolKind::PrimaryBackup => 6,
-        });
-    }
-    fn encoded_len(&self) -> usize {
-        1
-    }
-}
+dichotomy_common::codec!(Encode for enum ProtocolKind {
+    Raft = 0,
+    Pbft = 1,
+    Ibft = 2,
+    Tendermint = 3,
+    SharedLog = 4,
+    ProofOfWork = 5,
+    PrimaryBackup = 6,
+});
 
 impl ProtocolKind {
     /// The failure model a protocol addresses.

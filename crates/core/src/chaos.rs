@@ -23,7 +23,7 @@
 //! them into `ProbeFailure`s) and as an oracle-report section per row in
 //! `repro --json`.
 
-use dichotomy_common::{Decode, Encode, TxnId, TxnReceipt};
+use dichotomy_common::{codec, TxnId, TxnReceipt};
 // lint: allow(D003) -- membership-only dedup set on the 1M-receipt hot path; iteration order never observed
 use std::collections::HashSet;
 
@@ -58,6 +58,7 @@ pub struct OracleOutcome {
     /// `Some(description)` if the invariant was violated.
     pub violation: Option<String>,
 }
+codec!(Encode + Decode for struct OracleOutcome { name, violation });
 
 /// All oracle verdicts for one run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -65,6 +66,7 @@ pub struct OracleReport {
     /// One outcome per oracle, in registration order.
     pub outcomes: Vec<OracleOutcome>,
 }
+codec!(Encode + Decode for struct OracleReport { outcomes });
 
 impl OracleReport {
     /// Whether every oracle passed (vacuously true when none ran).
@@ -75,38 +77,6 @@ impl OracleReport {
     /// The violated outcomes, in registration order.
     pub fn violations(&self) -> impl Iterator<Item = &OracleOutcome> {
         self.outcomes.iter().filter(|o| o.violation.is_some())
-    }
-}
-
-impl Encode for OracleOutcome {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.name.encode_into(out);
-        self.violation.encode_into(out);
-    }
-}
-
-impl Decode for OracleOutcome {
-    fn decode_from(input: &mut &[u8]) -> Option<Self> {
-        Some(OracleOutcome {
-            // Oracle names are `&'static str` literals on the encode side;
-            // decode interns them back into 'static lifetime.
-            name: dichotomy_common::intern(&String::decode_from(input)?),
-            violation: Option::decode_from(input)?,
-        })
-    }
-}
-
-impl Encode for OracleReport {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.outcomes.encode_into(out);
-    }
-}
-
-impl Decode for OracleReport {
-    fn decode_from(input: &mut &[u8]) -> Option<Self> {
-        Some(OracleReport {
-            outcomes: Vec::decode_from(input)?,
-        })
     }
 }
 

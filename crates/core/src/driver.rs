@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 
 use dichotomy_common::rng::{self, Rng};
-use dichotomy_common::{ClientId, Encode, Timestamp};
+use dichotomy_common::{codec, ClientId, Timestamp};
 use dichotomy_systems::{Engine, SysEvent, TransactionalSystem};
 use dichotomy_workload::Workload;
 
@@ -73,6 +73,12 @@ pub enum ArrivalSpec {
         populations: Vec<(f64, ArrivalSpec)>,
     },
 }
+codec!(Encode for enum ArrivalSpec {
+    OpenLoop { offered_tps } = 0,
+    ClosedLoop { clients, think_time_us, max_outstanding } = 1,
+    Phased { phases } = 2,
+    Mixed { populations } = 3,
+});
 
 impl ArrivalSpec {
     /// How many client ids the spec's populations occupy. Open loops draw
@@ -586,6 +592,19 @@ pub struct DriverConfig {
     /// instead of O(transactions).
     pub metrics: MetricsMode,
 }
+// One third of a probe's identity (alongside the system and workload specs):
+// every knob that can change a measurement.
+codec!(Encode for struct DriverConfig {
+    transactions,
+    offered_tps,
+    clients,
+    arrival,
+    preload,
+    window_us,
+    warmup_us,
+    seed,
+    metrics,
+});
 
 impl Default for DriverConfig {
     fn default() -> Self {
@@ -650,53 +669,6 @@ impl DriverConfig {
         self.arrival.clone().unwrap_or(ArrivalSpec::OpenLoop {
             offered_tps: self.offered_tps,
         })
-    }
-}
-
-impl Encode for ArrivalSpec {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            ArrivalSpec::OpenLoop { offered_tps } => {
-                out.push(0);
-                offered_tps.encode_into(out);
-            }
-            ArrivalSpec::ClosedLoop {
-                clients,
-                think_time_us,
-                max_outstanding,
-            } => {
-                out.push(1);
-                clients.encode_into(out);
-                think_time_us.encode_into(out);
-                max_outstanding.encode_into(out);
-            }
-            ArrivalSpec::Phased { phases } => {
-                out.push(2);
-                phases.encode_into(out);
-            }
-            ArrivalSpec::Mixed { populations } => {
-                out.push(3);
-                populations.encode_into(out);
-            }
-        }
-    }
-}
-
-// A `DriverConfig` is one third of a probe's identity (alongside the system
-// and workload specs): every knob that can change a measurement — arrival
-// process, metrics mode, windowing, warm-up, seed — is in the canonical
-// encoding the measurement layer hashes.
-impl Encode for DriverConfig {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.transactions.encode_into(out);
-        self.offered_tps.encode_into(out);
-        self.clients.encode_into(out);
-        self.arrival.encode_into(out);
-        self.preload.encode_into(out);
-        self.window_us.encode_into(out);
-        self.warmup_us.encode_into(out);
-        self.seed.encode_into(out);
-        self.metrics.encode_into(out);
     }
 }
 

@@ -19,7 +19,7 @@
 use std::fmt::Write as _;
 
 use dichotomy_common::rng::DEFAULT_SEED;
-use dichotomy_common::{AbortReason, Decode, Encode, NodeId};
+use dichotomy_common::{codec, AbortReason, NodeId};
 use dichotomy_consensus::ProtocolKind;
 use dichotomy_hybrid::{all_systems, SystemCategory};
 use dichotomy_simnet::{FaultPlan, NodeFault};
@@ -64,26 +64,7 @@ pub struct RowSeries {
     /// The windowed throughput/latency/abort data.
     pub series: crate::metrics::TimeSeries,
 }
-
-impl Encode for RowSeries {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.name.encode_into(out);
-        self.events_clamped.encode_into(out);
-        self.oracles.encode_into(out);
-        self.series.encode_into(out);
-    }
-}
-
-impl Decode for RowSeries {
-    fn decode_from(input: &mut &[u8]) -> Option<Self> {
-        Some(RowSeries {
-            name: String::decode_from(input)?,
-            events_clamped: u64::decode_from(input)?,
-            oracles: crate::chaos::OracleReport::decode_from(input)?,
-            series: crate::metrics::TimeSeries::decode_from(input)?,
-        })
-    }
-}
+codec!(Encode + Decode for struct RowSeries { name, events_clamped, oracles, series });
 
 /// One probe that panicked during [`crate::scenario::run_plan`]: which row it
 /// backed, which probe it was, and the panic message. The probe's columns

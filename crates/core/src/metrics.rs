@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use dichotomy_common::{intern, AbortReason, Decode, Encode, Timestamp, TxnReceipt, TxnStatus};
+use dichotomy_common::{codec, AbortReason, Timestamp, TxnReceipt, TxnStatus};
 
 /// Latency summary in microseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -24,6 +24,7 @@ pub struct LatencySummary {
     /// Maximum.
     pub max_us: u64,
 }
+codec!(Encode + Decode for struct LatencySummary { mean_us, p50_us, p95_us, p99_us, max_us });
 
 impl LatencySummary {
     /// Summarize a set of latencies (order irrelevant): mean plus the
@@ -64,6 +65,7 @@ pub enum MetricsMode {
     /// makes million-client runs fit.
     Streaming,
 }
+codec!(Encode for enum MetricsMode { Exact = 0, Streaming = 1 });
 
 /// Streaming quantile estimator: the P² (piecewise-parabolic) algorithm of
 /// Jain & Chlamtac (1985). Five markers track the running estimate of one
@@ -262,6 +264,14 @@ pub struct Metrics {
     /// Total simulated duration used for the throughput computation (µs).
     pub duration_us: Timestamp,
 }
+codec!(Encode + Decode for struct Metrics {
+    committed,
+    aborts,
+    throughput_tps,
+    latency,
+    phase_means_us,
+    duration_us,
+});
 
 impl Metrics {
     /// Aggregate a set of receipts. The measurement window runs from the
@@ -362,6 +372,17 @@ pub struct TimeWindow {
     /// Latency summary of the window's committed transactions.
     pub latency: LatencySummary,
 }
+codec!(Encode + Decode for struct TimeWindow {
+    start_us,
+    end_us,
+    submitted,
+    committed,
+    aborted,
+    offered_tps,
+    throughput_tps,
+    abort_rate_percent,
+    latency,
+});
 
 /// Windowed time-series view of a run: receipts bucketed by finish time into
 /// contiguous fixed-width windows, after warm-up trimming.
@@ -376,6 +397,7 @@ pub struct TimeSeries {
     /// are what a stall or crash dip looks like.
     pub windows: Vec<TimeWindow>,
 }
+codec!(Encode + Decode for struct TimeSeries { window_us, warmup_us, windows });
 
 impl TimeSeries {
     /// Bucket `receipts` into `window_us`-wide windows by finish time,
@@ -609,142 +631,6 @@ impl StreamingAggregator {
             None => fallback_now,
         };
         (metrics, series, makespan)
-    }
-}
-
-// Canonical codecs: metrics round-trip through the in-repo `Encode`/`Decode`
-// pair so probe results can live in the persistent measurement cache. `f64`
-// fields travel as raw bits, so a decoded value is bit-identical to the
-// encoded one and a cache hit renders byte-identical JSON.
-
-impl Encode for MetricsMode {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            MetricsMode::Exact => 0,
-            MetricsMode::Streaming => 1,
-        });
-    }
-    fn encoded_len(&self) -> usize {
-        1
-    }
-}
-
-impl Encode for LatencySummary {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.mean_us.encode_into(out);
-        self.p50_us.encode_into(out);
-        self.p95_us.encode_into(out);
-        self.p99_us.encode_into(out);
-        self.max_us.encode_into(out);
-    }
-    fn encoded_len(&self) -> usize {
-        40
-    }
-}
-
-impl Decode for LatencySummary {
-    fn decode_from(input: &mut &[u8]) -> Option<Self> {
-        Some(LatencySummary {
-            mean_us: f64::decode_from(input)?,
-            p50_us: u64::decode_from(input)?,
-            p95_us: u64::decode_from(input)?,
-            p99_us: u64::decode_from(input)?,
-            max_us: u64::decode_from(input)?,
-        })
-    }
-}
-
-impl Encode for Metrics {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.committed.encode_into(out);
-        out.extend_from_slice(&(self.aborts.len() as u32).to_be_bytes());
-        for (reason, count) in &self.aborts {
-            reason.encode_into(out);
-            count.encode_into(out);
-        }
-        self.throughput_tps.encode_into(out);
-        self.latency.encode_into(out);
-        out.extend_from_slice(&(self.phase_means_us.len() as u32).to_be_bytes());
-        for (name, mean) in &self.phase_means_us {
-            name.encode_into(out);
-            mean.encode_into(out);
-        }
-        self.duration_us.encode_into(out);
-    }
-}
-
-impl Decode for Metrics {
-    fn decode_from(input: &mut &[u8]) -> Option<Self> {
-        let committed = u64::decode_from(input)?;
-        let mut aborts = BTreeMap::new();
-        for _ in 0..u32::decode_from(input)? {
-            aborts.insert(AbortReason::decode_from(input)?, u64::decode_from(input)?);
-        }
-        let throughput_tps = f64::decode_from(input)?;
-        let latency = LatencySummary::decode_from(input)?;
-        let mut phase_means_us = BTreeMap::new();
-        for _ in 0..u32::decode_from(input)? {
-            // Phase names are `&'static str` literals on the encode side; the
-            // decode side interns them back into 'static lifetime.
-            let name = intern(&String::decode_from(input)?);
-            phase_means_us.insert(name, f64::decode_from(input)?);
-        }
-        Some(Metrics {
-            committed,
-            aborts,
-            throughput_tps,
-            latency,
-            phase_means_us,
-            duration_us: Timestamp::decode_from(input)?,
-        })
-    }
-}
-
-impl Encode for TimeWindow {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.start_us.encode_into(out);
-        self.end_us.encode_into(out);
-        self.submitted.encode_into(out);
-        self.committed.encode_into(out);
-        self.aborted.encode_into(out);
-        self.offered_tps.encode_into(out);
-        self.throughput_tps.encode_into(out);
-        self.abort_rate_percent.encode_into(out);
-        self.latency.encode_into(out);
-    }
-}
-
-impl Decode for TimeWindow {
-    fn decode_from(input: &mut &[u8]) -> Option<Self> {
-        Some(TimeWindow {
-            start_us: Timestamp::decode_from(input)?,
-            end_us: Timestamp::decode_from(input)?,
-            submitted: u64::decode_from(input)?,
-            committed: u64::decode_from(input)?,
-            aborted: u64::decode_from(input)?,
-            offered_tps: f64::decode_from(input)?,
-            throughput_tps: f64::decode_from(input)?,
-            abort_rate_percent: f64::decode_from(input)?,
-            latency: LatencySummary::decode_from(input)?,
-        })
-    }
-}
-
-impl Encode for TimeSeries {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.window_us.encode_into(out);
-        self.warmup_us.encode_into(out);
-        self.windows.encode_into(out);
-    }
-}
-
-impl Decode for TimeSeries {
-    fn decode_from(input: &mut &[u8]) -> Option<Self> {
-        Some(TimeSeries {
-            window_us: u64::decode_from(input)?,
-            warmup_us: u64::decode_from(input)?,
-            windows: Vec::decode_from(input)?,
-        })
     }
 }
 

@@ -49,7 +49,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
 use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
-use dichotomy_common::{AbortReason, Decode, Diagnostic, Encode, Hash, Key, Value};
+use dichotomy_common::{codec, AbortReason, Diagnostic, Encode, Hash, Key, Value};
 use dichotomy_hybrid::{all_systems, forecast_throughput, forecast_txn_cost_us, HybridSpec};
 use dichotomy_merkle::{MerkleBucketTree, MerklePatriciaTrie};
 use dichotomy_simnet::{CostModel, FaultPlan, NetworkConfig};
@@ -140,6 +140,11 @@ pub enum Probe {
         profile: &'static str,
     },
 }
+codec!(Encode for enum Probe {
+    Drive { system, workload, driver } = 0,
+    AdrOverhead { records, record_size } = 1,
+    Forecast { profile } = 2,
+});
 
 impl Probe {
     /// Short label identifying the probe in progress lines and failures.
@@ -540,28 +545,7 @@ pub struct ProbeResult {
     /// Windowed time series (driving probes only), with the probe's label.
     pub series: Option<RowSeries>,
 }
-
-impl Encode for ProbeResult {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.metrics.encode_into(out);
-        self.footprint.encode_into(out);
-        self.records.encode_into(out);
-        self.extras.encode_into(out);
-        self.series.encode_into(out);
-    }
-}
-
-impl Decode for ProbeResult {
-    fn decode_from(input: &mut &[u8]) -> Option<Self> {
-        Some(ProbeResult {
-            metrics: Metrics::decode_from(input)?,
-            footprint: StorageBreakdown::decode_from(input)?,
-            records: u64::decode_from(input)?,
-            extras: Vec::decode_from(input)?,
-            series: Option::decode_from(input)?,
-        })
-    }
-}
+codec!(Encode + Decode for struct ProbeResult { metrics, footprint, records, extras, series });
 
 /// The canonical content key of a probe: a tag byte plus the binary
 /// encoding of every input that determines the probe's result — the full
@@ -571,32 +555,7 @@ impl Decode for ProbeResult {
 /// with equal key bytes are the same measurement by construction; nothing
 /// that can change the report is left out.
 pub fn probe_key_bytes(probe: &Probe) -> Vec<u8> {
-    let mut out = Vec::new();
-    match probe {
-        Probe::Drive {
-            system,
-            workload,
-            driver,
-        } => {
-            out.push(0);
-            system.encode_into(&mut out);
-            workload.encode_into(&mut out);
-            driver.encode_into(&mut out);
-        }
-        Probe::AdrOverhead {
-            records,
-            record_size,
-        } => {
-            out.push(1);
-            records.encode_into(&mut out);
-            (*record_size as u64).encode_into(&mut out);
-        }
-        Probe::Forecast { profile } => {
-            out.push(2);
-            profile.encode_into(&mut out);
-        }
-    }
-    out
+    probe.encode()
 }
 
 /// The **state group** of a probe: the canonical bytes of everything its
@@ -1521,6 +1480,7 @@ fn extract(obs: &ProbeResult, metric: &Metric) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dichotomy_common::Decode;
     use dichotomy_systems::SystemKind;
     use dichotomy_workload::YcsbMix;
 

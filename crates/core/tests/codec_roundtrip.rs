@@ -2,24 +2,54 @@
 //! measurement layer defines: `LatencySummary`, `Metrics`, `TimeWindow`,
 //! `TimeSeries`, `OracleOutcome`, `OracleReport`, `RowSeries` and the full
 //! `ProbeResult` nesting the persistent probe cache stores. (The base codec
-//! types live in `crates/common/tests/codec_roundtrip.rs`; the
-//! `dichotomy-lint` D001/D002 checks keep this enumeration honest — a codec
-//! impl that drops a field is a deny finding at the source level.)
+//! types live in `crates/common/tests/codec_roundtrip.rs`. Every type here
+//! is a `codec!` declaration, so a field missing from its wire form does not
+//! compile; what this file adds is the behaviour on real and hostile bytes.)
 
 use std::collections::BTreeMap;
 
 use dichotomy_core::chaos::{OracleOutcome, OracleReport};
+use dichotomy_core::common::rng::{self, Rng};
 use dichotomy_core::common::size::StorageBreakdown;
 use dichotomy_core::common::{AbortReason, Decode, Encode};
 use dichotomy_core::experiments::RowSeries;
 use dichotomy_core::scenario::ProbeResult;
 use dichotomy_core::{LatencySummary, Metrics, TimeSeries, TimeWindow};
 
+/// Round-trip one value and prove byte-stability of the re-encoding, then
+/// turn the encoding hostile: every strict prefix must decode to `None`, and
+/// every single-byte mutation must decode — without panicking — to `None` or
+/// to a value whose encoding is exactly the mutated bytes (no accepted byte
+/// string is non-canonical).
 fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: T) {
     let bytes = value.encode();
     let decoded = T::decode(&bytes).expect("decode of a canonical encoding");
     assert_eq!(decoded, value);
     assert_eq!(decoded.encode(), bytes, "re-encoding must be byte-stable");
+    assert_eq!(value.encoded_len(), bytes.len());
+
+    for cut in 0..bytes.len() {
+        assert!(T::decode(&bytes[..cut]).is_none(), "prefix of {cut} bytes");
+    }
+    // Every position of an encoding up to 256 bytes (between them those
+    // samples hold every kind of tag and count byte), 256 seeded positions
+    // of a longer one; all 255 other values at each.
+    let positions: Vec<usize> = if bytes.len() <= 256 {
+        (0..bytes.len()).collect()
+    } else {
+        let mut rng = rng::seeded(bytes.len() as u64);
+        (0..256).map(|_| rng.gen_range(0..bytes.len())).collect()
+    };
+    let mut hostile = bytes.clone();
+    for pos in positions {
+        for delta in 1..=255u8 {
+            hostile[pos] = bytes[pos].wrapping_add(delta);
+            if let Some(accepted) = T::decode(&hostile) {
+                assert_eq!(accepted.encode(), hostile, "byte {pos} + {delta}");
+            }
+        }
+        hostile[pos] = bytes[pos];
+    }
 }
 
 fn sample_latency() -> LatencySummary {

@@ -1,28 +1,21 @@
 //! `dichotomy-lint`: layer 1 of the static-analysis pair — the **source
-//! auditor**. Fully offline: a hand-rolled lexer ([`lexer`]) and item
+//! auditor**. Fully offline: a hand-rolled lexer ([`lexer`]) and test-region
 //! scanner ([`scan`]), no `syn`, no external crates.
 //!
-//! The reproduction rests on two convention-enforced invariants:
-//!
-//! 1. **Cache soundness** — the measurement cache keys probes by the
-//!    canonical `Encode` of their spec. One forgotten field in a
-//!    hand-written `impl Encode` and the cache silently serves stale
-//!    results for configurations that differ only in that field.
-//! 2. **Determinism** — seeded runs must be byte-identical across worker
-//!    counts. `HashMap`/`HashSet` iteration order and wall-clock reads are
-//!    exactly the bugs that break it.
-//!
-//! This crate turns both from tribal knowledge into checked facts:
+//! Seeded runs must be byte-identical across worker counts, and
+//! `HashMap`/`HashSet` iteration order and wall-clock reads are exactly the
+//! bugs that break that. This crate turns the convention into a checked
+//! fact:
 //!
 //! | code | severity | finding |
 //! |------|----------|---------|
-//! | D001 | deny | struct field never mentioned in its `impl Encode` |
-//! | D002 | deny | struct field never mentioned in its `impl Decode` |
 //! | D003 | deny | `HashMap`/`HashSet` in deterministic-output code |
 //! | D004 | deny | wall-clock / OS entropy in the simulation clock domain |
-//! | D005 | warn | type implements `Decode` but not `Encode` |
 //! | D006 | warn | `lint: allow` without a `-- <reason>` justification |
 //! | D007 | warn | `lint: allow` that suppresses nothing |
+//!
+//! (Codec drift — a struct field missing from its wire form — is not a lint:
+//! `dichotomy_common::codec!` makes it a compile error.)
 //!
 //! Justified uses are documented in place, not silenced:
 //! `// lint: allow(D003) -- <reason>` suppresses matching codes on its own
@@ -74,70 +67,13 @@ const WALL_CLOCK_IDENTS: &[&str] = &[
 /// domain in tests).
 pub fn lint_source(file: &str, crate_name: Option<&str>, source: &str) -> Vec<Diagnostic> {
     let lexed = lexer::lex(source);
-    let items = scan::scan(&lexed.tokens);
+    let dead = scan::dead_tokens(&lexed.tokens);
     let mut diags = Vec::new();
-
-    // D001/D002: every named field of a struct with a codec impl must be
-    // mentioned in the impl body. Structs and impls match file-locally —
-    // the workspace defines codec impls next to their types.
-    for (map, trait_name, code) in [
-        (&items.encode_impls, "Encode", "D001"),
-        (&items.decode_impls, "Decode", "D002"),
-    ] {
-        for (type_name, imp) in map {
-            let Some(def) = items.structs.get(type_name) else {
-                continue; // enums, tuple structs, foreign types
-            };
-            for (field, _) in &def.fields {
-                if !imp.body_idents.contains(field) {
-                    diags.push(
-                        Diagnostic::new(
-                            code,
-                            Severity::Deny,
-                            format!(
-                                "field `{field}` of struct `{type_name}` never appears in \
-                                 `impl {trait_name} for {type_name}`: the canonical codec \
-                                 drops it (cache keys/round-trips lose the field)"
-                            ),
-                        )
-                        .with_help(format!("{} the field or remove it from the struct", {
-                            if code == "D001" {
-                                "encode"
-                            } else {
-                                "decode"
-                            }
-                        }))
-                        .at_source(file, imp.line),
-                    );
-                }
-            }
-        }
-    }
-
-    // D005: Decode without Encode — the pairing is asymmetric by design in
-    // one direction only (hash-only types encode without decoding), so a
-    // Decode-only type is almost certainly missing its Encode half.
-    for (type_name, imp) in &items.decode_impls {
-        if !items.encode_impls.contains_key(type_name) {
-            diags.push(
-                Diagnostic::new(
-                    "D005",
-                    Severity::Warn,
-                    format!(
-                        "`{type_name}` implements `Decode` but not `Encode` in this file: \
-                         nothing can produce the bytes it decodes"
-                    ),
-                )
-                .with_help("add the matching `impl Encode` next to it")
-                .at_source(file, imp.line),
-            );
-        }
-    }
 
     // Hazard scan over every live (non-test) token.
     let tokens = &lexed.tokens;
     for (i, token) in tokens.iter().enumerate() {
-        if items.dead[i] {
+        if dead[i] {
             continue;
         }
         let Some(ident) = token.ident() else { continue };

@@ -1,4 +1,4 @@
-//! `dichotomy-lint` — determinism & cache-soundness source auditor.
+//! `dichotomy-lint` — determinism source auditor.
 //!
 //! ```text
 //! dichotomy-lint [--json FILE] [PATH…]

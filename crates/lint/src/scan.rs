@@ -1,94 +1,38 @@
-//! Item scanner over the token stream: finds named-field structs, `impl
-//! Encode for T` / `impl Decode for T` bodies, and `#[cfg(test)]`-gated
-//! regions (test code is exempt from every check, matching the walker's
-//! skipping of `tests/` directories).
+//! Finds the `#[cfg(test)]`-gated regions of a token stream: test code is
+//! exempt from every check, matching the walker's skipping of `tests/`
+//! directories.
 //!
-//! This is a recognizer, not a parser: it only understands the shapes the
-//! checks need, and degrades safely (an item it cannot classify contributes
-//! nothing — no false diagnostics, and the hazard scan still sees every
-//! live token).
-
-use std::collections::{BTreeMap, BTreeSet};
+//! This is a recognizer, not a parser: it only understands attributes and
+//! item extents, and degrades safely (an attribute it cannot classify gates
+//! nothing, so the hazard scan still sees every live token).
 
 use crate::lexer::{Tok, Token};
 
-/// A named-field struct definition.
-#[derive(Debug, Clone)]
-pub struct StructDef {
-    /// Header line (`struct` keyword).
-    pub line: u32,
-    /// Named fields, in declaration order, with their lines.
-    pub fields: Vec<(String, u32)>,
-}
-
-/// An `impl Encode for T` / `impl Decode for T` block.
-#[derive(Debug, Clone)]
-pub struct CodecImpl {
-    /// Header line (`impl` keyword).
-    pub line: u32,
-    /// Every identifier appearing in the impl body.
-    pub body_idents: BTreeSet<String>,
-}
-
-/// Everything the checks need from one file.
-#[derive(Debug, Default)]
-pub struct FileItems {
-    /// Named-field structs by name (tuple/unit structs and enums excluded).
-    pub structs: BTreeMap<String, StructDef>,
-    /// `impl Encode for T` blocks by type name `T`.
-    pub encode_impls: BTreeMap<String, CodecImpl>,
-    /// `impl Decode for T` blocks by type name `T`.
-    pub decode_impls: BTreeMap<String, CodecImpl>,
-    /// Indices of tokens inside `#[cfg(test)]`-gated items — dead to every
-    /// check, including the hazard scan.
-    pub dead: Vec<bool>,
-}
-
-/// Scan a token stream into [`FileItems`].
-pub fn scan(tokens: &[Token]) -> FileItems {
-    let mut items = FileItems {
-        dead: vec![false; tokens.len()],
-        ..FileItems::default()
-    };
+/// Per token: whether it sits inside a `#[cfg(test)]`-gated item (the
+/// attribute itself included) and is therefore dead to every check.
+pub fn dead_tokens(tokens: &[Token]) -> Vec<bool> {
+    let mut dead = vec![false; tokens.len()];
     let mut pos = 0usize;
     while pos < tokens.len() {
-        if items.dead[pos] {
+        if !tokens[pos].is_punct('#') {
             pos += 1;
             continue;
         }
-        match &tokens[pos].tok {
-            Tok::Punct('#') => {
-                let (end, is_test) = parse_attribute(tokens, pos);
-                if is_test {
-                    // Mark the attribute, any further attributes, and the
-                    // gated item itself as dead.
-                    let mut item_start = end;
-                    while matches!(
-                        tokens.get(item_start).map(|t| &t.tok),
-                        Some(Tok::Punct('#'))
-                    ) {
-                        let (next, _) = parse_attribute(tokens, item_start);
-                        item_start = next;
-                    }
-                    let item_end = item_end(tokens, item_start);
-                    for slot in items.dead[pos..item_end].iter_mut() {
-                        *slot = true;
-                    }
-                    pos = item_end;
-                } else {
-                    pos = end;
-                }
-            }
-            Tok::Ident(kw) if kw == "struct" => {
-                pos = parse_struct(tokens, pos, &mut items);
-            }
-            Tok::Ident(kw) if kw == "impl" => {
-                pos = parse_impl(tokens, pos, &mut items);
-            }
-            _ => pos += 1,
+        let (end, is_test) = parse_attribute(tokens, pos);
+        if !is_test {
+            pos = end;
+            continue;
         }
+        // Mark the attribute, any further attributes, and the gated item.
+        let mut item_start = end;
+        while tokens.get(item_start).is_some_and(|t| t.is_punct('#')) {
+            item_start = parse_attribute(tokens, item_start).0;
+        }
+        let item_end = item_end(tokens, item_start);
+        dead[pos..item_end].fill(true);
+        pos = item_end;
     }
-    items
+    dead
 }
 
 /// Parse `#[...]` / `#![...]` starting at the `#`. Returns (index past the
@@ -165,268 +109,10 @@ fn matching_brace(tokens: &[Token], open: usize) -> usize {
     tokens.len().saturating_sub(1)
 }
 
-/// Parse a struct starting at the `struct` keyword. Registers named-field
-/// structs; tuple and unit structs are skipped. Returns the resume index —
-/// just past the header for brace structs (so types nested in field position
-/// keep being scanned; there are none in practice, but it is harmless).
-fn parse_struct(tokens: &[Token], pos: usize, items: &mut FileItems) -> usize {
-    let Some(name) = tokens.get(pos + 1).and_then(|t| t.ident()) else {
-        return pos + 1;
-    };
-    let line = tokens[pos].line;
-    // Scan past generics / where clause to the body opener.
-    let mut i = pos + 2;
-    let mut angle = 0i32;
-    while i < tokens.len() {
-        match tokens[i].tok {
-            Tok::Punct('<') => angle += 1,
-            Tok::Punct('>') => angle -= 1,
-            Tok::Punct('(') if angle == 0 => return i, // tuple struct
-            Tok::Punct(';') if angle == 0 => return i + 1, // unit struct
-            Tok::Punct('{') if angle == 0 => break,
-            _ => {}
-        }
-        i += 1;
-    }
-    if i >= tokens.len() {
-        return i;
-    }
-    let close = matching_brace(tokens, i);
-    let fields = parse_fields(&tokens[i + 1..close]);
-    items
-        .structs
-        .insert(name.to_string(), StructDef { line, fields });
-    close + 1
-}
-
-/// Parse the named fields between a struct's braces: segments split on
-/// depth-0 commas; a segment contributes a field when — after attributes
-/// and visibility — it starts `ident :`. Commas inside generic arguments
-/// split segments too, but those junk segments never look like `ident :`
-/// and are dropped.
-fn parse_fields(body: &[Token]) -> Vec<(String, u32)> {
-    let mut fields = Vec::new();
-    let mut segment_start = 0usize;
-    let mut round = 0i32;
-    let mut square = 0i32;
-    let mut brace = 0i32;
-    for (i, token) in body.iter().enumerate() {
-        match token.tok {
-            Tok::Punct('(') => round += 1,
-            Tok::Punct(')') => round -= 1,
-            Tok::Punct('[') => square += 1,
-            Tok::Punct(']') => square -= 1,
-            Tok::Punct('{') => brace += 1,
-            Tok::Punct('}') => brace -= 1,
-            Tok::Punct(',') if round == 0 && square == 0 && brace == 0 => {
-                if let Some(field) = segment_field(&body[segment_start..i]) {
-                    fields.push(field);
-                }
-                segment_start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if let Some(field) = segment_field(&body[segment_start..]) {
-        fields.push(field);
-    }
-    fields
-}
-
-/// `#[attr…] pub(crate) name : Type` → `(name, line)`.
-fn segment_field(segment: &[Token]) -> Option<(String, u32)> {
-    let mut i = 0usize;
-    while i < segment.len() {
-        match &segment[i].tok {
-            Tok::Punct('#') => {
-                // Skip the attribute's `[...]`.
-                i += 1;
-                if matches!(segment.get(i).map(|t| &t.tok), Some(Tok::Punct('['))) {
-                    let mut depth = 0i32;
-                    while i < segment.len() {
-                        match segment[i].tok {
-                            Tok::Punct('[') => depth += 1,
-                            Tok::Punct(']') => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    i += 1;
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        i += 1;
-                    }
-                }
-            }
-            Tok::Ident(kw) if kw == "pub" => {
-                i += 1;
-                if matches!(segment.get(i).map(|t| &t.tok), Some(Tok::Punct('('))) {
-                    while i < segment.len() && !segment[i].is_punct(')') {
-                        i += 1;
-                    }
-                    i += 1;
-                }
-            }
-            Tok::Ident(name) => {
-                return matches!(segment.get(i + 1).map(|t| &t.tok), Some(Tok::Punct(':')))
-                    .then(|| (name.clone(), segment[i].line));
-            }
-            _ => return None,
-        }
-    }
-    None
-}
-
-/// Parse an `impl` starting at the keyword. Registers `Encode`/`Decode`
-/// trait impls; anything else (inherent impls, other traits, `-> impl
-/// Trait` return types that happen to lex the same way) is walked past
-/// without registering. Returns the resume index: *inside* the body, so
-/// nested items are still discovered.
-fn parse_impl(tokens: &[Token], pos: usize, items: &mut FileItems) -> usize {
-    let line = tokens[pos].line;
-    let mut i = pos + 1;
-    // Skip `<generics>` (arrows are merged tokens, so `>`-counting is safe).
-    if matches!(tokens.get(i).map(|t| &t.tok), Some(Tok::Punct('<'))) {
-        let mut depth = 0i32;
-        while i < tokens.len() {
-            match tokens[i].tok {
-                Tok::Punct('<') => depth += 1,
-                Tok::Punct('>') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        i += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-    }
-    // Trait path: idents at angle depth 0 until `for` or the body `{`.
-    let mut trait_name: Option<&str> = None;
-    let mut saw_for = false;
-    let mut angle = 0i32;
-    while i < tokens.len() {
-        match &tokens[i].tok {
-            Tok::Punct('<') => angle += 1,
-            Tok::Punct('>') => angle -= 1,
-            Tok::Punct('{') if angle == 0 => break,
-            Tok::Ident(id) if angle == 0 && id == "for" => {
-                saw_for = true;
-                i += 1;
-                break;
-            }
-            Tok::Ident(id) if angle == 0 => trait_name = Some(id),
-            _ => {}
-        }
-        i += 1;
-    }
-    // Self type: the last path ident before generics / the body.
-    let mut type_name: Option<&str> = None;
-    if saw_for {
-        let mut angle = 0i32;
-        while i < tokens.len() {
-            match &tokens[i].tok {
-                Tok::Punct('<') => angle += 1,
-                Tok::Punct('>') => angle -= 1,
-                Tok::Punct('{') if angle == 0 => break,
-                Tok::Ident(id) if angle == 0 && id == "where" => {
-                    // `where` clause: scan on to the body without touching
-                    // the recorded type name.
-                    while i < tokens.len() && !tokens[i].is_punct('{') {
-                        i += 1;
-                    }
-                    break;
-                }
-                Tok::Ident(id) if angle == 0 && id != "dyn" && id != "mut" && id != "as" => {
-                    type_name = Some(id);
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-    }
-    // `i` is at the body `{` (or past the stream for malformed input).
-    if i >= tokens.len() || !tokens[i].is_punct('{') {
-        return i;
-    }
-    let close = matching_brace(tokens, i);
-    if saw_for {
-        if let (Some(trait_name), Some(type_name)) = (trait_name, type_name) {
-            if trait_name == "Encode" || trait_name == "Decode" {
-                let body_idents: BTreeSet<String> = tokens[i + 1..close]
-                    .iter()
-                    .filter_map(|t| t.ident().map(str::to_string))
-                    .collect();
-                let map = if trait_name == "Encode" {
-                    &mut items.encode_impls
-                } else {
-                    &mut items.decode_impls
-                };
-                map.entry(type_name.to_string())
-                    .and_modify(|existing| existing.body_idents.extend(body_idents.iter().cloned()))
-                    .or_insert(CodecImpl { line, body_idents });
-            }
-        }
-    }
-    i + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
-
-    fn scan_src(src: &str) -> FileItems {
-        scan(&lex(src).tokens)
-    }
-
-    #[test]
-    fn named_fields_found_generics_commas_ignored() {
-        let src = "
-pub struct Probe<T: Clone> where T: Send {
-    #[doc = \"x\"]
-    pub a: u64,
-    pub(crate) map: BTreeMap<String, Vec<u8>>,
-    b: fn(u64, u64) -> u64,
-}
-struct Tuple(u64, u64);
-struct Unit;
-enum E { A { x: u64 } }
-";
-        let items = scan_src(src);
-        assert_eq!(items.structs.len(), 1);
-        let fields: Vec<&str> = items.structs["Probe"]
-            .fields
-            .iter()
-            .map(|(f, _)| f.as_str())
-            .collect();
-        assert_eq!(fields, vec!["a", "map", "b"]);
-    }
-
-    #[test]
-    fn encode_impls_collect_body_idents() {
-        let src = "
-impl Encode for Probe {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.a.encode_into(out);
-    }
-}
-impl<T: Encode> Encode for Vec<T> {
-    fn encode_into(&self, out: &mut Vec<u8>) {}
-}
-impl Decode for Probe {
-    fn decode_from(input: &mut &[u8]) -> Option<Self> { None }
-}
-impl Probe { fn inherent(&self) { for x in 0..2 { let _ = x; } } }
-";
-        let items = scan_src(src);
-        assert!(items.encode_impls["Probe"].body_idents.contains("a"));
-        assert!(items.encode_impls.contains_key("Vec"));
-        assert!(items.decode_impls.contains_key("Probe"));
-    }
 
     #[test]
     fn cfg_test_items_are_dead() {
@@ -439,31 +125,17 @@ mod tests {
 }
 struct Visible { y: u64 }
 ";
-        let items = scan_src(src);
-        assert!(!items.structs.contains_key("Hidden"));
-        assert!(items.structs.contains_key("Visible"));
         let tokens = lex(src).tokens;
+        let dead = dead_tokens(&tokens);
         let live_idents: Vec<&str> = tokens
             .iter()
-            .enumerate()
-            .filter(|(i, _)| !items.dead[*i])
-            .filter_map(|(_, t)| t.ident())
+            .zip(&dead)
+            .filter(|(_, dead)| !**dead)
+            .filter_map(|(t, _)| t.ident())
             .collect();
         assert!(!live_idents.contains(&"HashMap"));
+        assert!(!live_idents.contains(&"Hidden"));
         assert!(live_idents.contains(&"BTreeMap"));
-    }
-
-    #[test]
-    fn return_position_impl_trait_registers_nothing() {
-        let src = "
-fn f() -> impl Iterator<Item = u8> {
-    struct Local { z: u8 }
-    std::iter::empty()
-}
-";
-        let items = scan_src(src);
-        assert!(items.encode_impls.is_empty() && items.decode_impls.is_empty());
-        // The scanner resumes inside the body: the local struct is found.
-        assert!(items.structs.contains_key("Local"));
+        assert!(live_idents.contains(&"Visible"));
     }
 }

@@ -1,27 +1,11 @@
-//! Fixture: a clean file — complete `Encode`/`Decode` pair over every field,
-//! ordered collections only, and a `#[cfg(test)]` item whose `HashMap` is
-//! exempt (test code never reaches a report).
+//! Fixture: a clean file — ordered collections only, and a `#[cfg(test)]`
+//! item whose `HashMap` is exempt (test code never reaches a report).
 
 use std::collections::BTreeMap;
 
 pub struct Entry {
     pub key: u64,
     pub value: u64,
-}
-
-impl Encode for Entry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.key.encode(out);
-        self.value.encode(out);
-    }
-}
-
-impl Decode for Entry {
-    fn decode(r: &mut Reader) -> Option<Self> {
-        let key = u64::decode(r)?;
-        let value = u64::decode(r)?;
-        Some(Entry { key, value })
-    }
 }
 
 pub fn index(entries: &[Entry]) -> BTreeMap<u64, u64> {

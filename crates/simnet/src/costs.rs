@@ -22,7 +22,7 @@
 //! lets ablation benches ask "what if signatures were free?" by zeroing a
 //! single field.
 
-use dichotomy_common::codec::Encode;
+use dichotomy_common::codec;
 
 /// CPU cost constants, all in microseconds (`_us`) or microseconds per byte
 /// (`_per_byte_us`).
@@ -87,6 +87,27 @@ pub struct CostModel {
     /// CPU to validate one block header + chain linkage on receipt.
     pub block_header_check_us: f64,
 }
+codec!(Encode for struct CostModel {
+    hash_base_us,
+    hash_per_byte_us,
+    sig_sign_us,
+    sig_verify_us,
+    client_auth_us,
+    chaincode_exec_base_us,
+    evm_exec_base_us,
+    evm_exec_per_byte_us,
+    sql_parse_us,
+    sql_compile_us,
+    sql_coordinate_us,
+    storage_get_base_us,
+    storage_get_per_byte_us,
+    storage_put_base_us,
+    storage_put_per_byte_us,
+    adr_node_update_us,
+    adr_leaf_per_byte_us,
+    log_append_us,
+    block_header_check_us,
+});
 
 impl Default for CostModel {
     fn default() -> Self {
@@ -200,33 +221,6 @@ impl CostModel {
     /// CPU to check a received block header.
     pub fn block_header_check(&self) -> u64 {
         self.block_header_check_us.ceil() as u64
-    }
-}
-
-impl Encode for CostModel {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.hash_base_us.encode_into(out);
-        self.hash_per_byte_us.encode_into(out);
-        self.sig_sign_us.encode_into(out);
-        self.sig_verify_us.encode_into(out);
-        self.client_auth_us.encode_into(out);
-        self.chaincode_exec_base_us.encode_into(out);
-        self.evm_exec_base_us.encode_into(out);
-        self.evm_exec_per_byte_us.encode_into(out);
-        self.sql_parse_us.encode_into(out);
-        self.sql_compile_us.encode_into(out);
-        self.sql_coordinate_us.encode_into(out);
-        self.storage_get_base_us.encode_into(out);
-        self.storage_get_per_byte_us.encode_into(out);
-        self.storage_put_base_us.encode_into(out);
-        self.storage_put_per_byte_us.encode_into(out);
-        self.adr_node_update_us.encode_into(out);
-        self.adr_leaf_per_byte_us.encode_into(out);
-        self.log_append_us.encode_into(out);
-        self.block_header_check_us.encode_into(out);
-    }
-    fn encoded_len(&self) -> usize {
-        19 * 8
     }
 }
 

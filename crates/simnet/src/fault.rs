@@ -19,7 +19,7 @@
 
 use std::collections::BTreeSet;
 
-use dichotomy_common::{Diagnostic, Encode, NodeId, Severity, Timestamp};
+use dichotomy_common::{codec, Diagnostic, NodeId, Severity, Timestamp};
 
 /// A single fault with a start time and an optional end time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,6 +33,7 @@ pub struct NodeFault {
     /// What kind of fault.
     pub kind: FaultKind,
 }
+codec!(Encode for struct NodeFault { node, from, until, kind });
 
 /// The kinds of faults the simulator can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,6 +45,7 @@ pub enum FaultKind {
     /// consult this to decide which nodes equivocate.
     Byzantine,
 }
+codec!(Encode for enum FaultKind { Crash = 0, Byzantine = 1 });
 
 impl NodeFault {
     /// A crash starting at `from` and lasting forever.
@@ -93,6 +95,7 @@ pub struct Partition {
     /// When it heals (`None` = permanent).
     pub until: Option<Timestamp>,
 }
+codec!(Encode for struct Partition { group_a, from, until });
 
 impl Partition {
     /// Whether the partition is active at time `t`.
@@ -118,6 +121,7 @@ pub struct Failover {
     /// How long the role is unavailable (µs).
     pub duration_us: u64,
 }
+codec!(Encode for struct Failover { at, duration_us });
 
 impl Failover {
     /// When the handover completes and the role is serviceable again.
@@ -145,6 +149,7 @@ pub struct Reconfiguration {
     /// Whether shard membership is reshuffled at the boundary.
     pub churn: bool,
 }
+codec!(Encode for struct Reconfiguration { at, pause_us, churn });
 
 /// The complete fault schedule for a run.
 #[derive(Debug, Clone, Default)]
@@ -154,6 +159,9 @@ pub struct FaultPlan {
     failovers: Vec<Failover>,
     reconfigurations: Vec<Reconfiguration>,
 }
+// A fault schedule is part of a probe's identity: two measurements differing
+// only in their fault plans are different measurements.
+codec!(Encode for struct FaultPlan { faults, partitions, failovers, reconfigurations });
 
 impl FaultPlan {
     /// No faults at all.
@@ -456,67 +464,6 @@ impl FaultPlan {
         }
         plan.faults = merged;
         (plan, diags)
-    }
-}
-
-// Canonical encodings: a fault schedule is part of a probe's identity (two
-// measurements differing only in their fault plans are different
-// measurements), so every fault type feeds the measurement layer's canonical
-// content hash through `Encode`.
-
-impl Encode for FaultKind {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            FaultKind::Crash => 0,
-            FaultKind::Byzantine => 1,
-        });
-    }
-    fn encoded_len(&self) -> usize {
-        1
-    }
-}
-
-impl Encode for NodeFault {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.node.encode_into(out);
-        self.from.encode_into(out);
-        self.until.encode_into(out);
-        self.kind.encode_into(out);
-    }
-}
-
-impl Encode for Partition {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.group_a.len() as u32).to_be_bytes());
-        for node in &self.group_a {
-            node.encode_into(out);
-        }
-        self.from.encode_into(out);
-        self.until.encode_into(out);
-    }
-}
-
-impl Encode for Failover {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.at.encode_into(out);
-        self.duration_us.encode_into(out);
-    }
-}
-
-impl Encode for Reconfiguration {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.at.encode_into(out);
-        self.pause_us.encode_into(out);
-        self.churn.encode_into(out);
-    }
-}
-
-impl Encode for FaultPlan {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.faults.encode_into(out);
-        self.partitions.encode_into(out);
-        self.failovers.encode_into(out);
-        self.reconfigurations.encode_into(out);
     }
 }
 

@@ -7,7 +7,7 @@
 //! nodes and partitions (from [`crate::fault`]) make delivery fail, which the
 //! consensus protocols must tolerate.
 
-use dichotomy_common::codec::Encode;
+use dichotomy_common::codec;
 use dichotomy_common::rng::{self, Rng, StdRng};
 use dichotomy_common::{NodeId, Timestamp};
 
@@ -26,6 +26,12 @@ pub struct NetworkConfig {
     /// Latency of a node messaging itself (loopback), in µs.
     pub loopback_latency_us: u64,
 }
+codec!(Encode for struct NetworkConfig {
+    base_latency_us,
+    jitter_us,
+    bandwidth_bytes_per_us,
+    loopback_latency_us,
+});
 
 impl Default for NetworkConfig {
     fn default() -> Self {
@@ -54,18 +60,6 @@ impl NetworkConfig {
             bandwidth_bytes_per_us: 12.5,
             loopback_latency_us: 5,
         }
-    }
-}
-
-impl Encode for NetworkConfig {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.base_latency_us.encode_into(out);
-        self.jitter_us.encode_into(out);
-        self.bandwidth_bytes_per_us.encode_into(out);
-        self.loopback_latency_us.encode_into(out);
-    }
-    fn encoded_len(&self) -> usize {
-        32
     }
 }
 

@@ -7,7 +7,7 @@
 //! replay, and truncation (checkpointing), whose footprint counts as
 //! `history_bytes`.
 
-use dichotomy_common::codec::Encode;
+use dichotomy_common::codec;
 use dichotomy_common::hash::Hash;
 use dichotomy_common::size::{encoded_bytes, StorageBreakdown, StorageFootprint};
 use dichotomy_common::{Key, Value};
@@ -22,35 +22,8 @@ pub enum WalRecord {
     /// A commit marker for a transaction (sequence number).
     Commit { txn_seq: u64 },
 }
-
-/// The on-disk format of a record: a tag byte plus the canonical encoding of
-/// the fields. This is what the footprint accounting charges for.
-impl Encode for WalRecord {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            WalRecord::Put { key, value } => {
-                out.push(0);
-                key.encode_into(out);
-                value.encode_into(out);
-            }
-            WalRecord::Delete { key } => {
-                out.push(1);
-                key.encode_into(out);
-            }
-            WalRecord::Commit { txn_seq } => {
-                out.push(2);
-                txn_seq.encode_into(out);
-            }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            WalRecord::Put { key, value } => key.encoded_len() + value.encoded_len(),
-            WalRecord::Delete { key } => key.encoded_len(),
-            WalRecord::Commit { .. } => 8,
-        }
-    }
-}
+// The on-disk format of a record, which the footprint accounting charges for.
+codec!(Encode for enum WalRecord { Put { key, value } = 0, Delete { key } = 1, Commit { txn_seq } = 2 });
 
 impl WalRecord {
     fn checksum(&self) -> Hash {
@@ -167,6 +140,7 @@ impl StorageFootprint for WriteAheadLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dichotomy_common::Encode;
 
     fn put(k: &str, n: usize) -> WalRecord {
         WalRecord::Put {

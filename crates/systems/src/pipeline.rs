@@ -26,23 +26,15 @@ pub enum SystemKind {
     SpannerLike,
     Ahl,
 }
-
-impl dichotomy_common::Encode for SystemKind {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            SystemKind::Quorum => 0,
-            SystemKind::Fabric => 1,
-            SystemKind::TiDb => 2,
-            SystemKind::Etcd => 3,
-            SystemKind::Tikv => 4,
-            SystemKind::SpannerLike => 5,
-            SystemKind::Ahl => 6,
-        });
-    }
-    fn encoded_len(&self) -> usize {
-        1
-    }
-}
+dichotomy_common::codec!(Encode for enum SystemKind {
+    Quorum = 0,
+    Fabric = 1,
+    TiDb = 2,
+    Etcd = 3,
+    Tikv = 4,
+    SpannerLike = 5,
+    Ahl = 6,
+});
 
 impl SystemKind {
     /// Every kind with a built-in model, in the paper's plotting order.

@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use dichotomy_common::Encode;
+use dichotomy_common::codec;
 use dichotomy_consensus::ProtocolKind;
 use dichotomy_hybrid::taxonomy::{
     ConcurrencyChoice, LedgerSupport, ReplicationModel, ShardingSupport, SystemProfile,
@@ -91,6 +91,26 @@ pub struct SystemSpec {
     /// RNG seed for the model's stochastic choices.
     pub seed: Option<u64>,
 }
+// One third of a probe's identity (alongside the workload and driver specs):
+// every knob, label included because the label reaches the report.
+codec!(Encode for struct SystemSpec {
+    kind,
+    label,
+    nodes,
+    frontends,
+    shards,
+    consensus,
+    block_txns,
+    block_interval_us,
+    endorsement_divergence,
+    periodic_reconfiguration,
+    epoch_us,
+    reconfig_pause_us,
+    network,
+    costs,
+    faults,
+    seed,
+});
 
 impl SystemSpec {
     /// A spec for `kind` with every knob at the model's default.
@@ -298,31 +318,6 @@ impl SystemSpec {
     }
 }
 
-// A `SystemSpec` is one third of a probe's identity (alongside the workload
-// and driver specs), so its canonical encoding covers *every* knob — label
-// included, because the label reaches the report — in declaration order.
-// `usize` knobs encode as `u64` so the bytes are architecture-independent.
-impl Encode for SystemSpec {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.kind.encode_into(out);
-        self.label.as_deref().encode_into(out);
-        self.nodes.map(|v| v as u64).encode_into(out);
-        self.frontends.map(|v| v as u64).encode_into(out);
-        self.shards.encode_into(out);
-        self.consensus.encode_into(out);
-        self.block_txns.map(|v| v as u64).encode_into(out);
-        self.block_interval_us.encode_into(out);
-        self.endorsement_divergence.encode_into(out);
-        self.periodic_reconfiguration.encode_into(out);
-        self.epoch_us.encode_into(out);
-        self.reconfig_pause_us.encode_into(out);
-        self.network.encode_into(out);
-        self.costs.encode_into(out);
-        self.faults.encode_into(out);
-        self.seed.encode_into(out);
-    }
-}
-
 /// What a model's bulk load may read of its spec
 /// ([`SystemSpec::state_shape`]): which model it is and how its data is
 /// partitioned.
@@ -335,13 +330,7 @@ pub struct StateShape {
     /// different model than a sharded one), 0 for the rest.
     pub shards: u32,
 }
-
-impl Encode for StateShape {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.kind.encode_into(out);
-        self.shards.encode_into(out);
-    }
-}
+codec!(Encode for struct StateShape { kind, shards });
 
 /// A spec's coordinates in the paper's design space (Tables 1 and 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

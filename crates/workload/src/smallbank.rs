@@ -9,7 +9,7 @@
 //! measurements.
 
 use dichotomy_common::rng::{self, Rng, StdRng};
-use dichotomy_common::{ClientId, Encode, Key, Operation, Transaction, TxnId, Value};
+use dichotomy_common::{codec, ClientId, Key, Operation, Transaction, TxnId, Value};
 
 use crate::zipf::ZipfianGenerator;
 use crate::{padded_key, ClientKeys, Workload};
@@ -56,6 +56,13 @@ pub struct SmallbankConfig {
     /// RNG seed.
     pub seed: u64,
 }
+codec!(Encode for struct SmallbankConfig {
+    accounts,
+    zipf_theta,
+    record_size,
+    sign_transactions,
+    seed,
+});
 
 impl Default for SmallbankConfig {
     fn default() -> Self {
@@ -66,16 +73,6 @@ impl Default for SmallbankConfig {
             sign_transactions: true,
             seed: dichotomy_common::rng::DEFAULT_SEED,
         }
-    }
-}
-
-impl Encode for SmallbankConfig {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.accounts.encode_into(out);
-        self.zipf_theta.encode_into(out);
-        (self.record_size as u64).encode_into(out);
-        self.sign_transactions.encode_into(out);
-        self.seed.encode_into(out);
     }
 }
 

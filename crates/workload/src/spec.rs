@@ -18,6 +18,7 @@ pub enum WorkloadSpec {
     /// The Smallbank OLTP benchmark.
     Smallbank(SmallbankConfig),
 }
+dichotomy_common::codec!(Encode for enum WorkloadSpec { Ycsb(config) = 0, Smallbank(config) = 1 });
 
 impl WorkloadSpec {
     /// A YCSB spec at the paper's defaults with the given mix.
@@ -113,21 +114,6 @@ impl WorkloadSpec {
             c.ops_per_txn = ops.max(1);
         }
         self
-    }
-}
-
-impl dichotomy_common::Encode for WorkloadSpec {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            WorkloadSpec::Ycsb(c) => {
-                out.push(0);
-                c.encode_into(out);
-            }
-            WorkloadSpec::Smallbank(c) => {
-                out.push(1);
-                c.encode_into(out);
-            }
-        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! The YCSB core workload with the knobs of Table 3.
 
 use dichotomy_common::rng::{self, Rng, StdRng};
-use dichotomy_common::{ClientId, Encode, Key, Operation, Transaction, TxnId, Value};
+use dichotomy_common::{codec, ClientId, Key, Operation, Transaction, TxnId, Value};
 
 use crate::zipf::ZipfianGenerator;
 use crate::{padded_key, ClientKeys, Workload};
@@ -22,6 +22,12 @@ pub enum YcsbMix {
         read_fraction: f64,
     },
 }
+codec!(Encode for enum YcsbMix {
+    UpdateOnly = 0,
+    QueryOnly = 1,
+    ReadModifyWrite = 2,
+    Mixed { read_fraction } = 3,
+});
 
 /// Workload configuration (defaults = the paper's defaults, Table 3).
 #[derive(Debug, Clone)]
@@ -42,6 +48,15 @@ pub struct YcsbConfig {
     /// RNG seed.
     pub seed: u64,
 }
+codec!(Encode for struct YcsbConfig {
+    record_count,
+    record_size,
+    zipf_theta,
+    ops_per_txn,
+    mix,
+    sign_transactions,
+    seed,
+});
 
 impl Default for YcsbConfig {
     fn default() -> Self {
@@ -54,32 +69,6 @@ impl Default for YcsbConfig {
             sign_transactions: true,
             seed: dichotomy_common::rng::DEFAULT_SEED,
         }
-    }
-}
-
-impl Encode for YcsbMix {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            YcsbMix::UpdateOnly => out.push(0),
-            YcsbMix::QueryOnly => out.push(1),
-            YcsbMix::ReadModifyWrite => out.push(2),
-            YcsbMix::Mixed { read_fraction } => {
-                out.push(3);
-                read_fraction.encode_into(out);
-            }
-        }
-    }
-}
-
-impl Encode for YcsbConfig {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.record_count.encode_into(out);
-        (self.record_size as u64).encode_into(out);
-        self.zipf_theta.encode_into(out);
-        (self.ops_per_txn as u64).encode_into(out);
-        self.mix.encode_into(out);
-        self.sign_transactions.encode_into(out);
-        self.seed.encode_into(out);
     }
 }
 
@@ -214,6 +203,7 @@ impl Workload for YcsbWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dichotomy_common::Encode;
 
     #[test]
     fn initial_records_match_config() {

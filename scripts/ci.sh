@@ -34,7 +34,7 @@ echo "==> cargo test --release -p dichotomy-core ledger (arrival-timestamp bitma
 # Timestamp::MAX: overflow panics in the debug run above and would wrap here.
 cargo test -q --release -p dichotomy-core ledger
 
-echo "==> dichotomy-lint (determinism & cache-soundness source auditor)"
+echo "==> dichotomy-lint (determinism source auditor)"
 # The workspace must be clean: zero findings of any severity. Allowed uses
 # carry `// lint: allow(CODE) -- reason` annotations in place.
 LINT_BIN=target/release/dichotomy-lint
@@ -46,14 +46,14 @@ grep -q '"findings":0' /tmp/ci_lint.json
 # exit nonzero with a deny finding. (`! cmd` is exempt from `set -e`, so
 # test the exit status explicitly.)
 if "$LINT_BIN" --json /tmp/ci_lint_neg.json \
-    crates/lint/tests/fixtures/d001_drop_field.rs > /dev/null; then
-    echo "ci.sh: dichotomy-lint passed a field-dropping Encode fixture" >&2
+    crates/lint/tests/fixtures/d003_hashmap.rs > /dev/null; then
+    echo "ci.sh: dichotomy-lint passed a HashMap-iterating fixture" >&2
     exit 1
 fi
-grep -q '"code":"D001"' /tmp/ci_lint_neg.json
+grep -q '"code":"D003"' /tmp/ci_lint_neg.json
 grep -q '"severity":"deny"' /tmp/ci_lint_neg.json
-# The explorer crate on its own: no deny-level determinism/cache hazards in
-# the 15th crate (it feeds the shared probe cache, so the D0xx rules bite).
+# The explorer crate on its own: no deny-level determinism hazards in the
+# 15th crate (it feeds the shared probe cache, so the D0xx rules bite).
 "$LINT_BIN" --json /tmp/ci_lint_explore.json crates/explore
 grep -q '"deny":0' /tmp/ci_lint_explore.json
 
