@@ -28,7 +28,7 @@ use dichotomy_core::common::{hash, ClientId, Key, Operation, Transaction, TxnId,
 use dichotomy_core::consensus::{ProtocolKind, ReplicationProfile};
 use dichotomy_core::driver::{run_workload, DriverConfig};
 use dichotomy_core::merkle::{MerkleBucketTree, MerklePatriciaTrie};
-use dichotomy_core::metrics::{LatencySummary, StreamingLatency};
+use dichotomy_core::metrics::{LatencyEstimator, LatencySummary, StreamingLatency};
 use dichotomy_core::scenario::{
     run_plan_with, ColumnSpec, ExecOptions, Metric, Scenario, Sweep, SystemEntry,
 };
@@ -179,9 +179,10 @@ fn bench_consensus_profiles() {
 }
 
 fn bench_metric_sketches() {
-    // Sketch vs exact over the identical sample set: folding 100k latencies
-    // into the three P² sketches of a `StreamingLatency` vs sorting the same
-    // vector for exact order statistics. The per-sample sketch cost is what
+    // The two latency estimators of the one receipt fold over the identical
+    // sample set: folding 100k latencies into the three P² sketches of a
+    // `StreamingLatency` vs sorting the same vector for exact order
+    // statistics, as `ExactLatency` does. The per-sample sketch cost is what
     // streaming metrics pay per receipt; the exact case additionally scales
     // its O(n log n) sort with window population, which is the memory/time
     // trade `MetricsMode::Streaming` removes.

@@ -26,7 +26,9 @@ use dichotomy_systems::{Engine, SysEvent, TransactionalSystem};
 use dichotomy_workload::Workload;
 
 use crate::chaos::{OracleContext, OracleReport, OracleSet};
-use crate::metrics::{Metrics, MetricsMode, StreamingAggregator, TimeSeries};
+use crate::metrics::{
+    ExactLatency, LatencyEstimator, Metrics, MetricsMode, ReceiptFold, StreamingLatency, TimeSeries,
+};
 
 /// How the driver turns the clock into client submissions.
 ///
@@ -578,18 +580,21 @@ pub struct DriverConfig {
     /// storage-size experiments load their own data).
     pub preload: bool,
     /// Width of the windowed time-series buckets (µs). `None` derives a
-    /// window from the run's makespan (≈ 20 windows).
+    /// window from the run's makespan (≈ 20 windows) in exact metrics mode
+    /// and uses one simulated second in streaming mode.
     pub window_us: Option<u64>,
     /// Receipts finishing before this simulated time are trimmed from the
     /// time series (warm-up).
     pub warmup_us: Timestamp,
     /// RNG seed for arrival jitter and think times.
     pub seed: u64,
-    /// How receipts aggregate into metrics. [`MetricsMode::Exact`] (the
-    /// default) retains every receipt and is byte-identical to the
-    /// historical behaviour; [`MetricsMode::Streaming`] folds receipts into
-    /// per-window sketches as they complete, making memory O(windows)
-    /// instead of O(transactions).
+    /// The latency estimator of the run's receipt fold. Under
+    /// [`MetricsMode::Exact`] (the default) the system retains every receipt
+    /// and the fold sorts exact percentiles once the run is over; under
+    /// [`MetricsMode::Streaming`] receipts fold into P² sketches as they
+    /// complete, making memory O(windows) instead of O(transactions) — and
+    /// an unset [`window_us`](Self::window_us) one simulated second, since
+    /// the makespan is not known yet.
     pub metrics: MetricsMode,
 }
 // One third of a probe's identity (alongside the system and workload specs):
@@ -844,68 +849,72 @@ pub fn drive(
     workload: &mut dyn Workload,
     config: &DriverConfig,
 ) -> RunStats {
+    // The one read of the metrics mode: it picks the latency estimator and
+    // when receipts fold. Exact mode leaves every receipt in the system until
+    // the run is over, so an unset window width comes from the makespan
+    // (≈ 20 windows). Streaming mode folds receipts as they complete, before
+    // the makespan is known, so an unset width is one simulated second.
+    match config.metrics {
+        MetricsMode::Exact => drive_with::<ExactLatency>(system, workload, config, None),
+        MetricsMode::Streaming => {
+            let window_us = config.window_us.unwrap_or(1_000_000);
+            let fold = ReceiptFold::<StreamingLatency>::new(window_us, config.warmup_us);
+            drive_with(system, workload, config, Some(fold))
+        }
+    }
+}
+
+/// [`drive`] with the receipt fold chosen. A `live` fold takes receipts as
+/// they complete, through one reused buffer, so the system never holds an
+/// O(transactions) receipt vector; without one, the receipts fold once the
+/// run is over.
+fn drive_with<E: LatencyEstimator>(
+    system: &mut dyn TransactionalSystem,
+    workload: &mut dyn Workload,
+    config: &DriverConfig,
+    mut live: Option<ReceiptFold<E>>,
+) -> RunStats {
     let mut engine = Engine::new();
     system.attach(&mut engine);
 
-    let mut model = config.arrival_spec().build(
+    let clients = config.clients.max(1);
+    let arrival = config.arrival_spec();
+    let mut model = arrival.build(
         rng::derive_seed(config.seed, "driver"),
-        config.clients.max(1),
+        clients,
         config.transactions,
     );
-    let mut book = ArrivalBook::new(
-        config.transactions,
-        config.arrival_spec().client_span(config.clients.max(1)),
-    );
+    let mut book = ArrivalBook::new(config.transactions, arrival.client_span(clients));
     model.start(0, &mut |c, t| book.emit(c, t, &mut engine, workload));
     // One completions buffer for the whole run: each poll swap-drains the
     // system's internal vector into it (and hands the drained allocation
     // back), so the hot loop never allocates per event.
     let mut completions = Vec::new();
-    // Streaming mode folds receipts into the aggregator as they complete,
-    // through one reused receipt buffer, so the system never accumulates an
-    // O(transactions) receipt vector. `window_us` cannot be derived from the
-    // makespan up front, so an unset width defaults to one simulated second.
-    let mut streaming = match config.metrics {
-        MetricsMode::Exact => None,
-        MetricsMode::Streaming => Some((
-            StreamingAggregator::new(config.window_us.unwrap_or(1_000_000), config.warmup_us),
-            Vec::new(),
-        )),
-    };
+    let mut surfaced = Vec::new();
     // The invariant oracles see every receipt the run surfaces, in surfacing
     // order, regardless of metrics mode.
     let mut oracles = OracleSet::standard();
     loop {
-        while let Some((_, event)) = engine.pop() {
-            match event {
-                SysEvent::Arrival(txn) => {
-                    let client = txn.id.client;
-                    let at = txn.submit_time;
-                    system.on_arrival(txn, &mut engine);
-                    model.on_dispatch(client, at, &mut |c, t| {
-                        book.emit(c, t, &mut engine, workload)
-                    });
-                }
-                SysEvent::Stage(stage) => system.on_stage(stage, &mut engine),
+        // Dispatch the next event, or let the system react to a dry queue.
+        let dispatched = match engine.pop() {
+            Some((_, SysEvent::Arrival(txn))) => {
+                let client = txn.id.client;
+                let at = txn.submit_time;
+                system.on_arrival(txn, &mut engine);
+                model.on_dispatch(client, at, &mut |c, t| {
+                    book.emit(c, t, &mut engine, workload)
+                });
+                true
             }
-            system.drain_completions(&mut completions);
-            for completion in completions.drain(..) {
-                model.on_completion(
-                    completion.client,
-                    completion.submitted,
-                    completion.finish,
-                    &mut |c, t| book.emit(c, t, &mut engine, workload),
-                );
+            Some((_, SysEvent::Stage(stage))) => {
+                system.on_stage(stage, &mut engine);
+                true
             }
-            if let Some((agg, rbuf)) = streaming.as_mut() {
-                system.drain_receipts_into(rbuf);
-                for r in rbuf.drain(..) {
-                    oracles.observe(&r);
-                    agg.observe(&r);
-                }
+            None => {
+                system.on_drain(&mut engine);
+                false
             }
-        }
-        system.on_drain(&mut engine);
+        };
         system.drain_completions(&mut completions);
         for completion in completions.drain(..) {
             model.on_completion(
@@ -915,34 +924,29 @@ pub fn drive(
                 &mut |c, t| book.emit(c, t, &mut engine, workload),
             );
         }
-        if engine.is_empty() {
+        if let Some(fold) = live.as_mut() {
+            system.drain_receipts_into(&mut surfaced);
+            for r in surfaced.drain(..) {
+                oracles.observe(&r);
+                fold.observe(&r);
+            }
+        }
+        if !dispatched && engine.is_empty() {
             break;
         }
     }
 
-    let (metrics, series, makespan_us) = match streaming {
-        Some((mut agg, mut rbuf)) => {
-            system.drain_receipts_into(&mut rbuf);
-            for r in rbuf.drain(..) {
-                oracles.observe(&r);
-                agg.observe(&r);
-            }
-            agg.finish(engine.now())
-        }
-        None => {
-            let receipts = system.drain_receipts();
-            oracles.observe_all(&receipts);
-            let metrics = Metrics::from_receipts(&receipts);
-            let makespan_us = receipts
-                .iter()
-                .map(|r| r.finish_time)
-                .max()
-                .unwrap_or(engine.now());
-            let window_us = config.window_us.unwrap_or((makespan_us / 20).max(1));
-            let series = TimeSeries::from_receipts(&receipts, window_us, config.warmup_us);
-            (metrics, series, makespan_us)
-        }
-    };
+    // What the system still holds: a live fold's stragglers, or every
+    // receipt of the run.
+    let receipts = system.drain_receipts();
+    oracles.observe_all(&receipts);
+    let mut fold = live.unwrap_or_else(|| {
+        let makespan_us = receipts.iter().map(|r| r.finish_time).max();
+        let derived = (makespan_us.unwrap_or(engine.now()) / 20).max(1);
+        ReceiptFold::new(config.window_us.unwrap_or(derived), config.warmup_us)
+    });
+    receipts.iter().for_each(|r| fold.observe(r));
+    let (metrics, series, makespan_us) = fold.finish(engine.now());
     let oracles = oracles.finish(OracleContext {
         arrivals_issued: book.issued,
         events_clamped: engine.clamped(),

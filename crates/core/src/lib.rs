@@ -35,8 +35,8 @@ pub use chaos::{InvariantOracle, OracleContext, OracleOutcome, OracleReport, Ora
 pub use driver::{run_workload, ArrivalSpec, ClientModel, DriverConfig, RunStats};
 pub use lint::{lint_plan, lint_scenario};
 pub use metrics::{
-    LatencySummary, Metrics, MetricsMode, P2Quantile, StreamingAggregator, StreamingLatency,
-    TimeSeries, TimeWindow,
+    ExactLatency, LatencyEstimator, LatencySummary, Metrics, MetricsMode, P2Quantile, ReceiptFold,
+    StreamingAggregator, StreamingLatency, TimeSeries, TimeWindow,
 };
 pub use scenario::{
     fnv1a_64, lpt_order, predicted_probe_cost, probe_key_bytes, run_plan, run_plan_with,

@@ -1,10 +1,15 @@
 //! Receipt aggregation: throughput, latency percentiles, abort breakdowns,
 //! phase-level latency decomposition and windowed time series.
 //!
-//! [`Metrics::from_receipts`] summarizes a whole run; [`TimeSeries`] buckets
-//! the same receipts into fixed simulated-time windows (throughput, latency
-//! percentiles and abort rate per window, with optional warm-up trimming),
-//! which is how saturation build-up and fault dips become visible.
+//! All of it is one fold over receipts, [`ReceiptFold`]. Its run-level half
+//! sees every receipt and yields [`Metrics`]; its window half trims the
+//! warm-up and buckets the rest into fixed simulated-time windows
+//! (throughput, latency percentiles and abort rate per window) — the
+//! [`TimeSeries`] where saturation build-up and fault dips become visible.
+//! The fold is generic over the [`LatencyEstimator`] that summarizes each
+//! latency population: [`ExactLatency`] keeps and sorts every sample,
+//! [`StreamingLatency`] folds them into P² sketches. [`MetricsMode`] picks
+//! one; nothing else differs between the modes.
 
 use std::collections::BTreeMap;
 
@@ -35,11 +40,7 @@ impl LatencySummary {
         }
         latencies.sort_unstable();
         let n = latencies.len();
-        // Nearest-rank percentile: the ⌈q·n⌉-th smallest sample (1-based),
-        // i.e. index ⌈q·n⌉−1. The old floor((n−1)·q) rounding sat one rank
-        // low whenever q·n was fractional — on n=10 it reported the 9th
-        // sample as p99.
-        let pct = |q: f64| latencies[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
+        let pct = |q: f64| latencies[nearest_rank(q, n)];
         LatencySummary {
             mean_us: latencies.iter().sum::<u64>() as f64 / n as f64,
             p50_us: pct(0.50),
@@ -50,19 +51,54 @@ impl LatencySummary {
     }
 }
 
-/// How the driver aggregates receipts into [`Metrics`] and a [`TimeSeries`].
+/// Nearest-rank percentile of `n ≥ 1` sorted samples: the ⌈q·n⌉-th smallest
+/// (1-based), i.e. index ⌈q·n⌉−1. The old floor((n−1)·q) rounding sat one
+/// rank low whenever q·n was fractional — on n=10 it reported the 9th sample
+/// as p99.
+fn nearest_rank(q: f64, n: usize) -> usize {
+    ((q * n as f64).ceil() as usize).clamp(1, n) - 1
+}
+
+/// How a [`ReceiptFold`] summarizes a population of latencies — the one
+/// thing [`MetricsMode`] chooses.
+pub trait LatencyEstimator: Default {
+    /// Fold one latency (µs) in.
+    fn observe(&mut self, latency_us: u64);
+    /// Mean, max and p50/p95/p99 of everything observed; the zero default
+    /// when nothing was.
+    fn summary(self) -> LatencySummary;
+}
+
+/// The exact estimator: keeps every latency and sorts them into
+/// nearest-rank order statistics ([`LatencySummary::of`]). Memory is
+/// O(samples).
+#[derive(Debug, Clone, Default)]
+pub struct ExactLatency(Vec<u64>);
+
+impl LatencyEstimator for ExactLatency {
+    fn observe(&mut self, latency_us: u64) {
+        self.0.push(latency_us);
+    }
+
+    fn summary(self) -> LatencySummary {
+        LatencySummary::of(self.0)
+    }
+}
+
+/// Which [`LatencyEstimator`] the driver's [`ReceiptFold`] runs. Counts,
+/// rates, means, maxima and window boundaries are exact either way; only
+/// the p50/p95/p99 percentiles differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MetricsMode {
-    /// Retain every receipt and compute exact order-statistic percentiles at
-    /// the end of the run. Byte-identical to the historical behaviour; the
+    /// [`ExactLatency`]: the system keeps every receipt until the run is
+    /// over, then the fold computes exact order-statistic percentiles. The
     /// default. Memory is O(transactions).
     #[default]
     Exact,
-    /// Fold receipts into per-window [`P2Quantile`] sketches as they
-    /// complete and drop them. Percentiles are P²-estimated (exact up to 5
-    /// samples; within a few percent beyond — see the sketch docs); counts,
-    /// means and maxima stay exact. Memory is O(windows), which is what
-    /// makes million-client runs fit.
+    /// [`StreamingLatency`]: receipts fold in as they complete and are
+    /// dropped. Percentiles are P²-estimated (exact up to 5 samples; within
+    /// a few percent beyond — see the sketch docs). Memory is O(windows),
+    /// which is what makes million-client runs fit.
     Streaming,
 }
 codec!(Encode for enum MetricsMode { Exact = 0, Streaming = 1 });
@@ -103,11 +139,6 @@ impl P2Quantile {
         }
     }
 
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Fold one observation into the sketch.
     pub fn observe(&mut self, value: u64) {
         if self.count < 5 {
@@ -129,7 +160,7 @@ impl P2Quantile {
             self.heights[0] = x;
             0
         } else if x >= self.heights[4] {
-            self.heights[4] = x.max(self.heights[4]);
+            self.heights[4] = x;
             3
         } else {
             (1..4).find(|&i| x < self.heights[i]).unwrap_or(4) - 1
@@ -183,14 +214,14 @@ impl P2Quantile {
             let mut sorted = self.initial;
             let sorted = &mut sorted[..n];
             sorted.sort_unstable();
-            return sorted[((self.q * n as f64).ceil() as usize).clamp(1, n) - 1];
+            return sorted[nearest_rank(self.q, n)];
         }
         self.heights[2].round().max(0.0) as u64
     }
 }
 
-/// Streaming replacement for collecting a `Vec<u64>` of latencies: exact
-/// count / mean / max plus P² sketches for p50, p95 and p99, in O(1) memory.
+/// The P² estimator: exact count / mean / max plus [`P2Quantile`] sketches
+/// for p50, p95 and p99, in O(1) memory.
 #[derive(Debug, Clone)]
 pub struct StreamingLatency {
     count: u64,
@@ -214,9 +245,8 @@ impl Default for StreamingLatency {
     }
 }
 
-impl StreamingLatency {
-    /// Fold one latency into the accumulator.
-    pub fn observe(&mut self, latency_us: u64) {
+impl LatencyEstimator for StreamingLatency {
+    fn observe(&mut self, latency_us: u64) {
         self.count += 1;
         self.sum += latency_us as u128;
         self.max = self.max.max(latency_us);
@@ -225,15 +255,10 @@ impl StreamingLatency {
         self.p99.observe(latency_us);
     }
 
-    /// Number of latencies observed.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The summary: mean and max exact, percentiles estimated (exact for
-    /// five or fewer samples). Matches `LatencySummary::default()` when
-    /// nothing was observed, like [`LatencySummary::of`] on empty input.
-    pub fn summary(&self) -> LatencySummary {
+    /// Mean and max exact, percentiles estimated (exact for five or fewer
+    /// samples). A sum below 2⁶⁴ converts to the same `f64` as the exact
+    /// estimator's `u64` sum, so the means agree bit for bit.
+    fn summary(self) -> LatencySummary {
         if self.count == 0 {
             return LatencySummary::default();
         }
@@ -274,48 +299,12 @@ codec!(Encode + Decode for struct Metrics {
 });
 
 impl Metrics {
-    /// Aggregate a set of receipts. The measurement window runs from the
-    /// earliest submit to the latest finish.
+    /// Aggregate a set of receipts with exact percentiles. The measurement
+    /// window runs from the earliest submit to the latest finish.
     pub fn from_receipts(receipts: &[TxnReceipt]) -> Self {
-        if receipts.is_empty() {
-            return Metrics::default();
-        }
-        let start = receipts.iter().map(|r| r.submit_time).min().unwrap_or(0);
-        let end = receipts.iter().map(|r| r.finish_time).max().unwrap_or(0);
-        let duration_us = end.saturating_sub(start).max(1);
-
-        let mut committed = 0u64;
-        let mut aborts: BTreeMap<AbortReason, u64> = BTreeMap::new();
-        let mut latencies = Vec::new();
-        let mut phase_sums: BTreeMap<&'static str, (f64, u64)> = BTreeMap::new();
-        for r in receipts {
-            match r.status {
-                TxnStatus::Committed => {
-                    committed += 1;
-                    latencies.push(r.latency_us());
-                    for (name, us) in &r.phase_latencies {
-                        let entry = phase_sums.entry(name).or_insert((0.0, 0));
-                        entry.0 += *us as f64;
-                        entry.1 += 1;
-                    }
-                }
-                TxnStatus::Aborted(reason) => {
-                    *aborts.entry(reason).or_insert(0) += 1;
-                }
-            }
-        }
-        let phase_means_us = phase_sums
-            .into_iter()
-            .map(|(name, (sum, count))| (name, sum / count.max(1) as f64))
-            .collect();
-        Metrics {
-            committed,
-            aborts,
-            throughput_tps: committed as f64 / (duration_us as f64 / 1e6),
-            latency: LatencySummary::of(latencies),
-            phase_means_us,
-            duration_us,
-        }
+        let mut run = RunFold::<ExactLatency>::default();
+        receipts.iter().for_each(|r| run.observe(r));
+        run.finish()
     }
 
     /// Total aborted transactions.
@@ -400,68 +389,13 @@ pub struct TimeSeries {
 codec!(Encode + Decode for struct TimeSeries { window_us, warmup_us, windows });
 
 impl TimeSeries {
-    /// Bucket `receipts` into `window_us`-wide windows by finish time,
-    /// dropping receipts that finish before `warmup_us` (warm-up trimming).
+    /// Bucket `receipts` into `window_us`-wide windows by finish time with
+    /// exact percentiles, dropping receipts that finish before `warmup_us`
+    /// (warm-up trimming).
     pub fn from_receipts(receipts: &[TxnReceipt], window_us: u64, warmup_us: Timestamp) -> Self {
-        let window_us = window_us.max(1);
-        let kept: Vec<&TxnReceipt> = receipts
-            .iter()
-            .filter(|r| r.finish_time >= warmup_us)
-            .collect();
-        let Some(last_finish) = kept.iter().map(|r| r.finish_time).max() else {
-            return TimeSeries {
-                window_us,
-                warmup_us,
-                windows: Vec::new(),
-            };
-        };
-        let count = ((last_finish - warmup_us) / window_us + 1) as usize;
-        let mut submitted = vec![0u64; count];
-        let mut committed = vec![0u64; count];
-        let mut aborted = vec![0u64; count];
-        let mut latencies: Vec<Vec<u64>> = vec![Vec::new(); count];
-        for r in kept {
-            // The offered side: bucket by submit time (a receipt's submit
-            // can land windows before its finish). Submits before the
-            // warm-up origin are trimmed like early finishes.
-            if r.submit_time >= warmup_us {
-                submitted[((r.submit_time - warmup_us) / window_us) as usize] += 1;
-            }
-            let idx = ((r.finish_time - warmup_us) / window_us) as usize;
-            match r.status {
-                TxnStatus::Committed => {
-                    committed[idx] += 1;
-                    latencies[idx].push(r.latency_us());
-                }
-                TxnStatus::Aborted(_) => aborted[idx] += 1,
-            }
-        }
-        let windows = (0..count)
-            .map(|i| {
-                let start_us = warmup_us + i as u64 * window_us;
-                let finished = committed[i] + aborted[i];
-                TimeWindow {
-                    start_us,
-                    end_us: start_us + window_us,
-                    submitted: submitted[i],
-                    committed: committed[i],
-                    aborted: aborted[i],
-                    offered_tps: submitted[i] as f64 / (window_us as f64 / 1e6),
-                    throughput_tps: committed[i] as f64 / (window_us as f64 / 1e6),
-                    abort_rate_percent: if finished == 0 {
-                        0.0
-                    } else {
-                        100.0 * aborted[i] as f64 / finished as f64
-                    },
-                    latency: LatencySummary::of(std::mem::take(&mut latencies[i])),
-                }
-            })
-            .collect();
-        TimeSeries {
-            window_us,
-            warmup_us,
-            windows,
-        }
+        let mut windows = WindowFold::<ExactLatency>::new(window_us, warmup_us);
+        receipts.iter().for_each(|r| windows.observe(r));
+        windows.finish()
     }
 
     /// Whether the series has no windows.
@@ -479,59 +413,20 @@ impl TimeSeries {
     }
 }
 
-/// Per-window accumulator of the [`StreamingAggregator`]: exact counts plus
-/// a [`StreamingLatency`] sketch instead of a latency vector.
+/// The run-level half of a [`ReceiptFold`]: every receipt counts, with no
+/// warm-up trimming.
 #[derive(Debug, Clone, Default)]
-struct WindowAccum {
-    submitted: u64,
-    committed: u64,
-    aborted: u64,
-    latency: StreamingLatency,
-}
-
-/// Incremental receipt aggregation for [`MetricsMode::Streaming`]: receipts
-/// fold in one at a time (in any order) and are dropped, producing the same
-/// [`Metrics`] / [`TimeSeries`] shapes as the exact path with percentiles
-/// P²-estimated. Memory is O(windows), independent of transaction count.
-///
-/// The two sides mirror the exact pipeline: run-level metrics consume every
-/// receipt (no warm-up trimming, like [`Metrics::from_receipts`]); the
-/// window side drops receipts finishing before `warmup_us` and buckets by
-/// finish time (submit-side counts by submit time), like
-/// [`TimeSeries::from_receipts`].
-#[derive(Debug, Clone)]
-pub struct StreamingAggregator {
-    window_us: u64,
-    warmup_us: Timestamp,
-    // Run-level (unfiltered) side.
+struct RunFold<E> {
+    /// Earliest submit and latest finish so far.
+    span: Option<(Timestamp, Timestamp)>,
     committed: u64,
     aborts: BTreeMap<AbortReason, u64>,
-    latency: StreamingLatency,
+    latency: E,
     phase_sums: BTreeMap<&'static str, (f64, u64)>,
-    span: Option<(Timestamp, Timestamp)>,
-    // Window (warm-up-trimmed) side, gap-filled on demand.
-    windows: Vec<WindowAccum>,
 }
 
-impl StreamingAggregator {
-    /// An aggregator bucketing into `window_us`-wide windows (clamped to
-    /// ≥ 1 µs) after `warmup_us` of warm-up trimming.
-    pub fn new(window_us: u64, warmup_us: Timestamp) -> Self {
-        StreamingAggregator {
-            window_us: window_us.max(1),
-            warmup_us,
-            committed: 0,
-            aborts: BTreeMap::new(),
-            latency: StreamingLatency::default(),
-            phase_sums: BTreeMap::new(),
-            span: None,
-            windows: Vec::new(),
-        }
-    }
-
-    /// Fold one receipt in; the caller can drop it afterwards.
-    pub fn observe(&mut self, r: &TxnReceipt) {
-        // Run-level side: every receipt counts, as in `Metrics::from_receipts`.
+impl<E: LatencyEstimator> RunFold<E> {
+    fn observe(&mut self, r: &TxnReceipt) {
         self.span = Some(match self.span {
             None => (r.submit_time, r.finish_time),
             Some((s, e)) => (s.min(r.submit_time), e.max(r.finish_time)),
@@ -540,30 +435,87 @@ impl StreamingAggregator {
             TxnStatus::Committed => {
                 self.committed += 1;
                 self.latency.observe(r.latency_us());
-                for (name, us) in &r.phase_latencies {
+                for &(name, us) in &r.phase_latencies {
                     let entry = self.phase_sums.entry(name).or_insert((0.0, 0));
-                    entry.0 += *us as f64;
+                    entry.0 += us as f64;
                     entry.1 += 1;
                 }
             }
-            TxnStatus::Aborted(reason) => {
-                *self.aborts.entry(reason).or_insert(0) += 1;
-            }
+            TxnStatus::Aborted(reason) => *self.aborts.entry(reason).or_insert(0) += 1,
         }
-        // Window side: receipts finishing inside the warm-up are dropped
-        // entirely (submit side included), as in `TimeSeries::from_receipts`.
-        if r.finish_time < self.warmup_us {
+    }
+
+    /// The run's [`Metrics`], measured from the earliest submit to the latest
+    /// finish; all zeros when no receipt arrived.
+    fn finish(self) -> Metrics {
+        let Some((start, end)) = self.span else {
+            return Metrics::default();
+        };
+        let duration_us = end.saturating_sub(start).max(1);
+        Metrics {
+            committed: self.committed,
+            aborts: self.aborts,
+            throughput_tps: self.committed as f64 / (duration_us as f64 / 1e6),
+            latency: self.latency.summary(),
+            phase_means_us: self
+                .phase_sums
+                .into_iter()
+                .map(|(name, (sum, count))| (name, sum / count.max(1) as f64))
+                .collect(),
+            duration_us,
+        }
+    }
+}
+
+/// One window's tallies inside a [`WindowFold`].
+#[derive(Debug, Clone, Default)]
+struct WindowTally<E> {
+    submitted: u64,
+    committed: u64,
+    aborted: u64,
+    latency: E,
+}
+
+/// The window half of a [`ReceiptFold`]: receipts finishing before
+/// `warmup_us` are dropped, submit side included; the rest bucket by finish
+/// time (the offered side by submit time) into windows that appear on
+/// demand, so a gap between finishes stays as an all-zero window.
+#[derive(Debug, Clone)]
+struct WindowFold<E> {
+    window_us: u64,
+    warmup_us: Timestamp,
+    windows: Vec<WindowTally<E>>,
+}
+
+impl<E: LatencyEstimator> WindowFold<E> {
+    fn new(window_us: u64, warmup_us: Timestamp) -> Self {
+        WindowFold {
+            window_us: window_us.max(1),
+            warmup_us,
+            windows: Vec::new(),
+        }
+    }
+
+    fn observe(&mut self, r: &TxnReceipt) {
+        let (width, origin) = (self.window_us, self.warmup_us);
+        if r.finish_time < origin {
             return;
         }
-        let idx = ((r.finish_time - self.warmup_us) / self.window_us) as usize;
-        if idx >= self.windows.len() {
-            self.windows.resize_with(idx + 1, WindowAccum::default);
+        let slot = |t: Timestamp| ((t - origin) / width) as usize;
+        let finish = slot(r.finish_time);
+        // A receipt's submit can land windows before its finish; submits
+        // before the warm-up origin are trimmed like early finishes. The
+        // windows grow to cover both slots, so even a receipt that claims to
+        // finish before its submit buckets rather than panics.
+        let submit = (r.submit_time >= origin).then(|| slot(r.submit_time));
+        let last = submit.map_or(finish, |s| s.max(finish));
+        if last >= self.windows.len() {
+            self.windows.resize_with(last + 1, WindowTally::default);
         }
-        if r.submit_time >= self.warmup_us {
-            let sub = ((r.submit_time - self.warmup_us) / self.window_us) as usize;
-            self.windows[sub].submitted += 1;
+        if let Some(s) = submit {
+            self.windows[s].submitted += 1;
         }
-        let w = &mut self.windows[idx];
+        let w = &mut self.windows[finish];
         match r.status {
             TxnStatus::Committed => {
                 w.committed += 1;
@@ -573,30 +525,9 @@ impl StreamingAggregator {
         }
     }
 
-    /// Close the aggregation: the run [`Metrics`], the [`TimeSeries`] and
-    /// the makespan (latest finish observed, or `fallback_now` when no
-    /// receipt ever arrived).
-    pub fn finish(self, fallback_now: Timestamp) -> (Metrics, TimeSeries, Timestamp) {
-        let (start, end) = self.span.unwrap_or((0, 0));
-        let duration_us = end.saturating_sub(start).max(1);
-        let metrics = if self.span.is_none() {
-            Metrics::default()
-        } else {
-            Metrics {
-                committed: self.committed,
-                aborts: self.aborts,
-                throughput_tps: self.committed as f64 / (duration_us as f64 / 1e6),
-                latency: self.latency.summary(),
-                phase_means_us: self
-                    .phase_sums
-                    .into_iter()
-                    .map(|(name, (sum, count))| (name, sum / count.max(1) as f64))
-                    .collect(),
-                duration_us,
-            }
-        };
-        let window_us = self.window_us;
-        let warmup_us = self.warmup_us;
+    fn finish(self) -> TimeSeries {
+        let (window_us, warmup_us) = (self.window_us, self.warmup_us);
+        let per_second = |n: u64| n as f64 / (window_us as f64 / 1e6);
         let windows = self
             .windows
             .into_iter()
@@ -610,8 +541,8 @@ impl StreamingAggregator {
                     submitted: w.submitted,
                     committed: w.committed,
                     aborted: w.aborted,
-                    offered_tps: w.submitted as f64 / (window_us as f64 / 1e6),
-                    throughput_tps: w.committed as f64 / (window_us as f64 / 1e6),
+                    offered_tps: per_second(w.submitted),
+                    throughput_tps: per_second(w.committed),
                     abort_rate_percent: if finished == 0 {
                         0.0
                     } else {
@@ -621,16 +552,55 @@ impl StreamingAggregator {
                 }
             })
             .collect();
-        let series = TimeSeries {
+        TimeSeries {
             window_us,
             warmup_us,
             windows,
-        };
-        let makespan = match self.span {
-            Some((_, last_finish)) => last_finish,
-            None => fallback_now,
-        };
-        (metrics, series, makespan)
+        }
+    }
+}
+
+/// The one receipt fold behind every [`Metrics`] and [`TimeSeries`]:
+/// receipts fold in one at a time, in any order, and can be dropped
+/// afterwards. The run-level half consumes every receipt (no warm-up
+/// trimming, like [`Metrics::from_receipts`]); the window half drops
+/// receipts finishing before `warmup_us` and buckets by finish time, like
+/// [`TimeSeries::from_receipts`]. `E` summarizes each latency population.
+#[derive(Debug, Clone)]
+pub struct ReceiptFold<E> {
+    run: RunFold<E>,
+    windows: WindowFold<E>,
+}
+
+/// The fold over P² sketches that [`MetricsMode::Streaming`] runs: memory
+/// is O(windows), independent of transaction count.
+pub type StreamingAggregator = ReceiptFold<StreamingLatency>;
+
+impl<E: LatencyEstimator> ReceiptFold<E> {
+    /// A fold bucketing into `window_us`-wide windows (clamped to ≥ 1 µs)
+    /// after `warmup_us` of warm-up trimming.
+    pub fn new(window_us: u64, warmup_us: Timestamp) -> Self {
+        ReceiptFold {
+            run: RunFold::default(),
+            windows: WindowFold::new(window_us, warmup_us),
+        }
+    }
+
+    /// Fold one receipt in; the caller can drop it afterwards.
+    pub fn observe(&mut self, r: &TxnReceipt) {
+        self.run.observe(r);
+        self.windows.observe(r);
+    }
+
+    /// Close the fold: the run [`Metrics`], the [`TimeSeries`] and the
+    /// makespan (latest finish observed, or `fallback_now` when no receipt
+    /// ever arrived).
+    pub fn finish(self, fallback_now: Timestamp) -> (Metrics, TimeSeries, Timestamp) {
+        let makespan = self
+            .run
+            .span
+            .map_or(fallback_now, |(_, last_finish)| last_finish);
+        (self.run.finish(), self.windows.finish(), makespan)
     }
 }
 
@@ -797,12 +767,31 @@ mod tests {
         }
     }
 
+    /// Fold `receipts` in order through one [`ReceiptFold`] over `E`.
+    fn fold_all<E: LatencyEstimator>(
+        receipts: &[TxnReceipt],
+        window_us: u64,
+        warmup_us: Timestamp,
+    ) -> (Metrics, TimeSeries, Timestamp) {
+        let mut fold = ReceiptFold::<E>::new(window_us, warmup_us);
+        receipts.iter().for_each(|r| fold.observe(r));
+        fold.finish(0)
+    }
+
+    /// A committed receipt whose latency splits into two reported phases.
+    fn phased(seq: u64, submit: Timestamp, finish: Timestamp) -> TxnReceipt {
+        let mut receipt = TxnReceipt::committed(id(seq), submit, finish);
+        let latency = finish - submit;
+        receipt.phase_latencies = vec![("execute", latency / 3), ("commit", latency - latency / 3)];
+        receipt
+    }
+
     #[test]
     fn streaming_aggregator_mirrors_the_exact_pipeline() {
         // A mixed run: commits and aborts, latencies spread across windows,
-        // some receipts inside the warm-up. Counts, boundaries, rates and
-        // means must match the exact pipeline exactly; percentiles within
-        // the sketch bounds.
+        // some receipts inside the warm-up. Counts, boundaries, rates,
+        // means and phase means must match the exact pipeline exactly;
+        // percentiles within the sketch bounds.
         let mut r = rng::seeded(rng::derive_seed(0xA66, "aggregator"));
         let receipts: Vec<TxnReceipt> = (0..4_000u64)
             .map(|i| {
@@ -811,17 +800,14 @@ mod tests {
                 if i % 7 == 0 {
                     TxnReceipt::aborted(id(i), AbortReason::Overload, submit, submit + latency)
                 } else {
-                    TxnReceipt::committed(id(i), submit, submit + latency)
+                    phased(i, submit, submit + latency)
                 }
             })
             .collect();
         let (window_us, warmup_us) = (10_000, 5_000);
 
-        let mut agg = StreamingAggregator::new(window_us, warmup_us);
-        for r in &receipts {
-            agg.observe(r);
-        }
-        let (metrics, series, makespan) = agg.finish(0);
+        let (metrics, series, makespan) =
+            fold_all::<StreamingLatency>(&receipts, window_us, warmup_us);
 
         let exact_metrics = Metrics::from_receipts(&receipts);
         let exact_series = TimeSeries::from_receipts(&receipts, window_us, warmup_us);
@@ -829,7 +815,10 @@ mod tests {
         assert_eq!(metrics.aborts, exact_metrics.aborts);
         assert_eq!(metrics.duration_us, exact_metrics.duration_us);
         assert_eq!(metrics.throughput_tps, exact_metrics.throughput_tps);
+        assert_eq!(metrics.latency.mean_us, exact_metrics.latency.mean_us);
         assert_eq!(metrics.latency.max_us, exact_metrics.latency.max_us);
+        assert_eq!(metrics.phase_means_us.len(), 2);
+        assert_eq!(metrics.phase_means_us, exact_metrics.phase_means_us);
         assert!(close(
             metrics.latency.p50_us,
             exact_metrics.latency.p50_us,
@@ -861,6 +850,65 @@ mod tests {
                 w.start_us,
                 w.latency.p50_us,
                 e.latency.p50_us
+            );
+        }
+    }
+
+    #[test]
+    fn estimators_agree_exactly_on_populations_of_at_most_five() {
+        // P² holds its first five samples exactly, so on a stream whose run
+        // and every window commit at most five transactions the two
+        // estimators must produce equal `Metrics` and `TimeSeries` — every
+        // percentile, mean and phase mean included. The stream covers every
+        // bucketing edge: aborts, finishes inside the warm-up, a submit
+        // before the warm-up origin, and an empty gap window.
+        let (window_us, warmup_us) = (1_000, 2_000);
+        for case in 0..16u64 {
+            let mut r = rng::seeded(rng::derive_seed(0x5A11, &format!("tiny{case}")));
+            let mut at = |lo: u64, hi: u64| r.gen_range(lo..hi);
+            let receipts = vec![
+                // Both finish inside the warm-up: run level only.
+                TxnReceipt::aborted(id(0), AbortReason::Overload, at(0, 500), at(500, 2_000)),
+                phased(1, at(0, 500), at(1_000, 2_000)),
+                // Submitted before the warm-up origin, finished in window 0.
+                phased(2, at(1_000, 2_000), at(2_000, 3_000)),
+                phased(3, at(2_000, 2_500), at(2_500, 3_000)),
+                TxnReceipt::aborted(
+                    id(4),
+                    AbortReason::ReadWriteConflict,
+                    at(2_000, 2_500),
+                    at(2_500, 3_000),
+                ),
+                // Window 1 (3000–4000 µs) stays empty.
+                phased(5, at(4_000, 4_400), at(4_400, 5_000)),
+                TxnReceipt::aborted(
+                    id(6),
+                    AbortReason::Overload,
+                    at(4_000, 4_400),
+                    at(4_400, 5_000),
+                ),
+                phased(7, at(4_500, 5_000), at(5_000, 6_000)),
+            ];
+            let exact = fold_all::<ExactLatency>(&receipts, window_us, warmup_us);
+            assert_eq!(
+                fold_all::<StreamingLatency>(&receipts, window_us, warmup_us),
+                exact,
+                "case {case}"
+            );
+            // The wrappers are the same fold.
+            assert_eq!(exact.0, Metrics::from_receipts(&receipts));
+            assert_eq!(
+                exact.1,
+                TimeSeries::from_receipts(&receipts, window_us, warmup_us)
+            );
+            // The stream has the shape it claims.
+            let (metrics, series, _) = exact;
+            assert_eq!((metrics.committed, metrics.aborted()), (5, 3));
+            assert_eq!(metrics.phase_means_us.len(), 2);
+            let tally = |w: &TimeWindow| (w.submitted, w.committed, w.aborted);
+            assert_eq!(
+                series.windows.iter().map(tally).collect::<Vec<_>>(),
+                vec![(2, 2, 1), (0, 0, 0), (3, 1, 1), (0, 1, 0)]
             );
         }
     }

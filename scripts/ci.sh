@@ -145,6 +145,18 @@ if grep -q '"failures":\[{' /tmp/ci_scale_a.json; then
     exit 1
 fi
 
+echo "==> repro --metrics streaming closed01 (estimator override, --jobs 1 vs --jobs $JOBS)"
+# An Exact-mode experiment forced onto the P² estimator: seeded output must
+# not depend on the worker count, and no probe may fail.
+cargo run -p dichotomy-bench --release --bin repro -- \
+    --quick --seed 7 --jobs 1 --no-cache --metrics streaming \
+    --json /tmp/ci_metrics_a.json closed01 > /dev/null
+cargo run -p dichotomy-bench --release --bin repro -- \
+    --quick --seed 7 --jobs "$JOBS" --no-cache --metrics streaming \
+    --json /tmp/ci_metrics_b.json closed01 > /dev/null
+cmp /tmp/ci_metrics_a.json /tmp/ci_metrics_b.json
+grep -qF '"failures":[]' /tmp/ci_metrics_a.json
+
 echo "==> repro chaos01 --quick (chaos grid: fault injection x invariant oracles)"
 # The full model grid through the declarative fault schedules, on the shared
 # worker pool: the seeded JSON must be byte-identical whatever the worker
