@@ -80,6 +80,10 @@ fn bench_batched_ops<S, R>(
     let mut total = Duration::ZERO;
     for _ in 0..iters {
         let state = setup();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a wall-clock microbenchmark; its timings are printed, never simulated"
+        )]
         let start = Instant::now();
         let result = routine(state);
         total += start.elapsed();

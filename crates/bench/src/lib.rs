@@ -273,10 +273,10 @@ mod tests {
         // if this ever fails the dedup layer has nothing to dedup and the
         // `dedup_saved_ms` accounting is vacuous.
         use dichotomy_core::scenario::probe_key_bytes;
-        use std::collections::HashSet;
+        use std::collections::BTreeSet;
         let opts = RunOptions::quick();
         let mut total = 0usize;
-        let mut distinct: HashSet<Vec<u8>> = HashSet::new();
+        let mut distinct: BTreeSet<Vec<u8>> = BTreeSet::new();
         for id in EXPERIMENTS {
             let plan = plan_for(id, &opts).expect("known experiment");
             if *id == "tab02" {

@@ -1,14 +1,12 @@
-//! Shared diagnostic model for the two static-analysis layers.
+//! Diagnostic model of the semantic plan linter (`repro lint`, codes `S0xx`).
 //!
-//! Both the source auditor (`dichotomy-lint`, codes `D0xx`) and the semantic
-//! plan linter (`repro lint`, codes `S0xx`) emit the same [`Diagnostic`]
-//! shape so one renderer serves the human report, the `--json` document, and
-//! the exit-code policy (any [`Severity::Deny`] finding fails the run).
+//! One [`Diagnostic`] shape serves the human report, the `--json` document,
+//! and the exit-code policy (any [`Severity::Deny`] finding fails the run).
 //!
 //! The model lives in `dichotomy-common` because it is shared across crate
 //! layers: `dichotomy-simnet` produces fault-schedule diagnostics during
 //! `FaultPlan::validate`, `dichotomy-core` attaches plan loci during scenario
-//! expansion, and the `dichotomy-lint` / `repro` binaries render them.
+//! expansion, and the `repro` binary renders them.
 
 use std::fmt;
 
@@ -41,16 +39,14 @@ impl fmt::Display for Severity {
     }
 }
 
-/// Where a finding anchors: a source position (layer 1), a plan position
-/// (layer 2), or nowhere in particular (produced before the locus is known —
-/// e.g. inside `FaultPlan::validate`, which cannot see the experiment it
-/// belongs to; the caller fills the locus in via [`Diagnostic::at_plan`]).
+/// Where a finding anchors: a plan position, or nowhere in particular
+/// (produced before the locus is known — e.g. inside `FaultPlan::validate`,
+/// which cannot see the experiment it belongs to; the caller fills the locus
+/// in via [`Diagnostic::at_plan`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Locus {
     /// No anchor (yet).
     None,
-    /// A file/line position in the workspace source tree.
-    Source { file: String, line: u32 },
     /// A position inside an expanded experiment plan. Empty strings mean
     /// "not applicable" (e.g. a plan-wide finding has no row or probe).
     Plan {
@@ -60,10 +56,10 @@ pub enum Locus {
     },
 }
 
-/// One finding from either analysis layer.
+/// One plan-linter finding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
-    /// Stable code, `D0xx` (source auditor) or `S0xx` (plan linter).
+    /// Stable code, `S0xx`.
     pub code: &'static str,
     /// Severity; [`Severity::Deny`] findings fail the linting command.
     pub severity: Severity,
@@ -85,15 +81,6 @@ impl Diagnostic {
             message: message.into(),
             help: None,
         }
-    }
-
-    /// Attach a source locus.
-    pub fn at_source(mut self, file: impl Into<String>, line: u32) -> Self {
-        self.locus = Locus::Source {
-            file: file.into(),
-            line,
-        };
-        self
     }
 
     /// Attach a plan locus. Pass `""` for fields that do not apply.
@@ -136,20 +123,16 @@ impl Diagnostic {
                     probe: String::new(),
                 };
             }
-            Locus::Source { .. } => {}
         }
         self
     }
 
     /// One-line human rendering:
-    /// `deny[D003] crates/foo/src/bar.rs:12: message (help: ...)`.
+    /// `warn[S001] fault01 / row 'crash' / probe 'etcd': message (help: ...)`.
     pub fn render(&self) -> String {
         let mut out = format!("{}[{}]", self.severity, self.code);
         match &self.locus {
             Locus::None => {}
-            Locus::Source { file, line } => {
-                out.push_str(&format!(" {file}:{line}"));
-            }
             Locus::Plan {
                 experiment,
                 row,
@@ -180,9 +163,6 @@ impl Diagnostic {
         out.push_str(&format!(",\"severity\":\"{}\"", self.severity));
         match &self.locus {
             Locus::None => {}
-            Locus::Source { file, line } => {
-                out.push_str(&format!(",\"file\":{},\"line\":{line}", json_string(file)));
-            }
             Locus::Plan {
                 experiment,
                 row,
@@ -212,7 +192,7 @@ pub fn to_json_array(diags: &[Diagnostic]) -> String {
     format!("[{}]", items.join(","))
 }
 
-/// True if any finding is deny-level (the exit-1 policy for both linters).
+/// True if any finding is deny-level (the exit-1 policy).
 pub fn has_deny(diags: &[Diagnostic]) -> bool {
     diags.iter().any(|d| d.severity == Severity::Deny)
 }
@@ -247,18 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn render_source_locus() {
-        let d = Diagnostic::new("D003", Severity::Deny, "`HashMap` iterates in random order")
-            .at_source("crates/foo/src/bar.rs", 12)
-            .with_help("use BTreeMap");
-        assert_eq!(
-            d.render(),
-            "deny[D003] crates/foo/src/bar.rs:12: `HashMap` iterates in random order \
-             (help: use BTreeMap)"
-        );
-    }
-
-    #[test]
     fn render_plan_locus() {
         let d = Diagnostic::new("S001", Severity::Warn, "fault past horizon")
             .at_plan("fault01", "crash", "etcd");
@@ -290,8 +258,8 @@ mod tests {
     #[test]
     fn has_deny_policy() {
         let warn = Diagnostic::new("S001", Severity::Warn, "w");
-        let deny = Diagnostic::new("D003", Severity::Deny, "d");
-        assert!(!has_deny(&[warn.clone()]));
+        let deny = Diagnostic::new("S008", Severity::Deny, "d");
+        assert!(!has_deny(std::slice::from_ref(&warn)));
         assert!(has_deny(&[warn, deny]));
     }
 }

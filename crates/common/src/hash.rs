@@ -283,7 +283,10 @@ fn compress_blocks_scalar(state: &mut [u32; 8], blocks: &[u8]) {
 /// contains `unsafe`: the instructions exist only as `core::arch` intrinsics
 /// behind `#[target_feature]`.
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
+#[expect(
+    unsafe_code,
+    reason = "SHA-NI is reachable only through `core::arch` intrinsics behind `#[target_feature]`"
+)]
 mod sha_ni {
     use super::K;
     use std::arch::x86_64::*;

@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn encoded_payload_accounting_matches_the_codec() {
         use crate::types::Value;
-        let values = vec![Value::filler(10), Value::filler(100)];
+        let values = [Value::filler(10), Value::filler(100)];
         // Each Value encodes as a 4-byte length prefix plus its payload.
         assert_eq!(encoded_bytes(values.iter()), (4 + 10) + (4 + 100));
         let b = StorageBreakdown::of_payload(values.iter());

@@ -130,7 +130,10 @@ impl Key {
 
     /// Construct a key from a UTF-8 string slice. Unlike `FromStr` this is
     /// infallible, hence the inherent method.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "infallible, so `FromStr` and its `Result` would only add an unwrap"
+    )]
     pub fn from_str(s: &str) -> Self {
         Key::new(s)
     }

@@ -24,7 +24,10 @@
 //! `repro --json`.
 
 use dichotomy_common::{codec, TxnId, TxnReceipt};
-// lint: allow(D003) -- membership-only dedup set on the 1M-receipt hot path; iteration order never observed
+#[expect(
+    clippy::disallowed_types,
+    reason = "membership-only dedup set on the 1M-receipt hot path; iteration order never observed"
+)]
 use std::collections::HashSet;
 
 /// End-of-run facts the driver hands every oracle.
@@ -181,7 +184,10 @@ impl InvariantOracle for ReceiptConservation {
 /// `no-duplicate-receipt`: no transaction id receipted twice.
 #[derive(Default)]
 struct NoDuplicateReceipt {
-    // lint: allow(D003) -- contains-then-insert only; nothing iterates it
+    #[expect(
+        clippy::disallowed_types,
+        reason = "contains-then-insert only; nothing iterates it"
+    )]
     seen: HashSet<TxnId>,
     first_duplicate: Option<TxnId>,
 }

@@ -1,4 +1,5 @@
-//! Layer 2 of the static-analysis pair: the **semantic plan linter**.
+//! The **semantic plan linter**. (Source-level determinism rules are
+//! clippy's: `clippy.toml` and `[workspace.lints]` at the workspace root.)
 //!
 //! `repro lint [ids…]` expands every experiment to its
 //! [`ExperimentPlan`](crate::ExperimentPlan) *without executing a single
@@ -7,8 +8,7 @@
 //! [`Scenario`](crate::Scenario) spec is declarative enough that a whole
 //! class of misconfigurations is decidable before any simulation runs.
 //!
-//! Codes (`S0xx`, shared [`Diagnostic`] model with the `D0xx` source
-//! auditor in `dichotomy-lint`):
+//! Codes (`S0xx`, in the [`Diagnostic`] model of `dichotomy-common`):
 //!
 //! | code | severity | finding |
 //! |------|----------|---------|

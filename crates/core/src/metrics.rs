@@ -173,9 +173,10 @@ impl P2Quantile {
         // break monotonicity).
         let dn = [0.0, self.q / 2.0, self.q, (1.0 + self.q) / 2.0, 1.0];
         let n = (self.count - 1) as f64;
-        // Indexing i-1/i/i+1 across three parallel arrays: a range loop
-        // reads better than zipped iterators here.
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "indexes i-1/i/i+1 across three parallel arrays; zipped iterators read worse"
+        )]
         for i in 1..4 {
             let desired = 1.0 + n * dn[i];
             let d = desired - self.positions[i];

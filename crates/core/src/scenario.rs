@@ -109,10 +109,12 @@ impl ColumnSpec {
     }
 }
 
-/// One measurement a plan schedules. (`Drive` dominates the size — that is
-/// fine, probes are plan data constructed once per cell, not a hot type.)
+/// One measurement a plan schedules.
 #[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "`Drive` dominates the size, but probes are plan data built once per cell, not a hot type"
+)]
 pub enum Probe {
     /// Build the system, build the workload, drive it, read metrics and the
     /// storage footprint.
@@ -1093,7 +1095,11 @@ pub fn run_plans_with(
                     };
                 }
             }
-            // lint: allow(D004) -- wall-clock probe timing for the stderr summary and the benchmark/ harness; never enters a report or a cache key
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock probe timing for the stderr summary and the benchmark/ \
+                          harness; never enters a report or a cache key"
+            )]
             let started = std::time::Instant::now();
             let observed = catch_unwind(AssertUnwindSafe(|| {
                 observe(probe_of(item), registry, group, share)
@@ -1889,7 +1895,7 @@ mod tests {
     /// binary codec — the same serialization path the on-disk cache uses.
     #[derive(Default)]
     struct MemCache {
-        map: Mutex<std::collections::HashMap<Vec<u8>, Vec<u8>>>,
+        map: Mutex<std::collections::BTreeMap<Vec<u8>, Vec<u8>>>,
     }
 
     impl ProbeCache for MemCache {

@@ -294,7 +294,10 @@ pub fn enumerate(spec: &ExploreSpec) -> Result<Enumeration, EnumerateError> {
     })
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one parameter per design-space axis of a grid point"
+)]
 fn candidate(
     spec: &ExploreSpec,
     kind: SystemKind,

@@ -21,7 +21,10 @@
 //! the difference can be quantified in an ablation.
 
 use std::collections::hash_map::Entry;
-// lint: allow(D003) -- hash-addressed node store on the insert hot path; all iterations fold order-insensitive sums
+#[expect(
+    clippy::disallowed_types,
+    reason = "hash-addressed node store on the insert hot path; all iterations fold order-insensitive sums"
+)]
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::Arc;
@@ -235,7 +238,10 @@ impl std::hash::Hasher for DigestPrefix {
 }
 
 /// Hash-addressed nodes (the LevelDB role), each stored once.
-// lint: allow(D003) -- keyed by content hash; iterated only for retain and order-insensitive merges
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed by content hash; iterated only for retain and order-insensitive merges"
+)]
 type NodeMap = HashMap<Hash, Arc<Node>, BuildHasherDefault<DigestPrefix>>;
 
 /// A node store with its running footprint: what [`MerklePatriciaTrie`]
@@ -655,7 +661,10 @@ impl MerklePatriciaTrie {
     /// fork, is left untouched.
     pub fn prune(&mut self) -> usize {
         self.materialise();
-        // lint: allow(D003) -- reachability membership set; order never observed
+        #[expect(
+            clippy::disallowed_types,
+            reason = "reachability membership set; order never observed"
+        )]
         let mut reachable = std::collections::HashSet::new();
         if let Some(root) = self.root {
             let mut stack = vec![root];

@@ -7,7 +7,7 @@
 //! external dependencies and every failure is reproducible from the case
 //! seed printed in the assertion message.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use dichotomy_common::rng::{derive_seed, seeded, Rng, StdRng};
 use dichotomy_common::size::StorageFootprint;
@@ -71,7 +71,7 @@ fn mpt_matches_reference_map() {
     for_each_case("mpt-reference", |seed, rng| {
         let writes = arb_kv(rng);
         let mut trie = MerklePatriciaTrie::new();
-        let mut reference: HashMap<u16, u8> = HashMap::new();
+        let mut reference: BTreeMap<u16, u8> = BTreeMap::new();
         for (k, len) in writes {
             trie.insert(&key_of(k), &Value::filler(len as usize));
             reference.insert(k, len);
@@ -94,7 +94,7 @@ fn mpt_root_depends_only_on_content() {
         // with intermediate overwrites) must give the same root (the root
         // never depends on history).
         let writes = arb_kv(rng);
-        let mut final_content: HashMap<u16, u8> = HashMap::new();
+        let mut final_content: BTreeMap<u16, u8> = BTreeMap::new();
         for (k, len) in &writes {
             final_content.insert(*k, *len);
         }
@@ -103,9 +103,7 @@ fn mpt_root_depends_only_on_content() {
             a.insert(&key_of(*k), &Value::filler(*len as usize));
         }
         let mut b = MerklePatriciaTrie::new();
-        let mut items: Vec<_> = final_content.iter().collect();
-        items.sort();
-        for (k, len) in items {
+        for (k, len) in &final_content {
             b.insert(&key_of(*k), &Value::filler(*len as usize));
         }
         assert_eq!(a.root_hash(), b.root_hash(), "seed {seed}");
@@ -117,7 +115,7 @@ fn mpt_proofs_verify_for_every_key() {
     for_each_case("mpt-proofs", |seed, rng| {
         let writes = arb_kv(rng);
         let mut trie = MerklePatriciaTrie::new();
-        let mut reference: HashMap<u16, u8> = HashMap::new();
+        let mut reference: BTreeMap<u16, u8> = BTreeMap::new();
         for (k, len) in writes {
             trie.insert(&key_of(k), &Value::filler(len as usize));
             reference.insert(k, len);
@@ -142,7 +140,7 @@ fn mbt_authenticates_exactly_the_written_values() {
     for_each_case("mbt-authenticate", |seed, rng| {
         let writes = arb_kv(rng);
         let mut mbt = MerkleBucketTree::new(128, 4);
-        let mut reference: HashMap<u16, u8> = HashMap::new();
+        let mut reference: BTreeMap<u16, u8> = BTreeMap::new();
         for (k, len) in writes {
             mbt.put(&key_of(k), &Value::filler(len as usize));
             reference.insert(k, len);

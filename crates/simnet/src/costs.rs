@@ -250,8 +250,8 @@ mod tests {
         // is the record value.
         let small = c.adr_update_us(9, 10);
         let large = c.adr_update_us(9, 5000);
-        assert!(small >= 40 && small <= 120, "small {small}");
-        assert!(large >= 1_800 && large <= 3_500, "large {large}");
+        assert!((40..=120).contains(&small), "small {small}");
+        assert!((1_800..=3_500).contains(&large), "large {large}");
         assert!(large > small * 15);
     }
 

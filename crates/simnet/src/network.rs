@@ -188,7 +188,7 @@ mod tests {
     fn small_message_delay_is_about_base_latency() {
         let mut n = net();
         let d = n.delay(NodeId(0), NodeId(1), 100, 0).unwrap();
-        assert!(d >= 250 && d <= 250 + 50 + 1, "delay {d}");
+        assert!((250..=250 + 50 + 1).contains(&d), "delay {d}");
     }
 
     #[test]

@@ -118,7 +118,6 @@ impl KvEngine for SkipList {
         }
         let new_idx = self.nodes.len();
         let mut forward = vec![NIL; lvl];
-        #[allow(clippy::needless_range_loop)]
         for l in 0..lvl {
             let pred = if update[l] == 0 && l >= self.level {
                 0

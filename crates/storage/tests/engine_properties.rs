@@ -36,7 +36,7 @@ fn run_against_reference(engine: &mut dyn KvEngine, ops: &[(u8, u16, u16)], seed
     for &(op, kn, vn) in ops {
         let key = Key::from_str(&format!("key{:05}", kn % 300));
         match op % 4 {
-            0 | 1 | 2 => {
+            0..=2 => {
                 let value = Value::filler((vn % 128) as usize + 1);
                 reference.insert(key.clone(), value.clone());
                 engine.put(key, value);

@@ -548,7 +548,6 @@ impl TimedCutter {
 
     /// Add a transaction at `at`, arming the timeout timer when this opens a
     /// new block. Returns the cut batch if this arrival closed one.
-    #[allow(clippy::type_complexity)]
     pub fn add(
         &mut self,
         txn: Transaction,
@@ -572,7 +571,6 @@ impl TimedCutter {
 
     /// A timer stage event fired with `token`: cut the open block if the
     /// timer is current (stale epochs no-op).
-    #[allow(clippy::type_complexity)]
     pub fn on_timer(
         &mut self,
         token: u64,
@@ -590,7 +588,6 @@ impl TimedCutter {
 
     /// Cut whatever is pending (drain hook). With timers armed for every
     /// open block this is normally empty by the time the queue runs dry.
-    #[allow(clippy::type_complexity)]
     pub fn flush(&mut self, now: Timestamp) -> Option<(Vec<(Transaction, Timestamp)>, Timestamp)> {
         let cut = self.cutter.cut(now);
         if cut.is_some() {

@@ -94,7 +94,10 @@ struct ShardedDb {
 }
 
 impl ShardedDb {
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "private core of three models' constructors, each unpacking its own config into it"
+    )]
     fn new(
         shards: u32,
         protocol: ProtocolKind,

@@ -236,7 +236,7 @@ mod tests {
             if t.is_read_only() {
                 read_only += 1;
             }
-            let customers: std::collections::HashSet<String> = t
+            let customers: std::collections::BTreeSet<String> = t
                 .ops
                 .iter()
                 .map(|o| o.key.to_string()[4..].to_string())
@@ -256,7 +256,7 @@ mod tests {
             zipf_theta: 1.0,
             ..SmallbankConfig::default()
         });
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for seq in 0..2000 {
             let t = w.next_transaction(ClientId(1), seq);
             for op in &t.ops {

@@ -332,7 +332,7 @@ mod tests {
             record_count: 10_000,
             ..YcsbConfig::skewed_modify(0.99)
         });
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for seq in 0..2000 {
             let t = w.next_transaction(ClientId(1), seq);
             *counts.entry(t.ops[0].key.clone()).or_insert(0u32) += 1;

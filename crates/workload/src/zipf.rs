@@ -66,7 +66,10 @@ impl ZipfianGenerator {
 
     /// Draw the next key index in `0..n`. Index 0 is the hottest key. (Not
     /// an `Iterator`: the stream is infinite and infallible.)
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "an infinite, infallible stream: `Iterator::next` would wrap every draw in `Some`"
+    )]
     pub fn next(&mut self) -> u64 {
         if self.theta < 1e-6 {
             return self.rng.gen_range(0..self.n);

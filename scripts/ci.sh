@@ -14,8 +14,10 @@ TREE_BEFORE="$(tree_state)"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# Tests and examples too: clippy.toml's determinism rules and the
+# reason-carrying `#[expect]` discipline have no test exemption.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release
@@ -34,28 +36,38 @@ echo "==> cargo test --release -p dichotomy-core ledger (arrival-timestamp bitma
 # Timestamp::MAX: overflow panics in the debug run above and would wrap here.
 cargo test -q --release -p dichotomy-core ledger
 
-echo "==> dichotomy-lint (determinism source auditor)"
-# The workspace must be clean: zero findings of any severity. Allowed uses
-# carry `// lint: allow(CODE) -- reason` annotations in place.
-LINT_BIN=target/release/dichotomy-lint
-"$LINT_BIN" --json /tmp/ci_lint.json crates
-grep -q '"generator":"dichotomy-lint"' /tmp/ci_lint.json
-grep -q '"findings":0' /tmp/ci_lint.json
-# Negative check: the stage must be *able* to fail. Linting a violating
-# fixture (explicit file paths bypass the tests/fixtures skip list) must
-# exit nonzero with a deny finding. (`! cmd` is exempt from `set -e`, so
-# test the exit status explicitly.)
-if "$LINT_BIN" --json /tmp/ci_lint_neg.json \
-    crates/lint/tests/fixtures/d003_hashmap.rs > /dev/null; then
-    echo "ci.sh: dichotomy-lint passed a HashMap-iterating fixture" >&2
+echo "==> clippy.toml negative check (a throwaway crate outside the checkout)"
+# The determinism rules must be *able* to fail: a crate that returns a
+# HashMap and reads the wall clock, linted under this checkout's clippy.toml,
+# must be refused for both. (`! cmd` is exempt from `set -e`, so test the
+# exit status explicitly.)
+NEG_DIR="$(mktemp -d)"
+trap 'rm -rf "$NEG_DIR"' EXIT
+mkdir "$NEG_DIR/src"
+cat > "$NEG_DIR/Cargo.toml" <<'TOML'
+[package]
+name = "determinism-negative-check"
+version = "0.0.0"
+edition = "2021"
+
+[workspace]
+TOML
+cat > "$NEG_DIR/src/lib.rs" <<'RUST'
+pub fn order() -> std::collections::HashMap<u32, u32> {
+    Default::default()
+}
+
+pub fn clock() -> std::time::Instant {
+    std::time::Instant::now()
+}
+RUST
+if CLIPPY_CONF_DIR="$PWD" cargo clippy --offline --quiet \
+    --manifest-path "$NEG_DIR/Cargo.toml" -- -D warnings 2> "$NEG_DIR/clippy.err"; then
+    echo "ci.sh: clippy passed a HashMap and Instant::now() under clippy.toml" >&2
     exit 1
 fi
-grep -q '"code":"D003"' /tmp/ci_lint_neg.json
-grep -q '"severity":"deny"' /tmp/ci_lint_neg.json
-# The explorer crate on its own: no deny-level determinism hazards in the
-# 15th crate (it feeds the shared probe cache, so the D0xx rules bite).
-"$LINT_BIN" --json /tmp/ci_lint_explore.json crates/explore
-grep -q '"deny":0' /tmp/ci_lint_explore.json
+grep -q 'disallowed type' "$NEG_DIR/clippy.err"
+grep -q 'disallowed method' "$NEG_DIR/clippy.err"
 
 echo "==> repro lint (semantic plan linter over all experiments)"
 # Every experiment expands clean: no deny-level plan diagnostics. The only
