@@ -1,12 +1,10 @@
 //! The benchmark harness crate.
 //!
 //! * `cargo run -p dichotomy-bench --release --bin repro -- <experiment>`
-//!   regenerates a single table/figure (`fig04` … `fig15`, `tab02`, `tab04`,
-//!   `tab05`), the fault scenario (`fault01`), or `all` of them, printing
-//!   the same rows the paper reports.
-//!   `--list` enumerates the experiments, `--txns`/`--seed` rescale and
-//!   reseed the runs, and `--json PATH` writes every report as a
-//!   machine-readable document (see [`json`]).
+//!   runs one experiment, or `all` of them ([`EXPERIMENTS`]; `repro --list`
+//!   prints each with its title), printing the same rows the paper reports.
+//!   `--txns`/`--seed` rescale and reseed the runs, and `--json PATH` writes
+//!   every report as a machine-readable document (see [`json`]).
 //! * `cargo run -p dichotomy-bench --release --bin microbench` runs the
 //!   dependency-free microbenchmarks over the substrates (hashing, MPT/MBT
 //!   updates, OCC validation, consensus profiles).

@@ -1,4 +1,4 @@
-//! A from-scratch SHA-256 implementation and the 32-byte [`Hash`] digest type.
+//! A from-scratch SHA-256 implementation and the 32-byte [`Hash`](struct@Hash) digest type.
 //!
 //! The paper's storage experiments (Figures 11–13) depend on *real* hashing:
 //! the Merkle Patricia Trie and Merkle Bucket Tree derive node identities from

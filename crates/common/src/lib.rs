@@ -5,7 +5,7 @@
 //! merkle, ledger, ...) and the system models (Quorum, Fabric, TiDB, etcd,
 //! ...) share:
 //!
-//! * [`Hash`] and a from-scratch [`sha256`](hash::sha256) implementation used
+//! * [`Hash`](struct@Hash) and a from-scratch [`sha256`] implementation used
 //!   for ledger chaining and authenticated data structures,
 //! * deterministic, model-level digital [`signatures`](crypto) whose
 //!   verification cost is charged by the simulator,

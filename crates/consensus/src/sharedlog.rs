@@ -113,11 +113,6 @@ impl SharedLog {
         self.records.iter().map(|r| r.bytes as u64).sum()
     }
 
-    /// The broker pipe's busy time, for utilization accounting.
-    pub fn broker_busy_us(&self) -> u64 {
-        self.ingest.busy_us()
-    }
-
     /// Maximum sustainable append throughput in batches/second for a given
     /// batch size — the quantity that stays constant as consumers are added.
     pub fn max_append_rate_per_s(&self, batch_bytes: usize) -> f64 {

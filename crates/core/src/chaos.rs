@@ -108,11 +108,6 @@ impl OracleSet {
         }
     }
 
-    /// A custom battery.
-    pub fn with_oracles(oracles: Vec<Box<dyn InvariantOracle>>) -> Self {
-        OracleSet { oracles }
-    }
-
     /// Whether the set holds no oracles.
     pub fn is_empty(&self) -> bool {
         self.oracles.is_empty()

@@ -1,14 +1,12 @@
 //! One plan constructor per table/figure of the paper's evaluation
 //! (Section 5).
 //!
-//! Every experiment is now *data*: a `figNN_plan`/`tabNN_plan` function
-//! assembles an [`ExperimentPlan`] — systems described by
-//! [`SystemSpec`](dichotomy_systems::SystemSpec), workloads by
-//! [`WorkloadSpec`], sweeps by [`Sweep`](crate::scenario::Sweep) — and the
-//! one generic engine, [`run_plan`], executes it. The historical
-//! `figNN_*`/`tabNN_*` entry points remain as thin wrappers that expand and
-//! run the plan at the workspace default seed, returning the same
-//! [`ExperimentReport`] rows (ids, labels and column names unchanged).
+//! Every experiment is *data*: a `figNN_plan`/`tabNN_plan` function
+//! assembles an [`ExperimentPlan`] — systems described by [`SystemSpec`],
+//! workloads by [`WorkloadSpec`], sweeps by [`Sweep`] — and the one generic
+//! engine, [`run_plan`](crate::scenario::run_plan), executes it into an
+//! [`ExperimentReport`]. The plans are the only entry point: `repro`, the
+//! explorer and the benchmark harness all build a plan and run it.
 //!
 //! **Scale note.** The paper populates 100 K–1 M records and drives the
 //! systems from a 96-node cluster for minutes. The plans here are
@@ -18,7 +16,6 @@
 
 use std::fmt::Write as _;
 
-use dichotomy_common::rng::DEFAULT_SEED;
 use dichotomy_common::{codec, AbortReason, NodeId};
 use dichotomy_consensus::ProtocolKind;
 use dichotomy_hybrid::{all_systems, SystemCategory};
@@ -29,8 +26,7 @@ use dichotomy_workload::{SmallbankConfig, WorkloadSpec, YcsbConfig, YcsbMix};
 use crate::driver::{ArrivalSpec, DriverConfig};
 use crate::metrics::MetricsMode;
 use crate::scenario::{
-    run_plan, ColumnSpec, ExperimentPlan, Metric, PlannedRow, PlannedRun, Probe, Scenario, Sweep,
-    SystemEntry,
+    ColumnSpec, ExperimentPlan, Metric, PlannedRow, PlannedRun, Probe, Scenario, Sweep, SystemEntry,
 };
 
 /// One labelled row of numbers.
@@ -232,11 +228,6 @@ pub fn fig04_plan(txns: u64, seed: u64) -> ExperimentPlan {
     }
 }
 
-/// Figure 4: YCSB peak throughput for the five systems.
-pub fn fig04_peak_throughput(txns: u64) -> ExperimentReport {
-    run_plan(&fig04_plan(txns, DEFAULT_SEED))
-}
-
 /// Figure 5 plan: unsaturated YCSB latency (update and query) for the five
 /// systems.
 pub fn fig05_plan(txns: u64, seed: u64) -> ExperimentPlan {
@@ -271,11 +262,6 @@ pub fn fig05_plan(txns: u64, seed: u64) -> ExperimentPlan {
     }
 }
 
-/// Figure 5: unsaturated YCSB latency for the five systems.
-pub fn fig05_latency(txns: u64) -> ExperimentReport {
-    run_plan(&fig05_plan(txns, DEFAULT_SEED))
-}
-
 /// Figure 6 plan: Smallbank throughput under a skewed workload (θ = 1), for
 /// Fabric, Quorum and TiDB (etcd has no transactional support).
 pub fn fig06_plan(txns: u64, seed: u64) -> ExperimentPlan {
@@ -304,11 +290,6 @@ pub fn fig06_plan(txns: u64, seed: u64) -> ExperimentPlan {
         seed,
     };
     scenario.plan()
-}
-
-/// Figure 6: Smallbank throughput, skewed.
-pub fn fig06_smallbank(txns: u64) -> ExperimentReport {
-    run_plan(&fig06_plan(txns, DEFAULT_SEED))
 }
 
 /// Figure 7 plan: Quorum throughput with Raft (CFT) vs IBFT (BFT) as the
@@ -342,11 +323,6 @@ pub fn fig07_plan(txns: u64, seed: u64) -> ExperimentPlan {
         text: None,
         diagnostics: Vec::new(),
     }
-}
-
-/// Figure 7: Quorum CFT vs BFT throughput.
-pub fn fig07_cft_vs_bft(txns: u64) -> ExperimentReport {
-    run_plan(&fig07_plan(txns, DEFAULT_SEED))
 }
 
 /// Figure 8 plan: latency breakdown. (a) Fabric execute/order/validate,
@@ -451,11 +427,6 @@ pub fn fig08_plan(txns: u64, seed: u64) -> ExperimentPlan {
     }
 }
 
-/// Figure 8: latency breakdown.
-pub fn fig08_latency_breakdown(txns: u64) -> ExperimentReport {
-    run_plan(&fig08_plan(txns, DEFAULT_SEED))
-}
-
 /// The four systems of the parameter sweeps (Figures 9–11, Table 4).
 const SWEEP_FOUR: [SystemKind; 4] = [
     SystemKind::Fabric,
@@ -494,11 +465,6 @@ pub fn fig09_plan(txns: u64, thetas: &[f64], seed: u64) -> ExperimentPlan {
         seed,
     };
     scenario.plan()
-}
-
-/// Figure 9: skew sweep.
-pub fn fig09_skew(txns: u64, thetas: &[f64]) -> ExperimentReport {
-    run_plan(&fig09_plan(txns, thetas, DEFAULT_SEED))
 }
 
 /// Figure 10 plan: throughput and abort rate vs operations per transaction
@@ -543,11 +509,6 @@ pub fn fig10_plan(txns: u64, op_counts: &[usize], seed: u64) -> ExperimentPlan {
     scenario.plan()
 }
 
-/// Figure 10: operations-per-transaction sweep.
-pub fn fig10_opcount(txns: u64, op_counts: &[usize]) -> ExperimentReport {
-    run_plan(&fig10_plan(txns, op_counts, DEFAULT_SEED))
-}
-
 /// Figure 11 plan: throughput (and Quorum latency breakdown) vs record size
 /// under the uniform update workload.
 pub fn fig11_plan(txns: u64, sizes: &[usize], seed: u64) -> ExperimentPlan {
@@ -576,11 +537,6 @@ pub fn fig11_plan(txns: u64, sizes: &[usize], seed: u64) -> ExperimentPlan {
         seed,
     };
     scenario.plan()
-}
-
-/// Figure 11: record-size sweep.
-pub fn fig11_record_size(txns: u64, sizes: &[usize]) -> ExperimentReport {
-    run_plan(&fig11_plan(txns, sizes, DEFAULT_SEED))
 }
 
 /// Figure 12 plan: storage cost per record (Fabric state + block storage vs
@@ -647,11 +603,6 @@ pub fn fig12_plan(records: u64, sizes: &[usize], seed: u64) -> ExperimentPlan {
     }
 }
 
-/// Figure 12: storage cost per record.
-pub fn fig12_storage(records: u64, sizes: &[usize]) -> ExperimentReport {
-    run_plan(&fig12_plan(records, sizes, DEFAULT_SEED))
-}
-
 /// Figure 13 plan: per-record storage cost of the two authenticated indexes
 /// (MBT vs MPT), as a function of record size.
 pub fn fig13_plan(records: u64, sizes: &[usize]) -> ExperimentPlan {
@@ -678,11 +629,6 @@ pub fn fig13_plan(records: u64, sizes: &[usize]) -> ExperimentPlan {
         text: None,
         diagnostics: Vec::new(),
     }
-}
-
-/// Figure 13: authenticated-index overhead.
-pub fn fig13_adr_overhead(records: u64, sizes: &[usize]) -> ExperimentReport {
-    run_plan(&fig13_plan(records, sizes))
 }
 
 /// Figure 14 plan: sharded scaling under a skewed workload with 2-record
@@ -733,11 +679,6 @@ pub fn fig14_plan(txns: u64, shard_counts: &[u32], seed: u64) -> ExperimentPlan 
     scenario.plan()
 }
 
-/// Figure 14: sharded scaling.
-pub fn fig14_sharding(txns: u64, shard_counts: &[u32]) -> ExperimentReport {
-    run_plan(&fig14_plan(txns, shard_counts, DEFAULT_SEED))
-}
-
 /// Figure 15 plan: the hybrid forecast framework — forecast vs reported
 /// throughput for the six hybrid systems of Table 2.
 pub fn fig15_plan() -> ExperimentPlan {
@@ -772,11 +713,6 @@ pub fn fig15_plan() -> ExperimentPlan {
     }
 }
 
-/// Figure 15: hybrid forecast vs reported throughput.
-pub fn fig15_hybrid_forecast() -> ExperimentReport {
-    run_plan(&fig15_plan())
-}
-
 /// Table 2 plan: the taxonomy rendering (qualitative, no measurements).
 pub fn tab02_plan() -> ExperimentPlan {
     ExperimentPlan {
@@ -786,11 +722,6 @@ pub fn tab02_plan() -> ExperimentPlan {
         text: Some(dichotomy_hybrid::taxonomy::render_table2()),
         diagnostics: Vec::new(),
     }
-}
-
-/// Table 2: the taxonomy rendering.
-pub fn tab02_taxonomy() -> String {
-    run_plan(&tab02_plan()).render()
 }
 
 /// Table 4 plan: throughput with a varying number of nodes under full
@@ -823,11 +754,6 @@ pub fn tab04_plan(txns: u64, node_counts: &[usize], seed: u64) -> ExperimentPlan
     }
 }
 
-/// Table 4: node-count scaling.
-pub fn tab04_scaling(txns: u64, node_counts: &[usize]) -> ExperimentReport {
-    run_plan(&tab04_plan(txns, node_counts, DEFAULT_SEED))
-}
-
 /// Table 5 plan: throughput when varying TiDB servers and TiKV nodes
 /// independently.
 pub fn tab05_plan(txns: u64, counts: &[usize], seed: u64) -> ExperimentPlan {
@@ -858,11 +784,6 @@ pub fn tab05_plan(txns: u64, counts: &[usize], seed: u64) -> ExperimentPlan {
         text: None,
         diagnostics: Vec::new(),
     }
-}
-
-/// Table 5: the TiDB server × storage-node matrix.
-pub fn tab05_tidb_matrix(txns: u64, counts: &[usize]) -> ExperimentReport {
-    run_plan(&tab05_plan(txns, counts, DEFAULT_SEED))
 }
 
 /// The arrival span (µs) of the fault-scenario run: `txns` arrivals at the
@@ -904,11 +825,6 @@ pub fn fault01_plan(txns: u64, seed: u64) -> ExperimentPlan {
         seed,
     };
     scenario.plan()
-}
-
-/// Fault 1: leader crash and recovery on the Raft-backed etcd model.
-pub fn fault01_crash_recovery(txns: u64) -> ExperimentReport {
-    run_plan(&fault01_plan(txns, DEFAULT_SEED))
 }
 
 /// The arrival span (µs) of the chaos grid's runs: `txns` arrivals at the
@@ -990,11 +906,6 @@ pub fn chaos01_plan(txns: u64, seed: u64) -> ExperimentPlan {
     scenario.plan()
 }
 
-/// Chaos 1: the model × fault grid.
-pub fn chaos01_grid(txns: u64) -> ExperimentReport {
-    run_plan(&chaos01_plan(txns, DEFAULT_SEED))
-}
-
 /// The think time of the closed-loop experiment (µs).
 pub const CLOSED01_THINK_US: u64 = 500;
 
@@ -1035,11 +946,6 @@ pub fn closed01_plan(txns: u64, seed: u64) -> ExperimentPlan {
         seed,
     };
     scenario.plan()
-}
-
-/// Closed 1: the closed-loop knee on etcd.
-pub fn closed01_knee(txns: u64) -> ExperimentReport {
-    run_plan(&closed01_plan(txns, DEFAULT_SEED))
 }
 
 /// The think time of the engine-scale experiment (µs): one simulated second
@@ -1093,12 +999,6 @@ pub fn scale01_plan(txns: u64, clients: &[u64], seed: u64) -> ExperimentPlan {
     scenario.plan()
 }
 
-/// Scale 1: the engine-scale closed-loop knee on etcd at the full client
-/// populations.
-pub fn scale01_knee(txns: u64) -> ExperimentReport {
-    run_plan(&scale01_plan(txns, &SCALE01_CLIENTS, DEFAULT_SEED))
-}
-
 /// The offered rates of the ramp experiment's three phases (tps).
 pub const RAMP01_RATES: [f64; 3] = [200.0, 1_000.0, 8_000.0];
 
@@ -1150,18 +1050,15 @@ pub fn ramp01_plan(txns: u64, seed: u64) -> ExperimentPlan {
     scenario.plan()
 }
 
-/// Ramp 1: the phased open-loop ramp on Quorum.
-pub fn ramp01_ramp(txns: u64) -> ExperimentReport {
-    run_plan(&ramp01_plan(txns, DEFAULT_SEED))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::run_plan;
+    use dichotomy_common::rng::DEFAULT_SEED;
 
     #[test]
     fn fig04_preserves_the_papers_ordering() {
-        let report = fig04_peak_throughput(400);
+        let report = run_plan(&fig04_plan(400, DEFAULT_SEED));
         let quorum = report.value("Quorum", "update_tps").unwrap();
         let fabric = report.value("Fabric", "update_tps").unwrap();
         let tidb = report.value("TiDB", "update_tps").unwrap();
@@ -1183,7 +1080,7 @@ mod tests {
 
     #[test]
     fn fig05_blockchain_latency_exceeds_database_latency() {
-        let report = fig05_latency(60);
+        let report = run_plan(&fig05_plan(60, DEFAULT_SEED));
         let fabric = report.value("Fabric", "update_ms").unwrap();
         let quorum = report.value("Quorum", "update_ms").unwrap();
         let tidb = report.value("TiDB", "update_ms").unwrap();
@@ -1201,7 +1098,7 @@ mod tests {
 
     #[test]
     fn fig09_skew_collapses_tidb_but_not_etcd_or_quorum() {
-        let report = fig09_skew(400, &[0.0, 1.0]);
+        let report = run_plan(&fig09_plan(400, &[0.0, 1.0], DEFAULT_SEED));
         let tidb_uniform = report.value("theta=0.0", "TiDB_tps").unwrap();
         let tidb_skewed = report.value("theta=1.0", "TiDB_tps").unwrap();
         assert!(
@@ -1219,7 +1116,7 @@ mod tests {
 
     #[test]
     fn fig13_mpt_overhead_dwarfs_mbt_overhead() {
-        let report = fig13_adr_overhead(2_000, &[10, 1000]);
+        let report = run_plan(&fig13_plan(2_000, &[10, 1000]));
         for size in ["10 B", "1000 B"] {
             let mbt = report.value(size, "MBT_B/rec").unwrap();
             let mpt = report.value(size, "MPT_B/rec").unwrap();
@@ -1229,7 +1126,7 @@ mod tests {
 
     #[test]
     fn fig15_report_covers_all_six_hybrids() {
-        let report = fig15_hybrid_forecast();
+        let report = run_plan(&fig15_plan());
         assert_eq!(report.rows.len(), 6);
         let veritas = report.value("Veritas", "forecast_tps").unwrap();
         let chainify = report.value("ChainifyDB", "forecast_tps").unwrap();
@@ -1257,7 +1154,7 @@ mod tests {
     fn saturating_probes_report_a_nonempty_windowed_series() {
         // The Fabric peak-throughput probe of Figure 4: its report row must
         // carry windowed time-series data (one series per driving probe).
-        let report = fig04_peak_throughput(200);
+        let report = run_plan(&fig04_plan(200, DEFAULT_SEED));
         let fabric = report.rows.iter().find(|r| r.label == "Fabric").unwrap();
         assert_eq!(fabric.series.len(), 2, "update + query probes");
         assert!(
@@ -1274,7 +1171,7 @@ mod tests {
     #[test]
     fn fault01_shows_the_crash_dip_and_the_recovery_in_the_windows() {
         let txns = 600;
-        let report = fault01_crash_recovery(txns);
+        let report = run_plan(&fault01_plan(txns, DEFAULT_SEED));
         assert!(report.value("etcd", "tps").unwrap() > 0.0);
         let series = &report.rows[0].series[0].series;
         assert!(!series.is_empty());
@@ -1343,7 +1240,7 @@ mod tests {
     #[test]
     fn chaos01_passes_every_oracle_and_shows_dip_and_recovery() {
         let txns = 420;
-        let report = chaos01_grid(txns);
+        let report = run_plan(&chaos01_plan(txns, DEFAULT_SEED));
         assert!(report.failures.is_empty(), "{:?}", report.failures);
         // Every cell of the grid reports the full oracle battery, passing.
         for row in &report.rows {
@@ -1394,7 +1291,7 @@ mod tests {
 
     #[test]
     fn closed01_obeys_littles_law_and_shows_the_latency_knee() {
-        let report = closed01_knee(1_200);
+        let report = run_plan(&closed01_plan(1_200, DEFAULT_SEED));
         let think_s = CLOSED01_THINK_US as f64 / 1e6;
         for clients in CLOSED01_CLIENTS {
             let row = format!("{clients} clients");
@@ -1438,7 +1335,7 @@ mod tests {
     #[test]
     fn ramp01_crosses_saturation_inside_the_windowed_series() {
         let txns = 600;
-        let report = ramp01_ramp(txns);
+        let report = run_plan(&ramp01_plan(txns, DEFAULT_SEED));
         assert_eq!(report.rows.len(), 1);
         assert!(report.failures.is_empty());
         let series = &report.rows[0].series[0].series;

@@ -1,12 +1,11 @@
 //! The **semantic plan linter**. (Source-level determinism rules are
 //! clippy's: `clippy.toml` and `[workspace.lints]` at the workspace root.)
 //!
-//! `repro lint [ids…]` expands every experiment to its
-//! [`ExperimentPlan`](crate::ExperimentPlan) *without executing a single
-//! probe* and diagnoses plan-level mistakes statically — in the spirit of
-//! static robustness analysis over declarative transaction templates: the
-//! [`Scenario`](crate::Scenario) spec is declarative enough that a whole
-//! class of misconfigurations is decidable before any simulation runs.
+//! `repro lint [ids…]` expands every experiment to its [`ExperimentPlan`]
+//! *without executing a single probe* and diagnoses plan-level mistakes
+//! statically — in the spirit of static robustness analysis over declarative
+//! transaction templates: the [`Scenario`] spec is declarative enough that a
+//! whole class of misconfigurations is decidable before any simulation runs.
 //!
 //! Codes (`S0xx`, in the [`Diagnostic`] model of `dichotomy-common`):
 //!
@@ -15,16 +14,17 @@
 //! | S001 | warn | fault event at/past the arrival horizon (dropped) |
 //! | S002 | warn | overlapping crash windows merged |
 //! | S003 | warn | duplicate probes in one plan (wasted dedup slots) |
-//! | S004 | deny | `Sweep::OfferedTps` over a non-open-loop arrival |
+//! | S004 | deny | a sweep axis the arrival spec never reads (`OfferedTps` off an open loop, a closed-loop axis off a `ClosedLoop`) |
 //! | S005 | deny | `Mixed` population share rounds to zero transactions |
 //! | S006 | warn | `window_us` wider than the run's arrival horizon |
 //! | S007 | note | zero-probe experiment riding a bench set |
 //! | S008 | deny | zero-survivor exploration (lives in `dichotomy-explore::lint_spec`; `repro lint explore` surfaces it) |
 //!
-//! S001/S002 originate in [`FaultPlan::validate`] during plan expansion
-//! (`sanitize_fault_plans` records them on `plan.diagnostics`); the linter
-//! re-validates hand-built plans too, so both construction paths report
-//! identical findings.
+//! S001/S002 originate in
+//! [`FaultPlan::validate`](dichotomy_simnet::FaultPlan::validate) during plan
+//! expansion (`sanitize_fault_plans` records them on `plan.diagnostics`); the
+//! linter re-validates hand-built plans too, so both construction paths
+//! report identical findings.
 
 use std::collections::BTreeMap;
 
@@ -175,50 +175,16 @@ pub fn lint_plan(plan: &ExperimentPlan) -> Vec<Diagnostic> {
 
 /// Lint a scenario *before* expansion: scenario-level mistakes that are
 /// invisible in the expanded plan (S004, duplicate sweep values), then
-/// everything [`lint_plan`] finds on the expansion itself.
+/// everything [`lint_plan`] finds on the expansion itself. An S004 finding
+/// stops there: the plan is not expanded.
 pub fn lint_scenario(scenario: &Scenario) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
-    // S004: Sweep::OfferedTps writes `driver.offered_tps` and pins the
-    // arrival spec to an open loop only when none is set; over an explicit
-    // closed-loop (or phased/mixed) arrival the swept knob is simply never
-    // read — every sweep point measures the same thing.
-    if let Sweep::OfferedTps(points) = &scenario.sweep {
-        match &scenario.driver.arrival {
-            Some(ArrivalSpec::ClosedLoop { .. }) => {
-                diags.push(
-                    Diagnostic::new(
-                        "S004",
-                        Severity::Deny,
-                        format!(
-                            "Sweep::OfferedTps ({} points) over a closed-loop arrival: \
-                             closed loops pace on completions, the swept offered_tps is \
-                             never read",
-                            points.len()
-                        ),
-                    )
-                    .with_help("sweep ClosedClients/ThinkTimeUs instead, or drop the arrival spec")
-                    .at_plan(scenario.id, "", ""),
-                );
-            }
-            Some(ArrivalSpec::Phased { .. }) | Some(ArrivalSpec::Mixed { .. }) => {
-                diags.push(
-                    Diagnostic::new(
-                        "S004",
-                        Severity::Deny,
-                        format!(
-                            "Sweep::OfferedTps ({} points) over a phased/mixed arrival: \
-                             the arrival spec overrides the swept offered_tps",
-                            points.len()
-                        ),
-                    )
-                    .with_help("encode the load axis in the arrival spec itself")
-                    .at_plan(scenario.id, "", ""),
-                );
-            }
-            None | Some(ArrivalSpec::OpenLoop { .. }) => {}
-        }
-    }
+    // S004: a sweep axis the arrival spec never reads.
+    let unread_axis = unread_sweep_axis(&scenario.sweep, scenario.driver.arrival.as_ref())
+        .map(|d| d.at_plan(scenario.id, "", ""));
+    let expandable = unread_axis.is_none();
+    diags.extend(unread_axis);
 
     // S003 (scenario form): duplicate sweep values expand to byte-identical
     // probes; report them at the source rather than per expanded row.
@@ -234,8 +200,61 @@ pub fn lint_scenario(scenario: &Scenario) -> Vec<Diagnostic> {
         );
     }
 
-    diags.extend(lint_plan(&scenario.plan()));
+    // An unread axis expands to identical rows at best, and the closed-loop
+    // axes cannot expand at all: report what the scenario itself shows.
+    if expandable {
+        diags.extend(lint_plan(&scenario.plan()));
+    }
     diags
+}
+
+/// S004: a sweep axis `arrival` never reads, so every sweep point measures
+/// the same thing. `Sweep::OfferedTps` writes `driver.offered_tps`, which
+/// only an open loop (explicit, or implied by no spec) reads; the closed-loop
+/// axes write a field of a top-level `ClosedLoop` spec, and no other arrival
+/// has one to write (`Sweep::apply` panics).
+fn unread_sweep_axis(sweep: &Sweep, arrival: Option<&ArrivalSpec>) -> Option<Diagnostic> {
+    let deny = |message: String, help: &str| {
+        Some(Diagnostic::new("S004", Severity::Deny, message).with_help(help))
+    };
+    let (axis, points) = match sweep {
+        Sweep::OfferedTps(points) => {
+            return match arrival {
+                Some(ArrivalSpec::ClosedLoop { .. }) => deny(
+                    format!(
+                        "Sweep::OfferedTps ({} points) over a closed-loop arrival: \
+                         closed loops pace on completions, the swept offered_tps is \
+                         never read",
+                        points.len()
+                    ),
+                    "sweep ClosedClients/ThinkTimeUs instead, or drop the arrival spec",
+                ),
+                Some(ArrivalSpec::Phased { .. }) | Some(ArrivalSpec::Mixed { .. }) => deny(
+                    format!(
+                        "Sweep::OfferedTps ({} points) over a phased/mixed arrival: \
+                         the arrival spec overrides the swept offered_tps",
+                        points.len()
+                    ),
+                    "encode the load axis in the arrival spec itself",
+                ),
+                None | Some(ArrivalSpec::OpenLoop { .. }) => None,
+            };
+        }
+        Sweep::ClosedClients(points) => ("ClosedClients", points.len()),
+        Sweep::ThinkTimeUs(points) => ("ThinkTimeUs", points.len()),
+        Sweep::MaxOutstanding(points) => ("MaxOutstanding", points.len()),
+        _ => return None,
+    };
+    match arrival {
+        Some(ArrivalSpec::ClosedLoop { .. }) => None,
+        _ => deny(
+            format!(
+                "Sweep::{axis} ({points} points) over an arrival that is not a closed \
+                 loop: only a top-level ClosedLoop spec has the swept field"
+            ),
+            "set a ClosedLoop arrival spec, or sweep OfferedTps instead",
+        ),
+    }
 }
 
 /// Indices `(first, dup)` of sweep points equal to an earlier point.

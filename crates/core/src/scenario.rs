@@ -477,9 +477,11 @@ impl Scenario {
 
 /// The arrival horizon (µs) of one driving probe, when it is computable up
 /// front: how long the driver keeps issuing arrivals. Closed loops pace on
-/// measured latency, so their span is unknowable at expansion time (`None`
-/// skips the horizon check). Public so the plan linter can compare fault
-/// schedules and window widths against the same horizon the sanitizer uses.
+/// measured latency, and a phased spec runs its final phase until the
+/// transaction budget is spent, so their span is unknowable at expansion time
+/// (`None` skips the horizon check). Public so the plan linter can compare
+/// fault schedules and window widths against the same horizon the sanitizer
+/// uses.
 pub fn arrival_horizon_us(driver: &DriverConfig) -> Option<u64> {
     let open_loop_span = |offered_tps: f64| {
         (offered_tps > 0.0).then(|| (driver.transactions as f64 / offered_tps * 1e6).ceil() as u64)
@@ -487,10 +489,9 @@ pub fn arrival_horizon_us(driver: &DriverConfig) -> Option<u64> {
     match &driver.arrival {
         None => open_loop_span(driver.offered_tps),
         Some(ArrivalSpec::OpenLoop { offered_tps }) => open_loop_span(*offered_tps),
-        Some(ArrivalSpec::Phased { phases }) => Some(phases.iter().map(|(d, _)| *d).sum()),
-        // Closed loops (and populations mixing them in) pace on measured
-        // latency; their span is not knowable at expansion time.
-        Some(ArrivalSpec::ClosedLoop { .. }) | Some(ArrivalSpec::Mixed { .. }) => None,
+        Some(ArrivalSpec::ClosedLoop { .. })
+        | Some(ArrivalSpec::Phased { .. })
+        | Some(ArrivalSpec::Mixed { .. }) => None,
     }
 }
 
@@ -531,9 +532,10 @@ fn sanitize_fault_plans(plan: &mut ExperimentPlan) {
 /// This is the unit of deduplication and caching: two probes with the same
 /// [`probe_key_bytes`] share one `ProbeResult`, and a persistent
 /// [`ProbeCache`] round-trips it through the in-repo binary codec
-/// ([`Encode`]/[`Decode`]). Column extraction ([`ColumnSpec`]) happens per
-/// report slot *after* the result exists, so probes that differ only in the
-/// columns they read still share one execution.
+/// ([`Encode`]/[`Decode`](dichotomy_common::Decode)). Column extraction
+/// ([`ColumnSpec`]) happens per report slot *after* the result exists, so
+/// probes that differ only in the columns they read still share one
+/// execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProbeResult {
     /// The run's aggregate metrics (driving probes; default otherwise).
@@ -986,7 +988,7 @@ fn plan_batches(items: &[(Option<Vec<u8>>, f64)], jobs: usize) -> Vec<Batch> {
 /// The queue is **deduplicated, grouped and scheduled** before anything runs:
 ///
 /// 1. every probe is keyed by [`probe_key_bytes`]; slots with equal keys
-///    collapse into one [`WorkItem`] executed once, its [`ProbeResult`]
+///    collapse into one `WorkItem` executed once, its [`ProbeResult`]
 ///    fanned out to every slot (column extraction stays per slot, so the
 ///    reports are byte-identical to executing each slot separately);
 /// 2. work items are batched by [`state_group_key`]: one worker runs a
@@ -995,7 +997,7 @@ fn plan_batches(items: &[(Option<Vec<u8>>, f64)], jobs: usize) -> Vec<Batch> {
 ///    of that loaded state (`TransactionalSystem::share_state` /
 ///    `adopt_state`; a model that does not share is loaded from the same
 ///    records instead). The state is owned by the batch and dropped with it.
-///    A group costlier than a worker's fair share is split ([`plan_batches`]);
+///    A group costlier than a worker's fair share is split (`plan_batches`);
 /// 3. with a cache configured ([`ExecOptions::cache`]), each distinct item
 ///    is answered from the cache when possible and stored after executing;
 ///    a batch whose items all hit never builds its state;

@@ -1,9 +1,11 @@
 //! Cross-crate integration tests: the substrates composed exactly the way the
 //! system models compose them, checked end to end.
 
+use dichotomy_core::common::rng::DEFAULT_SEED;
 use dichotomy_core::common::{ClientId, Key, Operation, Transaction, TxnId, Value};
 use dichotomy_core::driver::{run_workload, DriverConfig};
 use dichotomy_core::experiments;
+use dichotomy_core::run_plan;
 use dichotomy_core::systems::{
     drive_arrivals, Fabric, FabricConfig, Quorum, QuorumConfig, TiDb, TiDbConfig,
     TransactionalSystem,
@@ -17,7 +19,7 @@ use dichotomy_core::workload::{
 /// Quorum's order-execute pipeline.
 #[test]
 fn figure4_ordering_holds_through_the_public_api() {
-    let report = experiments::fig04_peak_throughput(300);
+    let report = run_plan(&experiments::fig04_plan(300, DEFAULT_SEED));
     let quorum = report.value("Quorum", "update_tps").unwrap();
     let fabric = report.value("Fabric", "update_tps").unwrap();
     let tidb = report.value("TiDB", "update_tps").unwrap();
@@ -133,7 +135,7 @@ fn different_systems_reach_the_same_final_state_without_conflicts() {
 /// makes Quorum's state index strictly larger than Fabric's.
 #[test]
 fn storage_hierarchy_is_consistent_across_experiments() {
-    let report = experiments::fig12_storage(500, &[1000]);
+    let report = run_plan(&experiments::fig12_plan(500, &[1000], DEFAULT_SEED));
     let fabric_state = report.value("1000 B", "Fabric_state_B/rec").unwrap();
     let fabric_block = report.value("1000 B", "Fabric_block_B/rec").unwrap();
     let tidb = report.value("1000 B", "TiDB_B/rec").unwrap();
@@ -143,7 +145,7 @@ fn storage_hierarchy_is_consistent_across_experiments() {
         "ledger overhead dominates"
     );
 
-    let adr = experiments::fig13_adr_overhead(1_000, &[1000]);
+    let adr = run_plan(&experiments::fig13_plan(1_000, &[1000]));
     let mbt = adr.value("1000 B", "MBT_B/rec").unwrap();
     let mpt = adr.value("1000 B", "MPT_B/rec").unwrap();
     assert!(mpt > mbt, "MPT {mpt:.0} must exceed MBT {mbt:.0}");

@@ -4,7 +4,7 @@
 //! these tests pin the *detectors* themselves.
 
 use dichotomy_core::common::{Diagnostic, NodeId, Severity};
-use dichotomy_core::scenario::{ColumnSpec, Metric, Scenario, SystemEntry};
+use dichotomy_core::scenario::{ColumnSpec, Metric, Probe, Scenario, SystemEntry};
 use dichotomy_core::simnet::{FaultPlan, NodeFault};
 use dichotomy_core::systems::{SystemKind, SystemSpec};
 use dichotomy_core::workload::{WorkloadSpec, YcsbMix};
@@ -139,6 +139,62 @@ fn s004_offered_tps_sweep_over_mixed_arrival() {
     let diags = lint_scenario(&scenario);
     let s004 = diags.iter().find(|d| d.code == "S004").unwrap();
     assert_eq!(s004.severity, Severity::Deny);
+}
+
+#[test]
+fn s004_closed_loop_axes_off_a_closed_loop_deny_without_expanding() {
+    let open = |offered_tps| ArrivalSpec::OpenLoop { offered_tps };
+    let arrivals = [
+        None,
+        Some(open(1_000.0)),
+        Some(ArrivalSpec::Phased {
+            phases: vec![(1_000, open(1_000.0)), (1_000, open(10.0))],
+        }),
+        Some(ArrivalSpec::Mixed {
+            populations: vec![(1.0, open(500.0)), (1.0, open(500.0))],
+        }),
+    ];
+    let axes = [
+        Sweep::ClosedClients(vec![1, 8]),
+        Sweep::ThinkTimeUs(vec![1_000, 2_000]),
+        Sweep::MaxOutstanding(vec![1, 2]),
+    ];
+    for arrival in &arrivals {
+        for axis in &axes {
+            let mut scenario = base_scenario();
+            scenario.sweep = axis.clone();
+            scenario.driver.arrival = arrival.clone();
+            // Expanding this plan panics in `Sweep::apply`; the linter must
+            // report instead.
+            let diags = lint_scenario(&scenario);
+            assert_eq!(codes(&diags), vec!["S004"], "{axis:?} over {arrival:?}");
+            assert_eq!(diags[0].severity, Severity::Deny);
+        }
+    }
+}
+
+#[test]
+fn phased_final_phase_keeps_faults_past_the_summed_durations() {
+    // Two 1 ms phases, but the final one runs until the 100-transaction
+    // budget is spent: at 10 tps that is seconds, so a crash at 5 s lands
+    // inside the run and must not be dropped as past the horizon.
+    let open = |offered_tps| ArrivalSpec::OpenLoop { offered_tps };
+    let mut scenario = base_scenario();
+    scenario.driver.arrival = Some(ArrivalSpec::Phased {
+        phases: vec![(1_000, open(1_000.0)), (1_000, open(10.0))],
+    });
+    let crash = NodeFault::crash(NodeId(1), 5_000_000);
+    let mut faults = FaultPlan::none();
+    faults.add(crash.clone());
+    scenario.faults = Some(faults);
+
+    assert_eq!(codes(&lint_scenario(&scenario)), Vec::<&str>::new());
+    let plan = scenario.plan();
+    let Probe::Drive { system, .. } = &plan.rows[0].runs[0].probe else {
+        panic!("a scenario row is a drive probe");
+    };
+    let kept = system.faults.as_ref().expect("the scenario's schedule");
+    assert_eq!(kept.faults(), [crash]);
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! CFT protocol is a shared log). The framework places a design into a
 //! throughput *band* (low / medium / high) and produces a numeric
 //! back-of-the-envelope estimate from the replication profile, which the
-//! `fig15_hybrid_forecast` bench compares against the systems' reported
+//! Figure 15 plan (`fig15_plan`) compares against the systems' reported
 //! numbers (Veritas 29 k vs ChainifyDB 6.1 k, etc.).
 
 use std::fmt;

@@ -268,8 +268,8 @@ pub fn all_systems() -> Vec<SystemProfile> {
     ]
 }
 
-/// Render Table 2 as a fixed-width text table (used by the `tab02_taxonomy`
-/// bench binary and the docs).
+/// Render Table 2 as a fixed-width text table (the text of the Table 2 plan,
+/// `tab02_plan`).
 pub fn render_table2() -> String {
     let mut out = String::new();
     out.push_str(&format!(

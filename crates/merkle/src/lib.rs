@@ -3,7 +3,7 @@
 //! Blockchains compute a content-unique digest over their state so that a
 //! light client can verify any returned value against the block header. The
 //! two structures the paper measures (Figure 13) are implemented here from
-//! scratch, plus the plain binary Merkle tree used for transaction batches:
+//! scratch:
 //!
 //! * [`MerklePatriciaTrie`] — Ethereum/Quorum's hexary prefix trie. Every
 //!   node is stored in a hash-addressed node store; updates write new nodes
@@ -14,23 +14,21 @@
 //!   configurable number of buckets, records hashed into buckets, and a
 //!   fixed-fan-out Merkle tree over the bucket hashes. Its per-record
 //!   overhead is a few tens of bytes (the paper reports **+24 B**).
-//! * [`MerkleTree`] — a plain binary Merkle tree with inclusion proofs, used
-//!   for block transaction digests and by the FalconDB/IntegriDB model.
 //!
-//! Each structure exposes its root digest, membership proofs, verification,
-//! byte-accurate [`StorageFootprint`] accounting, and per-update structural
-//! statistics ([`UpdateStats`]) that the simulator multiplies by the cost
-//! model's constants to charge CPU time (Section 5.3.3's 56 µs → 2.5 ms MPT
-//! reconstruction growth).
+//! Each structure exposes its root digest, byte-accurate
+//! [`StorageFootprint`](dichotomy_common::size::StorageFootprint) accounting,
+//! and per-update structural statistics ([`UpdateStats`]) that the simulator
+//! multiplies by the cost model's constants to charge CPU time (Section
+//! 5.3.3's 56 µs → 2.5 ms MPT reconstruction growth). The trie also proves
+//! membership ([`MerklePatriciaTrie::prove`],
+//! [`MerklePatriciaTrie::verify_proof`]).
 
 #![forbid(unsafe_code)]
 
 pub mod bucket_tree;
-pub mod merkle_tree;
 pub mod mpt;
 
 pub use bucket_tree::MerkleBucketTree;
-pub use merkle_tree::{InclusionProof, MerkleTree};
 pub use mpt::{MerklePatriciaTrie, MptProof};
 
 /// Structural statistics of one authenticated-index update, consumed by the

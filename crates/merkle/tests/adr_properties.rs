@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use dichotomy_common::rng::{derive_seed, seeded, Rng, StdRng};
 use dichotomy_common::size::StorageFootprint;
 use dichotomy_common::{Hash, Key, Value};
-use dichotomy_merkle::{MerkleBucketTree, MerklePatriciaTrie, MerkleTree};
+use dichotomy_merkle::{MerkleBucketTree, MerklePatriciaTrie};
 
 const CASES: u64 = 48;
 
@@ -156,24 +156,6 @@ fn mbt_authenticates_exactly_the_written_values() {
                 "seed {seed}"
             );
         }
-    });
-}
-
-#[test]
-fn merkle_tree_proofs_bind_leaf_index_and_content() {
-    for_each_case("merkle-inclusion", |seed, rng| {
-        let n = rng.gen_range(1..200usize);
-        let leaves: Vec<Hash> = (0..n)
-            .map(|i| Hash::of(format!("leaf{i}").as_bytes()))
-            .collect();
-        let tree = MerkleTree::build(&leaves);
-        let i = rng.gen_range(0..n);
-        let proof = tree.prove(i).unwrap();
-        assert!(proof.verify(leaves[i], tree.root()), "seed {seed}");
-        assert!(
-            !proof.verify(Hash::of(b"tampered"), tree.root()),
-            "seed {seed}"
-        );
     });
 }
 

@@ -1,6 +1,6 @@
 //! The discrete-event simulation engine.
 //!
-//! [`SimEngine`] promotes the bare [`EventQueue`](crate::EventQueue) into the
+//! [`SimEngine`] promotes the bare [`EventQueue`] into the
 //! substrate every simulated system runs on: it owns the clock, the event
 //! queue, and a set of named [`Process`]es — FIFO service queues built on
 //! [`MultiResource`] — that model the serial and multi-server stages of a

@@ -11,8 +11,6 @@ pub enum EngineKind {
     Lsm,
     /// B+ tree (BoltDB / MySQL / PostgreSQL / MongoDB).
     BPlusTree,
-    /// Skip list (Redis).
-    SkipList,
 }
 
 impl EngineKind {
@@ -21,7 +19,6 @@ impl EngineKind {
         match self {
             EngineKind::Lsm => "LSM tree",
             EngineKind::BPlusTree => "B+ tree",
-            EngineKind::SkipList => "skip list",
         }
     }
 }
@@ -55,8 +52,8 @@ pub trait KvEngine: StorageFootprint {
     fn kind(&self) -> EngineKind;
 
     /// Structural depth/levels touched by a point read of `key`: LSM = number
-    /// of runs probed, B+ tree = tree height, skip list = expected tower
-    /// height. Systems multiply this by the cost model's per-probe constants.
+    /// of runs probed, B+ tree = tree height. Systems multiply this by the
+    /// cost model's per-probe constants.
     fn read_amplification(&self, key: &Key) -> usize;
 }
 
@@ -65,12 +62,11 @@ pub fn new_engine(kind: EngineKind) -> Box<dyn KvEngine> {
     match kind {
         EngineKind::Lsm => Box::new(crate::lsm::LsmTree::new()),
         EngineKind::BPlusTree => Box::new(crate::btree::BPlusTree::new()),
-        EngineKind::SkipList => Box::new(crate::skiplist::SkipList::new(0)),
     }
 }
 
 /// Shared conformance test suite run against every engine (used by each
-/// engine's test module and the crate's property tests).
+/// engine's test module).
 #[cfg(test)]
 pub mod conformance {
     use super::*;
@@ -112,39 +108,6 @@ pub mod conformance {
         // Read amplification is at least one probe.
         assert!(engine.read_amplification(&k("a")) >= 1);
     }
-
-    /// Engines must agree with a reference BTreeMap under a random workload.
-    pub fn check_against_reference(engine: &mut dyn KvEngine, ops: &[(u8, u16, u16)]) {
-        use std::collections::BTreeMap;
-        let mut reference: BTreeMap<Key, Value> = BTreeMap::new();
-        for &(op, kn, vn) in ops {
-            let key = Key::from_str(&format!("key{:05}", kn % 200));
-            match op % 3 {
-                0 | 1 => {
-                    let value = Value::filler((vn % 64) as usize + 1);
-                    reference.insert(key.clone(), value.clone());
-                    engine.put(key, value);
-                }
-                _ => {
-                    let expected = reference.remove(&key).is_some();
-                    assert_eq!(engine.delete(&key), expected);
-                }
-            }
-        }
-        assert_eq!(engine.len(), reference.len());
-        for (k, v) in &reference {
-            assert_eq!(engine.get(k).as_ref(), Some(v), "key {k}");
-        }
-        // Full scan agrees.
-        let lo = Key::from_str("key00000");
-        let hi = Key::from_str("key99999");
-        let scanned = engine.scan(&lo, &hi);
-        let expected: Vec<(Key, Value)> = reference
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        assert_eq!(scanned, expected);
-    }
 }
 
 #[cfg(test)]
@@ -155,12 +118,11 @@ mod tests {
     fn engine_kind_names() {
         assert_eq!(EngineKind::Lsm.name(), "LSM tree");
         assert_eq!(EngineKind::BPlusTree.name(), "B+ tree");
-        assert_eq!(EngineKind::SkipList.name(), "skip list");
     }
 
     #[test]
     fn factory_builds_each_kind() {
-        for kind in [EngineKind::Lsm, EngineKind::BPlusTree, EngineKind::SkipList] {
+        for kind in [EngineKind::Lsm, EngineKind::BPlusTree] {
             let mut e = new_engine(kind);
             assert_eq!(e.kind(), kind);
             conformance::check_basic(e.as_mut());

@@ -9,7 +9,7 @@
 
 use dichotomy_common::rng::{derive_seed, seeded, Rng, StdRng};
 use dichotomy_common::{Key, Value};
-use dichotomy_storage::{BPlusTree, KvEngine, LsmTree, MvccStore, SkipList};
+use dichotomy_storage::{BPlusTree, KvEngine, LsmTree, MvccStore};
 
 const CASES: u64 = 64;
 
@@ -79,15 +79,6 @@ fn btree_matches_reference() {
     for_each_case("btree", |seed, rng| {
         let ops = arb_ops(rng);
         let mut t = BPlusTree::new();
-        run_against_reference(&mut t, &ops, seed);
-    });
-}
-
-#[test]
-fn skiplist_matches_reference() {
-    for_each_case("skiplist", |seed, rng| {
-        let ops = arb_ops(rng);
-        let mut t = SkipList::new(42);
         run_against_reference(&mut t, &ops, seed);
     });
 }

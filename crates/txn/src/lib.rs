@@ -1,9 +1,10 @@
 //! Concurrency control (the concurrency dimension, Section 3.2).
 //!
-//! Four schemes cover the benchmarked systems:
+//! Three schemes cover the benchmarked systems that execute concurrently.
+//! Serial execution needs no scheme of its own: in the Quorum and etcd
+//! models it is a single-server simulator process (`dichotomy_simnet::Process`)
+//! that applies one transaction at a time in ledger order.
 //!
-//! * [`serial::SerialExecutor`] — one transaction at a time in ledger order
-//!   (Quorum, etcd, and every order-execute blockchain).
 //! * [`occ`] — Fabric's execute-order-validate optimism: transactions are
 //!   *simulated* against a snapshot, collecting a versioned read set; at
 //!   commit the read versions are re-checked and stale reads abort
@@ -24,12 +25,10 @@
 pub mod locking;
 pub mod occ;
 pub mod percolator;
-pub mod serial;
 
 pub use locking::LockManager;
 pub use occ::{OccExecutor, SimulationResult};
 pub use percolator::{PercolatorExecutor, PercolatorOutcome};
-pub use serial::SerialExecutor;
 
 use dichotomy_common::{Key, Value};
 

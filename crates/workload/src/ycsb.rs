@@ -72,51 +72,6 @@ impl Default for YcsbConfig {
     }
 }
 
-impl YcsbConfig {
-    /// The paper's uniform update-only peak-throughput configuration.
-    pub fn update_default() -> Self {
-        YcsbConfig::default()
-    }
-
-    /// The paper's uniform query-only configuration.
-    pub fn query_default() -> Self {
-        YcsbConfig {
-            mix: YcsbMix::QueryOnly,
-            ..YcsbConfig::default()
-        }
-    }
-
-    /// The skew-sweep configuration of Figure 9: single-record
-    /// read-modify-write transactions at the given θ.
-    pub fn skewed_modify(theta: f64) -> Self {
-        YcsbConfig {
-            zipf_theta: theta,
-            mix: YcsbMix::ReadModifyWrite,
-            ..YcsbConfig::default()
-        }
-    }
-
-    /// The operation-count sweep of Figure 10: `ops` operations per
-    /// transaction with the total transaction payload held at 1 000 bytes.
-    pub fn op_count_sweep(ops: usize) -> Self {
-        let ops = ops.max(1);
-        YcsbConfig {
-            ops_per_txn: ops,
-            record_size: 1_000 / ops,
-            mix: YcsbMix::ReadModifyWrite,
-            ..YcsbConfig::default()
-        }
-    }
-
-    /// The record-size sweep of Figure 11.
-    pub fn record_size_sweep(record_size: usize) -> Self {
-        YcsbConfig {
-            record_size,
-            ..YcsbConfig::default()
-        }
-    }
-}
-
 /// The YCSB workload generator.
 pub struct YcsbWorkload {
     config: YcsbConfig,
@@ -234,7 +189,10 @@ mod tests {
 
     #[test]
     fn query_only_transactions_are_read_only() {
-        let mut w = YcsbWorkload::new(YcsbConfig::query_default());
+        let mut w = YcsbWorkload::new(YcsbConfig {
+            mix: YcsbMix::QueryOnly,
+            ..YcsbConfig::default()
+        });
         let t = w.next_transaction(ClientId(2), 1);
         assert!(t.is_read_only());
     }
@@ -244,7 +202,10 @@ mod tests {
         for ops in [1usize, 2, 4, 10] {
             let mut w = YcsbWorkload::new(YcsbConfig {
                 record_count: 10_000,
-                ..YcsbConfig::op_count_sweep(ops)
+                record_size: 1000 / ops,
+                ops_per_txn: ops,
+                mix: YcsbMix::ReadModifyWrite,
+                ..YcsbConfig::default()
             });
             let t = w.next_transaction(ClientId(1), 1);
             assert_eq!(t.op_count(), ops);
@@ -330,7 +291,9 @@ mod tests {
     fn skewed_workload_repeats_hot_keys_across_transactions() {
         let mut w = YcsbWorkload::new(YcsbConfig {
             record_count: 10_000,
-            ..YcsbConfig::skewed_modify(0.99)
+            zipf_theta: 0.99,
+            mix: YcsbMix::ReadModifyWrite,
+            ..YcsbConfig::default()
         });
         let mut counts = std::collections::BTreeMap::new();
         for seq in 0..2000 {

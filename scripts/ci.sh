@@ -19,6 +19,11 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 # reason-carrying `#[expect]` discipline have no test exemption.
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+# A doc link to a deleted, renamed or private item is a rustdoc warning;
+# without this gate it would pass CI unnoticed.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo build --release"
 cargo build --release
 
