@@ -24,6 +24,7 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+use dichotomy_core::common::size::StorageFootprint;
 use dichotomy_core::common::{hash, ClientId, Key, Operation, Transaction, TxnId, Value};
 use dichotomy_core::consensus::{ProtocolKind, ReplicationProfile};
 use dichotomy_core::driver::{run_workload, DriverConfig};
@@ -35,7 +36,7 @@ use dichotomy_core::scenario::{
 use dichotomy_core::simnet::{CostModel, EventQueue, NetworkConfig, SimEngine};
 use dichotomy_core::storage::{BPlusTree, KvEngine, LsmTree, MvccStore};
 use dichotomy_core::systems::{
-    Etcd, EtcdConfig, Quorum, QuorumConfig, SystemKind, SystemRegistry, SystemSpec,
+    drive_arrivals, Etcd, EtcdConfig, Quorum, QuorumConfig, SystemKind, SystemRegistry, SystemSpec,
     TransactionalSystem,
 };
 use dichotomy_core::txn::OccExecutor;
@@ -110,6 +111,9 @@ fn bench_hashing() {
 }
 
 fn bench_authenticated_indexes() {
+    // One write and the root after it, on an index whose root was read
+    // before: both hash on demand, so a fresh index would also time digesting
+    // everything already in it.
     bench_batched(
         "mpt_insert_1kb",
         300,
@@ -118,6 +122,7 @@ fn bench_authenticated_indexes() {
             for i in 0..500u64 {
                 mpt.insert(&Key::from_str(&format!("user{i:08}")), &Value::filler(100));
             }
+            mpt.root_hash();
             mpt
         },
         |mut mpt| {
@@ -128,12 +133,32 @@ fn bench_authenticated_indexes() {
     bench_batched(
         "mbt_put_1kb",
         300,
-        MerkleBucketTree::fabric_default,
+        || {
+            let mbt = MerkleBucketTree::fabric_default();
+            mbt.root_hash();
+            mbt
+        },
         |mut mbt| {
             mbt.put(&Key::from_str("user42"), &Value::filler(1024));
             mbt.root_hash()
         },
     );
+    // The Figure 13 probe (`Probe::AdrOverhead`) at one point: 10 000 hashed
+    // 16-byte keys of 1 KB into both indexes, then both footprints. No root
+    // is read, as in the probe.
+    let keys: Vec<Key> = (0..10_000u64)
+        .map(|i| Key::new(&hash::sha256(&i.to_be_bytes()).0[..16]))
+        .collect();
+    let value = Value::filler(1024);
+    bench("adr_probe_10k_1kb", 20, || {
+        let mut mbt = MerkleBucketTree::fabric_default();
+        let mut mpt = MerklePatriciaTrie::new();
+        for key in &keys {
+            mbt.put(key, &value);
+            mpt.insert(key, &value);
+        }
+        (mbt.footprint(), mpt.footprint())
+    });
 }
 
 fn bench_storage_engines() {
@@ -362,9 +387,21 @@ fn bench_state_sharing() {
         ..YcsbConfig::default()
     })
     .initial_records();
+    // A load ends with the first block's commit, which reads the state root
+    // and so hashes every node the load left reachable; timing the load
+    // without it would report deferred hashing as a saving.
+    let (key, value) = records[0].clone();
+    let first_block = [(
+        Transaction::new(
+            TxnId::new(ClientId(1), 1),
+            vec![Operation::write(key, value)],
+        ),
+        10,
+    )];
     bench("quorum_load_5k_1kb", 10, || {
         let mut system = Quorum::new(QuorumConfig::default());
         system.load(&records);
+        drive_arrivals(&mut system, first_block.clone());
         system
     });
     let mut loaded = Quorum::new(QuorumConfig::default());
@@ -439,7 +476,7 @@ fn main() {
     eprintln!("sha256 kernel: {}", hash::kernel_name());
     let groups: &[(&str, fn())] = &[
         ("sha256", bench_hashing),
-        ("mpt mbt", bench_authenticated_indexes),
+        ("mpt mbt adr_probe", bench_authenticated_indexes),
         ("lsm btree", bench_storage_engines),
         ("occ", bench_occ_validation),
         ("profile", bench_consensus_profiles),

@@ -9,6 +9,14 @@
 //! of bytes (Figure 13 reports +24 B per record) — each record contributes
 //! one fixed-size digest entry to its bucket while the interior tree is
 //! amortized over all records.
+//!
+//! Digests are refreshed on demand: a write updates its bucket's entries and
+//! marks the bucket stale, and [`root_hash`](MerkleBucketTree::root_hash)
+//! re-digests every stale bucket, and each tree node above them, once. The
+//! [`UpdateStats`] of a write still count the whole bucket-to-root path it
+//! invalidates.
+
+use std::sync::Mutex;
 
 use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
 use dichotomy_common::{Hash, Key, Value};
@@ -24,16 +32,85 @@ struct BucketEntry {
     value_digest: [u8; 8],
 }
 
+/// Why the digest lock can be poisoned: nothing else holds it.
+const REFRESH_PANICKED: &str = "a root refresh panicked";
+
 /// The Merkle Bucket Tree.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MerkleBucketTree {
     num_buckets: usize,
     fanout: usize,
     /// Bucket contents, each kept sorted by key digest.
     buckets: Vec<Vec<BucketEntry>>,
-    /// `levels[0]` = bucket digests, last level = root.
-    levels: Vec<Vec<Hash>>,
+    /// The digest tree, brought up to date by `root_hash`.
+    levels: Mutex<Levels>,
     len: usize,
+    /// The last value digested and its digest: a run of writes of equal
+    /// bytes digests them once.
+    last_value: Option<(Value, [u8; 8])>,
+}
+
+/// The digest tree over the buckets.
+#[derive(Debug, Clone)]
+struct Levels {
+    /// `hashes[0]` = bucket digests, last level = root.
+    hashes: Vec<Vec<Hash>>,
+    /// Buckets written since their digest was last computed, each listed
+    /// once: `is_stale` flags the listed ones.
+    stale: Vec<usize>,
+    is_stale: Vec<bool>,
+}
+
+impl Levels {
+    fn mark_stale(&mut self, bucket: usize) {
+        if !std::mem::replace(&mut self.is_stale[bucket], true) {
+            self.stale.push(bucket);
+        }
+    }
+
+    /// Re-digest every stale bucket of `buckets`, then each tree node above
+    /// one, once per node.
+    fn refresh(&mut self, buckets: &[Vec<BucketEntry>], fanout: usize) {
+        let mut stale = std::mem::take(&mut self.stale);
+        stale.sort_unstable();
+        for &b in &stale {
+            self.hashes[0][b] = digest_bucket(&buckets[b]);
+            self.is_stale[b] = false;
+        }
+        for level in 1..self.hashes.len() {
+            for index in &mut stale {
+                *index /= fanout;
+            }
+            stale.dedup();
+            let (below, above) = self.hashes.split_at_mut(level);
+            let below = &below[level - 1];
+            for &index in &stale {
+                let end = ((index + 1) * fanout).min(below.len());
+                above[0][index] = digest_group(&below[index * fanout..end]);
+            }
+        }
+    }
+}
+
+fn digest_bucket(entries: &[BucketEntry]) -> Hash {
+    if entries.is_empty() {
+        return Hash::ZERO;
+    }
+    let mut h = dichotomy_common::hash::Hasher::new();
+    for e in entries {
+        h.update(&e.key_digest);
+        h.update(&e.value_digest);
+    }
+    h.finalize()
+}
+
+/// The digest of a tree node over its children's digests.
+fn digest_group(group: &[Hash]) -> Hash {
+    let mut h = dichotomy_common::hash::Hasher::new();
+    for g in group {
+        h.update(&g.0);
+    }
+    h.finalize()
 }
 
 impl MerkleBucketTree {
@@ -47,21 +124,31 @@ impl MerkleBucketTree {
     pub fn new(num_buckets: usize, fanout: usize) -> Self {
         let num_buckets = num_buckets.max(1);
         let fanout = fanout.max(2);
-        let mut tree = MerkleBucketTree {
+        let mut hashes = vec![vec![Hash::ZERO; num_buckets]];
+        let mut width = num_buckets;
+        while width > 1 {
+            width = width.div_ceil(fanout);
+            hashes.push(vec![Hash::ZERO; width]);
+        }
+        MerkleBucketTree {
             num_buckets,
             fanout,
             buckets: vec![Vec::new(); num_buckets],
-            levels: Vec::new(),
+            // Every bucket stale: the first root read digests the whole tree.
+            levels: Mutex::new(Levels {
+                hashes,
+                stale: (0..num_buckets).collect(),
+                is_stale: vec![true; num_buckets],
+            }),
             len: 0,
-        };
-        tree.rebuild_all_levels();
-        tree
+            last_value: None,
+        }
     }
 
     /// Depth of the Merkle tree above the buckets (number of hashing levels,
     /// including the bucket-digest level).
     pub fn depth(&self) -> usize {
-        self.levels.len()
+        self.levels.lock().expect(REFRESH_PANICKED).hashes.len()
     }
 
     /// Number of live records.
@@ -74,85 +161,50 @@ impl MerkleBucketTree {
         self.len == 0
     }
 
-    /// The root digest of the global state.
+    /// The root digest of the global state. Re-digests what the writes since
+    /// the last read left stale.
     pub fn root_hash(&self) -> Hash {
-        self.levels
+        let mut levels = self.levels.lock().expect(REFRESH_PANICKED);
+        levels.refresh(&self.buckets, self.fanout);
+        levels
+            .hashes
             .last()
             .and_then(|l| l.first())
             .copied()
             .unwrap_or(Hash::ZERO)
     }
 
-    fn bucket_of(&self, key: &Key) -> usize {
-        (Hash::of(key.as_bytes()).prefix_u64() % self.num_buckets as u64) as usize
+    /// The bucket of `key` and the key digest its entry is filed under, both
+    /// from one hash of the key.
+    fn locate(&self, key: &Key) -> (usize, [u8; 16]) {
+        let digest = Hash::of(key.as_bytes());
+        let bucket = (digest.prefix_u64() % self.num_buckets as u64) as usize;
+        (bucket, digest.0[..16].try_into().expect("16 bytes"))
     }
 
-    fn digest_bucket(entries: &[BucketEntry]) -> Hash {
-        if entries.is_empty() {
-            return Hash::ZERO;
-        }
-        let mut h = dichotomy_common::hash::Hasher::new();
-        for e in entries {
-            h.update(&e.key_digest);
-            h.update(&e.value_digest);
-        }
-        h.finalize()
-    }
-
-    fn rebuild_all_levels(&mut self) {
-        let bucket_digests: Vec<Hash> = self
-            .buckets
-            .iter()
-            .map(|b| Self::digest_bucket(b))
-            .collect();
-        self.levels = vec![bucket_digests];
-        while self.levels.last().expect("non-empty").len() > 1 {
-            let prev = self.levels.last().expect("non-empty");
-            let next: Vec<Hash> = prev
-                .chunks(self.fanout)
-                .map(|group| {
-                    let mut h = dichotomy_common::hash::Hasher::new();
-                    for g in group {
-                        h.update(&g.0);
-                    }
-                    h.finalize()
-                })
-                .collect();
-            self.levels.push(next);
+    fn value_digest(&self, value: &Value) -> [u8; 8] {
+        match &self.last_value {
+            Some((last, digest)) if last.as_bytes() == value.as_bytes() => *digest,
+            _ => Hash::of(value.as_bytes()).0[..8]
+                .try_into()
+                .expect("8 bytes"),
         }
     }
 
-    /// Recompute only the path from `bucket` to the root after that bucket
-    /// changed. Returns the number of tree nodes rewritten.
-    fn refresh_path(&mut self, bucket: usize) -> usize {
-        let mut touched = 0;
-        self.levels[0][bucket] = Self::digest_bucket(&self.buckets[bucket]);
-        touched += 1;
-        let mut idx = bucket;
-        for level in 1..self.levels.len() {
-            idx /= self.fanout;
-            let start = idx * self.fanout;
-            let end = (start + self.fanout).min(self.levels[level - 1].len());
-            let mut h = dichotomy_common::hash::Hasher::new();
-            for g in &self.levels[level - 1][start..end] {
-                h.update(&g.0);
-            }
-            self.levels[level][idx] = h.finalize();
-            touched += 1;
-        }
-        touched
+    /// Mark `bucket` stale; returns the number of tree nodes the write
+    /// invalidated (the bucket digest and every level above it).
+    fn invalidate(&mut self, bucket: usize) -> usize {
+        let levels = self.levels.get_mut().expect(REFRESH_PANICKED);
+        levels.mark_stale(bucket);
+        levels.hashes.len()
     }
 
     /// Insert or overwrite `key` with `value`, returning update statistics
     /// for CPU-cost charging.
     pub fn put(&mut self, key: &Key, value: &Value) -> UpdateStats {
-        let bucket = self.bucket_of(key);
-        let key_digest: [u8; 16] = Hash::of(key.as_bytes()).0[..16]
-            .try_into()
-            .expect("16 bytes");
-        let value_digest: [u8; 8] = Hash::of(value.as_bytes()).0[..8]
-            .try_into()
-            .expect("8 bytes");
+        let (bucket, key_digest) = self.locate(key);
+        let value_digest = self.value_digest(value);
+        self.last_value = Some((value.clone(), value_digest));
         let entries = &mut self.buckets[bucket];
         match entries.binary_search_by(|e| e.key_digest.cmp(&key_digest)) {
             Ok(i) => entries[i].value_digest = value_digest,
@@ -167,9 +219,8 @@ impl MerkleBucketTree {
                 self.len += 1;
             }
         }
-        let nodes = self.refresh_path(bucket);
         UpdateStats {
-            nodes_touched: nodes,
+            nodes_touched: self.invalidate(bucket),
             leaf_bytes: value.len(),
         }
     }
@@ -178,33 +229,37 @@ impl MerkleBucketTree {
     /// validator performs; MBT cannot return the value itself, it only
     /// authenticates what the state storage returned).
     pub fn authenticate(&self, key: &Key, value: &Value) -> bool {
-        let bucket = self.bucket_of(key);
-        let key_digest: [u8; 16] = Hash::of(key.as_bytes()).0[..16]
-            .try_into()
-            .expect("16 bytes");
-        let value_digest: [u8; 8] = Hash::of(value.as_bytes()).0[..8]
-            .try_into()
-            .expect("8 bytes");
-        self.buckets[bucket]
+        let (bucket, key_digest) = self.locate(key);
+        let entries = &self.buckets[bucket];
+        entries
             .binary_search_by(|e| e.key_digest.cmp(&key_digest))
-            .map(|i| self.buckets[bucket][i].value_digest == value_digest)
-            .unwrap_or(false)
+            .is_ok_and(|i| entries[i].value_digest == self.value_digest(value))
     }
 
     /// Remove `key`; returns `true` if it was present.
     pub fn delete(&mut self, key: &Key) -> bool {
-        let bucket = self.bucket_of(key);
-        let key_digest: [u8; 16] = Hash::of(key.as_bytes()).0[..16]
-            .try_into()
-            .expect("16 bytes");
+        let (bucket, key_digest) = self.locate(key);
         let entries = &mut self.buckets[bucket];
         if let Ok(i) = entries.binary_search_by(|e| e.key_digest.cmp(&key_digest)) {
             entries.remove(i);
             self.len -= 1;
-            self.refresh_path(bucket);
+            self.invalidate(bucket);
             true
         } else {
             false
+        }
+    }
+}
+
+impl Clone for MerkleBucketTree {
+    fn clone(&self) -> Self {
+        MerkleBucketTree {
+            num_buckets: self.num_buckets,
+            fanout: self.fanout,
+            buckets: self.buckets.clone(),
+            levels: Mutex::new(self.levels.lock().expect(REFRESH_PANICKED).clone()),
+            len: self.len,
+            last_value: self.last_value.clone(),
         }
     }
 }
@@ -213,7 +268,8 @@ impl StorageFootprint for MerkleBucketTree {
     fn footprint(&self) -> StorageBreakdown {
         // 24 bytes per record entry + 32 bytes per interior/bucket hash.
         let entry_bytes: u64 = self.buckets.iter().map(|b| b.len() as u64 * 24).sum();
-        let tree_bytes: u64 = self.levels.iter().map(|l| l.len() as u64 * 32).sum();
+        let levels = self.levels.lock().expect(REFRESH_PANICKED);
+        let tree_bytes: u64 = levels.hashes.iter().map(|l| l.len() as u64 * 32).sum();
         StorageBreakdown {
             payload_bytes: 0,
             index_bytes: entry_bytes + tree_bytes,
@@ -224,10 +280,35 @@ impl StorageFootprint for MerkleBucketTree {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use dichotomy_common::rng::{derive_seed, seeded, Rng};
+
     use super::*;
 
     fn key(i: u64) -> Key {
         Key::new(&Hash::of(&i.to_be_bytes()).0[..16])
+    }
+
+    impl MerkleBucketTree {
+        /// The eager reference: every level recomputed from the buckets, as
+        /// a tree that digests on every write would hold it.
+        fn rebuild_all_levels(&mut self) {
+            let levels = self.levels.get_mut().unwrap();
+            levels.hashes = vec![self.buckets.iter().map(|b| digest_bucket(b)).collect()];
+            while levels.hashes.last().unwrap().len() > 1 {
+                let next = levels
+                    .hashes
+                    .last()
+                    .unwrap()
+                    .chunks(self.fanout)
+                    .map(digest_group)
+                    .collect();
+                levels.hashes.push(next);
+            }
+            levels.stale.clear();
+            levels.is_stale.fill(false);
+        }
     }
 
     #[test]
@@ -270,6 +351,75 @@ mod tests {
         let incremental_root = t.root_hash();
         t.rebuild_all_levels();
         assert_eq!(t.root_hash(), incremental_root);
+    }
+
+    /// The tree an eager implementation holds for `model`: every entry
+    /// digested from scratch, every level rebuilt.
+    fn eager(shape: (usize, usize), model: &BTreeMap<u64, Value>) -> MerkleBucketTree {
+        let mut tree = MerkleBucketTree::new(shape.0, shape.1);
+        for (&k, value) in model {
+            let (bucket, key_digest) = tree.locate(&key(k));
+            let value_digest = Hash::of(value.as_bytes()).0[..8].try_into().unwrap();
+            tree.buckets[bucket].push(BucketEntry {
+                key_digest,
+                value_digest,
+            });
+        }
+        for bucket in &mut tree.buckets {
+            bucket.sort_by_key(|e| e.key_digest);
+        }
+        tree.len = model.len();
+        tree.rebuild_all_levels();
+        tree
+    }
+
+    /// Seeded put / delete / clone interleavings, each tree beside a model
+    /// of what it holds; every root read is checked against an eager tree
+    /// built from the model, and clones refresh independently of their
+    /// originals.
+    #[test]
+    fn lazy_roots_match_an_eager_rebuild_at_every_read() {
+        for case in 0..24u64 {
+            let mut rng = seeded(derive_seed(0x3B7, &case.to_string()));
+            let shape = [(1, 2), (7, 3), (64, 4), (1000, 4)][case as usize % 4];
+            let mut trees = vec![(MerkleBucketTree::new(shape.0, shape.1), BTreeMap::new())];
+            for step in 0..400 {
+                let t = rng.gen_range(0..trees.len());
+                let may_clone = trees.len() < 4;
+                let (tree, model) = &mut trees[t];
+                match rng.gen_range(0..10u8) {
+                    0..=4 => {
+                        // Few distinct contents of few lengths, in fresh
+                        // buffers: the value memo must go by content alone.
+                        let len = [0, 1, 10, 10, 1000][rng.gen_range(0..5usize)];
+                        let value = Value::new(vec![rng.gen_range(0..3u8); len]);
+                        let k = rng.gen_range(0..80);
+                        tree.put(&key(k), &value);
+                        model.insert(k, value);
+                    }
+                    5 | 6 => {
+                        let k = rng.gen_range(0..80);
+                        assert_eq!(tree.delete(&key(k)), model.remove(&k).is_some());
+                    }
+                    7 if may_clone => {
+                        let clone = (tree.clone(), model.clone());
+                        trees.push(clone);
+                    }
+                    _ => {
+                        let mut eager = eager(shape, model);
+                        let at = format!("case {case} step {step}");
+                        assert_eq!(tree.root_hash(), eager.root_hash(), "{at}");
+                        assert_eq!(tree.buckets, eager.buckets, "{at}");
+                        assert_eq!(
+                            tree.levels.get_mut().unwrap().hashes,
+                            eager.levels.get_mut().unwrap().hashes,
+                            "{at}"
+                        );
+                        assert_eq!(tree.len(), model.len(), "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

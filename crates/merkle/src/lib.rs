@@ -5,11 +5,11 @@
 //! two structures the paper measures (Figure 13) are implemented here from
 //! scratch:
 //!
-//! * [`MerklePatriciaTrie`] — Ethereum/Quorum's hexary prefix trie. Every
-//!   node is stored in a hash-addressed node store; updates write new nodes
-//!   and (in archival mode, the geth default) never delete the old ones,
-//!   which is exactly why the paper measures **over 1 KB of overhead per
-//!   record** regardless of record size.
+//! * [`MerklePatriciaTrie`] — Ethereum/Quorum's hexary prefix trie. A node's
+//!   identity is its encoding, and the node store holds each distinct
+//!   encoding once; updates write new nodes and (in archival mode, the geth
+//!   default) never delete the old ones, which is exactly why the paper
+//!   measures **over 1 KB of overhead per record** regardless of record size.
 //! * [`MerkleBucketTree`] — Hyperledger Fabric v0.6's fixed-size structure: a
 //!   configurable number of buckets, records hashed into buckets, and a
 //!   fixed-fan-out Merkle tree over the bucket hashes. Its per-record
@@ -22,6 +22,13 @@
 //! 5.3.3's 56 µs → 2.5 ms MPT reconstruction growth). The trie also proves
 //! membership ([`MerklePatriciaTrie::prove`],
 //! [`MerklePatriciaTrie::verify_proof`]).
+//!
+//! Both hash on demand. The simulator charges hashing in *simulated* time
+//! from the structural statistics, so neither structure hashes on the host
+//! until a root or a proof is read: the trie runs each node's SHA-256 once,
+//! when a root or proof first reaches the node, and the bucket tree
+//! re-digests the buckets written since the last root read. Roots, proofs,
+//! node counts and footprints are the ones eager hashing produces.
 
 #![forbid(unsafe_code)]
 

@@ -8,10 +8,21 @@
 //!   slots plus an optional value, so the depth can reach twice the key
 //!   length in bytes (32 for the paper's 16-byte keys);
 //! * **leaf** and **extension** nodes compress single-child runs of nibbles;
-//! * every node is serialized and stored in a **hash-addressed node store**
-//!   (the role LevelDB plays under geth); parents reference children by the
-//!   32-byte hash of their encoding, and the root hash uniquely identifies
-//!   the entire state.
+//! * every node has a deterministic byte **encoding** in which a parent names
+//!   each child by the SHA-256 of the child's encoding, so the root hash
+//!   uniquely identifies the entire state.
+//!
+//! A node's identity is its encoding. The node store (the role LevelDB plays
+//! under geth) holds each distinct encoding once and charges it its bytes plus
+//! a 32-byte hash key. The store is **hash-consed**: a node is interned under
+//! a cheap structural key (tag, path, child ids, value bytes) and matched
+//! exactly, comparing children by id — in an interned store, equal ids are
+//! equal encodings — so finding a node's identity needs no digest. SHA-256
+//! runs **on demand**: a node's digest is computed the first time
+//! [`root_hash`](MerklePatriciaTrie::root_hash) or
+//! [`prove`](MerklePatriciaTrie::prove) reaches it, and memoised. The stored
+//! node set, node count, footprint and update statistics are those of a store
+//! keyed by the digests themselves.
 //!
 //! Updates create new nodes along the path from the root to the touched leaf.
 //! In **archival mode** (the default here and in geth) the superseded nodes
@@ -20,14 +31,13 @@
 //! [`MerklePatriciaTrie::prune`] garbage-collects unreachable nodes so that
 //! the difference can be quantified in an ablation.
 
-use std::collections::hash_map::Entry;
 #[expect(
     clippy::disallowed_types,
-    reason = "hash-addressed node store on the insert hot path; all iterations fold order-insensitive sums"
+    reason = "intern table on the insert hot path; looked up by key, never iterated into output"
 )]
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
 use dichotomy_common::{Hash, Key, Value};
@@ -39,121 +49,322 @@ use crate::UpdateStats;
 /// node, longer ones in a buffer that rewritten nodes share.
 type Path = Key;
 
+/// A node's place in the store. Children are always stored before their
+/// parents, so a child's id is below its parent's; a fork's own nodes
+/// continue after its base's.
+type NodeId = u32;
+
+/// Longest key [`MerklePatriciaTrie::insert`] accepts: its nibble path must
+/// fit the encoding's two-byte length.
+const MAX_KEY_BYTES: usize = u16::MAX as usize / 2;
+
+/// Longest path whose length the encoding writes in one byte. A longer one
+/// (a key of 128 bytes or more) is `0xFF` and a big-endian `u16`.
+const SHORT_PATH: usize = 0xFE;
+
 /// The occupied child slots of a branch in slot order, plus their bitmap —
-/// the shape of the encoding, so a sparse branch costs what it holds.
+/// the shape of the encoding, so a sparse branch costs what it holds. A child
+/// is a [`NodeId`] in the store and a [`Hash`] in a decoded proof node.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct Children {
+struct Children<C> {
     occupied: u16,
-    hashes: Vec<Hash>,
+    slots: Vec<C>,
 }
 
-impl Children {
+impl<C: Copy> Children<C> {
     fn has(&self, slot: u8) -> bool {
         self.occupied & (1 << slot) != 0
     }
 
-    /// Index into `hashes` of `slot`, whether or not it is occupied.
+    /// Index into `slots` of `slot`, whether or not it is occupied.
     fn rank(&self, slot: u8) -> usize {
         (self.occupied & ((1 << slot) - 1)).count_ones() as usize
     }
 
-    fn get(&self, slot: u8) -> Option<Hash> {
-        self.has(slot).then(|| self.hashes[self.rank(slot)])
+    fn get(&self, slot: u8) -> Option<C> {
+        self.has(slot).then(|| self.slots[self.rank(slot)])
     }
 
-    fn set(&mut self, slot: u8, child: Hash) {
+    fn set(&mut self, slot: u8, child: C) {
         let at = self.rank(slot);
         if self.has(slot) {
-            self.hashes[at] = child;
+            self.slots[at] = child;
         } else {
             self.occupied |= 1 << slot;
-            self.hashes.insert(at, child);
+            self.slots.insert(at, child);
         }
-    }
-
-    /// A copy with `slot` pointing at `child`.
-    fn with(&self, slot: u8, child: Hash) -> Children {
-        let len = self.hashes.len() + usize::from(!self.has(slot));
-        let mut hashes = Vec::with_capacity(len);
-        hashes.extend_from_slice(&self.hashes);
-        let mut next = Children {
-            occupied: self.occupied,
-            hashes,
-        };
-        next.set(slot, child);
-        next
     }
 }
 
-/// A trie node. Nodes are immutable once stored and are never cloned: the
-/// store holds each behind an `Arc`, and a rewritten spine shares its values
-/// (and long paths) with the nodes it supersedes.
-#[derive(Debug, PartialEq, Eq)]
-enum Node {
+/// A trie node. Stored nodes are immutable; a rewritten spine shares its
+/// values (and long paths) with the nodes it supersedes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Node<C = NodeId> {
     /// Terminal node holding the remaining path and the value.
     Leaf { path: Path, value: Value },
     /// Path compression node pointing at a single child.
-    Extension { path: Path, child: Hash },
+    Extension { path: Path, child: C },
     /// 16-way branch with an optional value for keys ending here.
     Branch {
-        children: Children,
+        children: Children<C>,
         value: Option<Value>,
     },
 }
 
-impl Node {
-    fn leaf(path: &[u8], value: &Value) -> Node {
+impl<C: Copy> Node<C> {
+    fn leaf(path: &[u8], value: &Value) -> Self {
         Node::Leaf {
             path: Path::new(path),
             value: value.clone(),
         }
     }
 
-    /// Deterministic byte encoding, standing in for RLP, written over `out`.
-    /// The encoding is what gets hashed (node identity) and what the
-    /// footprint counts.
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.clear();
+    /// Deterministic byte encoding, standing in for RLP, appended to `out`;
+    /// `child_hash` names each child by the digest of its own encoding. The
+    /// encoding is what gets hashed and what the footprint counts.
+    fn encode_into(&self, out: &mut Vec<u8>, mut child_hash: impl FnMut(C) -> Hash) {
         match self {
             Node::Leaf { path, value } => {
-                out.extend_from_slice(&[0u8, path.len() as u8]);
-                out.extend_from_slice(path.as_bytes());
+                out.push(0);
+                put_path(out, path);
                 out.extend_from_slice(value.as_bytes());
             }
             Node::Extension { path, child } => {
-                out.extend_from_slice(&[1u8, path.len() as u8]);
-                out.extend_from_slice(path.as_bytes());
-                out.extend_from_slice(&child.0);
+                out.push(1);
+                put_path(out, path);
+                out.extend_from_slice(&child_hash(*child).0);
             }
             Node::Branch { children, value } => {
-                out.push(2u8);
+                out.push(2);
                 out.extend_from_slice(&children.occupied.to_be_bytes());
-                for c in &children.hashes {
-                    out.extend_from_slice(&c.0);
+                for &c in &children.slots {
+                    out.extend_from_slice(&child_hash(c).0);
                 }
-                if let Some(v) = value {
-                    out.extend_from_slice(v.as_bytes());
-                }
+                out.extend_from_slice(branch_value(value));
             }
         }
-    }
-
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
     }
 
     /// Length of the encoding, without producing it.
     fn encoded_len(&self) -> usize {
+        let path_len = |path: &Path| 1 + usize::from(path.len() > SHORT_PATH) * 2 + path.len();
         match self {
-            Node::Leaf { path, value } => 2 + path.len() + value.len(),
-            Node::Extension { path, .. } => 2 + path.len() + 32,
+            Node::Leaf { path, value } => 1 + path_len(path) + value.len(),
+            Node::Extension { path, .. } => 1 + path_len(path) + 32,
             Node::Branch { children, value } => {
-                3 + 32 * children.hashes.len() + value.as_ref().map_or(0, Value::len)
+                3 + 32 * children.slots.len() + branch_value(value).len()
             }
         }
     }
+}
+
+impl Node {
+    /// Whether `self` and `other` encode to the same bytes. Children compare
+    /// by id, which in an interned store is comparing their encodings; a
+    /// branch's `Some(empty)` value encodes like `None`.
+    fn same_encoding(&self, other: &Node) -> bool {
+        match (self, other) {
+            (Node::Leaf { path, value }, Node::Leaf { path: p, value: v }) => {
+                path == p && value.as_bytes() == v.as_bytes()
+            }
+            (Node::Extension { path, child }, Node::Extension { path: p, child: c }) => {
+                path == p && child == c
+            }
+            (
+                Node::Branch { children, value },
+                Node::Branch {
+                    children: c,
+                    value: v,
+                },
+            ) => children == c && branch_value(value) == branch_value(v),
+            _ => false,
+        }
+    }
+
+    /// The intern key: a deterministic 64-bit digest of exactly what
+    /// [`same_encoding`](Self::same_encoding) compares.
+    fn intern_key(&self) -> u64 {
+        let mut key = KeyMix::default();
+        match self {
+            Node::Leaf { path, value } => {
+                key.add(0);
+                key.add_bytes(path.as_bytes());
+                key.add_bytes(value.as_bytes());
+            }
+            Node::Extension { path, child } => {
+                key.add(1);
+                key.add_bytes(path.as_bytes());
+                key.add(u64::from(*child));
+            }
+            Node::Branch { children, value } => {
+                key.add(2 | u64::from(children.occupied) << 8);
+                for &c in &children.slots {
+                    key.add(u64::from(c));
+                }
+                key.add_bytes(branch_value(value));
+            }
+        }
+        key.finish()
+    }
+
+    /// This node with every child id `c` replaced by `new_id[c]`.
+    fn renumbered(self, new_id: &[NodeId]) -> Node {
+        match self {
+            Node::Extension { path, child } => Node::Extension {
+                path,
+                child: new_id[child as usize],
+            },
+            Node::Branch {
+                mut children,
+                value,
+            } => {
+                for c in &mut children.slots {
+                    *c = new_id[*c as usize];
+                }
+                Node::Branch { children, value }
+            }
+            leaf @ Node::Leaf { .. } => leaf,
+        }
+    }
+}
+
+/// The bytes a branch value contributes to the encoding (none for `None`).
+fn branch_value(value: &Option<Value>) -> &[u8] {
+    value.as_ref().map_or(&[], Value::as_bytes)
+}
+
+/// Append a length-prefixed nibble path: one length byte up to
+/// [`SHORT_PATH`], else `0xFF` and a big-endian `u16`.
+fn put_path(out: &mut Vec<u8>, path: &Path) {
+    match u8::try_from(path.len()) {
+        Ok(len) if usize::from(len) <= SHORT_PATH => out.push(len),
+        _ => {
+            let len = u16::try_from(path.len()).expect("insert bounds the key length");
+            out.push(0xFF);
+            out.extend_from_slice(&len.to_be_bytes());
+        }
+    }
+    out.extend_from_slice(path.as_bytes());
+}
+
+/// Split a [`put_path`] path off the front of `bytes`; `None` when the bytes
+/// run short or the length is not in its one canonical form.
+fn take_path(bytes: &[u8]) -> Option<(Path, &[u8])> {
+    let (&short, rest) = bytes.split_first()?;
+    let (len, rest) = if usize::from(short) <= SHORT_PATH {
+        (usize::from(short), rest)
+    } else {
+        let (long, rest) = rest.split_first_chunk::<2>()?;
+        let len = usize::from(u16::from_be_bytes(*long));
+        if len <= SHORT_PATH {
+            return None;
+        }
+        (len, rest)
+    };
+    if rest.len() < len {
+        return None;
+    }
+    let (path, body) = rest.split_at(len);
+    Some((Path::new(path), body))
+}
+
+/// FxHash's rotate-xor-multiply word mix (rustc's own table hasher):
+/// deterministic, and cheap over the short paths and id lists a key covers.
+#[derive(Default)]
+struct KeyMix(u64);
+
+impl KeyMix {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    /// A byte string, length first, eight bytes at a time.
+    fn add_bytes(&mut self, bytes: &[u8]) {
+        self.add(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        self.add(u64::from_le_bytes(tail));
+    }
+
+    /// Fold the high bits, where the multiply leaves its entropy, into the
+    /// low bits a hash table indexes by.
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// The intern table's hasher: its keys are [`KeyMix`] digests already, so a
+/// key is its own table hash.
+#[derive(Debug, Default)]
+struct KeyIsHash(u64);
+
+impl std::hash::Hasher for KeyIsHash {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Intern key → the newest stored node with that key.
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed by a deterministic digest; iterated only to merge a base with its overlay"
+)]
+type InternTable = HashMap<u64, NodeId, BuildHasherDefault<KeyIsHash>>;
+
+/// A stored node.
+#[derive(Debug, Clone)]
+struct Stored {
+    node: Node,
+    /// SHA-256 of the encoding, once a root or proof has needed it.
+    hash: OnceLock<Hash>,
+    /// The next older stored node with the same intern key.
+    same_key: Option<NodeId>,
+}
+
+/// A node store with its running footprint: what [`MerklePatriciaTrie`]
+/// writes into, and — behind an `Arc` — the immutable base its forks share,
+/// digest memo included.
+#[derive(Debug, Clone, Default)]
+struct NodeStore {
+    /// Nodes in id order, from the store's first id.
+    nodes: Vec<Stored>,
+    /// Heads of the same-key chains. An overlay's chains run on into its
+    /// base's, so an overlay head supersedes the base's for its key.
+    index: InternTable,
+    /// Σ (encoded size + 32-byte hash key) over `nodes`, kept current by
+    /// every insert and prune so `footprint()` never walks the store.
+    bytes: u64,
+}
+
+impl NodeStore {
+    /// Append `stored`, whose encoding no stored node has, as node `id`,
+    /// heading the chain of intern key `key`.
+    fn push(&mut self, id: NodeId, key: u64, stored: Stored) {
+        self.bytes += stored.node.encoded_len() as u64 + 32;
+        self.index.insert(key, id);
+        self.nodes.push(stored);
+    }
+}
+
+/// What one insert learns on its way down, beside the new root.
+struct Insertion {
+    stats: UpdateStats,
+    /// Length of the value the key held before, if it held one.
+    replaced: Option<usize>,
 }
 
 /// The nibbles of a key (high nibble first): on the stack for keys of up to
@@ -202,8 +413,8 @@ fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
 pub struct MptProof {
     /// Node encodings, root first.
     pub nodes: Vec<Vec<u8>>,
-    /// The value the proof claims for the key (`None` = proof of absence is
-    /// not supported by this model; absent keys simply return no proof).
+    /// The value the proof claims for the key. Only present keys are proved:
+    /// [`MerklePatriciaTrie::prove`] returns no proof of absence.
     pub value: Vec<u8>,
 }
 
@@ -214,76 +425,27 @@ impl MptProof {
     }
 }
 
-/// The node store's hasher. Its keys are SHA-256 digests, uniform already,
-/// so the first eight digest bytes are the table hash as they stand: no
-/// second hash over the 32 bytes, and no per-process random state.
-#[derive(Debug, Default)]
-struct DigestPrefix(u64);
-
-impl std::hash::Hasher for DigestPrefix {
-    /// [`Hash`] hashes as its byte array: one call with the 32 digest bytes.
-    fn write(&mut self, bytes: &[u8]) {
-        let mut prefix = [0u8; 8];
-        let n = bytes.len().min(8);
-        prefix[..n].copy_from_slice(&bytes[..n]);
-        self.0 = u64::from_le_bytes(prefix);
-    }
-
-    /// The array's length prefix, the same for every key.
-    fn write_usize(&mut self, _len: usize) {}
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Hash-addressed nodes (the LevelDB role), each stored once.
-#[expect(
-    clippy::disallowed_types,
-    reason = "keyed by content hash; iterated only for retain and order-insensitive merges"
-)]
-type NodeMap = HashMap<Hash, Arc<Node>, BuildHasherDefault<DigestPrefix>>;
-
-/// A node store with its running footprint: what [`MerklePatriciaTrie`]
-/// writes into, and — behind an `Arc` — the immutable base its forks share.
-#[derive(Debug, Clone, Default)]
-struct NodeStore {
-    nodes: NodeMap,
-    /// Σ (encoded size + 32-byte hash key) over `nodes`, kept current by
-    /// every insert and retain so `footprint()` never walks the store.
-    bytes: u64,
-}
-
-/// What one insert learns on its way down, beside the new root.
-struct Insertion {
-    stats: UpdateStats,
-    /// Length of the value the key held before, if it held one.
-    replaced: Option<usize>,
-}
-
 /// The Merkle Patricia Trie.
 ///
 /// A trie may sit on a shared immutable **base**: [`freeze`](Self::freeze)
 /// moves everything stored so far behind an `Arc`, after which `clone()` is a
 /// *fork* — a second trie over the same base that pays only for its own
-/// (initially empty) overlay. Forks never observe each other's writes, and
-/// every accessor answers as an unshared trie with the same history would
-/// (node identity is the content hash, so a node the base already holds is
-/// never stored twice).
+/// (initially empty) overlay. Forks never observe each other's writes, share
+/// the base's digest memo, and answer every accessor as an unshared trie with
+/// the same history would (a node the base already holds is never stored
+/// twice).
 #[derive(Debug, Clone, Default)]
 pub struct MerklePatriciaTrie {
     /// Frozen nodes shared with other forks; `None` for an unshared trie.
     base: Option<Arc<NodeStore>>,
     /// Nodes written by this trie (all of them when unshared), disjoint
-    /// from `base`.
+    /// from `base`; their ids continue after the base's.
     store: NodeStore,
-    root: Option<Hash>,
+    root: Option<NodeId>,
     /// Number of live key/value pairs.
     len: usize,
     /// Total bytes of raw values currently reachable (payload accounting).
     live_value_bytes: u64,
-    /// The encoding of the node being stored; reused by every `put_node`.
-    scratch: Vec<u8>,
 }
 
 impl MerklePatriciaTrie {
@@ -293,9 +455,10 @@ impl MerklePatriciaTrie {
     }
 
     /// The state root (`Hash::ZERO` when empty). Placing this root in a block
-    /// header is what gives blockchains state tamper evidence.
+    /// header is what gives blockchains state tamper evidence. Hashes every
+    /// node the root reaches that no earlier root or proof has hashed.
     pub fn root_hash(&self) -> Hash {
-        self.root.unwrap_or(Hash::ZERO)
+        self.root.map_or(Hash::ZERO, |root| self.hash_of(root))
     }
 
     /// Number of live keys.
@@ -311,7 +474,7 @@ impl MerklePatriciaTrie {
     /// Number of nodes in the node store, including superseded (archival)
     /// nodes.
     pub fn stored_node_count(&self) -> usize {
-        self.store.nodes.len() + self.base.as_ref().map_or(0, |b| b.nodes.len())
+        self.base_nodes().len() + self.store.nodes.len()
     }
 
     /// Move every node stored so far into a shared immutable base, so that
@@ -326,42 +489,88 @@ impl MerklePatriciaTrie {
         self.base = Some(Arc::new(std::mem::take(&mut self.store)));
     }
 
-    /// Fold the shared base back into this trie's own store (copying its
-    /// table of node handles when other forks still hold it), leaving an
-    /// unshared trie.
+    /// Fold the shared base back into this trie's own store (copying it when
+    /// other forks still hold it), leaving an unshared trie.
     fn materialise(&mut self) {
         let Some(base) = self.base.take() else { return };
         let base = Arc::try_unwrap(base).unwrap_or_else(|shared| NodeStore::clone(&shared));
         let overlay = std::mem::replace(&mut self.store, base);
         self.store.nodes.extend(overlay.nodes);
+        self.store.index.extend(overlay.index);
         self.store.bytes += overlay.bytes;
     }
 
-    fn put_node(&mut self, node: Node) -> Hash {
-        node.encode_into(&mut self.scratch);
-        let h = Hash::of(&self.scratch);
-        if let Some(base) = &self.base {
-            if base.nodes.contains_key(&h) {
-                return h;
-            }
-        }
-        if let Entry::Vacant(slot) = self.store.nodes.entry(h) {
-            slot.insert(Arc::new(node));
-            self.store.bytes += self.scratch.len() as u64 + 32;
-        }
-        h
+    fn base_nodes(&self) -> &[Stored] {
+        self.base.as_deref().map_or(&[], |base| &base.nodes)
     }
 
-    fn get_node(&self, h: &Hash) -> Option<&Arc<Node>> {
-        self.store
-            .nodes
-            .get(h)
-            .or_else(|| self.base.as_ref()?.nodes.get(h))
+    fn stored(&self, id: NodeId) -> &Stored {
+        let base = self.base_nodes();
+        let id = id as usize;
+        base.get(id)
+            .unwrap_or_else(|| &self.store.nodes[id - base.len()])
+    }
+
+    fn node(&self, id: NodeId) -> &Node {
+        &self.stored(id).node
+    }
+
+    /// SHA-256 of node `id`'s encoding, computed — with every child digest
+    /// not yet known — the first time it is asked for.
+    fn hash_of(&self, id: NodeId) -> Hash {
+        let stored = self.stored(id);
+        *stored
+            .hash
+            .get_or_init(|| Hash::of(&self.encode(&stored.node)))
+    }
+
+    fn encode(&self, node: &Node) -> Vec<u8> {
+        let mut out = Vec::with_capacity(node.encoded_len());
+        node.encode_into(&mut out, |child| self.hash_of(child));
+        out
+    }
+
+    /// The id of the stored node encoding as `node` does, storing `node` when
+    /// there is none. The first node stored with an encoding is the one every
+    /// later equal node resolves to, value buffer and all.
+    fn put_node(&mut self, node: Node) -> NodeId {
+        let key = node.intern_key();
+        let head = self
+            .store
+            .index
+            .get(&key)
+            .or_else(|| self.base.as_ref()?.index.get(&key))
+            .copied();
+        let mut next = head;
+        while let Some(id) = next {
+            let stored = self.stored(id);
+            if stored.node.same_encoding(&node) {
+                return id;
+            }
+            next = stored.same_key;
+        }
+        let id = NodeId::try_from(self.stored_node_count()).expect("fewer than 2^32 stored nodes");
+        let stored = Stored {
+            node,
+            hash: OnceLock::new(),
+            same_key: head,
+        };
+        self.store.push(id, key, stored);
+        id
     }
 
     /// Insert or overwrite `key` with `value`, returning the structural
     /// update statistics (used for CPU-cost charging).
+    ///
+    /// # Panics
+    ///
+    /// If `key` is longer than 32 767 bytes, beyond what a node encoding
+    /// records of its path.
     pub fn insert(&mut self, key: &Key, value: &Value) -> UpdateStats {
+        assert!(
+            key.len() <= MAX_KEY_BYTES,
+            "MPT keys are at most {MAX_KEY_BYTES} bytes"
+        );
         let nibbles = Nibbles::of(key.as_bytes());
         let mut insertion = Insertion {
             stats: UpdateStats {
@@ -380,26 +589,22 @@ impl MerklePatriciaTrie {
         insertion.stats
     }
 
-    /// Recursive insert; returns the hash of the new node replacing
-    /// `node_hash` for the remaining `path`.
+    /// Recursive insert; returns the id of the new node replacing `at` for
+    /// the remaining `path`.
     fn insert_at(
         &mut self,
-        node_hash: Option<Hash>,
+        at: Option<NodeId>,
         path: &[u8],
         value: &Value,
         insertion: &mut Insertion,
-    ) -> Hash {
+    ) -> NodeId {
         insertion.stats.nodes_touched += 1;
-        let Some(h) = node_hash else {
+        let Some(id) = at else {
             return self.put_node(Node::leaf(path, value));
         };
-        // A second handle on the spine node, not a copy of it: the store can
-        // then be written while the node is read.
-        let node = Arc::clone(
-            self.get_node(&h)
-                .expect("child hash must resolve in the node store"),
-        );
-        match &*node {
+        // The spine node's handles (paths and values are shared buffers), so
+        // the store can be written while the node is rewritten.
+        match self.node(id).clone() {
             Node::Leaf {
                 path: leaf_path,
                 value: leaf_value,
@@ -414,9 +619,9 @@ impl MerklePatriciaTrie {
                 let mut branch_value = None;
                 // Re-home the existing leaf under the branch.
                 match leaf_path[cp..].split_first() {
-                    None => branch_value = Some(leaf_value.clone()),
+                    None => branch_value = Some(leaf_value),
                     Some((&slot, rest)) => {
-                        let child = self.put_node(Node::leaf(rest, leaf_value));
+                        let child = self.put_node(Node::leaf(rest, &leaf_value));
                         insertion.stats.nodes_touched += 1;
                         children.set(slot, child);
                     }
@@ -430,21 +635,21 @@ impl MerklePatriciaTrie {
                 let cp = common_prefix_len(ext_path.as_bytes(), path);
                 if cp == ext_path.len() {
                     // Descend into the child with the remaining path.
-                    let new_child = self.insert_at(Some(*child), &path[cp..], value, insertion);
+                    let new_child = self.insert_at(Some(child), &path[cp..], value, insertion);
                     return self.put_node(Node::Extension {
-                        path: ext_path.clone(),
+                        path: ext_path,
                         child: new_child,
                     });
                 }
                 // Split the extension at the divergence point.
                 let ext_rest = &ext_path.as_bytes()[cp..];
                 let under_ext = if ext_rest.len() == 1 {
-                    *child
+                    child
                 } else {
                     insertion.stats.nodes_touched += 1;
                     self.put_node(Node::Extension {
                         path: Path::new(&ext_rest[1..]),
-                        child: *child,
+                        child,
                     })
                 };
                 let mut children = Children::default();
@@ -452,20 +657,21 @@ impl MerklePatriciaTrie {
                 self.split_at(cp, children, None, path, value, insertion)
             }
             Node::Branch {
-                children,
+                mut children,
                 value: branch_value,
             } => {
                 let Some((&slot, rest)) = path.split_first() else {
                     insertion.replaced = branch_value.as_ref().map(Value::len);
                     return self.put_node(Node::Branch {
-                        children: children.clone(),
+                        children,
                         value: Some(value.clone()),
                     });
                 };
                 let new_child = self.insert_at(children.get(slot), rest, value, insertion);
+                children.set(slot, new_child);
                 self.put_node(Node::Branch {
-                    children: children.with(slot, new_child),
-                    value: branch_value.clone(),
+                    children,
+                    value: branch_value,
                 })
             }
         }
@@ -478,12 +684,12 @@ impl MerklePatriciaTrie {
     fn split_at(
         &mut self,
         cp: usize,
-        mut children: Children,
+        mut children: Children<NodeId>,
         mut branch_value: Option<Value>,
         path: &[u8],
         value: &Value,
         insertion: &mut Insertion,
-    ) -> Hash {
+    ) -> NodeId {
         match path[cp..].split_first() {
             None => branch_value = Some(value.clone()),
             Some((&slot, rest)) => {
@@ -514,7 +720,7 @@ impl MerklePatriciaTrie {
         let mut path = nibbles.as_slice();
         let mut current = self.root?;
         loop {
-            let node = &**self.get_node(&current)?;
+            let node = self.node(current);
             visit(node);
             match node {
                 Node::Leaf {
@@ -548,7 +754,7 @@ impl MerklePatriciaTrie {
     /// the root down to the key. Returns `None` if the key is absent.
     pub fn prove(&self, key: &Key) -> Option<MptProof> {
         let mut nodes = Vec::new();
-        let value = self.walk(key, |node| nodes.push(node.encode()))?;
+        let value = self.walk(key, |node| nodes.push(self.encode(node)))?;
         Some(MptProof {
             value: value.as_bytes().to_vec(),
             nodes,
@@ -605,19 +811,13 @@ impl MerklePatriciaTrie {
         false
     }
 
-    /// Decode a node encoding (inverse of [`Node::encode_into`]); `None` on
-    /// malformed input.
-    fn decode(bytes: &[u8]) -> Option<Node> {
+    /// Decode a node encoding (inverse of [`Node::encode_into`]), naming its
+    /// children by hash; `None` on malformed input.
+    fn decode(bytes: &[u8]) -> Option<Node<Hash>> {
         let (&tag, rest) = bytes.split_first()?;
         match tag {
             0 | 1 => {
-                let (&plen, rest) = rest.split_first()?;
-                let plen = plen as usize;
-                if rest.len() < plen {
-                    return None;
-                }
-                let (path, body) = rest.split_at(plen);
-                let path = Path::new(path);
+                let (path, body) = take_path(rest)?;
                 if tag == 0 {
                     Some(Node::Leaf {
                         path,
@@ -631,22 +831,19 @@ impl MerklePatriciaTrie {
                 }
             }
             2 => {
-                if rest.len() < 2 {
-                    return None;
-                }
-                let (bitmap, body) = rest.split_at(2);
-                let occupied = u16::from_be_bytes(bitmap.try_into().ok()?);
+                let (bitmap, body) = rest.split_first_chunk::<2>()?;
+                let occupied = u16::from_be_bytes(*bitmap);
                 let child_bytes = 32 * occupied.count_ones() as usize;
                 if body.len() < child_bytes {
                     return None;
                 }
                 let (hashes, value) = body.split_at(child_bytes);
-                let hashes = hashes
+                let slots = hashes
                     .chunks_exact(32)
                     .map(|c| Some(Hash(c.try_into().ok()?)))
                     .collect::<Option<Vec<_>>>()?;
                 Some(Node::Branch {
-                    children: Children { occupied, hashes },
+                    children: Children { occupied, slots },
                     value: (!value.is_empty()).then(|| Value::new(value)),
                 })
             }
@@ -655,40 +852,52 @@ impl MerklePatriciaTrie {
     }
 
     /// Garbage-collect every node not reachable from the current root
-    /// (switching from geth's archival behaviour to a pruned state trie).
-    /// Returns the number of nodes dropped. A forked trie first copies the
-    /// shared base into its own store: the base itself, and every other
-    /// fork, is left untouched.
+    /// (switching from geth's archival behaviour to a pruned state trie),
+    /// renumbering the survivors densely. Returns the number of nodes
+    /// dropped. A forked trie first copies the shared base into its own
+    /// store: the base itself, and every other fork, is left untouched.
     pub fn prune(&mut self) -> usize {
         self.materialise();
-        #[expect(
-            clippy::disallowed_types,
-            reason = "reachability membership set; order never observed"
-        )]
-        let mut reachable = std::collections::HashSet::new();
+        let old = std::mem::take(&mut self.store);
+        let before = old.nodes.len();
+        // Children sit below their parents, so one pass from the newest node
+        // down marks everything the root reaches.
+        let mut reachable = vec![false; before];
         if let Some(root) = self.root {
-            let mut stack = vec![root];
-            while let Some(h) = stack.pop() {
-                if !reachable.insert(h) {
-                    continue;
+            reachable[root as usize] = true;
+        }
+        for (id, stored) in old.nodes.iter().enumerate().rev() {
+            if !reachable[id] {
+                continue;
+            }
+            match &stored.node {
+                Node::Extension { child, .. } => reachable[*child as usize] = true,
+                Node::Branch { children, .. } => {
+                    for &c in &children.slots {
+                        reachable[c as usize] = true;
+                    }
                 }
-                match self.get_node(&h).map(|node| &**node) {
-                    Some(Node::Extension { child, .. }) => stack.push(*child),
-                    Some(Node::Branch { children, .. }) => stack.extend(&children.hashes),
-                    _ => {}
-                }
+                Node::Leaf { .. } => {}
             }
         }
-        let before = self.store.nodes.len();
-        let mut bytes = 0;
-        self.store.nodes.retain(|h, node| {
-            let keep = reachable.contains(h);
-            if keep {
-                bytes += node.encoded_len() as u64 + 32;
+        // Compact in id order, so every child is renumbered before its
+        // parent; digests do not depend on ids and move with their nodes.
+        let mut new_id: Vec<NodeId> = vec![0; before];
+        for (id, stored) in old.nodes.into_iter().enumerate() {
+            if !reachable[id] {
+                continue;
             }
-            keep
-        });
-        self.store.bytes = bytes;
+            new_id[id] = self.store.nodes.len() as NodeId;
+            let node = stored.node.renumbered(&new_id);
+            let key = node.intern_key();
+            let stored = Stored {
+                node,
+                hash: stored.hash,
+                same_key: self.store.index.get(&key).copied(),
+            };
+            self.store.push(new_id[id], key, stored);
+        }
+        self.root = self.root.map(|root| new_id[root as usize]);
         before - self.store.nodes.len()
     }
 }
@@ -878,7 +1087,8 @@ mod tests {
             }
         };
         // Overwrites (archival garbage), a rewrite of the base's own bytes
-        // (content-addressed: stores nothing new), fresh keys and re-splits.
+        // (an encoding the base holds: stores nothing new), fresh keys and
+        // re-splits.
         let mutate = |t: &mut MerklePatriciaTrie| {
             for i in (0..300).step_by(7) {
                 t.insert(&key16(i), &Value::filler(64));
@@ -944,8 +1154,9 @@ mod tests {
 
     #[test]
     fn node_decode_roundtrip() {
-        let roundtrip = |node: Node| {
-            let encoded = node.encode();
+        let roundtrip = |node: Node<Hash>| {
+            let mut encoded = Vec::new();
+            node.encode_into(&mut encoded, |child| child);
             assert_eq!(node.encoded_len(), encoded.len());
             assert_eq!(MerklePatriciaTrie::decode(&encoded), Some(node));
         };
@@ -954,16 +1165,23 @@ mod tests {
             path: Path::new([4, 5]),
             child: Hash::of(b"child"),
         });
+        // Paths past one length byte: the longest short form, then the
+        // shortest long one and a 200-byte key's.
+        for len in [254, 255, 256, 400] {
+            roundtrip(Node::leaf(&vec![9; len], &Value::new(b"v")));
+            roundtrip(Node::Extension {
+                path: Path::new(vec![3; len]),
+                child: Hash::of(b"child"),
+            });
+        }
         let mut children = Children::default();
         children.set(15, Hash::of(b"b"));
         children.set(3, Hash::of(b"a"));
-        assert_eq!(children.hashes, [Hash::of(b"a"), Hash::of(b"b")]);
+        assert_eq!(children.slots, [Hash::of(b"a"), Hash::of(b"b")]);
         assert_eq!(children.get(3), Some(Hash::of(b"a")));
         assert_eq!(children.get(4), None);
-        assert_eq!(
-            children.with(15, Hash::of(b"c")).get(15),
-            Some(Hash::of(b"c"))
-        );
+        children.set(15, Hash::of(b"c"));
+        assert_eq!(children.get(15), Some(Hash::of(b"c")));
         roundtrip(Node::Branch {
             children,
             value: Some(Value::new(b"v")),
@@ -971,6 +1189,113 @@ mod tests {
         assert_eq!(MerklePatriciaTrie::decode(&[9, 9, 9]), None);
         // A bitmap that promises more children than the body holds.
         assert_eq!(MerklePatriciaTrie::decode(&[2, 0xff, 0xff, 1, 2, 3]), None);
+        // A long length prefix holding a short length is not canonical.
+        assert_eq!(MerklePatriciaTrie::decode(&[0, 0xff, 0, 1, 7]), None);
+        assert_eq!(MerklePatriciaTrie::decode(&[0, 0xff, 1]), None);
+    }
+
+    /// Interning's exact match is encoding equality (children by id, read
+    /// through an injective id → digest map), and equal encodings always
+    /// share an intern key. Seeded histories rarely meet an intern-key
+    /// collision, so the comparison is checked here directly.
+    #[test]
+    fn same_encoding_is_encoding_equality() {
+        let leaf = |path: &[u8], value: &[u8]| Node::leaf(path, &Value::new(value));
+        let branch = |slots: &[(u8, NodeId)], value: Option<&[u8]>| {
+            let mut children = Children::default();
+            for &(slot, child) in slots {
+                children.set(slot, child);
+            }
+            Node::Branch {
+                children,
+                value: value.map(Value::new),
+            }
+        };
+        let nodes = [
+            leaf(&[1, 2], b"ab"),
+            leaf(&[1, 2], b"ab"),
+            leaf(&[1, 2], b"ba"),
+            leaf(&[1, 2], b""),
+            leaf(&[1, 2, 0], b"ab"),
+            leaf(&[5; 300], b"ab"),
+            Node::Extension {
+                path: Path::new([1]),
+                child: 7,
+            },
+            Node::Extension {
+                path: Path::new([1]),
+                child: 8,
+            },
+            Node::Extension {
+                path: Path::new([1, 2]),
+                child: 7,
+            },
+            branch(&[(3, 7)], None),
+            branch(&[(3, 7)], Some(b"")),
+            branch(&[(3, 7)], Some(b"v")),
+            branch(&[(3, 8)], None),
+            branch(&[(3, 7), (4, 7)], None),
+        ];
+        let encode = |node: &Node| {
+            let mut out = Vec::new();
+            node.encode_into(&mut out, |id| Hash::of(&id.to_be_bytes()));
+            out
+        };
+        for a in &nodes {
+            for b in &nodes {
+                assert_eq!(a.same_encoding(b), encode(a) == encode(b), "{a:?} / {b:?}");
+                if a.same_encoding(b) {
+                    assert_eq!(a.intern_key(), b.intern_key(), "{a:?} / {b:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn keys_of_128_bytes_or_more_prove_and_verify() {
+        let mut t = MerklePatriciaTrie::new();
+        // Shared prefixes put long paths on extensions as well as leaves.
+        let long = |len: usize, tail: u8| {
+            let mut bytes = vec![0xa5; len];
+            bytes[len - 1] = tail;
+            Key::new(bytes)
+        };
+        let keys = [
+            long(127, 1),
+            long(128, 2),
+            long(130, 3),
+            long(130, 4),
+            long(200, 5),
+        ];
+        for (i, key) in keys.iter().enumerate() {
+            t.insert(key, &Value::filler(10 + i));
+        }
+        let root = t.root_hash();
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(t.get(key).map(|v| v.len()), Some(10 + i));
+            let proof = t.prove(key).unwrap();
+            assert!(
+                MerklePatriciaTrie::verify_proof(root, key, &proof),
+                "{} bytes",
+                key.len()
+            );
+            for encoded in &proof.nodes {
+                let decoded = MerklePatriciaTrie::decode(encoded).unwrap();
+                let mut again = Vec::new();
+                decoded.encode_into(&mut again, |child| child);
+                assert_eq!(&again, encoded);
+            }
+        }
+        // A 256-nibble leaf's path length no longer wraps to zero, so it
+        // cannot share an encoding with the empty-path leaf holding its
+        // path and value as one value.
+        let key = Key::new([0x11; 128]);
+        let mut single = MerklePatriciaTrie::new();
+        single.insert(&key, &Value::new(b"v"));
+        let mut alias = MerklePatriciaTrie::new();
+        let smuggled = [Nibbles::of(key.as_bytes()).as_slice(), b"v"].concat();
+        alias.insert(&Key::new([]), &Value::new(smuggled));
+        assert_ne!(single.root_hash(), alias.root_hash());
     }
 
     #[test]

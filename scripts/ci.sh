@@ -41,6 +41,12 @@ echo "==> cargo test --release -p dichotomy-core ledger (arrival-timestamp bitma
 # Timestamp::MAX: overflow panics in the debug run above and would wrap here.
 cargo test -q --release -p dichotomy-core ledger
 
+echo "==> cargo test --release -p dichotomy-merkle (node interning, digest memo, differential oracle)"
+# Node interning, the digest memo forks share and both differential oracles
+# (the SHA-keyed MPT reference, the eager MBT rebuild) run here as they ship,
+# not only in the debug build above.
+cargo test -q --release -p dichotomy-merkle
+
 echo "==> clippy.toml negative check (a throwaway crate outside the checkout)"
 # The determinism rules must be *able* to fail: a crate that returns a
 # HashMap and reads the wall clock, linted under this checkout's clippy.toml,
@@ -277,6 +283,9 @@ grep -q "latency_sketch_stream_100k" /tmp/ci_microbench.out
 # group, printed as two ns/op lines.
 grep -q "quorum_load_5k_1kb" /tmp/ci_microbench.out
 grep -q "quorum_fork_5k_1kb" /tmp/ci_microbench.out
+# The Figure 13 probe's substrate work: both indexes over 10 000 keys, no
+# root read.
+grep -q "adr_probe_10k_1kb" /tmp/ci_microbench.out
 # What a payload costs between layers (printed, not gated): a key handle, a
 # value handle, one generated transaction, one memtable frozen into a run.
 grep -q "key_clone_16b" /tmp/ci_microbench.out
