@@ -417,8 +417,10 @@ fn bench_state_sharing() {
 fn bench_payload_ownership() {
     // What a payload costs as it moves between layers: a key handle, a value
     // handle, one generated transaction (a key rendered on the stack plus the
-    // generator's one shared filler) and freezing a full 4 MB memtable into a
-    // run (its entries move; nothing is cloned).
+    // generator's one shared filler; it is signed when read, so nothing is
+    // hashed), the same plus reading its signature (what a verifier or an
+    // encoder pays) and freezing a full 4 MB memtable into a run (its entries
+    // move; nothing is cloned).
     fn bench_clone<T: Clone>(name: &str, handle: &T) {
         const CLONES: u32 = 1_000;
         bench_batched_ops(
@@ -441,6 +443,12 @@ fn bench_payload_ownership() {
     bench("ycsb_next_txn_1kb", 20_000, || {
         seq += 1;
         workload.next_transaction(ClientId(seq % 64), seq)
+    });
+    bench("ycsb_sign_1kb", 20_000, || {
+        seq += 1;
+        workload
+            .next_transaction(ClientId(seq % 64), seq)
+            .signature()
     });
     bench_batched(
         "lsm_flush_4mb",
@@ -485,7 +493,7 @@ fn main() {
         ("plan", bench_plan_executor),
         ("quorum_load quorum_fork", bench_state_sharing),
         (
-            "key_clone value_clone ycsb_next_txn lsm_flush",
+            "key_clone value_clone ycsb_next_txn ycsb_sign lsm_flush",
             bench_payload_ownership,
         ),
         ("end_to_end", bench_end_to_end),

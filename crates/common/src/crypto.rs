@@ -8,12 +8,16 @@
 //! signature *can* be checked — a forged or mis-bound one is rejected — and
 //! (ii) that each create/verify call carries a realistic CPU cost.
 //!
-//! The two are kept apart: no system model calls
-//! `Transaction::verify_signature` while it runs — validators *charge* the
-//! check through `CostModel::verify_signatures_us` (`dichotomy_simnet::costs`)
-//! — and verification itself is exercised by tests: the unit tests here and
-//! in `txn.rs`, the generators' tests in `dichotomy-workload`, and
-//! `dichotomy-core`'s cross-crate integration test.
+//! The two are kept apart: no system model reads a signature while it runs —
+//! validators *charge* signing and checking through
+//! `CostModel::verify_signatures_us` (`dichotomy_simnet::costs`) — and the
+//! signatures themselves are computed when read: a generated transaction
+//! records only that its client signed it, and `Transaction::signature`
+//! derives the key pair and signs the content digest on demand, producing the
+//! bytes signing at creation would have stored. Signing and verification are
+//! exercised by tests: the unit tests here and in `txn.rs`, the generators'
+//! goldens in `dichotomy-workload`, and `dichotomy-core`'s cross-crate
+//! integration test.
 //!
 //! We implement a deterministic hash-based scheme: a key pair is derived from
 //! a seed, the public key is the hash of the secret key, and a signature is
@@ -75,8 +79,9 @@ impl KeyPair {
 
     /// Key pair for a simulated client.
     pub fn for_client(client_id: u64) -> Self {
-        // `from_seed` of `"client" || id`, hashed in parts: this runs once per
-        // generated transaction, so it must not allocate the concatenation.
+        // `from_seed` of `"client" || id`, hashed in parts: this runs on every
+        // read of a client-signed transaction's signature, so it must not
+        // allocate the concatenation.
         Self::from_secret(Hash::of_parts(&[
             SECRET_DOMAIN,
             b"client",

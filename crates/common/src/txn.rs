@@ -7,8 +7,18 @@
 //! a stored procedure). The execution *semantics* — serial, optimistic,
 //! pessimistic, Percolator-style — live in `dichotomy-txn`; this module only
 //! defines the data.
+//!
+//! A transaction's body is sealed: it is set once, by a constructor, and read
+//! through accessors. The signature is therefore a function of the body and
+//! the signer's key, and a transaction stores *who* signed rather than the
+//! signature bytes: unsigned, signed by its own client (the bytes are
+//! computed whenever [`Transaction::signature`] reads them, identical to
+//! signing at creation), or an explicit signature kept as given (another
+//! key, or a forged or tampered envelope). Generating a workload therefore
+//! hashes nothing; the models charge signature work in simulated time.
 
 use crate::codec;
+use crate::codec::Encode;
 use crate::crypto::{KeyPair, Signature};
 use crate::hash::{Hash, Hasher};
 use crate::types::{ClientId, Key, Timestamp, TxnId, Value, Version};
@@ -102,53 +112,121 @@ pub enum IsolationLevel {
 }
 codec!(Encode for enum IsolationLevel { Snapshot = 0, Serializable = 1 });
 
-/// A client-signed transaction.
+/// Who signed a [`Transaction`] (the module documentation says why this, and
+/// not the signature bytes, is what a transaction stores).
 #[derive(Debug, Clone, PartialEq)]
+enum Signer {
+    /// No signature.
+    Unsigned,
+    /// Signed with `KeyPair::for_client` of the client in the id.
+    Client,
+    /// A signature carried as given: made with another key, or travelling
+    /// with content it was not made over (a forged or tampered envelope).
+    Explicit(Box<Signature>),
+}
+
+/// A client transaction: a sealed body (id, isolation level, operations), a
+/// submit time, and who signed the body.
+///
+/// The body is private and fixed at construction, so the content
+/// [`digest`](Self::digest) and the [`signature`](Self::signature) over it
+/// cannot drift apart. A different body is a different `Transaction`: build
+/// a tampered envelope with [`from_parts`](Self::from_parts), never by
+/// editing one in place.
+#[derive(Debug, Clone)]
 pub struct Transaction {
     /// Globally unique id (client, sequence).
-    pub id: TxnId,
+    id: TxnId,
     /// Operations in program order.
-    pub ops: Vec<Operation>,
+    ops: Vec<Operation>,
     /// Isolation level requested.
-    pub isolation: IsolationLevel,
+    isolation: IsolationLevel,
     /// Client wall-clock submit time (simulated microseconds); carried in the
     /// envelope the way real systems carry timestamps, and used by the
-    /// harness to compute end-to-end latency.
+    /// harness to compute end-to-end latency. Not signed.
     pub submit_time: Timestamp,
-    /// Client signature over the transaction content.
-    pub signature: Option<Signature>,
+    signer: Signer,
 }
-codec!(Encode for struct Transaction { id, ops, isolation, submit_time, signature });
 
 impl Transaction {
-    /// Build an unsigned transaction.
-    pub fn new(id: TxnId, ops: Vec<Operation>) -> Self {
+    fn sealed(id: TxnId, ops: Vec<Operation>, submit_time: Timestamp, signer: Signer) -> Self {
         Transaction {
             id,
             ops,
             isolation: IsolationLevel::Serializable,
-            submit_time: 0,
-            signature: None,
+            submit_time,
+            signer,
         }
     }
 
-    /// Build and sign a transaction with the client's key.
+    /// Build an unsigned transaction.
+    pub fn new(id: TxnId, ops: Vec<Operation>) -> Self {
+        Self::sealed(id, ops, 0, Signer::Unsigned)
+    }
+
+    /// Build a transaction signed with its own client's key. Nothing is hashed
+    /// here: [`signature`](Self::signature) computes the bytes
+    /// [`signed`](Self::signed) with `KeyPair::for_client` would store.
+    pub fn client_signed(id: TxnId, ops: Vec<Operation>) -> Self {
+        Self::sealed(id, ops, 0, Signer::Client)
+    }
+
+    /// Build and sign a transaction with `keypair`, now.
     pub fn signed(
         id: TxnId,
         ops: Vec<Operation>,
         submit_time: Timestamp,
         keypair: &KeyPair,
     ) -> Self {
-        let mut txn = Transaction {
-            id,
-            ops,
-            isolation: IsolationLevel::Serializable,
-            submit_time,
-            signature: None,
-        };
-        let digest = txn.digest();
-        txn.signature = Some(keypair.sign(digest.as_bytes()));
+        let mut txn = Self::sealed(id, ops, submit_time, Signer::Unsigned);
+        let signature = keypair.sign(txn.digest().as_bytes());
+        txn.signer = Signer::Explicit(Box::new(signature));
         txn
+    }
+
+    /// A transaction from an envelope produced elsewhere: the content and the
+    /// signature that came with it, kept as given whether or not it was made
+    /// over this content ([`verify_signature`](Self::verify_signature) tells).
+    pub fn from_parts(
+        id: TxnId,
+        ops: Vec<Operation>,
+        submit_time: Timestamp,
+        signature: Option<Signature>,
+    ) -> Self {
+        let signer = match signature {
+            None => Signer::Unsigned,
+            Some(signature) => Signer::Explicit(Box::new(signature)),
+        };
+        Self::sealed(id, ops, submit_time, signer)
+    }
+
+    /// Globally unique id (client, sequence).
+    pub fn id(&self) -> TxnId {
+        self.id
+    }
+
+    /// Operations in program order.
+    pub fn ops(&self) -> &[Operation] {
+        &self.ops
+    }
+
+    /// Whether the transaction carries a signature (valid or not).
+    pub fn is_signed(&self) -> bool {
+        !matches!(self.signer, Signer::Unsigned)
+    }
+
+    /// The signature over the content, if the transaction is signed. A
+    /// client-signed transaction computes it on every call (the client's key
+    /// pair, the content digest, the tag); no model reads it during a run,
+    /// since signature work is charged as simulated time.
+    pub fn signature(&self) -> Option<Signature> {
+        match &self.signer {
+            Signer::Unsigned => None,
+            Signer::Client => {
+                Some(KeyPair::for_client(self.id.client.0).sign(self.digest().as_bytes()))
+            }
+            Signer::Explicit(signature) => Some(**signature),
+        }
     }
 
     /// Content digest over id, isolation and operations (excludes the
@@ -182,13 +260,12 @@ impl Transaction {
     /// Verify the client signature, rederiving the client's key from the
     /// transaction's client id (stands in for a certificate lookup).
     pub fn verify_signature(&self) -> bool {
-        match &self.signature {
-            None => false,
-            Some(sig) => {
-                let kp = KeyPair::for_client(self.id.client.0);
-                sig.verify(self.digest().as_bytes(), &kp)
-            }
-        }
+        self.signature().is_some_and(|sig| {
+            sig.verify(
+                self.digest().as_bytes(),
+                &KeyPair::for_client(self.id.client.0),
+            )
+        })
     }
 
     /// Keys read by this transaction (deduplicated, in first-occurrence order).
@@ -230,13 +307,7 @@ impl Transaction {
     pub fn wire_bytes(&self) -> usize {
         const HEADER: usize = 48;
         const SIGNATURE: usize = 96;
-        HEADER
-            + self.payload_bytes()
-            + if self.signature.is_some() {
-                SIGNATURE
-            } else {
-                0
-            }
+        HEADER + self.payload_bytes() + if self.is_signed() { SIGNATURE } else { 0 }
     }
 
     /// Number of operations.
@@ -247,6 +318,32 @@ impl Transaction {
     /// Issuing client.
     pub fn client(&self) -> ClientId {
         self.id.client
+    }
+}
+
+/// Equal content and equal signature *values*: a client-signed transaction
+/// equals the same content signed eagerly with that client's key.
+impl PartialEq for Transaction {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id
+            && self.isolation == other.isolation
+            && self.submit_time == other.submit_time
+            && self.ops == other.ops
+            // Equal content under equal signers signs to equal bytes.
+            && (self.signer == other.signer || self.signature() == other.signature())
+    }
+}
+
+// Hand-written: the signature is not a stored field (a client-signed
+// transaction records only who signed), so the wire form emits `signature()`
+// where the field list had it and the bytes are the eagerly signed ones.
+impl Encode for Transaction {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.id.encode_into(out);
+        self.ops.encode_into(out);
+        self.isolation.encode_into(out);
+        self.submit_time.encode_into(out);
+        self.signature().encode_into(out);
     }
 }
 
@@ -440,47 +537,60 @@ mod tests {
 
     #[test]
     fn signature_roundtrip_and_tamper_detection() {
-        let kp = KeyPair::for_client(1);
-        let mut t = Transaction::signed(
-            txn_id(),
-            vec![Operation::write(Key::from_str("k"), Value::filler(8))],
-            123,
-            &kp,
-        );
-        assert!(t.verify_signature());
-        // Tamper with the payload: verification must fail.
-        t.ops[0].value = Some(Value::filler(9));
-        assert!(!t.verify_signature());
+        let ops = vec![Operation::write(Key::from_str("k"), Value::filler(8))];
+        for t in [
+            Transaction::signed(txn_id(), ops.clone(), 0, &KeyPair::for_client(1)),
+            Transaction::client_signed(txn_id(), ops),
+        ] {
+            assert!(t.verify_signature());
+            // The same envelope rebuilt from its parts, the signature as a value:
+            // the same transaction, byte for byte.
+            let copy = Transaction::from_parts(t.id(), t.ops().to_vec(), 0, t.signature());
+            assert!(copy.verify_signature());
+            assert_eq!(copy, t);
+            assert_eq!(copy.encode(), t.encode());
+            // Tampered content under the original signature: it must not verify.
+            let mut ops = t.ops().to_vec();
+            ops[0].value = Some(Value::filler(9));
+            let tampered = Transaction::from_parts(t.id(), ops, 0, t.signature());
+            assert!(!tampered.verify_signature());
+            assert_ne!(tampered, t);
+        }
     }
 
     /// Captured at the commit before the SHA-256 kernel was replaced: sign and
     /// verify agree with each other under any self-consistent hash, so only a
-    /// fixed digest and tag pin the function itself.
+    /// fixed digest and tag pin the function itself. Signing at creation and
+    /// signing when read must both produce them.
     #[test]
     fn signed_transaction_matches_golden_digests() {
-        let t = Transaction::signed(
-            TxnId::new(ClientId(1), 42),
-            vec![
-                Operation::read(Key::from_str("user00000007")),
-                Operation::write(Key::from_str("user00000042"), Value::filler(100)),
-            ],
-            1_000,
-            &KeyPair::for_client(1),
-        );
-        assert_eq!(
-            t.digest().to_hex(),
-            "6149839011409216d45a598a74aba3fecff36361582d843000ccf6ecbcf1dd73"
-        );
-        assert_eq!(
-            t.signature.expect("signed").tag.to_hex(),
-            "f4b12240136aa315766ab8928f81d73a97303303850c7b31e7e79caf41f6e27c"
-        );
+        let id = TxnId::new(ClientId(1), 42);
+        let ops = vec![
+            Operation::read(Key::from_str("user00000007")),
+            Operation::write(Key::from_str("user00000042"), Value::filler(100)),
+        ];
+        for t in [
+            Transaction::signed(id, ops.clone(), 1_000, &KeyPair::for_client(1)),
+            Transaction::client_signed(id, ops),
+        ] {
+            assert_eq!(
+                t.digest().to_hex(),
+                "6149839011409216d45a598a74aba3fecff36361582d843000ccf6ecbcf1dd73"
+            );
+            assert_eq!(
+                t.signature().expect("signed").tag.to_hex(),
+                "f4b12240136aa315766ab8928f81d73a97303303850c7b31e7e79caf41f6e27c"
+            );
+        }
     }
 
     #[test]
     fn unsigned_transaction_does_not_verify() {
         let t = Transaction::new(txn_id(), vec![]);
+        assert!(!t.is_signed());
+        assert_eq!(t.signature(), None);
         assert!(!t.verify_signature());
+        assert_ne!(t, Transaction::client_signed(txn_id(), vec![]));
     }
 
     #[test]
@@ -489,6 +599,8 @@ mod tests {
         let other = KeyPair::for_client(999);
         let t = Transaction::signed(txn_id(), vec![], 0, &other);
         assert!(!t.verify_signature());
+        // Equal content, different signature values: different transactions.
+        assert_ne!(t, Transaction::client_signed(txn_id(), vec![]));
     }
 
     #[test]

@@ -898,7 +898,7 @@ fn drive_with<E: LatencyEstimator>(
         // Dispatch the next event, or let the system react to a dry queue.
         let dispatched = match engine.pop() {
             Some((_, SysEvent::Arrival(txn))) => {
-                let client = txn.id.client;
+                let client = txn.id().client;
                 let at = txn.submit_time;
                 system.on_arrival(txn, &mut engine);
                 model.on_dispatch(client, at, &mut |c, t| {
@@ -1105,10 +1105,10 @@ mod tests {
         fn on_arrival(&mut self, txn: dichotomy_common::Transaction, engine: &mut Engine) {
             let arrival = engine.now();
             self.arrivals.push(arrival);
-            self.clients.push(txn.id.client.0);
+            self.clients.push(txn.id().client.0);
             self.receipts
                 .push_back(dichotomy_common::TxnReceipt::committed(
-                    txn.id,
+                    txn.id(),
                     arrival,
                     arrival + self.latency_us,
                 ));
@@ -1391,8 +1391,8 @@ mod tests {
         fn load(&mut self, _records: &[(dichotomy_common::Key, dichotomy_common::Value)]) {}
         fn on_arrival(&mut self, txn: dichotomy_common::Transaction, engine: &mut Engine) {
             let token = self.pending.len() as u64;
-            self.spans.push((txn.id.client.0, engine.now(), 0));
-            self.pending.push(txn.id);
+            self.spans.push((txn.id().client.0, engine.now(), 0));
+            self.pending.push(txn.id());
             engine.schedule_at(engine.now() + self.service_us, SysEvent::stage(0, token));
         }
         fn on_stage(&mut self, event: dichotomy_simnet::StageEvent, engine: &mut Engine) {

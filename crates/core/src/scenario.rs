@@ -1720,6 +1720,29 @@ mod tests {
         }
     }
 
+    /// More distinct keys per YCSB transaction than records: the probe fails,
+    /// naming both numbers, instead of redrawing keys forever on its worker.
+    #[test]
+    fn an_unsatisfiable_ycsb_shape_fails_its_probe_instead_of_hanging() {
+        let scenario = Scenario {
+            workload: WorkloadSpec::ycsb(YcsbMix::UpdateOnly)
+                .with_records(3)
+                .with_ops_per_txn(4),
+            ..tiny_scenario(1)
+        };
+        let report = run_plan(&scenario.plan());
+        assert_eq!(report.failures.len(), 1);
+        let failure = &report.failures[0];
+        assert_eq!(failure.row, "etcd");
+        assert!(
+            failure
+                .message
+                .contains("cannot draw 4 distinct keys per transaction from 3 records"),
+            "{}",
+            failure.message
+        );
+    }
+
     #[test]
     fn progress_reports_every_probe_in_completion_order() {
         let mut scenario = tiny_scenario(1);

@@ -202,7 +202,7 @@ impl Ledger {
     pub fn find_txn(&self, id: TxnId) -> Option<(u64, &Transaction)> {
         for cb in &self.blocks {
             for txn in cb.block.txns() {
-                if txn.id == id {
+                if txn.id() == id {
                     return Some((cb.block.header.height, txn));
                 }
             }
@@ -231,15 +231,18 @@ impl Ledger {
     }
 
     /// Test hook: tamper with a stored transaction to demonstrate that
-    /// [`verify_chain`](Self::verify_chain) catches it. A block's body cannot
-    /// be edited in place, so the stored block is replaced by one with the
-    /// old header over the edited body.
+    /// [`verify_chain`](Self::verify_chain) catches it. Neither a block's body
+    /// nor a transaction can be edited in place, so the first transaction is
+    /// replaced by an envelope with its operations dropped and its original
+    /// signature, and the stored block by one with the old header over that
+    /// body.
     #[doc(hidden)]
     pub fn tamper_for_test(&mut self, height: u64) {
         if let Some(cb) = self.blocks.get_mut(height as usize) {
             let mut txns = cb.block.txns().to_vec();
             if let Some(txn) = txns.first_mut() {
-                txn.ops.clear();
+                *txn =
+                    Transaction::from_parts(txn.id(), Vec::new(), txn.submit_time, txn.signature());
             }
             cb.block = Block::from_parts(cb.block.header.clone(), txns);
         }
@@ -301,7 +304,7 @@ mod tests {
         assert_eq!(l.verify_chain(), None);
         let (h, t) = l.find_txn(TxnId::new(ClientId(1), 3)).unwrap();
         assert_eq!(h, 2);
-        assert_eq!(t.id.seq, 3);
+        assert_eq!(t.id().seq, 3);
         assert!(l.find_txn(TxnId::new(ClientId(9), 9)).is_none());
     }
 

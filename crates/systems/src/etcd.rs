@@ -161,7 +161,7 @@ impl<E: KvEngine + Clone + 'static> KvSystem<E> {
         if txn.is_read_only() {
             let mut cost = 0;
             let mut reads = Vec::new();
-            for op in txn.ops.iter().filter(|o| o.reads()) {
+            for op in txn.ops().iter().filter(|o| o.reads()) {
                 let value = self.store.get(&op.key);
                 // B+ tree / LSM probe cost scaled by structural depth.
                 cost += (c.storage_get_us(value.as_ref().map_or(64, Value::len)) / 4)
@@ -172,7 +172,7 @@ impl<E: KvEngine + Clone + 'static> KvSystem<E> {
             }
             let (_, done) = engine.service(self.procs().readers, arrival, cost.max(1));
             let finish = done + self.config.network.base_latency_us;
-            let mut receipt = TxnReceipt::committed(txn.id, arrival, finish);
+            let mut receipt = TxnReceipt::committed(txn.id(), arrival, finish);
             receipt.reads = reads;
             receipt.phase_latencies = vec![("storage-get", cost)];
             self.receipts.push_back(receipt);
@@ -204,7 +204,7 @@ impl<E: KvEngine + Clone + 'static> KvSystem<E> {
             // the request times out.
             let finish = arrival + self.config.network.base_latency_us * 4;
             self.receipts.push_back(TxnReceipt::aborted(
-                txn.id,
+                txn.id(),
                 AbortReason::Overload,
                 arrival,
                 finish,
@@ -215,7 +215,7 @@ impl<E: KvEngine + Clone + 'static> KvSystem<E> {
         let batch = self.config.raft_batch.max(1);
         let occupancy = (self.raft.leader_occupancy_us(bytes * batch) / batch as u64).max(1);
         let mut apply_cost = self.apply_overhead_us;
-        for op in txn.ops.iter().filter(|o| o.writes()) {
+        for op in txn.ops().iter().filter(|o| o.writes()) {
             let len = op.value.as_ref().map_or(1, Value::len).max(1);
             apply_cost += c.storage_put_us(len);
         }
@@ -238,13 +238,13 @@ impl<E: KvEngine + Clone + 'static> KvSystem<E> {
         } = self.pending.remove(event.token);
         // The apply is done: the write becomes visible, and the receipt pays
         // the replication round trip on top.
-        for op in txn.ops.iter().filter(|o| o.writes()) {
+        for op in txn.ops().iter().filter(|o| o.writes()) {
             let value = op.value.clone().unwrap_or_else(|| Value::filler(1));
             self.store.put(op.key.clone(), value);
         }
         let replication_latency = self.raft.commit_latency_us(txn.payload_bytes() + 64);
         let finish = engine.now() + replication_latency + self.config.network.base_latency_us;
-        let mut receipt = TxnReceipt::committed(txn.id, arrival, finish);
+        let mut receipt = TxnReceipt::committed(txn.id(), arrival, finish);
         receipt.phase_latencies = vec![("apply", apply_us), ("replication", replication_latency)];
         self.receipts.push_back(receipt);
     }

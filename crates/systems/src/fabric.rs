@@ -249,7 +249,7 @@ impl Fabric {
                     let arrival = Fabric::client_arrival(txn, *endorse_done);
                     let finish = cut_time + 2 * self.config.network.base_latency_us;
                     self.receipts.push_back(TxnReceipt::aborted(
-                        txn.id,
+                        txn.id(),
                         AbortReason::Overload,
                         arrival,
                         finish,
@@ -338,7 +338,7 @@ impl Fabric {
             .iter()
             .map(|(t, endorse_done)| {
                 (
-                    t.id,
+                    t.id(),
                     Fabric::client_arrival(t, *endorse_done),
                     *endorse_done,
                 )
@@ -382,13 +382,13 @@ impl Fabric {
         // Figure 8b: authentication dominates, then simulation + endorsement.
         let mut cost = c.client_auth() + c.chaincode_exec_us(txn.op_count(), 128) + c.sign_us();
         let mut reads = Vec::new();
-        for op in txn.ops.iter().filter(|o| o.reads()) {
+        for op in txn.ops().iter().filter(|o| o.reads()) {
             let value = self.state_db.get(&op.key);
             cost += c.storage_get_us(value.as_ref().map_or(64, Value::len)) / 4;
             reads.push((op.key.clone(), value));
         }
         let (_, finish) = engine.service(self.procs().endorsers, arrival, cost);
-        let mut receipt = TxnReceipt::committed(txn.id, arrival, finish);
+        let mut receipt = TxnReceipt::committed(txn.id(), arrival, finish);
         receipt.reads = reads;
         receipt.phase_latencies = vec![
             ("authentication", c.client_auth()),
@@ -441,7 +441,7 @@ impl TransactionalSystem for Fabric {
                     + self.config.costs.client_auth()
                     + 2 * self.config.network.base_latency_us;
                 self.receipts
-                    .push_back(TxnReceipt::aborted(txn.id, reason, arrival, finish));
+                    .push_back(TxnReceipt::aborted(txn.id(), reason, arrival, finish));
             }
             Ok(endorse_done) => {
                 let token = self.endorsing.insert(txn);

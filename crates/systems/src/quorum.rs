@@ -173,7 +173,7 @@ impl Quorum {
     fn execution_cost_us(&mut self, txn: &Transaction, apply: bool) -> u64 {
         let c = &self.config.costs;
         let mut cost = c.evm_exec_us(txn.payload_bytes());
-        for op in &txn.ops {
+        for op in txn.ops() {
             if op.reads() {
                 cost += c.storage_get_us(op.value.as_ref().map_or(64, Value::len));
             }
@@ -224,7 +224,7 @@ impl Quorum {
                 for (txn, arrival) in &batch {
                     let finish = cut_time + 2 * self.config.network.base_latency_us;
                     self.receipts.push_back(TxnReceipt::aborted(
-                        txn.id,
+                        txn.id(),
                         AbortReason::Overload,
                         *arrival,
                         finish,
@@ -246,13 +246,13 @@ impl Quorum {
         let c = &self.config.costs;
         let mut cost = c.verify_signatures_us(1) + c.evm_exec_us(128);
         let mut reads = Vec::new();
-        for op in txn.ops.iter().filter(|o| o.reads()) {
+        for op in txn.ops().iter().filter(|o| o.reads()) {
             let value = self.state_db.get(&op.key);
             cost += c.storage_get_us(value.as_ref().map_or(64, Value::len));
             reads.push((op.key.clone(), value));
         }
         let finish = arrival + cost;
-        let mut receipt = TxnReceipt::committed(txn.id, arrival, finish);
+        let mut receipt = TxnReceipt::committed(txn.id(), arrival, finish);
         receipt.reads = reads;
         receipt.phase_latencies = vec![("query", cost)];
         self.receipts.push_back(receipt);
@@ -368,7 +368,7 @@ impl TransactionalSystem for Quorum {
                 // Ledger append with the new state root; keep (id, arrival)
                 // for the receipts before the transactions move into it.
                 let ids: Vec<(dichotomy_common::TxnId, Timestamp)> =
-                    block.batch.iter().map(|(t, a)| (t.id, *a)).collect();
+                    block.batch.iter().map(|(t, a)| (t.id(), *a)).collect();
                 let txns: Vec<Transaction> = block.batch.into_iter().map(|(t, _)| t).collect();
                 let root = self.state_trie.root_hash();
                 self.ledger

@@ -228,7 +228,7 @@ impl ShardedDb {
         let decided = self.two_pc.run(decide_input, &votes, txn.payload_bytes());
         // Apply the writes and mark the written keys busy until commit.
         let version = self.state.begin_commit();
-        for op in txn.ops.iter().filter(|o| o.writes()) {
+        for op in txn.ops().iter().filter(|o| o.writes()) {
             let value = op.value.clone().unwrap_or_else(|| Value::filler(1));
             self.state
                 .commit_write(op.key.clone(), version, Some(value.clone()));
@@ -301,13 +301,13 @@ impl TransactionalSystem for SpannerLike {
         if txn.is_read_only() {
             let mut reads = Vec::new();
             let mut cost = 0;
-            for op in txn.ops.iter().filter(|o| o.reads()) {
+            for op in txn.ops().iter().filter(|o| o.reads()) {
                 let v = self.db.state.get_latest(&op.key);
                 cost += c.storage_get_us(v.as_ref().map_or(64, Value::len));
                 reads.push((op.key.clone(), v));
             }
             let finish = arrival + c.sql_frontend_us() + cost + self.config.network.base_latency_us;
-            let mut r = TxnReceipt::committed(txn.id, arrival, finish);
+            let mut r = TxnReceipt::committed(txn.id(), arrival, finish);
             r.reads = reads;
             self.db.receipts.push_back(r);
             return;
@@ -317,35 +317,35 @@ impl TransactionalSystem for SpannerLike {
         // the locks through commit. This waiting — instead of TiDB's instant
         // abort — is what Figure 14 penalizes under contention.
         self.next_ts += 1;
-        self.locks.register(txn.id, self.next_ts);
-        let touched: Vec<&Key> = txn.ops.iter().map(|o| &o.key).collect();
+        self.locks.register(txn.id(), self.next_ts);
+        let touched: Vec<&Key> = txn.ops().iter().map(|o| &o.key).collect();
         let busy = self.db.busy_window(&touched);
         let mut wait_us = busy.saturating_sub(arrival);
         let mut wounded = false;
-        for op in &txn.ops {
+        for op in txn.ops() {
             let mode = if op.writes() {
                 LockMode::Exclusive
             } else {
                 LockMode::Shared
             };
-            match self.locks.acquire(txn.id, &op.key, mode) {
+            match self.locks.acquire(txn.id(), &op.key, mode) {
                 LockOutcome::Granted | LockOutcome::Wounded(_) => {}
                 LockOutcome::Wait(holders) => {
                     wait_us += self.config.lock_wait_us * holders.len().max(1) as u64;
                 }
             }
-            if self.locks.is_wounded(txn.id) {
+            if self.locks.is_wounded(txn.id()) {
                 wounded = true;
                 break;
             }
         }
         if wounded {
-            let _ = self.locks.finish(txn.id);
+            let _ = self.locks.finish(txn.id());
             self.db.aborted += 1;
             let finish =
                 arrival + wait_us + c.sql_frontend_us() + self.config.network.base_latency_us;
             self.db.receipts.push_back(TxnReceipt::aborted(
-                txn.id,
+                txn.id(),
                 AbortReason::LockConflict,
                 arrival,
                 finish,
@@ -354,14 +354,14 @@ impl TransactionalSystem for SpannerLike {
         }
         // The lock decision is made; the hold window itself is modelled by
         // `busy_until` (set through commit), so the manager entry can go.
-        let _ = self.locks.finish(txn.id);
+        let _ = self.locks.finish(txn.id());
         // Pessimistic locking reserves the keys *now*: book the shard work
         // and the 2PC decision eagerly so later arrivals see the hold window,
         // and surface the receipt through its `Execute→commit` stage event.
         let c = &self.config.costs;
         let per_shard = c.sql_frontend_us()
             + txn
-                .ops
+                .ops()
                 .iter()
                 .map(|op| {
                     if op.writes() {
@@ -378,7 +378,7 @@ impl TransactionalSystem for SpannerLike {
                 self.db.aborted += 1;
                 let finish = stalled_at + self.config.network.base_latency_us;
                 self.db.receipts.push_back(TxnReceipt::aborted(
-                    txn.id,
+                    txn.id(),
                     AbortReason::Overload,
                     arrival,
                     finish,
@@ -388,7 +388,7 @@ impl TransactionalSystem for SpannerLike {
         };
         self.db.committed += 1;
         let finish = commit_at + self.config.network.base_latency_us;
-        let mut r = TxnReceipt::committed(txn.id, arrival, finish);
+        let mut r = TxnReceipt::committed(txn.id(), arrival, finish);
         r.phase_latencies = vec![
             ("locking", wait_us),
             ("commit", commit_at.saturating_sub(start)),
@@ -506,7 +506,7 @@ impl TransactionalSystem for ShardedTiDb {
             self.db.aborted += 1;
             let finish = arrival + c.sql_frontend_us() + self.network.base_latency_us;
             self.db.receipts.push_back(TxnReceipt::aborted(
-                txn.id,
+                txn.id(),
                 AbortReason::WriteWriteConflict,
                 arrival,
                 finish,
@@ -515,7 +515,7 @@ impl TransactionalSystem for ShardedTiDb {
         }
         let per_shard = c.sql_frontend_us()
             + txn
-                .ops
+                .ops()
                 .iter()
                 .map(|op| {
                     if op.writes() {
@@ -534,7 +534,7 @@ impl TransactionalSystem for ShardedTiDb {
                 self.db.aborted += 1;
                 let finish = stalled_at + self.network.base_latency_us;
                 self.db.receipts.push_back(TxnReceipt::aborted(
-                    txn.id,
+                    txn.id(),
                     AbortReason::Overload,
                     arrival,
                     finish,
@@ -544,7 +544,7 @@ impl TransactionalSystem for ShardedTiDb {
         };
         self.db.committed += 1;
         let receipt =
-            TxnReceipt::committed(txn.id, arrival, commit_at + self.network.base_latency_us);
+            TxnReceipt::committed(txn.id(), arrival, commit_at + self.network.base_latency_us);
         self.db.schedule_receipt(receipt, engine);
     }
 
@@ -772,12 +772,12 @@ impl TransactionalSystem for Ahl {
         if txn.is_read_only() {
             let mut reads = Vec::new();
             let mut cost = c.client_auth();
-            for op in txn.ops.iter().filter(|o| o.reads()) {
+            for op in txn.ops().iter().filter(|o| o.reads()) {
                 let v = self.db.state.get_latest(&op.key);
                 cost += c.storage_get_us(v.as_ref().map_or(64, Value::len));
                 reads.push((op.key.clone(), v));
             }
-            let mut r = TxnReceipt::committed(txn.id, arrival, arrival + cost);
+            let mut r = TxnReceipt::committed(txn.id(), arrival, arrival + cost);
             r.reads = reads;
             self.db.receipts.push_back(r);
             return;
@@ -787,7 +787,7 @@ impl TransactionalSystem for Ahl {
         let mut per_shard = c.client_auth()
             + c.chaincode_exec_us(txn.op_count(), txn.payload_bytes())
             + c.verify_signatures_us(self.config.nodes_per_shard);
-        for op in txn.ops.iter().filter(|o| o.writes()) {
+        for op in txn.ops().iter().filter(|o| o.writes()) {
             let value = op.value.clone().unwrap_or_else(|| Value::filler(1));
             let stats = self.mbt.put(&op.key, &value);
             per_shard += c.adr_update_us(stats.nodes_touched, stats.leaf_bytes);
@@ -802,7 +802,7 @@ impl TransactionalSystem for Ahl {
                 self.db.aborted += 1;
                 let finish = stalled_at + self.config.network.base_latency_us;
                 self.db.receipts.push_back(TxnReceipt::aborted(
-                    txn.id,
+                    txn.id(),
                     AbortReason::Overload,
                     arrival,
                     finish,
@@ -812,7 +812,7 @@ impl TransactionalSystem for Ahl {
         };
         self.db.committed += 1;
         let mut r = TxnReceipt::committed(
-            txn.id,
+            txn.id(),
             arrival,
             commit_at + self.config.network.base_latency_us,
         );

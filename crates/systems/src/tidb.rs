@@ -163,14 +163,14 @@ impl TiDb {
     fn serve_read(&mut self, txn: &Transaction, arrival: Timestamp, engine: &mut Engine) {
         let mut cost = 0;
         let mut reads = Vec::new();
-        for op in txn.ops.iter().filter(|o| o.reads()) {
+        for op in txn.ops().iter().filter(|o| o.reads()) {
             let value = self.state.get_latest(&op.key);
             cost += self.read_cost(value.as_ref().map_or(64, Value::len));
             reads.push((op.key.clone(), value));
         }
         let (_, sql_done) = engine.service(self.procs().sql, arrival, cost);
         let finish = sql_done + self.config.network.base_latency_us;
-        let mut receipt = TxnReceipt::committed(txn.id, arrival, finish);
+        let mut receipt = TxnReceipt::committed(txn.id(), arrival, finish);
         receipt.reads = reads;
         receipt.phase_latencies = vec![
             ("sql-parse", self.config.costs.sql_parse_us.ceil() as u64),
@@ -216,7 +216,7 @@ impl TiDb {
                 self.aborted += 1;
                 let finish = contention_done + self.config.network.base_latency_us;
                 return TxnReceipt::aborted(
-                    txn.id,
+                    txn.id(),
                     AbortReason::WriteWriteConflict,
                     arrival,
                     finish,
@@ -232,7 +232,7 @@ impl TiDb {
         // Storage-layer cost: snapshot reads + prewrite/commit writes, each
         // write replicated through Raft.
         let mut storage_cost = 0u64;
-        for op in &txn.ops {
+        for op in txn.ops() {
             if op.reads() {
                 storage_cost += c.storage_get_us(op.value.as_ref().map_or(1000, Value::len));
             }
@@ -246,7 +246,7 @@ impl TiDb {
         // Replication latency of the slowest write (prewrite and commit each
         // take one Raft round).
         let max_write = txn
-            .ops
+            .ops()
             .iter()
             .filter(|o| o.writes())
             .map(|o| o.value.as_ref().map_or(0, Value::len))
@@ -271,7 +271,7 @@ impl TiDb {
                 None => {
                     self.aborted += 1;
                     let finish = decide_input + self.config.network.base_latency_us;
-                    return TxnReceipt::aborted(txn.id, AbortReason::Overload, arrival, finish);
+                    return TxnReceipt::aborted(txn.id(), AbortReason::Overload, arrival, finish);
                 }
             };
         }
@@ -284,7 +284,7 @@ impl TiDb {
             None => {
                 self.aborted += 1;
                 let finish = decide_input + self.config.network.base_latency_us;
-                return TxnReceipt::aborted(txn.id, AbortReason::Overload, arrival, finish);
+                return TxnReceipt::aborted(txn.id(), AbortReason::Overload, arrival, finish);
             }
         };
         let votes: Vec<_> = shards.iter().map(|&s| (s, true)).collect();
@@ -296,7 +296,7 @@ impl TiDb {
                 let penalty =
                     outcome.lock_conflict_rounds as u64 * self.config.lock_conflict_penalty_us;
                 let finish = two_pc_out.decided_at + penalty + self.config.network.base_latency_us;
-                for op in txn.ops.iter().filter(|o| o.writes()) {
+                for op in txn.ops().iter().filter(|o| o.writes()) {
                     if let Some(v) = self.state.get_latest(&op.key) {
                         self.engine_db.put(op.key.clone(), v);
                     }
@@ -304,7 +304,7 @@ impl TiDb {
                 for key in &write_keys {
                     self.busy_until.insert(key.clone(), finish);
                 }
-                let mut receipt = TxnReceipt::committed(txn.id, arrival, finish);
+                let mut receipt = TxnReceipt::committed(txn.id(), arrival, finish);
                 receipt.reads = outcome.reads;
                 receipt.commit_version = Some(outcome.commit_ts);
                 receipt.phase_latencies = vec![
@@ -328,7 +328,7 @@ impl TiDb {
                 let (_, contention_done) = engine.service(self.procs().sql, storage_done, penalty);
                 let finish = contention_done + self.config.network.base_latency_us;
                 self.aborted += 1;
-                TxnReceipt::aborted(txn.id, reason, arrival, finish)
+                TxnReceipt::aborted(txn.id(), reason, arrival, finish)
             }
         }
     }

@@ -45,7 +45,7 @@ pub(crate) fn effective_writes(
     txn: &dichotomy_common::Transaction,
     reads: &[(Key, Option<Value>)],
 ) -> Vec<(Key, Value)> {
-    txn.ops
+    txn.ops()
         .iter()
         .filter(|op| op.writes())
         .map(|op| {

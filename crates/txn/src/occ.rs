@@ -62,14 +62,14 @@ impl OccExecutor {
         let snapshot = store.latest_version();
         let mut read_set = Vec::new();
         let mut reads = Vec::new();
-        for op in txn.ops.iter().filter(|op| op.reads()) {
+        for op in txn.ops().iter().filter(|op| op.reads()) {
             let version = store.latest_key_version(&op.key).unwrap_or(0);
             read_set.push((op.key.clone(), version));
             reads.push((op.key.clone(), store.get_latest(&op.key)));
         }
         // Blind writes still record the key's current version in the read set
         // (Fabric includes written keys' versions for phantom protection).
-        for op in txn.ops.iter().filter(|op| op.writes() && !op.reads()) {
+        for op in txn.ops().iter().filter(|op| op.writes() && !op.reads()) {
             let version = store.latest_key_version(&op.key).unwrap_or(0);
             read_set.push((op.key.clone(), version));
         }

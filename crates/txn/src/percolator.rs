@@ -91,7 +91,7 @@ impl PercolatorExecutor {
         let start_ts = store.latest_version();
         // Snapshot reads.
         let reads: Vec<(Key, Option<Value>)> = txn
-            .ops
+            .ops()
             .iter()
             .filter(|op| op.reads())
             .map(|op| (op.key.clone(), store.get_at(&op.key, start_ts)))
@@ -112,7 +112,7 @@ impl PercolatorExecutor {
         // Prewrite with bounded lock-conflict retries.
         let mut conflict_rounds = 0u32;
         loop {
-            match self.try_prewrite(txn.id, &primary, &writes, start_ts, store) {
+            match self.try_prewrite(txn.id(), &primary, &writes, start_ts, store) {
                 Ok(()) => break,
                 Err(AbortReason::LockConflict) if conflict_rounds < max_lock_retries => {
                     conflict_rounds += 1;
@@ -241,7 +241,7 @@ mod tests {
         // conflict path instead.
         let writes = vec![(Key::from_str("hot"), Value::filler(8))];
         let err = exec
-            .try_prewrite(t.id, &Key::from_str("hot"), &writes, start_ts, &store)
+            .try_prewrite(t.id(), &Key::from_str("hot"), &writes, start_ts, &store)
             .unwrap_err();
         assert_eq!(err, AbortReason::WriteWriteConflict);
     }
@@ -256,7 +256,7 @@ mod tests {
         let a = txn(1, 1, &["hot"]);
         let writes = vec![(Key::from_str("hot"), Value::filler(8))];
         exec.try_prewrite(
-            a.id,
+            a.id(),
             &Key::from_str("hot"),
             &writes,
             store.latest_version(),
@@ -271,7 +271,7 @@ mod tests {
         assert_eq!(rounds, 3);
         assert_eq!(exec.aborted(), 1);
         // Once A's locks are resolved, B retries successfully.
-        exec.release_locks(a.id);
+        exec.release_locks(a.id());
         assert!(exec.execute(&b, &mut store, 3).is_ok());
     }
 
@@ -314,7 +314,7 @@ mod tests {
         // Hold a lock on "b".
         let blocker = txn(9, 1, &["b"]);
         exec.try_prewrite(
-            blocker.id,
+            blocker.id(),
             &Key::from_str("b"),
             &[(Key::from_str("b"), Value::filler(8))],
             store.latest_version(),

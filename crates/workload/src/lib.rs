@@ -25,7 +25,7 @@ pub use spec::WorkloadSpec;
 pub use ycsb::{YcsbConfig, YcsbMix, YcsbWorkload};
 pub use zipf::ZipfianGenerator;
 
-use dichotomy_common::{ClientId, Key, KeyPair, Operation, Transaction, TxnId, Value};
+use dichotomy_common::{ClientId, Key, Transaction, Value};
 
 /// A stream of transactions plus the initial data set to load.
 pub trait Workload {
@@ -37,35 +37,6 @@ pub trait Workload {
 
     /// A short human-readable name for reports.
     fn name(&self) -> &'static str;
-}
-
-/// Slots in [`ClientKeys`] (72 bytes each): twice the driver's default
-/// open-loop population.
-const CLIENT_KEY_SLOTS: usize = 64;
-
-/// The key pairs of recently seen clients, direct-mapped by client id.
-/// Deriving one costs two hashes per transaction; an open loop cycling through
-/// a few dozen clients finds every one here, and a population wider than the
-/// table re-derives as if there were no table.
-pub(crate) struct ClientKeys(Box<[Option<(u64, KeyPair)>]>);
-
-impl Default for ClientKeys {
-    fn default() -> Self {
-        ClientKeys(vec![None; CLIENT_KEY_SLOTS].into())
-    }
-}
-
-impl ClientKeys {
-    /// `ops` as transaction `id`, signed with the key of the client in `id`.
-    pub(crate) fn sign(&mut self, id: TxnId, ops: Vec<Operation>) -> Transaction {
-        let client = id.client.0;
-        let slot = &mut self.0[(client % CLIENT_KEY_SLOTS as u64) as usize];
-        let (_, keypair) = match slot {
-            Some(held) if held.0 == client => held,
-            _ => slot.insert((client, KeyPair::for_client(client))),
-        };
-        Transaction::signed(id, ops, 0, keypair)
-    }
 }
 
 /// `prefix` followed by `index` in decimal, zero-padded to at least `width`
@@ -93,20 +64,27 @@ fn padded_key(prefix: &str, width: usize, index: u64) -> Key {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dichotomy_common::Encode;
+    use dichotomy_common::{Encode, KeyPair};
 
     /// Digest over `count` generated transactions whose client ids run
-    /// `c, c, c + CLIENT_KEY_SLOTS, c + CLIENT_KEY_SLOTS` for two values of
-    /// `c`: the first call of each pair evicts the key pair its slot held,
-    /// the second finds its own, and each signature must still be the one a
-    /// freshly derived key pair produces.
+    /// `c, c, c + 64, c + 64` for two values of `c`, each checked byte for
+    /// byte against the same content signed at creation with a freshly
+    /// derived key pair: the signature a generated transaction computes when
+    /// read, and its whole wire form, are those.
     pub(crate) fn colliding_clients_digest(w: &mut dyn Workload, count: u64) -> String {
         let mut h = dichotomy_common::Hasher::new();
         for seq in 0..count {
-            let client = seq / 2 % 2 * CLIENT_KEY_SLOTS as u64 + seq / 4 % 2 * 5;
+            let client = seq / 2 % 2 * 64 + seq / 4 % 2 * 5;
             let t = w.next_transaction(ClientId(client), seq);
-            let fresh = Transaction::signed(t.id, t.ops.clone(), 0, &KeyPair::for_client(client));
-            assert_eq!(t, fresh, "client {client} seq {seq}");
+            let eager =
+                Transaction::signed(t.id(), t.ops().to_vec(), 0, &KeyPair::for_client(client));
+            assert_eq!(
+                t.signature(),
+                eager.signature(),
+                "client {client} seq {seq}"
+            );
+            assert_eq!(t.encode(), eager.encode(), "client {client} seq {seq}");
+            assert_eq!(t, eager, "client {client} seq {seq}");
             h.update(&t.encode());
         }
         h.finalize().to_hex()

@@ -12,7 +12,7 @@ use dichotomy_common::rng::{self, Rng, StdRng};
 use dichotomy_common::{codec, ClientId, Key, Operation, Transaction, TxnId, Value};
 
 use crate::zipf::ZipfianGenerator;
-use crate::{padded_key, ClientKeys, Workload};
+use crate::{padded_key, Workload};
 
 /// The six Smallbank procedures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,7 +83,6 @@ pub struct SmallbankWorkload {
     rng: StdRng,
     /// The one balance payload: every loaded record and every write shares it.
     filler: Value,
-    keys: ClientKeys,
 }
 
 impl SmallbankWorkload {
@@ -97,7 +96,6 @@ impl SmallbankWorkload {
             zipf,
             rng,
             filler,
-            keys: ClientKeys::default(),
         }
     }
 
@@ -164,7 +162,7 @@ impl Workload for SmallbankWorkload {
         let ops = self.build_ops(proc, a, b);
         let id = TxnId::new(client, seq);
         if self.config.sign_transactions {
-            self.keys.sign(id, ops)
+            Transaction::client_signed(id, ops)
         } else {
             Transaction::new(id, ops)
         }
@@ -210,9 +208,10 @@ mod tests {
         }
     }
 
-    /// Recorded at the commit before client key pairs were kept between
-    /// transactions: the procedure draw, both Zipf draws and the `b == a`
-    /// fix-up, then the signature.
+    /// Recorded when every generated transaction was signed at creation with a
+    /// freshly derived key pair: the procedure draw, both Zipf draws and the
+    /// `b == a` fix-up, then the signature, which enters the digest through
+    /// `signature()` and so now pins signing when read.
     #[test]
     fn colliding_client_ids_match_golden_digest() {
         let mut w = SmallbankWorkload::new(SmallbankConfig {
@@ -237,7 +236,7 @@ mod tests {
                 read_only += 1;
             }
             let customers: std::collections::BTreeSet<String> = t
-                .ops
+                .ops()
                 .iter()
                 .map(|o| o.key.to_string()[4..].to_string())
                 .collect();
@@ -259,7 +258,7 @@ mod tests {
         let mut counts = std::collections::BTreeMap::new();
         for seq in 0..2000 {
             let t = w.next_transaction(ClientId(1), seq);
-            for op in &t.ops {
+            for op in t.ops() {
                 *counts.entry(op.key.clone()).or_insert(0u32) += 1;
             }
         }
@@ -271,7 +270,7 @@ mod tests {
         let mut w = small();
         for seq in 0..300 {
             let t = w.next_transaction(ClientId(2), seq);
-            let mut keys: Vec<_> = t.ops.iter().map(|o| &o.key).collect();
+            let mut keys: Vec<_> = t.ops().iter().map(|o| &o.key).collect();
             keys.sort();
             keys.dedup();
             assert_eq!(keys.len(), t.op_count(), "duplicate key in {t:?}");

@@ -201,13 +201,13 @@ mod tests {
         for seq in 0..50 {
             let ta = a.next_transaction(ClientId(1), seq);
             let tb = b.next_transaction(ClientId(1), seq);
-            assert_eq!(ta.ops[0].key, tb.ops[0].key);
+            assert_eq!(ta.ops()[0].key, tb.ops()[0].key);
         }
         let mut c = spec.clone().with_seed(43).build();
         let keys_differ = (0..50).any(|seq| {
             let tc = c.next_transaction(ClientId(2), seq);
             let ta = spec.build().next_transaction(ClientId(2), seq);
-            tc.ops[0].key != ta.ops[0].key
+            tc.ops()[0].key != ta.ops()[0].key
         });
         assert!(keys_differ, "different seeds should pick different keys");
     }

@@ -4,7 +4,7 @@ use dichotomy_common::rng::{self, Rng, StdRng};
 use dichotomy_common::{codec, ClientId, Key, Operation, Transaction, TxnId, Value};
 
 use crate::zipf::ZipfianGenerator;
-use crate::{padded_key, ClientKeys, Workload};
+use crate::{padded_key, Workload};
 
 /// Read/write mix.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,12 +79,22 @@ pub struct YcsbWorkload {
     rng: StdRng,
     /// The one record payload: every loaded record and every write shares it.
     filler: Value,
-    keys: ClientKeys,
 }
 
 impl YcsbWorkload {
     /// Build a workload from its configuration.
+    ///
+    /// # Panics
+    ///
+    /// If a transaction's operations could not all touch distinct keys
+    /// (`ops_per_txn > record_count`): generating one would never finish.
     pub fn new(config: YcsbConfig) -> Self {
+        assert!(
+            u64::try_from(config.ops_per_txn).is_ok_and(|ops| ops <= config.record_count),
+            "YCSB cannot draw {} distinct keys per transaction from {} records",
+            config.ops_per_txn,
+            config.record_count
+        );
         let zipf = ZipfianGenerator::new(config.record_count, config.zipf_theta, config.seed);
         let rng = rng::seeded(rng::derive_seed(config.seed, "ycsb"));
         // YCSB never writes an empty value.
@@ -94,7 +104,6 @@ impl YcsbWorkload {
             zipf,
             rng,
             filler,
-            keys: ClientKeys::default(),
         }
     }
 
@@ -144,7 +153,7 @@ impl Workload for YcsbWorkload {
         }
         let id = TxnId::new(client, seq);
         if self.config.sign_transactions {
-            self.keys.sign(id, ops)
+            Transaction::client_signed(id, ops)
         } else {
             Transaction::new(id, ops)
         }
@@ -182,9 +191,31 @@ mod tests {
         });
         let t = w.next_transaction(ClientId(1), 1);
         assert_eq!(t.op_count(), 1);
-        assert!(t.ops[0].writes() && !t.ops[0].reads());
-        assert_eq!(t.ops[0].value.as_ref().unwrap().len(), 100);
+        assert!(t.ops()[0].writes() && !t.ops()[0].reads());
+        assert_eq!(t.ops()[0].value.as_ref().unwrap().len(), 100);
         assert!(t.verify_signature());
+    }
+
+    #[test]
+    fn as_many_ops_as_records_is_accepted() {
+        let mut w = YcsbWorkload::new(YcsbConfig {
+            record_count: 4,
+            ops_per_txn: 4,
+            ..YcsbConfig::default()
+        });
+        assert_eq!(w.next_transaction(ClientId(1), 1).op_count(), 4);
+    }
+
+    /// More distinct keys per transaction than there are records used to
+    /// redraw forever; the configuration is refused before any draw.
+    #[test]
+    #[should_panic(expected = "cannot draw 4 distinct keys per transaction from 3 records")]
+    fn more_ops_than_records_is_refused() {
+        YcsbWorkload::new(YcsbConfig {
+            record_count: 3,
+            ops_per_txn: 4,
+            ..YcsbConfig::default()
+        });
     }
 
     #[test]
@@ -209,7 +240,11 @@ mod tests {
             });
             let t = w.next_transaction(ClientId(1), 1);
             assert_eq!(t.op_count(), ops);
-            let value_bytes: usize = t.ops.iter().map(|o| o.value.as_ref().unwrap().len()).sum();
+            let value_bytes: usize = t
+                .ops()
+                .iter()
+                .map(|o| o.value.as_ref().unwrap().len())
+                .sum();
             assert_eq!(value_bytes, (1000 / ops) * ops);
         }
     }
@@ -225,7 +260,7 @@ mod tests {
         });
         for seq in 0..20 {
             let t = w.next_transaction(ClientId(1), seq);
-            let mut keys: Vec<_> = t.ops.iter().map(|o| o.key.clone()).collect();
+            let mut keys: Vec<_> = t.ops().iter().map(|o| o.key.clone()).collect();
             keys.sort();
             keys.dedup();
             assert_eq!(keys.len(), 10);
@@ -269,8 +304,9 @@ mod tests {
         }
     }
 
-    /// Recorded at the commit before client key pairs were kept between
-    /// transactions.
+    /// Recorded when every generated transaction was signed at creation with a
+    /// freshly derived key pair. Each signature enters the digest through
+    /// `signature()`, so this now pins signing when read.
     #[test]
     fn colliding_client_ids_match_golden_digest() {
         let mut w = YcsbWorkload::new(YcsbConfig {
@@ -298,7 +334,7 @@ mod tests {
         let mut counts = std::collections::BTreeMap::new();
         for seq in 0..2000 {
             let t = w.next_transaction(ClientId(1), seq);
-            *counts.entry(t.ops[0].key.clone()).or_insert(0u32) += 1;
+            *counts.entry(t.ops()[0].key.clone()).or_insert(0u32) += 1;
         }
         let max = counts.values().max().copied().unwrap_or(0);
         assert!(max > 50, "hottest key hit {max} times");
@@ -317,8 +353,8 @@ mod tests {
         let mut writes = 0;
         for seq in 0..100 {
             let t = w.next_transaction(ClientId(1), seq);
-            assert!(t.signature.is_none());
-            for op in &t.ops {
+            assert!(!t.is_signed());
+            for op in t.ops() {
                 if op.writes() {
                     writes += 1;
                 } else {

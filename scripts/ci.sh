@@ -30,11 +30,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test --release -p dichotomy-common (SHA-256 kernels under optimisation)"
+echo "==> cargo test --release -p dichotomy-common -p dichotomy-workload (SHA-256 kernels and signing goldens under optimisation)"
 # The hash kernels are wrapping arithmetic plus the workspace's one unsafe
 # module; the debug run above checks them with overflow and debug assertions
-# on, this one as they actually ship.
-cargo test -q --release -p dichotomy-common
+# on, this one as they actually ship. The workload goldens pin every
+# generated transaction's signature, computed only when read, the same way.
+cargo test -q --release -p dichotomy-common -p dichotomy-workload
 
 echo "==> cargo test --release -p dichotomy-core ledger (arrival-timestamp bitmap under optimisation)"
 # The driver's TimestampLedger is shift-and-mask arithmetic up to
@@ -287,10 +288,12 @@ grep -q "quorum_fork_5k_1kb" /tmp/ci_microbench.out
 # root read.
 grep -q "adr_probe_10k_1kb" /tmp/ci_microbench.out
 # What a payload costs between layers (printed, not gated): a key handle, a
-# value handle, one generated transaction, one memtable frozen into a run.
+# value handle, one generated transaction, the same with its signature read,
+# one memtable frozen into a run.
 grep -q "key_clone_16b" /tmp/ci_microbench.out
 grep -q "value_clone_1kb" /tmp/ci_microbench.out
 grep -q "ycsb_next_txn_1kb" /tmp/ci_microbench.out
+grep -q "ycsb_sign_1kb" /tmp/ci_microbench.out
 grep -q "lsm_flush_4mb" /tmp/ci_microbench.out
 
 echo "==> benchmark/ (the frozen harness against this tree: smoke check + fidelity digests)"
