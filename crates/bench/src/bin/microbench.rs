@@ -36,8 +36,7 @@ use dichotomy_core::scenario::{
 use dichotomy_core::simnet::{CostModel, EventQueue, NetworkConfig, SimEngine};
 use dichotomy_core::storage::{BPlusTree, KvEngine, LsmTree, MvccStore};
 use dichotomy_core::systems::{
-    drive_arrivals, Etcd, EtcdConfig, Quorum, QuorumConfig, SystemKind, SystemRegistry, SystemSpec,
-    TransactionalSystem,
+    drive_arrivals, Etcd, Quorum, SystemKind, SystemRegistry, SystemSpec, TransactionalSystem,
 };
 use dichotomy_core::txn::OccExecutor;
 use dichotomy_core::workload::Workload;
@@ -311,7 +310,7 @@ fn bench_event_engine() {
     });
     // The full event loop end to end: driver arrivals + etcd stage events.
     bench("engine_loop_etcd_update_300", 10, || {
-        let mut system = Etcd::new(EtcdConfig::default());
+        let mut system = Etcd::new(&SystemSpec::new(SystemKind::Etcd));
         let mut workload = YcsbWorkload::new(YcsbConfig {
             record_count: 500,
             record_size: 200,
@@ -352,11 +351,7 @@ fn bench_plan_executor() {
 
 fn bench_end_to_end() {
     bench("end_to_end_quorum_update_200", 10, || {
-        let mut system = Quorum::new(QuorumConfig {
-            max_block_txns: 50,
-            block_interval_us: 50_000,
-            ..QuorumConfig::default()
-        });
+        let mut system = Quorum::new(&SystemSpec::new(SystemKind::Quorum).with_blocks(50, 50_000));
         let mut workload = YcsbWorkload::new(YcsbConfig {
             record_count: 500,
             record_size: 200,
@@ -366,7 +361,7 @@ fn bench_end_to_end() {
         run_workload(&mut system, &mut workload, &DriverConfig::saturating(200))
     });
     bench("end_to_end_etcd_update_200", 10, || {
-        let mut system = Etcd::new(EtcdConfig::default());
+        let mut system = Etcd::new(&SystemSpec::new(SystemKind::Etcd));
         let mut workload = YcsbWorkload::new(YcsbConfig {
             record_count: 500,
             record_size: 200,
@@ -399,16 +394,16 @@ fn bench_state_sharing() {
         10,
     )];
     bench("quorum_load_5k_1kb", 10, || {
-        let mut system = Quorum::new(QuorumConfig::default());
+        let mut system = Quorum::new(&SystemSpec::new(SystemKind::Quorum));
         system.load(&records);
         drive_arrivals(&mut system, first_block.clone());
         system
     });
-    let mut loaded = Quorum::new(QuorumConfig::default());
+    let mut loaded = Quorum::new(&SystemSpec::new(SystemKind::Quorum));
     loaded.load(&records);
     let shared = loaded.share_state().expect("Quorum shares its state");
     bench("quorum_fork_5k_1kb", 200, || {
-        let mut system = Quorum::new(QuorumConfig::default());
+        let mut system = Quorum::new(&SystemSpec::new(SystemKind::Quorum));
         assert!(system.adopt_state(&shared));
         system
     });

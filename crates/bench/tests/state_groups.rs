@@ -18,6 +18,7 @@ use dichotomy_core::simnet::StageEvent;
 use dichotomy_core::systems::{
     Completion, Engine, SharedState, SystemKind, SystemRegistry, SystemSpec, TransactionalSystem,
 };
+use dichotomy_explore::{run_explore, ExploreSpec};
 
 static LOADS: AtomicU64 = AtomicU64::new(0);
 static RECORDS: AtomicU64 = AtomicU64::new(0);
@@ -216,4 +217,27 @@ fn the_quick_suite_loads_each_distinct_state_once() {
         let calibrated: usize = pooled.iter().map(|o| o.calibration.len()).sum();
         assert_eq!(calibrated, distinct.len());
     }
+}
+
+/// The fourth golden, recorded at 62d9962: the `Encode` bytes of every result
+/// the quick explorer measures, in probe-key order. Its 4-node etcd, TiKV,
+/// Fabric, TiDB, Spanner-like, AHL and Raft-Quorum deployments are built
+/// nowhere in the quick suite, so this pins how those specs become models.
+#[test]
+fn the_quick_explorer_measures_the_same_bytes() {
+    let cache = MemCache::default();
+    let options = ExecOptions {
+        jobs: 1,
+        cache: Some(&cache),
+        ..ExecOptions::default()
+    };
+    let spec = ExploreSpec::quick(300, 7);
+    let outcome = run_explore(&spec, &SystemRegistry::with_builtins(), &options).unwrap();
+    assert!(!outcome.designs.is_empty());
+    let results = cache.0.lock().unwrap();
+    assert_eq!(results.len(), 20);
+    assert_eq!(
+        digest(results.values().map(Encode::encode)),
+        "173c4c81f183500a7be2486c384adc5c7b1201fac9f121f1f39e9fa94bd1ba8b"
+    );
 }

@@ -208,19 +208,6 @@ impl ReplicationProfile {
             ProtocolKind::ProofOfWork => peers,
         }
     }
-
-    /// Relative standard deviation of commit latency; the paper observes that
-    /// IBFT's variance grows with `f` because larger quorums make the
-    /// view-change (interruption) probability higher (Section 5.2.3).
-    pub fn latency_variability(&self) -> f64 {
-        match self.kind {
-            ProtocolKind::Raft | ProtocolKind::SharedLog | ProtocolKind::PrimaryBackup => 0.05,
-            ProtocolKind::Pbft | ProtocolKind::Ibft | ProtocolKind::Tendermint => {
-                0.05 + 0.02 * self.kind.tolerated_failures(self.n) as f64
-            }
-            ProtocolKind::ProofOfWork => 1.0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -270,14 +257,6 @@ mod tests {
         let raft_small = profile(ProtocolKind::Raft, 3).leader_occupancy_us(50_000);
         let raft_large = profile(ProtocolKind::Raft, 19).leader_occupancy_us(50_000);
         assert!(raft_large > raft_small * 4);
-    }
-
-    #[test]
-    fn ibft_variability_grows_with_f() {
-        let v1 = profile(ProtocolKind::Ibft, 4).latency_variability();
-        let v6 = profile(ProtocolKind::Ibft, 19).latency_variability();
-        assert!(v6 > v1);
-        assert!(profile(ProtocolKind::Raft, 19).latency_variability() < v6);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! ```
 
 use dichotomy_core::driver::{run_workload, DriverConfig};
-use dichotomy_core::systems::{Etcd, EtcdConfig, Quorum, QuorumConfig, TransactionalSystem};
+use dichotomy_core::systems::{SystemKind, SystemSpec};
 use dichotomy_core::workload::{YcsbConfig, YcsbMix, YcsbWorkload};
 
 fn main() {
@@ -20,16 +20,17 @@ fn main() {
         })
     };
 
-    let mut quorum = Quorum::new(QuorumConfig::default());
-    let mut etcd = Etcd::new(EtcdConfig::default());
-    let systems: Vec<(&str, &mut dyn TransactionalSystem)> = vec![
-        ("Quorum (blockchain)", &mut quorum),
-        ("etcd (database)", &mut etcd),
-    ];
-
     println!("YCSB update-only, 1 KB records, 5-node full replication\n");
-    for (name, system) in systems {
-        let stats = run_workload(system, &mut workload(), &DriverConfig::saturating(1_000));
+    for (name, kind) in [
+        ("Quorum (blockchain)", SystemKind::Quorum),
+        ("etcd (database)", SystemKind::Etcd),
+    ] {
+        let mut system = SystemSpec::new(kind).with_nodes(5).build().unwrap();
+        let stats = run_workload(
+            system.as_mut(),
+            &mut workload(),
+            &DriverConfig::saturating(1_000),
+        );
         println!(
             "{name:<22} {:>8.0} tps   mean latency {:>8.1} ms   p95 {:>8.1} ms",
             stats.metrics.throughput_tps,

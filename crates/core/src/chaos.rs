@@ -2,10 +2,10 @@
 //! receipt stream after every probe (Rudra-style exhaustive checking applied
 //! to model semantics instead of unsafe code).
 //!
-//! An [`InvariantOracle`] observes each [`TxnReceipt`] as the driver drains
-//! it — so the checks work identically under `MetricsMode::Exact` and
-//! `MetricsMode::Streaming` — and renders a verdict once the run is over.
-//! The standard set ([`OracleSet::standard`]):
+//! An [`OracleSet`] observes each [`TxnReceipt`] as the driver drains it —
+//! so the checks work identically under `MetricsMode::Exact` and
+//! `MetricsMode::Streaming` — and renders one verdict per oracle once the
+//! run is over. The battery ([`OracleSet::standard`]), in report order:
 //!
 //! * **`receipt-conservation`** — every submitted transaction produced
 //!   exactly one receipt: observed receipts == arrivals issued. A fault
@@ -39,20 +39,6 @@ pub struct OracleContext {
     pub events_clamped: u64,
 }
 
-/// A cross-cutting invariant checked over one run's receipt stream.
-///
-/// Implementations accumulate state in [`observe`](Self::observe) (called
-/// once per receipt, in the order the run surfaced them) and deliver the
-/// verdict in [`check`](Self::check).
-pub trait InvariantOracle: Send {
-    /// Stable label, used in probe-failure messages and the JSON report.
-    fn name(&self) -> &'static str;
-    /// Observe one receipt.
-    fn observe(&mut self, receipt: &TxnReceipt);
-    /// Final verdict: `Err(description)` on violation.
-    fn check(&mut self, ctx: &OracleContext) -> Result<(), String>;
-}
-
 /// One oracle's verdict for a finished run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OracleOutcome {
@@ -66,7 +52,7 @@ codec!(Encode + Decode for struct OracleOutcome { name, violation });
 /// All oracle verdicts for one run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OracleReport {
-    /// One outcome per oracle, in registration order.
+    /// One outcome per oracle, in battery order.
     pub outcomes: Vec<OracleOutcome>,
 }
 codec!(Encode + Decode for struct OracleReport { outcomes });
@@ -77,154 +63,44 @@ impl OracleReport {
         self.outcomes.iter().all(|o| o.violation.is_none())
     }
 
-    /// The violated outcomes, in registration order.
+    /// The violated outcomes, in battery order.
     pub fn violations(&self) -> impl Iterator<Item = &OracleOutcome> {
         self.outcomes.iter().filter(|o| o.violation.is_some())
     }
 }
 
 /// The oracle battery one run feeds: receipts in, [`OracleReport`] out.
+/// It holds the state of all four oracles the module documents.
+#[derive(Default)]
 pub struct OracleSet {
-    oracles: Vec<Box<dyn InvariantOracle>>,
-}
-
-impl OracleSet {
-    /// No oracles (runs that opt out of checking).
-    pub fn empty() -> Self {
-        OracleSet {
-            oracles: Vec::new(),
-        }
-    }
-
-    /// The standard battery documented at the module level.
-    pub fn standard() -> Self {
-        OracleSet {
-            oracles: vec![
-                Box::new(ReceiptConservation::default()),
-                Box::new(NoDuplicateReceipt::default()),
-                Box::new(CommitOrderMonotonic::default()),
-                Box::new(NoClampedEvents),
-            ],
-        }
-    }
-
-    /// Whether the set holds no oracles.
-    pub fn is_empty(&self) -> bool {
-        self.oracles.is_empty()
-    }
-
-    /// Feed one receipt to every oracle.
-    pub fn observe(&mut self, receipt: &TxnReceipt) {
-        for oracle in &mut self.oracles {
-            oracle.observe(receipt);
-        }
-    }
-
-    /// Feed a drained batch.
-    pub fn observe_all(&mut self, receipts: &[TxnReceipt]) {
-        for r in receipts {
-            self.observe(r);
-        }
-    }
-
-    /// Collect every verdict.
-    pub fn finish(mut self, ctx: OracleContext) -> OracleReport {
-        OracleReport {
-            outcomes: self
-                .oracles
-                .iter_mut()
-                .map(|oracle| OracleOutcome {
-                    name: oracle.name(),
-                    violation: oracle.check(&ctx).err(),
-                })
-                .collect(),
-        }
-    }
-}
-
-/// `receipt-conservation`: observed receipts == arrivals issued.
-#[derive(Default)]
-struct ReceiptConservation {
+    /// Receipts observed so far; also each receipt's observation index.
     observed: u64,
-}
-
-impl InvariantOracle for ReceiptConservation {
-    fn name(&self) -> &'static str {
-        "receipt-conservation"
-    }
-
-    fn observe(&mut self, _receipt: &TxnReceipt) {
-        self.observed += 1;
-    }
-
-    fn check(&mut self, ctx: &OracleContext) -> Result<(), String> {
-        if self.observed == ctx.arrivals_issued {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} arrivals issued but {} receipts observed ({} {})",
-                ctx.arrivals_issued,
-                self.observed,
-                ctx.arrivals_issued.abs_diff(self.observed),
-                if self.observed < ctx.arrivals_issued {
-                    "lost"
-                } else {
-                    "conjured"
-                },
-            ))
-        }
-    }
-}
-
-/// `no-duplicate-receipt`: no transaction id receipted twice.
-#[derive(Default)]
-struct NoDuplicateReceipt {
     #[expect(
         clippy::disallowed_types,
         reason = "contains-then-insert only; nothing iterates it"
     )]
     seen: HashSet<TxnId>,
+    /// First transaction receipted twice.
     first_duplicate: Option<TxnId>,
-}
-
-impl InvariantOracle for NoDuplicateReceipt {
-    fn name(&self) -> &'static str {
-        "no-duplicate-receipt"
-    }
-
-    fn observe(&mut self, receipt: &TxnReceipt) {
-        if !self.seen.insert(receipt.txn_id) && self.first_duplicate.is_none() {
-            self.first_duplicate = Some(receipt.txn_id);
-        }
-    }
-
-    fn check(&mut self, _ctx: &OracleContext) -> Result<(), String> {
-        match self.first_duplicate {
-            None => Ok(()),
-            Some(id) => Err(format!("transaction {id:?} was receipted more than once")),
-        }
-    }
-}
-
-/// `commit-order-monotonic`: per-receipt causality, plus agreement between
-/// claimed chain order and time for block-committed receipts.
-#[derive(Default)]
-struct CommitOrderMonotonic {
     /// First receipt that finished before it was submitted.
     causality_break: Option<(TxnId, u64, u64)>,
     /// (finish, observation index, block height) of chain-committed receipts.
-    chain: Vec<(u64, usize, u64)>,
-    observed: usize,
+    chain: Vec<(u64, u64, u64)>,
 }
 
-impl InvariantOracle for CommitOrderMonotonic {
-    fn name(&self) -> &'static str {
-        "commit-order-monotonic"
+impl OracleSet {
+    /// The standard battery documented at the module level.
+    pub fn standard() -> Self {
+        OracleSet::default()
     }
 
-    fn observe(&mut self, receipt: &TxnReceipt) {
+    /// Feed one receipt to every oracle.
+    pub fn observe(&mut self, receipt: &TxnReceipt) {
         let idx = self.observed;
         self.observed += 1;
+        if !self.seen.insert(receipt.txn_id) && self.first_duplicate.is_none() {
+            self.first_duplicate = Some(receipt.txn_id);
+        }
         if receipt.finish_time < receipt.submit_time && self.causality_break.is_none() {
             self.causality_break = Some((receipt.txn_id, receipt.submit_time, receipt.finish_time));
         }
@@ -243,7 +119,62 @@ impl InvariantOracle for CommitOrderMonotonic {
         }
     }
 
-    fn check(&mut self, _ctx: &OracleContext) -> Result<(), String> {
+    /// Feed a drained batch.
+    pub fn observe_all(&mut self, receipts: &[TxnReceipt]) {
+        for r in receipts {
+            self.observe(r);
+        }
+    }
+
+    /// Collect every verdict.
+    pub fn finish(mut self, ctx: OracleContext) -> OracleReport {
+        let verdicts = [
+            ("receipt-conservation", self.conservation(&ctx)),
+            ("no-duplicate-receipt", self.no_duplicate()),
+            ("commit-order-monotonic", self.commit_order()),
+            ("no-clamped-events", no_clamped_events(&ctx)),
+        ];
+        OracleReport {
+            outcomes: verdicts
+                .into_iter()
+                .map(|(name, verdict)| OracleOutcome {
+                    name,
+                    violation: verdict.err(),
+                })
+                .collect(),
+        }
+    }
+
+    /// `receipt-conservation`: observed receipts == arrivals issued.
+    fn conservation(&self, ctx: &OracleContext) -> Result<(), String> {
+        if self.observed == ctx.arrivals_issued {
+            Ok(())
+        } else {
+            Err(format!(
+                "{} arrivals issued but {} receipts observed ({} {})",
+                ctx.arrivals_issued,
+                self.observed,
+                ctx.arrivals_issued.abs_diff(self.observed),
+                if self.observed < ctx.arrivals_issued {
+                    "lost"
+                } else {
+                    "conjured"
+                },
+            ))
+        }
+    }
+
+    /// `no-duplicate-receipt`: no transaction id receipted twice.
+    fn no_duplicate(&self) -> Result<(), String> {
+        match self.first_duplicate {
+            None => Ok(()),
+            Some(id) => Err(format!("transaction {id:?} was receipted more than once")),
+        }
+    }
+
+    /// `commit-order-monotonic`: per-receipt causality, plus agreement
+    /// between claimed chain order and time for block-committed receipts.
+    fn commit_order(&mut self) -> Result<(), String> {
         if let Some((id, submit, finish)) = self.causality_break {
             return Err(format!(
                 "transaction {id:?} finished at {finish} before its submission at {submit}"
@@ -268,24 +199,14 @@ impl InvariantOracle for CommitOrderMonotonic {
 }
 
 /// `no-clamped-events`: the engine never clamped a stage event into the past.
-struct NoClampedEvents;
-
-impl InvariantOracle for NoClampedEvents {
-    fn name(&self) -> &'static str {
-        "no-clamped-events"
-    }
-
-    fn observe(&mut self, _receipt: &TxnReceipt) {}
-
-    fn check(&mut self, ctx: &OracleContext) -> Result<(), String> {
-        if ctx.events_clamped == 0 {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} stage events were clamped into the past",
-                ctx.events_clamped
-            ))
-        }
+fn no_clamped_events(ctx: &OracleContext) -> Result<(), String> {
+    if ctx.events_clamped == 0 {
+        Ok(())
+    } else {
+        Err(format!(
+            "{} stage events were clamped into the past",
+            ctx.events_clamped
+        ))
     }
 }
 

@@ -688,9 +688,6 @@ pub struct RunStats {
     pub series: TimeSeries,
     /// Simulated time of the last completion.
     pub makespan_us: Timestamp,
-    /// Offered load used (open-loop configurations; closed loops offer
-    /// whatever the completion stream sustains).
-    pub offered_tps: f64,
     /// Arrivals the driver actually issued (equals the configured
     /// transaction count unless a closed loop starved before the budget).
     pub arrivals_issued: u64,
@@ -955,7 +952,6 @@ fn drive_with<E: LatencyEstimator>(
         metrics,
         series,
         makespan_us,
-        offered_tps: config.offered_tps,
         arrivals_issued: book.issued,
         events_delivered: engine.delivered(),
         events_clamped: engine.clamped(),
@@ -967,7 +963,7 @@ fn drive_with<E: LatencyEstimator>(
 mod tests {
     use super::*;
     use dichotomy_common::TxnReceipt;
-    use dichotomy_systems::{Completion, Etcd, EtcdConfig, Quorum, QuorumConfig, ReceiptLog};
+    use dichotomy_systems::{Completion, Etcd, Quorum, ReceiptLog, SystemKind, SystemSpec};
     use dichotomy_workload::{YcsbConfig, YcsbWorkload};
 
     fn small_ycsb(theta: f64) -> YcsbWorkload {
@@ -981,7 +977,7 @@ mod tests {
 
     #[test]
     fn saturating_run_reports_positive_throughput_and_latency() {
-        let mut system = Etcd::new(EtcdConfig::default());
+        let mut system = Etcd::new(&SystemSpec::new(SystemKind::Etcd));
         let mut workload = small_ycsb(0.0);
         let stats = run_workload(&mut system, &mut workload, &DriverConfig::saturating(500));
         assert_eq!(stats.metrics.committed, 500);
@@ -999,7 +995,6 @@ mod tests {
         // Drive every registered system kind through the event loop and
         // check the engine's clamp counter: a nonzero value means a model
         // scheduled a stage event before the current simulated time.
-        use dichotomy_systems::{SystemKind, SystemSpec};
         for kind in SystemKind::ALL {
             let mut system = SystemSpec::new(kind).build().expect("builtin model");
             let mut workload = small_ycsb(0.4);
@@ -1014,13 +1009,7 @@ mod tests {
 
     #[test]
     fn unsaturated_latency_is_lower_than_saturated_latency() {
-        let build = || {
-            Quorum::new(QuorumConfig {
-                max_block_txns: 20,
-                block_interval_us: 50_000,
-                ..QuorumConfig::default()
-            })
-        };
+        let build = || Quorum::new(&SystemSpec::new(SystemKind::Quorum).with_blocks(20, 50_000));
         let mut saturated_sys = build();
         let saturated = run_workload(
             &mut saturated_sys,
@@ -1049,11 +1038,7 @@ mod tests {
     fn saturating_runs_produce_a_backlog_shaped_time_series() {
         // Offer far more load than Quorum's serial pipeline absorbs: the
         // windowed latency (queueing delay) climbs across the run.
-        let mut system = Quorum::new(QuorumConfig {
-            max_block_txns: 50,
-            block_interval_us: 50_000,
-            ..QuorumConfig::default()
-        });
+        let mut system = Quorum::new(&SystemSpec::new(SystemKind::Quorum).with_blocks(50, 50_000));
         let stats = run_workload(
             &mut system,
             &mut small_ycsb(0.0),
@@ -1240,7 +1225,7 @@ mod tests {
         // (counts, means, maxima, window boundaries) agree exactly, and the
         // sketched percentiles land within the documented bounds.
         let run = |metrics| {
-            let mut system = Etcd::new(EtcdConfig::default());
+            let mut system = Etcd::new(&SystemSpec::new(SystemKind::Etcd));
             let mut workload = small_ycsb(0.6);
             let config = DriverConfig {
                 window_us: Some(20_000),
@@ -1285,7 +1270,7 @@ mod tests {
     #[test]
     fn same_seed_reproduces_identical_results() {
         let run = || {
-            let mut system = Etcd::new(EtcdConfig::default());
+            let mut system = Etcd::new(&SystemSpec::new(SystemKind::Etcd));
             let mut workload = small_ycsb(0.6);
             run_workload(&mut system, &mut workload, &DriverConfig::saturating(300))
         };

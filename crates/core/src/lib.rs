@@ -31,7 +31,7 @@ pub mod lint;
 pub mod metrics;
 pub mod scenario;
 
-pub use chaos::{InvariantOracle, OracleContext, OracleOutcome, OracleReport, OracleSet};
+pub use chaos::{OracleContext, OracleOutcome, OracleReport, OracleSet};
 pub use driver::{run_workload, ArrivalSpec, ClientModel, DriverConfig, RunStats};
 pub use lint::{lint_plan, lint_scenario};
 pub use metrics::{

@@ -7,8 +7,7 @@ use dichotomy_core::driver::{run_workload, DriverConfig};
 use dichotomy_core::experiments;
 use dichotomy_core::run_plan;
 use dichotomy_core::systems::{
-    drive_arrivals, Fabric, FabricConfig, Quorum, QuorumConfig, TiDb, TiDbConfig,
-    TransactionalSystem,
+    drive_arrivals, Fabric, Quorum, SystemKind, SystemSpec, TiDb, TransactionalSystem,
 };
 use dichotomy_core::workload::{
     SmallbankConfig, SmallbankWorkload, Workload, YcsbConfig, YcsbMix, YcsbWorkload,
@@ -36,11 +35,7 @@ fn figure4_ordering_holds_through_the_public_api() {
 /// hash chain checks out and recorded transaction counts match the receipts.
 #[test]
 fn fabric_smallbank_run_produces_a_consistent_ledger_and_metrics() {
-    let mut fabric = Fabric::new(FabricConfig {
-        max_block_txns: 50,
-        block_timeout_us: 100_000,
-        ..FabricConfig::default()
-    });
+    let mut fabric = Fabric::new(&SystemSpec::new(SystemKind::Fabric).with_blocks(50, 100_000));
     let mut workload = SmallbankWorkload::new(SmallbankConfig {
         accounts: 2_000,
         ..SmallbankConfig::default()
@@ -93,11 +88,8 @@ fn different_systems_reach_the_same_final_state_without_conflicts() {
         })
         .collect();
 
-    let mut quorum = Quorum::new(QuorumConfig {
-        max_block_txns: 10,
-        ..QuorumConfig::default()
-    });
-    let mut tidb = TiDb::new(TiDbConfig::default());
+    let mut quorum = Quorum::new(&SystemSpec::new(SystemKind::Quorum).with_blocks(10, 250_000));
+    let mut tidb = TiDb::new(&SystemSpec::new(SystemKind::TiDb).with_frontends(3));
     let schedule: Vec<(Transaction, u64)> = txns
         .iter()
         .enumerate()

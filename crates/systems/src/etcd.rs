@@ -12,12 +12,12 @@
 //! proposed into the leader's Raft batch and queued on the serial apply
 //! process; the `Applied` stage event fires when the apply completes, at
 //! which point the write lands in the storage engine and the receipt is
-//! stamped with the replication round trip. A [`FaultPlan`] on the config
+//! stamped with the replication round trip. A [`FaultPlan`] in the spec
 //! makes the leader crash-stop: writes arriving (or due to start) inside a
 //! crash window stall until the crash heals plus a failover pause, which is
 //! what the crash-and-recover scenario measures.
 
-use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
+use dichotomy_common::size::StorageBreakdown;
 use dichotomy_common::{AbortReason, Key, NodeId, Timestamp, Transaction, TxnReceipt, Value};
 use dichotomy_consensus::{ProtocolKind, ReplicationProfile};
 use dichotomy_simnet::{CostModel, FaultPlan, NetworkConfig, ProcessId, StageEvent};
@@ -25,39 +25,12 @@ use dichotomy_storage::{BPlusTree, KvEngine, LsmTree};
 
 use crate::pipeline::{
     Completion, Engine, ReceiptLog, SharedState, SysEvent, SystemKind, TokenMap,
-    TransactionalSystem,
+    TransactionalSystem, FAILOVER_US,
 };
+use crate::spec::SystemSpec;
 
-/// Configuration shared by the etcd and TiKV models.
-#[derive(Debug, Clone)]
-pub struct EtcdConfig {
-    /// Number of replicas in the Raft group.
-    pub nodes: usize,
-    /// How many operations the leader batches into one Raft proposal.
-    pub raft_batch: usize,
-    /// Fault schedule. Crashing the leader (node 0) stalls the replicated
-    /// write path until the crash heals plus `failover_us`.
-    pub faults: FaultPlan,
-    /// Leader re-election pause charged after a leader crash heals.
-    pub failover_us: u64,
-    /// Network model.
-    pub network: NetworkConfig,
-    /// CPU cost model.
-    pub costs: CostModel,
-}
-
-impl Default for EtcdConfig {
-    fn default() -> Self {
-        EtcdConfig {
-            nodes: 3,
-            raft_batch: 32,
-            faults: FaultPlan::none(),
-            failover_us: 10_000,
-            network: NetworkConfig::lan_1gbps(),
-            costs: CostModel::calibrated(),
-        }
-    }
-}
+/// How many operations the leader batches into one Raft proposal.
+pub const RAFT_BATCH: usize = 32;
 
 /// The Raft leader the fault plan can crash.
 const LEADER: NodeId = NodeId(0);
@@ -82,9 +55,17 @@ struct KvProcs {
     readers: ProcessId,
 }
 
-/// Shared machinery for both storage-replicated KV systems.
-struct KvSystem<E: KvEngine> {
-    config: EtcdConfig,
+/// A storage-replicated KV system over engine `E`: etcd ([`Etcd`], a B+
+/// tree) or standalone TiKV ([`Tikv`], an LSM tree).
+pub struct KvSystem<E: KvEngine> {
+    kind: SystemKind,
+    /// Replicas in the Raft group (the spec's `nodes`, default 3).
+    nodes: usize,
+    network: NetworkConfig,
+    costs: CostModel,
+    /// Crashing the leader (node 0) stalls the replicated write path until
+    /// the crash heals plus [`FAILOVER_US`].
+    faults: FaultPlan,
     raft: ReplicationProfile,
     procs: Option<KvProcs>,
     store: E,
@@ -95,30 +76,50 @@ struct KvSystem<E: KvEngine> {
     apply_overhead_us: u64,
 }
 
+/// The etcd model: B+ tree storage, single Raft group.
+pub type Etcd = KvSystem<BPlusTree>;
+
+/// The standalone TiKV model: LSM storage, Raft replication, no SQL or
+/// transaction layer on top.
+pub type Tikv = KvSystem<LsmTree>;
+
+impl Etcd {
+    /// Build the etcd deployment `spec` describes.
+    pub fn new(spec: &SystemSpec) -> Self {
+        KvSystem::with_engine(spec, SystemKind::Etcd, BPlusTree::new(), 18)
+    }
+}
+
+impl Tikv {
+    /// Build the standalone TiKV deployment `spec` describes.
+    pub fn new(spec: &SystemSpec) -> Self {
+        KvSystem::with_engine(spec, SystemKind::Tikv, LsmTree::new(), 30)
+    }
+}
+
 impl<E: KvEngine + Clone + 'static> KvSystem<E> {
-    fn new(config: EtcdConfig, store: E, apply_overhead_us: u64) -> Self {
-        let raft = ReplicationProfile::new(
-            ProtocolKind::Raft,
-            config.nodes,
-            config.network.clone(),
-            config.costs.clone(),
-        );
+    fn with_engine(spec: &SystemSpec, kind: SystemKind, store: E, apply_overhead_us: u64) -> Self {
+        let nodes = spec.nodes.unwrap_or(3);
+        let network = spec.network.clone().unwrap_or_default();
+        let costs = spec.costs.clone().unwrap_or_default();
         KvSystem {
-            raft,
+            kind,
+            nodes,
+            raft: ReplicationProfile::new(
+                ProtocolKind::Raft,
+                nodes,
+                network.clone(),
+                costs.clone(),
+            ),
+            network,
+            costs,
+            faults: spec.faults.clone().unwrap_or_default(),
             procs: None,
             store,
             receipts: ReceiptLog::new(),
             pending: TokenMap::new(),
             apply_overhead_us,
-            config,
         }
-    }
-
-    fn attach(&mut self, engine: &mut Engine) {
-        self.procs = Some(KvProcs {
-            apply: engine.add_process("kv-apply", 1),
-            readers: engine.add_process("kv-readers", self.config.nodes.max(1) * 4),
-        });
     }
 
     fn procs(&self) -> KvProcs {
@@ -129,11 +130,17 @@ impl<E: KvEngine + Clone + 'static> KvSystem<E> {
     /// pipeline: `None` while the leader is permanently down, `Some(t)` when
     /// no crash interferes, otherwise the heal time plus the failover pause.
     fn crash_release(&self, t: Timestamp) -> Option<Timestamp> {
-        match self.config.faults.crashed_until(LEADER, t) {
+        match self.faults.crashed_until(LEADER, t) {
             None => Some(t),
-            Some(Some(heal)) => Some(heal + self.config.failover_us),
+            Some(Some(heal)) => Some(heal + FAILOVER_US),
             Some(None) => None,
         }
+    }
+}
+
+impl<E: KvEngine + Clone + 'static> TransactionalSystem for KvSystem<E> {
+    fn kind(&self) -> SystemKind {
+        self.kind
     }
 
     fn load(&mut self, records: &[(Key, Value)]) {
@@ -155,9 +162,16 @@ impl<E: KvEngine + Clone + 'static> KvSystem<E> {
         true
     }
 
+    fn attach(&mut self, engine: &mut Engine) {
+        self.procs = Some(KvProcs {
+            apply: engine.add_process("kv-apply", 1),
+            readers: engine.add_process("kv-readers", self.nodes.max(1) * 4),
+        });
+    }
+
     fn on_arrival(&mut self, txn: Transaction, engine: &mut Engine) {
         let arrival = engine.now();
-        let c = &self.config.costs;
+        let c = &self.costs;
         if txn.is_read_only() {
             let mut cost = 0;
             let mut reads = Vec::new();
@@ -171,7 +185,7 @@ impl<E: KvEngine + Clone + 'static> KvSystem<E> {
                 reads.push((op.key.clone(), value));
             }
             let (_, done) = engine.service(self.procs().readers, arrival, cost.max(1));
-            let finish = done + self.config.network.base_latency_us;
+            let finish = done + self.network.base_latency_us;
             let mut receipt = TxnReceipt::committed(txn.id(), arrival, finish);
             receipt.reads = reads;
             receipt.phase_latencies = vec![("storage-get", cost)];
@@ -202,7 +216,7 @@ impl<E: KvEngine + Clone + 'static> KvSystem<E> {
         if !settled {
             // Leader permanently down (or crash windows beyond the budget):
             // the request times out.
-            let finish = arrival + self.config.network.base_latency_us * 4;
+            let finish = arrival + self.network.base_latency_us * 4;
             self.receipts.push_back(TxnReceipt::aborted(
                 txn.id(),
                 AbortReason::Overload,
@@ -212,12 +226,12 @@ impl<E: KvEngine + Clone + 'static> KvSystem<E> {
             return;
         }
         let bytes = txn.payload_bytes();
-        let batch = self.config.raft_batch.max(1);
-        let occupancy = (self.raft.leader_occupancy_us(bytes * batch) / batch as u64).max(1);
+        let occupancy =
+            (self.raft.leader_occupancy_us(bytes * RAFT_BATCH) / RAFT_BATCH as u64).max(1);
         let mut apply_cost = self.apply_overhead_us;
         for op in txn.ops().iter().filter(|o| o.writes()) {
             let len = op.value.as_ref().map_or(1, Value::len).max(1);
-            apply_cost += c.storage_put_us(len);
+            apply_cost += self.costs.storage_put_us(len);
         }
         let apply_us = occupancy + apply_cost;
         let (_, applied) = engine.service(self.procs().apply, start_at, apply_us);
@@ -243,123 +257,34 @@ impl<E: KvEngine + Clone + 'static> KvSystem<E> {
             self.store.put(op.key.clone(), value);
         }
         let replication_latency = self.raft.commit_latency_us(txn.payload_bytes() + 64);
-        let finish = engine.now() + replication_latency + self.config.network.base_latency_us;
+        let finish = engine.now() + replication_latency + self.network.base_latency_us;
         let mut receipt = TxnReceipt::committed(txn.id(), arrival, finish);
         receipt.phase_latencies = vec![("apply", apply_us), ("replication", replication_latency)];
         self.receipts.push_back(receipt);
     }
-}
 
-/// The etcd model: B+ tree storage, single Raft group.
-pub struct Etcd {
-    inner: KvSystem<BPlusTree>,
-}
-
-impl Etcd {
-    /// Build an etcd deployment.
-    pub fn new(config: EtcdConfig) -> Self {
-        Etcd {
-            inner: KvSystem::new(config, BPlusTree::new(), 18),
-        }
-    }
-}
-
-impl TransactionalSystem for Etcd {
-    fn kind(&self) -> SystemKind {
-        SystemKind::Etcd
-    }
-    fn load(&mut self, records: &[(Key, Value)]) {
-        self.inner.load(records);
-    }
-    fn share_state(&mut self) -> Option<SharedState> {
-        self.inner.share_state()
-    }
-    fn adopt_state(&mut self, state: &SharedState) -> bool {
-        self.inner.adopt_state(state)
-    }
-    fn attach(&mut self, engine: &mut Engine) {
-        self.inner.attach(engine);
-    }
-    fn on_arrival(&mut self, txn: Transaction, engine: &mut Engine) {
-        self.inner.on_arrival(txn, engine);
-    }
-    fn on_stage(&mut self, event: StageEvent, engine: &mut Engine) {
-        self.inner.on_stage(event, engine);
-    }
     fn drain_receipts(&mut self) -> Vec<TxnReceipt> {
-        self.inner.receipts.drain()
+        self.receipts.drain()
     }
+
     fn take_completions(&mut self) -> Vec<Completion> {
-        self.inner.receipts.take_completions()
+        self.receipts.take_completions()
     }
+
     fn drain_completions(&mut self, buf: &mut Vec<Completion>) {
-        self.inner.receipts.swap_completions(buf)
+        self.receipts.swap_completions(buf)
     }
+
     fn drain_receipts_into(&mut self, buf: &mut Vec<TxnReceipt>) {
-        self.inner.receipts.swap_receipts(buf)
+        self.receipts.swap_receipts(buf)
     }
+
     fn footprint(&self) -> StorageBreakdown {
-        self.inner.store.footprint()
+        self.store.footprint()
     }
+
     fn node_count(&self) -> usize {
-        self.inner.config.nodes
-    }
-}
-
-/// The standalone TiKV model: LSM storage, Raft replication, no SQL or
-/// transaction layer on top.
-pub struct Tikv {
-    inner: KvSystem<LsmTree>,
-}
-
-impl Tikv {
-    /// Build a standalone TiKV deployment.
-    pub fn new(config: EtcdConfig) -> Self {
-        Tikv {
-            inner: KvSystem::new(config, LsmTree::new(), 30),
-        }
-    }
-}
-
-impl TransactionalSystem for Tikv {
-    fn kind(&self) -> SystemKind {
-        SystemKind::Tikv
-    }
-    fn load(&mut self, records: &[(Key, Value)]) {
-        self.inner.load(records);
-    }
-    fn share_state(&mut self) -> Option<SharedState> {
-        self.inner.share_state()
-    }
-    fn adopt_state(&mut self, state: &SharedState) -> bool {
-        self.inner.adopt_state(state)
-    }
-    fn attach(&mut self, engine: &mut Engine) {
-        self.inner.attach(engine);
-    }
-    fn on_arrival(&mut self, txn: Transaction, engine: &mut Engine) {
-        self.inner.on_arrival(txn, engine);
-    }
-    fn on_stage(&mut self, event: StageEvent, engine: &mut Engine) {
-        self.inner.on_stage(event, engine);
-    }
-    fn drain_receipts(&mut self) -> Vec<TxnReceipt> {
-        self.inner.receipts.drain()
-    }
-    fn take_completions(&mut self) -> Vec<Completion> {
-        self.inner.receipts.take_completions()
-    }
-    fn drain_completions(&mut self, buf: &mut Vec<Completion>) {
-        self.inner.receipts.swap_completions(buf)
-    }
-    fn drain_receipts_into(&mut self, buf: &mut Vec<TxnReceipt>) {
-        self.inner.receipts.swap_receipts(buf)
-    }
-    fn footprint(&self) -> StorageBreakdown {
-        self.inner.store.footprint()
-    }
-    fn node_count(&self) -> usize {
-        self.inner.config.nodes
+        self.nodes
     }
 }
 
@@ -369,6 +294,10 @@ mod tests {
     use crate::pipeline::drive_arrivals;
     use dichotomy_common::{ClientId, Operation, TxnId};
     use dichotomy_simnet::NodeFault;
+
+    fn etcd() -> SystemSpec {
+        SystemSpec::new(SystemKind::Etcd)
+    }
 
     fn write(seq: u64, key: &str, size: usize) -> Transaction {
         Transaction::new(
@@ -386,7 +315,7 @@ mod tests {
 
     #[test]
     fn etcd_writes_commit_with_millisecond_latency() {
-        let mut e = Etcd::new(EtcdConfig::default());
+        let mut e = Etcd::new(&etcd());
         let receipts = drive_arrivals(
             &mut e,
             (0..100).map(|seq| (write(seq, &format!("k{seq}"), 1000), seq * 500)),
@@ -399,7 +328,7 @@ mod tests {
 
     #[test]
     fn etcd_reads_are_sub_millisecond() {
-        let mut e = Etcd::new(EtcdConfig::default());
+        let mut e = Etcd::new(&etcd());
         e.load(&[(Key::from_str("k"), Value::filler(1000))]);
         let receipts = drive_arrivals(&mut e, vec![(read(1, "k"), 0)]);
         let r = &receipts[0];
@@ -410,7 +339,7 @@ mod tests {
     #[test]
     fn etcd_outpaces_a_serial_blockchain_on_the_same_workload() {
         let n = 500u64;
-        let mut e = Etcd::new(EtcdConfig::default());
+        let mut e = Etcd::new(&etcd());
         let receipts = drive_arrivals(
             &mut e,
             (0..n).map(|seq| (write(seq, &format!("k{}", seq % 100), 1000), seq * 20)),
@@ -424,7 +353,7 @@ mod tests {
 
     #[test]
     fn tikv_behaves_like_etcd_but_with_lsm_storage() {
-        let mut t = Tikv::new(EtcdConfig::default());
+        let mut t = Tikv::new(&SystemSpec::new(SystemKind::Tikv));
         let receipts = drive_arrivals(
             &mut t,
             (0..50).map(|seq| (write(seq, &format!("k{seq}"), 1000), seq * 100)),
@@ -437,10 +366,7 @@ mod tests {
     #[test]
     fn throughput_degrades_as_the_raft_group_grows() {
         let tput = |nodes: usize| {
-            let mut e = Etcd::new(EtcdConfig {
-                nodes,
-                ..EtcdConfig::default()
-            });
+            let mut e = Etcd::new(&etcd().with_nodes(nodes));
             let n = 1000u64;
             let receipts = drive_arrivals(
                 &mut e,
@@ -458,11 +384,7 @@ mod tests {
     fn a_leader_crash_stalls_writes_until_heal_plus_failover() {
         let mut faults = FaultPlan::none();
         faults.add(NodeFault::crash_until(LEADER, 10_000, 60_000));
-        let mut e = Etcd::new(EtcdConfig {
-            faults,
-            failover_us: 5_000,
-            ..EtcdConfig::default()
-        });
+        let mut e = Etcd::new(&etcd().with_faults(faults));
         // One write well before the crash, one inside the window.
         let receipts = drive_arrivals(
             &mut e,
@@ -482,7 +404,7 @@ mod tests {
         assert!(by_seq(1).finish_time < 10_000, "pre-crash write unaffected");
         // The mid-crash write cannot finish before heal (60 ms) + failover.
         assert!(
-            by_seq(2).finish_time >= 65_000,
+            by_seq(2).finish_time >= 60_000 + FAILOVER_US,
             "stalled write finished at {}",
             by_seq(2).finish_time
         );
@@ -493,10 +415,7 @@ mod tests {
     fn a_permanent_leader_crash_rejects_writes() {
         let mut faults = FaultPlan::none();
         faults.add(NodeFault::crash(LEADER, 5_000));
-        let mut e = Etcd::new(EtcdConfig {
-            faults,
-            ..EtcdConfig::default()
-        });
+        let mut e = Etcd::new(&etcd().with_faults(faults));
         let receipts = drive_arrivals(&mut e, vec![(write(1, "a", 100), 10_000)]);
         assert_eq!(
             receipts[0].status,

@@ -33,57 +33,13 @@ use dichotomy_txn::OccExecutor;
 
 use crate::pipeline::{
     Completion, Engine, ReceiptLog, SharedState, SysEvent, SystemKind, TimedCutter, TokenMap,
-    TransactionalSystem, VersionedKvState,
+    TransactionalSystem, VersionedKvState, FAILOVER_US,
 };
+use crate::spec::SystemSpec;
 
-/// Configuration of a Fabric deployment.
-#[derive(Debug, Clone)]
-pub struct FabricConfig {
-    /// Number of peers. The endorsement policy requires *all* peers to
-    /// endorse (the paper's full-replication setting), so this also sets the
-    /// number of signatures verified per transaction at validation.
-    pub peers: usize,
-    /// Number of orderer nodes (fixed at 3 in the paper's experiments).
-    pub orderers: usize,
-    /// Maximum transactions per block.
-    pub max_block_txns: usize,
-    /// Block cutting timeout at the orderer (µs).
-    pub block_timeout_us: u64,
-    /// Probability that endorsements diverge because peers' committed states
-    /// lag each other, per additional peer beyond the first, per pending
-    /// block of backlog (drives the inconsistent-read aborts of Figure 10b).
-    pub endorsement_divergence: f64,
-    /// Network model.
-    pub network: NetworkConfig,
-    /// CPU cost model.
-    pub costs: CostModel,
-    /// Fault schedule. `NodeId(0)` addresses the lead orderer (the ordering
-    /// service's Raft leader): crash/failover windows stall block cutting —
-    /// endorsed transactions keep queueing at the cutter, so the recovery
-    /// burst emerges from the backlog, not from a scripted stall.
-    pub faults: FaultPlan,
-    /// Re-election pause after an orderer crash heals (µs).
-    pub failover_us: u64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for FabricConfig {
-    fn default() -> Self {
-        FabricConfig {
-            peers: 5,
-            orderers: 3,
-            max_block_txns: 100,
-            block_timeout_us: 250_000,
-            endorsement_divergence: 0.002,
-            network: NetworkConfig::lan_1gbps(),
-            costs: CostModel::calibrated(),
-            faults: FaultPlan::none(),
-            failover_us: 10_000,
-            seed: dichotomy_common::rng::DEFAULT_SEED,
-        }
-    }
-}
+/// Orderer nodes in the ordering service (fixed at 3 in the paper's
+/// experiments).
+pub const ORDERERS: usize = 3;
 
 /// Stage: a transaction's endorsement completed (token = pending-txn id).
 const ST_ENDORSED: u32 = 0;
@@ -116,7 +72,26 @@ struct FabricProcs {
 
 /// The Fabric system model.
 pub struct Fabric {
-    config: FabricConfig,
+    /// Peers (the spec's `nodes`, default 5). The endorsement policy
+    /// requires *all* peers to endorse (the paper's full-replication
+    /// setting), so this also sets the number of signatures verified per
+    /// transaction at validation.
+    peers: usize,
+    /// Block cutting timeout at the orderer (µs; the spec's
+    /// `block_interval_us`, default 250 ms).
+    block_timeout_us: u64,
+    /// Probability that endorsements diverge because peers' committed states
+    /// lag each other, per additional peer beyond the first, per pending
+    /// block of backlog (drives the inconsistent-read aborts of Figure 10b;
+    /// default 0.002).
+    endorsement_divergence: f64,
+    network: NetworkConfig,
+    costs: CostModel,
+    /// `NodeId(0)` addresses the lead orderer (the ordering service's Raft
+    /// leader): crash/failover windows stall block cutting — endorsed
+    /// transactions keep queueing at the cutter, so the recovery burst
+    /// emerges from the backlog, not from a scripted stall.
+    faults: FaultPlan,
     procs: Option<FabricProcs>,
     /// The ordering service.
     orderer: SharedLog,
@@ -139,16 +114,28 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Build a Fabric deployment.
-    pub fn new(config: FabricConfig) -> Self {
+    /// Build the Fabric deployment `spec` describes.
+    pub fn new(spec: &SystemSpec) -> Self {
+        let network = spec.network.clone().unwrap_or_default();
+        let block_timeout_us = spec.block_interval_us.unwrap_or(250_000);
         Fabric {
+            peers: spec.nodes.unwrap_or(5),
+            block_timeout_us,
+            endorsement_divergence: spec.endorsement_divergence.unwrap_or(0.002),
+            costs: spec.costs.clone().unwrap_or_default(),
+            faults: spec.faults.clone().unwrap_or_default(),
             procs: None,
             orderer: SharedLog::new(SharedLogConfig {
-                brokers: config.orderers,
-                network: config.network.clone(),
+                brokers: ORDERERS,
+                network: network.clone(),
                 ..SharedLogConfig::default()
             }),
-            cutter: TimedCutter::new(config.max_block_txns, config.block_timeout_us, ST_CUT_TIMER),
+            network,
+            cutter: TimedCutter::new(
+                spec.block_txns.unwrap_or(100),
+                block_timeout_us,
+                ST_CUT_TIMER,
+            ),
             endorsing: TokenMap::new(),
             in_flight: TokenMap::new(),
             state: MvccStore::new(),
@@ -156,17 +143,13 @@ impl Fabric {
             occ: OccExecutor::new(),
             ledger: Ledger::new(NodeId(0)),
             receipts: ReceiptLog::new(),
-            rng: dichotomy_common::rng::seeded(config.seed),
+            rng: dichotomy_common::rng::seeded(
+                spec.seed.unwrap_or(dichotomy_common::rng::DEFAULT_SEED),
+            ),
             committed: 0,
             aborted_rw: 0,
             aborted_inconsistent: 0,
-            config,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &FabricConfig {
-        &self.config
     }
 
     /// Abort counts by cause, for the Figure 9b/10b breakdowns:
@@ -201,21 +184,20 @@ impl Fabric {
         engine: &mut Engine,
     ) -> Result<Timestamp, AbortReason> {
         use dichotomy_common::rng::Rng;
-        let c = &self.config.costs;
+        let c = &self.costs;
         let simulate = c.client_auth()
             + c.chaincode_exec_us(txn.op_count(), txn.payload_bytes())
             + c.sign_us();
         let (_, sim_done) = engine.service(self.procs().endorsers, arrival, simulate);
         // One network round trip to the endorsers, then the client compares.
-        let rtt = 2 * (self.config.network.base_latency_us + self.config.network.jitter_us / 2);
+        let rtt = 2 * (self.network.base_latency_us + self.network.jitter_us / 2);
         let ready = sim_done + rtt;
         // The more peers must endorse and the more backlog the validator has,
         // the likelier two endorsers ran against different committed states.
-        let backlog_blocks = (engine.queue_delay(self.procs().validator, ready)
-            / self.config.block_timeout_us.max(1))
-            + 1;
-        let divergence = self.config.endorsement_divergence
-            * (self.config.peers.saturating_sub(1)) as f64
+        let backlog_blocks =
+            (engine.queue_delay(self.procs().validator, ready) / self.block_timeout_us.max(1)) + 1;
+        let divergence = self.endorsement_divergence
+            * (self.peers.saturating_sub(1)) as f64
             * backlog_blocks as f64
             * txn.write_set().len() as f64;
         if self.rng.gen_bool(divergence.min(0.9)) {
@@ -237,17 +219,13 @@ impl Fabric {
         }
         // The ordering service's leader may be crashed, failing over, or cut
         // off from the peers: the append waits for the role to come back.
-        let cut_time = match self
-            .config
-            .faults
-            .primary_release(cut_time, self.config.failover_us)
-        {
+        let cut_time = match self.faults.primary_release(cut_time, FAILOVER_US) {
             Some(t) => t,
             None => {
                 // Ordering service down for good: the whole batch times out.
                 for (txn, endorse_done) in &batch {
                     let arrival = Fabric::client_arrival(txn, *endorse_done);
-                    let finish = cut_time + 2 * self.config.network.base_latency_us;
+                    let finish = cut_time + 2 * self.network.base_latency_us;
                     self.receipts.push_back(TxnReceipt::aborted(
                         txn.id(),
                         AbortReason::Overload,
@@ -290,22 +268,19 @@ impl Fabric {
             .iter()
             .map(|(txn, _)| self.occ.simulate(txn, &self.state))
             .collect();
-        let mut validation_cost = self.config.costs.block_header_check();
+        let mut validation_cost = self.costs.block_header_check();
         let mut flags = Vec::with_capacity(block.batch.len());
         let mut outcomes = Vec::with_capacity(block.batch.len());
         for ((txn, _), sim) in block.batch.iter().zip(&sims) {
             // Verify the endorsement signatures of every peer (42 % of the
             // validation time when saturated, per Section 5.2.1).
-            validation_cost += self
-                .config
-                .costs
-                .verify_signatures_us(self.config.peers.max(1));
+            validation_cost += self.costs.verify_signatures_us(self.peers.max(1));
             // MVCC read-set check + state write.
             validation_cost += 20 * txn.op_count() as u64;
             match self.occ.validate_and_commit(sim, &mut self.state) {
                 Ok(_) => {
                     for (key, value) in &sim.write_set {
-                        validation_cost += self.config.costs.storage_put_us(value.len());
+                        validation_cost += self.costs.storage_put_us(value.len());
                         self.state_db.put(key.clone(), value.clone());
                     }
                     flags.push(TxnValidationFlag::Valid);
@@ -378,7 +353,7 @@ impl Fabric {
     }
 
     fn serve_read(&mut self, txn: &Transaction, arrival: Timestamp, engine: &mut Engine) {
-        let c = &self.config.costs;
+        let c = &self.costs;
         // Figure 8b: authentication dominates, then simulation + endorsement.
         let mut cost = c.client_auth() + c.chaincode_exec_us(txn.op_count(), 128) + c.sign_us();
         let mut reads = Vec::new();
@@ -423,7 +398,7 @@ impl TransactionalSystem for Fabric {
 
     fn attach(&mut self, engine: &mut Engine) {
         self.procs = Some(FabricProcs {
-            endorsers: engine.add_process("fabric-endorsers", self.config.peers.max(1) * 4),
+            endorsers: engine.add_process("fabric-endorsers", self.peers.max(1) * 4),
             validator: engine.add_process("fabric-validator", 1),
         });
     }
@@ -437,9 +412,7 @@ impl TransactionalSystem for Fabric {
         match self.endorse(&txn, arrival, engine) {
             Err(reason) => {
                 self.aborted_inconsistent += 1;
-                let finish = arrival
-                    + self.config.costs.client_auth()
-                    + 2 * self.config.network.base_latency_us;
+                let finish = arrival + self.costs.client_auth() + 2 * self.network.base_latency_us;
                 self.receipts
                     .push_back(TxnReceipt::aborted(txn.id(), reason, arrival, finish));
             }
@@ -498,7 +471,7 @@ impl TransactionalSystem for Fabric {
     }
 
     fn node_count(&self) -> usize {
-        self.config.peers + self.config.orderers
+        self.peers + ORDERERS
     }
 }
 
@@ -507,6 +480,14 @@ mod tests {
     use super::*;
     use crate::pipeline::drive_arrivals;
     use dichotomy_common::{ClientId, Operation, TxnId};
+
+    /// Blocks cut at `max_block_txns`, and no endorsement divergence: these
+    /// tests exercise the pipeline, not the inconsistent-read aborts.
+    fn cut_at(max_block_txns: usize) -> SystemSpec {
+        let mut spec = SystemSpec::new(SystemKind::Fabric).with_endorsement_divergence(0.0);
+        spec.block_txns = Some(max_block_txns);
+        spec
+    }
 
     fn rmw(seq: u64, key: &str, size: usize, arrival: Timestamp) -> Transaction {
         let mut t = Transaction::new(
@@ -529,13 +510,7 @@ mod tests {
 
     #[test]
     fn non_conflicting_writes_commit_through_all_three_phases() {
-        let mut f = Fabric::new(FabricConfig {
-            max_block_txns: 10,
-            // This test exercises the happy path; endorsement divergence has
-            // its own test below.
-            endorsement_divergence: 0.0,
-            ..FabricConfig::default()
-        });
+        let mut f = Fabric::new(&cut_at(10));
         seed_keys(&mut f, 50);
         let receipts = drive_arrivals(
             &mut f,
@@ -558,11 +533,7 @@ mod tests {
 
     #[test]
     fn conflicting_writes_in_one_block_produce_read_write_aborts() {
-        let mut f = Fabric::new(FabricConfig {
-            max_block_txns: 50,
-            endorsement_divergence: 0.0,
-            ..FabricConfig::default()
-        });
+        let mut f = Fabric::new(&cut_at(50));
         seed_keys(&mut f, 5);
         // Everyone hammers the same key: only the first in each block commits.
         let receipts = drive_arrivals(
@@ -591,7 +562,7 @@ mod tests {
 
     #[test]
     fn query_path_is_dominated_by_authentication() {
-        let mut f = Fabric::new(FabricConfig::default());
+        let mut f = Fabric::new(&SystemSpec::new(SystemKind::Fabric));
         seed_keys(&mut f, 10);
         let mut t = Transaction::new(
             TxnId::new(ClientId(2), 1),
@@ -615,12 +586,7 @@ mod tests {
     #[test]
     fn more_peers_mean_slower_validation() {
         let throughput = |peers: usize| {
-            let mut f = Fabric::new(FabricConfig {
-                peers,
-                max_block_txns: 50,
-                endorsement_divergence: 0.0,
-                ..FabricConfig::default()
-            });
+            let mut f = Fabric::new(&cut_at(50).with_nodes(peers));
             seed_keys(&mut f, 500);
             let n = 400u64;
             let receipts = drive_arrivals(
@@ -643,11 +609,7 @@ mod tests {
 
     #[test]
     fn saturation_inflates_the_validation_phase() {
-        let mut f = Fabric::new(FabricConfig {
-            max_block_txns: 50,
-            endorsement_divergence: 0.0,
-            ..FabricConfig::default()
-        });
+        let mut f = Fabric::new(&cut_at(50));
         seed_keys(&mut f, 2000);
         // Offer far more load than the serial validator can absorb.
         let n = 1500u64;
@@ -682,13 +644,7 @@ mod tests {
     fn an_orderer_crash_stalls_ordering_until_heal_plus_failover() {
         use dichotomy_simnet::fault::NodeFault;
         let run = |faults: FaultPlan| {
-            let mut f = Fabric::new(FabricConfig {
-                max_block_txns: 5,
-                endorsement_divergence: 0.0,
-                faults,
-                failover_us: 50_000,
-                ..FabricConfig::default()
-            });
+            let mut f = Fabric::new(&cut_at(5).with_faults(faults));
             seed_keys(&mut f, 50);
             drive_arrivals(
                 &mut f,
@@ -707,7 +663,7 @@ mod tests {
         assert!(crashed.iter().all(|r| r.status.is_committed()));
         // Blocks cut inside the outage wait for heal + failover; nothing
         // orders inside the window.
-        let healed = 600_000 + 50_000;
+        let healed = 600_000 + FAILOVER_US;
         for r in &crashed {
             assert!(
                 r.finish_time < 10_000 || r.finish_time >= healed,
@@ -726,12 +682,7 @@ mod tests {
     fn a_permanent_orderer_outage_aborts_queued_batches_as_overload() {
         let mut faults = FaultPlan::none();
         faults.add(dichotomy_simnet::fault::NodeFault::crash(NodeId(0), 10_000));
-        let mut f = Fabric::new(FabricConfig {
-            max_block_txns: 5,
-            endorsement_divergence: 0.0,
-            faults,
-            ..FabricConfig::default()
-        });
+        let mut f = Fabric::new(&cut_at(5).with_faults(faults));
         seed_keys(&mut f, 50);
         let receipts = drive_arrivals(
             &mut f,

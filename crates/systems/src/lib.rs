@@ -11,6 +11,12 @@
 //! | [`sharded::SpannerLike`] | Spanner | storage-based, Paxos per shard | pessimistic 2PL (wound-wait) + 2PC | LSM |
 //! | [`sharded::Ahl`] | AHL | txn-based, PBFT per shard | serial, BFT-2PC cross-shard | LSM + MBT + ledger |
 //!
+//! A model is configured only by a [`SystemSpec`]: each constructor takes
+//! `&SystemSpec` and resolves the knobs the spec leaves at `None` to its own
+//! defaults, and the few values no spec field reaches are named consts in
+//! the model's module (plus the shared [`FAILOVER_US`]).
+//! [`SystemRegistry::with_builtins`] registers those constructors.
+//!
 //! Every model implements the event-driven [`TransactionalSystem`] contract:
 //! the driver in `dichotomy-core` schedules open-loop arrivals on one shared
 //! [`SimEngine`](dichotomy_simnet::SimEngine) clock, models react by booking
@@ -30,15 +36,16 @@ pub mod sharded;
 pub mod spec;
 pub mod tidb;
 
-pub use etcd::{Etcd, EtcdConfig, Tikv};
-pub use fabric::{Fabric, FabricConfig};
+pub use etcd::{Etcd, KvSystem, Tikv};
+pub use fabric::Fabric;
 pub use pipeline::{
     drive_arrivals, run_to_completion, run_to_completion_with, BlockCutter, Completion, Engine,
     ReceiptLog, SharedState, SysEvent, SystemKind, TimedCutter, TokenMap, TransactionalSystem,
+    FAILOVER_US,
 };
-pub use quorum::{Quorum, QuorumConfig};
-pub use sharded::{Ahl, AhlConfig, ShardedTiDb, SpannerLike, SpannerLikeConfig};
+pub use quorum::Quorum;
+pub use sharded::{Ahl, ShardedTiDb, SpannerLike};
 pub use spec::{
     StateShape, SystemBuilder, SystemRegistry, SystemSpec, TaxonomyPoint, UnknownSystem,
 };
-pub use tidb::{TiDb, TiDbConfig};
+pub use tidb::TiDb;

@@ -14,6 +14,10 @@ use dichotomy_common::{ClientId, Key, Timestamp, Transaction, TxnReceipt, Value}
 use dichotomy_simnet::{SimEngine, StageEvent};
 use dichotomy_storage::{LsmTree, MvccStore};
 
+/// Leader re-election pause (µs) every model charges after a crashed
+/// primary or shard leader heals, before the role serves again.
+pub const FAILOVER_US: u64 = 10_000;
+
 /// Which of the benchmarked systems a model stands for (used in reports and
 /// as the lookup key of the [`SystemRegistry`](crate::spec::SystemRegistry)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

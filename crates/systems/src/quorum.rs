@@ -26,54 +26,14 @@ use dichotomy_storage::{KvEngine, LsmTree};
 
 use crate::pipeline::{
     Completion, Engine, ReceiptLog, SharedState, SysEvent, SystemKind, TimedCutter, TokenMap,
-    TransactionalSystem,
+    TransactionalSystem, FAILOVER_US,
 };
+use crate::spec::SystemSpec;
 
-/// Configuration of a Quorum deployment.
-#[derive(Debug, Clone)]
-pub struct QuorumConfig {
-    /// Number of validator nodes (all participate in consensus).
-    pub nodes: usize,
-    /// Consensus protocol: Raft (CFT) or IBFT (BFT) — Section 5.2.3.
-    pub consensus: ProtocolKind,
-    /// Maximum transactions per block.
-    pub max_block_txns: usize,
-    /// Block minting period (µs): a partially filled block is cut after this.
-    pub block_interval_us: u64,
-    /// Extra state-commit amplification: geth updates the account trie, the
-    /// per-contract storage tries and the receipt trie per transaction, so
-    /// the MPT work measured for a single key update is paid roughly twice.
-    pub commit_amplification: f64,
-    /// Network model.
-    pub network: NetworkConfig,
-    /// CPU cost model.
-    pub costs: CostModel,
-    /// Fault schedule. `NodeId(0)` addresses the consensus leader (the block
-    /// proposer): crash/failover windows stall block proposal, so cut blocks
-    /// queue and the post-heal recovery burst emerges from that backlog.
-    pub faults: FaultPlan,
-    /// Leader re-election pause after a crash heals (µs).
-    pub failover_us: u64,
-    /// RNG seed (reserved for future stochastic extensions).
-    pub seed: u64,
-}
-
-impl Default for QuorumConfig {
-    fn default() -> Self {
-        QuorumConfig {
-            nodes: 5,
-            consensus: ProtocolKind::Raft,
-            max_block_txns: 200,
-            block_interval_us: 250_000,
-            commit_amplification: 2.0,
-            network: NetworkConfig::lan_1gbps(),
-            costs: CostModel::calibrated(),
-            faults: FaultPlan::none(),
-            failover_us: 10_000,
-            seed: dichotomy_common::rng::DEFAULT_SEED,
-        }
-    }
-}
+/// Extra state-commit amplification: geth updates the account trie, the
+/// per-contract storage tries and the receipt trie per transaction, so the
+/// MPT work measured for a single key update is paid roughly twice.
+pub const COMMIT_AMPLIFICATION: f64 = 2.0;
 
 /// Stage: the block-interval timer for the open block (token = epoch).
 const ST_CUT_TIMER: u32 = 0;
@@ -112,7 +72,16 @@ pub(crate) struct QuorumState {
 
 /// The Quorum system model.
 pub struct Quorum {
-    config: QuorumConfig,
+    /// Validators, all in consensus (the spec's `nodes`, default 5).
+    nodes: usize,
+    network: NetworkConfig,
+    costs: CostModel,
+    /// `NodeId(0)` addresses the consensus leader (the block proposer):
+    /// crash/failover windows stall block proposal, so cut blocks queue and
+    /// the post-heal recovery burst emerges from that backlog.
+    faults: FaultPlan,
+    /// The consensus profile: Raft (CFT, the default) or IBFT (BFT) —
+    /// Section 5.2.3.
     profile: ReplicationProfile,
     cutter: TimedCutter,
     procs: Option<QuorumProcs>,
@@ -133,21 +102,28 @@ pub struct Quorum {
 }
 
 impl Quorum {
-    /// Build a Quorum deployment.
-    pub fn new(config: QuorumConfig) -> Self {
-        let profile = ReplicationProfile::new(
-            config.consensus,
-            config.nodes,
-            config.network.clone(),
-            config.costs.clone(),
-        );
+    /// Build the Quorum deployment `spec` describes: blocks of at most 200
+    /// transactions, minted every 250 ms unless the spec says otherwise.
+    pub fn new(spec: &SystemSpec) -> Self {
+        let nodes = spec.nodes.unwrap_or(5);
+        let network = spec.network.clone().unwrap_or_default();
+        let costs = spec.costs.clone().unwrap_or_default();
         Quorum {
+            profile: ReplicationProfile::new(
+                spec.consensus.unwrap_or(ProtocolKind::Raft),
+                nodes,
+                network.clone(),
+                costs.clone(),
+            ),
+            nodes,
+            network,
+            costs,
+            faults: spec.faults.clone().unwrap_or_default(),
             cutter: TimedCutter::new(
-                config.max_block_txns,
-                config.block_interval_us,
+                spec.block_txns.unwrap_or(200),
+                spec.block_interval_us.unwrap_or(250_000),
                 ST_CUT_TIMER,
             ),
-            profile,
             procs: None,
             in_flight: TokenMap::new(),
             commit_sched_at: 0,
@@ -155,13 +131,7 @@ impl Quorum {
             state_db: LsmTree::new(),
             ledger: Ledger::new(NodeId(0)),
             receipts: ReceiptLog::new(),
-            config,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &QuorumConfig {
-        &self.config
     }
 
     fn procs(&self) -> QuorumProcs {
@@ -171,7 +141,7 @@ impl Quorum {
     /// Serial CPU cost of executing one transaction and committing its writes
     /// into the EVM state (used for both pre-execution and validation).
     fn execution_cost_us(&mut self, txn: &Transaction, apply: bool) -> u64 {
-        let c = &self.config.costs;
+        let c = &self.costs;
         let mut cost = c.evm_exec_us(txn.payload_bytes());
         for op in txn.ops() {
             if op.reads() {
@@ -193,7 +163,7 @@ impl Quorum {
                     self.state_db.put(op.key.clone(), value);
                 }
                 cost += (c.adr_update_us(stats.nodes_touched, stats.leaf_bytes) as f64
-                    * self.config.commit_amplification) as u64;
+                    * COMMIT_AMPLIFICATION) as u64;
                 cost += c.storage_put_us(stats.leaf_bytes);
             }
         }
@@ -212,17 +182,13 @@ impl Quorum {
         }
         // The consensus leader may be crashed, failing over, or partitioned
         // away: proposal waits until the role is back and reachable.
-        let cut_time = match self
-            .config
-            .faults
-            .primary_release(cut_time, self.config.failover_us)
-        {
+        let cut_time = match self.faults.primary_release(cut_time, FAILOVER_US) {
             Some(t) => t,
             None => {
                 // No leader ever again: the batch times out at the clients.
                 use dichotomy_common::{AbortReason, TxnReceipt};
                 for (txn, arrival) in &batch {
-                    let finish = cut_time + 2 * self.config.network.base_latency_us;
+                    let finish = cut_time + 2 * self.network.base_latency_us;
                     self.receipts.push_back(TxnReceipt::aborted(
                         txn.id(),
                         AbortReason::Overload,
@@ -243,7 +209,7 @@ impl Quorum {
     }
 
     fn serve_read(&mut self, txn: &Transaction, arrival: Timestamp) {
-        let c = &self.config.costs;
+        let c = &self.costs;
         let mut cost = c.verify_signatures_us(1) + c.evm_exec_us(128);
         let mut reads = Vec::new();
         for op in txn.ops().iter().filter(|o| o.reads()) {
@@ -320,7 +286,7 @@ impl TransactionalSystem for Quorum {
                 // Phase 1: proposer pre-executes serially (order-execute).
                 let mut proposal_cost = 0u64;
                 for (txn, _) in &block.batch {
-                    proposal_cost += self.config.costs.verify_signatures_us(1);
+                    proposal_cost += self.costs.verify_signatures_us(1);
                     proposal_cost += self.execution_cost_us(txn, false);
                 }
                 let (_, proposal_done) =
@@ -358,7 +324,7 @@ impl TransactionalSystem for Quorum {
             ST_COMMIT => {
                 let block = self.in_flight.remove(event.token);
                 // Phase 3: every validator re-executes serially and commits.
-                let mut commit_cost = self.config.costs.block_header_check();
+                let mut commit_cost = self.costs.block_header_check();
                 for (txn, _) in &block.batch {
                     commit_cost += self.execution_cost_us(txn, true);
                 }
@@ -426,7 +392,7 @@ impl TransactionalSystem for Quorum {
     }
 
     fn node_count(&self) -> usize {
-        self.config.nodes
+        self.nodes
     }
 }
 
@@ -435,6 +401,17 @@ mod tests {
     use super::*;
     use crate::pipeline::drive_arrivals;
     use dichotomy_common::{ClientId, Operation, TxnId};
+
+    fn quorum() -> SystemSpec {
+        SystemSpec::new(SystemKind::Quorum)
+    }
+
+    /// Blocks cut at `max_block_txns` (or the default minting timer).
+    fn cut_at(max_block_txns: usize) -> SystemSpec {
+        let mut spec = quorum();
+        spec.block_txns = Some(max_block_txns);
+        spec
+    }
 
     fn write_txn(seq: u64, key: &str, size: usize) -> Transaction {
         Transaction::new(
@@ -452,10 +429,7 @@ mod tests {
 
     #[test]
     fn writes_commit_in_blocks_and_land_in_the_ledger() {
-        let mut q = Quorum::new(QuorumConfig {
-            max_block_txns: 5,
-            ..QuorumConfig::default()
-        });
+        let mut q = Quorum::new(&cut_at(5));
         let receipts = drive_arrivals(
             &mut q,
             (0..10).map(|seq| (write_txn(seq, &format!("k{seq}"), 100), seq * 1000)),
@@ -475,11 +449,7 @@ mod tests {
 
     #[test]
     fn a_partial_block_is_cut_by_the_minting_timer() {
-        let mut q = Quorum::new(QuorumConfig {
-            max_block_txns: 100,
-            block_interval_us: 50_000,
-            ..QuorumConfig::default()
-        });
+        let mut q = Quorum::new(&quorum().with_blocks(100, 50_000));
         // Three transactions, never enough to size-cut: only the timer at
         // first-arrival + interval can cut the block.
         let receipts = drive_arrivals(
@@ -494,11 +464,7 @@ mod tests {
 
     #[test]
     fn blocks_commit_in_consensus_order_even_when_a_small_block_finishes_early() {
-        let mut q = Quorum::new(QuorumConfig {
-            max_block_txns: 50,
-            block_interval_us: 1_000,
-            ..QuorumConfig::default()
-        });
+        let mut q = Quorum::new(&quorum().with_blocks(50, 1_000));
         // Block 1: 50 large writes to one key (size cut at ~490 µs). Block 2:
         // a single tiny write to the same key, timer-cut shortly after. The
         // small block's consensus round is far cheaper, so without the
@@ -531,7 +497,7 @@ mod tests {
 
     #[test]
     fn reads_bypass_consensus_and_are_fast() {
-        let mut q = Quorum::new(QuorumConfig::default());
+        let mut q = Quorum::new(&quorum());
         q.load(&[(Key::from_str("hot"), Value::filler(1000))]);
         let receipts = drive_arrivals(&mut q, vec![(read_txn(1, "hot"), 50)]);
         assert_eq!(receipts.len(), 1);
@@ -545,10 +511,7 @@ mod tests {
     #[test]
     fn larger_records_slow_the_commit_path_disproportionately() {
         let throughput = |record: usize| {
-            let mut q = Quorum::new(QuorumConfig {
-                max_block_txns: 50,
-                ..QuorumConfig::default()
-            });
+            let mut q = Quorum::new(&cut_at(50));
             let n = 200u64;
             let receipts = drive_arrivals(
                 &mut q,
@@ -568,11 +531,7 @@ mod tests {
     #[test]
     fn ibft_and_raft_reach_similar_throughput_when_consensus_is_not_the_bottleneck() {
         let run = |consensus| {
-            let mut q = Quorum::new(QuorumConfig {
-                consensus,
-                nodes: 7,
-                ..QuorumConfig::default()
-            });
+            let mut q = Quorum::new(&quorum().with_nodes(7).with_consensus(consensus));
             let receipts = drive_arrivals(
                 &mut q,
                 (0..300u64).map(|seq| (write_txn(seq, &format!("k{}", seq % 50), 1000), seq * 100)),
@@ -590,12 +549,7 @@ mod tests {
     fn a_leader_crash_stalls_proposal_until_heal_plus_failover() {
         use dichotomy_simnet::fault::NodeFault;
         let run = |faults: FaultPlan| {
-            let mut q = Quorum::new(QuorumConfig {
-                max_block_txns: 5,
-                faults,
-                failover_us: 50_000,
-                ..QuorumConfig::default()
-            });
+            let mut q = Quorum::new(&cut_at(5).with_faults(faults));
             drive_arrivals(
                 &mut q,
                 (0..20).map(|seq| (write_txn(seq, &format!("k{seq}"), 100), seq * 2_000)),
@@ -610,7 +564,7 @@ mod tests {
         // Blocks launched before the crash may finish mid-window (the fault
         // gates proposal admission, not in-flight blocks), but anything cut
         // inside the window waits for heal + failover.
-        let healed = 600_000 + 50_000;
+        let healed = 600_000 + FAILOVER_US;
         for r in crashed.iter().filter(|r| r.submit_time >= 10_000) {
             assert!(
                 r.finish_time >= healed,
@@ -629,11 +583,7 @@ mod tests {
         let mut faults = FaultPlan::none();
         // Leader on one side, every follower on the other, until 400 ms.
         faults.add_partition(vec![NodeId(0)], 10_000, Some(400_000));
-        let mut q = Quorum::new(QuorumConfig {
-            max_block_txns: 5,
-            faults,
-            ..QuorumConfig::default()
-        });
+        let mut q = Quorum::new(&cut_at(5).with_faults(faults));
         let receipts = drive_arrivals(
             &mut q,
             (0..20).map(|seq| (write_txn(seq, &format!("k{seq}"), 100), seq * 2_000)),
@@ -651,10 +601,7 @@ mod tests {
 
     #[test]
     fn footprint_includes_state_trie_and_ledger_history() {
-        let mut q = Quorum::new(QuorumConfig {
-            max_block_txns: 10,
-            ..QuorumConfig::default()
-        });
+        let mut q = Quorum::new(&cut_at(10));
         let receipts = drive_arrivals(
             &mut q,
             (0..20).map(|seq| (write_txn(seq, &format!("k{seq}"), 500), seq * 10)),

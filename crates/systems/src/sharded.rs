@@ -24,52 +24,31 @@ use dichotomy_txn::locking::{LockManager, LockMode, LockOutcome};
 
 use crate::pipeline::{
     Completion, Engine, ReceiptLog, SharedState, SysEvent, SystemKind, TokenMap,
-    TransactionalSystem, VersionedKvState,
+    TransactionalSystem, VersionedKvState, FAILOVER_US,
 };
+use crate::spec::SystemSpec;
 
 /// Stage: a decided transaction's receipt surfaces to the client at its
 /// commit time (token = in-flight id). Shared by all three sharded models.
 const ST_COMMITTED: u32 = 0;
 
-/// Configuration of the Spanner-like model.
-#[derive(Debug, Clone)]
-pub struct SpannerLikeConfig {
-    /// Number of shards; each shard is a Paxos group of `nodes_per_shard`.
-    pub shards: u32,
-    /// Replicas per shard (3 in the Figure 14 setup).
-    pub nodes_per_shard: usize,
-    /// Lock wait time charged per conflicting older holder (pessimistic
-    /// blocking, the contrast with TiDB's instant aborts), in µs.
-    pub lock_wait_us: u64,
-    /// Network and cost models.
-    pub network: NetworkConfig,
-    /// CPU cost model.
-    pub costs: CostModel,
-    /// Fault schedule. `NodeId(0)` addresses the 2PC coordinator role,
-    /// `NodeId(1 + shard)` a shard's replication leader.
-    pub faults: FaultPlan,
-    /// Leader re-election pause after a crash heals (µs).
-    pub failover_us: u64,
-}
+/// Lock wait charged per conflicting older holder in the Spanner-like
+/// model (pessimistic blocking, the contrast with TiDB's instant aborts), in
+/// µs.
+pub const LOCK_WAIT_US: u64 = 8_000;
 
-impl Default for SpannerLikeConfig {
-    fn default() -> Self {
-        SpannerLikeConfig {
-            shards: 4,
-            nodes_per_shard: 3,
-            lock_wait_us: 8_000,
-            network: NetworkConfig::lan_1gbps(),
-            costs: CostModel::calibrated(),
-            faults: FaultPlan::none(),
-            failover_us: 10_000,
-        }
-    }
-}
+/// Replicas per region of the region-partitioned TiDB: each region is its
+/// own 3-node Raft group whatever the spec's `nodes`.
+pub const REGION_REPLICAS: usize = 3;
 
 /// Shared plumbing of the sharded database models.
 struct ShardedDb {
     partitioner: Partitioner,
     shards: u32,
+    /// Replicas in each shard's replication group.
+    nodes_per_shard: usize,
+    network: NetworkConfig,
+    costs: CostModel,
     /// One serial apply/commit process per shard (the shard's Paxos/Raft
     /// leader pipeline), registered at attach time.
     shard_procs: Option<Vec<ProcessId>>,
@@ -87,30 +66,26 @@ struct ShardedDb {
     /// Fault schedule: `NodeId(0)` is the 2PC coordinator role,
     /// `NodeId(1 + shard)` a shard's replication leader.
     faults: FaultPlan,
-    /// Leader re-election pause after a crash heals (µs).
-    failover_us: u64,
     committed: u64,
     aborted: u64,
 }
 
 impl ShardedDb {
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "private core of three models' constructors, each unpacking its own config into it"
-    )]
+    /// `shards` (at least one) groups of `nodes_per_shard` replicas running
+    /// `protocol`, with the network, costs and faults `spec` describes.
     fn new(
+        spec: &SystemSpec,
         shards: u32,
-        protocol: ProtocolKind,
         nodes_per_shard: usize,
+        protocol: ProtocolKind,
         coordinator: CoordinatorKind,
-        network: NetworkConfig,
-        costs: CostModel,
-        faults: FaultPlan,
-        failover_us: u64,
     ) -> Self {
+        let network = spec.network.clone().unwrap_or_default();
+        let costs = spec.costs.clone().unwrap_or_default();
         ShardedDb {
             partitioner: Partitioner::hash(shards),
-            shards: shards.max(1),
+            shards,
+            nodes_per_shard,
             shard_procs: None,
             replication: ReplicationProfile::new(
                 protocol,
@@ -118,16 +93,25 @@ impl ShardedDb {
                 network.clone(),
                 costs.clone(),
             ),
-            two_pc: TwoPhaseCommit::new(coordinator, network, costs),
+            two_pc: TwoPhaseCommit::new(coordinator, network.clone(), costs.clone()),
+            network,
+            costs,
             state: MvccStore::new(),
             engine_db: LsmTree::new(),
             receipts: ReceiptLog::new(),
             busy_until: BTreeMap::new(),
             finishing: TokenMap::new(),
-            faults,
-            failover_us,
+            faults: spec.faults.clone().unwrap_or_default(),
             committed: 0,
             aborted: 0,
+        }
+    }
+
+    /// The spec's shard count, or 4 shards when it names none.
+    fn shards_or_default(spec: &SystemSpec) -> u32 {
+        match spec.shard_count() {
+            0 => 4,
+            n => n,
         }
     }
 
@@ -205,7 +189,7 @@ impl ShardedDb {
             let shard_node = NodeId(1 + u64::from(shard.0));
             let shard_start = self
                 .faults
-                .release_at(shard_node, start, self.failover_us)
+                .release_at(shard_node, start, FAILOVER_US)
                 .and_then(|t| self.faults.partition_release(NodeId(0), shard_node, t));
             let shard_start = match shard_start {
                 Some(t) => t,
@@ -219,7 +203,7 @@ impl ShardedDb {
         // The 2PC coordinator role itself may be down or partitioned away.
         let decide_input = match self
             .faults
-            .primary_release(slowest + replication, self.failover_us)
+            .primary_release(slowest + replication, FAILOVER_US)
         {
             Some(t) => t,
             None => return Err(slowest + replication),
@@ -239,29 +223,26 @@ impl ShardedDb {
     }
 }
 
-/// The Spanner-like model.
+/// The Spanner-like model: the spec's shards (default 4) are Paxos groups of its `nodes` (default
+/// 3, the Figure 14 setup). Faults address `NodeId(0)` as the 2PC
+/// coordinator role and `NodeId(1 + shard)` as a shard's replication leader.
 pub struct SpannerLike {
-    config: SpannerLikeConfig,
     db: ShardedDb,
     locks: LockManager,
     next_ts: u64,
 }
 
 impl SpannerLike {
-    /// Build a Spanner-like deployment.
-    pub fn new(config: SpannerLikeConfig) -> Self {
+    /// Build the Spanner-like deployment `spec` describes.
+    pub fn new(spec: &SystemSpec) -> Self {
         let db = ShardedDb::new(
-            config.shards,
+            spec,
+            ShardedDb::shards_or_default(spec),
+            spec.nodes.unwrap_or(3),
             ProtocolKind::Raft, // Paxos-class majority replication
-            config.nodes_per_shard,
             CoordinatorKind::Trusted,
-            config.network.clone(),
-            config.costs.clone(),
-            config.faults.clone(),
-            config.failover_us,
         );
         SpannerLike {
-            config,
             db,
             locks: LockManager::new(),
             next_ts: 1,
@@ -297,7 +278,7 @@ impl TransactionalSystem for SpannerLike {
 
     fn on_arrival(&mut self, txn: Transaction, engine: &mut Engine) {
         let arrival = engine.now();
-        let c = &self.config.costs;
+        let c = &self.db.costs;
         if txn.is_read_only() {
             let mut reads = Vec::new();
             let mut cost = 0;
@@ -306,7 +287,7 @@ impl TransactionalSystem for SpannerLike {
                 cost += c.storage_get_us(v.as_ref().map_or(64, Value::len));
                 reads.push((op.key.clone(), v));
             }
-            let finish = arrival + c.sql_frontend_us() + cost + self.config.network.base_latency_us;
+            let finish = arrival + c.sql_frontend_us() + cost + self.db.network.base_latency_us;
             let mut r = TxnReceipt::committed(txn.id(), arrival, finish);
             r.reads = reads;
             self.db.receipts.push_back(r);
@@ -331,7 +312,7 @@ impl TransactionalSystem for SpannerLike {
             match self.locks.acquire(txn.id(), &op.key, mode) {
                 LockOutcome::Granted | LockOutcome::Wounded(_) => {}
                 LockOutcome::Wait(holders) => {
-                    wait_us += self.config.lock_wait_us * holders.len().max(1) as u64;
+                    wait_us += LOCK_WAIT_US * holders.len().max(1) as u64;
                 }
             }
             if self.locks.is_wounded(txn.id()) {
@@ -342,8 +323,7 @@ impl TransactionalSystem for SpannerLike {
         if wounded {
             let _ = self.locks.finish(txn.id());
             self.db.aborted += 1;
-            let finish =
-                arrival + wait_us + c.sql_frontend_us() + self.config.network.base_latency_us;
+            let finish = arrival + wait_us + c.sql_frontend_us() + self.db.network.base_latency_us;
             self.db.receipts.push_back(TxnReceipt::aborted(
                 txn.id(),
                 AbortReason::LockConflict,
@@ -358,7 +338,7 @@ impl TransactionalSystem for SpannerLike {
         // Pessimistic locking reserves the keys *now*: book the shard work
         // and the 2PC decision eagerly so later arrivals see the hold window,
         // and surface the receipt through its `Execute→commit` stage event.
-        let c = &self.config.costs;
+        let c = &self.db.costs;
         let per_shard = c.sql_frontend_us()
             + txn
                 .ops()
@@ -376,7 +356,7 @@ impl TransactionalSystem for SpannerLike {
             Ok(t) => t,
             Err(stalled_at) => {
                 self.db.aborted += 1;
-                let finish = stalled_at + self.config.network.base_latency_us;
+                let finish = stalled_at + self.db.network.base_latency_us;
                 self.db.receipts.push_back(TxnReceipt::aborted(
                     txn.id(),
                     AbortReason::Overload,
@@ -387,7 +367,7 @@ impl TransactionalSystem for SpannerLike {
             }
         };
         self.db.committed += 1;
-        let finish = commit_at + self.config.network.base_latency_us;
+        let finish = commit_at + self.db.network.base_latency_us;
         let mut r = TxnReceipt::committed(txn.id(), arrival, finish);
         r.phase_latencies = vec![
             ("locking", wait_us),
@@ -422,47 +402,31 @@ impl TransactionalSystem for SpannerLike {
     }
 
     fn node_count(&self) -> usize {
-        (self.config.shards as usize) * self.config.nodes_per_shard
+        self.db.shards as usize * self.db.nodes_per_shard
     }
 }
 
 /// Sharded TiDB for Figure 14: identical to the full-replication model in
-/// spirit, but each shard is its own 3-node Raft group and cross-shard
-/// transactions pay trusted 2PC; conflicts abort immediately (optimistic).
+/// spirit, but each shard is its own [`REGION_REPLICAS`]-node Raft group and
+/// cross-shard transactions pay trusted 2PC; conflicts abort immediately
+/// (optimistic). Faults address `NodeId(0)` as the 2PC coordinator and
+/// `NodeId(1 + shard)` as a region's Raft leader.
 pub struct ShardedTiDb {
     db: ShardedDb,
-    costs: CostModel,
-    network: NetworkConfig,
 }
 
 impl ShardedTiDb {
-    /// Build a sharded TiDB with `shards` regions of 3 nodes each.
-    pub fn new(shards: u32, network: NetworkConfig, costs: CostModel) -> Self {
-        ShardedTiDb::with_faults(shards, network, costs, FaultPlan::none(), 10_000)
-    }
-
-    /// Build a sharded TiDB with a fault schedule (`NodeId(0)` = 2PC
-    /// coordinator, `NodeId(1 + shard)` = a region's Raft leader).
-    pub fn with_faults(
-        shards: u32,
-        network: NetworkConfig,
-        costs: CostModel,
-        faults: FaultPlan,
-        failover_us: u64,
-    ) -> Self {
+    /// Build a TiDB with the spec's shard count (at least one) of regions,
+    /// each of [`REGION_REPLICAS`] nodes.
+    pub fn new(spec: &SystemSpec) -> Self {
         ShardedTiDb {
             db: ShardedDb::new(
-                shards,
+                spec,
+                spec.shard_count().max(1),
+                REGION_REPLICAS,
                 ProtocolKind::Raft,
-                3,
                 CoordinatorKind::Trusted,
-                network.clone(),
-                costs.clone(),
-                faults,
-                failover_us,
             ),
-            costs,
-            network,
         }
     }
 
@@ -495,7 +459,7 @@ impl TransactionalSystem for ShardedTiDb {
 
     fn on_arrival(&mut self, txn: Transaction, engine: &mut Engine) {
         let arrival = engine.now();
-        let c = &self.costs;
+        let c = &self.db.costs;
         // Optimistic conflict handling: if any written key is still held by
         // an in-flight transaction, abort immediately (TiDB "instantly aborts
         // a transaction once detecting a conflict", Section 5.5) instead of
@@ -504,7 +468,7 @@ impl TransactionalSystem for ShardedTiDb {
         let conflict = self.db.busy_window(&write_keys) > arrival;
         if conflict {
             self.db.aborted += 1;
-            let finish = arrival + c.sql_frontend_us() + self.network.base_latency_us;
+            let finish = arrival + c.sql_frontend_us() + self.db.network.base_latency_us;
             self.db.receipts.push_back(TxnReceipt::aborted(
                 txn.id(),
                 AbortReason::WriteWriteConflict,
@@ -532,7 +496,7 @@ impl TransactionalSystem for ShardedTiDb {
             Ok(t) => t,
             Err(stalled_at) => {
                 self.db.aborted += 1;
-                let finish = stalled_at + self.network.base_latency_us;
+                let finish = stalled_at + self.db.network.base_latency_us;
                 self.db.receipts.push_back(TxnReceipt::aborted(
                     txn.id(),
                     AbortReason::Overload,
@@ -543,8 +507,11 @@ impl TransactionalSystem for ShardedTiDb {
             }
         };
         self.db.committed += 1;
-        let receipt =
-            TxnReceipt::committed(txn.id(), arrival, commit_at + self.network.base_latency_us);
+        let receipt = TxnReceipt::committed(
+            txn.id(),
+            arrival,
+            commit_at + self.db.network.base_latency_us,
+        );
         self.db.schedule_receipt(receipt, engine);
     }
 
@@ -574,52 +541,7 @@ impl TransactionalSystem for ShardedTiDb {
     }
 
     fn node_count(&self) -> usize {
-        self.db.shards as usize * 3
-    }
-}
-
-/// Configuration of the AHL (Attested HyperLedger) model.
-#[derive(Debug, Clone)]
-pub struct AhlConfig {
-    /// Number of shards.
-    pub shards: u32,
-    /// Nodes per shard (trusted hardware lets AHL keep this small — 3 in the
-    /// Figure 14 setup).
-    pub nodes_per_shard: usize,
-    /// Whether shards are periodically re-formed (the security/performance
-    /// trade-off the paper quantifies at ≈30 %).
-    pub periodic_reconfiguration: bool,
-    /// Epoch length between reconfigurations (µs).
-    pub epoch_us: u64,
-    /// Pause caused by one reconfiguration (state hand-off, re-attestation).
-    pub reconfig_pause_us: u64,
-    /// Network and cost models.
-    pub network: NetworkConfig,
-    /// CPU cost model.
-    pub costs: CostModel,
-    /// Fault schedule. Beyond the crash/partition/failover algebra shared
-    /// with the other sharded models, AHL also consumes declarative
-    /// [`Reconfiguration`] events: each pauses every shard pipeline for its
-    /// `pause_us` at its scheduled time, and `churn` additionally bumps the
-    /// epoch so the secure-random shard formation reshuffles.
-    pub faults: FaultPlan,
-    /// Leader re-election pause after a crash heals (µs).
-    pub failover_us: u64,
-}
-
-impl Default for AhlConfig {
-    fn default() -> Self {
-        AhlConfig {
-            shards: 4,
-            nodes_per_shard: 3,
-            periodic_reconfiguration: true,
-            epoch_us: 10_000_000,
-            reconfig_pause_us: 3_000_000,
-            network: NetworkConfig::lan_1gbps(),
-            costs: CostModel::calibrated(),
-            faults: FaultPlan::none(),
-            failover_us: 10_000,
-        }
+        self.db.shards as usize * REGION_REPLICAS
     }
 }
 
@@ -630,10 +552,25 @@ pub(crate) struct AhlState {
     pub(crate) mbt: MerkleBucketTree,
 }
 
-/// The AHL sharded-blockchain model.
+/// The AHL (Attested HyperLedger) sharded-blockchain model: the spec's
+/// shards (default 4) of its `nodes` each (default 3 — trusted hardware
+/// lets AHL keep shards this small, the Figure 14 setup).
+///
+/// Beyond the crash/partition/failover algebra shared with the other
+/// sharded models, AHL also consumes the fault plan's declarative
+/// [`Reconfiguration`] events: each pauses every shard pipeline for its
+/// `pause_us` at its scheduled time, and `churn` additionally bumps the
+/// epoch so the secure-random shard formation reshuffles.
 pub struct Ahl {
-    config: AhlConfig,
     db: ShardedDb,
+    /// Whether shards are periodically re-formed (the security/performance
+    /// trade-off the paper quantifies at ≈30 %; default on).
+    periodic_reconfiguration: bool,
+    /// Epoch length between reconfigurations (µs; default 10 s).
+    epoch_us: u64,
+    /// Pause caused by one reconfiguration — state hand-off and
+    /// re-attestation (µs; default 3 s).
+    reconfig_pause_us: u64,
     /// Authenticated state index (Fabric v0.6 heritage: Merkle Bucket Tree).
     mbt: MerkleBucketTree,
     /// Time already swallowed by reconfiguration pauses.
@@ -646,31 +583,32 @@ pub struct Ahl {
 }
 
 impl Ahl {
-    /// Build an AHL deployment.
-    pub fn new(config: AhlConfig) -> Self {
+    /// Build the AHL deployment `spec` describes.
+    pub fn new(spec: &SystemSpec) -> Self {
+        let nodes_per_shard = spec.nodes.unwrap_or(3);
         let db = ShardedDb::new(
-            config.shards,
+            spec,
+            ShardedDb::shards_or_default(spec),
+            nodes_per_shard,
             ProtocolKind::Pbft,
-            config.nodes_per_shard,
             CoordinatorKind::Replicated {
                 protocol: ProtocolKind::Pbft,
-                n: config.nodes_per_shard,
+                n: nodes_per_shard,
             },
-            config.network.clone(),
-            config.costs.clone(),
-            config.faults.clone(),
-            config.failover_us,
         );
-        let mut declared_reconfigs = config.faults.reconfigurations().to_vec();
+        let mut declared_reconfigs = db.faults.reconfigurations().to_vec();
         declared_reconfigs.sort_by_key(|r| r.at);
+        let epoch_us = spec.epoch_us.unwrap_or(10_000_000);
         Ahl {
+            periodic_reconfiguration: spec.periodic_reconfiguration.unwrap_or(true),
+            epoch_us,
+            reconfig_pause_us: spec.reconfig_pause_us.unwrap_or(3_000_000),
             mbt: MerkleBucketTree::fabric_default(),
-            next_reconfig_at: config.epoch_us,
+            next_reconfig_at: epoch_us,
             declared_reconfigs,
             next_declared: 0,
             epoch: 0,
             db,
-            config,
         }
     }
 
@@ -681,14 +619,14 @@ impl Ahl {
 
     /// The node-to-shard plan of the current epoch (secure random formation).
     pub fn shard_plan(&self) -> ShardPlan {
-        let nodes: Vec<_> = (0..(self.config.shards as u64 * self.config.nodes_per_shard as u64))
+        let nodes: Vec<_> = (0..(self.db.shards as u64 * self.db.nodes_per_shard as u64))
             .map(dichotomy_common::NodeId)
             .collect();
         ShardPlan::form(
             &nodes,
-            self.config.nodes_per_shard,
+            self.db.nodes_per_shard,
             dichotomy_sharding::ShardFormation::SecureRandom {
-                epoch_us: self.config.epoch_us,
+                epoch_us: self.epoch_us,
             },
             self.epoch,
             7,
@@ -717,16 +655,16 @@ impl Ahl {
             }
             self.next_declared += 1;
         }
-        if !self.config.periodic_reconfiguration {
+        if !self.periodic_reconfiguration {
             return paused;
         }
         while arrival >= self.next_reconfig_at {
             let boundary = self.next_reconfig_at;
             for pipe in self.db.shard_procs().to_vec() {
-                engine.service(pipe, boundary, self.config.reconfig_pause_us);
+                engine.service(pipe, boundary, self.reconfig_pause_us);
             }
-            paused += self.config.reconfig_pause_us;
-            self.next_reconfig_at += self.config.epoch_us;
+            paused += self.reconfig_pause_us;
+            self.next_reconfig_at += self.epoch_us;
             self.epoch += 1;
         }
         paused
@@ -767,7 +705,7 @@ impl TransactionalSystem for Ahl {
 
     fn on_arrival(&mut self, txn: Transaction, engine: &mut Engine) {
         let arrival = engine.now();
-        let c = self.config.costs.clone();
+        let c = self.db.costs.clone();
         let reconfig = self.reconfiguration_delay(arrival, engine);
         if txn.is_read_only() {
             let mut reads = Vec::new();
@@ -786,7 +724,7 @@ impl TransactionalSystem for Ahl {
         // update and endorsement verification, all serial within the shard.
         let mut per_shard = c.client_auth()
             + c.chaincode_exec_us(txn.op_count(), txn.payload_bytes())
-            + c.verify_signatures_us(self.config.nodes_per_shard);
+            + c.verify_signatures_us(self.db.nodes_per_shard);
         for op in txn.ops().iter().filter(|o| o.writes()) {
             let value = op.value.clone().unwrap_or_else(|| Value::filler(1));
             let stats = self.mbt.put(&op.key, &value);
@@ -800,7 +738,7 @@ impl TransactionalSystem for Ahl {
             Ok(t) => t,
             Err(stalled_at) => {
                 self.db.aborted += 1;
-                let finish = stalled_at + self.config.network.base_latency_us;
+                let finish = stalled_at + self.db.network.base_latency_us;
                 self.db.receipts.push_back(TxnReceipt::aborted(
                     txn.id(),
                     AbortReason::Overload,
@@ -814,7 +752,7 @@ impl TransactionalSystem for Ahl {
         let mut r = TxnReceipt::committed(
             txn.id(),
             arrival,
-            commit_at + self.config.network.base_latency_us,
+            commit_at + self.db.network.base_latency_us,
         );
         r.phase_latencies = vec![
             ("reconfiguration", reconfig),
@@ -849,7 +787,7 @@ impl TransactionalSystem for Ahl {
     }
 
     fn node_count(&self) -> usize {
-        self.config.shards as usize * self.config.nodes_per_shard + self.config.nodes_per_shard
+        self.db.shards as usize * self.db.nodes_per_shard + self.db.nodes_per_shard
     }
 }
 
@@ -858,6 +796,14 @@ mod tests {
     use super::*;
     use crate::pipeline::drive_arrivals;
     use dichotomy_common::{ClientId, Operation, TxnId};
+
+    fn spanner() -> SystemSpec {
+        SystemSpec::new(SystemKind::SpannerLike)
+    }
+
+    fn ahl() -> SystemSpec {
+        SystemSpec::new(SystemKind::Ahl)
+    }
 
     fn two_key_txn(seq: u64, a: &str, b: &str) -> Transaction {
         Transaction::new(
@@ -893,9 +839,9 @@ mod tests {
 
     #[test]
     fn sharded_tidb_beats_spanner_beats_ahl() {
-        let mut tidb = ShardedTiDb::new(4, NetworkConfig::lan_1gbps(), CostModel::calibrated());
-        let mut spanner = SpannerLike::new(SpannerLikeConfig::default());
-        let mut ahl = Ahl::new(AhlConfig::default());
+        let mut tidb = ShardedTiDb::new(&SystemSpec::new(SystemKind::TiDb).with_shards(4));
+        let mut spanner = SpannerLike::new(&spanner());
+        let mut ahl = Ahl::new(&ahl());
         tidb.load(&records(1000));
         spanner.load(&records(1000));
         ahl.load(&records(1000));
@@ -916,16 +862,9 @@ mod tests {
     fn ahl_reconfiguration_costs_throughput() {
         // Short epochs so the 200-transaction run spans several
         // reconfigurations.
-        let fast_epochs = AhlConfig {
-            epoch_us: 100_000,
-            reconfig_pause_us: 30_000,
-            ..AhlConfig::default()
-        };
-        let mut with = Ahl::new(fast_epochs.clone());
-        let mut without = Ahl::new(AhlConfig {
-            periodic_reconfiguration: false,
-            ..fast_epochs
-        });
+        let fast_epochs = ahl().with_reconfiguration(100_000, 30_000);
+        let mut with = Ahl::new(&fast_epochs);
+        let mut without = Ahl::new(&fast_epochs.with_periodic_reconfiguration(false));
         with.load(&records(500));
         without.load(&records(500));
         let t_with = throughput_skewed(&mut with, 200, 2_000, 500);
@@ -939,8 +878,7 @@ mod tests {
     #[test]
     fn more_shards_scale_the_databases() {
         let t = |shards: u32| {
-            let mut s =
-                ShardedTiDb::new(shards, NetworkConfig::lan_1gbps(), CostModel::calibrated());
+            let mut s = ShardedTiDb::new(&SystemSpec::new(SystemKind::TiDb).with_shards(shards));
             s.load(&records(1000));
             throughput_skewed(&mut s, 600, 50, 900)
         };
@@ -954,7 +892,7 @@ mod tests {
 
     #[test]
     fn spanner_lock_waits_show_up_in_latency() {
-        let mut s = SpannerLike::new(SpannerLikeConfig::default());
+        let mut s = SpannerLike::new(&spanner());
         s.load(&records(10));
         // Two transactions contending on the same key: the second waits.
         let receipts = drive_arrivals(
@@ -1001,12 +939,10 @@ mod tests {
             0,
             400_000,
         ));
-        let mut s = ShardedTiDb::with_faults(
-            4,
-            NetworkConfig::lan_1gbps(),
-            CostModel::calibrated(),
-            faults,
-            10_000,
+        let mut s = ShardedTiDb::new(
+            &SystemSpec::new(SystemKind::TiDb)
+                .with_shards(4)
+                .with_faults(faults),
         );
         s.load(&[
             (key_a.clone(), Value::filler(1000)),
@@ -1037,10 +973,7 @@ mod tests {
         let mut faults = FaultPlan::none();
         // The 2PC coordinator role is cut off from everything until 300 ms.
         faults.add_partition(vec![NodeId(0)], 0, Some(300_000));
-        let mut s = SpannerLike::new(SpannerLikeConfig {
-            faults,
-            ..SpannerLikeConfig::default()
-        });
+        let mut s = SpannerLike::new(&spanner().with_faults(faults));
         s.load(&records(10));
         let receipts = drive_arrivals(&mut s, vec![(two_key_txn(1, "k000001", "k000002"), 1_000)]);
         assert_eq!(receipts.len(), 1);
@@ -1056,10 +989,7 @@ mod tests {
     fn a_permanent_coordinator_outage_aborts_writes_as_overload() {
         let mut faults = FaultPlan::none();
         faults.add_partition(vec![NodeId(0)], 0, None);
-        let mut s = SpannerLike::new(SpannerLikeConfig {
-            faults,
-            ..SpannerLikeConfig::default()
-        });
+        let mut s = SpannerLike::new(&spanner().with_faults(faults));
         s.load(&records(10));
         let receipts = drive_arrivals(&mut s, vec![(two_key_txn(1, "k000001", "k000002"), 1_000)]);
         assert_eq!(receipts.len(), 1);
@@ -1073,11 +1003,11 @@ mod tests {
     fn a_declarative_reconfiguration_pauses_shards_and_churn_reshuffles() {
         let mut faults = FaultPlan::none();
         faults.add_reconfiguration(50_000, 100_000, true);
-        let mut ahl = Ahl::new(AhlConfig {
-            periodic_reconfiguration: false,
-            faults,
-            ..AhlConfig::default()
-        });
+        let mut ahl = Ahl::new(
+            &ahl()
+                .with_periodic_reconfiguration(false)
+                .with_faults(faults),
+        );
         ahl.load(&records(100));
         let plan0 = ahl.shard_plan();
         let receipts = drive_arrivals(
@@ -1104,7 +1034,7 @@ mod tests {
 
     #[test]
     fn ahl_shard_plan_reshuffles_each_epoch() {
-        let mut ahl = Ahl::new(AhlConfig::default());
+        let mut ahl = Ahl::new(&ahl());
         ahl.load(&records(10));
         let plan0 = ahl.shard_plan();
         // Force time past one epoch.

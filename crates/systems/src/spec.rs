@@ -25,18 +25,19 @@ use dichotomy_hybrid::taxonomy::{
 };
 use dichotomy_simnet::{CostModel, FaultPlan, NetworkConfig};
 
-use crate::etcd::{Etcd, EtcdConfig, Tikv};
-use crate::fabric::{Fabric, FabricConfig};
+use crate::etcd::{Etcd, Tikv};
+use crate::fabric::Fabric;
 use crate::pipeline::{SystemKind, TransactionalSystem};
-use crate::quorum::{Quorum, QuorumConfig};
-use crate::sharded::{Ahl, AhlConfig, ShardedTiDb, SpannerLike, SpannerLikeConfig};
-use crate::tidb::{TiDb, TiDbConfig};
+use crate::quorum::Quorum;
+use crate::sharded::{Ahl, ShardedTiDb, SpannerLike};
+use crate::tidb::TiDb;
 
 /// A buildable description of a system deployment: one point in the paper's
 /// design space plus the deployment knobs the experiments sweep.
 ///
-/// Knobs left at `None` fall back to each model's defaults, so a spec only
-/// states what it cares about:
+/// A spec is the only way to configure a model: every constructor takes
+/// one. Knobs left at `None` fall back to the defaults that model's `new`
+/// resolves, so a spec only states what it cares about:
 ///
 /// ```
 /// use dichotomy_systems::{SystemKind, SystemSpec};
@@ -53,7 +54,9 @@ pub struct SystemSpec {
     /// Report label override (defaults to the kind's display name).
     pub label: Option<String>,
     /// Replicas: validators (Quorum), peers (Fabric), storage nodes
-    /// (TiKV/etcd), or nodes per shard for the sharded models.
+    /// (TiKV/etcd/TiDB), or nodes per shard for Spanner-like and AHL. A
+    /// sharded TiDB ignores it: each region keeps
+    /// [`REGION_REPLICAS`](crate::sharded::REGION_REPLICAS) replicas.
     pub nodes: Option<usize>,
     /// Stateless SQL frontends (TiDB servers). `None` derives them from
     /// `nodes` the way the paper's full-replication deployment does.
@@ -88,7 +91,8 @@ pub struct SystemSpec {
     /// declarative `Reconfiguration` events (epoch pause + optional
     /// membership churn).
     pub faults: Option<FaultPlan>,
-    /// RNG seed for the model's stochastic choices.
+    /// RNG seed for the model's stochastic choices (Fabric's endorsement
+    /// divergence is the one that draws).
     pub seed: Option<u64>,
 }
 // One third of a probe's identity (alongside the workload and driver specs):
@@ -399,13 +403,22 @@ impl SystemRegistry {
     /// The registry with every built-in model registered.
     pub fn with_builtins() -> Self {
         let mut r = SystemRegistry::new();
-        r.register(SystemKind::Fabric, build_fabric);
-        r.register(SystemKind::Quorum, build_quorum);
-        r.register(SystemKind::TiDb, build_tidb);
-        r.register(SystemKind::Etcd, build_etcd);
-        r.register(SystemKind::Tikv, build_tikv);
-        r.register(SystemKind::SpannerLike, build_spanner_like);
-        r.register(SystemKind::Ahl, build_ahl);
+        r.register(SystemKind::Fabric, |spec| Box::new(Fabric::new(spec)));
+        r.register(SystemKind::Quorum, |spec| Box::new(Quorum::new(spec)));
+        r.register(SystemKind::TiDb, |spec| {
+            if spec.shard_count() > 0 {
+                // The region-partitioned TiDB of Figure 14.
+                Box::new(ShardedTiDb::new(spec))
+            } else {
+                Box::new(TiDb::new(spec))
+            }
+        });
+        r.register(SystemKind::Etcd, |spec| Box::new(Etcd::new(spec)));
+        r.register(SystemKind::Tikv, |spec| Box::new(Tikv::new(spec)));
+        r.register(SystemKind::SpannerLike, |spec| {
+            Box::new(SpannerLike::new(spec))
+        });
+        r.register(SystemKind::Ahl, |spec| Box::new(Ahl::new(spec)));
         r
     }
 
@@ -432,121 +445,6 @@ impl Default for SystemRegistry {
     fn default() -> Self {
         SystemRegistry::with_builtins()
     }
-}
-
-fn build_fabric(spec: &SystemSpec) -> Box<dyn TransactionalSystem> {
-    let d = FabricConfig::default();
-    Box::new(Fabric::new(FabricConfig {
-        peers: spec.nodes.unwrap_or(d.peers),
-        max_block_txns: spec.block_txns.unwrap_or(d.max_block_txns),
-        block_timeout_us: spec.block_interval_us.unwrap_or(d.block_timeout_us),
-        endorsement_divergence: spec
-            .endorsement_divergence
-            .unwrap_or(d.endorsement_divergence),
-        network: spec.network.clone().unwrap_or(d.network),
-        costs: spec.costs.clone().unwrap_or(d.costs),
-        faults: spec.faults.clone().unwrap_or(d.faults),
-        seed: spec.seed.unwrap_or(d.seed),
-        ..d
-    }))
-}
-
-fn build_quorum(spec: &SystemSpec) -> Box<dyn TransactionalSystem> {
-    let d = QuorumConfig::default();
-    Box::new(Quorum::new(QuorumConfig {
-        nodes: spec.nodes.unwrap_or(d.nodes),
-        consensus: spec.consensus.unwrap_or(d.consensus),
-        max_block_txns: spec.block_txns.unwrap_or(d.max_block_txns),
-        block_interval_us: spec.block_interval_us.unwrap_or(d.block_interval_us),
-        network: spec.network.clone().unwrap_or(d.network),
-        costs: spec.costs.clone().unwrap_or(d.costs),
-        faults: spec.faults.clone().unwrap_or(d.faults),
-        seed: spec.seed.unwrap_or(d.seed),
-        ..d
-    }))
-}
-
-fn build_tidb(spec: &SystemSpec) -> Box<dyn TransactionalSystem> {
-    if spec.shard_count() > 0 {
-        // The region-partitioned TiDB of Figure 14.
-        return Box::new(ShardedTiDb::with_faults(
-            spec.shard_count(),
-            spec.network
-                .clone()
-                .unwrap_or_else(NetworkConfig::lan_1gbps),
-            spec.costs.clone().unwrap_or_else(CostModel::calibrated),
-            spec.faults.clone().unwrap_or_default(),
-            10_000,
-        ));
-    }
-    let d = TiDbConfig::default();
-    let tikv_nodes = spec.nodes.unwrap_or(d.tikv_nodes);
-    Box::new(TiDb::new(TiDbConfig {
-        // The paper's full-replication deployment splits a cluster roughly
-        // half SQL frontends, half storage nodes.
-        tidb_servers: spec.frontends.unwrap_or((tikv_nodes / 2).max(1)),
-        tikv_nodes,
-        network: spec.network.clone().unwrap_or(d.network),
-        costs: spec.costs.clone().unwrap_or(d.costs),
-        faults: spec.faults.clone().unwrap_or(d.faults),
-        ..d
-    }))
-}
-
-fn kv_config(spec: &SystemSpec) -> EtcdConfig {
-    let d = EtcdConfig::default();
-    EtcdConfig {
-        nodes: spec.nodes.unwrap_or(d.nodes),
-        faults: spec.faults.clone().unwrap_or(d.faults),
-        network: spec.network.clone().unwrap_or(d.network),
-        costs: spec.costs.clone().unwrap_or(d.costs),
-        ..d
-    }
-}
-
-fn build_etcd(spec: &SystemSpec) -> Box<dyn TransactionalSystem> {
-    Box::new(Etcd::new(kv_config(spec)))
-}
-
-fn build_tikv(spec: &SystemSpec) -> Box<dyn TransactionalSystem> {
-    Box::new(Tikv::new(kv_config(spec)))
-}
-
-fn build_spanner_like(spec: &SystemSpec) -> Box<dyn TransactionalSystem> {
-    let d = SpannerLikeConfig::default();
-    Box::new(SpannerLike::new(SpannerLikeConfig {
-        shards: if spec.shard_count() > 0 {
-            spec.shard_count()
-        } else {
-            d.shards
-        },
-        nodes_per_shard: spec.nodes.unwrap_or(d.nodes_per_shard),
-        network: spec.network.clone().unwrap_or(d.network),
-        costs: spec.costs.clone().unwrap_or(d.costs),
-        faults: spec.faults.clone().unwrap_or(d.faults),
-        ..d
-    }))
-}
-
-fn build_ahl(spec: &SystemSpec) -> Box<dyn TransactionalSystem> {
-    let d = AhlConfig::default();
-    Box::new(Ahl::new(AhlConfig {
-        shards: if spec.shard_count() > 0 {
-            spec.shard_count()
-        } else {
-            d.shards
-        },
-        nodes_per_shard: spec.nodes.unwrap_or(d.nodes_per_shard),
-        periodic_reconfiguration: spec
-            .periodic_reconfiguration
-            .unwrap_or(d.periodic_reconfiguration),
-        epoch_us: spec.epoch_us.unwrap_or(d.epoch_us),
-        reconfig_pause_us: spec.reconfig_pause_us.unwrap_or(d.reconfig_pause_us),
-        network: spec.network.clone().unwrap_or(d.network),
-        costs: spec.costs.clone().unwrap_or(d.costs),
-        faults: spec.faults.clone().unwrap_or(d.faults),
-        ..d
-    }))
 }
 
 #[cfg(test)]
@@ -609,11 +507,8 @@ mod tests {
 
     #[test]
     fn a_replaced_builder_wins() {
-        fn tiny_etcd(_spec: &SystemSpec) -> Box<dyn TransactionalSystem> {
-            Box::new(Etcd::new(EtcdConfig {
-                nodes: 1,
-                ..EtcdConfig::default()
-            }))
+        fn tiny_etcd(spec: &SystemSpec) -> Box<dyn TransactionalSystem> {
+            Box::new(Etcd::new(&spec.clone().with_nodes(1)))
         }
         let mut registry = SystemRegistry::with_builtins();
         registry.register(SystemKind::Etcd, tiny_etcd);

@@ -30,53 +30,20 @@ use dichotomy_txn::PercolatorExecutor;
 
 use crate::pipeline::{
     Completion, Engine, ReceiptLog, SharedState, SysEvent, SystemKind, TokenMap,
-    TransactionalSystem, VersionedKvState,
+    TransactionalSystem, VersionedKvState, FAILOVER_US,
 };
+use crate::spec::SystemSpec;
 
-/// Configuration of a TiDB deployment.
-#[derive(Debug, Clone)]
-pub struct TiDbConfig {
-    /// Number of stateless TiDB (SQL) servers.
-    pub tidb_servers: usize,
-    /// Number of TiKV storage nodes (the Raft replication factor under the
-    /// paper's full-replication setting).
-    pub tikv_nodes: usize,
-    /// Number of regions (data shards). With full replication every node
-    /// holds every region, but multi-region transactions still pay 2PC.
-    pub regions: u32,
-    /// Lock-conflict retry budget before aborting.
-    pub max_lock_retries: u32,
-    /// Extra coordinator time per lock-conflict round (contention resolution,
-    /// the mechanism behind the skew collapse of Section 5.3.1), in µs.
-    pub lock_conflict_penalty_us: u64,
-    /// Network model.
-    pub network: NetworkConfig,
-    /// CPU cost model.
-    pub costs: CostModel,
-    /// Fault schedule. `NodeId(0)` addresses the 2PC coordinator role and
-    /// `NodeId(1 + region)` a region's Raft leader: a crashed region leader
-    /// stalls the decision round of every transaction touching it, and a
-    /// coordinator outage stalls all cross-region decisions.
-    pub faults: FaultPlan,
-    /// Leader re-election pause after a crash heals (µs).
-    pub failover_us: u64,
-}
+/// Regions (data shards). With full replication every node holds every
+/// region, but multi-region transactions still pay 2PC.
+pub const REGIONS: u32 = 16;
 
-impl Default for TiDbConfig {
-    fn default() -> Self {
-        TiDbConfig {
-            tidb_servers: 3,
-            tikv_nodes: 3,
-            regions: 16,
-            max_lock_retries: 2,
-            lock_conflict_penalty_us: 4_000,
-            network: NetworkConfig::lan_1gbps(),
-            costs: CostModel::calibrated(),
-            faults: FaultPlan::none(),
-            failover_us: 10_000,
-        }
-    }
-}
+/// Lock-conflict retry budget before aborting.
+pub const MAX_LOCK_RETRIES: u32 = 2;
+
+/// Extra coordinator time per lock-conflict round (contention resolution,
+/// the mechanism behind the skew collapse of Section 5.3.1), in µs.
+pub const LOCK_CONFLICT_PENALTY_US: u64 = 4_000;
 
 /// Stage: a transaction's decided receipt surfaces to the client
 /// (token = in-flight id).
@@ -93,7 +60,20 @@ struct TiDbProcs {
 
 /// The TiDB system model.
 pub struct TiDb {
-    config: TiDbConfig,
+    /// Stateless TiDB (SQL) servers: the spec's `frontends`, or by default
+    /// half the storage nodes (at least one), the way the paper's
+    /// full-replication deployment splits a cluster.
+    tidb_servers: usize,
+    /// TiKV storage nodes (the spec's `nodes`, default 3): the Raft
+    /// replication factor under the paper's full-replication setting.
+    tikv_nodes: usize,
+    network: NetworkConfig,
+    costs: CostModel,
+    /// `NodeId(0)` addresses the 2PC coordinator role and
+    /// `NodeId(1 + region)` a region's Raft leader: a crashed region leader
+    /// stalls the decision round of every transaction touching it, and a
+    /// coordinator outage stalls all cross-region decisions.
+    faults: FaultPlan,
     procs: Option<TiDbProcs>,
     raft: ReplicationProfile,
     partitioner: Partitioner,
@@ -113,23 +93,28 @@ pub struct TiDb {
 }
 
 impl TiDb {
-    /// Build a TiDB deployment.
-    pub fn new(config: TiDbConfig) -> Self {
-        let raft = ReplicationProfile::new(
-            ProtocolKind::Raft,
-            config.tikv_nodes,
-            config.network.clone(),
-            config.costs.clone(),
-        );
+    /// Build the full-replication TiDB deployment `spec` describes (its
+    /// shard count is not read: a sharded spec builds
+    /// [`ShardedTiDb`](crate::sharded::ShardedTiDb)).
+    pub fn new(spec: &SystemSpec) -> Self {
+        let tikv_nodes = spec.nodes.unwrap_or(3);
+        let network = spec.network.clone().unwrap_or_default();
+        let costs = spec.costs.clone().unwrap_or_default();
         TiDb {
+            tidb_servers: spec.frontends.unwrap_or((tikv_nodes / 2).max(1)),
+            tikv_nodes,
             procs: None,
-            raft,
-            partitioner: Partitioner::hash(config.regions.max(1)),
-            two_pc: TwoPhaseCommit::new(
-                CoordinatorKind::Trusted,
-                config.network.clone(),
-                config.costs.clone(),
+            raft: ReplicationProfile::new(
+                ProtocolKind::Raft,
+                tikv_nodes,
+                network.clone(),
+                costs.clone(),
             ),
+            partitioner: Partitioner::hash(REGIONS),
+            two_pc: TwoPhaseCommit::new(CoordinatorKind::Trusted, network.clone(), costs.clone()),
+            network,
+            costs,
+            faults: spec.faults.clone().unwrap_or_default(),
             executor: PercolatorExecutor::new(),
             state: MvccStore::new(),
             engine_db: LsmTree::new(),
@@ -138,13 +123,7 @@ impl TiDb {
             busy_until: BTreeMap::new(),
             committed: 0,
             aborted: 0,
-            config,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &TiDbConfig {
-        &self.config
     }
 
     /// (committed, aborted) counts, for abort-rate plots.
@@ -157,7 +136,7 @@ impl TiDb {
     }
 
     fn read_cost(&self, bytes: usize) -> u64 {
-        self.config.costs.sql_frontend_us() + self.config.costs.storage_get_us(bytes)
+        self.costs.sql_frontend_us() + self.costs.storage_get_us(bytes)
     }
 
     fn serve_read(&mut self, txn: &Transaction, arrival: Timestamp, engine: &mut Engine) {
@@ -169,16 +148,13 @@ impl TiDb {
             reads.push((op.key.clone(), value));
         }
         let (_, sql_done) = engine.service(self.procs().sql, arrival, cost);
-        let finish = sql_done + self.config.network.base_latency_us;
+        let finish = sql_done + self.network.base_latency_us;
         let mut receipt = TxnReceipt::committed(txn.id(), arrival, finish);
         receipt.reads = reads;
         receipt.phase_latencies = vec![
-            ("sql-parse", self.config.costs.sql_parse_us.ceil() as u64),
-            (
-                "sql-compile",
-                self.config.costs.sql_compile_us.ceil() as u64,
-            ),
-            ("storage-get", self.config.costs.storage_get_us(1000)),
+            ("sql-parse", self.costs.sql_parse_us.ceil() as u64),
+            ("sql-compile", self.costs.sql_compile_us.ceil() as u64),
+            ("storage-get", self.costs.storage_get_us(1000)),
         ];
         self.receipts.push_back(receipt);
     }
@@ -192,7 +168,7 @@ impl TiDb {
         arrival: Timestamp,
         engine: &mut Engine,
     ) -> TxnReceipt {
-        let c = self.config.costs.clone();
+        let c = self.costs.clone();
         // SQL layer: parse/compile each statement + coordinator bookkeeping.
         let frontend = (c.sql_frontend_us() + c.sql_coordinate_us.ceil() as u64)
             * txn.op_count().max(1) as u64;
@@ -208,13 +184,13 @@ impl TiDb {
             .max()
             .unwrap_or(0);
         if busy > arrival {
-            let rounds = self.config.max_lock_retries.max(1) as u64;
-            let penalty = rounds * self.config.lock_conflict_penalty_us;
+            let rounds = MAX_LOCK_RETRIES.max(1) as u64;
+            let penalty = rounds * LOCK_CONFLICT_PENALTY_US;
             let (_, contention_done) = engine.service(self.procs().sql, sql_done, penalty);
             if busy > sql_done + penalty {
                 // The holder is still in flight after every retry: abort.
                 self.aborted += 1;
-                let finish = contention_done + self.config.network.base_latency_us;
+                let finish = contention_done + self.network.base_latency_us;
                 return TxnReceipt::aborted(
                     txn.id(),
                     AbortReason::WriteWriteConflict,
@@ -227,7 +203,7 @@ impl TiDb {
         // Execute under Percolator against the shared MVCC state.
         let result = self
             .executor
-            .execute(&txn, &mut self.state, self.config.max_lock_retries);
+            .execute(&txn, &mut self.state, MAX_LOCK_RETRIES);
 
         // Storage-layer cost: snapshot reads + prewrite/commit writes, each
         // write replicated through Raft.
@@ -262,28 +238,29 @@ impl TiDb {
         // leader must be back up, and the coordinator role reachable.
         let mut decide_input = storage_done + replication_latency;
         for &s in &shards {
-            decide_input = match self.config.faults.release_at(
-                NodeId(1 + u64::from(s.0)),
-                decide_input,
-                self.config.failover_us,
-            ) {
-                Some(t) => t,
-                None => {
-                    self.aborted += 1;
-                    let finish = decide_input + self.config.network.base_latency_us;
-                    return TxnReceipt::aborted(txn.id(), AbortReason::Overload, arrival, finish);
-                }
-            };
+            decide_input =
+                match self
+                    .faults
+                    .release_at(NodeId(1 + u64::from(s.0)), decide_input, FAILOVER_US)
+                {
+                    Some(t) => t,
+                    None => {
+                        self.aborted += 1;
+                        let finish = decide_input + self.network.base_latency_us;
+                        return TxnReceipt::aborted(
+                            txn.id(),
+                            AbortReason::Overload,
+                            arrival,
+                            finish,
+                        );
+                    }
+                };
         }
-        let decide_input = match self
-            .config
-            .faults
-            .primary_release(decide_input, self.config.failover_us)
-        {
+        let decide_input = match self.faults.primary_release(decide_input, FAILOVER_US) {
             Some(t) => t,
             None => {
                 self.aborted += 1;
-                let finish = decide_input + self.config.network.base_latency_us;
+                let finish = decide_input + self.network.base_latency_us;
                 return TxnReceipt::aborted(txn.id(), AbortReason::Overload, arrival, finish);
             }
         };
@@ -293,9 +270,8 @@ impl TiDb {
         match result {
             Ok(outcome) => {
                 // Lock-conflict rounds cost coordinator time even on success.
-                let penalty =
-                    outcome.lock_conflict_rounds as u64 * self.config.lock_conflict_penalty_us;
-                let finish = two_pc_out.decided_at + penalty + self.config.network.base_latency_us;
+                let penalty = outcome.lock_conflict_rounds as u64 * LOCK_CONFLICT_PENALTY_US;
+                let finish = two_pc_out.decided_at + penalty + self.network.base_latency_us;
                 for op in txn.ops().iter().filter(|o| o.writes()) {
                     if let Some(v) = self.state.get_latest(&op.key) {
                         self.engine_db.put(op.key.clone(), v);
@@ -324,9 +300,9 @@ impl TiDb {
             Err((reason, rounds)) => {
                 // Failed transactions still burn coordinator time on
                 // contention resolution before reporting the abort.
-                let penalty = (rounds.max(1) as u64) * self.config.lock_conflict_penalty_us;
+                let penalty = (rounds.max(1) as u64) * LOCK_CONFLICT_PENALTY_US;
                 let (_, contention_done) = engine.service(self.procs().sql, storage_done, penalty);
-                let finish = contention_done + self.config.network.base_latency_us;
+                let finish = contention_done + self.network.base_latency_us;
                 self.aborted += 1;
                 TxnReceipt::aborted(txn.id(), reason, arrival, finish)
             }
@@ -358,8 +334,8 @@ impl TransactionalSystem for TiDb {
 
     fn attach(&mut self, engine: &mut Engine) {
         self.procs = Some(TiDbProcs {
-            sql: engine.add_process("tidb-sql", self.config.tidb_servers.max(1)),
-            storage: engine.add_process("tikv-storage", self.config.tikv_nodes.max(1)),
+            sql: engine.add_process("tidb-sql", self.tidb_servers.max(1)),
+            storage: engine.add_process("tikv-storage", self.tikv_nodes.max(1)),
         });
     }
 
@@ -403,7 +379,7 @@ impl TransactionalSystem for TiDb {
     }
 
     fn node_count(&self) -> usize {
-        self.config.tidb_servers + self.config.tikv_nodes
+        self.tidb_servers + self.tikv_nodes
     }
 }
 
@@ -412,6 +388,11 @@ mod tests {
     use super::*;
     use crate::pipeline::drive_arrivals;
     use dichotomy_common::{ClientId, Operation, TxnId};
+
+    /// Three SQL servers over three storage nodes.
+    fn tidb() -> SystemSpec {
+        SystemSpec::new(SystemKind::TiDb).with_frontends(3)
+    }
 
     fn rmw(client: u64, seq: u64, key: &str, size: usize) -> Transaction {
         Transaction::new(
@@ -424,7 +405,7 @@ mod tests {
     }
 
     fn seeded(records: usize) -> TiDb {
-        let mut t = TiDb::new(TiDbConfig::default());
+        let mut t = TiDb::new(&tidb());
         let recs: Vec<(Key, Value)> = (0..records)
             .map(|i| (Key::from_str(&format!("k{i:05}")), Value::filler(1000)))
             .collect();
@@ -509,11 +490,7 @@ mod tests {
         use dichotomy_simnet::fault::NodeFault;
         let mut faults = FaultPlan::none();
         faults.add(NodeFault::crash_until(NodeId(0), 5_000, 300_000));
-        let mut t = TiDb::new(TiDbConfig {
-            faults,
-            failover_us: 20_000,
-            ..TiDbConfig::default()
-        });
+        let mut t = TiDb::new(&tidb().with_faults(faults));
         let recs: Vec<(Key, Value)> = (0..100)
             .map(|i| (Key::from_str(&format!("k{i:05}")), Value::filler(1000)))
             .collect();
@@ -531,7 +508,7 @@ mod tests {
         assert!(receipts.iter().all(|r| r.status.is_committed()));
         // Writes whose decision round falls in the outage wait for heal +
         // failover; the ones submitted mid-window prove the stall.
-        let healed = 300_000 + 20_000;
+        let healed = 300_000 + FAILOVER_US;
         for r in receipts.iter().filter(|r| r.submit_time >= 5_000) {
             assert!(
                 r.finish_time >= healed,
@@ -547,7 +524,7 @@ mod tests {
         use dichotomy_simnet::fault::NodeFault;
         // One region, whose leader is NodeId(1 + region). With hash
         // partitioning, find two keys landing in different regions.
-        let p = Partitioner::hash(16);
+        let p = Partitioner::hash(REGIONS);
         let key_a = Key::from_str("k00000");
         let region_a = p.shard_of(&key_a);
         let key_b = (1..100)
@@ -560,11 +537,7 @@ mod tests {
             0,
             500_000,
         ));
-        let mut t = TiDb::new(TiDbConfig {
-            faults,
-            failover_us: 10_000,
-            ..TiDbConfig::default()
-        });
+        let mut t = TiDb::new(&tidb().with_faults(faults));
         t.load(&[
             (key_a.clone(), Value::filler(1000)),
             (key_b.clone(), Value::filler(1000)),

@@ -9,7 +9,7 @@ use dichotomy_merkle::MerklePatriciaTrie;
 use dichotomy_storage::lsm::LsmConfig;
 use dichotomy_storage::{BPlusTree, KvEngine, LsmTree, MvccStore};
 use dichotomy_systems::pipeline::drive_arrivals;
-use dichotomy_systems::{Fabric, FabricConfig, Quorum, QuorumConfig, TransactionalSystem};
+use dichotomy_systems::{SystemKind, SystemSpec, TransactionalSystem};
 
 #[track_caller]
 fn assert_same_buffer(read: Option<Value>, written: &Value) {
@@ -115,11 +115,8 @@ fn read_back(system: &mut dyn TransactionalSystem, key: &Key) -> Option<Value> {
 fn loaded_and_forked_models_serve_the_generator_s_buffer() {
     let payload = Value::filler(1_000);
     let records: Vec<(Key, Value)> = (0..50).map(|i| (key(i), payload.clone())).collect();
-    let models: [fn() -> Box<dyn TransactionalSystem>; 2] = [
-        || Box::new(Quorum::new(QuorumConfig::default())),
-        || Box::new(Fabric::new(FabricConfig::default())),
-    ];
-    for build in models {
+    for kind in [SystemKind::Quorum, SystemKind::Fabric] {
+        let build = || SystemSpec::new(kind).build().unwrap();
         let mut loaded = build();
         loaded.load(&records);
         let shared = loaded.share_state().expect("the model shares its state");

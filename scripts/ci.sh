@@ -27,6 +27,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> examples: quickstart, contention_study, hybrid_designer"
+# Clippy compiles the examples; this runs them, since they are where a
+# reader first sees a spec build a model. Each takes well under a second.
+for example in quickstart contention_study hybrid_designer; do
+  cargo run -q --release -p dichotomy-core --example "$example" > /dev/null
+done
+
 echo "==> cargo test -q"
 cargo test -q
 
