@@ -18,11 +18,10 @@
 //! * `--txns N` — override the per-experiment transaction/record count
 //!   (N ≥ 1: a zero-transaction run is a usage error, not an all-zero table);
 //! * `--seed S` — reseed every run (same seed ⇒ bit-identical output);
-//! * `--jobs N` — worker threads for the probe pool (default: the
-//!   `DICHOTOMY_JOBS` environment variable, else all available cores). One
-//!   pool is shared across *all* requested experiments, so workers stay busy
-//!   over experiment boundaries. Output is byte-identical whatever the
-//!   worker count;
+//! * `--jobs N` — worker threads for the probe pool (default: all available
+//!   cores). One pool is shared across *all* requested experiments, so
+//!   workers stay busy over experiment boundaries. Output is byte-identical
+//!   whatever the worker count;
 //! * `--progress` — live per-probe status lines on stderr as probes finish;
 //! * `--fail-fast` — stop scheduling probes after the first failure (queued
 //!   probes report a labelled "skipped" failure instead of running);
@@ -52,12 +51,11 @@
 //! * `repro lint [FLAGS] [ID…|explore]` (flags: `LINT_FLAGS` below) —
 //!   expand the requested experiments (default: all) **without executing
 //!   them** and report semantic plan diagnostics (`S0xx`): out-of-horizon
-//!   faults, duplicate sweep points, mixed populations that round to a zero
-//!   transaction share, measurement windows longer than the run, zero-probe
-//!   experiments. The pseudo-id `explore` (part of `all`) lints the
-//!   design-space explorer's spec instead (`S008`: a prune configuration
-//!   that eliminates every candidate). Exit 1 when any deny-level finding
-//!   survives;
+//!   faults, duplicate sweep points, sweep axes the arrival spec never reads,
+//!   measurement windows longer than the run, zero-probe experiments. The
+//!   pseudo-id `explore` (part of `all`) lints the design-space explorer's
+//!   spec instead (`S008`: a prune configuration that eliminates every
+//!   candidate). Exit 1 when any deny-level finding survives;
 //! * `repro explore [FLAGS]` (flags: `EXPLORE_FLAGS` below) — the
 //!   design-space explorer: enumerate the system × workload grid, prune
 //!   forecast-dominated candidates (every cut is reported), measure the

@@ -15,29 +15,31 @@
 //! | S002 | warn | overlapping crash windows merged |
 //! | S003 | warn | duplicate probes in one plan (wasted dedup slots) |
 //! | S004 | deny | a sweep axis the arrival spec never reads (`OfferedTps` off an open loop, a closed-loop axis off a `ClosedLoop`) |
-//! | S005 | deny | `Mixed` population share rounds to zero transactions |
+//! | S005 | — | retired with the `Mixed` arrival population it checked; not reused |
 //! | S006 | warn | `window_us` wider than the run's arrival horizon |
 //! | S007 | note | zero-probe experiment riding a bench set |
 //! | S008 | deny | zero-survivor exploration (lives in `dichotomy-explore::lint_spec`; `repro lint explore` surfaces it) |
 //!
 //! S001/S002 originate in
 //! [`FaultPlan::validate`](dichotomy_simnet::FaultPlan::validate) during plan
-//! expansion (`sanitize_fault_plans` records them on `plan.diagnostics`); the
-//! linter re-validates hand-built plans too, so both construction paths
-//! report identical findings.
+//! expansion (`sanitize_fault_plans` returns them onto `plan.diagnostics`);
+//! the linter runs the same function on a clone of a hand-built plan, so
+//! both construction paths report identical findings.
 
 use std::collections::BTreeMap;
 
 use dichotomy_common::{Diagnostic, Severity};
 
-use crate::driver::{mixed_shares, ArrivalSpec};
-use crate::scenario::{arrival_horizon_us, probe_key_bytes, ExperimentPlan, Probe, Scenario};
+use crate::driver::ArrivalSpec;
+use crate::scenario::{
+    arrival_horizon_us, probe_key_bytes, sanitize_fault_plans, ExperimentPlan, Probe, Scenario,
+};
 use crate::Sweep;
 
 /// Lint a fully expanded plan. Includes the expansion-time findings carried
 /// on `plan.diagnostics` (S001/S002 from `Scenario::plan()`), a fresh fault
 /// re-validation for hand-built plans, and the plan-shape checks
-/// (S003/S005/S006/S007). The experiment field of each locus is the plan id;
+/// (S003/S006/S007). The experiment field of each locus is the plan id;
 /// callers that know the repro key can rewrite it via
 /// [`Diagnostic::for_experiment`].
 pub fn lint_plan(plan: &ExperimentPlan) -> Vec<Diagnostic> {
@@ -46,50 +48,13 @@ pub fn lint_plan(plan: &ExperimentPlan) -> Vec<Diagnostic> {
     // Fresh fault validation: plans built through `Scenario::plan()` are
     // already sanitized (re-validation finds nothing, the findings sit on
     // `plan.diagnostics`), but hand-assembled plans never ran it.
+    diags.extend(sanitize_fault_plans(&mut plan.clone()));
+
     for row in &plan.rows {
         for run in &row.runs {
             let Probe::Drive { system, driver, .. } = &run.probe else {
                 continue;
             };
-            if let Some(faults) = &system.faults {
-                if !faults.is_empty() {
-                    let (_, found) = faults.validate(arrival_horizon_us(driver));
-                    diags.extend(
-                        found
-                            .into_iter()
-                            .map(|d| d.at_plan(plan.id, row.label.clone(), system.label())),
-                    );
-                }
-            }
-
-            // S005: a Mixed population whose weight largest-remainder-rounds
-            // to a zero transaction share never submits anything — dead
-            // configuration, almost certainly a weight typo.
-            if let Some(ArrivalSpec::Mixed { populations }) = &driver.arrival {
-                let shares = mixed_shares(populations, driver.transactions);
-                for (i, ((weight, _), share)) in populations.iter().zip(&shares).enumerate() {
-                    if *share == 0 {
-                        diags.push(
-                            Diagnostic::new(
-                                "S005",
-                                Severity::Deny,
-                                format!(
-                                    "mixed population {i} (weight {weight}) \
-                                     largest-remainder-rounds to a zero transaction share \
-                                     out of {}: it never submits",
-                                    driver.transactions
-                                ),
-                            )
-                            .with_help("raise the weight or the transaction budget")
-                            .at_plan(
-                                plan.id,
-                                row.label.clone(),
-                                system.label(),
-                            ),
-                        );
-                    }
-                }
-            }
 
             // S006: a metrics window wider than the whole arrival horizon
             // collapses the time series to a single window — dips, stalls
@@ -229,9 +194,9 @@ fn unread_sweep_axis(sweep: &Sweep, arrival: Option<&ArrivalSpec>) -> Option<Dia
                     ),
                     "sweep ClosedClients/ThinkTimeUs instead, or drop the arrival spec",
                 ),
-                Some(ArrivalSpec::Phased { .. }) | Some(ArrivalSpec::Mixed { .. }) => deny(
+                Some(ArrivalSpec::Phased { .. }) => deny(
                     format!(
-                        "Sweep::OfferedTps ({} points) over a phased/mixed arrival: \
+                        "Sweep::OfferedTps ({} points) over a phased arrival: \
                          the arrival spec overrides the swept offered_tps",
                         points.len()
                     ),

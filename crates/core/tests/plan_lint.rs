@@ -126,19 +126,18 @@ fn s004_offered_tps_sweep_over_closed_loop() {
 }
 
 #[test]
-fn s004_offered_tps_sweep_over_mixed_arrival() {
+fn s004_offered_tps_sweep_over_phased_arrival() {
+    let open = |offered_tps| ArrivalSpec::OpenLoop { offered_tps };
     let mut scenario = base_scenario();
     scenario.sweep = Sweep::OfferedTps(vec![1_000.0, 2_000.0]);
-    scenario.driver.arrival = Some(ArrivalSpec::Mixed {
-        populations: vec![
-            (1.0, ArrivalSpec::OpenLoop { offered_tps: 500.0 }),
-            (1.0, ArrivalSpec::OpenLoop { offered_tps: 500.0 }),
-        ],
+    scenario.driver.arrival = Some(ArrivalSpec::Phased {
+        phases: vec![(1_000, open(500.0)), (1_000, open(500.0))],
     });
 
     let diags = lint_scenario(&scenario);
     let s004 = diags.iter().find(|d| d.code == "S004").unwrap();
     assert_eq!(s004.severity, Severity::Deny);
+    assert!(s004.message.contains("phased"), "{}", s004.message);
 }
 
 #[test]
@@ -149,9 +148,6 @@ fn s004_closed_loop_axes_off_a_closed_loop_deny_without_expanding() {
         Some(open(1_000.0)),
         Some(ArrivalSpec::Phased {
             phases: vec![(1_000, open(1_000.0)), (1_000, open(10.0))],
-        }),
-        Some(ArrivalSpec::Mixed {
-            populations: vec![(1.0, open(500.0)), (1.0, open(500.0))],
         }),
     ];
     let axes = [
@@ -195,43 +191,6 @@ fn phased_final_phase_keeps_faults_past_the_summed_durations() {
     };
     let kept = system.faults.as_ref().expect("the scenario's schedule");
     assert_eq!(kept.faults(), [crash]);
-}
-
-#[test]
-fn s005_mixed_population_with_zero_share() {
-    let mut scenario = base_scenario();
-    // Weight 1e-9 of a 100-transaction budget largest-remainder-rounds to
-    // zero: the population never submits a single transaction.
-    scenario.driver.arrival = Some(ArrivalSpec::Mixed {
-        populations: vec![
-            (
-                1.0,
-                ArrivalSpec::OpenLoop {
-                    offered_tps: 200_000.0,
-                },
-            ),
-            (
-                1e-9,
-                ArrivalSpec::OpenLoop {
-                    offered_tps: 200_000.0,
-                },
-            ),
-        ],
-    });
-
-    let diags = lint_scenario(&scenario);
-    assert_eq!(codes(&diags), vec!["S005"]);
-    assert_eq!(diags[0].severity, Severity::Deny);
-    assert!(
-        diags[0].message.contains("population 1"),
-        "{}",
-        diags[0].message
-    );
-    assert!(
-        diags[0].message.contains("never submits"),
-        "{}",
-        diags[0].message
-    );
 }
 
 #[test]
