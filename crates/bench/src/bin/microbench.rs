@@ -38,7 +38,7 @@ use dichotomy_core::storage::{BPlusTree, KvEngine, LsmTree, MvccStore};
 use dichotomy_core::systems::{
     drive_arrivals, Etcd, Quorum, SystemKind, SystemRegistry, SystemSpec, TransactionalSystem,
 };
-use dichotomy_core::txn::OccExecutor;
+use dichotomy_core::txn::occ;
 use dichotomy_core::workload::Workload;
 use dichotomy_core::workload::{WorkloadSpec, YcsbConfig, YcsbMix, YcsbWorkload};
 
@@ -179,9 +179,9 @@ fn bench_occ_validation() {
             for i in 0..200u64 {
                 store.commit_write(Key::from_str(&format!("k{i}")), v, Some(Value::filler(64)));
             }
-            (store, OccExecutor::new())
+            store
         },
-        |(mut store, mut occ)| {
+        |mut store| {
             let txn = Transaction::new(
                 TxnId::new(ClientId(1), 1),
                 vec![Operation::read_modify_write(
@@ -189,8 +189,8 @@ fn bench_occ_validation() {
                     Value::filler(64),
                 )],
             );
-            let sim = occ.simulate(&txn, &store);
-            occ.validate_and_commit(&sim, &mut store).unwrap()
+            let sim = occ::simulate(&txn, &store);
+            occ::validate_and_commit(&sim, &mut store).unwrap()
         },
     );
 }

@@ -9,10 +9,12 @@
 //!   IBFT variant used by Quorum): O(N²) message complexity, 2f+1 quorums out
 //!   of 3f+1 replicas, view change.
 //! * [`sharedlog`] — a Kafka-like shared-log ordering service (Fabric's
-//!   external orderer, Veritas, ChainifyDB, BRD).
+//!   external orderer, Veritas, ChainifyDB, BRD): the append-latency
+//!   arithmetic, booking broker ingest on an engine process the caller
+//!   registers.
 //! * [`profile`] — runs message-level rounds of each protocol over the
 //!   network model and distills a [`profile::ReplicationProfile`] (commit
-//!   latency, leader occupancy, message/byte counts) that the system models
+//!   latency, leader occupancy) that the system models
 //!   in `dichotomy-systems` plug into their transaction pipelines.
 //!   Proof-of-work has no message-level implementation: it is the
 //!   closed-form [`ProtocolKind::ProofOfWork`] profile, whose commit latency

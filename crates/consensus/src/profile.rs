@@ -1,15 +1,15 @@
 //! Replication profiles: the bridge between the message-level protocol
 //! implementations and the transaction pipelines in `dichotomy-systems`.
 //!
-//! A system model needs three numbers per replicated batch: how long until
-//! the batch commits (latency), how long the leader/primary is busy and
+//! A system model needs two numbers per replicated batch: how long until
+//! the batch commits (latency), and how long the leader/primary is busy and
 //! therefore unavailable for the next batch (occupancy — this is what caps
-//! throughput), and how many messages/bytes the protocol put on the wire
-//! (which makes BFT protocols degrade at scale). [`ReplicationProfile`]
-//! computes these from the protocol's message pattern and the network
-//! configuration, and the consensus crate's tests check the latency numbers
-//! against the message-level Raft/PBFT cluster simulations so the shortcut
-//! stays honest.
+//! throughput). [`ReplicationProfile`] computes both from the protocol's
+//! message pattern and the network configuration, and the consensus crate's
+//! tests check the latency numbers against the message-level Raft/PBFT
+//! cluster simulations so the shortcut stays honest. Message counts (what
+//! makes BFT protocols degrade at scale) are counted by those clusters
+//! themselves.
 
 use dichotomy_simnet::{CostModel, NetworkConfig};
 
@@ -193,21 +193,6 @@ impl ReplicationProfile {
         }
         .max(1)
     }
-
-    /// Number of protocol messages exchanged per committed batch.
-    pub fn messages_per_commit(&self) -> u64 {
-        let n = self.n as u64;
-        let peers = n.saturating_sub(1);
-        match self.kind {
-            ProtocolKind::Raft | ProtocolKind::PrimaryBackup => 2 * peers,
-            ProtocolKind::Pbft | ProtocolKind::Ibft | ProtocolKind::Tendermint => {
-                // pre-prepare (n-1) + prepare (n(n-1)) + commit (n(n-1)).
-                peers + 2 * n * peers
-            }
-            ProtocolKind::SharedLog => 4,
-            ProtocolKind::ProofOfWork => peers,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -232,13 +217,29 @@ mod tests {
 
     #[test]
     fn bft_messages_grow_quadratically_cft_linearly() {
-        let raft4 = profile(ProtocolKind::Raft, 4).messages_per_commit();
-        let raft16 = profile(ProtocolKind::Raft, 16).messages_per_commit();
-        let pbft4 = profile(ProtocolKind::Pbft, 4).messages_per_commit();
-        let pbft16 = profile(ProtocolKind::Pbft, 16).messages_per_commit();
-        assert_eq!(raft16, raft4 * 5); // 30 vs 6: linear in n-1
-        assert!(pbft16 > pbft4 * 10); // quadratic
-        assert!(pbft4 > raft4);
+        // Messages one committed batch puts on the network, counted by the
+        // message-level clusters.
+        let raft = |n: usize| {
+            let mut cluster = RaftCluster::new(n, RaftConfig::default(), 42);
+            cluster.run_until_leader(2_000_000).expect("leader");
+            let (start, before) = (cluster.now(), cluster.messages_sent());
+            let id = cluster.propose(256).unwrap();
+            cluster.run_until(start + 10_000);
+            assert!(cluster.commit_time(id).is_some());
+            cluster.messages_sent() - before
+        };
+        let pbft = |n: usize| {
+            let mut cluster = PbftCluster::new(n, PbftConfig::default(), 42);
+            let (_, payload) = cluster.propose(256);
+            cluster.run_until(100_000);
+            assert!(cluster.commit_time(payload).is_some());
+            cluster.messages_sent()
+        };
+        let (raft4, raft16) = (raft(4), raft(16));
+        let (pbft4, pbft16) = (pbft(4), pbft(16));
+        assert!(raft16 <= raft4 * 6, "raft {raft4} -> {raft16}"); // linear in n-1
+        assert!(pbft16 > pbft4 * 10, "pbft {pbft4} -> {pbft16}"); // quadratic
+        assert!(pbft4 > raft4, "pbft {pbft4} raft {raft4}");
     }
 
     #[test]

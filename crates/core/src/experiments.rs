@@ -836,8 +836,9 @@ pub fn chaos01_span_us(txns: u64) -> u64 {
 /// The labelled fault schedules of the chaos grid, one per row, over an
 /// arrival span of `span` µs. Together they exercise every class of the
 /// fault algebra: node crash (primary and shard leader), coordinator
-/// failover, network partition, and an epoch-pause reconfiguration with
-/// membership churn.
+/// failover, network partition, and an epoch-pause reconfiguration. Its
+/// `churn` flag only advances AHL's shard-formation epoch, which no
+/// transaction path reads, so the `reconfig` row measures a pure pause.
 pub fn chaos01_fault_rows(span: u64) -> Vec<(String, FaultPlan)> {
     let (from, until) = (span / 3, 2 * span / 3);
     let mut primary_crash = FaultPlan::none();

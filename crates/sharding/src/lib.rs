@@ -8,8 +8,8 @@
 //!   assignment so an adversary cannot concentrate its nodes in one shard,
 //!   and must periodically re-form shards to resist adaptive corruption
 //!   (Elastico's PoW-based assignment, AHL's trusted-hardware randomness).
-//! * [`two_pc`] — *cross-shard atomicity*: plain two-phase commit with a
-//!   trusted coordinator for databases, versus 2PC driven by a
+//! * [`two_pc`] — *cross-shard atomicity*: when a two-phase commit is
+//!   decided, with a trusted coordinator for databases versus a
 //!   BFT-replicated coordinator shard for blockchains (AHL), which adds a
 //!   consensus round per 2PC phase.
 
@@ -19,4 +19,4 @@ pub mod partition;
 pub mod two_pc;
 
 pub use partition::{PartitionScheme, Partitioner, ShardFormation, ShardPlan};
-pub use two_pc::{CoordinatorKind, TwoPcOutcome, TwoPhaseCommit};
+pub use two_pc::{CoordinatorKind, TwoPhaseCommit};

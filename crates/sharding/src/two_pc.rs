@@ -2,7 +2,8 @@
 //!
 //! The protocol is the textbook one: the coordinator sends PREPARE to every
 //! participant shard, collects votes, and sends COMMIT (all yes) or ABORT
-//! (any no). The taxonomy's distinction is *who the coordinator is*:
+//! (any no); both phases cost the same whichever way the votes go. The
+//! taxonomy's distinction is *who the coordinator is*:
 //!
 //! * a single trusted node (databases — cheap but a blocking single point of
 //!   failure), or
@@ -10,11 +11,11 @@
 //!   beacon chain) — every coordinator step is itself a consensus decision,
 //!   adding a BFT round per phase but removing the trust assumption.
 //!
-//! The module computes both the outcome (given participant votes) and the
-//! latency/occupancy of the exchange, which the sharded system models in
-//! `dichotomy-systems` use for Figure 14 and the operation-count experiment.
+//! The module computes when the coordinator knows the decision, which the
+//! sharded system models in `dichotomy-systems` use for Figure 14 and the
+//! operation-count experiment.
 
-use dichotomy_common::{ShardId, Timestamp};
+use dichotomy_common::Timestamp;
 use dichotomy_consensus::{ProtocolKind, ReplicationProfile};
 use dichotomy_simnet::{CostModel, NetworkConfig};
 
@@ -33,18 +34,7 @@ pub enum CoordinatorKind {
     },
 }
 
-/// Result of a 2PC round.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TwoPcOutcome {
-    /// Whether the transaction committed in every shard.
-    pub committed: bool,
-    /// When the outcome was known at the coordinator.
-    pub decided_at: Timestamp,
-    /// Number of protocol messages exchanged.
-    pub messages: u64,
-}
-
-/// The 2PC latency/outcome model.
+/// The 2PC latency model.
 #[derive(Debug, Clone)]
 pub struct TwoPhaseCommit {
     coordinator: CoordinatorKind,
@@ -80,24 +70,18 @@ impl TwoPhaseCommit {
         }
     }
 
-    /// Run a 2PC round started at `start` across `participants` shards, given
-    /// each shard's vote (`true` = prepared). Single-shard transactions
+    /// When the coordinator knows the decision of a 2PC round started at
+    /// `start` across `participants` shards. Single-shard transactions
     /// short-circuit: no 2PC is needed.
-    pub fn run(
+    pub fn decided_at(
         &self,
         start: Timestamp,
-        participants: &[(ShardId, bool)],
+        participants: usize,
         payload_bytes: usize,
-    ) -> TwoPcOutcome {
-        if participants.len() <= 1 {
-            return TwoPcOutcome {
-                committed: participants.first().map(|(_, v)| *v).unwrap_or(true),
-                decided_at: start,
-                messages: 0,
-            };
+    ) -> Timestamp {
+        if participants <= 1 {
+            return start;
         }
-        let committed = participants.iter().all(|(_, vote)| *vote);
-        let shards = participants.len() as u64;
         // Phase 1: PREPARE out (with the writes) + votes back.
         let phase1 = self.hop_us(payload_bytes) + self.hop_us(64);
         // Phase 2: decision out + acks back.
@@ -106,42 +90,7 @@ impl TwoPhaseCommit {
         let coordinator_overhead = 2 * self.coordinator_step_overhead_us();
         // Participant-side prepare work (lock/write-intent persistence).
         let participant_work = self.costs.storage_put_us(payload_bytes);
-        let decided_at = start + phase1 + phase2 + coordinator_overhead + participant_work;
-        let coordinator_msgs = match &self.coordinator {
-            CoordinatorKind::Trusted => 0,
-            CoordinatorKind::Replicated { protocol, n } => {
-                2 * ReplicationProfile::new(*protocol, *n, self.network.clone(), self.costs.clone())
-                    .messages_per_commit()
-            }
-        };
-        TwoPcOutcome {
-            committed,
-            decided_at,
-            messages: 4 * shards + coordinator_msgs,
-        }
-    }
-
-    /// How long the coordinator resource is occupied per cross-shard
-    /// transaction (bounds coordinator throughput).
-    pub fn coordinator_occupancy_us(&self, participants: usize, payload_bytes: usize) -> u64 {
-        if participants <= 1 {
-            return 0;
-        }
-        let per_participant = (payload_bytes as f64 / self.network.bandwidth_bytes_per_us) as u64
-            + self.costs.log_append_us(1);
-        let base = per_participant * participants as u64;
-        match &self.coordinator {
-            CoordinatorKind::Trusted => base,
-            CoordinatorKind::Replicated { protocol, n } => {
-                base + 2 * ReplicationProfile::new(
-                    *protocol,
-                    *n,
-                    self.network.clone(),
-                    self.costs.clone(),
-                )
-                .leader_occupancy_us(256)
-            }
-        }
+        start + phase1 + phase2 + coordinator_overhead + participant_work
     }
 }
 
@@ -170,52 +119,16 @@ mod tests {
 
     #[test]
     fn single_shard_transactions_skip_2pc() {
-        let out = trusted().run(100, &[(ShardId(0), true)], 1000);
-        assert!(out.committed);
-        assert_eq!(out.decided_at, 100);
-        assert_eq!(out.messages, 0);
-        assert_eq!(trusted().coordinator_occupancy_us(1, 1000), 0);
-    }
-
-    #[test]
-    fn any_no_vote_aborts_everywhere() {
-        let votes = [(ShardId(0), true), (ShardId(1), false), (ShardId(2), true)];
-        let out = trusted().run(0, &votes, 500);
-        assert!(!out.committed);
-        // Abort still costs the full two phases.
-        assert!(out.decided_at > 1000);
-    }
-
-    #[test]
-    fn all_yes_commits() {
-        let votes = [(ShardId(0), true), (ShardId(1), true)];
-        assert!(trusted().run(0, &votes, 500).committed);
+        assert_eq!(trusted().decided_at(100, 1, 1000), 100);
+        assert_eq!(trusted().decided_at(100, 0, 1000), 100);
     }
 
     #[test]
     fn bft_coordinator_costs_more_than_a_trusted_one() {
-        let votes = [(ShardId(0), true), (ShardId(1), true)];
-        let t = trusted().run(0, &votes, 1000);
-        let b = bft().run(0, &votes, 1000);
-        assert!(
-            b.decided_at > t.decided_at + 1000,
-            "trusted {} bft {}",
-            t.decided_at,
-            b.decided_at
-        );
-        assert!(b.messages > t.messages);
-        assert!(
-            bft().coordinator_occupancy_us(2, 1000) > trusted().coordinator_occupancy_us(2, 1000)
-        );
-    }
-
-    #[test]
-    fn more_participants_mean_more_messages_and_occupancy() {
-        let two: Vec<_> = (0..2).map(|i| (ShardId(i), true)).collect();
-        let five: Vec<_> = (0..5).map(|i| (ShardId(i), true)).collect();
-        assert!(trusted().run(0, &five, 100).messages > trusted().run(0, &two, 100).messages);
-        assert!(
-            trusted().coordinator_occupancy_us(5, 100) > trusted().coordinator_occupancy_us(2, 100)
-        );
+        let t = trusted().decided_at(0, 2, 1000);
+        let b = bft().decided_at(0, 2, 1000);
+        // Even a trusted coordinator pays both phases.
+        assert!(t > 1000, "trusted {t}");
+        assert!(b > t + 1000, "trusted {t} bft {b}");
     }
 }

@@ -1,11 +1,11 @@
-//! Fault injection: node crashes, recoveries, Byzantine marking, network
-//! partitions, coordinator failovers and epoch reconfigurations.
+//! Fault injection: node crashes, recoveries, network partitions,
+//! coordinator failovers and epoch reconfigurations.
 //!
 //! The replication dimension of the taxonomy (Section 3.1.3) is about which
-//! failures a protocol tolerates. The consensus substrate is exercised under
-//! these fault plans in its property tests: Raft must stay safe (no two
-//! divergent commits) under crash faults, PBFT under Byzantine faults up to
-//! `f`, and both must make progress again once faults heal.
+//! failures a protocol tolerates. A plan holds crash faults only: the Raft
+//! cluster is exercised under crashes and partitions, while PBFT's Byzantine
+//! replicas are chosen on the cluster itself (`PbftCluster::make_byzantine`
+//! in `dichotomy-consensus`), not read from a plan.
 //!
 //! A [`FaultPlan`] is a declarative *fault algebra* consumed by every system
 //! model. The addressing convention is role-based: `NodeId(0)` is the
@@ -35,17 +35,15 @@ pub struct NodeFault {
 }
 codec!(Encode for struct NodeFault { node, from, until, kind });
 
-/// The kinds of faults the simulator can inject.
+/// The kinds of faults the simulator can inject. A plan's faults are all
+/// crashes; the kind stays part of a fault's wire form, so probe keys carry
+/// its tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The node stops participating entirely (crash-stop, possibly healing).
     Crash,
-    /// The node is Byzantine: it stays up but the protocol models it as
-    /// sending arbitrary/conflicting messages. The consensus implementations
-    /// consult this to decide which nodes equivocate.
-    Byzantine,
 }
-codec!(Encode for enum FaultKind { Crash = 0, Byzantine = 1 });
+codec!(Encode for enum FaultKind { Crash = 0 });
 
 impl NodeFault {
     /// A crash starting at `from` and lasting forever.
@@ -65,16 +63,6 @@ impl NodeFault {
             from,
             until: Some(until),
             kind: FaultKind::Crash,
-        }
-    }
-
-    /// Mark a node Byzantine from `from` onwards.
-    pub fn byzantine(node: NodeId, from: Timestamp) -> Self {
-        NodeFault {
-            node,
-            from,
-            until: None,
-            kind: FaultKind::Byzantine,
         }
     }
 
@@ -137,16 +125,17 @@ impl Failover {
 
 /// A declarative membership reconfiguration: at `at`, every shard pipeline
 /// pauses for `pause_us` while the epoch rolls over (AHL's periodic shard
-/// re-formation made schedulable). `churn: true` additionally reshuffles
-/// shard membership at the boundary, so key→shard placement changes across
-/// the epoch; models without membership to churn treat it as a pure pause.
+/// re-formation made schedulable). `churn: true` additionally advances AHL's
+/// shard-formation epoch, which only its node-to-shard plan reads; key→shard
+/// placement is a fixed hash, so for every transaction the event is a pure
+/// pause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reconfiguration {
     /// The epoch boundary.
     pub at: Timestamp,
     /// How long the shard pipelines stall (µs).
     pub pause_us: u64,
-    /// Whether shard membership is reshuffled at the boundary.
+    /// Whether the shard-formation epoch advances at the boundary.
     pub churn: bool,
 }
 codec!(Encode for struct Reconfiguration { at, pause_us, churn });
@@ -192,9 +181,7 @@ impl FaultPlan {
 
     /// Whether `node` is crashed at `t`.
     pub fn is_crashed(&self, node: NodeId, t: Timestamp) -> bool {
-        self.faults
-            .iter()
-            .any(|f| f.node == node && f.kind == FaultKind::Crash && f.active_at(t))
+        self.faults.iter().any(|f| f.node == node && f.active_at(t))
     }
 
     /// If `node` is crashed at `t`, when the crash heals: `Some(Some(u))`
@@ -205,7 +192,7 @@ impl FaultPlan {
         for f in self
             .faults
             .iter()
-            .filter(|f| f.node == node && f.kind == FaultKind::Crash && f.active_at(t))
+            .filter(|f| f.node == node && f.active_at(t))
         {
             hit = Some(match (hit, f.until) {
                 (Some(None), _) | (_, None) => None,
@@ -216,13 +203,6 @@ impl FaultPlan {
         hit
     }
 
-    /// Whether `node` is marked Byzantine at `t`.
-    pub fn is_byzantine(&self, node: NodeId, t: Timestamp) -> bool {
-        self.faults
-            .iter()
-            .any(|f| f.node == node && f.kind == FaultKind::Byzantine && f.active_at(t))
-    }
-
     /// Whether a message from `from` can be delivered to `to` at `t`:
     /// both endpoints must be up and no active partition may separate them.
     pub fn can_deliver(&self, from: NodeId, to: NodeId, t: Timestamp) -> bool {
@@ -230,15 +210,6 @@ impl FaultPlan {
             return false;
         }
         !self.partitions.iter().any(|p| p.separates(from, to, t))
-    }
-
-    /// Nodes that are marked Byzantine at `t` out of `nodes`.
-    pub fn byzantine_nodes(&self, nodes: &[NodeId], t: Timestamp) -> Vec<NodeId> {
-        nodes
-            .iter()
-            .copied()
-            .filter(|&n| self.is_byzantine(n, t))
-            .collect()
     }
 
     /// Schedule a primary handover (see [`Failover`]).
@@ -429,13 +400,8 @@ impl FaultPlan {
         // replace the first member in place, later members are removed).
         let mut merged: Vec<NodeFault> = Vec::with_capacity(plan.faults.len());
         for fault in plan.faults.drain(..) {
-            if fault.kind != FaultKind::Crash {
-                merged.push(fault);
-                continue;
-            }
             let overlap = merged.iter_mut().find(|m| {
-                m.kind == FaultKind::Crash
-                    && m.node == fault.node
+                m.node == fault.node
                     && m.from <= fault.until.unwrap_or(Timestamp::MAX)
                     && fault.from <= m.until.unwrap_or(Timestamp::MAX)
             });
@@ -583,7 +549,6 @@ mod tests {
         plan.add(NodeFault::crash_until(NodeId(1), 100, 200));
         plan.add(NodeFault::crash_until(NodeId(1), 150, 400));
         plan.add(NodeFault::crash_until(NodeId(2), 120, 180)); // other node: kept
-        plan.add(NodeFault::byzantine(NodeId(1), 0)); // non-crash: kept
         let (sane, diags) = plan.validate(None);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, "S002");
@@ -591,15 +556,10 @@ mod tests {
         assert!(diags[0]
             .message
             .contains("overlapping crash windows on node 1"));
-        let crashes: Vec<_> = sane
-            .faults()
-            .iter()
-            .filter(|f| f.kind == FaultKind::Crash)
-            .collect();
+        let crashes = sane.faults();
         assert_eq!(crashes.len(), 2);
         assert_eq!((crashes[0].from, crashes[0].until), (100, Some(400)));
         assert_eq!(crashes[1].node, NodeId(2));
-        assert!(sane.faults().iter().any(|f| f.kind == FaultKind::Byzantine));
         // Merged semantics match the query the models actually ask.
         assert_eq!(
             sane.crashed_until(NodeId(1), 160),
@@ -643,18 +603,5 @@ mod tests {
             duration_us: 5,
         };
         assert!(f.active_at(10) && f.active_at(14) && !f.active_at(15));
-    }
-
-    #[test]
-    fn byzantine_marking_does_not_block_delivery() {
-        let mut plan = FaultPlan::none();
-        plan.add(NodeFault::byzantine(NodeId(1), 0));
-        assert!(plan.can_deliver(NodeId(1), NodeId(2), 100));
-        assert!(plan.is_byzantine(NodeId(1), 100));
-        assert!(!plan.is_byzantine(NodeId(2), 100));
-        assert_eq!(
-            plan.byzantine_nodes(&[NodeId(0), NodeId(1), NodeId(2)], 5),
-            vec![NodeId(1)]
-        );
     }
 }

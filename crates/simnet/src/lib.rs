@@ -8,8 +8,8 @@
 //!   simulated clock (microsecond granularity) plus named [`Process`]
 //!   service queues every pipeline stage is built on,
 //! * a [`NetworkModel`] with per-link latency, bandwidth and fault injection,
-//! * FIFO [`Resource`]s that model serial and multi-server processing stages
-//!   (the source of all queueing / saturation behaviour), and
+//! * the [`MultiResource`] behind every process: `k` FIFO servers, one for a
+//!   serial stage (the source of all queueing / saturation behaviour), and
 //! * a [`CostModel`] holding the CPU-cost constants (hashing, signatures,
 //!   SQL parsing, storage access) calibrated against the latency breakdowns
 //!   the paper reports in Figures 8 and 11.
@@ -31,7 +31,7 @@ pub use engine::{Process, ProcessId, SimEngine, StageEvent};
 pub use event::{EventQueue, ScheduledEvent};
 pub use fault::{Failover, FaultPlan, NodeFault, Partition, Reconfiguration};
 pub use network::{NetworkConfig, NetworkModel};
-pub use resource::{MultiResource, Resource};
+pub use resource::MultiResource;
 
 /// Simulated time in microseconds (re-exported for convenience).
 pub use dichotomy_common::Timestamp;

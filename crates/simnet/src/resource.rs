@@ -1,80 +1,16 @@
 //! FIFO processing resources.
 //!
-//! A [`Resource`] models a stage that can process one item at a time (a
-//! single CPU core doing serial block validation, a consensus leader
-//! assembling batches, a WAL writer). A [`MultiResource`] models a stage with
-//! `k` identical servers (e.g. concurrent transaction executors). These two
-//! primitives are the source of every queueing and saturation effect in the
-//! system models: when the offered load exceeds a stage's capacity the
-//! stage's queue grows and latency climbs, exactly the unsaturated/saturated
-//! distinction the paper draws in Section 5.2.1.
+//! A [`MultiResource`] models a stage with `k` identical servers: one server
+//! for a stage that processes one item at a time (a single CPU core doing
+//! serial block validation, a consensus leader assembling batches, an
+//! ordering service's ingest), more for concurrent executors. It is the one
+//! queue primitive behind every engine
+//! [`Process`](crate::engine::Process), and so the source of every queueing
+//! and saturation effect in the system models: when the offered load exceeds
+//! a stage's capacity the stage's queue grows and latency climbs, exactly the
+//! unsaturated/saturated distinction the paper draws in Section 5.2.1.
 
 use dichotomy_common::Timestamp;
-
-/// A single-server FIFO resource.
-#[derive(Debug, Clone, Default)]
-pub struct Resource {
-    /// Time at which the server becomes free.
-    free_at: Timestamp,
-    /// Total busy time accumulated, for utilization accounting.
-    busy_us: u64,
-    /// Number of items served.
-    served: u64,
-}
-
-impl Resource {
-    /// A resource that is free immediately.
-    pub fn new() -> Self {
-        Resource::default()
-    }
-
-    /// Schedule an item that arrives at `arrival` and needs `service_us` of
-    /// work. Returns `(start, finish)`: the item starts when both it has
-    /// arrived and the server is free, and finishes `service_us` later.
-    pub fn schedule(&mut self, arrival: Timestamp, service_us: u64) -> (Timestamp, Timestamp) {
-        let start = arrival.max(self.free_at);
-        let finish = start.saturating_add(service_us);
-        self.free_at = finish;
-        self.busy_us += service_us;
-        self.served += 1;
-        (start, finish)
-    }
-
-    /// Time at which the server next becomes free.
-    pub fn free_at(&self) -> Timestamp {
-        self.free_at
-    }
-
-    /// Queueing delay an item arriving at `arrival` would experience before
-    /// starting service.
-    pub fn queue_delay(&self, arrival: Timestamp) -> u64 {
-        self.free_at.saturating_sub(arrival)
-    }
-
-    /// Total busy microseconds accumulated.
-    pub fn busy_us(&self) -> u64 {
-        self.busy_us
-    }
-
-    /// Number of items served.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// Utilization over the interval `[0, horizon]`.
-    pub fn utilization(&self, horizon: Timestamp) -> f64 {
-        if horizon == 0 {
-            0.0
-        } else {
-            (self.busy_us as f64 / horizon as f64).min(1.0)
-        }
-    }
-
-    /// Reset to the initial idle state.
-    pub fn reset(&mut self) {
-        *self = Resource::default();
-    }
-}
 
 /// A `k`-server FIFO resource: an arriving item is served by the earliest
 /// available server.
@@ -156,14 +92,14 @@ mod tests {
 
     #[test]
     fn idle_resource_starts_immediately() {
-        let mut r = Resource::new();
+        let mut r = MultiResource::new(1);
         assert_eq!(r.schedule(100, 50), (100, 150));
-        assert_eq!(r.free_at(), 150);
+        assert_eq!(r.earliest_free(), 150);
     }
 
     #[test]
     fn busy_resource_queues_fifo() {
-        let mut r = Resource::new();
+        let mut r = MultiResource::new(1);
         r.schedule(0, 100);
         // Arrives at 10 but must wait until 100.
         assert_eq!(r.schedule(10, 20), (100, 120));
@@ -174,21 +110,12 @@ mod tests {
 
     #[test]
     fn utilization_is_bounded() {
-        let mut r = Resource::new();
+        let mut r = MultiResource::new(1);
         r.schedule(0, 500);
         assert!((r.utilization(1000) - 0.5).abs() < 1e-9);
         assert_eq!(r.utilization(0), 0.0);
         r.schedule(0, 10_000);
         assert_eq!(r.utilization(100), 1.0);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut r = Resource::new();
-        r.schedule(0, 100);
-        r.reset();
-        assert_eq!(r.free_at(), 0);
-        assert_eq!(r.served(), 0);
     }
 
     #[test]
@@ -224,10 +151,14 @@ mod tests {
 
     #[test]
     fn single_and_multi_agree_for_k_equals_one() {
-        let mut r = Resource::new();
+        // One server is the single-server FIFO recurrence: each item starts
+        // at the later of its arrival and the previous item's finish.
         let mut m = MultiResource::new(1);
+        let mut free_at = 0;
         for (arrival, service) in [(0, 10), (3, 20), (100, 5)] {
-            assert_eq!(r.schedule(arrival, service), m.schedule(arrival, service));
+            let start = free_at.max(arrival);
+            free_at = start + service;
+            assert_eq!(m.schedule(arrival, service), (start, free_at));
         }
     }
 }

@@ -430,9 +430,10 @@ pub fn run_to_completion(system: &mut dyn TransactionalSystem, engine: &mut Engi
 ///
 /// Reusing one system across calls is supported only when the later call's
 /// arrival timestamps continue *after* the previous run's finish times: the
-/// engine (and its clock) is fresh per call, but model state keyed to
-/// absolute time — contention hold windows, reconfiguration epochs, ordered
-/// commit clamps — survives in the system.
+/// engine is fresh per call — its clock and every service process, Fabric's
+/// ordering queue included, start idle — but model state keyed to absolute
+/// time — contention hold windows, reconfiguration epochs, ordered commit
+/// clamps — survives in the system.
 pub fn drive_arrivals(
     system: &mut dyn TransactionalSystem,
     arrivals: impl IntoIterator<Item = (Transaction, Timestamp)>,

@@ -66,8 +66,6 @@ struct ShardedDb {
     /// Fault schedule: `NodeId(0)` is the 2PC coordinator role,
     /// `NodeId(1 + shard)` a shard's replication leader.
     faults: FaultPlan,
-    committed: u64,
-    aborted: u64,
 }
 
 impl ShardedDb {
@@ -102,8 +100,6 @@ impl ShardedDb {
             busy_until: BTreeMap::new(),
             finishing: TokenMap::new(),
             faults: spec.faults.clone().unwrap_or_default(),
-            committed: 0,
-            aborted: 0,
         }
     }
 
@@ -208,8 +204,9 @@ impl ShardedDb {
             Some(t) => t,
             None => return Err(slowest + replication),
         };
-        let votes: Vec<_> = shards.iter().map(|&s| (s, true)).collect();
-        let decided = self.two_pc.run(decide_input, &votes, txn.payload_bytes());
+        let decided_at = self
+            .two_pc
+            .decided_at(decide_input, shards.len(), txn.payload_bytes());
         // Apply the writes and mark the written keys busy until commit.
         let version = self.state.begin_commit();
         for op in txn.ops().iter().filter(|o| o.writes()) {
@@ -217,9 +214,9 @@ impl ShardedDb {
             self.state
                 .commit_write(op.key.clone(), version, Some(value.clone()));
             self.engine_db.put(op.key.clone(), value);
-            self.busy_until.insert(op.key.clone(), decided.decided_at);
+            self.busy_until.insert(op.key.clone(), decided_at);
         }
-        Ok(decided.decided_at)
+        Ok(decided_at)
     }
 }
 
@@ -247,11 +244,6 @@ impl SpannerLike {
             locks: LockManager::new(),
             next_ts: 1,
         }
-    }
-
-    /// (committed, aborted) counters.
-    pub fn outcome_counts(&self) -> (u64, u64) {
-        (self.db.committed, self.db.aborted)
     }
 }
 
@@ -322,7 +314,6 @@ impl TransactionalSystem for SpannerLike {
         }
         if wounded {
             let _ = self.locks.finish(txn.id());
-            self.db.aborted += 1;
             let finish = arrival + wait_us + c.sql_frontend_us() + self.db.network.base_latency_us;
             self.db.receipts.push_back(TxnReceipt::aborted(
                 txn.id(),
@@ -355,7 +346,6 @@ impl TransactionalSystem for SpannerLike {
         let commit_at = match self.db.replicate_and_commit(&txn, start, per_shard, engine) {
             Ok(t) => t,
             Err(stalled_at) => {
-                self.db.aborted += 1;
                 let finish = stalled_at + self.db.network.base_latency_us;
                 self.db.receipts.push_back(TxnReceipt::aborted(
                     txn.id(),
@@ -366,7 +356,6 @@ impl TransactionalSystem for SpannerLike {
                 return;
             }
         };
-        self.db.committed += 1;
         let finish = commit_at + self.db.network.base_latency_us;
         let mut r = TxnReceipt::committed(txn.id(), arrival, finish);
         r.phase_latencies = vec![
@@ -429,11 +418,6 @@ impl ShardedTiDb {
             ),
         }
     }
-
-    /// (committed, aborted) counters.
-    pub fn outcome_counts(&self) -> (u64, u64) {
-        (self.db.committed, self.db.aborted)
-    }
 }
 
 impl TransactionalSystem for ShardedTiDb {
@@ -467,7 +451,6 @@ impl TransactionalSystem for ShardedTiDb {
         let write_keys = txn.write_set();
         let conflict = self.db.busy_window(&write_keys) > arrival;
         if conflict {
-            self.db.aborted += 1;
             let finish = arrival + c.sql_frontend_us() + self.db.network.base_latency_us;
             self.db.receipts.push_back(TxnReceipt::aborted(
                 txn.id(),
@@ -495,7 +478,6 @@ impl TransactionalSystem for ShardedTiDb {
         {
             Ok(t) => t,
             Err(stalled_at) => {
-                self.db.aborted += 1;
                 let finish = stalled_at + self.db.network.base_latency_us;
                 self.db.receipts.push_back(TxnReceipt::aborted(
                     txn.id(),
@@ -506,7 +488,6 @@ impl TransactionalSystem for ShardedTiDb {
                 return;
             }
         };
-        self.db.committed += 1;
         let receipt = TxnReceipt::committed(
             txn.id(),
             arrival,
@@ -560,7 +541,10 @@ pub(crate) struct AhlState {
 /// sharded models, AHL also consumes the fault plan's declarative
 /// [`Reconfiguration`] events: each pauses every shard pipeline for its
 /// `pause_us` at its scheduled time, and `churn` additionally bumps the
-/// epoch so the secure-random shard formation reshuffles.
+/// epoch that [`Ahl::shard_plan`]'s secure-random formation reads. No
+/// transaction path reads that plan: keys reach shards through a fixed
+/// [`Partitioner::hash`], so to every transaction a reconfiguration is a
+/// pure pause.
 pub struct Ahl {
     db: ShardedDb,
     /// Whether shards are periodically re-formed (the security/performance
@@ -612,11 +596,6 @@ impl Ahl {
         }
     }
 
-    /// (committed, aborted) counters.
-    pub fn outcome_counts(&self) -> (u64, u64) {
-        (self.db.committed, self.db.aborted)
-    }
-
     /// The node-to-shard plan of the current epoch (secure random formation).
     pub fn shard_plan(&self) -> ShardPlan {
         let nodes: Vec<_> = (0..(self.db.shards as u64 * self.db.nodes_per_shard as u64))
@@ -641,7 +620,8 @@ impl Ahl {
         let mut paused = 0;
         // Declarative reconfiguration events from the fault plan apply even
         // when periodic reconfiguration is off: each pauses every shard
-        // pipeline at its scheduled time, and churn reshuffles membership.
+        // pipeline at its scheduled time, and churn advances the epoch the
+        // shard plan reads (placement stays the fixed hash).
         while let Some(r) = self.declared_reconfigs.get(self.next_declared).copied() {
             if arrival < r.at {
                 break;
@@ -737,7 +717,6 @@ impl TransactionalSystem for Ahl {
         {
             Ok(t) => t,
             Err(stalled_at) => {
-                self.db.aborted += 1;
                 let finish = stalled_at + self.db.network.base_latency_us;
                 self.db.receipts.push_back(TxnReceipt::aborted(
                     txn.id(),
@@ -748,7 +727,6 @@ impl TransactionalSystem for Ahl {
                 return;
             }
         };
-        self.db.committed += 1;
         let mut r = TxnReceipt::committed(
             txn.id(),
             arrival,

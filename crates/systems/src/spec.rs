@@ -88,8 +88,8 @@ pub struct SystemSpec {
     /// convention: `NodeId(0)` is the model's primary (Raft leader, lead
     /// orderer, consensus proposer, 2PC coordinator) and `NodeId(1 + s)`
     /// shard/region `s`'s replication leader. AHL additionally consumes
-    /// declarative `Reconfiguration` events (epoch pause + optional
-    /// membership churn).
+    /// declarative `Reconfiguration` events as shard-pipeline pauses (their
+    /// `churn` flag advances an epoch no transaction path reads).
     pub faults: Option<FaultPlan>,
     /// RNG seed for the model's stochastic choices (Fabric's endorsement
     /// divergence is the one that draws).
@@ -450,6 +450,7 @@ impl Default for SystemRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Engine;
     use dichotomy_common::{Key, Value};
     use dichotomy_hybrid::all_systems;
 
@@ -457,9 +458,34 @@ mod tests {
     fn every_builtin_kind_builds() {
         let registry = SystemRegistry::with_builtins();
         for kind in SystemKind::ALL {
-            let system = registry.build(&SystemSpec::new(kind)).unwrap();
+            let mut system = registry.build(&SystemSpec::new(kind)).unwrap();
             assert_eq!(system.kind(), kind, "{kind:?}");
             assert!(system.node_count() > 0);
+            // The service processes each default model registers: every
+            // queue a run can saturate, by (name, servers).
+            let mut engine = Engine::new();
+            system.attach(&mut engine);
+            let processes: Vec<(&str, usize)> = engine
+                .processes()
+                .iter()
+                .map(|p| (p.name(), p.servers().capacity()))
+                .collect();
+            let expected: &[(&str, usize)] = match kind {
+                SystemKind::Fabric => &[
+                    ("fabric-endorsers", 20),
+                    ("fabric-orderer", 1),
+                    ("fabric-validator", 1),
+                ],
+                SystemKind::Quorum => &[
+                    ("quorum-proposer", 1),
+                    ("quorum-consensus", 1),
+                    ("quorum-committer", 1),
+                ],
+                SystemKind::TiDb => &[("tidb-sql", 1), ("tikv-storage", 3)],
+                SystemKind::Etcd | SystemKind::Tikv => &[("kv-apply", 1), ("kv-readers", 12)],
+                SystemKind::SpannerLike | SystemKind::Ahl => &[("shard-pipe", 1); 4],
+            };
+            assert_eq!(processes, expected, "{kind:?}");
         }
         assert_eq!(registry.kinds().len(), SystemKind::ALL.len());
     }

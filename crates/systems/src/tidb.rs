@@ -88,8 +88,6 @@ pub struct TiDb {
     /// hit a busy key pay contention-resolution rounds and may abort — the
     /// mechanism behind the skew collapse of Section 5.3.1.
     busy_until: BTreeMap<Key, Timestamp>,
-    committed: u64,
-    aborted: u64,
 }
 
 impl TiDb {
@@ -121,14 +119,7 @@ impl TiDb {
             receipts: ReceiptLog::new(),
             finishing: TokenMap::new(),
             busy_until: BTreeMap::new(),
-            committed: 0,
-            aborted: 0,
         }
-    }
-
-    /// (committed, aborted) counts, for abort-rate plots.
-    pub fn outcome_counts(&self) -> (u64, u64) {
-        (self.committed, self.aborted)
     }
 
     fn procs(&self) -> TiDbProcs {
@@ -189,7 +180,6 @@ impl TiDb {
             let (_, contention_done) = engine.service(self.procs().sql, sql_done, penalty);
             if busy > sql_done + penalty {
                 // The holder is still in flight after every retry: abort.
-                self.aborted += 1;
                 let finish = contention_done + self.network.base_latency_us;
                 return TxnReceipt::aborted(
                     txn.id(),
@@ -245,7 +235,6 @@ impl TiDb {
                 {
                     Some(t) => t,
                     None => {
-                        self.aborted += 1;
                         let finish = decide_input + self.network.base_latency_us;
                         return TxnReceipt::aborted(
                             txn.id(),
@@ -259,19 +248,19 @@ impl TiDb {
         let decide_input = match self.faults.primary_release(decide_input, FAILOVER_US) {
             Some(t) => t,
             None => {
-                self.aborted += 1;
                 let finish = decide_input + self.network.base_latency_us;
                 return TxnReceipt::aborted(txn.id(), AbortReason::Overload, arrival, finish);
             }
         };
-        let votes: Vec<_> = shards.iter().map(|&s| (s, true)).collect();
-        let two_pc_out = self.two_pc.run(decide_input, &votes, txn.payload_bytes());
+        let decided_at = self
+            .two_pc
+            .decided_at(decide_input, shards.len(), txn.payload_bytes());
 
         match result {
             Ok(outcome) => {
                 // Lock-conflict rounds cost coordinator time even on success.
                 let penalty = outcome.lock_conflict_rounds as u64 * LOCK_CONFLICT_PENALTY_US;
-                let finish = two_pc_out.decided_at + penalty + self.network.base_latency_us;
+                let finish = decided_at + penalty + self.network.base_latency_us;
                 for op in txn.ops().iter().filter(|o| o.writes()) {
                     if let Some(v) = self.state.get_latest(&op.key) {
                         self.engine_db.put(op.key.clone(), v);
@@ -289,12 +278,9 @@ impl TiDb {
                     ("replication", replication_latency),
                     (
                         "2pc",
-                        two_pc_out
-                            .decided_at
-                            .saturating_sub(storage_done + replication_latency),
+                        decided_at.saturating_sub(storage_done + replication_latency),
                     ),
                 ];
-                self.committed += 1;
                 receipt
             }
             Err((reason, rounds)) => {
@@ -303,7 +289,6 @@ impl TiDb {
                 let penalty = (rounds.max(1) as u64) * LOCK_CONFLICT_PENALTY_US;
                 let (_, contention_done) = engine.service(self.procs().sql, storage_done, penalty);
                 let finish = contention_done + self.network.base_latency_us;
-                self.aborted += 1;
                 TxnReceipt::aborted(txn.id(), reason, arrival, finish)
             }
         }
@@ -374,7 +359,8 @@ impl TransactionalSystem for TiDb {
     }
 
     fn footprint(&self) -> StorageBreakdown {
-        // No ledger, no authenticated index: engine + (bounded) MVCC history.
+        // No ledger and no authenticated index. The MVCC store keeps every
+        // version (no GC runs) and is not counted: the LSM engine alone.
         self.engine_db.footprint()
     }
 
@@ -427,8 +413,6 @@ mod tests {
         );
         assert_eq!(receipts.len(), 200);
         assert!(receipts.iter().all(|r| r.status.is_committed()));
-        let (c, a) = t.outcome_counts();
-        assert_eq!((c, a), (200, 0));
     }
 
     #[test]
@@ -439,14 +423,13 @@ mod tests {
             &mut t,
             (0..200u64).map(|seq| (rmw(seq % 8, seq, "k00000", 1000), seq * 50)),
         );
-        let aborted = receipts.iter().filter(|r| !r.status.is_committed()).count();
         // Sequential submission means snapshots are mostly fresh; aborts come
         // from lock conflicts held across the storage pipeline. The paper's
         // collapse needs true concurrency, which the driver provides by
         // interleaving clients; here we only require the mechanism to exist.
-        let (c, a) = t.outcome_counts();
-        assert_eq!(c + a, 200);
-        assert_eq!(a as usize, aborted);
+        // One receipt per transaction: the receipts are the outcome record.
+        let ids: std::collections::BTreeSet<_> = receipts.iter().map(|r| r.txn_id).collect();
+        assert_eq!((receipts.len(), ids.len()), (200, 200));
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! models it is a single-server simulator process (`dichotomy_simnet::Process`)
 //! that applies one transaction at a time in ledger order.
 //!
-//! * [`occ`] — Fabric's execute-order-validate optimism: transactions are
-//!   *simulated* against a snapshot, collecting a versioned read set; at
-//!   commit the read versions are re-checked and stale reads abort
-//!   (`ReadWriteConflict`), which is what drives the abort curves of
-//!   Figures 9b and 10b.
+//! * [`occ`] — Fabric's execute-order-validate optimism, as two free
+//!   functions: [`occ::simulate`] runs a transaction against a snapshot,
+//!   collecting a versioned read set; [`occ::validate_and_commit`] re-checks
+//!   the read versions at commit, and stale reads abort
+//!   (`ReadWriteConflict`), which drives the read-write aborts of Figures 9b
+//!   and 10b.
 //! * [`percolator`] — TiDB's Percolator-style scheme: snapshot reads, a
 //!   primary lock per transaction, prewrite that detects write-write
 //!   conflicts, then commit; under skew the primary-lock contention is what
@@ -27,7 +28,7 @@ pub mod occ;
 pub mod percolator;
 
 pub use locking::LockManager;
-pub use occ::{OccExecutor, SimulationResult};
+pub use occ::SimulationResult;
 pub use percolator::{PercolatorExecutor, PercolatorOutcome};
 
 use dichotomy_common::{Key, Value};

@@ -52,8 +52,6 @@ pub struct PercolatorOutcome {
 #[derive(Debug, Default)]
 pub struct PercolatorExecutor {
     locks: BTreeMap<Key, Lock>,
-    committed: u64,
-    aborted: u64,
 }
 
 impl PercolatorExecutor {
@@ -62,17 +60,7 @@ impl PercolatorExecutor {
         PercolatorExecutor::default()
     }
 
-    /// Transactions committed.
-    pub fn committed(&self) -> u64 {
-        self.committed
-    }
-
-    /// Transactions aborted.
-    pub fn aborted(&self) -> u64 {
-        self.aborted
-    }
-
-    /// Locks currently held (for tests and saturation accounting).
+    /// Locks currently held (the lock-leak tests check it drains to zero).
     pub fn locks_held(&self) -> usize {
         self.locks.len()
     }
@@ -99,7 +87,6 @@ impl PercolatorExecutor {
         let writes = effective_writes(txn, &reads);
         if writes.is_empty() {
             // Read-only transactions commit trivially at the snapshot.
-            self.committed += 1;
             return Ok(PercolatorOutcome {
                 start_ts,
                 commit_ts: start_ts,
@@ -123,7 +110,6 @@ impl PercolatorExecutor {
                     continue;
                 }
                 Err(reason) => {
-                    self.aborted += 1;
                     return Err((reason, conflict_rounds));
                 }
             }
@@ -135,7 +121,6 @@ impl PercolatorExecutor {
             store.commit_write(key.clone(), commit_ts, Some(value.clone()));
             self.locks.remove(key);
         }
-        self.committed += 1;
         Ok(PercolatorOutcome {
             start_ts,
             commit_ts,
@@ -217,7 +202,6 @@ mod tests {
             assert!(out.commit_ts > out.start_ts);
             assert_eq!(out.lock_conflict_rounds, 0);
         }
-        assert_eq!(exec.committed(), 5);
         assert_eq!(exec.locks_held(), 0);
     }
 
@@ -269,7 +253,6 @@ mod tests {
         let (reason, rounds) = exec.execute(&b, &mut store, 3).unwrap_err();
         assert_eq!(reason, AbortReason::LockConflict);
         assert_eq!(rounds, 3);
-        assert_eq!(exec.aborted(), 1);
         // Once A's locks are resolved, B retries successfully.
         exec.release_locks(a.id());
         assert!(exec.execute(&b, &mut store, 3).is_ok());

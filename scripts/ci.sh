@@ -309,6 +309,9 @@ grep -q "value_clone_1kb" /tmp/ci_microbench.out
 grep -q "ycsb_next_txn_1kb" /tmp/ci_microbench.out
 grep -q "ycsb_sign_1kb" /tmp/ci_microbench.out
 grep -q "lsm_flush_4mb" /tmp/ci_microbench.out
+# Fabric's OCC lifecycle (simulate, then validate and commit) through the
+# free functions of `txn::occ`.
+grep -q "occ_simulate_validate_commit" /tmp/ci_microbench.out
 
 echo "==> benchmark/ (the frozen harness against this tree: smoke check + fidelity digests)"
 # The standalone harness package builds from this checkout's crates, so a
