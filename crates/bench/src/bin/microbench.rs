@@ -167,6 +167,21 @@ fn bench_storage_engines() {
     bench_batched("btree_put_1kb", 2_000, BPlusTree::new, |mut t| {
         t.put(Key::from_str("k1"), Value::filler(1024))
     });
+    // A model's preload, one record set into a new LSM tree (one 4 MB run
+    // and a memtable) and into a new MVCC store at one version.
+    let value = Value::filler(1024);
+    let records: Vec<(Key, Value)> = (0..5_000)
+        .map(|i| (YcsbWorkload::key_for(i), value.clone()))
+        .collect();
+    bench_batched("lsm_load_5k_1kb", 50, LsmTree::new, |mut t| {
+        t.load(&records);
+        t
+    });
+    bench_batched("mvcc_load_5k_1kb", 50, MvccStore::new, |mut s| {
+        let version = s.begin_commit();
+        s.load(version, &records);
+        s
+    });
 }
 
 fn bench_occ_validation() {
@@ -480,7 +495,7 @@ fn main() {
     let groups: &[(&str, fn())] = &[
         ("sha256", bench_hashing),
         ("mpt mbt adr_probe", bench_authenticated_indexes),
-        ("lsm btree", bench_storage_engines),
+        ("lsm btree mvcc", bench_storage_engines),
         ("occ", bench_occ_validation),
         ("profile", bench_consensus_profiles),
         ("metrics latency", bench_metric_sketches),

@@ -15,11 +15,11 @@
 //! A node's identity is its encoding. The node store (the role LevelDB plays
 //! under geth) holds each distinct encoding once and charges it its bytes plus
 //! a 32-byte hash key. The store is **hash-consed**: a node is interned under
-//! a cheap structural key (tag, path, child ids, value bytes) and matched
-//! exactly, comparing children by id — in an interned store, equal ids are
-//! equal encodings — so finding a node's identity needs no digest. SHA-256
-//! runs **on demand**: a node's digest is computed the first time
-//! [`root_hash`](MerklePatriciaTrie::root_hash) or
+//! a cheap structural key (tag, path, child ids, a value's length and end
+//! bytes) and matched exactly, comparing children by id — in an interned
+//! store, equal ids are equal encodings — so finding a node's identity needs
+//! no digest. SHA-256 runs **on demand**: a node's digest is computed the
+//! first time [`root_hash`](MerklePatriciaTrie::root_hash) or
 //! [`prove`](MerklePatriciaTrie::prove) reaches it, and memoised. The stored
 //! node set, node count, footprint and update statistics are those of a store
 //! keyed by the digests themselves.
@@ -165,7 +165,7 @@ impl Node {
     fn same_encoding(&self, other: &Node) -> bool {
         match (self, other) {
             (Node::Leaf { path, value }, Node::Leaf { path: p, value: v }) => {
-                path == p && value.as_bytes() == v.as_bytes()
+                path == p && value == v
             }
             (Node::Extension { path, child }, Node::Extension { path: p, child: c }) => {
                 path == p && child == c
@@ -181,15 +181,18 @@ impl Node {
         }
     }
 
-    /// The intern key: a deterministic 64-bit digest of exactly what
-    /// [`same_encoding`](Self::same_encoding) compares.
+    /// The intern key: a deterministic 64-bit digest of what
+    /// [`same_encoding`](Self::same_encoding) compares, with a value
+    /// [sampled](KeyMix::add_sampled) rather than read whole. Equal encodings
+    /// get equal keys; two values that differ only in the middle share one,
+    /// and cost the lookup one more step along the chain.
     fn intern_key(&self) -> u64 {
         let mut key = KeyMix::default();
         match self {
             Node::Leaf { path, value } => {
                 key.add(0);
                 key.add_bytes(path.as_bytes());
-                key.add_bytes(value.as_bytes());
+                key.add_sampled(value.as_bytes());
             }
             Node::Extension { path, child } => {
                 key.add(1);
@@ -201,7 +204,7 @@ impl Node {
                 for &c in &children.slots {
                     key.add(u64::from(c));
                 }
-                key.add_bytes(branch_value(value));
+                key.add_sampled(branch_value(value));
             }
         }
         key.finish()
@@ -288,6 +291,19 @@ impl KeyMix {
         let mut tail = [0u8; 8];
         tail[..words.remainder().len()].copy_from_slice(words.remainder());
         self.add(u64::from_le_bytes(tail));
+    }
+
+    /// A value: its length and its first and last eight bytes, or all of it
+    /// up to 16 bytes. Reading a 1 KB value whole would cost more than the
+    /// rest of the key.
+    fn add_sampled(&mut self, bytes: &[u8]) {
+        if bytes.len() <= 16 {
+            return self.add_bytes(bytes);
+        }
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        self.add(bytes.len() as u64);
+        self.add(word(0));
+        self.add(word(bytes.len() - 8));
     }
 
     /// Fold the high bits, where the multiply leaves its entropy, into the
@@ -1197,9 +1213,13 @@ mod tests {
     /// Interning's exact match is encoding equality (children by id, read
     /// through an injective id → digest map), and equal encodings always
     /// share an intern key. Seeded histories rarely meet an intern-key
-    /// collision, so the comparison is checked here directly.
+    /// collision, so the comparison is checked here directly, values that
+    /// differ only past the sampled bytes included.
     #[test]
     fn same_encoding_is_encoding_equality() {
+        // 40 bytes each, equal in their first and last eight.
+        let middle = |fill: u8| [&[7; 8][..], &[fill; 24], &[9; 8]].concat();
+        let (middle_a, middle_b) = (middle(1), middle(2));
         let leaf = |path: &[u8], value: &[u8]| Node::leaf(path, &Value::new(value));
         let branch = |slots: &[(u8, NodeId)], value: Option<&[u8]>| {
             let mut children = Children::default();
@@ -1235,6 +1255,10 @@ mod tests {
             branch(&[(3, 7)], Some(b"v")),
             branch(&[(3, 8)], None),
             branch(&[(3, 7), (4, 7)], None),
+            leaf(&[1, 2], &middle_a),
+            leaf(&[1, 2], &middle_b),
+            branch(&[(3, 7)], Some(&middle_a)),
+            branch(&[(3, 7)], Some(&middle_b)),
         ];
         let encode = |node: &Node| {
             let mut out = Vec::new();
@@ -1249,6 +1273,21 @@ mod tests {
                 }
             }
         }
+        // The sampled key cannot tell the middles apart; the exact match can.
+        for pair in nodes[nodes.len() - 4..].chunks(2) {
+            assert_eq!(pair[0].intern_key(), pair[1].intern_key());
+            assert!(!pair[0].same_encoding(&pair[1]));
+        }
+        // So one path overwritten with the other value stores both leaves.
+        let mut t = MerklePatriciaTrie::new();
+        let key = Key::from_str("k");
+        t.insert(&key, &Value::new(&middle_a));
+        t.insert(&key, &Value::new(&middle_b));
+        let leaves = (0..t.stored_node_count())
+            .filter(|&id| matches!(t.node(id as NodeId), Node::Leaf { .. }))
+            .count();
+        assert_eq!(leaves, 2);
+        assert_eq!(t.get(&key), Some(Value::new(&middle_b)));
     }
 
     #[test]

@@ -31,6 +31,17 @@ pub trait KvEngine: StorageFootprint {
     /// Insert or overwrite `key` with `value`.
     fn put(&mut self, key: Key, value: Value);
 
+    /// Write `records` in order, leaving exactly the state the same
+    /// [`put`](Self::put)s would. The default is that loop; an engine whose
+    /// loaded state does not depend on the order of its internal steps may
+    /// build it in one pass instead (the LSM tree does, the B+ tree's node
+    /// layout depends on the order of its splits).
+    fn load(&mut self, records: &[(Key, Value)]) {
+        for (key, value) in records {
+            self.put(key.clone(), value.clone());
+        }
+    }
+
     /// Read the current value of `key`, if any.
     fn get(&self, key: &Key) -> Option<Value>;
 
@@ -70,6 +81,42 @@ pub fn new_engine(kind: EngineKind) -> Box<dyn KvEngine> {
 #[cfg(test)]
 pub mod conformance {
     use super::*;
+    use dichotomy_common::rng::{Rng, SliceRandom, StdRng};
+
+    /// Up to 200 records a bulk load must reproduce, in one of five key
+    /// orders picked by `case`: ascending, descending, Smallbank's
+    /// interleaved checking and savings keys, with repeats, shuffled. Every
+    /// value is unique (its record's index, zero-padded); in half the cases
+    /// all have one length, so a memtable budget can land exactly on a
+    /// record boundary.
+    pub fn bulk_records(case: u64, rng: &mut StdRng) -> Vec<(Key, Value)> {
+        let n = rng.gen_range(0..=200u64);
+        let key = |i: u64| Key::from_str(&format!("key{i:05}"));
+        let keys: Vec<Key> = match case % 5 {
+            0 => (0..n).map(key).collect(),
+            1 => (0..n).rev().map(key).collect(),
+            2 => (0..n)
+                .map(|i| {
+                    let account = if i % 2 == 0 { "chk" } else { "sav" };
+                    Key::from_str(&format!("{account}:{:09}", i / 2))
+                })
+                .collect(),
+            3 => (0..n).map(|_| key(rng.gen_range(0..=n / 2))).collect(),
+            _ => {
+                let mut keys: Vec<Key> = (0..n).map(key).collect();
+                keys.shuffle(rng);
+                keys
+            }
+        };
+        let fixed = rng.gen_bool(0.5).then(|| rng.gen_range(3..=300usize));
+        keys.into_iter()
+            .enumerate()
+            .map(|(i, k)| {
+                let len = fixed.unwrap_or_else(|| rng.gen_range(3..=300));
+                (k, Value::new(format!("{i:0>len$}")))
+            })
+            .collect()
+    }
 
     /// Basic put/get/delete/scan behaviour every engine must satisfy.
     pub fn check_basic(engine: &mut dyn KvEngine) {

@@ -7,6 +7,13 @@
 //! the **MVCC versioned store** that the concurrency-control substrate
 //! (`dichotomy-txn`) and the Fabric, TiDB and sharded models execute against.
 //!
+//! A model's untimed preload goes through [`KvEngine::load`] and
+//! [`MvccStore::load`]. Each leaves exactly the state its per-record writes
+//! would, and builds it in one sorted pass where that state is fully
+//! determined by the records: an empty LSM tree given pairwise distinct keys,
+//! an MVCC store with no versions of its own. The B+ tree keeps the
+//! per-record loop, since its node layout depends on the order of its splits.
+//!
 //! All engines are in-memory models of their on-disk counterparts: the byte
 //! accounting (`StorageFootprint`) is faithful to the structures' layouts so
 //! that Figure 12's storage measurements can be regenerated, while access

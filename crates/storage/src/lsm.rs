@@ -163,11 +163,12 @@ impl LsmTree {
         }
         let added = key.len() + slot.bytes();
         if let Some(old) = self.memtable.insert(key, slot) {
+            // Only the replaced slot's bytes come off: the key's bytes were
+            // counted when it first entered the memtable and are added again
+            // below, so every overwrite of a memtable key brings the flush
+            // that much closer. Subtracting them would move flush points,
+            // and with them the seeded output.
             self.memtable_bytes = self.memtable_bytes.saturating_sub(old.bytes());
-            // The key bytes were already counted for the replaced entry; the
-            // simplest consistent accounting removes and re-adds them.
-        } else {
-            // New memtable entry: nothing to subtract.
         }
         self.memtable_bytes += added;
         if self.memtable_bytes >= self.config.memtable_budget_bytes {
@@ -182,12 +183,53 @@ impl LsmTree {
         }
         // The memtable's entries move into the run: nothing is cloned.
         let entries = std::mem::take(&mut self.memtable).into_iter().collect();
-        self.runs.push(Arc::new(Run { entries }));
         self.memtable_bytes = 0;
+        self.push_run(entries);
+    }
+
+    /// Append a flushed run of sorted `entries`, compacting when that makes
+    /// too many.
+    fn push_run(&mut self, entries: Vec<(Key, Slot)>) {
+        self.runs.push(Arc::new(Run { entries }));
         self.flushes += 1;
         if self.runs.len() > self.config.max_runs {
             self.compact();
         }
+    }
+
+    /// `records` cut where [`write_slot`](Self::write_slot) would flush them
+    /// into an empty tree, each chunk sorted by key: every chunk but the last
+    /// is a run, the last is the memtable. `None` when two records share a
+    /// key, since an overwrite's accounting belongs to `write_slot`.
+    fn sorted_chunks(&self, records: &[(Key, Value)]) -> Option<Vec<Vec<(Key, Slot)>>> {
+        let mut chunks = vec![Vec::new()];
+        let mut bytes = 0;
+        for (key, value) in records {
+            bytes += key.len() + value.len();
+            let chunk = chunks.last_mut().expect("chunks starts non-empty");
+            chunk.push((key.clone(), Slot::Live(value.clone())));
+            if bytes >= self.config.memtable_budget_bytes {
+                chunks.push(Vec::new());
+                bytes = 0;
+            }
+        }
+        for chunk in &mut chunks {
+            chunk.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        }
+        for (i, chunk) in chunks.iter().enumerate() {
+            if chunk.windows(2).any(|pair| pair[0].0 == pair[1].0) {
+                return None;
+            }
+            let in_earlier = |key: &Key| {
+                chunks[..i]
+                    .iter()
+                    .any(|earlier| earlier.binary_search_by(|(k, _)| k.cmp(key)).is_ok())
+            };
+            if chunk.iter().any(|(key, _)| in_earlier(key)) {
+                return None;
+            }
+        }
+        Some(chunks)
     }
 
     /// Merge all runs into one, dropping shadowed versions and tombstones.
@@ -233,6 +275,26 @@ impl StorageFootprint for LsmTree {
 impl KvEngine for LsmTree {
     fn put(&mut self, key: Key, value: Value) {
         self.write_slot(key, Slot::Live(value));
+    }
+
+    /// On an empty tree and pairwise distinct keys, the runs, memtable and
+    /// counters the `put` loop would leave are built directly from sorted
+    /// chunks; anything else runs the loop.
+    fn load(&mut self, records: &[(Key, Value)]) {
+        let empty = self.memtable.is_empty() && self.runs.is_empty();
+        let Some(mut chunks) = empty.then(|| self.sorted_chunks(records)).flatten() else {
+            for (key, value) in records {
+                self.put(key.clone(), value.clone());
+            }
+            return;
+        };
+        let memtable = chunks.pop().expect("the last chunk is the memtable");
+        for entries in chunks {
+            self.push_run(entries);
+        }
+        self.memtable_bytes = memtable.iter().map(|(k, s)| k.len() + s.bytes()).sum();
+        self.memtable = memtable.into_iter().collect();
+        self.live_count += records.len();
     }
 
     fn get(&self, key: &Key) -> Option<Value> {
@@ -300,6 +362,7 @@ impl KvEngine for LsmTree {
 mod tests {
     use super::*;
     use crate::engine::conformance;
+    use dichotomy_common::rng::{derive_seed, seeded, Rng};
 
     fn tiny() -> LsmTree {
         LsmTree::with_config(LsmConfig {
@@ -439,5 +502,80 @@ mod tests {
         let out = t.scan(&Key::from_str("a"), &Key::from_str("z"));
         assert_eq!(out.len(), 3);
         assert_eq!(out[1].1.len(), 8, "memtable version must win");
+    }
+
+    /// Everything a reader or the footprint can see of `a` and `b` must match.
+    fn assert_same_tree(a: &LsmTree, b: &LsmTree, keys: &[Key], what: &str) {
+        assert_eq!(a.footprint(), b.footprint(), "{what}: footprint");
+        assert_eq!(a.run_count(), b.run_count(), "{what}: run_count");
+        assert_eq!(a.flushes(), b.flushes(), "{what}: flushes");
+        assert_eq!(a.compactions(), b.compactions(), "{what}: compactions");
+        assert_eq!(a.len(), b.len(), "{what}: len");
+        let (lo, hi) = (Key::from_str(""), Key::from_str("~"));
+        assert_eq!(a.scan(&lo, &hi), b.scan(&lo, &hi), "{what}: scan");
+        for key in keys.iter().chain([&Key::from_str("missing")]) {
+            let amplification = |t: &LsmTree| t.read_amplification(key);
+            assert_eq!(amplification(a), amplification(b), "{what}: {key:?}");
+        }
+    }
+
+    /// `load` against the `put` loop it stands for, over every input shape,
+    /// budgets from 64 B to 4 KB (half of them a whole number of equal-sized
+    /// records) and `max_runs` 1 to 4, so runs flush and compact inside the
+    /// bulk path; every seventh case loads into a non-empty tree.
+    #[test]
+    fn load_leaves_the_state_of_the_put_loop() {
+        let mut compacted_in_load = 0;
+        for case in 0..200u64 {
+            let seed = derive_seed(0x15A, &case.to_string());
+            let rng = &mut seeded(seed);
+            let records = conformance::bulk_records(case, rng);
+            let record_bytes = records.first().map(|(k, v)| k.len() + v.len());
+            let budget = match record_bytes {
+                Some(size) if rng.gen_bool(0.5) => {
+                    size * rng.gen_range(64usize.div_ceil(size)..=4096 / size)
+                }
+                _ => rng.gen_range(64..=4096),
+            };
+            let mut bulk = LsmTree::with_config(LsmConfig {
+                memtable_budget_bytes: budget,
+                max_runs: rng.gen_range(1..=4),
+            });
+            if case % 7 == 0 {
+                for i in 0..5 {
+                    bulk.put(
+                        Key::from_str(&format!("key{:05}", i * 3)),
+                        Value::filler(40),
+                    );
+                }
+            }
+            let mut looped = bulk.clone();
+            bulk.load(&records);
+            for (key, value) in &records {
+                looped.put(key.clone(), value.clone());
+            }
+            // Neither a non-empty tree nor a repeated key takes the bulk path.
+            if bulk.compactions() > 0 && case % 7 != 0 && case % 5 != 3 {
+                compacted_in_load += 1;
+            }
+            let mut keys: Vec<Key> = records.iter().map(|(k, _)| k.clone()).collect();
+            assert_same_tree(&bulk, &looped, &keys, &format!("seed {seed}, loaded"));
+            for _ in 0..50 {
+                let key = Key::from_str(&format!("key{:05}", rng.gen_range(0..300u32)));
+                if rng.gen_ratio(1, 4) {
+                    assert_eq!(bulk.delete(&key), looped.delete(&key), "seed {seed}");
+                } else {
+                    let value = Value::filler(rng.gen_range(1..=300));
+                    bulk.put(key.clone(), value.clone());
+                    looped.put(key.clone(), value);
+                }
+                keys.push(key);
+            }
+            assert_same_tree(&bulk, &looped, &keys, &format!("seed {seed}, written"));
+        }
+        assert!(
+            compacted_in_load > 0,
+            "no case compacted inside the bulk path"
+        );
     }
 }

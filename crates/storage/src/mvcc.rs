@@ -137,6 +137,39 @@ impl MvccStore {
             .push(VersionedValue { version, value });
     }
 
+    /// Commit every record's value at `version`, leaving exactly the state
+    /// the same [`commit_write`](Self::commit_write)s in order would: a key
+    /// that appears more than once gets one version per appearance, all
+    /// numbered `version`, in input order. A fork's commits never touch its
+    /// frozen base, so a store with no versions of its own (a new one, or a
+    /// fork that has committed nothing since the freeze) builds them in one
+    /// sorted pass; any other store runs the `commit_write` loop.
+    pub fn load(&mut self, version: Version, records: &[(Key, Value)]) {
+        if !self.data.is_empty() {
+            for (key, value) in records {
+                self.commit_write(key.clone(), version, Some(value.clone()));
+            }
+            return;
+        }
+        if !records.is_empty() {
+            self.latest_version = self.latest_version.max(version);
+        }
+        let mut sorted: Vec<&(Key, Value)> = records.iter().collect();
+        // Stable: equal keys keep their input order.
+        sorted.sort_by(|(a, _), (b, _)| a.cmp(b));
+        let history = |same_key: &[&(Key, Value)]| {
+            let versions = same_key.iter().map(|(_, value)| VersionedValue {
+                version,
+                value: Some(value.clone()),
+            });
+            (same_key[0].0.clone(), versions.collect())
+        };
+        self.data = sorted
+            .chunk_by(|(a, _), (b, _)| a == b)
+            .map(history)
+            .collect();
+    }
+
     /// The latest committed version number of `key`, if the key has ever been
     /// written (deletions still count as versions — Fabric's validation
     /// treats a deleted key's version as its latest write).
@@ -229,6 +262,8 @@ impl StorageFootprint for MvccStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::conformance;
+    use dichotomy_common::rng::{derive_seed, seeded, Rng};
 
     fn k(s: &str) -> Key {
         Key::from_str(s)
@@ -370,5 +405,68 @@ mod tests {
         let b = s.begin_commit();
         assert!(b > a);
         assert_eq!(s.latest_version(), b);
+    }
+
+    /// Everything a reader or the footprint can see of `a` and `b` must match.
+    fn assert_same_store(a: &MvccStore, b: &MvccStore, keys: &[Key], what: &str) {
+        assert_eq!(a.footprint(), b.footprint(), "{what}: footprint");
+        assert_eq!(a.key_count(), b.key_count(), "{what}: key_count");
+        assert_eq!(
+            a.version_count(),
+            b.version_count(),
+            "{what}: version_count"
+        );
+        assert_eq!(
+            a.latest_version(),
+            b.latest_version(),
+            "{what}: latest_version"
+        );
+        for key in keys.iter().chain([&k("missing")]) {
+            let latest = |s: &MvccStore| (s.get_latest(key), s.latest_key_version(key));
+            assert_eq!(latest(a), latest(b), "{what}: {key:?}");
+        }
+    }
+
+    /// `load` against the `commit_write` loop it stands for, over every
+    /// input shape (repeated keys included); every third case loads into a
+    /// store that already holds commits of its own, every third into a fork
+    /// whose commits all sit in the frozen base.
+    #[test]
+    fn load_leaves_the_state_of_the_commit_loop() {
+        for case in 0..200u64 {
+            let seed = derive_seed(0x3CC, &case.to_string());
+            let rng = &mut seeded(seed);
+            let records = conformance::bulk_records(case, rng);
+            let mut bulk = MvccStore::new();
+            if case % 3 != 0 {
+                let v = bulk.begin_commit();
+                for i in 0..5 {
+                    bulk.commit_write(k(&format!("key{:05}", i * 3)), v, Some(Value::filler(40)));
+                }
+            }
+            if case % 3 == 2 {
+                bulk.freeze();
+                bulk = bulk.clone();
+            }
+            let mut looped = bulk.clone();
+            let version = bulk.begin_commit();
+            bulk.load(version, &records);
+            assert_eq!(looped.begin_commit(), version);
+            for (key, value) in &records {
+                looped.commit_write(key.clone(), version, Some(value.clone()));
+            }
+            let mut keys: Vec<Key> = records.iter().map(|(k, _)| k.clone()).collect();
+            assert_same_store(&bulk, &looped, &keys, &format!("seed {seed}, loaded"));
+            for _ in 0..50 {
+                let key = k(&format!("key{:05}", rng.gen_range(0..300u32)));
+                let value = (!rng.gen_ratio(1, 4)).then(|| Value::filler(rng.gen_range(1..=300)));
+                for store in [&mut bulk, &mut looped] {
+                    let v = store.begin_commit();
+                    store.commit_write(key.clone(), v, value.clone());
+                }
+                keys.push(key);
+            }
+            assert_same_store(&bulk, &looped, &keys, &format!("seed {seed}, written"));
+        }
     }
 }

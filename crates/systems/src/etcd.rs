@@ -144,9 +144,7 @@ impl<E: KvEngine + Clone + 'static> TransactionalSystem for KvSystem<E> {
     }
 
     fn load(&mut self, records: &[(Key, Value)]) {
-        for (k, v) in records {
-            self.store.put(k.clone(), v.clone());
-        }
+        self.store.load(records);
     }
 
     /// The loaded engine itself is the snapshot: adopters clone it.

@@ -12,7 +12,7 @@
 use dichotomy_common::size::StorageBreakdown;
 use dichotomy_common::{ClientId, Key, Timestamp, Transaction, TxnReceipt, Value};
 use dichotomy_simnet::{SimEngine, StageEvent};
-use dichotomy_storage::{LsmTree, MvccStore};
+use dichotomy_storage::{KvEngine, LsmTree, MvccStore};
 
 /// Leader re-election pause (µs) every model charges after a crashed
 /// primary or shard leader heals, before the role serves again.
@@ -253,6 +253,14 @@ pub(crate) struct VersionedKvState {
 }
 
 impl VersionedKvState {
+    /// Bulk-load `records` into a model's pair: all of them committed to
+    /// `state` under one new version, and written to `db`.
+    pub(crate) fn load(state: &mut MvccStore, db: &mut LsmTree, records: &[(Key, Value)]) {
+        let version = state.begin_commit();
+        state.load(version, records);
+        db.load(records);
+    }
+
     /// Freeze `state` and fork both stores.
     pub(crate) fn capture(state: &mut MvccStore, db: &LsmTree) -> Self {
         state.freeze();
@@ -291,7 +299,10 @@ pub trait TransactionalSystem {
     /// Which system this is.
     fn kind(&self) -> SystemKind;
 
-    /// Bulk-load the initial records (not timed).
+    /// Bulk-load the initial records (not timed). Models hand each storage
+    /// substrate the whole slice ([`KvEngine::load`], [`MvccStore::load`]),
+    /// which builds what it can in one sorted pass; the MPT and the bucket
+    /// tree take the records one at a time.
     ///
     /// **Contract:** the state `load` leaves behind may depend only on
     /// `records` and on the fields of the building spec that

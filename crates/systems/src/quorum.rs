@@ -233,8 +233,8 @@ impl TransactionalSystem for Quorum {
     fn load(&mut self, records: &[(Key, Value)]) {
         for (k, v) in records {
             self.state_trie.insert(k, v);
-            self.state_db.put(k.clone(), v.clone());
         }
+        self.state_db.load(records);
     }
 
     fn share_state(&mut self) -> Option<SharedState> {

@@ -149,11 +149,7 @@ impl ShardedDb {
     }
 
     fn load(&mut self, records: &[(Key, Value)]) {
-        let version = self.state.begin_commit();
-        for (k, v) in records {
-            self.state.commit_write(k.clone(), version, Some(v.clone()));
-            self.engine_db.put(k.clone(), v.clone());
-        }
+        VersionedKvState::load(&mut self.state, &mut self.engine_db, records);
     }
 
     fn capture(&mut self) -> VersionedKvState {

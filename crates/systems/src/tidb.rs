@@ -301,11 +301,7 @@ impl TransactionalSystem for TiDb {
     }
 
     fn load(&mut self, records: &[(Key, Value)]) {
-        let version = self.state.begin_commit();
-        for (k, v) in records {
-            self.state.commit_write(k.clone(), version, Some(v.clone()));
-            self.engine_db.put(k.clone(), v.clone());
-        }
+        VersionedKvState::load(&mut self.state, &mut self.engine_db, records);
     }
 
     fn share_state(&mut self) -> Option<SharedState> {

@@ -56,11 +56,12 @@ if ! grep -qE 'test result: ok\. [1-9]' /tmp/ci_ledger.out; then
     exit 1
 fi
 
-echo "==> cargo test --release -p dichotomy-merkle (node interning, digest memo, differential oracle)"
+echo "==> cargo test --release -p dichotomy-merkle -p dichotomy-storage (node interning, differential oracles, bulk loads)"
 # Node interning, the digest memo forks share and both differential oracles
 # (the SHA-keyed MPT reference, the eager MBT rebuild) run here as they ship,
-# not only in the debug build above.
-cargo test -q --release -p dichotomy-merkle
+# not only in the debug build above; so do the storage crate's differential
+# loops of each bulk load against the per-record writes it stands for.
+cargo test -q --release -p dichotomy-merkle -p dichotomy-storage
 
 echo "==> clippy.toml negative check (a throwaway crate outside the checkout)"
 # The determinism rules must be *able* to fail: a crate that returns a
@@ -309,6 +310,9 @@ grep -q "value_clone_1kb" /tmp/ci_microbench.out
 grep -q "ycsb_next_txn_1kb" /tmp/ci_microbench.out
 grep -q "ycsb_sign_1kb" /tmp/ci_microbench.out
 grep -q "lsm_flush_4mb" /tmp/ci_microbench.out
+# A model's preload into each storage substrate, built in one sorted pass.
+grep -q "lsm_load_5k_1kb" /tmp/ci_microbench.out
+grep -q "mvcc_load_5k_1kb" /tmp/ci_microbench.out
 # Fabric's OCC lifecycle (simulate, then validate and commit) through the
 # free functions of `txn::occ`.
 grep -q "occ_simulate_validate_commit" /tmp/ci_microbench.out
