@@ -16,6 +16,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
+pub mod claims;
 pub mod json;
 
 use dichotomy_core::driver::ArrivalSpec;
@@ -211,17 +212,6 @@ pub fn run_report_with(
     plan_for(id, opts).map(|plan| run_plan_with(&plan, &SystemRegistry::with_builtins(), exec))
 }
 
-/// Run one experiment by id and return its printable report. `quick` scales
-/// the transaction counts down for smoke runs.
-pub fn run_experiment(id: &str, quick: bool) -> Option<String> {
-    let opts = if quick {
-        RunOptions::quick()
-    } else {
-        RunOptions::default()
-    };
-    run_report(id, &opts).map(|report| report.render())
-}
-
 /// Whether any driving probe of the plan carries a non-empty fault schedule
 /// (the `repro --list` `[faults]` marker).
 pub fn plan_has_faults(plan: &ExperimentPlan) -> bool {
@@ -248,19 +238,6 @@ pub fn list_experiments() -> Vec<(&'static str, &'static str, &'static str, bool
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_listed_experiment_runs_in_quick_mode() {
-        // The heavyweight sweeps are exercised by the bin and by
-        // dichotomy-core's tests; here we check the dispatch table for the
-        // cheap ones so `cargo test` stays fast.
-        for id in ["fig13", "fig15", "tab02"] {
-            let out = run_experiment(id, true).expect("known experiment");
-            assert!(!out.is_empty());
-        }
-        assert!(run_experiment("nope", true).is_none());
-        assert_eq!(EXPERIMENTS.len(), 20);
-    }
 
     #[test]
     fn repro_all_contains_duplicate_probes_the_engine_dedups() {
@@ -295,33 +272,6 @@ mod tests {
             distinct.len()
         );
         assert!(total > 0 && !distinct.is_empty());
-    }
-
-    #[test]
-    fn scale01_quick_run_shows_the_littles_law_knee() {
-        // The miniature ladder (8 / 64 / 2000 clients at one-second think
-        // times): the unsaturated rows track Little's law — tps scales with
-        // the population — and the top row saturates, so throughput stops
-        // scaling linearly while latency inflects upward.
-        let report = run_report("scale01", &RunOptions::quick()).unwrap();
-        assert_eq!(report.rows.len(), 3);
-        assert!(report.failures.is_empty());
-        let tps: Vec<f64> = [8u64, 64, 2_000]
-            .iter()
-            .map(|c| report.value(&format!("{c} clients"), "tps").unwrap())
-            .collect();
-        assert!(
-            tps[1] > tps[0] * 4.0,
-            "unsaturated rows scale with clients: {tps:?}"
-        );
-        assert!(
-            tps[2] > tps[1],
-            "the top row still adds throughput: {tps:?}"
-        );
-        assert!(
-            tps[2] < tps[1] * (2_000.0 / 64.0) * 0.8,
-            "the top row is past the knee, well off linear scaling: {tps:?}"
-        );
     }
 
     #[test]

@@ -1,31 +1,10 @@
-//! Smoke coverage of the full experiment dispatch table: every id in
-//! `EXPERIMENTS` must produce a non-empty report in quick mode (the quick
-//! path scales the heavyweight sweeps down), seeded runs must be bit-for-bit
-//! reproducible, and the `--json` document must be valid JSON covering every
-//! experiment.
+//! Smoke coverage of the harness around the dispatch table: a seeded run is
+//! bit-for-bit reproducible at any worker count, unknown ids are refused, and
+//! the `--json` document is valid JSON. (`tests/claims.rs` runs every
+//! experiment in quick mode.)
 
-use dichotomy_bench::{json, run_experiment, run_report, run_report_with, RunOptions, EXPERIMENTS};
+use dichotomy_bench::{json, plan_for, run_report, run_report_with, RunOptions};
 use dichotomy_core::scenario::ExecOptions;
-
-#[test]
-fn every_experiment_produces_a_nonempty_quick_report() {
-    for id in EXPERIMENTS {
-        let out = run_experiment(id, true)
-            .unwrap_or_else(|| panic!("experiment '{id}' missing from the dispatch table"));
-        assert!(
-            !out.trim().is_empty(),
-            "experiment '{id}' produced an empty report"
-        );
-    }
-}
-
-#[test]
-fn quick_reports_are_reproducible() {
-    // Everything is seeded; two runs of the same experiment must agree
-    // byte for byte. One cheap simulation-backed id suffices here — the full
-    // table is covered above and a repro invocation is checked in CI.
-    assert_eq!(run_experiment("tab05", true), run_experiment("tab05", true));
-}
 
 #[test]
 fn seeded_reports_differ_across_seeds_but_not_within_one() {
@@ -45,7 +24,7 @@ fn seeded_reports_differ_across_seeds_but_not_within_one() {
 
 #[test]
 fn unknown_ids_are_rejected() {
-    assert!(run_experiment("fig99", true).is_none());
+    assert!(plan_for("fig99", &RunOptions::quick()).is_none());
 }
 
 #[test]

@@ -1,35 +1,14 @@
 //! Cross-crate integration tests: the substrates composed exactly the way the
 //! system models compose them, checked end to end.
 
-use dichotomy_core::common::rng::DEFAULT_SEED;
 use dichotomy_core::common::{ClientId, Key, Operation, Transaction, TxnId, Value};
 use dichotomy_core::driver::{run_workload, DriverConfig};
-use dichotomy_core::experiments;
-use dichotomy_core::run_plan;
 use dichotomy_core::systems::{
     drive_arrivals, Fabric, Quorum, SystemKind, SystemSpec, TiDb, TransactionalSystem,
 };
 use dichotomy_core::workload::{
     SmallbankConfig, SmallbankWorkload, Workload, YcsbConfig, YcsbMix, YcsbWorkload,
 };
-
-/// The headline result (Figure 4's ordering) holds end to end through the
-/// driver: databases beat blockchains on YCSB updates, and everything beats
-/// Quorum's order-execute pipeline.
-#[test]
-fn figure4_ordering_holds_through_the_public_api() {
-    let report = run_plan(&experiments::fig04_plan(300, DEFAULT_SEED));
-    let quorum = report.value("Quorum", "update_tps").unwrap();
-    let fabric = report.value("Fabric", "update_tps").unwrap();
-    let tidb = report.value("TiDB", "update_tps").unwrap();
-    let etcd = report.value("etcd", "update_tps").unwrap();
-    let tikv = report.value("TiKV", "update_tps").unwrap();
-    assert!(
-        quorum < fabric && fabric < tidb && tidb < etcd,
-        "{quorum} {fabric} {tidb} {etcd}"
-    );
-    assert!(tikv > tidb);
-}
 
 /// Running Smallbank through Fabric leaves a verifiable ledger behind: the
 /// hash chain checks out and recorded transaction counts match the receipts.
@@ -123,25 +102,4 @@ fn different_systems_reach_the_same_final_state_without_conflicts() {
             t.reads[0].1.as_ref().map(Value::len)
         );
     }
-}
-
-/// The storage experiments are consistent with each other: the ledger makes
-/// Fabric's per-record footprint strictly larger than TiDB's, and the MPT
-/// makes Quorum's state index strictly larger than Fabric's.
-#[test]
-fn storage_hierarchy_is_consistent_across_experiments() {
-    let report = run_plan(&experiments::fig12_plan(500, &[1000], DEFAULT_SEED));
-    let fabric_state = report.value("1000 B", "Fabric_state_B/rec").unwrap();
-    let fabric_block = report.value("1000 B", "Fabric_block_B/rec").unwrap();
-    let tidb = report.value("1000 B", "TiDB_B/rec").unwrap();
-    assert!(fabric_block > 1000.0, "blocks store the full envelopes");
-    assert!(
-        fabric_state + fabric_block > tidb,
-        "ledger overhead dominates"
-    );
-
-    let adr = run_plan(&experiments::fig13_plan(1_000, &[1000]));
-    let mbt = adr.value("1000 B", "MBT_B/rec").unwrap();
-    let mpt = adr.value("1000 B", "MPT_B/rec").unwrap();
-    assert!(mpt > mbt, "MPT {mpt:.0} must exceed MBT {mbt:.0}");
 }

@@ -63,6 +63,18 @@ echo "==> cargo test --release -p dichotomy-merkle -p dichotomy-storage (node in
 # loops of each bulk load against the per-record writes it stands for.
 cargo test -q --release -p dichotomy-merkle -p dichotomy-storage
 
+echo "==> cargo test --release -p dichotomy-bench --test claims -- --ignored (the claims table at full size)"
+# The debug run above checks every row of crates/bench/src/claims.rs at quick
+# size; this one runs every experiment at full size and checks each row
+# against its recorded full-size status. A name filter that matches nothing
+# passes, so the stage also requires a nonzero pass count.
+cargo test -q --release -p dichotomy-bench --test claims -- --ignored \
+    > /tmp/ci_claims.out
+if ! grep -qE 'test result: ok\. [1-9]' /tmp/ci_claims.out; then
+    echo "ci.sh: the release claims stage ran no test" >&2
+    exit 1
+fi
+
 echo "==> clippy.toml negative check (a throwaway crate outside the checkout)"
 # The determinism rules must be *able* to fail: a crate that returns a
 # HashMap and reads the wall clock, linted under this checkout's clippy.toml,
@@ -148,30 +160,22 @@ test -s /tmp/ci_repro_a.json
 cmp /tmp/ci_repro_a.out /tmp/ci_repro_b.out
 cmp /tmp/ci_repro_a.json /tmp/ci_repro_b.json
 # The fault, closed-loop and ramp scenarios' windowed series must be present
-# in the JSON document, and no probe anywhere in it may clamp events or fail
-# (inverted greps: any nonzero clamp counter or nonempty failure list
-# anywhere trips the gate).
+# in the JSON document. (A clamped event or a violated oracle panics its
+# probe, and a failed probe makes repro exit nonzero, so no grep looks for
+# either.)
 grep -q '"key":"fault01"' /tmp/ci_repro_a.json
 grep -q '"key":"closed01"' /tmp/ci_repro_a.json
 grep -q '"key":"ramp01"' /tmp/ci_repro_a.json
 grep -q '"windows":\[{' /tmp/ci_repro_a.json
 grep -q '"events_clamped":' /tmp/ci_repro_a.json
 grep -q '"offered_tps":' /tmp/ci_repro_a.json
-# (`! grep` alone is exempt from `set -e`, so fail explicitly.)
-if grep -qE '"events_clamped":[1-9]' /tmp/ci_repro_a.json; then
-    echo "ci.sh: a probe clamped events (causality bug in a model)" >&2
-    exit 1
-fi
-if grep -q '"failures":\[{' /tmp/ci_repro_a.json; then
-    echo "ci.sh: a probe failed during the reproducibility run" >&2
-    exit 1
-fi
 
 echo "==> repro scale01 --quick (million-client engine path, streaming metrics)"
 # The quick variant (8 / 64 / 2000 closed-loop clients) exercises the same
-# wheel + arena + streaming-sketch path as the full 1M-client run, and must
-# show the Little's-law knee: throughput grows with the population, then
-# saturates. Seeded determinism holds in streaming mode too.
+# wheel + arena + streaming-sketch path as the full 1M-client run. It does
+# not saturate, so it shows no knee (the claims table records that; the
+# full-size stage above checks the knee). Seeded determinism holds in
+# streaming mode too.
 cargo run -p dichotomy-bench --release --bin repro -- \
     --quick --seed 7 --jobs 1 --no-cache --json /tmp/ci_scale_a.json scale01 > /tmp/ci_scale_a.out
 cargo run -p dichotomy-bench --release --bin repro -- \
@@ -179,14 +183,10 @@ cargo run -p dichotomy-bench --release --bin repro -- \
 cmp /tmp/ci_scale_a.json /tmp/ci_scale_b.json
 grep -q '"key":"scale01"' /tmp/ci_scale_a.json
 grep -q "2000 clients" /tmp/ci_scale_a.out
-if grep -q '"failures":\[{' /tmp/ci_scale_a.json; then
-    echo "ci.sh: a probe failed during the scale01 smoke run" >&2
-    exit 1
-fi
 
 echo "==> repro --metrics streaming closed01 (estimator override, --jobs 1 vs --jobs $JOBS)"
 # An Exact-mode experiment forced onto the P² estimator: seeded output must
-# not depend on the worker count, and no probe may fail.
+# not depend on the worker count.
 cargo run -p dichotomy-bench --release --bin repro -- \
     --quick --seed 7 --jobs 1 --no-cache --metrics streaming \
     --json /tmp/ci_metrics_a.json closed01 > /dev/null
@@ -194,16 +194,12 @@ cargo run -p dichotomy-bench --release --bin repro -- \
     --quick --seed 7 --jobs "$JOBS" --no-cache --metrics streaming \
     --json /tmp/ci_metrics_b.json closed01 > /dev/null
 cmp /tmp/ci_metrics_a.json /tmp/ci_metrics_b.json
-grep -qF '"failures":[]' /tmp/ci_metrics_a.json
 
 echo "==> repro chaos01 --quick (chaos grid: fault injection x invariant oracles)"
 # The full model grid through the declarative fault schedules, on the shared
 # worker pool: the seeded JSON must be byte-identical whatever the worker
-# count, every cell must pass the whole oracle battery (any non-null
-# violation string anywhere trips the gate), and the windowed series must
-# show the fault signature — a dip (offered load arriving while nothing
-# commits) followed by a recovery burst (a backlog-drain window committing
-# well above the per-window offered rate; only faulted rows have either).
+# count and carry every cell's oracle battery. (The chaos01 rows of the
+# claims table check the battery's verdicts and the dip and recovery.)
 cargo run -p dichotomy-bench --release --bin repro -- \
     --quick --seed 7 --jobs 1 --no-cache --json /tmp/ci_chaos_a.json chaos01 > /tmp/ci_chaos_a.out
 cargo run -p dichotomy-bench --release --bin repro -- \
@@ -213,18 +209,6 @@ cmp /tmp/ci_chaos_a.json /tmp/ci_chaos_b.json
 grep -q '"key":"chaos01"' /tmp/ci_chaos_a.json
 # The passing oracle battery, rendered per cell in registration order.
 grep -qF '"oracles":[{"name":"receipt-conservation","violation":null},{"name":"no-duplicate-receipt","violation":null},{"name":"commit-order-monotonic","violation":null},{"name":"no-clamped-events","violation":null}]' /tmp/ci_chaos_a.json
-# Dip: a window with arrivals but zero commits (a crashed primary's stall).
-grep -qE '"submitted":[1-9][0-9]*,"committed":0,' /tmp/ci_chaos_a.json
-# Recovery: a post-heal window committing the stalled backlog in one burst.
-grep -qE '"committed":[1-9][0-9]{2,},' /tmp/ci_chaos_a.json
-if grep -q '"violation":"' /tmp/ci_chaos_a.json; then
-    echo "ci.sh: an invariant oracle reported a violation in the chaos grid" >&2
-    exit 1
-fi
-if grep -q '"failures":\[{' /tmp/ci_chaos_a.json; then
-    echo "ci.sh: a probe failed during the chaos01 run" >&2
-    exit 1
-fi
 
 echo "==> repro --cache (cold vs warm: byte-identical JSON, >=5x wall-clock win)"
 REPRO_BIN=target/release/repro
