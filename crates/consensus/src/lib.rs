@@ -1,33 +1,25 @@
 //! Consensus and ordering substrates (the replication dimension, Section 3.1).
 //!
-//! Implemented from scratch and driven over the `dichotomy-simnet` network
-//! model:
+//! Replication costs are closed-form only: each protocol's cost is a formula
+//! over its message pattern, the network configuration and the CPU cost
+//! model, with no message-level simulation beside it.
 //!
-//! * [`raft`] — the CFT protocol used by Quorum (default), TiKV, etcd and
-//!   Fabric's ordering service: leader election, log replication, commit.
-//! * [`pbft`] — the three-phase BFT family (PBFT and its blockchain-tuned
-//!   IBFT variant used by Quorum): O(N²) message complexity, 2f+1 quorums out
-//!   of 3f+1 replicas, view change.
+//! * [`profile`] — a [`profile::ReplicationProfile`] (commit latency, leader
+//!   occupancy) per protocol: Raft (the CFT protocol of Quorum's default,
+//!   TiKV and etcd), the three-phase BFT family (PBFT, IBFT, Tendermint:
+//!   2f+1 quorums of 3f+1 replicas, with the quorum's signature
+//!   verifications charged per phase), the shared log, primary-backup and
+//!   proof-of-work (commit latency set by the mean block interval). The
+//!   system models in `dichotomy-systems` plug these into their transaction
+//!   pipelines.
 //! * [`sharedlog`] — a Kafka-like shared-log ordering service (Fabric's
 //!   external orderer, Veritas, ChainifyDB, BRD): the append-latency
 //!   arithmetic, booking broker ingest on an engine process the caller
 //!   registers.
-//! * [`profile`] — runs message-level rounds of each protocol over the
-//!   network model and distills a [`profile::ReplicationProfile`] (commit
-//!   latency, leader occupancy) that the system models
-//!   in `dichotomy-systems` plug into their transaction pipelines.
-//!   Proof-of-work has no message-level implementation: it is the
-//!   closed-form [`ProtocolKind::ProofOfWork`] profile, whose commit latency
-//!   is set by the mean block interval.
-//!
-//! The protocol implementations are deterministic state machines; all
-//! nondeterminism (timeouts, network jitter) comes from the seeded simulator.
 
 #![forbid(unsafe_code)]
 
-pub mod pbft;
 pub mod profile;
-pub mod raft;
 pub mod sharedlog;
 
 pub use profile::{FailureModel, ProtocolKind, ReplicationProfile};

@@ -294,19 +294,21 @@ pub fn fig06_plan(txns: u64, seed: u64) -> ExperimentPlan {
 
 /// Figure 7 plan: Quorum throughput with Raft (CFT) vs IBFT (BFT) as the
 /// number of tolerated failures grows. The node count per row follows the
-/// failure model: 2f+1 for Raft, 3f+1 for IBFT.
+/// failure model ([`ProtocolKind::replicas_for`]): 2f+1 for Raft, 3f+1 for
+/// IBFT.
 pub fn fig07_plan(txns: u64, seed: u64) -> ExperimentPlan {
     let rows = (1..=4usize)
         .map(|f| PlannedRow {
             label: format!("f={f}"),
             runs: [
-                ("raft_tps", ProtocolKind::Raft, 2 * f + 1),
-                ("ibft_tps", ProtocolKind::Ibft, 3 * f + 1),
+                ("raft_tps", ProtocolKind::Raft),
+                ("ibft_tps", ProtocolKind::Ibft),
             ]
             .into_iter()
-            .map(|(name, protocol, nodes)| {
+            .map(|(name, protocol)| {
                 drive(
-                    bench_spec(SystemKind::Quorum, nodes).with_consensus(protocol),
+                    bench_spec(SystemKind::Quorum, protocol.replicas_for(f))
+                        .with_consensus(protocol),
                     ycsb(YcsbMix::UpdateOnly, 1000, 0.0, 1),
                     DriverConfig::saturating(txns),
                     vec![col(name, Metric::ThroughputTps)],

@@ -8,8 +8,7 @@
 //!
 //! The engine is generic over the event payload `E`; a domain layer picks a
 //! concrete event vocabulary (the system models use `SysEvent` from
-//! `dichotomy-systems`, the consensus clusters their own message enums) and
-//! drives the loop:
+//! `dichotomy-systems`) and drives the loop:
 //!
 //! ```
 //! use dichotomy_simnet::engine::SimEngine;
@@ -143,11 +142,6 @@ impl<E> SimEngine<E> {
     /// Events that were scheduled in the past and clamped to `now()`.
     pub fn clamped(&self) -> u64 {
         self.queue.clamped()
-    }
-
-    /// Advance the clock directly (never backwards).
-    pub fn advance_to(&mut self, t: Timestamp) {
-        self.queue.advance_to(t);
     }
 
     // --- service processes -------------------------------------------------

@@ -222,12 +222,6 @@ impl<E> EventQueue<E> {
                 .min()
         }
     }
-
-    /// Advance the clock directly (used by drivers that mix event-driven and
-    /// batch processing). Never moves backwards.
-    pub fn advance_to(&mut self, t: Timestamp) {
-        self.now = self.now.max(t);
-    }
 }
 
 #[cfg(test)]
@@ -309,14 +303,6 @@ mod tests {
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec![1, 2, 3]);
         assert_eq!(q.clamped(), 2);
-    }
-
-    #[test]
-    fn advance_to_never_goes_backwards() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        q.advance_to(500);
-        q.advance_to(100);
-        assert_eq!(q.now(), 500);
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //! coordinator failovers and epoch reconfigurations.
 //!
 //! The replication dimension of the taxonomy (Section 3.1.3) is about which
-//! failures a protocol tolerates. A plan holds crash faults only: the Raft
-//! cluster is exercised under crashes and partitions, while PBFT's Byzantine
-//! replicas are chosen on the cluster itself (`PbftCluster::make_byzantine`
-//! in `dichotomy-consensus`), not read from a plan.
+//! failures a protocol tolerates. A plan holds crash faults and partitions
+//! only; Byzantine tolerance enters the models through the closed-form BFT
+//! replication profiles in `dichotomy-consensus`, not through a plan.
 //!
 //! A [`FaultPlan`] is a declarative *fault algebra* consumed by every system
 //! model. The addressing convention is role-based: `NodeId(0)` is the
@@ -179,11 +178,6 @@ impl FaultPlan {
         self
     }
 
-    /// Whether `node` is crashed at `t`.
-    pub fn is_crashed(&self, node: NodeId, t: Timestamp) -> bool {
-        self.faults.iter().any(|f| f.node == node && f.active_at(t))
-    }
-
     /// If `node` is crashed at `t`, when the crash heals: `Some(Some(u))`
     /// for a crash healing at `u` (the latest, if several overlap),
     /// `Some(None)` for a permanent crash, `None` when the node is up.
@@ -201,15 +195,6 @@ impl FaultPlan {
             });
         }
         hit
-    }
-
-    /// Whether a message from `from` can be delivered to `to` at `t`:
-    /// both endpoints must be up and no active partition may separate them.
-    pub fn can_deliver(&self, from: NodeId, to: NodeId, t: Timestamp) -> bool {
-        if self.is_crashed(from, t) || self.is_crashed(to, t) {
-            return false;
-        }
-        !self.partitions.iter().any(|p| p.separates(from, to, t))
     }
 
     /// Schedule a primary handover (see [`Failover`]).
@@ -467,27 +452,18 @@ mod tests {
     }
 
     #[test]
-    fn plan_blocks_messages_to_and_from_crashed_nodes() {
-        let mut plan = FaultPlan::none();
-        plan.add(NodeFault::crash_until(NodeId(2), 50, 150));
-        assert!(plan.can_deliver(NodeId(0), NodeId(2), 0));
-        assert!(!plan.can_deliver(NodeId(0), NodeId(2), 100));
-        assert!(!plan.can_deliver(NodeId(2), NodeId(0), 100));
-        assert!(plan.can_deliver(NodeId(0), NodeId(2), 150));
-    }
-
-    #[test]
     fn partitions_separate_only_across_the_cut() {
         let mut plan = FaultPlan::none();
         plan.add_partition([NodeId(0), NodeId(1)], 10, Some(20));
-        // Across the cut: blocked while active.
-        assert!(!plan.can_deliver(NodeId(0), NodeId(3), 15));
-        assert!(!plan.can_deliver(NodeId(3), NodeId(1), 15));
+        let separated = |a, b, t| plan.partitions()[0].separates(NodeId(a), NodeId(b), t);
+        // Across the cut: separated while active.
+        assert!(separated(0, 3, 15));
+        assert!(separated(3, 1, 15));
         // Same side: fine.
-        assert!(plan.can_deliver(NodeId(0), NodeId(1), 15));
-        assert!(plan.can_deliver(NodeId(3), NodeId(4), 15));
+        assert!(!separated(0, 1, 15));
+        assert!(!separated(3, 4, 15));
         // Healed.
-        assert!(plan.can_deliver(NodeId(0), NodeId(3), 25));
+        assert!(!separated(0, 3, 25));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! * a [`SimEngine`] — the discrete-event core: an [`EventQueue`] with a
 //!   simulated clock (microsecond granularity) plus named [`Process`]
 //!   service queues every pipeline stage is built on,
-//! * a [`NetworkModel`] with per-link latency, bandwidth and fault injection,
+//! * a [`NetworkConfig`] with the link latency, jitter bound and bandwidth
+//!   the closed-form replication costs are computed from,
 //! * the [`MultiResource`] behind every process: `k` FIFO servers, one for a
 //!   serial stage (the source of all queueing / saturation behaviour), and
 //! * a [`CostModel`] holding the CPU-cost constants (hashing, signatures,
@@ -30,7 +31,7 @@ pub use costs::CostModel;
 pub use engine::{Process, ProcessId, SimEngine, StageEvent};
 pub use event::{EventQueue, ScheduledEvent};
 pub use fault::{Failover, FaultPlan, NodeFault, Partition, Reconfiguration};
-pub use network::{NetworkConfig, NetworkModel};
+pub use network::NetworkConfig;
 pub use resource::MultiResource;
 
 /// Simulated time in microseconds (re-exported for convenience).

@@ -114,11 +114,6 @@ impl<E> HeapEventQueue<E> {
     fn peek_time(&self) -> Option<Timestamp> {
         self.heap.peek().map(|e| e.time)
     }
-
-    /// Advance the clock directly (never backwards).
-    fn advance_to(&mut self, t: Timestamp) {
-        self.now = self.now.max(t);
-    }
 }
 
 #[test]
@@ -218,37 +213,5 @@ fn far_future_and_rollover_schedules_pop_identically() {
             200,
             u64::MAX / 2 + 1,
         );
-    }
-}
-
-#[test]
-fn interleaved_advance_to_keeps_queues_in_lockstep() {
-    let mut r = rng::seeded(rng::derive_seed(0xADA, "advance"));
-    let mut wheel: EventQueue<u32> = EventQueue::new();
-    let mut heap: HeapEventQueue<u32> = HeapEventQueue::new();
-    for i in 0..500u32 {
-        let at = wheel.now() + r.gen_range(1..1_000u64);
-        wheel.schedule_at(at, i);
-        heap.schedule_at(at, i);
-        if r.gen_bool(0.3) {
-            // Advance the clock but never past the next pending event (the
-            // contract callers uphold; the heap debug-asserts it too).
-            let limit = wheel.peek_time().unwrap_or(wheel.now());
-            let to = wheel.now() + r.gen_range(0..=limit - wheel.now());
-            wheel.advance_to(to);
-            heap.advance_to(to);
-        }
-        if r.gen_bool(0.5) {
-            assert_eq!(wheel.pop(), heap.pop());
-        }
-        assert_eq!(wheel.now(), heap.now());
-        assert_eq!(wheel.clamped(), heap.clamped());
-    }
-    loop {
-        let w = wheel.pop();
-        assert_eq!(w, heap.pop());
-        if w.is_none() {
-            break;
-        }
     }
 }
