@@ -4,9 +4,9 @@
 //! client. The same structure is used by the blockchains (where it stands for
 //! a smart-contract invocation whose read/write set the contract logic
 //! produces) and by the databases (where it is the sequence of statements of
-//! a stored procedure). The execution *semantics* — serial, optimistic,
-//! pessimistic, Percolator-style — live in `dichotomy-txn`; this module only
-//! defines the data.
+//! a stored procedure). The execution *semantics* — serial, optimistic, or a
+//! per-key hold window that aborts or waits — live in the system models
+//! (Fabric's OCC in `dichotomy-txn`); this module only defines the data.
 //!
 //! A transaction's body is sealed: it is set once, by a constructor, and read
 //! through accessors. The signature is therefore a function of the body and
@@ -357,10 +357,11 @@ pub enum AbortReason {
     /// Fabric proposal-phase failure: endorsing peers returned different
     /// simulation results ("inconsistent read").
     InconsistentRead,
-    /// TiDB/Percolator-style write-write conflict on the primary lock.
+    /// A written key is still held by an in-flight transaction (TiDB aborts
+    /// instead of waiting).
     WriteWriteConflict,
-    /// Pessimistic locking could not acquire a lock (deadlock avoidance /
-    /// wound-wait victim).
+    /// Pessimistic locking could not acquire a lock. No built-in model emits
+    /// it; the variant stays for its codec tag.
     LockConflict,
     /// 2PC coordinator or a participant voted to abort.
     CrossShardAbort,

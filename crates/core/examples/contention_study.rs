@@ -1,7 +1,8 @@
 //! Contention study (the Figure 9 scenario): sweep the Zipfian skew and watch
-//! the concurrency-control choices diverge — TiDB's optimistic/Percolator
-//! pipeline collapses, Fabric's OCC aborts climb, while the serial executors
-//! (Quorum, etcd) do not care.
+//! the concurrency-control choices diverge — TiDB pays contention rounds on
+//! keys still held by in-flight writes and aborts when the holder outlasts
+//! them, Fabric's OCC aborts climb, while the serial executors (Quorum, etcd)
+//! do not care.
 //!
 //! ```text
 //! cargo run -p dichotomy-core --release --example contention_study

@@ -2,12 +2,11 @@
 //!
 //! Two concerns, mirrored in two modules:
 //!
-//! * [`partition`] — *shard formation*: how data and nodes are assigned to
-//!   shards. Databases partition data by hash or range to optimize workload
-//!   locality; sharded blockchains must additionally randomize node
-//!   assignment so an adversary cannot concentrate its nodes in one shard,
-//!   and must periodically re-form shards to resist adaptive corruption
-//!   (Elastico's PoW-based assignment, AHL's trusted-hardware randomness).
+//! * [`partition`] — *shard formation*: keys reach shards through a hash
+//!   [`Partitioner`], and [`ShardPlan::form`] assigns nodes to shards, either
+//!   statically (databases: no adversary) or by a secure random shuffle
+//!   re-run every epoch (AHL's trusted-hardware randomness), which a sharded
+//!   blockchain needs against adaptive corruption.
 //! * [`two_pc`] — *cross-shard atomicity*: when a two-phase commit is
 //!   decided, with a trusted coordinator for databases versus a
 //!   BFT-replicated coordinator shard for blockchains (AHL), which adds a
@@ -18,5 +17,5 @@
 pub mod partition;
 pub mod two_pc;
 
-pub use partition::{PartitionScheme, Partitioner, ShardFormation, ShardPlan};
+pub use partition::{Partitioner, ShardFormation, ShardPlan};
 pub use two_pc::{CoordinatorKind, TwoPhaseCommit};

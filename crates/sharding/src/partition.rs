@@ -3,69 +3,24 @@
 use dichotomy_common::rng::{self, SliceRandom};
 use dichotomy_common::{Hash, Key, NodeId, ShardId};
 
-/// How data is mapped to shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartitionScheme {
-    /// Hash of the key modulo the shard count (uniform, locality-blind).
-    Hash,
-    /// Contiguous key ranges (locality-aware; the scheme TiDB/Spanner use).
-    Range,
-}
-
-/// The data partitioner.
+/// The data partitioner: the hash of a key modulo the shard count
+/// (uniform and locality-blind).
 #[derive(Debug, Clone)]
 pub struct Partitioner {
-    scheme: PartitionScheme,
     shards: u32,
-    /// Range boundaries for range partitioning (sorted upper bounds of the
-    /// first `shards - 1` ranges, as key byte prefixes).
-    range_splits: Vec<Vec<u8>>,
 }
 
 impl Partitioner {
     /// A hash partitioner over `shards` shards.
     pub fn hash(shards: u32) -> Self {
         Partitioner {
-            scheme: PartitionScheme::Hash,
             shards: shards.max(1),
-            range_splits: Vec::new(),
         }
-    }
-
-    /// A range partitioner with explicit split points (`shards = splits + 1`).
-    pub fn range(splits: Vec<Vec<u8>>) -> Self {
-        let mut range_splits = splits;
-        range_splits.sort();
-        Partitioner {
-            scheme: PartitionScheme::Range,
-            shards: range_splits.len() as u32 + 1,
-            range_splits,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> u32 {
-        self.shards
-    }
-
-    /// The scheme in use.
-    pub fn scheme(&self) -> PartitionScheme {
-        self.scheme
     }
 
     /// Which shard owns `key`.
     pub fn shard_of(&self, key: &Key) -> ShardId {
-        match self.scheme {
-            PartitionScheme::Hash => {
-                ShardId((Hash::of(key.as_bytes()).prefix_u64() % self.shards as u64) as u32)
-            }
-            PartitionScheme::Range => {
-                let idx = self
-                    .range_splits
-                    .partition_point(|split| split.as_slice() <= key.as_bytes());
-                ShardId(idx as u32)
-            }
-        }
+        ShardId((Hash::of(key.as_bytes()).prefix_u64() % self.shards as u64) as u32)
     }
 
     /// Which distinct shards a transaction touching `keys` spans.
@@ -74,11 +29,6 @@ impl Partitioner {
         shards.sort();
         shards.dedup();
         shards
-    }
-
-    /// Whether a transaction over `keys` is cross-shard.
-    pub fn is_cross_shard(&self, keys: &[&Key]) -> bool {
-        self.shards_of(keys).len() > 1
     }
 }
 
@@ -136,44 +86,6 @@ impl ShardPlan {
     pub fn shard_count(&self) -> usize {
         self.assignment.len()
     }
-
-    /// Probability that a specific shard of size `m` contains at least
-    /// `⌈m/3⌉` adversarial nodes when the adversary controls a fraction `p`
-    /// of all nodes and assignment is uniformly random (hypergeometric tail
-    /// approximated binomially). This is the quantity a secure shard-size
-    /// choice must keep negligible (Section 3.4.1).
-    pub fn shard_compromise_probability(shard_size: usize, adversary_fraction: f64) -> f64 {
-        let m = shard_size.max(1);
-        let threshold = m.div_ceil(3);
-        let p = adversary_fraction.clamp(0.0, 1.0);
-        // Sum of binomial tail P[X >= threshold], X ~ Bin(m, p).
-        let mut tail = 0.0;
-        for k in threshold..=m {
-            tail += binomial_pmf(m, k, p);
-        }
-        tail.min(1.0)
-    }
-
-    /// The fraction of an epoch lost to reconfiguration downtime when a
-    /// reconfiguration takes `reconfig_pause_us` (state migration + identity
-    /// re-establishment). AHL's periodic reconfiguration trades exactly this
-    /// against security (the paper measures ≈30 % throughput loss).
-    pub fn reconfiguration_overhead(epoch_us: u64, reconfig_pause_us: u64) -> f64 {
-        if epoch_us == 0 {
-            return 1.0;
-        }
-        (reconfig_pause_us as f64 / epoch_us as f64).min(1.0)
-    }
-}
-
-fn binomial_pmf(n: usize, k: usize, p: f64) -> f64 {
-    // Computed in log space to stay stable for n up to a few hundred.
-    let ln_choose = ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k);
-    (ln_choose + k as f64 * p.max(1e-300).ln() + (n - k) as f64 * (1.0 - p).max(1e-300).ln()).exp()
-}
-
-fn ln_factorial(n: usize) -> f64 {
-    (1..=n).map(|i| (i as f64).ln()).sum()
 }
 
 #[cfg(test)]
@@ -194,21 +106,11 @@ mod tests {
     }
 
     #[test]
-    fn range_partitioning_respects_split_points() {
-        let p = Partitioner::range(vec![b"m".to_vec(), b"t".to_vec()]);
-        assert_eq!(p.shard_count(), 3);
-        assert_eq!(p.shard_of(&Key::from_str("apple")), ShardId(0));
-        assert_eq!(p.shard_of(&Key::from_str("mango")), ShardId(1));
-        assert_eq!(p.shard_of(&Key::from_str("zebra")), ShardId(2));
-    }
-
-    #[test]
     fn cross_shard_detection() {
         let p = Partitioner::hash(4);
         let (a, b) = (Key::from_str("aaa"), Key::from_str("zzz42"));
         let same = p.shard_of(&a) == p.shard_of(&b);
-        assert_eq!(p.is_cross_shard(&[&a, &b]), !same);
-        assert!(!p.is_cross_shard(&[&a, &a]));
+        assert_eq!(p.shards_of(&[&a, &b]).len(), if same { 1 } else { 2 });
         assert_eq!(p.shards_of(&[&a, &a]).len(), 1);
     }
 
@@ -238,22 +140,5 @@ mod tests {
         let mut all: Vec<NodeId> = secure0.assignment.concat();
         all.sort();
         assert_eq!(all, nodes);
-    }
-
-    #[test]
-    fn larger_shards_are_harder_to_compromise() {
-        let p_small = ShardPlan::shard_compromise_probability(4, 0.2);
-        let p_large = ShardPlan::shard_compromise_probability(40, 0.2);
-        assert!(p_small > p_large);
-        assert!(p_large < 0.05, "p_large {p_large}");
-        // With an adversary above the threshold, even large shards fail.
-        assert!(ShardPlan::shard_compromise_probability(40, 0.5) > 0.5);
-    }
-
-    #[test]
-    fn reconfiguration_overhead_is_a_fraction_of_the_epoch() {
-        assert!((ShardPlan::reconfiguration_overhead(10_000_000, 3_000_000) - 0.3).abs() < 1e-9);
-        assert_eq!(ShardPlan::reconfiguration_overhead(0, 1), 1.0);
-        assert_eq!(ShardPlan::reconfiguration_overhead(100, 1_000), 1.0);
     }
 }

@@ -1,9 +1,10 @@
 //! A multi-version key-value store.
 //!
-//! Every concurrency-control scheme in `dichotomy-txn` needs versioned
-//! state: Fabric's optimistic validation compares the version a transaction
-//! read against the currently committed version; TiDB/Percolator reads at a
-//! snapshot timestamp; Spanner-style locking also reads snapshots. The MVCC
+//! The models that keep versioned state read it here: Fabric's optimistic
+//! validation (`dichotomy-txn`) compares the version a transaction read
+//! against the currently committed version; the TiDB model reads at a
+//! snapshot timestamp and commits at the next version; the sharded database
+//! models commit each write at a new version. The MVCC
 //! store keeps, per key, the list of committed versions (a commit version
 //! number plus the value or a deletion marker), supports reads "as of" a
 //! version, and can garbage-collect versions older than a watermark.

@@ -5,10 +5,10 @@
 //! |---|---|---|---|---|
 //! | [`quorum::Quorum`] | Quorum v2.2 | txn-based, Raft or IBFT | serial (order-execute, double execution) | LSM + MPT + ledger |
 //! | [`fabric::Fabric`] | Fabric v2.2 | txn-based, shared-log orderer (Raft, 3 orderers) | concurrent simulation, OCC validation, serial commit | LSM + ledger |
-//! | [`tidb::TiDb`] | TiDB v4.0 | storage-based, Raft per region | Percolator (snapshot isolation) | LSM (TiKV) |
+//! | [`tidb::TiDb`] | TiDB v4.0 | storage-based, Raft per region | snapshot reads, abort on a busy key (hold window) | LSM (TiKV) |
 //! | [`etcd::Etcd`] | etcd v3.3 | storage-based, single Raft group | serial | B+ tree (BoltDB) |
 //! | [`etcd::Tikv`] | TiKV (standalone) | storage-based, Raft | serial apply, no SQL/txn layer | LSM |
-//! | [`sharded::SpannerLike`] | Spanner | storage-based, Paxos per shard | pessimistic 2PL (wound-wait) + 2PC | LSM |
+//! | [`sharded::SpannerLike`] | Spanner | storage-based, Paxos per shard | wait out the hold window, + 2PC | LSM |
 //! | [`sharded::Ahl`] | AHL | txn-based, PBFT per shard | serial, BFT-2PC cross-shard | LSM + MBT + ledger |
 //!
 //! A model is configured only by a [`SystemSpec`]: each constructor takes

@@ -1,22 +1,26 @@
 //! The TiDB model: a NewSQL database with stateless SQL servers over a
-//! Raft-replicated key-value store (TiKV), using Percolator-style snapshot
-//! isolation and 2PC across regions (Section 4.1).
+//! Raft-replicated key-value store (TiKV), with snapshot reads and 2PC
+//! across regions (Section 4.1).
 //!
 //! Write path: a TiDB server parses/compiles the statements and acts as the
 //! transaction coordinator; reads hit TiKV at a snapshot; prewrite + commit
 //! go through the Raft group of every touched region (full replication in the
-//! paper's setup, so every node holds every region). Concurrency comes from
-//! many SQL servers and many storage threads — there is no serial commit
-//! order — but under skew the Percolator primary-lock contention collapses
-//! throughput (Figure 9a), and multi-region transactions pay 2PC (Figure 10a).
+//! paper's setup, so every node holds every region), and multi-region
+//! transactions pay 2PC (Figure 10a). Concurrency comes from many SQL servers
+//! and many storage threads — there is no serial commit order.
 //!
-//! Event pipeline: the coordinator's concurrency-control decision — lock
-//! contention against in-flight holders, Percolator execution — happens at
-//! arrival (a conflict must be visible to the next arrival immediately, or
-//! the skew collapse of Figure 9a disappears); the SQL, storage, replication
-//! and 2PC latencies are booked on the engine's service processes, and the
-//! receipt surfaces through its `Committed` stage event at the decided
-//! finish time.
+//! Contention is a per-key hold window: a committed write holds its keys
+//! until its finish time (`busy_until`). An arrival that writes a held key
+//! spends [`MAX_LOCK_RETRIES`] contention-resolution rounds on the SQL
+//! servers and aborts if the holder is still in flight after them (Figure
+//! 9a's skew collapse). Otherwise it reads at `start_ts`, the store's latest
+//! version, and commits its writes at the next version.
+//!
+//! Event pipeline: the concurrency-control decision happens at arrival (a
+//! held key must be visible to the next arrival immediately); the SQL,
+//! storage, replication and 2PC latencies are booked on the engine's service
+//! processes, and the receipt surfaces through its `Committed` stage event
+//! at the decided finish time.
 
 use std::collections::BTreeMap;
 
@@ -26,7 +30,6 @@ use dichotomy_consensus::{ProtocolKind, ReplicationProfile};
 use dichotomy_sharding::{CoordinatorKind, Partitioner, TwoPhaseCommit};
 use dichotomy_simnet::{CostModel, FaultPlan, NetworkConfig, ProcessId, StageEvent};
 use dichotomy_storage::{KvEngine, LsmTree, MvccStore};
-use dichotomy_txn::PercolatorExecutor;
 
 use crate::pipeline::{
     Completion, Engine, ReceiptLog, SharedState, SysEvent, SystemKind, TokenMap,
@@ -38,11 +41,12 @@ use crate::spec::SystemSpec;
 /// region, but multi-region transactions still pay 2PC.
 pub const REGIONS: u32 = 16;
 
-/// Lock-conflict retry budget before aborting.
+/// Contention-resolution rounds a coordinator spends on a held key before
+/// it gives up on the holder.
 pub const MAX_LOCK_RETRIES: u32 = 2;
 
-/// Extra coordinator time per lock-conflict round (contention resolution,
-/// the mechanism behind the skew collapse of Section 5.3.1), in µs.
+/// Coordinator time per contention-resolution round (the mechanism behind
+/// the skew collapse of Section 5.3.1), in µs.
 pub const LOCK_CONFLICT_PENALTY_US: u64 = 4_000;
 
 /// Stage: a transaction's decided receipt surfaces to the client
@@ -78,7 +82,6 @@ pub struct TiDb {
     raft: ReplicationProfile,
     partitioner: Partitioner,
     two_pc: TwoPhaseCommit,
-    executor: PercolatorExecutor,
     state: MvccStore,
     engine_db: LsmTree,
     receipts: ReceiptLog,
@@ -113,7 +116,6 @@ impl TiDb {
             network,
             costs,
             faults: spec.faults.clone().unwrap_or_default(),
-            executor: PercolatorExecutor::new(),
             state: MvccStore::new(),
             engine_db: LsmTree::new(),
             receipts: ReceiptLog::new(),
@@ -150,9 +152,10 @@ impl TiDb {
         self.receipts.push_back(receipt);
     }
 
-    /// Coordinate one write transaction: contention resolution, Percolator
-    /// execution, and the storage/replication/2PC bookings. Returns the
-    /// decided receipt, whose finish time schedules the `Committed` stage.
+    /// Coordinate one write transaction: contention resolution, snapshot
+    /// reads and the commit, and the storage/replication/2PC bookings.
+    /// Returns the decided receipt, whose finish time schedules the
+    /// `Committed` stage.
     fn coordinate(
         &mut self,
         txn: Transaction,
@@ -166,8 +169,8 @@ impl TiDb {
         let (_, sql_done) = engine.service(self.procs().sql, arrival, frontend);
 
         // Contention against in-flight transactions on the same keys: the
-        // coordinator burns contention-resolution rounds on the primary lock
-        // and, once the retry budget is exhausted, aborts.
+        // coordinator burns contention-resolution rounds and, if the holder
+        // is still in flight after them, aborts.
         let write_keys: Vec<Key> = txn.write_set().into_iter().cloned().collect();
         let busy = write_keys
             .iter()
@@ -190,10 +193,22 @@ impl TiDb {
             }
         }
 
-        // Execute under Percolator against the shared MVCC state.
-        let result = self
-            .executor
-            .execute(&txn, &mut self.state, MAX_LOCK_RETRIES);
+        // Read at the latest snapshot and commit the writes at the next
+        // version. The hold window above is the only conflict rule: nothing
+        // else is in flight on the store inside this call.
+        let start_ts = self.state.latest_version();
+        let reads: Vec<(Key, Option<Value>)> = txn
+            .ops()
+            .iter()
+            .filter(|op| op.reads())
+            .map(|op| (op.key.clone(), self.state.get_at(&op.key, start_ts)))
+            .collect();
+        let commit_ts = self.state.begin_commit();
+        for op in txn.ops().iter().filter(|o| o.writes()) {
+            let value = op.value.clone().unwrap_or_else(|| Value::new(Vec::new()));
+            self.state
+                .commit_write(op.key.clone(), commit_ts, Some(value));
+        }
 
         // Storage-layer cost: snapshot reads + prewrite/commit writes, each
         // write replicated through Raft.
@@ -256,42 +271,28 @@ impl TiDb {
             .two_pc
             .decided_at(decide_input, shards.len(), txn.payload_bytes());
 
-        match result {
-            Ok(outcome) => {
-                // Lock-conflict rounds cost coordinator time even on success.
-                let penalty = outcome.lock_conflict_rounds as u64 * LOCK_CONFLICT_PENALTY_US;
-                let finish = decided_at + penalty + self.network.base_latency_us;
-                for op in txn.ops().iter().filter(|o| o.writes()) {
-                    if let Some(v) = self.state.get_latest(&op.key) {
-                        self.engine_db.put(op.key.clone(), v);
-                    }
-                }
-                for key in &write_keys {
-                    self.busy_until.insert(key.clone(), finish);
-                }
-                let mut receipt = TxnReceipt::committed(txn.id(), arrival, finish);
-                receipt.reads = outcome.reads;
-                receipt.commit_version = Some(outcome.commit_ts);
-                receipt.phase_latencies = vec![
-                    ("sql", sql_done.saturating_sub(arrival)),
-                    ("storage", storage_done.saturating_sub(sql_done)),
-                    ("replication", replication_latency),
-                    (
-                        "2pc",
-                        decided_at.saturating_sub(storage_done + replication_latency),
-                    ),
-                ];
-                receipt
-            }
-            Err((reason, rounds)) => {
-                // Failed transactions still burn coordinator time on
-                // contention resolution before reporting the abort.
-                let penalty = (rounds.max(1) as u64) * LOCK_CONFLICT_PENALTY_US;
-                let (_, contention_done) = engine.service(self.procs().sql, storage_done, penalty);
-                let finish = contention_done + self.network.base_latency_us;
-                TxnReceipt::aborted(txn.id(), reason, arrival, finish)
+        let finish = decided_at + self.network.base_latency_us;
+        for op in txn.ops().iter().filter(|o| o.writes()) {
+            if let Some(v) = self.state.get_latest(&op.key) {
+                self.engine_db.put(op.key.clone(), v);
             }
         }
+        for key in &write_keys {
+            self.busy_until.insert(key.clone(), finish);
+        }
+        let mut receipt = TxnReceipt::committed(txn.id(), arrival, finish);
+        receipt.reads = reads;
+        receipt.commit_version = Some(commit_ts);
+        receipt.phase_latencies = vec![
+            ("sql", sql_done.saturating_sub(arrival)),
+            ("storage", storage_done.saturating_sub(sql_done)),
+            ("replication", replication_latency),
+            (
+                "2pc",
+                decided_at.saturating_sub(storage_done + replication_latency),
+            ),
+        ];
+        receipt
     }
 }
 
@@ -426,6 +427,28 @@ mod tests {
         // One receipt per transaction: the receipts are the outcome record.
         let ids: std::collections::BTreeSet<_> = receipts.iter().map(|r| r.txn_id).collect();
         assert_eq!((receipts.len(), ids.len()), (200, 200));
+    }
+
+    #[test]
+    fn a_later_write_reads_the_earlier_commit_at_the_next_version() {
+        // Values are one shared filler, so their sizes tell them apart. The
+        // second arrival lands past the first one's hold window.
+        let mut t = seeded(10);
+        let receipts = drive_arrivals(
+            &mut t,
+            vec![
+                (rmw(1, 1, "k00003", 100), 0),
+                (rmw(2, 2, "k00003", 200), 50_000),
+            ],
+        );
+        let first = receipts.iter().find(|r| r.txn_id.seq == 1).unwrap();
+        let second = receipts.iter().find(|r| r.txn_id.seq == 2).unwrap();
+        assert!(first.status.is_committed() && second.status.is_committed());
+        assert!(first.finish_time < 50_000);
+        let v1 = first.commit_version.unwrap();
+        assert_eq!(second.commit_version, Some(v1 + 1));
+        assert_eq!(first.reads[0].1.as_ref().unwrap().len(), 1000);
+        assert_eq!(second.reads[0].1.as_ref().unwrap().len(), 100);
     }
 
     #[test]

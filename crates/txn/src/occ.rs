@@ -19,8 +19,6 @@
 use dichotomy_common::{AbortReason, Key, Transaction, Value, Version};
 use dichotomy_storage::MvccStore;
 
-use crate::effective_writes;
-
 /// The result of simulating a transaction against a snapshot.
 #[derive(Debug, Clone)]
 pub struct SimulationResult {
@@ -50,13 +48,27 @@ pub fn simulate(txn: &Transaction, store: &MvccStore) -> SimulationResult {
         let version = store.latest_key_version(&op.key).unwrap_or(0);
         read_set.push((op.key.clone(), version));
     }
-    let write_set = effective_writes(txn, &reads);
+    let write_set = effective_writes(txn);
     SimulationResult {
         read_set,
         reads,
         write_set,
         snapshot,
     }
+}
+
+/// The (key, value) pairs `txn` writes. A read-modify-write writes its
+/// operation's payload whatever it read, which keeps the sizes the
+/// workloads set; a write with no payload writes an empty value.
+fn effective_writes(txn: &Transaction) -> Vec<(Key, Value)> {
+    txn.ops()
+        .iter()
+        .filter(|op| op.writes())
+        .map(|op| {
+            let value = op.value.clone().unwrap_or_else(|| Value::new(Vec::new()));
+            (op.key.clone(), value)
+        })
+        .collect()
 }
 
 /// Phase 3: validate a simulation against the current store and commit its

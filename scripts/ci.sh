@@ -141,13 +141,15 @@ JOBS="$CORES"
 [ "$JOBS" -lt 4 ] && JOBS=4
 
 echo "==> repro --json reproducibility (seeded, byte-for-byte, --jobs 1 vs --jobs $JOBS)"
-# Every pre-existing experiment, pinned in Exact metrics mode: the scheduler
-# (timer wheel), the arena driver state, and the worker pool must all be
-# invisible in the seeded JSON. scale01 (streaming metrics, 1M-client
+# Every experiment `repro --list` names, pinned in Exact metrics mode: the
+# scheduler (timer wheel), the arena driver state, and the worker pool must
+# all be invisible in the seeded JSON. scale01 (streaming metrics, 1M-client
 # population) and chaos01 (the fault × oracle grid) are smoked separately
-# below.
-CI_EXPERIMENTS="fig04 fig05 fig06 fig07 fig08 fig09 fig10 fig11 fig12 fig13 \
-fig14 fig15 tab02 tab04 tab05 fault01 closed01 ramp01"
+# below. The set is derived, so a new experiment joins the comparison.
+REPRO_LIST="$(cargo run -q -p dichotomy-bench --release --bin repro -- --list)"
+CI_EXPERIMENTS="$(printf '%s\n' "$REPRO_LIST" \
+    | awk '$1 != "scale01" && $1 != "chaos01" { print $1 }')"
+test -n "$CI_EXPERIMENTS"
 # --no-cache pins the determinism comparisons to real executions: a cache
 # hit being byte-identical is asserted by its own stage below, not assumed
 # here.
