@@ -24,19 +24,25 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use dichotomy_core::common::size::StorageFootprint;
-use dichotomy_core::common::{hash, ClientId, Key, Operation, Transaction, TxnId, Value};
+use dichotomy_core::chaos::{OracleContext, OracleSet};
+use dichotomy_core::common::rng;
+use dichotomy_core::common::size::{StorageBreakdown, StorageFootprint};
+use dichotomy_core::common::{
+    hash, ClientId, Key, Operation, Transaction, TxnId, TxnReceipt, Value,
+};
 use dichotomy_core::consensus::{ProtocolKind, ReplicationProfile};
-use dichotomy_core::driver::{run_workload, DriverConfig};
+use dichotomy_core::driver::{run_workload, ArrivalSpec, DriverConfig};
+use dichotomy_core::experiments::{SCALE01_THINK_US, SCALE01_WINDOW_US};
 use dichotomy_core::merkle::{MerkleBucketTree, MerklePatriciaTrie};
-use dichotomy_core::metrics::{LatencyEstimator, LatencySummary, StreamingLatency};
+use dichotomy_core::metrics::{LatencyEstimator, LatencySummary, MetricsMode, StreamingLatency};
 use dichotomy_core::scenario::{
     run_plan_with, ColumnSpec, ExecOptions, Metric, Scenario, Sweep, SystemEntry,
 };
 use dichotomy_core::simnet::{CostModel, EventQueue, NetworkConfig, SimEngine};
 use dichotomy_core::storage::{BPlusTree, KvEngine, LsmTree, MvccStore};
 use dichotomy_core::systems::{
-    drive_arrivals, Etcd, Quorum, SystemKind, SystemRegistry, SystemSpec, TransactionalSystem,
+    drive_arrivals, Completion, Engine, Etcd, Quorum, ReceiptLog, SystemKind, SystemRegistry,
+    SystemSpec, TransactionalSystem,
 };
 use dichotomy_core::txn::occ;
 use dichotomy_core::workload::Workload;
@@ -299,6 +305,32 @@ fn bench_event_engine() {
             acc
         },
     );
+    // Far-future timers with few pending: 64 closed-loop clients thinking
+    // about a second each, so every pop cascades down the wheel's levels.
+    const SPARSE_POPS: u32 = 100_000;
+    let mut r = rng::seeded(0x5BA2);
+    let delays: Vec<u64> = (0..SPARSE_POPS + 64)
+        .map(|_| rng::exp_delay_us(&mut r, 1e6))
+        .collect();
+    bench_batched_ops(
+        "event_queue_sparse_far_timers",
+        50,
+        SPARSE_POPS,
+        || {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            for &d in &delays[..64] {
+                q.schedule_at(d, d);
+            }
+            q
+        },
+        |mut q| {
+            for &d in &delays[64..] {
+                q.pop().expect("64 timers stay pending");
+                q.schedule_in(d, d);
+            }
+            q
+        },
+    );
     // A synthetic service pipeline on the engine: every event books work on
     // one of two processes and reschedules a follow-up stage.
     bench("engine_two_stage_pipeline_5k", 200, || {
@@ -334,6 +366,106 @@ fn bench_event_engine() {
         });
         run_workload(&mut system, &mut workload, &DriverConfig::saturating(300))
     });
+    // The driver loop with no model behind it: scale01's closed loop over a
+    // system that commits every arrival as it arrives, so one event per
+    // transaction and the time is the driver's, the wheel's, the arrival
+    // ledger's, workload generation's, the streaming fold's and the
+    // oracles'. Printed per transaction.
+    const NULL_TXNS: u64 = 200_000;
+    let config = DriverConfig {
+        transactions: NULL_TXNS,
+        arrival: Some(ArrivalSpec::ClosedLoop {
+            clients: 8_192,
+            think_time_us: SCALE01_THINK_US,
+            max_outstanding: 1,
+        }),
+        window_us: Some(SCALE01_WINDOW_US),
+        metrics: MetricsMode::Streaming,
+        ..DriverConfig::default()
+    };
+    bench_batched_ops(
+        "driver_loop_null_closed_200k",
+        10,
+        NULL_TXNS as u32,
+        || {
+            let workload = YcsbWorkload::new(YcsbConfig {
+                record_count: 64,
+                record_size: 1,
+                mix: YcsbMix::UpdateOnly,
+                ..YcsbConfig::default()
+            });
+            (NullSystem::default(), workload)
+        },
+        |(mut system, mut workload)| run_workload(&mut system, &mut workload, &config),
+    );
+}
+
+/// A model that commits every arrival the instant it arrives.
+#[derive(Default)]
+struct NullSystem(ReceiptLog);
+
+impl TransactionalSystem for NullSystem {
+    fn kind(&self) -> SystemKind {
+        SystemKind::Etcd
+    }
+
+    fn load(&mut self, _records: &[(Key, Value)]) {}
+
+    fn on_arrival(&mut self, txn: Transaction, engine: &mut Engine) {
+        let receipt = TxnReceipt::committed(txn.id(), txn.submit_time, engine.now());
+        self.0.push_back(receipt);
+    }
+
+    fn drain_receipts(&mut self) -> Vec<TxnReceipt> {
+        self.0.drain()
+    }
+
+    fn take_completions(&mut self) -> Vec<Completion> {
+        self.0.take_completions()
+    }
+
+    fn drain_completions(&mut self, buf: &mut Vec<Completion>) {
+        self.0.swap_completions(buf);
+    }
+
+    fn drain_receipts_into(&mut self, buf: &mut Vec<TxnReceipt>) {
+        self.0.swap_receipts(buf);
+    }
+
+    fn footprint(&self) -> StorageBreakdown {
+        StorageBreakdown::default()
+    }
+
+    fn node_count(&self) -> usize {
+        1
+    }
+}
+
+fn bench_oracles() {
+    // The invariant oracles over one run's receipts: 250 000 distinct ids
+    // in scale01's shape (200 000 clients, seqs counting up), each checked
+    // against the dedup set and inserted. Printed per receipt.
+    const RECEIPTS: u32 = 250_000;
+    let receipts: Vec<TxnReceipt> = (0..u64::from(RECEIPTS))
+        .map(|i| {
+            let id = TxnId::new(ClientId(i % 200_000), i / 200_000 + 1);
+            TxnReceipt::committed(id, i, i + 10)
+        })
+        .collect();
+    bench_batched_ops(
+        "oracle_observe_250k",
+        20,
+        RECEIPTS,
+        || (),
+        |()| {
+            let mut oracles = OracleSet::standard();
+            oracles.observe_all(&receipts);
+            oracles.finish(OracleContext {
+                arrivals_issued: u64::from(RECEIPTS),
+                events_clamped: 0,
+            })
+        },
+    );
 }
 
 fn bench_plan_executor() {
@@ -499,7 +631,8 @@ fn main() {
         ("occ", bench_occ_validation),
         ("profile", bench_consensus_profiles),
         ("metrics latency", bench_metric_sketches),
-        ("event_queue engine", bench_event_engine),
+        ("event_queue engine driver_loop", bench_event_engine),
+        ("oracle", bench_oracles),
         ("plan", bench_plan_executor),
         ("quorum_load quorum_fork", bench_state_sharing),
         (

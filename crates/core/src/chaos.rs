@@ -10,7 +10,8 @@
 //! * **`receipt-conservation`** — every submitted transaction produced
 //!   exactly one receipt: observed receipts == arrivals issued. A fault
 //!   schedule may abort transactions, but it must never lose them.
-//! * **`no-duplicate-receipt`** — no transaction id is receipted twice.
+//! * **`no-duplicate-receipt`** — no transaction id is receipted twice (a
+//!   `HashSet` of ids under a seedless multiply-rotate hasher, `IdHasher`).
 //! * **`commit-order-monotonic`** — per-receipt causality (a transaction
 //!   cannot finish before it was submitted), and for chain-committed
 //!   receipts that claim a total order (a `commit_version` plus a
@@ -29,6 +30,30 @@ use dichotomy_common::{codec, TxnId, TxnReceipt};
     reason = "membership-only dedup set on the 1M-receipt hot path; iteration order never observed"
 )]
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// An add and a multiply per word, then a rotation of the best-mixed high bits
+/// into the low bits the table indexes by. Ids are the driver's own, never
+/// outside input, so a random key guards nothing; no verdict needs the spread.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self
+            .0
+            .wrapping_add(word)
+            .wrapping_mul(0xF135_7AEA_2E62_A9C5);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// End-of-run facts the driver hands every oracle.
 #[derive(Debug, Clone, Copy, Default)]
@@ -79,7 +104,7 @@ pub struct OracleSet {
         clippy::disallowed_types,
         reason = "contains-then-insert only; nothing iterates it"
     )]
-    seen: HashSet<TxnId>,
+    seen: HashSet<TxnId, BuildHasherDefault<IdHasher>>,
     /// First transaction receipted twice.
     first_duplicate: Option<TxnId>,
     /// First receipt that finished before it was submitted.
@@ -294,6 +319,55 @@ mod tests {
         );
         let names: Vec<_> = report.violations().map(|o| o.name).collect();
         assert!(names.contains(&"no-duplicate-receipt"), "{names:?}");
+    }
+
+    /// Ids that agree in their low bits word for word: clients `k << 32`
+    /// sharing one seq, then one client with seqs `k << 20`.
+    fn colliding_ids() -> Vec<TxnId> {
+        let spread_clients = (1..2_000u64).map(|k| TxnId::new(ClientId(k << 32), 7));
+        let spread_seqs = (1..2_000u64).map(|k| TxnId::new(ClientId(3), k << 20));
+        spread_clients.chain(spread_seqs).collect()
+    }
+
+    fn receipts_of(ids: &[TxnId]) -> Vec<TxnReceipt> {
+        ids.iter()
+            .map(|&id| TxnReceipt::committed(id, 100, 200))
+            .collect()
+    }
+
+    #[test]
+    fn colliding_ids_without_a_duplicate_pass() {
+        let receipts = receipts_of(&colliding_ids());
+        let report = run(
+            &receipts,
+            OracleContext {
+                arrivals_issued: receipts.len() as u64,
+                events_clamped: 0,
+            },
+        );
+        assert!(report.passed(), "{report:?}");
+    }
+
+    #[test]
+    fn the_duplicate_oracle_names_the_one_repeat_among_colliding_ids() {
+        let mut ids = colliding_ids();
+        let repeat = ids[2_500];
+        ids.insert(3_000, repeat);
+        let receipts = receipts_of(&ids);
+        let report = run(
+            &receipts,
+            OracleContext {
+                arrivals_issued: receipts.len() as u64,
+                events_clamped: 0,
+            },
+        );
+        let v: Vec<_> = report.violations().collect();
+        assert_eq!(v.len(), 1, "{report:?}");
+        assert_eq!(v[0].name, "no-duplicate-receipt");
+        assert_eq!(
+            v[0].violation.as_deref(),
+            Some(format!("transaction {repeat:?} was receipted more than once").as_str())
+        );
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! and popping are O(1) amortized: an event is filed into one of 11 levels of
 //! 64 slots by the highest 6-bit group in which its time differs from the
 //! wheel's base, and cascades down at most once per level as the clock
-//! reaches it. Its reference is the `BinaryHeap` queue in
+//! reaches it. A cascaded bucket of at most 256 events keeps its allocation
+//! for the slot's next fill, so steady churn does not reallocate; a larger
+//! one is freed. Its reference is the `BinaryHeap` queue in
 //! `tests/wheel_vs_heap.rs`: the differential tests there pop identical
 //! randomized schedules through both and assert identical `(time, seq)`
 //! streams.
@@ -34,6 +36,9 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 const SLOT_MASK: u64 = (SLOTS as u64) - 1;
 /// Levels needed to cover a full 64-bit microsecond timeline (⌈64/6⌉).
 const LEVELS: usize = 11;
+/// The most events a cascaded bucket may have held and still keep its
+/// allocation; a larger one is freed, so one burst does not pin its peak.
+const MAX_KEPT_BUCKET: usize = 256;
 
 /// A discrete-event queue with a built-in simulated clock, implemented as a
 /// hierarchical timer wheel.
@@ -200,10 +205,16 @@ impl<E> EventQueue<E> {
             };
             self.start = (self.start & above) | ((slot as u64) << shift);
             self.occupied[level] &= !(1 << slot);
-            let bucket = std::mem::take(&mut self.slots[level * SLOTS + slot]);
-            for ev in bucket {
+            // No event re-files into this slot, so a small emptied bucket
+            // goes back to it and the next fill does not grow from nothing.
+            let mut bucket = std::mem::take(&mut self.slots[level * SLOTS + slot]);
+            let keep = bucket.len() <= MAX_KEPT_BUCKET;
+            for ev in bucket.drain(..) {
                 debug_assert!(self.level_of(ev.time) < level, "cascade must descend");
                 self.file(ev);
+            }
+            if keep {
+                self.slots[level * SLOTS + slot] = bucket;
             }
         }
     }
@@ -327,6 +338,41 @@ mod tests {
         assert_eq!(q.peek_time(), Some(1_000_000));
         assert_eq!(q.pop(), Some((1_000_000, "sooner")));
         assert_eq!(q.peek_time(), Some(1_000_005));
+    }
+
+    #[test]
+    fn a_cascaded_slot_keeps_its_allocation_up_to_the_bound() {
+        // Times 64..128 differ from base 0 first in bits 6..12: level 1,
+        // slot 1. Popping the first cascades the slot down to level 0.
+        const SLOT: usize = SLOTS + 1;
+        let mut q = EventQueue::new();
+        for t in 64..74 {
+            q.schedule_at(t, ());
+        }
+        q.pop();
+        assert!(q.slots[SLOT].is_empty());
+        let kept = q.slots[SLOT].as_ptr();
+        assert!(q.slots[SLOT].capacity() >= 10);
+        // Past 4096 the base is in the next level-2 group, so times 4160..
+        // file into level 1, slot 1 again: the refill reuses the allocation.
+        while q.pop().is_some() {}
+        q.schedule_at(4096, ());
+        q.pop();
+        for t in 4160..4170 {
+            q.schedule_at(t, ());
+        }
+        assert_eq!(q.slots[SLOT].as_ptr(), kept);
+        // A cascade of more events than the bound frees the bucket.
+        for t in (4160..4224).cycle().take(MAX_KEPT_BUCKET) {
+            q.schedule_at(t, ());
+        }
+        assert!(q.slots[SLOT].len() > MAX_KEPT_BUCKET);
+        q.pop();
+        assert_eq!(q.slots[SLOT].capacity(), 0);
+        assert_eq!(
+            std::iter::from_fn(|| q.pop()).count(),
+            10 + MAX_KEPT_BUCKET - 1
+        );
     }
 
     #[test]

@@ -215,3 +215,71 @@ fn far_future_and_rollover_schedules_pop_identically() {
         );
     }
 }
+
+/// Pop one event from both queues and assert they agree, clock and clamp
+/// counter included.
+fn pop_both(wheel: &mut EventQueue<usize>, heap: &mut HeapEventQueue<usize>) -> Option<Timestamp> {
+    let w = wheel.pop();
+    assert_eq!(w, heap.pop());
+    assert_eq!((wheel.now(), wheel.clamped()), (heap.now(), heap.clamped()));
+    w.map(|(t, _)| t)
+}
+
+#[test]
+fn sparse_far_future_churn_pops_identically() {
+    // A closed loop of 64 clients thinking about a second each: every pop
+    // schedules one replacement at an exponential offset, so the few
+    // pending events sit on high levels and cascade through buckets that
+    // keep their allocations.
+    let mut r = rng::seeded(rng::derive_seed(0x5BA2, "sparse"));
+    let mut wheel: EventQueue<usize> = EventQueue::new();
+    let mut heap: HeapEventQueue<usize> = HeapEventQueue::new();
+    for i in 0..64 {
+        let at = rng::exp_delay_us(&mut r, 1e6);
+        wheel.schedule_at(at, i);
+        heap.schedule_at(at, i);
+    }
+    for i in 64..100_064 {
+        pop_both(&mut wheel, &mut heap).expect("64 events stay pending");
+        let delay = rng::exp_delay_us(&mut r, 1e6);
+        wheel.schedule_in(delay, i);
+        heap.schedule_in(delay, i);
+        assert_eq!(wheel.len(), 64);
+    }
+    while pop_both(&mut wheel, &mut heap).is_some() {}
+    assert_eq!(wheel.delivered(), heap.delivered());
+}
+
+#[test]
+fn an_overflowing_high_level_slot_is_freed_and_refilled_identically() {
+    // Times 2^18..2^18 + 2^12 share one level-3 slot from base 0. The first
+    // fill holds 300 events, more than a cascaded bucket keeps. The later
+    // sets file on level 4 and cascade into the same level-3 slot once the
+    // base reaches their 2^24 group: 40 events, then another 600.
+    let mut r = rng::seeded(rng::derive_seed(0x0F10, "overflow"));
+    let mut wheel: EventQueue<usize> = EventQueue::new();
+    let mut heap: HeapEventQueue<usize> = HeapEventQueue::new();
+    let mut next = 0usize;
+    for (base, count) in [
+        (1 << 18, 300),
+        ((1 << 24) + (1 << 18), 40),
+        ((2 << 24) + (1 << 18), 600),
+    ] {
+        for _ in 0..count {
+            let at = base + r.gen_range(0..1u64 << 12);
+            wheel.schedule_at(at, next);
+            heap.schedule_at(at, next);
+            next += 1;
+        }
+        // An arrival at time 0 (a clamp after the first set) and a near
+        // event that files below the slot.
+        wheel.schedule_at(0, next);
+        heap.schedule_at(0, next);
+        wheel.schedule_in(3, next + 1);
+        heap.schedule_in(3, next + 1);
+        next += 2;
+        while pop_both(&mut wheel, &mut heap).is_some() {}
+        assert_eq!(wheel.delivered(), next as u64);
+    }
+    assert_eq!(wheel.clamped(), 2);
+}

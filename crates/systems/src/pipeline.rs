@@ -9,6 +9,8 @@
 //! fall out as stages complete. Nothing executes synchronously at submit
 //! time, so backlog, saturation and fault stalls emerge from the queues.
 
+use std::collections::VecDeque;
+
 use dichotomy_common::size::StorageBreakdown;
 use dichotomy_common::{ClientId, Key, Timestamp, Transaction, TxnReceipt, Value};
 use dichotomy_simnet::{SimEngine, StageEvent};
@@ -464,17 +466,23 @@ pub fn drive_arrivals(
 /// A token-keyed store for model state that is in flight between two stage
 /// events: `insert` hands out the token to embed in the [`StageEvent`],
 /// `remove` claims it back when the stage fires.
+///
+/// Tokens are issued 0, 1, 2, … and never reused. The store is a dense slab:
+/// slot `i` holds token `base + i`, and claimed slots at the front are
+/// dropped, so neither `insert` nor `remove` searches or allocates per call.
 #[derive(Debug)]
 pub struct TokenMap<T> {
-    entries: std::collections::BTreeMap<u64, T>,
-    next: u64,
+    /// Empty, or starting with an occupied slot.
+    slots: VecDeque<Option<T>>,
+    /// The token `slots[0]` holds.
+    base: u64,
 }
 
 impl<T> Default for TokenMap<T> {
     fn default() -> Self {
         TokenMap {
-            entries: std::collections::BTreeMap::new(),
-            next: 0,
+            slots: VecDeque::new(),
+            base: 0,
         }
     }
 }
@@ -487,39 +495,55 @@ impl<T> TokenMap<T> {
 
     /// Store `value` and return the token that retrieves it.
     pub fn insert(&mut self, value: T) -> u64 {
-        let token = self.next;
-        self.next += 1;
-        self.entries.insert(token, value);
+        self.slots.push_back(Some(value));
+        self.base + self.slots.len() as u64 - 1
+    }
+
+    /// The slot of an issued token at or after `base`.
+    fn slot(&mut self, token: u64) -> &mut Option<T> {
         token
+            .checked_sub(self.base)
+            .and_then(|i| self.slots.get_mut(usize::try_from(i).ok()?))
+            .expect("stage token in flight")
     }
 
     /// Claim the value behind `token`. Panics if the token was never issued
     /// or was already claimed — a stage event fired twice.
     pub fn remove(&mut self, token: u64) -> T {
-        self.entries.remove(&token).expect("stage token in flight")
+        let value = self.slot(token).take().expect("stage token in flight");
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        value
     }
 
     /// Put a value back under a token previously claimed with
     /// [`remove`](Self::remove) (the take/compute/put-back pattern models
-    /// use to work on an entry while keeping `&mut self` free).
+    /// use to work on an entry while keeping `&mut self` free). Panics if
+    /// the token was never issued or is occupied: its value would be lost.
     pub fn restore(&mut self, token: u64, value: T) {
-        let prev = self.entries.insert(token, value);
-        debug_assert!(prev.is_none(), "token {token} restored while occupied");
+        while token < self.base {
+            self.slots.push_front(None);
+            self.base -= 1;
+        }
+        let prev = self.slot(token).replace(value);
+        assert!(prev.is_none(), "token {token} restored while occupied");
     }
 
     /// Access the value behind `token` without claiming it.
     pub fn get_mut(&mut self, token: u64) -> &mut T {
-        self.entries.get_mut(&token).expect("stage token in flight")
+        self.slot(token).as_mut().expect("stage token in flight")
     }
 
-    /// Number of entries in flight.
+    /// Number of entries in flight (counted over the live token window).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.iter().flatten().count()
     }
 
     /// Whether nothing is in flight.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 }
 
@@ -788,6 +812,70 @@ mod tests {
         assert_eq!(m.remove(b), "b");
         // Tokens keep increasing after removals (they are never reused).
         assert_eq!(m.insert("c"), 2);
+    }
+
+    #[test]
+    fn token_map_out_of_order_removal_leaves_an_uncounted_hole() {
+        let mut m: TokenMap<u32> = TokenMap::new();
+        let tokens: Vec<u64> = (0..3).map(|v| m.insert(v)).collect();
+        assert_eq!(m.remove(tokens[1]), 1);
+        assert_eq!(m.len(), 2);
+        assert_eq!(*m.get_mut(tokens[0]), 0);
+        assert_eq!(*m.get_mut(tokens[2]), 2);
+        assert_eq!(m.insert(3), 3);
+        assert_eq!(m.len(), 3);
+    }
+
+    #[test]
+    fn token_map_restores_behind_the_compacted_front() {
+        let mut m: TokenMap<&str> = TokenMap::new();
+        let (a, b, c) = (m.insert("a"), m.insert("b"), m.insert("c"));
+        // Claiming b then a compacts the front past both tokens.
+        assert_eq!(m.remove(b), "b");
+        assert_eq!(m.remove(a), "a");
+        assert_eq!(m.len(), 1);
+        m.restore(a, "a2");
+        assert_eq!(m.len(), 2);
+        assert_eq!(m.remove(c), "c");
+        assert_eq!(m.remove(a), "a2");
+        assert!(m.is_empty());
+    }
+
+    #[test]
+    fn token_map_continues_its_counter_after_a_full_drain() {
+        let mut m: TokenMap<u32> = TokenMap::new();
+        for v in 0..5 {
+            let token = m.insert(v);
+            assert_eq!(m.remove(token), v);
+        }
+        assert!(m.is_empty());
+        assert_eq!(m.insert(5), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "stage token in flight")]
+    fn token_map_double_remove_panics() {
+        let mut m: TokenMap<u32> = TokenMap::new();
+        // The second claim finds the hole the first one left.
+        let (_a, b, _c) = (m.insert(0), m.insert(1), m.insert(2));
+        m.remove(b);
+        m.remove(b);
+    }
+
+    #[test]
+    #[should_panic(expected = "stage token in flight")]
+    fn token_map_never_issued_token_panics() {
+        let mut m: TokenMap<u32> = TokenMap::new();
+        m.insert(0);
+        m.remove(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "restored while occupied")]
+    fn token_map_restore_into_an_occupied_token_panics() {
+        let mut m: TokenMap<u32> = TokenMap::new();
+        let a = m.insert(0);
+        m.restore(a, 1);
     }
 
     #[test]

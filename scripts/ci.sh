@@ -56,6 +56,17 @@ if ! grep -qE 'test result: ok\. [1-9]' /tmp/ci_ledger.out; then
     exit 1
 fi
 
+echo "==> cargo test --release -p dichotomy-simnet (the timer wheel against its heap reference)"
+# The wheel's cascades reuse bucket allocations up to a bound; the
+# differential tests in crates/simnet/tests/wheel_vs_heap.rs pop long sparse
+# and overflowing schedules through it and a BinaryHeap, here as they ship.
+# The stage also requires a nonzero pass count.
+cargo test -q --release -p dichotomy-simnet > /tmp/ci_simnet.out
+if ! grep -qE 'test result: ok\. [1-9]' /tmp/ci_simnet.out; then
+    echo "ci.sh: the release simnet stage ran no test" >&2
+    exit 1
+fi
+
 echo "==> cargo test --release -p dichotomy-merkle -p dichotomy-storage (node interning, differential oracles, bulk loads)"
 # Node interning, the digest memo forks share and both differential oracles
 # (the SHA-keyed MPT reference, the eager MBT rebuild) run here as they ship,
@@ -280,6 +291,11 @@ grep -q "event_queue_schedule_pop_10k" /tmp/ci_microbench.out
 grep -q "engine_loop_etcd_update_300" /tmp/ci_microbench.out
 grep -q "plan_parallel_8probe_etcd" /tmp/ci_microbench.out
 grep -q "event_queue_wheel_churn_256k" /tmp/ci_microbench.out
+# Sparse far-future timers, the invariant oracles over distinct ids, and the
+# driver loop over a model that commits every arrival at once.
+grep -q "event_queue_sparse_far_timers" /tmp/ci_microbench.out
+grep -q "oracle_observe_250k" /tmp/ci_microbench.out
+grep -q "driver_loop_null_closed_200k" /tmp/ci_microbench.out
 grep -q "latency_sketch_stream_100k" /tmp/ci_microbench.out
 # Load vs fork of a shared Quorum state: the per-probe saving of a state
 # group, printed as two ns/op lines.
