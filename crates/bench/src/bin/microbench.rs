@@ -96,7 +96,7 @@ fn bench_batched_ops<S, R>(
         black_box(result);
     }
     let ns_per_op = total.as_nanos() as f64 / iters as f64 / ops as f64;
-    println!("{name:<34} {iters:>7} iters {ns_per_op:>14.0} ns/op");
+    println!("{name:<36} {iters:>7} iters {ns_per_op:>14.0} ns/op");
 }
 
 /// Time a self-contained routine (no per-iteration setup).
@@ -370,34 +370,40 @@ fn bench_event_engine() {
     // system that commits every arrival as it arrives, so one event per
     // transaction and the time is the driver's, the wheel's, the arrival
     // ledger's, workload generation's, the streaming fold's and the
-    // oracles'. Printed per transaction.
+    // oracles'. Printed per transaction. At 200 000 clients (scale01's
+    // largest population) almost every transaction waits cold in the wheel.
     const NULL_TXNS: u64 = 200_000;
-    let config = DriverConfig {
-        transactions: NULL_TXNS,
-        arrival: Some(ArrivalSpec::ClosedLoop {
-            clients: 8_192,
-            think_time_us: SCALE01_THINK_US,
-            max_outstanding: 1,
-        }),
-        window_us: Some(SCALE01_WINDOW_US),
-        metrics: MetricsMode::Streaming,
-        ..DriverConfig::default()
-    };
-    bench_batched_ops(
-        "driver_loop_null_closed_200k",
-        10,
-        NULL_TXNS as u32,
-        || {
-            let workload = YcsbWorkload::new(YcsbConfig {
-                record_count: 64,
-                record_size: 1,
-                mix: YcsbMix::UpdateOnly,
-                ..YcsbConfig::default()
-            });
-            (NullSystem::default(), workload)
-        },
-        |(mut system, mut workload)| run_workload(&mut system, &mut workload, &config),
-    );
+    for (name, clients) in [
+        ("driver_loop_null_closed_200k", 8_192),
+        ("driver_loop_null_closed_200k_clients", 200_000),
+    ] {
+        let config = DriverConfig {
+            transactions: NULL_TXNS,
+            arrival: Some(ArrivalSpec::ClosedLoop {
+                clients,
+                think_time_us: SCALE01_THINK_US,
+                max_outstanding: 1,
+            }),
+            window_us: Some(SCALE01_WINDOW_US),
+            metrics: MetricsMode::Streaming,
+            ..DriverConfig::default()
+        };
+        bench_batched_ops(
+            name,
+            10,
+            NULL_TXNS as u32,
+            || {
+                let workload = YcsbWorkload::new(YcsbConfig {
+                    record_count: 64,
+                    record_size: 1,
+                    mix: YcsbMix::UpdateOnly,
+                    ..YcsbConfig::default()
+                });
+                (NullSystem::default(), workload)
+            },
+            |(mut system, mut workload)| run_workload(&mut system, &mut workload, &config),
+        );
+    }
 }
 
 /// A model that commits every arrival the instant it arrives.
@@ -586,6 +592,28 @@ fn bench_payload_ownership() {
         seq += 1;
         workload.next_transaction(ClientId(seq % 64), seq)
     });
+    // scale01's transaction (one 64-byte update) generated into a batch kept
+    // live, the way the driver holds transactions in flight; the batch is
+    // dropped outside the timing.
+    const BATCH: usize = 1_000;
+    let mut scale01 = YcsbWorkload::new(YcsbConfig {
+        record_count: 5_000,
+        record_size: 64,
+        ..YcsbConfig::default()
+    });
+    bench_batched_ops(
+        "ycsb_next_transaction_1op",
+        2_000,
+        BATCH as u32,
+        || Vec::with_capacity(BATCH),
+        |mut batch| {
+            for _ in 0..BATCH {
+                seq += 1;
+                batch.push(scale01.next_transaction(ClientId(seq % 64), seq));
+            }
+            batch
+        },
+    );
     bench("ycsb_sign_1kb", 20_000, || {
         seq += 1;
         workload
@@ -636,7 +664,7 @@ fn main() {
         ("plan", bench_plan_executor),
         ("quorum_load quorum_fork", bench_state_sharing),
         (
-            "key_clone value_clone ycsb_next_txn ycsb_sign lsm_flush",
+            "key_clone value_clone ycsb_next_txn ycsb_next_transaction ycsb_sign lsm_flush",
             bench_payload_ownership,
         ),
         ("end_to_end", bench_end_to_end),

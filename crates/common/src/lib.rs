@@ -39,6 +39,6 @@ pub use diag::{Diagnostic, Locus, Severity};
 pub use error::{CommonError, Result};
 pub use hash::{sha256, Hash, Hasher};
 pub use txn::{
-    AbortReason, IsolationLevel, Operation, OperationKind, Transaction, TxnReceipt, TxnStatus,
+    AbortReason, Operation, OperationKind, Operations, Transaction, TxnReceipt, TxnStatus,
 };
 pub use types::{ClientId, Key, NodeId, ShardId, Timestamp, TxnId, Value, Version};

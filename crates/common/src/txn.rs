@@ -100,17 +100,62 @@ impl Operation {
     }
 }
 
-/// Isolation level requested by the client; the paper's database experiments
-/// run TiDB at snapshot isolation and the blockchains at serializable
-/// (ledger-order) isolation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IsolationLevel {
-    /// Reads see a consistent snapshot; write-write conflicts abort.
-    Snapshot,
-    /// Full serializability.
-    Serializable,
+/// The operations of a [`Transaction`], in program order, as its
+/// constructors take them: a `Vec<Operation>` or one `Operation`.
+///
+/// One operation (the paper's YCSB default, Table 3) is stored inline, so an
+/// in-flight one-operation transaction holds no heap allocation; more become
+/// one boxed slice, taken over from the `Vec` without a copy when it is full.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Operations(Repr);
+
+/// Exactly one representation per operation count (`Many` never holds one),
+/// so the derived equality is equality of the operation slices.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Repr {
+    One(Operation),
+    Many(Box<[Operation]>),
 }
-codec!(Encode for enum IsolationLevel { Snapshot = 0, Serializable = 1 });
+
+impl Operations {
+    fn as_slice(&self) -> &[Operation] {
+        match &self.0 {
+            Repr::One(op) => std::slice::from_ref(op),
+            Repr::Many(ops) => ops,
+        }
+    }
+}
+
+impl From<Operation> for Operations {
+    fn from(op: Operation) -> Self {
+        Operations(Repr::One(op))
+    }
+}
+
+impl From<Vec<Operation>> for Operations {
+    fn from(ops: Vec<Operation>) -> Self {
+        match <[Operation; 1]>::try_from(ops) {
+            Ok([op]) => Operations(Repr::One(op)),
+            Err(ops) => Operations(Repr::Many(ops.into_boxed_slice())),
+        }
+    }
+}
+
+/// Count-prefixed like a `Vec<Operation>`, whichever representation holds
+/// the operations.
+impl Encode for Operations {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        let ops = self.as_slice();
+        out.extend_from_slice(&(ops.len() as u32).to_be_bytes());
+        for op in ops {
+            op.encode_into(out);
+        }
+    }
+}
+
+/// The isolation byte of the wire form and the content digest: every
+/// transaction runs serializable (ledger order), and this is that level's tag.
+const SERIALIZABLE: u8 = 1;
 
 /// Who signed a [`Transaction`] (the module documentation says why this, and
 /// not the signature bytes, is what a transaction stores).
@@ -125,8 +170,8 @@ enum Signer {
     Explicit(Box<Signature>),
 }
 
-/// A client transaction: a sealed body (id, isolation level, operations), a
-/// submit time, and who signed the body.
+/// A client transaction: a sealed body (id, operations), a submit time, and
+/// who signed the body.
 ///
 /// The body is private and fixed at construction, so the content
 /// [`digest`](Self::digest) and the [`signature`](Self::signature) over it
@@ -138,9 +183,7 @@ pub struct Transaction {
     /// Globally unique id (client, sequence).
     id: TxnId,
     /// Operations in program order.
-    ops: Vec<Operation>,
-    /// Isolation level requested.
-    isolation: IsolationLevel,
+    ops: Operations,
     /// Client wall-clock submit time (simulated microseconds); carried in the
     /// envelope the way real systems carry timestamps, and used by the
     /// harness to compute end-to-end latency. Not signed.
@@ -149,32 +192,36 @@ pub struct Transaction {
 }
 
 impl Transaction {
-    fn sealed(id: TxnId, ops: Vec<Operation>, submit_time: Timestamp, signer: Signer) -> Self {
+    fn sealed(
+        id: TxnId,
+        ops: impl Into<Operations>,
+        submit_time: Timestamp,
+        signer: Signer,
+    ) -> Self {
         Transaction {
             id,
-            ops,
-            isolation: IsolationLevel::Serializable,
+            ops: ops.into(),
             submit_time,
             signer,
         }
     }
 
     /// Build an unsigned transaction.
-    pub fn new(id: TxnId, ops: Vec<Operation>) -> Self {
+    pub fn new(id: TxnId, ops: impl Into<Operations>) -> Self {
         Self::sealed(id, ops, 0, Signer::Unsigned)
     }
 
     /// Build a transaction signed with its own client's key. Nothing is hashed
     /// here: [`signature`](Self::signature) computes the bytes
     /// [`signed`](Self::signed) with `KeyPair::for_client` would store.
-    pub fn client_signed(id: TxnId, ops: Vec<Operation>) -> Self {
+    pub fn client_signed(id: TxnId, ops: impl Into<Operations>) -> Self {
         Self::sealed(id, ops, 0, Signer::Client)
     }
 
     /// Build and sign a transaction with `keypair`, now.
     pub fn signed(
         id: TxnId,
-        ops: Vec<Operation>,
+        ops: impl Into<Operations>,
         submit_time: Timestamp,
         keypair: &KeyPair,
     ) -> Self {
@@ -189,7 +236,7 @@ impl Transaction {
     /// over this content ([`verify_signature`](Self::verify_signature) tells).
     pub fn from_parts(
         id: TxnId,
-        ops: Vec<Operation>,
+        ops: impl Into<Operations>,
         submit_time: Timestamp,
         signature: Option<Signature>,
     ) -> Self {
@@ -207,7 +254,7 @@ impl Transaction {
 
     /// Operations in program order.
     pub fn ops(&self) -> &[Operation] {
-        &self.ops
+        self.ops.as_slice()
     }
 
     /// Whether the transaction carries a signature (valid or not).
@@ -229,17 +276,14 @@ impl Transaction {
         }
     }
 
-    /// Content digest over id, isolation and operations (excludes the
-    /// signature itself).
+    /// Content digest over id, the isolation byte and operations (excludes
+    /// the signature itself).
     pub fn digest(&self) -> Hash {
         let mut h = Hasher::new();
         h.update(&self.id.client.0.to_be_bytes());
         h.update(&self.id.seq.to_be_bytes());
-        h.update(&[match self.isolation {
-            IsolationLevel::Snapshot => 0u8,
-            IsolationLevel::Serializable => 1u8,
-        }]);
-        for op in &self.ops {
+        h.update(&[SERIALIZABLE]);
+        for op in self.ops() {
             h.update(&[match op.kind {
                 OperationKind::Read => 0u8,
                 OperationKind::Write => 1u8,
@@ -282,8 +326,9 @@ impl Transaction {
     /// order. Transactions carry at most a handful of operations, so scanning
     /// the keys already chosen beats building a set per call.
     fn distinct_keys(&self, selected: fn(&Operation) -> bool) -> Vec<&Key> {
-        let mut keys: Vec<&Key> = Vec::with_capacity(self.ops.len());
-        for op in self.ops.iter().filter(|op| selected(op)) {
+        let ops = self.ops();
+        let mut keys: Vec<&Key> = Vec::with_capacity(ops.len());
+        for op in ops.iter().filter(|op| selected(op)) {
             if !keys.contains(&&op.key) {
                 keys.push(&op.key);
             }
@@ -293,17 +338,17 @@ impl Transaction {
 
     /// Whether the transaction performs no writes.
     pub fn is_read_only(&self) -> bool {
-        self.ops.iter().all(|op| !op.writes())
+        self.ops().iter().all(|op| !op.writes())
     }
 
     /// Total payload size (keys + values) in bytes, the quantity the paper
     /// holds at 1000 bytes in the operation-count experiment (Section 5.3.2).
     pub fn payload_bytes(&self) -> usize {
-        self.ops.iter().map(Operation::payload_bytes).sum()
+        self.ops().iter().map(Operation::payload_bytes).sum()
     }
 
     /// Approximate size of the transaction envelope on the wire: payload plus
-    /// a fixed header (id, timestamps, isolation) and the signature.
+    /// a fixed header (id, timestamps) and the signature.
     pub fn wire_bytes(&self) -> usize {
         const HEADER: usize = 48;
         const SIGNATURE: usize = 96;
@@ -312,7 +357,7 @@ impl Transaction {
 
     /// Number of operations.
     pub fn op_count(&self) -> usize {
-        self.ops.len()
+        self.ops().len()
     }
 
     /// Issuing client.
@@ -326,7 +371,6 @@ impl Transaction {
 impl PartialEq for Transaction {
     fn eq(&self, other: &Self) -> bool {
         self.id == other.id
-            && self.isolation == other.isolation
             && self.submit_time == other.submit_time
             && self.ops == other.ops
             // Equal content under equal signers signs to equal bytes.
@@ -341,7 +385,7 @@ impl Encode for Transaction {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.id.encode_into(out);
         self.ops.encode_into(out);
-        self.isolation.encode_into(out);
+        SERIALIZABLE.encode_into(out);
         self.submit_time.encode_into(out);
         self.signature().encode_into(out);
     }
@@ -582,6 +626,102 @@ mod tests {
                 t.signature().expect("signed").tag.to_hex(),
                 "f4b12240136aa315766ab8928f81d73a97303303850c7b31e7e79caf41f6e27c"
             );
+        }
+    }
+
+    /// Whether `t`'s operations lie inside its own `size_of` bytes, by
+    /// address comparison.
+    fn holds_ops_inline(t: &Transaction) -> bool {
+        let start = std::ptr::from_ref(t).addr();
+        let ops = t.ops().as_ptr().addr();
+        (start..start + std::mem::size_of::<Transaction>()).contains(&ops)
+    }
+
+    /// A one-operation transaction carries its operation with no heap
+    /// allocation, whether it was given an `Operation` or a one-element
+    /// `Vec`; several operations live in one boxed slice. (The YCSB generator
+    /// is checked by the test of the same name in `dichotomy-workload`.)
+    #[test]
+    fn a_single_operation_lives_inside_the_transaction() {
+        let op = || Operation::write(Key::from_str("k"), Value::filler(4));
+        let one = Transaction::new(txn_id(), op());
+        assert!(holds_ops_inline(&one));
+        assert_eq!(one.ops(), [op()]);
+        let from_vec = Transaction::client_signed(txn_id(), vec![op()]);
+        assert!(holds_ops_inline(&from_vec));
+        let many = Transaction::new(txn_id(), vec![op(), op()]);
+        assert!(!holds_ops_inline(&many));
+        assert_eq!(many.ops(), [op(), op()]);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The wire form and content digest of four fixed transactions, recorded
+    /// before one-operation transactions stored their operation inline: no
+    /// operation count and no signer encodes differently, and the isolation
+    /// byte (`1`, serializable) is still written where it always was.
+    #[test]
+    fn wire_form_and_digest_match_golden() {
+        let long_key = Key::from_str("account-with-a-key-of-thirty-bytes");
+        assert!(long_key.len() > 22);
+        let cases = [
+            Transaction::new(TxnId::new(ClientId(3), 5), Vec::new()),
+            Transaction::from_parts(
+                TxnId::new(ClientId(4), 6),
+                vec![Operation::write(Key::from_str("k1"), Value::filler(5))],
+                1_234,
+                None,
+            ),
+            Transaction::client_signed(
+                TxnId::new(ClientId(5), 7),
+                vec![Operation::read_modify_write(
+                    Key::from_str("user000000000042"),
+                    Value::filler(3),
+                )],
+            ),
+            Transaction::signed(
+                TxnId::new(ClientId(6), 8),
+                vec![
+                    Operation::read(long_key),
+                    Operation::write(Key::from_str("w"), Value::filler(2)),
+                    Operation::read_modify_write(Key::from_str("rmw"), Value::filler(1)),
+                ],
+                9_999,
+                &KeyPair::for_client(6),
+            ),
+        ];
+        let golden = [
+            (
+                "000000000000000300000000000000050000000001000000000000000000",
+                "c2c58936eb476f00d4abefe4c69472fd0866bb748709cef986ef2e2a9a8ab898",
+            ),
+            (
+                "000000000000000400000000000000060000000101000000026b310100000005\
+                 78787878780100000000000004d200",
+                "5fc805f09d0d18e9c48ce2e74dcd62f3120329d7b92fadf67998c70d9d3a0fdc",
+            ),
+            (
+                "0000000000000005000000000000000700000001020000001075736572303030\
+                 303030303030303432010000000378787801000000000000000001994943866f\
+                 3076d95ab4f9bb5497c71f563c5301d84b1a22a987fc8d5aeba713b40c935e05\
+                 e7b0d76a5fe370ce8ba2e6487863fa250c71412ec8c4b2e81dec80",
+                "b3390cdbc638807d3e34a3f321d81acd3f3728dd77d4dfe24e173284fcc55613",
+            ),
+            (
+                "000000000000000600000000000000080000000300000000226163636f756e74\
+                 2d776974682d612d6b65792d6f662d7468697274792d62797465730001000000\
+                 0177010000000278780200000003726d7701000000017801000000000000270f\
+                 013920d32ce604bae69a2eccb87351e68a9a8643f8c6b73dcfa8e79213fff25b\
+                 742f275805cfc376811f1fb283e1a5822d87808a4a1360256e523f5ff4cff319\
+                 b8",
+                "7739d52cc7e85f8fa47c46120ea02e8d3636b8ace423f2e86b79291f637c1798",
+            ),
+        ];
+        for (t, (encoded, digest)) in cases.iter().zip(golden) {
+            assert_eq!(hex(&t.encode()), encoded);
+            assert_eq!(t.digest().to_hex(), digest);
         }
     }
 

@@ -480,7 +480,7 @@ mod tests {
                             Value::filler(1000 / ops),
                         )
                     })
-                    .collect(),
+                    .collect::<Vec<_>>(),
             );
             drive_arrivals(&mut t, vec![(txn, 0)])[0].latency_us()
         };

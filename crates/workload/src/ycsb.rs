@@ -1,7 +1,7 @@
 //! The YCSB core workload with the knobs of Table 3.
 
 use dichotomy_common::rng::{self, Rng, StdRng};
-use dichotomy_common::{codec, ClientId, Key, Operation, Transaction, TxnId, Value};
+use dichotomy_common::{codec, ClientId, Key, Operation, Operations, Transaction, TxnId, Value};
 
 use crate::zipf::ZipfianGenerator;
 use crate::{padded_key, Workload};
@@ -120,6 +120,22 @@ impl YcsbWorkload {
     fn next_key(&mut self) -> Key {
         Self::key_for(self.zipf.next())
     }
+
+    /// The operation the mix makes of `key` (a mixed workload draws its kind).
+    fn next_operation(&mut self, key: Key) -> Operation {
+        match self.config.mix {
+            YcsbMix::UpdateOnly => Operation::write(key, self.filler.clone()),
+            YcsbMix::QueryOnly => Operation::read(key),
+            YcsbMix::ReadModifyWrite => Operation::read_modify_write(key, self.filler.clone()),
+            YcsbMix::Mixed { read_fraction } => {
+                if self.rng.gen_bool(read_fraction.clamp(0.0, 1.0)) {
+                    Operation::read(key)
+                } else {
+                    Operation::write(key, self.filler.clone())
+                }
+            }
+        }
+    }
 }
 
 impl Workload for YcsbWorkload {
@@ -130,27 +146,23 @@ impl Workload for YcsbWorkload {
     }
 
     fn next_transaction(&mut self, client: ClientId, seq: u64) -> Transaction {
-        let mut ops: Vec<Operation> = Vec::with_capacity(self.config.ops_per_txn);
-        while ops.len() < self.config.ops_per_txn {
+        // One operation (Table 3's default) travels inline, with no
+        // allocation; the draws are those of the loop below.
+        let ops: Operations = if self.config.ops_per_txn == 1 {
             let key = self.next_key();
-            // YCSB transactions touch distinct keys.
-            if ops.iter().any(|op| op.key == key) {
-                continue;
-            }
-            let op = match self.config.mix {
-                YcsbMix::UpdateOnly => Operation::write(key, self.filler.clone()),
-                YcsbMix::QueryOnly => Operation::read(key),
-                YcsbMix::ReadModifyWrite => Operation::read_modify_write(key, self.filler.clone()),
-                YcsbMix::Mixed { read_fraction } => {
-                    if self.rng.gen_bool(read_fraction.clamp(0.0, 1.0)) {
-                        Operation::read(key)
-                    } else {
-                        Operation::write(key, self.filler.clone())
-                    }
+            self.next_operation(key).into()
+        } else {
+            let mut ops: Vec<Operation> = Vec::with_capacity(self.config.ops_per_txn);
+            while ops.len() < self.config.ops_per_txn {
+                let key = self.next_key();
+                // YCSB transactions touch distinct keys.
+                if ops.iter().any(|op| op.key == key) {
+                    continue;
                 }
-            };
-            ops.push(op);
-        }
+                ops.push(self.next_operation(key));
+            }
+            ops.into()
+        };
         let id = TxnId::new(client, seq);
         if self.config.sign_transactions {
             Transaction::client_signed(id, ops)
@@ -168,6 +180,26 @@ impl Workload for YcsbWorkload {
 mod tests {
     use super::*;
     use dichotomy_common::Encode;
+
+    /// The YCSB half of `txn::tests::a_single_operation_lives_inside_the_transaction`
+    /// (`dichotomy-common` cannot see this crate): at Table 3's one operation
+    /// per transaction the generated operation is inside the transaction's
+    /// own bytes, at two it is not.
+    #[test]
+    fn a_single_operation_lives_inside_the_transaction() {
+        for (ops_per_txn, inline) in [(1, true), (2, false)] {
+            let mut w = YcsbWorkload::new(YcsbConfig {
+                record_count: 100,
+                ops_per_txn,
+                ..YcsbConfig::default()
+            });
+            let t = w.next_transaction(ClientId(1), 1);
+            let start = std::ptr::from_ref(&t).addr();
+            let op = t.ops().as_ptr().addr();
+            let within = (start..start + std::mem::size_of::<Transaction>()).contains(&op);
+            assert_eq!(within, inline, "ops_per_txn = {ops_per_txn}");
+        }
+    }
 
     #[test]
     fn initial_records_match_config() {

@@ -291,11 +291,14 @@ grep -q "event_queue_schedule_pop_10k" /tmp/ci_microbench.out
 grep -q "engine_loop_etcd_update_300" /tmp/ci_microbench.out
 grep -q "plan_parallel_8probe_etcd" /tmp/ci_microbench.out
 grep -q "event_queue_wheel_churn_256k" /tmp/ci_microbench.out
-# Sparse far-future timers, the invariant oracles over distinct ids, and the
-# driver loop over a model that commits every arrival at once.
+# Sparse far-future timers, the invariant oracles over distinct ids, the
+# driver loop over a model that commits every arrival at once (at 8 192 and at
+# 200 000 clients) and one-operation YCSB generation.
 grep -q "event_queue_sparse_far_timers" /tmp/ci_microbench.out
 grep -q "oracle_observe_250k" /tmp/ci_microbench.out
 grep -q "driver_loop_null_closed_200k" /tmp/ci_microbench.out
+grep -q "driver_loop_null_closed_200k_clients" /tmp/ci_microbench.out
+grep -q "ycsb_next_transaction_1op" /tmp/ci_microbench.out
 grep -q "latency_sketch_stream_100k" /tmp/ci_microbench.out
 # Load vs fork of a shared Quorum state: the per-probe saving of a state
 # group, printed as two ns/op lines.
