@@ -116,14 +116,6 @@ impl Signature {
     }
 }
 
-/// Verify a signature claimed to come from `node` over `message`.
-///
-/// Convenience wrapper used by consensus and validation code paths, where the
-/// verifier knows the node identity from the message envelope.
-pub fn verify_from_node(sig: &Signature, message: &[u8], node: NodeId) -> bool {
-    sig.verify(message, &KeyPair::for_node(node))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,13 +185,5 @@ mod tests {
             KeyPair::for_node(NodeId(1)).public(),
             KeyPair::for_client(1).public()
         );
-    }
-
-    #[test]
-    fn verify_from_node_helper() {
-        let kp = KeyPair::for_node(NodeId(9));
-        let sig = kp.sign(b"block proposal");
-        assert!(verify_from_node(&sig, b"block proposal", NodeId(9)));
-        assert!(!verify_from_node(&sig, b"block proposal", NodeId(8)));
     }
 }

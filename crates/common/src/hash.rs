@@ -46,11 +46,6 @@ impl Hash {
         Hash::of_parts(&[&left.0, &right.0])
     }
 
-    /// Whether this is the all-zero hash.
-    pub fn is_zero(&self) -> bool {
-        self.0 == [0u8; 32]
-    }
-
     /// Raw digest bytes.
     pub fn as_bytes(&self) -> &[u8; 32] {
         &self.0
@@ -526,8 +521,6 @@ mod tests {
 
     #[test]
     fn zero_hash_and_prefix() {
-        assert!(Hash::ZERO.is_zero());
-        assert!(!Hash::of(b"x").is_zero());
         assert_eq!(Hash::ZERO.prefix_u64(), 0);
         let h = Hash::of(b"prefix");
         assert_eq!(

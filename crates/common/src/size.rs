@@ -43,16 +43,6 @@ impl StorageBreakdown {
         self.payload_bytes + self.index_bytes + self.history_bytes
     }
 
-    /// Average bytes consumed per record, given the number of live records.
-    /// Returns 0.0 when there are no records.
-    pub fn per_record(&self, record_count: u64) -> f64 {
-        if record_count == 0 {
-            0.0
-        } else {
-            self.total() as f64 / record_count as f64
-        }
-    }
-
     /// Overhead per record beyond the raw payload (the quantity Figure 13
     /// reports for MBT vs MPT).
     pub fn overhead_per_record(&self, record_count: u64) -> f64 {
@@ -69,22 +59,6 @@ impl StorageBreakdown {
             payload_bytes: self.payload_bytes + other.payload_bytes,
             index_bytes: self.index_bytes + other.index_bytes,
             history_bytes: self.history_bytes + other.history_bytes,
-        }
-    }
-}
-
-impl StorageBreakdown {
-    /// A breakdown whose payload term is the canonical encoded size of
-    /// `items` (index and history start at zero; callers add their own).
-    pub fn of_payload<'a, T, I>(items: I) -> StorageBreakdown
-    where
-        T: Encode + 'a,
-        I: IntoIterator<Item = &'a T>,
-    {
-        StorageBreakdown {
-            payload_bytes: encoded_bytes(items),
-            index_bytes: 0,
-            history_bytes: 0,
         }
     }
 }
@@ -107,14 +81,12 @@ mod tests {
             history_bytes: 760,
         };
         assert_eq!(b.total(), 2000);
-        assert!((b.per_record(10) - 200.0).abs() < 1e-9);
         assert!((b.overhead_per_record(10) - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn zero_records_is_not_a_division_by_zero() {
         let b = StorageBreakdown::default();
-        assert_eq!(b.per_record(0), 0.0);
         assert_eq!(b.overhead_per_record(0), 0.0);
     }
 
@@ -124,9 +96,11 @@ mod tests {
         let values = [Value::filler(10), Value::filler(100)];
         // Each Value encodes as a 4-byte length prefix plus its payload.
         assert_eq!(encoded_bytes(values.iter()), (4 + 10) + (4 + 100));
-        let b = StorageBreakdown::of_payload(values.iter());
-        assert_eq!(b.payload_bytes, 118);
-        assert_eq!(b.index_bytes, 0);
+        let b = StorageBreakdown {
+            payload_bytes: encoded_bytes(values.iter()),
+            index_bytes: 0,
+            history_bytes: 0,
+        };
         assert_eq!(b.total(), 118);
         assert_eq!(b.encoded_len(), b.encode().len());
     }

@@ -1,16 +1,16 @@
 //! The append-only, hash-chained ledger (Section 3.3.1).
 //!
 //! Every blockchain model in the workspace commits blocks into a [`Ledger`]:
-//! a chain whose integrity can be re-verified end to end, whose storage
+//! a chain whose integrity can be re-verified end to end and whose storage
 //! footprint counts as *history* (this is the "significant storage overhead"
-//! of Figure 12), and which records, per transaction, enough metadata to
-//! support the verifiability arguments of Section 3.1.1 (client signature,
-//! block height, validation flag).
+//! of Figure 12). Each block keeps every transaction envelope (client
+//! signature included) and one validation flag per transaction, which is
+//! what that history costs; the ledger answers no historical queries.
 
 #![forbid(unsafe_code)]
 
 use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
-use dichotomy_common::{Block, Hash, NodeId, Timestamp, Transaction, TxnId};
+use dichotomy_common::{Block, Hash, NodeId, Timestamp, Transaction};
 
 /// Validation outcome recorded next to each transaction in a block (Fabric
 /// marks invalid transactions in the block rather than removing them).
@@ -24,14 +24,12 @@ pub enum TxnValidationFlag {
 }
 
 /// A committed block plus the per-transaction validation flags.
-#[derive(Debug, Clone)]
-pub struct CommittedBlock {
+#[derive(Debug)]
+struct CommittedBlock {
     /// The block as agreed by consensus.
-    pub block: Block,
+    block: Block,
     /// One flag per transaction, same order as `block.txns()`.
-    pub flags: Vec<TxnValidationFlag>,
-    /// When the block was committed locally (simulated µs).
-    pub commit_time: Timestamp,
+    flags: Vec<TxnValidationFlag>,
 }
 
 /// Errors returned when appending to the ledger.
@@ -89,7 +87,6 @@ impl Ledger {
             blocks: vec![CommittedBlock {
                 block: Block::genesis(proposer),
                 flags: Vec::new(),
-                commit_time: 0,
             }],
             txn_count: 0,
             valid_txn_count: 0,
@@ -115,11 +112,6 @@ impl Ledger {
             .hash()
     }
 
-    /// Number of blocks including genesis.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Total transactions recorded (valid and invalid).
     pub fn txn_count(&self) -> u64 {
         self.txn_count
@@ -135,7 +127,6 @@ impl Ledger {
         &mut self,
         block: Block,
         flags: Vec<TxnValidationFlag>,
-        commit_time: Timestamp,
     ) -> Result<(), LedgerError> {
         let expected_height = self.tip_height() + 1;
         if block.header.height != expected_height {
@@ -162,11 +153,7 @@ impl Ledger {
             .iter()
             .filter(|f| **f == TxnValidationFlag::Valid)
             .count() as u64;
-        self.blocks.push(CommittedBlock {
-            block,
-            flags,
-            commit_time,
-        });
+        self.blocks.push(CommittedBlock { block, flags });
         Ok(())
     }
 
@@ -178,7 +165,7 @@ impl Ledger {
         proposer: NodeId,
         time: Timestamp,
         state_root: Option<Hash>,
-    ) -> Result<&CommittedBlock, LedgerError> {
+    ) -> Result<(), LedgerError> {
         let flags = vec![TxnValidationFlag::Valid; txns.len()];
         let block = Block::assemble(
             self.tip_height() + 1,
@@ -188,26 +175,7 @@ impl Ledger {
             time,
             state_root,
         );
-        self.append(block, flags, time)?;
-        Ok(self.blocks.last().expect("just appended"))
-    }
-
-    /// The committed block at `height`, if present.
-    pub fn block_at(&self, height: u64) -> Option<&CommittedBlock> {
-        self.blocks.get(height as usize)
-    }
-
-    /// Find the block height containing the given transaction id (historical
-    /// query — the ability databases lack per Section 3.3.1).
-    pub fn find_txn(&self, id: TxnId) -> Option<(u64, &Transaction)> {
-        for cb in &self.blocks {
-            for txn in cb.block.txns() {
-                if txn.id() == id {
-                    return Some((cb.block.header.height, txn));
-                }
-            }
-        }
-        None
+        self.append(block, flags)
     }
 
     /// Re-verify the whole chain: heights, hash links and body digests.
@@ -225,19 +193,14 @@ impl Ledger {
         None
     }
 
-    /// Iterate over committed blocks in order.
-    pub fn blocks(&self) -> impl Iterator<Item = &CommittedBlock> {
-        self.blocks.iter()
-    }
-
     /// Test hook: tamper with a stored transaction to demonstrate that
     /// [`verify_chain`](Self::verify_chain) catches it. Neither a block's body
     /// nor a transaction can be edited in place, so the first transaction is
     /// replaced by an envelope with its operations dropped and its original
     /// signature, and the stored block by one with the old header over that
     /// body.
-    #[doc(hidden)]
-    pub fn tamper_for_test(&mut self, height: u64) {
+    #[cfg(test)]
+    fn tamper_for_test(&mut self, height: u64) {
         if let Some(cb) = self.blocks.get_mut(height as usize) {
             let mut txns = cb.block.txns().to_vec();
             if let Some(txn) = txns.first_mut() {
@@ -270,7 +233,7 @@ impl StorageFootprint for Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dichotomy_common::{ClientId, Key, Operation, Value};
+    use dichotomy_common::{ClientId, Key, Operation, TxnId, Value};
 
     fn txn(seq: u64, size: usize) -> Transaction {
         Transaction::new(
@@ -286,7 +249,6 @@ mod tests {
     fn genesis_only_ledger() {
         let l = Ledger::new(NodeId(0));
         assert_eq!(l.tip_height(), 0);
-        assert_eq!(l.block_count(), 1);
         assert_eq!(l.txn_count(), 0);
         assert_eq!(l.verify_chain(), None);
     }
@@ -302,10 +264,6 @@ mod tests {
         assert_eq!(l.txn_count(), 3);
         assert_eq!(l.valid_txn_count(), 3);
         assert_eq!(l.verify_chain(), None);
-        let (h, t) = l.find_txn(TxnId::new(ClientId(1), 3)).unwrap();
-        assert_eq!(h, 2);
-        assert_eq!(t.id().seq, 3);
-        assert!(l.find_txn(TxnId::new(ClientId(9), 9)).is_none());
     }
 
     /// Recorded at the commit before `append` stopped re-hashing the body
@@ -334,7 +292,7 @@ mod tests {
         let mut l = Ledger::new(NodeId(0));
         let bogus = Block::assemble(5, l.tip_hash(), vec![], NodeId(0), 0, None);
         assert!(matches!(
-            l.append(bogus, vec![], 0),
+            l.append(bogus, vec![]),
             Err(LedgerError::WrongHeight {
                 expected: 1,
                 found: 5
@@ -342,7 +300,7 @@ mod tests {
         ));
         let unlinked = Block::assemble(1, Hash::of(b"nope"), vec![], NodeId(0), 0, None);
         assert!(matches!(
-            l.append(unlinked, vec![], 0),
+            l.append(unlinked, vec![]),
             Err(LedgerError::BrokenChain { .. })
         ));
     }
@@ -353,15 +311,12 @@ mod tests {
         let header = Block::assemble(1, l.tip_hash(), vec![txn(1, 10)], NodeId(0), 0, None).header;
         let block = Block::from_parts(header, vec![txn(1, 10), txn(2, 10)]);
         assert_eq!(
-            l.append(block, vec![TxnValidationFlag::Valid; 2], 0),
+            l.append(block, vec![TxnValidationFlag::Valid; 2]),
             Err(LedgerError::BadTxnsDigest)
         );
 
         let ok_block = Block::assemble(1, l.tip_hash(), vec![txn(1, 10)], NodeId(0), 0, None);
-        assert_eq!(
-            l.append(ok_block, vec![], 0),
-            Err(LedgerError::FlagMismatch)
-        );
+        assert_eq!(l.append(ok_block, vec![]), Err(LedgerError::FlagMismatch));
     }
 
     #[test]
@@ -378,7 +333,6 @@ mod tests {
         l.append(
             block,
             vec![TxnValidationFlag::Valid, TxnValidationFlag::Invalid],
-            0,
         )
         .unwrap();
         assert_eq!(l.txn_count(), 2);
@@ -413,15 +367,5 @@ mod tests {
         let fl = large.footprint();
         assert_eq!(fs.payload_bytes, 0);
         assert!(fl.history_bytes > fs.history_bytes + 10 * 4900);
-    }
-
-    #[test]
-    fn block_at_and_iteration() {
-        let mut l = Ledger::new(NodeId(0));
-        l.append_txns(vec![txn(1, 10)], NodeId(0), 1, None).unwrap();
-        assert!(l.block_at(0).is_some());
-        assert!(l.block_at(1).is_some());
-        assert!(l.block_at(2).is_none());
-        assert_eq!(l.blocks().count(), 2);
     }
 }

@@ -224,31 +224,6 @@ impl MerkleBucketTree {
             leaf_bytes: value.len(),
         }
     }
-
-    /// Whether `key` is present with exactly `value` (membership check a
-    /// validator performs; MBT cannot return the value itself, it only
-    /// authenticates what the state storage returned).
-    pub fn authenticate(&self, key: &Key, value: &Value) -> bool {
-        let (bucket, key_digest) = self.locate(key);
-        let entries = &self.buckets[bucket];
-        entries
-            .binary_search_by(|e| e.key_digest.cmp(&key_digest))
-            .is_ok_and(|i| entries[i].value_digest == self.value_digest(value))
-    }
-
-    /// Remove `key`; returns `true` if it was present.
-    pub fn delete(&mut self, key: &Key) -> bool {
-        let (bucket, key_digest) = self.locate(key);
-        let entries = &mut self.buckets[bucket];
-        if let Ok(i) = entries.binary_search_by(|e| e.key_digest.cmp(&key_digest)) {
-            entries.remove(i);
-            self.len -= 1;
-            self.invalidate(bucket);
-            true
-        } else {
-            false
-        }
-    }
 }
 
 impl Clone for MerkleBucketTree {
@@ -325,9 +300,6 @@ mod tests {
         t.put(&key(1), &Value::filler(100));
         t.put(&key(2), &Value::filler(200));
         assert_eq!(t.len(), 2);
-        assert!(t.authenticate(&key(1), &Value::filler(100)));
-        assert!(!t.authenticate(&key(1), &Value::filler(101)));
-        assert!(!t.authenticate(&key(3), &Value::filler(100)));
     }
 
     #[test]
@@ -373,7 +345,7 @@ mod tests {
         tree
     }
 
-    /// Seeded put / delete / clone interleavings, each tree beside a model
+    /// Seeded put / clone interleavings, each tree beside a model
     /// of what it holds; every root read is checked against an eager tree
     /// built from the model, and clones refresh independently of their
     /// originals.
@@ -396,10 +368,6 @@ mod tests {
                         let k = rng.gen_range(0..80);
                         tree.put(&key(k), &value);
                         model.insert(k, value);
-                    }
-                    5 | 6 => {
-                        let k = rng.gen_range(0..80);
-                        assert_eq!(tree.delete(&key(k)), model.remove(&k).is_some());
                     }
                     7 if may_clone => {
                         let clone = (tree.clone(), model.clone());
@@ -429,18 +397,6 @@ mod tests {
             t.put(&key(7), &Value::filler(10));
         }
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn delete_removes_and_changes_root() {
-        let mut t = MerkleBucketTree::fabric_default();
-        t.put(&key(1), &Value::filler(10));
-        let with = t.root_hash();
-        assert!(t.delete(&key(1)));
-        assert!(!t.delete(&key(1)));
-        assert_ne!(t.root_hash(), with);
-        assert_eq!(t.len(), 0);
-        assert!(!t.authenticate(&key(1), &Value::filler(10)));
     }
 
     #[test]

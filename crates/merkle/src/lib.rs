@@ -19,16 +19,14 @@
 //! [`StorageFootprint`](dichotomy_common::size::StorageFootprint) accounting,
 //! and per-update structural statistics ([`UpdateStats`]) that the simulator
 //! multiplies by the cost model's constants to charge CPU time (Section
-//! 5.3.3's 56 µs → 2.5 ms MPT reconstruction growth). The trie also proves
-//! membership ([`MerklePatriciaTrie::prove`],
-//! [`MerklePatriciaTrie::verify_proof`]).
+//! 5.3.3's 56 µs → 2.5 ms MPT reconstruction growth).
 //!
 //! Both hash on demand. The simulator charges hashing in *simulated* time
 //! from the structural statistics, so neither structure hashes on the host
-//! until a root or a proof is read: the trie runs each node's SHA-256 once,
-//! when a root or proof first reaches the node, and the bucket tree
-//! re-digests the buckets written since the last root read. Roots, proofs,
-//! node counts and footprints are the ones eager hashing produces.
+//! until a root is read: the trie runs each node's SHA-256 once, when a root
+//! first reaches the node, and the bucket tree re-digests the buckets written
+//! since the last root read. Roots, node counts and footprints are the ones
+//! eager hashing produces.
 
 #![forbid(unsafe_code)]
 
@@ -36,7 +34,7 @@ pub mod bucket_tree;
 pub mod mpt;
 
 pub use bucket_tree::MerkleBucketTree;
-pub use mpt::{MerklePatriciaTrie, MptProof};
+pub use mpt::MerklePatriciaTrie;
 
 /// Structural statistics of one authenticated-index update, consumed by the
 /// cost model (`CostModel::adr_update_us`).

@@ -2,8 +2,8 @@
 //! [`MerklePatriciaTrie`]: a straightforward trie that SHA-256s every node as
 //! it stores it and files it under that digest, driven through the same
 //! seeded histories. Every observable must agree after every step: roots,
-//! lengths, node counts, footprints, per-insert update statistics, reads
-//! (bytes *and* buffer identity) and proof bytes.
+//! lengths, node counts, footprints, per-insert update statistics and reads
+//! (bytes *and* buffer identity).
 //!
 //! The reference has no shared base: a fork of it is a deep clone, which is
 //! exactly what a fork of the real trie must be indistinguishable from.
@@ -15,7 +15,7 @@ use std::sync::Arc;
 use dichotomy_common::rng::{derive_seed, seeded, Rng, StdRng};
 use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
 use dichotomy_common::{Hash, Key, Value};
-use dichotomy_merkle::{MerklePatriciaTrie, MptProof, UpdateStats};
+use dichotomy_merkle::{MerklePatriciaTrie, UpdateStats};
 
 /// Nibble path, one nibble per byte.
 type Path = Vec<u8>;
@@ -250,20 +250,16 @@ impl Reference {
         })
     }
 
-    /// The value `key` holds and the nodes on its path, root first.
-    fn walk(&self, key: &Key) -> (Option<Value>, Vec<&Node>) {
+    fn get(&self, key: &Key) -> Option<Value> {
         let path = nibbles(key);
         let mut path = &path[..];
-        let mut visited = Vec::new();
         let mut current = self.root;
         while let Some(h) = current {
-            let node = &*self.nodes[&h];
-            visited.push(node);
-            current = match node {
+            current = match &*self.nodes[&h] {
                 Node::Leaf {
                     path: leaf_path,
                     value,
-                } => return ((leaf_path[..] == *path).then(|| value.clone()), visited),
+                } => return (leaf_path[..] == *path).then(|| value.clone()),
                 Node::Extension {
                     path: ext_path,
                     child,
@@ -272,7 +268,7 @@ impl Reference {
                     *child
                 }),
                 Node::Branch { children, value } => match path.split_first() {
-                    None => return (value.clone(), visited),
+                    None => return value.clone(),
                     Some((&slot, rest)) => {
                         path = rest;
                         children.get(&slot).copied()
@@ -280,46 +276,11 @@ impl Reference {
                 },
             };
         }
-        (None, visited)
-    }
-
-    fn get(&self, key: &Key) -> Option<Value> {
-        self.walk(key).0
-    }
-
-    fn prove(&self, key: &Key) -> Option<MptProof> {
-        let (value, nodes) = self.walk(key);
-        Some(MptProof {
-            value: value?.as_bytes().to_vec(),
-            nodes: nodes.iter().map(|n| n.encode()).collect(),
-        })
+        None
     }
 
     fn root_hash(&self) -> Hash {
         self.root.unwrap_or(Hash::ZERO)
-    }
-
-    fn prune(&mut self) -> usize {
-        let mut reachable = BTreeSet::new();
-        let mut stack: Vec<Hash> = self.root.into_iter().collect();
-        while let Some(h) = stack.pop() {
-            if !reachable.insert(h) {
-                continue;
-            }
-            match &*self.nodes[&h] {
-                Node::Extension { child, .. } => stack.push(*child),
-                Node::Branch { children, .. } => stack.extend(children.values()),
-                Node::Leaf { .. } => {}
-            }
-        }
-        let before = self.nodes.len();
-        self.nodes.retain(|h, _| reachable.contains(h));
-        self.bytes = self
-            .nodes
-            .values()
-            .map(|n| n.encode().len() as u64 + 32)
-            .sum();
-        before - self.nodes.len()
     }
 
     fn footprint(&self) -> StorageBreakdown {
@@ -399,17 +360,6 @@ fn assert_agree(trie: &MerklePatriciaTrie, reference: &Reference, keys: &[Key], 
         let (got, expected) = (trie.get(key), reference.get(key));
         assert_eq!(got, expected, "get {key:?} at {at}");
         assert!(same_buffer(&got, &expected), "buffer of {key:?} at {at}");
-        let proof = trie.prove(key);
-        assert_eq!(proof, reference.prove(key), "proof of {key:?} at {at}");
-        if let Some(proof) = proof {
-            // A branch's empty value encodes as no value at all, so a proof
-            // of one cannot verify: the quirk the encoding has always had.
-            let empty_on_branch = proof.value.is_empty() && proof.nodes.last().unwrap()[0] == 2;
-            assert!(
-                MerklePatriciaTrie::verify_proof(trie.root_hash(), key, &proof) || empty_on_branch,
-                "proof of {key:?} at {at} does not verify"
-            );
-        }
     }
 }
 
@@ -432,8 +382,7 @@ fn seeded_histories_match_the_sha_keyed_reference() {
                     let fork = (trie.clone(), reference.clone());
                     forks.push(fork);
                 }
-                1 => assert_eq!(trie.prune(), reference.prune(), "prune at {at}"),
-                2..=5 => assert_eq!(trie.root_hash(), reference.root_hash(), "root at {at}"),
+                1..=5 => assert_eq!(trie.root_hash(), reference.root_hash(), "root at {at}"),
                 6 => {
                     let keys: Vec<Key> = touched.iter().map(|&i| history_key(i)).collect();
                     assert_agree(trie, reference, &keys, &at);

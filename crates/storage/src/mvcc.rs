@@ -6,8 +6,8 @@
 //! snapshot timestamp and commits at the next version; the sharded database
 //! models commit each write at a new version. The MVCC
 //! store keeps, per key, the list of committed versions (a commit version
-//! number plus the value or a deletion marker), supports reads "as of" a
-//! version, and can garbage-collect versions older than a watermark.
+//! number plus the value or a deletion marker) and supports reads "as of" a
+//! version.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -218,21 +218,6 @@ impl MvccStore {
             .map(|(_, base, own)| base.len() + own.len())
             .sum()
     }
-
-    /// Drop all versions strictly older than the newest version that is
-    /// `<= watermark` for each key (standard MVCC garbage collection: the
-    /// snapshot at `watermark` must remain readable). A forked store first
-    /// copies the shared base into its own map; other forks keep theirs.
-    pub fn gc(&mut self, watermark: Version) {
-        self.materialise();
-        for versions in self.data.values_mut() {
-            let keep_from = versions
-                .partition_point(|v| v.version <= watermark)
-                .saturating_sub(1);
-            versions.drain(..keep_from);
-        }
-        self.data.retain(|_, v| !v.is_empty());
-    }
 }
 
 impl StorageFootprint for MvccStore {
@@ -311,23 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn gc_keeps_snapshot_at_watermark_readable() {
-        let mut s = MvccStore::new();
-        for i in 1..=10u64 {
-            let v = s.begin_commit();
-            s.commit_write(k("hot"), v, Some(Value::filler(i as usize)));
-        }
-        assert_eq!(s.version_count(), 10);
-        s.gc(5);
-        // The version visible at 5 must still be readable.
-        assert_eq!(s.get_at(&k("hot"), 5).unwrap().len(), 5);
-        // Everything older is gone.
-        assert!(s.version_count() <= 6);
-        // Latest still intact.
-        assert_eq!(s.get_latest(&k("hot")).unwrap().len(), 10);
-    }
-
-    #[test]
     fn footprint_splits_live_and_history() {
         let mut s = MvccStore::new();
         let v1 = s.begin_commit();
@@ -390,12 +358,6 @@ mod tests {
         mutate(&mut fork);
         assert_eq!(observe(&fork), observe(&fresh));
         assert_eq!(observe(&base), untouched);
-        assert_eq!(observe(&sibling), untouched);
-        // GC on the fork copies the base instead of trimming it in place.
-        fresh.gc(2);
-        fork.gc(2);
-        assert_eq!(observe(&fork), observe(&fresh));
-        assert_eq!(fork.get_at(&k("a"), 1), None, "gc dropped the old version");
         assert_eq!(observe(&sibling), untouched);
     }
 

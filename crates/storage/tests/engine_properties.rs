@@ -1,6 +1,6 @@
 //! Property-style tests: every storage engine must behave like a reference
-//! `BTreeMap` under arbitrary workloads, and the MVCC store must preserve
-//! snapshot semantics under garbage collection.
+//! `BTreeMap` under arbitrary workloads, and every MVCC snapshot read must
+//! return the newest commit at or below the snapshot.
 //!
 //! Cases are generated by deterministic seeded loops
 //! (`dichotomy_common::rng::derive_seed`) instead of `proptest`, so the
@@ -84,47 +84,41 @@ fn btree_matches_reference() {
 }
 
 #[test]
-fn mvcc_snapshots_are_stable_under_gc() {
-    for_each_case("mvcc-gc", |seed, rng| {
+fn mvcc_snapshot_reads_match_the_commit_history() {
+    for_each_case("mvcc-snapshots", |seed, rng| {
         let write_count = rng.gen_range(1..200usize);
-        let writes: Vec<(u16, u16)> = (0..write_count)
-            .map(|_| (rng.gen_range(0..50u16), rng.gen_range(1..64u16)))
-            .collect();
-        let gc_fraction: f64 = rng.gen();
         let mut store = MvccStore::new();
-        let mut commits: Vec<(u64, Key, usize)> = Vec::new();
-        for (kn, len) in writes {
-            let key = Key::from_str(&format!("k{kn:03}"));
+        // (version, key number, value length or `None` for a deletion).
+        let mut commits: Vec<(u64, u16, Option<usize>)> = Vec::new();
+        for _ in 0..write_count {
+            let kn = rng.gen_range(0..50u16);
+            let len = (!rng.gen_ratio(1, 5)).then(|| rng.gen_range(1..64usize));
             let v = store.begin_commit();
-            store.commit_write(key.clone(), v, Some(Value::filler(len as usize)));
-            commits.push((v, key, len as usize));
+            store.commit_write(mvcc_key(kn), v, len.map(Value::filler));
+            commits.push((v, kn, len));
         }
         let latest = store.latest_version();
-        let watermark = (latest as f64 * gc_fraction) as u64;
-        // Snapshot visible at the watermark before GC...
-        let expectations: Vec<(Key, Option<usize>)> = commits
-            .iter()
-            .map(|(_, key, _)| {
-                (
-                    key.clone(),
-                    store.get_at(key, watermark.max(1)).map(|v| v.len()),
-                )
-            })
-            .collect();
-        store.gc(watermark.max(1));
-        // ...must be identical after GC.
-        for (key, expected_len) in expectations {
-            assert_eq!(
-                store.get_at(&key, watermark.max(1)).map(|v| v.len()),
-                expected_len,
-                "seed {seed}"
-            );
-        }
-        // And the latest version of each key is always readable.
-        for (v, key, len) in commits.iter().rev() {
-            if store.latest_key_version(key) == Some(*v) {
-                assert_eq!(store.get_latest(key).unwrap().len(), *len, "seed {seed}");
+        for snapshot in [0, rng.gen_range(0..=latest), latest] {
+            for kn in 0..50u16 {
+                let expected = commits
+                    .iter()
+                    .rev()
+                    .find(|(v, k, _)| *k == kn && *v <= snapshot)
+                    .and_then(|(_, _, len)| *len);
+                assert_eq!(
+                    store.get_at(&mvcc_key(kn), snapshot).map(|v| v.len()),
+                    expected,
+                    "seed {seed}, snapshot {snapshot}"
+                );
+                if snapshot == latest {
+                    let newest = store.get_latest(&mvcc_key(kn)).map(|v| v.len());
+                    assert_eq!(newest, expected, "seed {seed}, latest");
+                }
             }
         }
     });
+}
+
+fn mvcc_key(kn: u16) -> Key {
+    Key::from_str(&format!("k{kn:03}"))
 }

@@ -315,7 +315,7 @@ impl Fabric {
             None,
         );
         self.ledger
-            .append(chain_block, block.flags, block.commit_done)
+            .append(chain_block, block.flags)
             .expect("chain grows monotonically");
 
         for ((txn_id, arrival, endorse_done), outcome) in

@@ -18,5 +18,3 @@
 #![forbid(unsafe_code)]
 
 pub mod occ;
-
-pub use occ::SimulationResult;

@@ -24,23 +24,16 @@ use dichotomy_storage::MvccStore;
 pub struct SimulationResult {
     /// (key, version read) pairs; version 0 means "key did not exist".
     pub read_set: Vec<(Key, Version)>,
-    /// Values read (returned to the client / used by RMW logic).
-    pub reads: Vec<(Key, Option<Value>)>,
     /// (key, value) pairs to write if the transaction commits.
     pub write_set: Vec<(Key, Value)>,
-    /// Snapshot version the simulation ran against.
-    pub snapshot: Version,
 }
 
 /// Phase 1: simulate `txn` against the latest committed state of `store`.
 pub fn simulate(txn: &Transaction, store: &MvccStore) -> SimulationResult {
-    let snapshot = store.latest_version();
     let mut read_set = Vec::new();
-    let mut reads = Vec::new();
     for op in txn.ops().iter().filter(|op| op.reads()) {
         let version = store.latest_key_version(&op.key).unwrap_or(0);
         read_set.push((op.key.clone(), version));
-        reads.push((op.key.clone(), store.get_latest(&op.key)));
     }
     // Blind writes still record the key's current version in the read set
     // (Fabric includes written keys' versions for phantom protection).
@@ -51,9 +44,7 @@ pub fn simulate(txn: &Transaction, store: &MvccStore) -> SimulationResult {
     let write_set = effective_writes(txn);
     SimulationResult {
         read_set,
-        reads,
         write_set,
-        snapshot,
     }
 }
 

@@ -338,6 +338,9 @@ echo "==> git status (CI writes only to /tmp, target/, .repro-cache and benchmar
 if [ "$(tree_state)" != "$TREE_BEFORE" ]; then
     echo "ci.sh: a stage modified the checkout:" >&2
     git status --porcelain >&2
+    if git diff --name-only | grep -qx 'benchmark/Cargo.lock'; then
+        echo "ci.sh: the workspace crate graph is frozen with the harness lockfile (benchmark/Cargo.lock): adding, removing or folding a crate needs a [benchmark] PR" >&2
+    fi
     exit 1
 fi
 
