@@ -188,6 +188,38 @@ fn bench_storage_engines() {
         s.load(version, &records);
         s
     });
+    // The transaction path's storage work on those stores once loaded: a
+    // read of a record, then a write of it, over 1 000 distinct records
+    // (ns per read + write).
+    let point_keys: Vec<&Key> = (0..1_000)
+        .map(|i| &records[i * 7_919 % records.len()].0)
+        .collect();
+    let loaded_lsm = || {
+        let mut t = LsmTree::new();
+        t.load(&records);
+        t
+    };
+    bench_batched_ops("lsm_point_ops_5k_1kb", 50, 1_000, loaded_lsm, |mut t| {
+        for &key in &point_keys {
+            black_box(t.get(key));
+            t.put(key.clone(), value.clone());
+        }
+        t
+    });
+    let loaded_mvcc = || {
+        let mut s = MvccStore::new();
+        let version = s.begin_commit();
+        s.load(version, &records);
+        s
+    };
+    bench_batched_ops("mvcc_point_ops_5k", 50, 1_000, loaded_mvcc, |mut s| {
+        for &key in &point_keys {
+            black_box(s.get_latest(key));
+            let version = s.begin_commit();
+            s.commit_write(key.clone(), version, Some(value.clone()));
+        }
+        s
+    });
 }
 
 fn bench_occ_validation() {

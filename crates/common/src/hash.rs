@@ -334,27 +334,48 @@ mod sha_ni {
         for block in blocks.chunks_exact(64) {
             let (abef_in, cdgh_in) = (abef, cdgh);
             let words: *const __m128i = block.as_ptr().cast();
-            // Rolling window over the message schedule, four words a lane.
-            let mut w = [
-                _mm_shuffle_epi8(_mm_loadu_si128(words), byte_swap),
-                _mm_shuffle_epi8(_mm_loadu_si128(words.add(1)), byte_swap),
-                _mm_shuffle_epi8(_mm_loadu_si128(words.add(2)), byte_swap),
-                _mm_shuffle_epi8(_mm_loadu_si128(words.add(3)), byte_swap),
-            ];
-            // Sixteen groups of four rounds; constant trip count, so the
-            // compiler unrolls it and `w` stays in registers.
-            for i in 0..16 {
-                if i >= 4 {
-                    // W[i] from W[i-4], W[i-3], W[i-2], W[i-1].
-                    let sigma0 = _mm_sha256msg1_epu32(w[i % 4], w[(i + 1) % 4]);
-                    let w_minus_7 = _mm_alignr_epi8::<4>(w[(i + 3) % 4], w[(i + 2) % 4]);
-                    w[i % 4] =
-                        _mm_sha256msg2_epu32(_mm_add_epi32(sigma0, w_minus_7), w[(i + 3) % 4]);
-                }
-                let wk = _mm_add_epi32(w[i % 4], _mm_loadu_si128(K.as_ptr().add(4 * i).cast()));
-                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+            // The message schedule's rolling window, four words a register.
+            let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(words), byte_swap);
+            let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(words.add(1)), byte_swap);
+            let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(words.add(2)), byte_swap);
+            let mut w3 = _mm_shuffle_epi8(_mm_loadu_si128(words.add(3)), byte_swap);
+
+            // Four rounds on message words `$w` with constants K[4i..4i+4].
+            macro_rules! rounds {
+                ($i:literal, $w:ident) => {
+                    let wk = _mm_add_epi32($w, _mm_loadu_si128(K.as_ptr().add(4 * $i).cast()));
+                    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+                };
             }
+            // W[4i..4i+4] into `$a` from W[4i-16..4i], held oldest first in
+            // `$a`, `$b`, `$c`, `$d`; then its four rounds. Written out for
+            // every group, rotating the four names, so that the window never
+            // leaves registers and no loop counter is kept.
+            macro_rules! schedule_rounds {
+                ($i:literal, $a:ident, $b:ident, $c:ident, $d:ident) => {
+                    let sigma0 = _mm_sha256msg1_epu32($a, $b);
+                    let w_minus_7 = _mm_alignr_epi8::<4>($d, $c);
+                    $a = _mm_sha256msg2_epu32(_mm_add_epi32(sigma0, w_minus_7), $d);
+                    rounds!($i, $a);
+                };
+            }
+            rounds!(0, w0);
+            rounds!(1, w1);
+            rounds!(2, w2);
+            rounds!(3, w3);
+            schedule_rounds!(4, w0, w1, w2, w3);
+            schedule_rounds!(5, w1, w2, w3, w0);
+            schedule_rounds!(6, w2, w3, w0, w1);
+            schedule_rounds!(7, w3, w0, w1, w2);
+            schedule_rounds!(8, w0, w1, w2, w3);
+            schedule_rounds!(9, w1, w2, w3, w0);
+            schedule_rounds!(10, w2, w3, w0, w1);
+            schedule_rounds!(11, w3, w0, w1, w2);
+            schedule_rounds!(12, w0, w1, w2, w3);
+            schedule_rounds!(13, w1, w2, w3, w0);
+            schedule_rounds!(14, w2, w3, w0, w1);
+            schedule_rounds!(15, w3, w0, w1, w2);
             abef = _mm_add_epi32(abef, abef_in);
             cdgh = _mm_add_epi32(cdgh, cdgh_in);
         }

@@ -41,4 +41,4 @@ pub use hash::{sha256, Hash, Hasher};
 pub use txn::{
     AbortReason, Operation, OperationKind, Operations, Transaction, TxnReceipt, TxnStatus,
 };
-pub use types::{ClientId, Key, NodeId, ShardId, Timestamp, TxnId, Value, Version};
+pub use types::{ClientId, Key, KeyMap, NodeId, ShardId, Timestamp, TxnId, Value, Version};

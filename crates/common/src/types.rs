@@ -2,6 +2,7 @@
 //! substrate and system model in the workspace.
 
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::codec;
@@ -200,6 +201,64 @@ fn inline_words(len: u8, bytes: &[u8; INLINE_KEY_BYTES]) -> [u64; 3] {
 impl std::hash::Hash for Key {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.as_bytes().hash(state);
+    }
+}
+
+/// A table from [`Key`] that serves point lookups and inserts only.
+///
+/// Nothing may iterate one into output unsorted: a caller that needs order
+/// sorts the entries (or merges them through a `BTreeMap`), and any other
+/// walk must be an order-free sum such as a footprint or a count.
+#[expect(
+    clippy::disallowed_types,
+    reason = "point lookups on the transaction path; a seedless hasher, and never iterated into output unsorted"
+)]
+pub type KeyMap<V> = std::collections::HashMap<Key, V, BuildHasherDefault<KeyHasher>>;
+
+/// The [`KeyMap`] hasher: one multiply-rotate step per 8-byte word of the
+/// length-prefixed byte string [`Key`]'s `Hash` writes, then a full-avalanche
+/// finaliser. The table indexes buckets by the low bits and filters probes
+/// by the top seven, so both must depend on every key byte; a finaliser that
+/// only rotated would leave the tag bits of `user…` keys nearly constant and
+/// turn every probe into a key comparison. Seedless: keys are the program's
+/// own, never outside input.
+#[derive(Default)]
+pub struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(23) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.mix(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            // Zero padding cannot collide: the length was written first.
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.mix(u64::from_le_bytes(last));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+
+    /// MurmurHash3's 64-bit finaliser: every output bit depends on every
+    /// input bit.
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        h ^ (h >> 33)
     }
 }
 

@@ -9,10 +9,16 @@
 //!
 //! A model's untimed preload goes through [`KvEngine::load`] and
 //! [`MvccStore::load`]. Each leaves exactly the state its per-record writes
-//! would, and builds it in one sorted pass where that state is fully
-//! determined by the records: an empty LSM tree given pairwise distinct keys,
-//! an MVCC store with no versions of its own. The B+ tree keeps the
-//! per-record loop, since its node layout depends on the order of its splits.
+//! would. An empty LSM tree given pairwise distinct keys builds its runs in
+//! one sorted pass; the MVCC store commits record by record into a map sized
+//! once for them. The B+ tree keeps the per-record loop, since its node
+//! layout depends on the order of its splits.
+//!
+//! The tables the transaction path reads one key at a time — the LSM
+//! memtable and the MVCC version maps — are hash-indexed
+//! [`KeyMap`](dichotomy_common::KeyMap)s. Order is imposed only where it
+//! reaches a reader: a flush sorts the memtable into its run, and a scan
+//! merges through a `BTreeMap`.
 //!
 //! All engines are in-memory models of their on-disk counterparts: the byte
 //! accounting (`StorageFootprint`) is faithful to the structures' layouts so

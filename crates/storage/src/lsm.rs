@@ -6,16 +6,23 @@
 //! oldest. A size-tiered **compaction** merges runs when there are too many,
 //! discarding overwritten versions and tombstones of deleted keys.
 //!
+//! The memtable is a hash-indexed point map ([`KeyMap`]): a put, get or
+//! delete finds its key by hash, never by walking key order. Order is
+//! imposed only where it reaches a reader: [`flush`](LsmTree::flush) sorts
+//! the memtable into its run, and [`scan`](KvEngine::scan) merges memtable
+//! and runs through a `BTreeMap`. The footprint is an order-free sum.
+//!
 //! The model keeps everything in memory but preserves the structural
 //! properties the experiments rely on: read amplification equals the number
 //! of probed runs, storage footprint includes obsolete versions until
 //! compaction reclaims them, and tombstones occupy space.
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
-use dichotomy_common::{Key, Value};
+use dichotomy_common::{Key, KeyMap, Value};
 
 use crate::engine::{EngineKind, KvEngine};
 
@@ -63,6 +70,11 @@ impl Run {
     }
 }
 
+/// The newest slot for `key` in `runs` (newest last).
+fn newest_in_runs<'a>(runs: &'a [Arc<Run>], key: &Key) -> Option<&'a Slot> {
+    runs.iter().rev().find_map(|run| run.get(key))
+}
+
 /// Tuning knobs of the tree.
 #[derive(Debug, Clone)]
 pub struct LsmConfig {
@@ -89,7 +101,8 @@ impl Default for LsmConfig {
 #[derive(Debug, Clone)]
 pub struct LsmTree {
     config: LsmConfig,
-    memtable: BTreeMap<Key, Slot>,
+    /// Unordered (see the module docs for where order is imposed).
+    memtable: KeyMap<Slot>,
     memtable_bytes: usize,
     /// Immutable runs, newest last.
     runs: Vec<Arc<Run>>,
@@ -116,7 +129,7 @@ impl LsmTree {
     pub fn with_config(config: LsmConfig) -> Self {
         LsmTree {
             config,
-            memtable: BTreeMap::new(),
+            memtable: KeyMap::default(),
             memtable_bytes: 0,
             runs: Vec::new(),
             live_count: 0,
@@ -142,35 +155,39 @@ impl LsmTree {
 
     /// Look up the newest slot for `key` across memtable and runs.
     fn newest_slot(&self, key: &Key) -> Option<&Slot> {
-        if let Some(slot) = self.memtable.get(key) {
-            return Some(slot);
-        }
-        for run in self.runs.iter().rev() {
-            if let Some(slot) = run.get(key) {
-                return Some(slot);
-            }
-        }
-        None
+        self.memtable
+            .get(key)
+            .or_else(|| newest_in_runs(&self.runs, key))
     }
 
     fn write_slot(&mut self, key: Key, slot: Slot) {
-        let was_live = matches!(self.newest_slot(&key), Some(Slot::Live(_)));
         let is_live = matches!(slot, Slot::Live(_));
+        let added = key.len() + slot.bytes();
+        // One memtable probe: a key found there is replaced in place, any
+        // other is looked up in the runs.
+        let (was_live, replaced_bytes) = match self.memtable.entry(key) {
+            Entry::Occupied(mut entry) => {
+                let old = entry.insert(slot);
+                (matches!(old, Slot::Live(_)), old.bytes())
+            }
+            Entry::Vacant(entry) => {
+                let older = newest_in_runs(&self.runs, entry.key());
+                let was_live = matches!(older, Some(Slot::Live(_)));
+                entry.insert(slot);
+                (was_live, 0)
+            }
+        };
         match (was_live, is_live) {
             (false, true) => self.live_count += 1,
             (true, false) => self.live_count -= 1,
             _ => {}
         }
-        let added = key.len() + slot.bytes();
-        if let Some(old) = self.memtable.insert(key, slot) {
-            // Only the replaced slot's bytes come off: the key's bytes were
-            // counted when it first entered the memtable and are added again
-            // below, so every overwrite of a memtable key brings the flush
-            // that much closer. Subtracting them would move flush points,
-            // and with them the seeded output.
-            self.memtable_bytes = self.memtable_bytes.saturating_sub(old.bytes());
-        }
-        self.memtable_bytes += added;
+        // Only the replaced slot's bytes come off: the key's bytes were
+        // counted when it first entered the memtable and `added` counts them
+        // again, so every overwrite of a memtable key brings the flush that
+        // much closer. Subtracting them would move flush points, and with
+        // them the seeded output.
+        self.memtable_bytes = self.memtable_bytes.saturating_sub(replaced_bytes) + added;
         if self.memtable_bytes >= self.config.memtable_budget_bytes {
             self.flush();
         }
@@ -181,8 +198,11 @@ impl LsmTree {
         if self.memtable.is_empty() {
             return;
         }
-        // The memtable's entries move into the run: nothing is cloned.
-        let entries = std::mem::take(&mut self.memtable).into_iter().collect();
+        // The memtable's entries move into the run: nothing is cloned. The
+        // emptied table keeps its buckets for the next fill, so a tree that
+        // flushes again does not regrow (and free) a table each time.
+        let mut entries: Vec<_> = self.memtable.drain().collect();
+        entries.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
         self.memtable_bytes = 0;
         self.push_run(entries);
     }
@@ -190,6 +210,10 @@ impl LsmTree {
     /// Append a flushed run of sorted `entries`, compacting when that makes
     /// too many.
     fn push_run(&mut self, entries: Vec<(Key, Slot)>) {
+        debug_assert!(
+            entries.windows(2).all(|pair| pair[0].0 < pair[1].0),
+            "a run must be sorted by key, each key once"
+        );
         self.runs.push(Arc::new(Run { entries }));
         self.flushes += 1;
         if self.runs.len() > self.config.max_runs {
@@ -326,8 +350,10 @@ impl KvEngine for LsmTree {
                 }
             }
         }
-        for (k, s) in self.memtable.range(start.clone()..end.clone()) {
-            merged.insert(k.clone(), s.clone());
+        for (k, s) in &self.memtable {
+            if k >= start && k < end {
+                merged.insert(k.clone(), s.clone());
+            }
         }
         merged
             .into_iter()

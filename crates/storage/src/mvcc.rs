@@ -8,12 +8,16 @@
 //! store keeps, per key, the list of committed versions (a commit version
 //! number plus the value or a deletion marker) and supports reads "as of" a
 //! version.
+//!
+//! Both version maps, a store's own and its frozen base, are hash-indexed
+//! point maps ([`KeyMap`]): every read and commit finds its key by hash.
+//! Nothing reads them in key order; the counts and the footprint are
+//! order-free sums over every key.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
-use dichotomy_common::{Key, Value, Version};
+use dichotomy_common::{Key, KeyMap, Value, Version};
 
 /// One committed version of a key.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,7 +29,7 @@ pub struct VersionedValue {
 }
 
 /// Per key: committed versions in ascending version order.
-type VersionMap = BTreeMap<Key, Vec<VersionedValue>>;
+type VersionMap = KeyMap<Vec<VersionedValue>>;
 
 /// The multi-version store.
 ///
@@ -98,7 +102,8 @@ impl MvccStore {
     }
 
     /// Every key ever written with its version list split as (base part,
-    /// own part), base keys first. Either part may be empty, never both.
+    /// own part), in no particular order. Either part may be empty, never
+    /// both.
     fn histories(&self) -> impl Iterator<Item = (&Key, &[VersionedValue], &[VersionedValue])> {
         let base = self.base.iter().flat_map(|base| base.iter());
         let shared = base.map(|(key, versions)| (key, versions.as_slice(), self.own_versions(key)));
@@ -132,43 +137,23 @@ impl MvccStore {
             self.newest(&key).map_or(true, |v| v.version <= version),
             "versions must be appended in order"
         );
+        // A history starts at one slot: most keys are written once, by the
+        // preload, where `or_default` would reserve four.
         self.data
             .entry(key)
-            .or_default()
+            .or_insert_with(|| Vec::with_capacity(1))
             .push(VersionedValue { version, value });
     }
 
-    /// Commit every record's value at `version`, leaving exactly the state
-    /// the same [`commit_write`](Self::commit_write)s in order would: a key
-    /// that appears more than once gets one version per appearance, all
-    /// numbered `version`, in input order. A fork's commits never touch its
-    /// frozen base, so a store with no versions of its own (a new one, or a
-    /// fork that has committed nothing since the freeze) builds them in one
-    /// sorted pass; any other store runs the `commit_write` loop.
+    /// Commit every record's value at `version`, exactly as the same
+    /// [`commit_write`](Self::commit_write)s in order: a key that appears
+    /// more than once gets one version per appearance, all numbered
+    /// `version`, in input order. The map is sized for the records once.
     pub fn load(&mut self, version: Version, records: &[(Key, Value)]) {
-        if !self.data.is_empty() {
-            for (key, value) in records {
-                self.commit_write(key.clone(), version, Some(value.clone()));
-            }
-            return;
+        self.data.reserve(records.len());
+        for (key, value) in records {
+            self.commit_write(key.clone(), version, Some(value.clone()));
         }
-        if !records.is_empty() {
-            self.latest_version = self.latest_version.max(version);
-        }
-        let mut sorted: Vec<&(Key, Value)> = records.iter().collect();
-        // Stable: equal keys keep their input order.
-        sorted.sort_by(|(a, _), (b, _)| a.cmp(b));
-        let history = |same_key: &[&(Key, Value)]| {
-            let versions = same_key.iter().map(|(_, value)| VersionedValue {
-                version,
-                value: Some(value.clone()),
-            });
-            (same_key[0].0.clone(), versions.collect())
-        };
-        self.data = sorted
-            .chunk_by(|(a, _), (b, _)| a == b)
-            .map(history)
-            .collect();
     }
 
     /// The latest committed version number of `key`, if the key has ever been

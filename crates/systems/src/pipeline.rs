@@ -303,8 +303,8 @@ pub trait TransactionalSystem {
 
     /// Bulk-load the initial records (not timed). Models hand each storage
     /// substrate the whole slice ([`KvEngine::load`], [`MvccStore::load`]),
-    /// which builds what it can in one sorted pass; the MPT and the bucket
-    /// tree take the records one at a time.
+    /// which builds what it can in one pass; the MPT and the bucket tree
+    /// take the records one at a time.
     ///
     /// **Contract:** the state `load` leaves behind may depend only on
     /// `records` and on the fields of the building spec that

@@ -15,10 +15,10 @@
 //! processes, replication and 2PC, and its receipt surfaces through the
 //! `Committed` stage event when the decision lands.
 
-use std::collections::BTreeMap;
-
 use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
-use dichotomy_common::{AbortReason, Key, NodeId, Timestamp, Transaction, TxnReceipt, Value};
+use dichotomy_common::{
+    AbortReason, Key, KeyMap, NodeId, Timestamp, Transaction, TxnReceipt, Value,
+};
 use dichotomy_consensus::{ProtocolKind, ReplicationProfile};
 use dichotomy_merkle::MerkleBucketTree;
 use dichotomy_sharding::{CoordinatorKind, Partitioner, ShardPlan, TwoPhaseCommit};
@@ -59,7 +59,7 @@ struct ShardedDb {
     /// Until when each key is held by an in-flight (not yet committed)
     /// transaction — the window in which a contending arrival either waits
     /// (pessimistic locking) or aborts (optimistic/TiDB).
-    busy_until: BTreeMap<Key, Timestamp>,
+    busy_until: KeyMap<Timestamp>,
     /// Receipts scheduled to surface at their finish time (token-keyed).
     finishing: TokenMap<TxnReceipt>,
     /// Fault schedule: `NodeId(0)` is the 2PC coordinator role,
@@ -96,7 +96,7 @@ impl ShardedDb {
             state: MvccStore::new(),
             engine_db: LsmTree::new(),
             receipts: ReceiptLog::new(),
-            busy_until: BTreeMap::new(),
+            busy_until: KeyMap::default(),
             finishing: TokenMap::new(),
             faults: spec.faults.clone().unwrap_or_default(),
         }

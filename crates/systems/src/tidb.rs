@@ -22,10 +22,10 @@
 //! processes, and the receipt surfaces through its `Committed` stage event
 //! at the decided finish time.
 
-use std::collections::BTreeMap;
-
 use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
-use dichotomy_common::{AbortReason, Key, NodeId, Timestamp, Transaction, TxnReceipt, Value};
+use dichotomy_common::{
+    AbortReason, Key, KeyMap, NodeId, Timestamp, Transaction, TxnReceipt, Value,
+};
 use dichotomy_consensus::{ProtocolKind, ReplicationProfile};
 use dichotomy_sharding::{CoordinatorKind, Partitioner, TwoPhaseCommit};
 use dichotomy_simnet::{CostModel, FaultPlan, NetworkConfig, ProcessId, StageEvent};
@@ -90,7 +90,7 @@ pub struct TiDb {
     /// Until when each key is held by an in-flight transaction; arrivals that
     /// hit a busy key pay contention-resolution rounds and may abort — the
     /// mechanism behind the skew collapse of Section 5.3.1.
-    busy_until: BTreeMap<Key, Timestamp>,
+    busy_until: KeyMap<Timestamp>,
 }
 
 impl TiDb {
@@ -120,7 +120,7 @@ impl TiDb {
             engine_db: LsmTree::new(),
             receipts: ReceiptLog::new(),
             finishing: TokenMap::new(),
-            busy_until: BTreeMap::new(),
+            busy_until: KeyMap::default(),
         }
     }
 

@@ -296,6 +296,10 @@ grep -q "event_queue_wheel_churn_256k" /tmp/ci_microbench.out
 # 200 000 clients) and one-operation YCSB generation.
 grep -q "event_queue_sparse_far_timers" /tmp/ci_microbench.out
 grep -q "oracle_observe_250k" /tmp/ci_microbench.out
+# A read then a write of a record in a loaded LSM tree and MVCC store: the
+# point lookups the transaction path makes by hash.
+grep -q "lsm_point_ops_5k_1kb" /tmp/ci_microbench.out
+grep -q "mvcc_point_ops_5k" /tmp/ci_microbench.out
 grep -q "driver_loop_null_closed_200k" /tmp/ci_microbench.out
 grep -q "driver_loop_null_closed_200k_clients" /tmp/ci_microbench.out
 grep -q "ycsb_next_transaction_1op" /tmp/ci_microbench.out
