@@ -28,11 +28,12 @@ use dichotomy_core::chaos::{OracleContext, OracleSet};
 use dichotomy_core::common::rng;
 use dichotomy_core::common::size::{StorageBreakdown, StorageFootprint};
 use dichotomy_core::common::{
-    hash, ClientId, Key, Operation, Transaction, TxnId, TxnReceipt, Value,
+    hash, ClientId, Key, NodeId, Operation, Transaction, TxnId, TxnReceipt, Value,
 };
 use dichotomy_core::consensus::{ProtocolKind, ReplicationProfile};
 use dichotomy_core::driver::{run_workload, ArrivalSpec, DriverConfig};
 use dichotomy_core::experiments::{SCALE01_THINK_US, SCALE01_WINDOW_US};
+use dichotomy_core::ledger::{Ledger, TxnValidationFlag};
 use dichotomy_core::merkle::{MerkleBucketTree, MerklePatriciaTrie};
 use dichotomy_core::metrics::{LatencyEstimator, LatencySummary, MetricsMode, StreamingLatency};
 use dichotomy_core::scenario::{
@@ -164,6 +165,53 @@ fn bench_authenticated_indexes() {
         }
         (mbt.footprint(), mpt.footprint())
     });
+}
+
+fn bench_ledger() {
+    // The block Fabric and Quorum commit at their default cut: 100
+    // transactions of one 1 KB write each. Appending it hashes nothing; the
+    // transactions digest and header hash are paid once, when the tip is read
+    // (here over 100 such blocks).
+    let value = Value::filler(1_024);
+    let block = |height: u64| -> Vec<Transaction> {
+        (0..100)
+            .map(|seq| {
+                Transaction::client_signed(
+                    TxnId::new(ClientId(seq % 64), height * 100 + seq),
+                    vec![Operation::write(YcsbWorkload::key_for(seq), value.clone())],
+                )
+            })
+            .collect()
+    };
+    let valid = || vec![TxnValidationFlag::Valid; 100];
+    bench_batched(
+        "ledger_append_block_100x1kb",
+        2_000,
+        || (Ledger::new(NodeId(0)), block(1)),
+        |(mut ledger, txns)| {
+            ledger
+                .append_txns(txns, valid(), NodeId(0), 1, None)
+                .expect("one flag per transaction");
+            ledger
+        },
+    );
+    bench_batched(
+        "ledger_tip_hash_100_blocks",
+        20,
+        || {
+            let mut ledger = Ledger::new(NodeId(0));
+            for height in 1..=100 {
+                ledger
+                    .append_txns(block(height), valid(), NodeId(0), height, None)
+                    .expect("one flag per transaction");
+            }
+            ledger
+        },
+        |ledger| {
+            let tip = ledger.tip_hash();
+            (ledger, tip)
+        },
+    );
 }
 
 fn bench_storage_engines() {
@@ -687,6 +735,7 @@ fn main() {
     let groups: &[(&str, fn())] = &[
         ("sha256", bench_hashing),
         ("mpt mbt adr_probe", bench_authenticated_indexes),
+        ("ledger", bench_ledger),
         ("lsm btree mvcc", bench_storage_engines),
         ("occ", bench_occ_validation),
         ("profile", bench_consensus_profiles),

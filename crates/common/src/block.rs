@@ -33,6 +33,10 @@ pub struct BlockHeader {
 codec!(Encode for struct BlockHeader { height, prev_hash, txns_digest, state_root, proposer, timestamp });
 
 impl BlockHeader {
+    /// Approximate serialized size of a header in bytes (height, two hashes,
+    /// an optional state root, proposer and timestamp).
+    pub const WIRE_BYTES: usize = 8 + 32 + 32 + 33 + 8 + 8;
+
     /// Hash of the header; this is "the block hash" that the next block's
     /// `prev_hash` points to.
     pub fn hash(&self) -> Hash {
@@ -57,6 +61,11 @@ impl BlockHeader {
 /// a constructor sets and digests it, and it cannot change afterwards, so
 /// [`verify_txns_digest`](Self::verify_txns_digest) compares two hashes and no
 /// validator re-hashes a body. A different body is a different `Block`.
+///
+/// This eager seal serves blocks built elsewhere (a peer, storage) that a
+/// ledger must check before accepting. A ledger that builds a block from its
+/// own batch stores the fields and the body instead, and digests them only
+/// when a hash is first read (`dichotomy-ledger`'s `append_txns`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// The chained header.
@@ -163,8 +172,7 @@ impl Block {
     /// transaction envelope. Used for the storage accounting of Figure 12 and
     /// the bandwidth model.
     pub fn wire_bytes(&self) -> usize {
-        const HEADER_BYTES: usize = 8 + 32 + 32 + 33 + 8 + 8;
-        HEADER_BYTES + self.txns.iter().map(Transaction::wire_bytes).sum::<usize>()
+        BlockHeader::WIRE_BYTES + self.txns.iter().map(Transaction::wire_bytes).sum::<usize>()
     }
 }
 

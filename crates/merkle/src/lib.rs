@@ -21,12 +21,14 @@
 //! multiplies by the cost model's constants to charge CPU time (Section
 //! 5.3.3's 56 µs → 2.5 ms MPT reconstruction growth).
 //!
-//! Both hash on demand. The simulator charges hashing in *simulated* time
-//! from the structural statistics, so neither structure hashes on the host
-//! until a root is read: the trie runs each node's SHA-256 once, when a root
-//! first reaches the node, and the bucket tree re-digests the buckets written
-//! since the last root read. Roots, node counts and footprints are the ones
-//! eager hashing produces.
+//! Both hash on demand, as does the third authenticated structure, the
+//! block chain of `dichotomy-ledger`. The simulator charges hashing in
+//! *simulated* time from the structural statistics, so no structure hashes
+//! on the host until a root or tip is read: the trie runs each node's SHA-256
+//! once, when a root first reaches the node, the bucket tree re-digests the
+//! buckets written since the last root read, and the ledger seals the blocks
+//! appended since the last tip read. Roots, node counts and footprints are
+//! the ones eager hashing produces.
 
 #![forbid(unsafe_code)]
 

@@ -293,7 +293,7 @@ impl Fabric {
     fn commit_block(&mut self, id: u64) {
         let block = self.in_flight.remove(id);
         // Keep (id, endorse-done) for the receipts before the transactions
-        // move into the chain block.
+        // move into the ledger.
         let receipt_meta: Vec<(dichotomy_common::TxnId, Timestamp, Timestamp)> = block
             .batch
             .iter()
@@ -306,17 +306,9 @@ impl Fabric {
             })
             .collect();
         let txns: Vec<Transaction> = block.batch.into_iter().map(|(t, _)| t).collect();
-        let chain_block = dichotomy_common::Block::assemble(
-            self.ledger.tip_height() + 1,
-            self.ledger.tip_hash(),
-            txns,
-            NodeId(0),
-            block.commit_done,
-            None,
-        );
         self.ledger
-            .append(chain_block, block.flags)
-            .expect("chain grows monotonically");
+            .append_txns(txns, block.flags, NodeId(0), block.commit_done, None)
+            .expect("one flag per transaction");
 
         for ((txn_id, arrival, endorse_done), outcome) in
             receipt_meta.into_iter().zip(block.outcomes)

@@ -19,7 +19,7 @@
 use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
 use dichotomy_common::{Key, NodeId, Timestamp, Transaction, TxnReceipt, Value};
 use dichotomy_consensus::{ProtocolKind, ReplicationProfile};
-use dichotomy_ledger::Ledger;
+use dichotomy_ledger::{Ledger, TxnValidationFlag};
 use dichotomy_merkle::MerklePatriciaTrie;
 use dichotomy_simnet::{CostModel, FaultPlan, NetworkConfig, ProcessId, StageEvent};
 use dichotomy_storage::{KvEngine, LsmTree};
@@ -336,10 +336,11 @@ impl TransactionalSystem for Quorum {
                 let ids: Vec<(dichotomy_common::TxnId, Timestamp)> =
                     block.batch.iter().map(|(t, a)| (t.id(), *a)).collect();
                 let txns: Vec<Transaction> = block.batch.into_iter().map(|(t, _)| t).collect();
+                let flags = vec![TxnValidationFlag::Valid; txns.len()];
                 let root = self.state_trie.root_hash();
                 self.ledger
-                    .append_txns(txns, NodeId(0), commit_done, Some(root))
-                    .expect("chain grows monotonically");
+                    .append_txns(txns, flags, NodeId(0), commit_done, Some(root))
+                    .expect("one flag per transaction");
 
                 // Receipts: block-granular completion, per-txn phase breakdown.
                 for (txn_id, arrival) in ids {

@@ -67,12 +67,13 @@ if ! grep -qE 'test result: ok\. [1-9]' /tmp/ci_simnet.out; then
     exit 1
 fi
 
-echo "==> cargo test --release -p dichotomy-merkle -p dichotomy-storage (node interning, differential oracles, bulk loads)"
+echo "==> cargo test --release -p dichotomy-merkle -p dichotomy-storage -p dichotomy-ledger (node interning, differential oracles, bulk loads)"
 # Node interning, the digest memo forks share and both differential oracles
 # (the SHA-keyed MPT reference, the eager MBT rebuild) run here as they ship,
 # not only in the debug build above; so do the storage crate's differential
-# loops of each bulk load against the per-record writes it stands for.
-cargo test -q --release -p dichotomy-merkle -p dichotomy-storage
+# loops of each bulk load against the per-record writes it stands for, and
+# the ledger's on-demand chains against the same chains hashed eagerly.
+cargo test -q --release -p dichotomy-merkle -p dichotomy-storage -p dichotomy-ledger
 
 echo "==> cargo test --release -p dichotomy-bench --test claims -- --ignored (the claims table at full size)"
 # The debug run above checks every row of crates/bench/src/claims.rs at quick
@@ -325,6 +326,9 @@ grep -q "mvcc_load_5k_1kb" /tmp/ci_microbench.out
 # Fabric's OCC lifecycle (simulate, then validate and commit) through the
 # free functions of `txn::occ`.
 grep -q "occ_simulate_validate_commit" /tmp/ci_microbench.out
+# One 100 x 1 KB block appended to the ledger: it hashes nothing until the
+# tip is read.
+grep -q "ledger_append_block_100x1kb" /tmp/ci_microbench.out
 
 echo "==> benchmark/ (the frozen harness against this tree: smoke check + fidelity digests)"
 # The standalone harness package builds from this checkout's crates, so a
