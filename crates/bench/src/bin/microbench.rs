@@ -502,14 +502,6 @@ impl TransactionalSystem for NullSystem {
         self.0.push_back(receipt);
     }
 
-    fn drain_receipts(&mut self) -> Vec<TxnReceipt> {
-        self.0.drain()
-    }
-
-    fn take_completions(&mut self) -> Vec<Completion> {
-        self.0.take_completions()
-    }
-
     fn drain_completions(&mut self, buf: &mut Vec<Completion>) {
         self.0.swap_completions(buf);
     }

@@ -22,8 +22,7 @@ pub mod json;
 use dichotomy_core::driver::ArrivalSpec;
 use dichotomy_core::experiments::{self as exp, ExperimentReport};
 use dichotomy_core::metrics::MetricsMode;
-use dichotomy_core::scenario::{run_plan, run_plan_with, ExecOptions, ExperimentPlan, Probe};
-use dichotomy_core::systems::SystemRegistry;
+use dichotomy_core::scenario::{run_plan, ExperimentPlan, Probe};
 
 /// Every experiment the harness can run, with its identifier.
 pub const EXPERIMENTS: &[&str] = &[
@@ -200,16 +199,6 @@ fn apply_metrics_override(mut plan: ExperimentPlan, over: Option<MetricsMode>) -
 /// Run one experiment by id and return its structured report.
 pub fn run_report(id: &str, opts: &RunOptions) -> Option<ExperimentReport> {
     plan_for(id, opts).map(|plan| run_plan(&plan))
-}
-
-/// Run one experiment by id under explicit execution options (worker count,
-/// progress callback) — what `repro --jobs/--progress` goes through.
-pub fn run_report_with(
-    id: &str,
-    opts: &RunOptions,
-    exec: &ExecOptions,
-) -> Option<ExperimentReport> {
-    plan_for(id, opts).map(|plan| run_plan_with(&plan, &SystemRegistry::with_builtins(), exec))
 }
 
 /// Whether any driving probe of the plan carries a non-empty fault schedule

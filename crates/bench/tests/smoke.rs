@@ -3,8 +3,9 @@
 //! the `--json` document is valid JSON. (`tests/claims.rs` runs every
 //! experiment in quick mode.)
 
-use dichotomy_bench::{json, plan_for, run_report, run_report_with, RunOptions};
-use dichotomy_core::scenario::ExecOptions;
+use dichotomy_bench::{json, plan_for, run_report, RunOptions};
+use dichotomy_core::scenario::{run_plan_with, ExecOptions};
+use dichotomy_core::systems::SystemRegistry;
 
 #[test]
 fn seeded_reports_differ_across_seeds_but_not_within_one() {
@@ -32,10 +33,11 @@ fn worker_count_does_not_change_a_seeded_report() {
     // The harness-level view of the determinism guarantee: one simulation-
     // backed experiment and the fault scenario, byte-for-byte across worker
     // counts (the exhaustive per-system-kind check lives in dichotomy-core).
-    let opts = RunOptions::quick();
+    let registry = SystemRegistry::with_builtins();
     for id in ["tab05", "fault01"] {
-        let sequential = run_report_with(id, &opts, &ExecOptions::with_jobs(1)).unwrap();
-        let parallel = run_report_with(id, &opts, &ExecOptions::with_jobs(8)).unwrap();
+        let plan = plan_for(id, &RunOptions::quick()).unwrap();
+        let sequential = run_plan_with(&plan, &registry, &ExecOptions::with_jobs(1));
+        let parallel = run_plan_with(&plan, &registry, &ExecOptions::with_jobs(8));
         assert_eq!(sequential, parallel, "{id}");
         assert_eq!(
             json::report(id, &sequential),

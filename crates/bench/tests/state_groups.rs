@@ -55,12 +55,6 @@ impl TransactionalSystem for CountingLoads {
     fn on_drain(&mut self, engine: &mut Engine) {
         self.0.on_drain(engine);
     }
-    fn drain_receipts(&mut self) -> Vec<TxnReceipt> {
-        self.0.drain_receipts()
-    }
-    fn take_completions(&mut self) -> Vec<Completion> {
-        self.0.take_completions()
-    }
     fn drain_completions(&mut self, buf: &mut Vec<Completion>) {
         self.0.drain_completions(buf);
     }

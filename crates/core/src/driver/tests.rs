@@ -137,11 +137,11 @@ impl TransactionalSystem for ArrivalRecorder {
                 arrival + self.latency_us,
             ));
     }
-    fn drain_receipts(&mut self) -> Vec<TxnReceipt> {
-        self.receipts.drain()
+    fn drain_completions(&mut self, buf: &mut Vec<Completion>) {
+        self.receipts.swap_completions(buf);
     }
-    fn take_completions(&mut self) -> Vec<Completion> {
-        self.receipts.take_completions()
+    fn drain_receipts_into(&mut self, buf: &mut Vec<TxnReceipt>) {
+        self.receipts.swap_receipts(buf);
     }
     fn footprint(&self) -> dichotomy_common::size::StorageBreakdown {
         dichotomy_common::size::StorageBreakdown::default()
@@ -426,11 +426,11 @@ impl TransactionalSystem for StagedRecorder {
         self.receipts
             .push_back(TxnReceipt::committed(id, span.1, engine.now()));
     }
-    fn drain_receipts(&mut self) -> Vec<TxnReceipt> {
-        self.receipts.drain()
+    fn drain_completions(&mut self, buf: &mut Vec<Completion>) {
+        self.receipts.swap_completions(buf);
     }
-    fn take_completions(&mut self) -> Vec<Completion> {
-        self.receipts.take_completions()
+    fn drain_receipts_into(&mut self, buf: &mut Vec<TxnReceipt>) {
+        self.receipts.swap_receipts(buf);
     }
     fn footprint(&self) -> dichotomy_common::size::StorageBreakdown {
         dichotomy_common::size::StorageBreakdown::default()

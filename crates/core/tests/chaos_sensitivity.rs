@@ -1,18 +1,20 @@
 //! Oracle-sensitivity tests: each corruption a buggy model could commit is
-//! injected into an otherwise-healthy receipt stream (through the test-only
-//! [`ReceiptLog::corrupt_receipts_for_test`] hook) and must be caught by
+//! injected into an otherwise-healthy receipt stream and must be caught by
 //! exactly the invariant oracle built to see it, as a labelled probe failure.
 //!
 //! The vehicle is a wrapper [`TransactionalSystem`] that delegates every
-//! callback to a real etcd model and routes its drained receipts through a
-//! private [`ReceiptLog`] where one corruption is applied — so everything the
-//! driver measures is genuine queueing, and only the receipt stream lies.
+//! callback to a real etcd model and applies one corruption to a batch its
+//! [`drain_receipts_into`](TransactionalSystem::drain_receipts_into) returns
+//! — so everything the driver measures is genuine queueing, and only the
+//! receipt stream lies. Each case runs under both metrics modes: exact runs
+//! drain the receipts once, at the end, and streaming runs drain them in
+//! small batches while the run is live.
 
 use dichotomy_core::scenario::{ColumnSpec, Metric, Probe, Scenario, Sweep, SystemEntry};
-use dichotomy_core::{run_plan_with, ExecOptions};
+use dichotomy_core::{run_plan_with, ExecOptions, MetricsMode};
 use dichotomy_simnet::StageEvent;
 use dichotomy_systems::{
-    Completion, Engine, ReceiptLog, SystemKind, SystemRegistry, SystemSpec, TransactionalSystem,
+    Completion, Engine, SystemKind, SystemRegistry, SystemSpec, TransactionalSystem,
 };
 use dichotomy_workload::{WorkloadSpec, YcsbMix};
 
@@ -25,9 +27,10 @@ use dichotomy_core::DriverConfig;
 enum Corruption {
     /// Drop the last receipt: a transaction silently vanishes.
     DropLast,
-    /// Replace the last receipt with a copy of the first: the count is
-    /// conserved (so `receipt-conservation` stays quiet) but one transaction
-    /// is receipted twice.
+    /// Replace the last receipt of a batch with a copy of the first receipt
+    /// drained (from this batch if it holds two, else from an earlier one):
+    /// the count is conserved (so `receipt-conservation` stays quiet) but one
+    /// transaction is receipted twice.
     DuplicateFirst,
     /// Rewind one receipt's finish time to before its submission: the
     /// outcome claims to precede its cause.
@@ -35,14 +38,14 @@ enum Corruption {
 }
 
 /// A [`TransactionalSystem`] that runs a real etcd model underneath and
-/// corrupts the drained receipt stream exactly once, behind the
-/// [`ReceiptLog`] test hook.
+/// corrupts its drained receipt stream exactly once.
 struct Corrupting {
     kind: SystemKind,
     inner: Box<dyn TransactionalSystem>,
-    log: ReceiptLog,
     mode: Corruption,
     applied: bool,
+    /// The first receipt drained: the copy `DuplicateFirst` plants.
+    first: Option<TxnReceipt>,
 }
 
 impl Corrupting {
@@ -53,10 +56,42 @@ impl Corrupting {
         Box::new(Corrupting {
             kind: spec.kind,
             inner,
-            log: ReceiptLog::new(),
             mode,
             applied: false,
+            first: None,
         })
+    }
+
+    /// Apply the corruption to a drained batch; returns whether it landed (a
+    /// batch can be too small or lack a usable victim — then it waits for
+    /// the next one).
+    fn apply(&mut self, receipts: &mut Vec<TxnReceipt>) -> bool {
+        match self.mode {
+            Corruption::DropLast => receipts.pop().is_some(),
+            Corruption::DuplicateFirst => {
+                let Some(head) = receipts.first() else {
+                    return false;
+                };
+                let in_this_batch = self.first.is_none();
+                let first = self.first.get_or_insert_with(|| head.clone()).clone();
+                if in_this_batch && receipts.len() < 2 {
+                    return false;
+                }
+                *receipts.last_mut().expect("non-empty") = first;
+                true
+            }
+            Corruption::BreakCausality => {
+                // A victim needs submit > 0 so the rewind lands strictly
+                // before.
+                match receipts.iter_mut().find(|r| r.submit_time > 0) {
+                    Some(victim) => {
+                        victim.finish_time = victim.submit_time - 1;
+                        true
+                    }
+                    None => false,
+                }
+            }
+        }
     }
 }
 
@@ -85,27 +120,15 @@ impl TransactionalSystem for Corrupting {
         self.inner.on_drain(engine);
     }
 
-    fn drain_receipts(&mut self) -> Vec<TxnReceipt> {
-        for receipt in self.inner.drain_receipts() {
-            self.log.push_back(receipt);
-        }
-        if !self.applied {
-            let mode = self.mode;
-            let mut touched = false;
-            self.log.corrupt_receipts_for_test(|receipts| {
-                touched = apply(mode, receipts);
-            });
-            self.applied = touched;
-        }
-        self.log.drain()
-    }
-
-    fn take_completions(&mut self) -> Vec<Completion> {
-        self.inner.take_completions()
-    }
-
     fn drain_completions(&mut self, buf: &mut Vec<Completion>) {
         self.inner.drain_completions(buf);
+    }
+
+    fn drain_receipts_into(&mut self, buf: &mut Vec<TxnReceipt>) {
+        self.inner.drain_receipts_into(buf);
+        if !self.applied {
+            self.applied = self.apply(buf);
+        }
     }
 
     fn footprint(&self) -> StorageBreakdown {
@@ -114,33 +137,6 @@ impl TransactionalSystem for Corrupting {
 
     fn node_count(&self) -> usize {
         self.inner.node_count()
-    }
-}
-
-/// Apply `mode` to a drained batch; returns whether the corruption landed
-/// (a batch can be too small or lack a usable victim — then it waits for the
-/// next one).
-fn apply(mode: Corruption, receipts: &mut Vec<TxnReceipt>) -> bool {
-    match mode {
-        Corruption::DropLast => receipts.pop().is_some(),
-        Corruption::DuplicateFirst => {
-            if receipts.len() < 2 {
-                return false;
-            }
-            let first = receipts[0].clone();
-            *receipts.last_mut().expect("len >= 2") = first;
-            true
-        }
-        Corruption::BreakCausality => {
-            // A victim needs submit > 0 so the rewind lands strictly before.
-            match receipts.iter_mut().find(|r| r.submit_time > 0) {
-                Some(victim) => {
-                    victim.finish_time = victim.submit_time - 1;
-                    true
-                }
-                None => false,
-            }
-        }
     }
 }
 
@@ -161,6 +157,7 @@ fn build_rewinding(spec: &SystemSpec) -> Box<dyn TransactionalSystem> {
 fn run_corrupted(
     corrupt_kind: SystemKind,
     builder: fn(&SystemSpec) -> Box<dyn TransactionalSystem>,
+    metrics: MetricsMode,
 ) -> dichotomy_core::experiments::ExperimentReport {
     let mut registry = SystemRegistry::with_builtins();
     registry.register(corrupt_kind, builder);
@@ -178,7 +175,10 @@ fn run_corrupted(
             },
         ],
         workload: WorkloadSpec::ycsb(YcsbMix::UpdateOnly).with_records(200),
-        driver: DriverConfig::saturating(150),
+        driver: DriverConfig {
+            metrics,
+            ..DriverConfig::saturating(150)
+        },
         sweep: Sweep::None,
         row_labels: None,
         faults: None,
@@ -226,32 +226,41 @@ fn assert_tripped(
     }
 }
 
+/// Both ways a run drains receipts: once at the end, or live in batches.
+const MODES: [MetricsMode; 2] = [MetricsMode::Exact, MetricsMode::Streaming];
+
 #[test]
 fn a_dropped_receipt_is_caught_by_receipt_conservation() {
-    let report = run_corrupted(SystemKind::Tikv, build_dropping);
-    assert_tripped(SystemKind::Tikv, &report, "receipt-conservation", "lost");
+    for metrics in MODES {
+        let report = run_corrupted(SystemKind::Tikv, build_dropping, metrics);
+        assert_tripped(SystemKind::Tikv, &report, "receipt-conservation", "lost");
+    }
 }
 
 #[test]
 fn a_duplicated_receipt_is_caught_by_the_duplicate_oracle() {
-    let report = run_corrupted(SystemKind::TiDb, build_duplicating);
-    assert_tripped(
-        SystemKind::TiDb,
-        &report,
-        "no-duplicate-receipt",
-        "receipted more than once",
-    );
+    for metrics in MODES {
+        let report = run_corrupted(SystemKind::TiDb, build_duplicating, metrics);
+        assert_tripped(
+            SystemKind::TiDb,
+            &report,
+            "no-duplicate-receipt",
+            "receipted more than once",
+        );
+    }
 }
 
 #[test]
 fn a_causality_breaking_receipt_is_caught_by_commit_order_monotonic() {
-    let report = run_corrupted(SystemKind::Fabric, build_rewinding);
-    assert_tripped(
-        SystemKind::Fabric,
-        &report,
-        "commit-order-monotonic",
-        "before its submission",
-    );
+    for metrics in MODES {
+        let report = run_corrupted(SystemKind::Fabric, build_rewinding, metrics);
+        assert_tripped(
+            SystemKind::Fabric,
+            &report,
+            "commit-order-monotonic",
+            "before its submission",
+        );
+    }
 }
 
 #[test]

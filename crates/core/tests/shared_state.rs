@@ -150,11 +150,11 @@ impl TransactionalSystem for Opaque {
     fn on_drain(&mut self, engine: &mut Engine) {
         self.0.on_drain(engine);
     }
-    fn drain_receipts(&mut self) -> Vec<TxnReceipt> {
-        self.0.drain_receipts()
+    fn drain_completions(&mut self, buf: &mut Vec<Completion>) {
+        self.0.drain_completions(buf);
     }
-    fn take_completions(&mut self) -> Vec<Completion> {
-        self.0.take_completions()
+    fn drain_receipts_into(&mut self, buf: &mut Vec<TxnReceipt>) {
+        self.0.drain_receipts_into(buf);
     }
     fn footprint(&self) -> StorageBreakdown {
         self.0.footprint()

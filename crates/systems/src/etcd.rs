@@ -261,14 +261,6 @@ impl<E: KvEngine + Clone + 'static> TransactionalSystem for KvSystem<E> {
         self.receipts.push_back(receipt);
     }
 
-    fn drain_receipts(&mut self) -> Vec<TxnReceipt> {
-        self.receipts.drain()
-    }
-
-    fn take_completions(&mut self) -> Vec<Completion> {
-        self.receipts.take_completions()
-    }
-
     fn drain_completions(&mut self, buf: &mut Vec<Completion>) {
         self.receipts.swap_completions(buf)
     }

@@ -423,14 +423,6 @@ impl TransactionalSystem for Fabric {
         }
     }
 
-    fn drain_receipts(&mut self) -> Vec<TxnReceipt> {
-        self.receipts.drain()
-    }
-
-    fn take_completions(&mut self) -> Vec<Completion> {
-        self.receipts.take_completions()
-    }
-
     fn drain_completions(&mut self, buf: &mut Vec<Completion>) {
         self.receipts.swap_completions(buf)
     }

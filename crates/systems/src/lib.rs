@@ -39,9 +39,8 @@ pub mod tidb;
 pub use etcd::{Etcd, KvSystem, Tikv};
 pub use fabric::Fabric;
 pub use pipeline::{
-    drive_arrivals, run_to_completion, run_to_completion_with, BlockCutter, Completion, Engine,
-    ReceiptLog, SharedState, SysEvent, SystemKind, TimedCutter, TokenMap, TransactionalSystem,
-    FAILOVER_US,
+    drive_arrivals, run_to_completion, Completion, Engine, ReceiptLog, SharedState, SysEvent,
+    SystemKind, TimedCutter, TokenMap, TransactionalSystem, FAILOVER_US,
 };
 pub use quorum::Quorum;
 pub use sharded::{Ahl, ShardedTiDb, SpannerLike};

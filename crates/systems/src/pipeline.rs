@@ -124,7 +124,7 @@ pub type Engine = SimEngine<SysEvent>;
 /// (committed *or* aborted) for `client` at simulated time `finish`.
 ///
 /// The driver polls these through
-/// [`take_completions`](TransactionalSystem::take_completions) after every
+/// [`drain_completions`](TransactionalSystem::drain_completions) after every
 /// dispatched event, which is what lets closed-loop clients schedule their
 /// next submission at `finish + think_time` while the run is still going.
 /// `finish` may lie ahead of the engine clock: models stamp receipts with
@@ -146,10 +146,10 @@ pub struct Completion {
 /// log that doubles as the incremental completion channel.
 ///
 /// [`push_back`](Self::push_back) records the receipt *and* its
-/// [`Completion`]; [`drain`](Self::drain) hands the receipts out once at the
-/// end of a run (unchanged semantics), while
-/// [`take_completions`](Self::take_completions) surfaces the completion
-/// stream incrementally for the driver's closed-loop clients.
+/// [`Completion`]; [`swap_completions`](Self::swap_completions) surfaces the
+/// completion stream for the driver's closed-loop clients and
+/// [`swap_receipts`](Self::swap_receipts) hands the receipts out, both as the
+/// two required drains of [`TransactionalSystem`].
 #[derive(Debug, Default)]
 pub struct ReceiptLog {
     receipts: Vec<TxnReceipt>,
@@ -172,17 +172,6 @@ impl ReceiptLog {
         self.receipts.push(receipt);
     }
 
-    /// Take every receipt recorded so far, in recording order.
-    pub fn drain(&mut self) -> Vec<TxnReceipt> {
-        std::mem::take(&mut self.receipts)
-    }
-
-    /// Take the completions recorded since the last call, in recording
-    /// order.
-    pub fn take_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
-    }
-
     /// Swap-drain the completions recorded since the last call: clears
     /// `buf`, then exchanges it with the internal completion vector. The
     /// caller reads the batch out of `buf` and hands the same buffer back on
@@ -193,31 +182,12 @@ impl ReceiptLog {
         std::mem::swap(&mut self.completions, buf);
     }
 
-    /// Swap-drain the receipts recorded since the last drain, with the same
-    /// buffer-reuse protocol as [`swap_completions`](Self::swap_completions)
-    /// (the streaming-metrics path consumes receipts incrementally).
+    /// Swap-drain the receipts recorded since the last drain, in recording
+    /// order, with the same buffer-reuse protocol as
+    /// [`swap_completions`](Self::swap_completions).
     pub fn swap_receipts(&mut self, buf: &mut Vec<TxnReceipt>) {
         buf.clear();
         std::mem::swap(&mut self.receipts, buf);
-    }
-
-    /// Test-only corruption hook for oracle-sensitivity tests: hands the raw
-    /// receipt vector to `f` so a test can drop, duplicate, or reorder
-    /// receipts and assert the invariant oracles catch it. Completions are
-    /// untouched, exactly as a buggy model would leave them.
-    #[doc(hidden)]
-    pub fn corrupt_receipts_for_test(&mut self, f: impl FnOnce(&mut Vec<TxnReceipt>)) {
-        f(&mut self.receipts);
-    }
-
-    /// Number of receipts currently held.
-    pub fn len(&self) -> usize {
-        self.receipts.len()
-    }
-
-    /// Whether no receipts are held.
-    pub fn is_empty(&self) -> bool {
-        self.receipts.is_empty()
     }
 }
 
@@ -296,7 +266,10 @@ impl VersionedKvState {
 /// [`on_arrival`](Self::on_arrival) / [`on_stage`](Self::on_stage) callbacks
 /// in event order, then [`on_drain`](Self::on_drain) once the arrival stream
 /// has ended and the queue has run dry. Receipts accumulate internally and
-/// are collected with [`drain_receipts`](Self::drain_receipts).
+/// leave through the two swap-drains a model implements,
+/// [`drain_completions`](Self::drain_completions) and
+/// [`drain_receipts_into`](Self::drain_receipts_into); the other two receipt
+/// methods are built on them.
 pub trait TransactionalSystem {
     /// Which system this is.
     fn kind(&self) -> SystemKind;
@@ -361,40 +334,36 @@ pub trait TransactionalSystem {
         let _ = engine;
     }
 
-    /// Receipts completed since the last drain.
-    fn drain_receipts(&mut self) -> Vec<TxnReceipt>;
-
-    /// Completions recorded since the last call, in recording order. The
-    /// driver polls this after every dispatched event so closed-loop client
-    /// models can react to finishes while the run is live; the receipts
-    /// themselves still drain once, at the end, through
-    /// [`drain_receipts`](Self::drain_receipts). Models that buffer their
-    /// outcomes in a [`ReceiptLog`] implement this as
-    /// `self.receipts.take_completions()`.
-    fn take_completions(&mut self) -> Vec<Completion>;
-
     /// Swap-drain the completions recorded since the last call into `buf`
-    /// (cleared first). This is the allocation-free variant of
-    /// [`take_completions`](Self::take_completions): the driver's event loop
-    /// hands the same buffer back every call, so models backed by a
-    /// [`ReceiptLog`] ping-pong two vectors via
-    /// [`ReceiptLog::swap_completions`] instead of allocating per event. The
-    /// default delegates to `take_completions` for implementations that
-    /// don't buffer in a `ReceiptLog`.
-    fn drain_completions(&mut self, buf: &mut Vec<Completion>) {
-        buf.clear();
-        buf.append(&mut self.take_completions());
-    }
+    /// (cleared first), in recording order. The driver polls this after
+    /// every dispatched event, handing the same buffer back each time, so
+    /// closed-loop client models can react to finishes while the run is
+    /// live. Models that buffer their outcomes in a [`ReceiptLog`] implement
+    /// it as [`ReceiptLog::swap_completions`]: two vectors ping-pong and no
+    /// event allocates.
+    fn drain_completions(&mut self, buf: &mut Vec<Completion>);
 
     /// Swap-drain the receipts completed since the last drain into `buf`
     /// (cleared first). Streaming-metrics runs consume receipts
     /// incrementally through this instead of retaining the run's full
     /// receipt vector; models backed by a [`ReceiptLog`] implement it as
-    /// [`ReceiptLog::swap_receipts`]. The default delegates to
-    /// [`drain_receipts`](Self::drain_receipts).
-    fn drain_receipts_into(&mut self, buf: &mut Vec<TxnReceipt>) {
-        buf.clear();
-        buf.append(&mut self.drain_receipts());
+    /// [`ReceiptLog::swap_receipts`].
+    fn drain_receipts_into(&mut self, buf: &mut Vec<TxnReceipt>);
+
+    /// Receipts completed since the last drain:
+    /// [`drain_receipts_into`](Self::drain_receipts_into) on a fresh vector.
+    fn drain_receipts(&mut self) -> Vec<TxnReceipt> {
+        let mut receipts = Vec::new();
+        self.drain_receipts_into(&mut receipts);
+        receipts
+    }
+
+    /// Completions recorded since the last call:
+    /// [`drain_completions`](Self::drain_completions) on a fresh vector.
+    fn take_completions(&mut self) -> Vec<Completion> {
+        let mut completions = Vec::new();
+        self.drain_completions(&mut completions);
+        completions
     }
 
     /// Current storage footprint across state, indexes and ledger/history.
@@ -404,23 +373,14 @@ pub trait TransactionalSystem {
     fn node_count(&self) -> usize;
 }
 
-/// Pump the engine dry: dispatch every queued event to `system`, invoking
-/// `after_arrival` once per dispatched arrival (the open-loop driver uses it
-/// to schedule the next arrival), give the system an
-/// [`on_drain`](TransactionalSystem::on_drain), and keep going until no
-/// events remain (drain hooks may schedule follow-up stages).
-pub fn run_to_completion_with(
-    system: &mut dyn TransactionalSystem,
-    engine: &mut Engine,
-    mut after_arrival: impl FnMut(&mut Engine),
-) {
+/// Pump the engine dry: dispatch every queued event to `system`, give the
+/// system an [`on_drain`](TransactionalSystem::on_drain), and keep going
+/// until no events remain (drain hooks may schedule follow-up stages).
+pub fn run_to_completion(system: &mut dyn TransactionalSystem, engine: &mut Engine) {
     loop {
         while let Some((_, event)) = engine.pop() {
             match event {
-                SysEvent::Arrival(txn) => {
-                    system.on_arrival(txn, engine);
-                    after_arrival(engine);
-                }
+                SysEvent::Arrival(txn) => system.on_arrival(txn, engine),
                 SysEvent::Stage(stage) => system.on_stage(stage, engine),
             }
         }
@@ -429,11 +389,6 @@ pub fn run_to_completion_with(
             break;
         }
     }
-}
-
-/// [`run_to_completion_with`] without a per-arrival hook.
-pub fn run_to_completion(system: &mut dyn TransactionalSystem, engine: &mut Engine) {
-    run_to_completion_with(system, engine, |_| {});
 }
 
 /// Drive a fixed arrival schedule through `system` on a fresh engine and
@@ -547,15 +502,22 @@ impl<T> TokenMap<T> {
     }
 }
 
-/// A [`BlockCutter`] driven by engine timer events: arms one timer stage
-/// event per open block (tagged with an epoch token so stale timers no-op),
-/// cuts on size from [`add`](Self::add) and on timeout from
-/// [`on_timer`](Self::on_timer). Both batching blockchains share this state
-/// machine instead of hand-rolling the epoch/re-arm invariants.
+/// Groups submitted transactions into blocks the way a blockchain's block
+/// producer / ordering service cuts them: a block is cut when it holds
+/// `max_txns` transactions or when `timeout_us` has elapsed since its first
+/// transaction arrived, whichever comes first.
+///
+/// The timeout is an engine timer: one timer stage event is armed per open
+/// block (tagged with an epoch token so stale timers no-op), size cuts come
+/// from [`add`](Self::add) and timeout cuts from [`on_timer`](Self::on_timer).
+/// Both batching blockchains share this state machine instead of
+/// hand-rolling the epoch/re-arm invariants.
 #[derive(Debug)]
 pub struct TimedCutter {
-    cutter: BlockCutter,
+    max_txns: usize,
     timeout_us: u64,
+    pending: Vec<(Transaction, Timestamp)>,
+    first_arrival: Option<Timestamp>,
     /// Which stage id the timer events carry (model-defined).
     timer_stage: u32,
     /// Epoch of the currently open (uncut) block; timer tokens must match.
@@ -567,16 +529,13 @@ impl TimedCutter {
     /// stage events.
     pub fn new(max_txns: usize, timeout_us: u64, timer_stage: u32) -> Self {
         TimedCutter {
-            cutter: BlockCutter::new(max_txns, timeout_us),
+            max_txns: max_txns.max(1),
             timeout_us: timeout_us.max(1),
+            pending: Vec::new(),
+            first_arrival: None,
             timer_stage,
             epoch: 0,
         }
-    }
-
-    /// Number of transactions waiting in the open block.
-    pub fn pending_len(&self) -> usize {
-        self.cutter.pending_len()
     }
 
     fn arm_timer(&self, at: Timestamp, engine: &mut Engine) {
@@ -594,13 +553,13 @@ impl TimedCutter {
         at: Timestamp,
         engine: &mut Engine,
     ) -> Option<(Vec<(Transaction, Timestamp)>, Timestamp)> {
-        if self.cutter.pending_len() == 0 {
+        if self.pending.is_empty() {
             self.arm_timer(at, engine);
         }
-        let cut = self.cutter.add(txn, at);
+        let cut = self.push(txn, at);
         if cut.is_some() {
             self.epoch += 1;
-            if self.cutter.pending_len() > 0 {
+            if !self.pending.is_empty() {
                 // The cut left a fresh open block behind (a late-arrival
                 // cut): arm its timer too.
                 self.arm_timer(at, engine);
@@ -609,66 +568,10 @@ impl TimedCutter {
         cut
     }
 
-    /// A timer stage event fired with `token`: cut the open block if the
-    /// timer is current (stale epochs no-op).
-    pub fn on_timer(
-        &mut self,
-        token: u64,
-        now: Timestamp,
-    ) -> Option<(Vec<(Transaction, Timestamp)>, Timestamp)> {
-        if token != self.epoch {
-            return None;
-        }
-        let cut = self.cutter.cut(now);
-        if cut.is_some() {
-            self.epoch += 1;
-        }
-        cut
-    }
-
-    /// Cut whatever is pending (drain hook). With timers armed for every
-    /// open block this is normally empty by the time the queue runs dry.
-    pub fn flush(&mut self, now: Timestamp) -> Option<(Vec<(Transaction, Timestamp)>, Timestamp)> {
-        let cut = self.cutter.cut(now);
-        if cut.is_some() {
-            self.epoch += 1;
-        }
-        cut
-    }
-}
-
-/// Groups submitted transactions into blocks the way a blockchain's block
-/// producer / ordering service cuts them: a block is emitted when it holds
-/// `max_txns` transactions or when `timeout_us` has elapsed since its first
-/// transaction arrived, whichever comes first.
-#[derive(Debug)]
-pub struct BlockCutter {
-    max_txns: usize,
-    timeout_us: u64,
-    pending: Vec<(Transaction, Timestamp)>,
-    first_arrival: Option<Timestamp>,
-}
-
-impl BlockCutter {
-    /// A cutter with the given limits.
-    pub fn new(max_txns: usize, timeout_us: u64) -> Self {
-        BlockCutter {
-            max_txns: max_txns.max(1),
-            timeout_us: timeout_us.max(1),
-            pending: Vec::new(),
-            first_arrival: None,
-        }
-    }
-
-    /// Number of transactions waiting in the open block.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Add a transaction; returns a cut batch if this arrival closed a block
-    /// (either because an older pending block timed out before `arrival`, or
-    /// because the size limit was reached).
-    pub fn add(
+    /// Append a transaction; returns a cut batch if this arrival closed a
+    /// block (either because an older pending block timed out before
+    /// `arrival`, or because the size limit was reached).
+    fn push(
         &mut self,
         txn: Transaction,
         arrival: Timestamp,
@@ -697,8 +600,23 @@ impl BlockCutter {
         None
     }
 
-    /// Cut whatever is pending (end of run / timer tick at `now`).
-    pub fn cut(&mut self, now: Timestamp) -> Option<(Vec<(Transaction, Timestamp)>, Timestamp)> {
+    /// A timer stage event fired with `token`: cut the open block if the
+    /// timer is current (stale epochs no-op).
+    pub fn on_timer(
+        &mut self,
+        token: u64,
+        now: Timestamp,
+    ) -> Option<(Vec<(Transaction, Timestamp)>, Timestamp)> {
+        if token != self.epoch {
+            return None;
+        }
+        self.flush(now)
+    }
+
+    /// Cut whatever is pending (timer tick or drain hook at `now`). With
+    /// timers armed for every open block this is normally empty by the time
+    /// the queue runs dry.
+    pub fn flush(&mut self, now: Timestamp) -> Option<(Vec<(Transaction, Timestamp)>, Timestamp)> {
         if self.pending.is_empty() {
             return None;
         }
@@ -707,6 +625,7 @@ impl BlockCutter {
         // arrival, never after the block's timeout expires.
         let cut_time = now.clamp(first, first.saturating_add(self.timeout_us));
         let batch = std::mem::take(&mut self.pending);
+        self.epoch += 1;
         Some((batch, cut_time))
     }
 }
@@ -741,56 +660,60 @@ mod tests {
 
     #[test]
     fn cuts_on_size_limit() {
-        let mut c = BlockCutter::new(3, 1_000_000);
-        assert!(c.add(txn(1), 10).is_none());
-        assert!(c.add(txn(2), 20).is_none());
-        let (batch, at) = c.add(txn(3), 30).expect("size cut");
+        let mut engine = Engine::new();
+        let mut c = TimedCutter::new(3, 1_000_000, 7);
+        assert!(c.add(txn(1), 10, &mut engine).is_none());
+        assert!(c.add(txn(2), 20, &mut engine).is_none());
+        let (batch, at) = c.add(txn(3), 30, &mut engine).expect("size cut");
         assert_eq!(batch.len(), 3);
         assert_eq!(at, 30);
-        assert_eq!(c.pending_len(), 0);
+        assert!(c.pending.is_empty());
     }
 
     #[test]
     fn cuts_on_timeout_when_a_late_arrival_shows_up() {
-        let mut c = BlockCutter::new(100, 500);
-        c.add(txn(1), 0);
-        c.add(txn(2), 100);
+        let mut engine = Engine::new();
+        let mut c = TimedCutter::new(100, 500, 7);
+        c.add(txn(1), 0, &mut engine);
+        c.add(txn(2), 100, &mut engine);
         // This arrival is past the timeout of the open block.
-        let (batch, at) = c.add(txn(3), 900).expect("timeout cut");
+        let (batch, at) = c.add(txn(3), 900, &mut engine).expect("timeout cut");
         assert_eq!(batch.len(), 2);
         assert_eq!(at, 500);
-        assert_eq!(c.pending_len(), 1);
+        assert_eq!(c.pending.len(), 1);
     }
 
     #[test]
     fn cut_time_is_clamped_to_the_blocks_lifetime() {
+        let mut engine = Engine::new();
         // `now` before the first arrival (a stale timer tick): the cut is
         // dated at the first arrival, never earlier.
-        let mut c = BlockCutter::new(100, 500);
-        c.add(txn(1), 1_000);
-        let (_, at) = c.cut(400).expect("cut");
+        let mut c = TimedCutter::new(100, 500, 7);
+        c.add(txn(1), 1_000, &mut engine);
+        let (_, at) = c.flush(400).expect("cut");
         assert_eq!(at, 1_000);
         // `now` past the timeout: the cut is dated when the timeout expired.
-        let mut c = BlockCutter::new(100, 500);
-        c.add(txn(2), 1_000);
-        let (_, at) = c.cut(9_999).expect("cut");
+        let mut c = TimedCutter::new(100, 500, 7);
+        c.add(txn(2), 1_000, &mut engine);
+        let (_, at) = c.flush(9_999).expect("cut");
         assert_eq!(at, 1_500);
         // `now` inside the window: the cut happens exactly at `now`.
-        let mut c = BlockCutter::new(100, 500);
-        c.add(txn(3), 1_000);
-        let (_, at) = c.cut(1_200).expect("cut");
+        let mut c = TimedCutter::new(100, 500, 7);
+        c.add(txn(3), 1_000, &mut engine);
+        let (_, at) = c.flush(1_200).expect("cut");
         assert_eq!(at, 1_200);
     }
 
     #[test]
     fn explicit_cut_flushes_pending() {
-        let mut c = BlockCutter::new(100, 500);
-        assert!(c.cut(0).is_none());
-        c.add(txn(1), 100);
-        let (batch, at) = c.cut(10_000).expect("flush");
+        let mut engine = Engine::new();
+        let mut c = TimedCutter::new(100, 500, 7);
+        assert!(c.flush(0).is_none());
+        c.add(txn(1), 100, &mut engine);
+        let (batch, at) = c.flush(10_000).expect("flush");
         assert_eq!(batch.len(), 1);
         assert_eq!(at, 600);
-        assert!(c.cut(20_000).is_none());
+        assert!(c.flush(20_000).is_none());
     }
 
     #[test]

@@ -4,11 +4,18 @@
 //! permissioned blockchain (PBFT shards, trusted-hardware-reduced shard
 //! size, BFT-replicated 2PC coordinator shard, periodic reconfiguration).
 //!
+//! All three, and the full-replication [`TiDb`](crate::tidb::TiDb), run on
+//! one database core, `ShardedDb`: the partitioner, the replication
+//! profile, 2PC, the MVCC+LSM state pair with its load and fork, the fault
+//! plan, the receipt log, the receipts parked until their `Committed` stage
+//! fires and the per-key hold table.
+//!
 //! Contention is a per-key hold window: a committed write holds its keys
-//! until its 2PC decision lands (`busy_until`). An arrival that touches a
-//! held key waits the window out in the Spanner-like model, and aborts at
-//! once in the sharded TiDB if it writes that key. AHL does not look at the
-//! window.
+//! until its 2PC decision lands (`busy_until`, written only through the
+//! core's `hold` and read only through its `busy_window`). An arrival that
+//! touches a held key waits the window out in the Spanner-like model, and
+//! aborts at once in the sharded TiDB if it writes that key. AHL does not
+//! look at the window.
 //!
 //! Event pipeline: the conflict decision (wait or abort) happens at arrival;
 //! the surviving transaction is booked through the per-shard service
@@ -33,29 +40,31 @@ use crate::pipeline::{
 use crate::spec::SystemSpec;
 
 /// Stage: a decided transaction's receipt surfaces to the client at its
-/// commit time (token = in-flight id). Shared by all three sharded models.
+/// commit time (token = in-flight id). Shared by every model on the core.
 const ST_COMMITTED: u32 = 0;
 
 /// Replicas per region of the region-partitioned TiDB: each region is its
 /// own 3-node Raft group whatever the spec's `nodes`.
 pub const REGION_REPLICAS: usize = 3;
 
-/// Shared plumbing of the sharded database models.
-struct ShardedDb {
-    partitioner: Partitioner,
+/// The database core of the sharded models and of TiDB: `shards` hash
+/// partitions, each a replication group of `nodes_per_shard`, with 2PC
+/// across them.
+pub(crate) struct ShardedDb {
+    pub(crate) partitioner: Partitioner,
     shards: u32,
     /// Replicas in each shard's replication group.
-    nodes_per_shard: usize,
-    network: NetworkConfig,
-    costs: CostModel,
+    pub(crate) nodes_per_shard: usize,
+    pub(crate) network: NetworkConfig,
+    pub(crate) costs: CostModel,
     /// One serial apply/commit process per shard (the shard's Paxos/Raft
-    /// leader pipeline), registered at attach time.
+    /// leader pipeline), registered by [`attach`](Self::attach).
     shard_procs: Option<Vec<ProcessId>>,
-    replication: ReplicationProfile,
-    two_pc: TwoPhaseCommit,
-    state: MvccStore,
-    engine_db: LsmTree,
-    receipts: ReceiptLog,
+    pub(crate) replication: ReplicationProfile,
+    pub(crate) two_pc: TwoPhaseCommit,
+    pub(crate) state: MvccStore,
+    pub(crate) engine_db: LsmTree,
+    pub(crate) receipts: ReceiptLog,
     /// Until when each key is held by an in-flight (not yet committed)
     /// transaction — the window in which a contending arrival either waits
     /// (pessimistic locking) or aborts (optimistic/TiDB).
@@ -64,13 +73,13 @@ struct ShardedDb {
     finishing: TokenMap<TxnReceipt>,
     /// Fault schedule: `NodeId(0)` is the 2PC coordinator role,
     /// `NodeId(1 + shard)` a shard's replication leader.
-    faults: FaultPlan,
+    pub(crate) faults: FaultPlan,
 }
 
 impl ShardedDb {
     /// `shards` (at least one) groups of `nodes_per_shard` replicas running
     /// `protocol`, with the network, costs and faults `spec` describes.
-    fn new(
+    pub(crate) fn new(
         spec: &SystemSpec,
         shards: u32,
         nodes_per_shard: usize,
@@ -110,6 +119,8 @@ impl ShardedDb {
         }
     }
 
+    /// Register one `shard-pipe` process per shard (a model that books its
+    /// own processes, like TiDB, never calls this).
     fn attach(&mut self, engine: &mut Engine) {
         self.shard_procs = Some(
             (0..self.shards)
@@ -126,43 +137,63 @@ impl ShardedDb {
 
     /// Park a decided receipt and schedule the `Committed` stage event that
     /// surfaces it at its finish time.
-    fn schedule_receipt(&mut self, receipt: TxnReceipt, engine: &mut Engine) {
+    pub(crate) fn schedule_receipt(&mut self, receipt: TxnReceipt, engine: &mut Engine) {
         let at = receipt.finish_time;
         let token = self.finishing.insert(receipt);
         engine.schedule_at(at, SysEvent::stage(ST_COMMITTED, token));
     }
 
-    /// The `Committed` stage fired: hand the parked receipt to the client.
-    fn surface_receipt(&mut self, token: u64) {
-        let receipt = self.finishing.remove(token);
+    /// The `Committed` stage `event` fired: hand the parked receipt to the
+    /// client.
+    pub(crate) fn surface_receipt(&mut self, event: StageEvent) {
+        debug_assert_eq!(event.stage, ST_COMMITTED);
+        let receipt = self.finishing.remove(event.token);
         self.receipts.push_back(receipt);
+    }
+
+    /// Hold `key` until `until`, replacing any earlier hold.
+    pub(crate) fn hold(&mut self, key: &Key, until: Timestamp) {
+        self.busy_until.insert(key.clone(), until);
     }
 
     /// Latest time at which any of `keys` is still held by an in-flight
     /// transaction (0 if none).
-    fn busy_window(&self, keys: &[&Key]) -> Timestamp {
+    pub(crate) fn busy_window(&self, keys: &[&Key]) -> Timestamp {
         keys.iter()
             .filter_map(|k| self.busy_until.get(*k).copied())
             .max()
             .unwrap_or(0)
     }
 
-    fn load(&mut self, records: &[(Key, Value)]) {
+    pub(crate) fn load(&mut self, records: &[(Key, Value)]) {
         VersionedKvState::load(&mut self.state, &mut self.engine_db, records);
     }
 
-    fn capture(&mut self) -> VersionedKvState {
+    pub(crate) fn capture(&mut self) -> VersionedKvState {
         VersionedKvState::capture(&mut self.state, &self.engine_db)
     }
 
-    fn adopt_state(&mut self, state: &SharedState) -> bool {
+    pub(crate) fn adopt_state(&mut self, state: &SharedState) -> bool {
         VersionedKvState::adopt(state, &mut self.state, &mut self.engine_db)
+    }
+
+    /// Record the `Overload` abort of a transaction that arrived at
+    /// `arrival` and whose decision a permanent outage left unreachable at
+    /// `stalled_at`.
+    fn abort_stalled(&mut self, txn: &Transaction, arrival: Timestamp, stalled_at: Timestamp) {
+        let finish = stalled_at + self.network.base_latency_us;
+        self.receipts.push_back(TxnReceipt::aborted(
+            txn.id(),
+            AbortReason::Overload,
+            arrival,
+            finish,
+        ));
     }
 
     /// Per-shard work + cross-shard 2PC for a transaction whose per-shard
     /// processing cost is `shard_cost_us`. Returns the commit time, or
-    /// `Err(finish)` when a permanent outage makes the decision unreachable
-    /// (the caller emits an `Overload` abort at `finish`).
+    /// `Err(stalled_at)` when a permanent outage makes the decision
+    /// unreachable (the caller records [`abort_stalled`](Self::abort_stalled)).
     fn replicate_and_commit(
         &mut self,
         txn: &Transaction,
@@ -209,7 +240,7 @@ impl ShardedDb {
             self.state
                 .commit_write(op.key.clone(), version, Some(value.clone()));
             self.engine_db.put(op.key.clone(), value);
-            self.busy_until.insert(op.key.clone(), decided_at);
+            self.hold(&op.key, decided_at);
         }
         Ok(decided_at)
     }
@@ -298,16 +329,7 @@ impl TransactionalSystem for SpannerLike {
         let start = arrival + wait_us;
         let commit_at = match self.db.replicate_and_commit(&txn, start, per_shard, engine) {
             Ok(t) => t,
-            Err(stalled_at) => {
-                let finish = stalled_at + self.db.network.base_latency_us;
-                self.db.receipts.push_back(TxnReceipt::aborted(
-                    txn.id(),
-                    AbortReason::Overload,
-                    arrival,
-                    finish,
-                ));
-                return;
-            }
+            Err(stalled_at) => return self.db.abort_stalled(&txn, arrival, stalled_at),
         };
         let finish = commit_at + self.db.network.base_latency_us;
         let mut r = TxnReceipt::committed(txn.id(), arrival, finish);
@@ -319,16 +341,7 @@ impl TransactionalSystem for SpannerLike {
     }
 
     fn on_stage(&mut self, event: StageEvent, _engine: &mut Engine) {
-        debug_assert_eq!(event.stage, ST_COMMITTED);
-        self.db.surface_receipt(event.token);
-    }
-
-    fn drain_receipts(&mut self) -> Vec<TxnReceipt> {
-        self.db.receipts.drain()
-    }
-
-    fn take_completions(&mut self) -> Vec<Completion> {
-        self.db.receipts.take_completions()
+        self.db.surface_receipt(event);
     }
 
     fn drain_completions(&mut self, buf: &mut Vec<Completion>) {
@@ -430,16 +443,7 @@ impl TransactionalSystem for ShardedTiDb {
             .replicate_and_commit(&txn, arrival, per_shard, engine)
         {
             Ok(t) => t,
-            Err(stalled_at) => {
-                let finish = stalled_at + self.db.network.base_latency_us;
-                self.db.receipts.push_back(TxnReceipt::aborted(
-                    txn.id(),
-                    AbortReason::Overload,
-                    arrival,
-                    finish,
-                ));
-                return;
-            }
+            Err(stalled_at) => return self.db.abort_stalled(&txn, arrival, stalled_at),
         };
         let receipt = TxnReceipt::committed(
             txn.id(),
@@ -450,16 +454,7 @@ impl TransactionalSystem for ShardedTiDb {
     }
 
     fn on_stage(&mut self, event: StageEvent, _engine: &mut Engine) {
-        debug_assert_eq!(event.stage, ST_COMMITTED);
-        self.db.surface_receipt(event.token);
-    }
-
-    fn drain_receipts(&mut self) -> Vec<TxnReceipt> {
-        self.db.receipts.drain()
-    }
-
-    fn take_completions(&mut self) -> Vec<Completion> {
-        self.db.receipts.take_completions()
+        self.db.surface_receipt(event);
     }
 
     fn drain_completions(&mut self, buf: &mut Vec<Completion>) {
@@ -669,16 +664,7 @@ impl TransactionalSystem for Ahl {
             .replicate_and_commit(&txn, arrival, per_shard, engine)
         {
             Ok(t) => t,
-            Err(stalled_at) => {
-                let finish = stalled_at + self.db.network.base_latency_us;
-                self.db.receipts.push_back(TxnReceipt::aborted(
-                    txn.id(),
-                    AbortReason::Overload,
-                    arrival,
-                    finish,
-                ));
-                return;
-            }
+            Err(stalled_at) => return self.db.abort_stalled(&txn, arrival, stalled_at),
         };
         let mut r = TxnReceipt::committed(
             txn.id(),
@@ -693,16 +679,7 @@ impl TransactionalSystem for Ahl {
     }
 
     fn on_stage(&mut self, event: StageEvent, _engine: &mut Engine) {
-        debug_assert_eq!(event.stage, ST_COMMITTED);
-        self.db.surface_receipt(event.token);
-    }
-
-    fn drain_receipts(&mut self) -> Vec<TxnReceipt> {
-        self.db.receipts.drain()
-    }
-
-    fn take_completions(&mut self) -> Vec<Completion> {
-        self.db.receipts.take_completions()
+        self.db.surface_receipt(event);
     }
 
     fn drain_completions(&mut self, buf: &mut Vec<Completion>) {
@@ -766,6 +743,27 @@ mod tests {
         let committed = receipts.iter().filter(|r| r.status.is_committed()).count();
         let last = receipts.iter().map(|r| r.finish_time).max().unwrap_or(1);
         committed as f64 / (last as f64 / 1e6)
+    }
+
+    #[test]
+    fn the_hold_window_is_the_latest_hold_over_the_keys_asked() {
+        let mut db = ShardedDb::new(
+            &spanner(),
+            4,
+            3,
+            ProtocolKind::Raft,
+            CoordinatorKind::Trusted,
+        );
+        let (a, b, c) = (Key::from_str("a"), Key::from_str("b"), Key::from_str("c"));
+        assert_eq!(db.busy_window(&[&a, &b]), 0);
+        db.hold(&a, 100);
+        db.hold(&b, 300);
+        assert_eq!(db.busy_window(&[&a, &b, &c]), 300);
+        assert_eq!(db.busy_window(&[&a, &c]), 100);
+        assert_eq!(db.busy_window(&[&c]), 0);
+        // A later hold of a key replaces its earlier one, even backwards.
+        db.hold(&b, 50);
+        assert_eq!(db.busy_window(&[&a, &b]), 100);
     }
 
     #[test]

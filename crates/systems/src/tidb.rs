@@ -9,32 +9,36 @@
 //! transactions pay 2PC (Figure 10a). Concurrency comes from many SQL servers
 //! and many storage threads — there is no serial commit order.
 //!
+//! Regions are shards: the model runs on the sharded models' database core,
+//! `sharded::ShardedDb`, which holds the partitioner, Raft profile, 2PC, the
+//! MVCC+LSM state pair with its load and fork, the fault plan, the receipt
+//! log, the parked receipts and the hold table. TiDB adds only its SQL
+//! servers, its `tidb-sql`/`tikv-storage` processes and `coordinate`.
+//!
 //! Contention is a per-key hold window: a committed write holds its keys
-//! until its finish time (`busy_until`). An arrival that writes a held key
-//! spends [`MAX_LOCK_RETRIES`] contention-resolution rounds on the SQL
-//! servers and aborts if the holder is still in flight after them (Figure
+//! until its finish time (the core's `busy_until`). An arrival that writes a
+//! held key spends [`MAX_LOCK_RETRIES`] contention-resolution rounds on the
+//! SQL servers and aborts if the holder is still in flight after them (Figure
 //! 9a's skew collapse). Otherwise it reads at `start_ts`, the store's latest
 //! version, and commits its writes at the next version.
 //!
 //! Event pipeline: the concurrency-control decision happens at arrival (a
 //! held key must be visible to the next arrival immediately); the SQL,
 //! storage, replication and 2PC latencies are booked on the engine's service
-//! processes, and the receipt surfaces through its `Committed` stage event
-//! at the decided finish time.
+//! processes, and the receipt surfaces through the core's `Committed` stage
+//! event at the decided finish time.
 
 use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
-use dichotomy_common::{
-    AbortReason, Key, KeyMap, NodeId, Timestamp, Transaction, TxnReceipt, Value,
-};
-use dichotomy_consensus::{ProtocolKind, ReplicationProfile};
-use dichotomy_sharding::{CoordinatorKind, Partitioner, TwoPhaseCommit};
-use dichotomy_simnet::{CostModel, FaultPlan, NetworkConfig, ProcessId, StageEvent};
-use dichotomy_storage::{KvEngine, LsmTree, MvccStore};
+use dichotomy_common::{AbortReason, Key, NodeId, Timestamp, Transaction, TxnReceipt, Value};
+use dichotomy_consensus::ProtocolKind;
+use dichotomy_sharding::CoordinatorKind;
+use dichotomy_simnet::{ProcessId, StageEvent};
+use dichotomy_storage::KvEngine;
 
 use crate::pipeline::{
-    Completion, Engine, ReceiptLog, SharedState, SysEvent, SystemKind, TokenMap,
-    TransactionalSystem, VersionedKvState, FAILOVER_US,
+    Completion, Engine, SharedState, SystemKind, TransactionalSystem, FAILOVER_US,
 };
+use crate::sharded::ShardedDb;
 use crate::spec::SystemSpec;
 
 /// Regions (data shards). With full replication every node holds every
@@ -48,10 +52,6 @@ pub const MAX_LOCK_RETRIES: u32 = 2;
 /// Coordinator time per contention-resolution round (the mechanism behind
 /// the skew collapse of Section 5.3.1), in µs.
 pub const LOCK_CONFLICT_PENALTY_US: u64 = 4_000;
-
-/// Stage: a transaction's decided receipt surfaces to the client
-/// (token = in-flight id).
-const ST_COMMITTED: u32 = 0;
 
 /// Engine process handles, created at attach time.
 #[derive(Clone, Copy)]
@@ -68,29 +68,15 @@ pub struct TiDb {
     /// half the storage nodes (at least one), the way the paper's
     /// full-replication deployment splits a cluster.
     tidb_servers: usize,
-    /// TiKV storage nodes (the spec's `nodes`, default 3): the Raft
-    /// replication factor under the paper's full-replication setting.
-    tikv_nodes: usize,
-    network: NetworkConfig,
-    costs: CostModel,
-    /// `NodeId(0)` addresses the 2PC coordinator role and
-    /// `NodeId(1 + region)` a region's Raft leader: a crashed region leader
-    /// stalls the decision round of every transaction touching it, and a
-    /// coordinator outage stalls all cross-region decisions.
-    faults: FaultPlan,
     procs: Option<TiDbProcs>,
-    raft: ReplicationProfile,
-    partitioner: Partitioner,
-    two_pc: TwoPhaseCommit,
-    state: MvccStore,
-    engine_db: LsmTree,
-    receipts: ReceiptLog,
-    /// Receipts scheduled to surface at their finish time (token-keyed).
-    finishing: TokenMap<TxnReceipt>,
-    /// Until when each key is held by an in-flight transaction; arrivals that
-    /// hit a busy key pay contention-resolution rounds and may abort — the
-    /// mechanism behind the skew collapse of Section 5.3.1.
-    busy_until: KeyMap<Timestamp>,
+    /// [`REGIONS`] Raft groups, each of every TiKV storage node (the spec's
+    /// `nodes`, default 3: the replication factor under the paper's
+    /// full-replication setting). `NodeId(0)` addresses the 2PC coordinator
+    /// role and `NodeId(1 + region)` a region's Raft leader: a crashed
+    /// region leader stalls the decision round of every transaction
+    /// touching it, and a coordinator outage stalls all cross-region
+    /// decisions.
+    db: ShardedDb,
 }
 
 impl TiDb {
@@ -99,28 +85,16 @@ impl TiDb {
     /// [`ShardedTiDb`](crate::sharded::ShardedTiDb)).
     pub fn new(spec: &SystemSpec) -> Self {
         let tikv_nodes = spec.nodes.unwrap_or(3);
-        let network = spec.network.clone().unwrap_or_default();
-        let costs = spec.costs.clone().unwrap_or_default();
         TiDb {
             tidb_servers: spec.frontends.unwrap_or((tikv_nodes / 2).max(1)),
-            tikv_nodes,
             procs: None,
-            raft: ReplicationProfile::new(
-                ProtocolKind::Raft,
+            db: ShardedDb::new(
+                spec,
+                REGIONS,
                 tikv_nodes,
-                network.clone(),
-                costs.clone(),
+                ProtocolKind::Raft,
+                CoordinatorKind::Trusted,
             ),
-            partitioner: Partitioner::hash(REGIONS),
-            two_pc: TwoPhaseCommit::new(CoordinatorKind::Trusted, network.clone(), costs.clone()),
-            network,
-            costs,
-            faults: spec.faults.clone().unwrap_or_default(),
-            state: MvccStore::new(),
-            engine_db: LsmTree::new(),
-            receipts: ReceiptLog::new(),
-            finishing: TokenMap::new(),
-            busy_until: KeyMap::default(),
         }
     }
 
@@ -129,27 +103,27 @@ impl TiDb {
     }
 
     fn read_cost(&self, bytes: usize) -> u64 {
-        self.costs.sql_frontend_us() + self.costs.storage_get_us(bytes)
+        self.db.costs.sql_frontend_us() + self.db.costs.storage_get_us(bytes)
     }
 
     fn serve_read(&mut self, txn: &Transaction, arrival: Timestamp, engine: &mut Engine) {
         let mut cost = 0;
         let mut reads = Vec::new();
         for op in txn.ops().iter().filter(|o| o.reads()) {
-            let value = self.state.get_latest(&op.key);
+            let value = self.db.state.get_latest(&op.key);
             cost += self.read_cost(value.as_ref().map_or(64, Value::len));
             reads.push((op.key.clone(), value));
         }
         let (_, sql_done) = engine.service(self.procs().sql, arrival, cost);
-        let finish = sql_done + self.network.base_latency_us;
+        let finish = sql_done + self.db.network.base_latency_us;
         let mut receipt = TxnReceipt::committed(txn.id(), arrival, finish);
         receipt.reads = reads;
         receipt.phase_latencies = vec![
-            ("sql-parse", self.costs.sql_parse_us.ceil() as u64),
-            ("sql-compile", self.costs.sql_compile_us.ceil() as u64),
-            ("storage-get", self.costs.storage_get_us(1000)),
+            ("sql-parse", self.db.costs.sql_parse_us.ceil() as u64),
+            ("sql-compile", self.db.costs.sql_compile_us.ceil() as u64),
+            ("storage-get", self.db.costs.storage_get_us(1000)),
         ];
-        self.receipts.push_back(receipt);
+        self.db.receipts.push_back(receipt);
     }
 
     /// Coordinate one write transaction: contention resolution, snapshot
@@ -162,7 +136,8 @@ impl TiDb {
         arrival: Timestamp,
         engine: &mut Engine,
     ) -> TxnReceipt {
-        let c = self.costs.clone();
+        let c = self.db.costs.clone();
+        let base_latency_us = self.db.network.base_latency_us;
         // SQL layer: parse/compile each statement + coordinator bookkeeping.
         let frontend = (c.sql_frontend_us() + c.sql_coordinate_us.ceil() as u64)
             * txn.op_count().max(1) as u64;
@@ -171,19 +146,15 @@ impl TiDb {
         // Contention against in-flight transactions on the same keys: the
         // coordinator burns contention-resolution rounds and, if the holder
         // is still in flight after them, aborts.
-        let write_keys: Vec<Key> = txn.write_set().into_iter().cloned().collect();
-        let busy = write_keys
-            .iter()
-            .filter_map(|k| self.busy_until.get(k).copied())
-            .max()
-            .unwrap_or(0);
+        let write_keys = txn.write_set();
+        let busy = self.db.busy_window(&write_keys);
         if busy > arrival {
             let rounds = MAX_LOCK_RETRIES.max(1) as u64;
             let penalty = rounds * LOCK_CONFLICT_PENALTY_US;
             let (_, contention_done) = engine.service(self.procs().sql, sql_done, penalty);
             if busy > sql_done + penalty {
                 // The holder is still in flight after every retry: abort.
-                let finish = contention_done + self.network.base_latency_us;
+                let finish = contention_done + base_latency_us;
                 return TxnReceipt::aborted(
                     txn.id(),
                     AbortReason::WriteWriteConflict,
@@ -196,18 +167,18 @@ impl TiDb {
         // Read at the latest snapshot and commit the writes at the next
         // version. The hold window above is the only conflict rule: nothing
         // else is in flight on the store inside this call.
-        let start_ts = self.state.latest_version();
+        let state = &mut self.db.state;
+        let start_ts = state.latest_version();
         let reads: Vec<(Key, Option<Value>)> = txn
             .ops()
             .iter()
             .filter(|op| op.reads())
-            .map(|op| (op.key.clone(), self.state.get_at(&op.key, start_ts)))
+            .map(|op| (op.key.clone(), state.get_at(&op.key, start_ts)))
             .collect();
-        let commit_ts = self.state.begin_commit();
+        let commit_ts = state.begin_commit();
         for op in txn.ops().iter().filter(|o| o.writes()) {
             let value = op.value.clone().unwrap_or_else(|| Value::new(Vec::new()));
-            self.state
-                .commit_write(op.key.clone(), commit_ts, Some(value));
+            state.commit_write(op.key.clone(), commit_ts, Some(value));
         }
 
         // Storage-layer cost: snapshot reads + prewrite/commit writes, each
@@ -220,7 +191,7 @@ impl TiDb {
             if op.writes() {
                 let bytes = op.value.as_ref().map_or(0, Value::len);
                 storage_cost += 2 * c.storage_put_us(bytes); // prewrite + commit
-                storage_cost += self.raft.leader_occupancy_us(bytes + 64);
+                storage_cost += self.db.replication.leader_occupancy_us(bytes + 64);
             }
         }
         let (_, storage_done) = engine.service(self.procs().storage, sql_done, storage_cost);
@@ -233,24 +204,20 @@ impl TiDb {
             .map(|o| o.value.as_ref().map_or(0, Value::len))
             .max()
             .unwrap_or(0);
-        let replication_latency = 2 * self.raft.commit_latency_us(max_write + 64);
+        let replication_latency = 2 * self.db.replication.commit_latency_us(max_write + 64);
 
         // Cross-region 2PC for multi-region write sets.
-        let shards = self
-            .partitioner
-            .shards_of(&write_keys.iter().collect::<Vec<_>>());
+        let shards = self.db.partitioner.shards_of(&write_keys);
         // Fault gates before the decision round: every touched region's Raft
         // leader must be back up, and the coordinator role reachable.
+        let faults = &self.db.faults;
         let mut decide_input = storage_done + replication_latency;
         for &s in &shards {
             decide_input =
-                match self
-                    .faults
-                    .release_at(NodeId(1 + u64::from(s.0)), decide_input, FAILOVER_US)
-                {
+                match faults.release_at(NodeId(1 + u64::from(s.0)), decide_input, FAILOVER_US) {
                     Some(t) => t,
                     None => {
-                        let finish = decide_input + self.network.base_latency_us;
+                        let finish = decide_input + base_latency_us;
                         return TxnReceipt::aborted(
                             txn.id(),
                             AbortReason::Overload,
@@ -260,25 +227,26 @@ impl TiDb {
                     }
                 };
         }
-        let decide_input = match self.faults.primary_release(decide_input, FAILOVER_US) {
+        let decide_input = match faults.primary_release(decide_input, FAILOVER_US) {
             Some(t) => t,
             None => {
-                let finish = decide_input + self.network.base_latency_us;
+                let finish = decide_input + base_latency_us;
                 return TxnReceipt::aborted(txn.id(), AbortReason::Overload, arrival, finish);
             }
         };
         let decided_at = self
+            .db
             .two_pc
             .decided_at(decide_input, shards.len(), txn.payload_bytes());
 
-        let finish = decided_at + self.network.base_latency_us;
+        let finish = decided_at + base_latency_us;
         for op in txn.ops().iter().filter(|o| o.writes()) {
-            if let Some(v) = self.state.get_latest(&op.key) {
-                self.engine_db.put(op.key.clone(), v);
+            if let Some(v) = self.db.state.get_latest(&op.key) {
+                self.db.engine_db.put(op.key.clone(), v);
             }
         }
         for key in &write_keys {
-            self.busy_until.insert(key.clone(), finish);
+            self.db.hold(key, finish);
         }
         let mut receipt = TxnReceipt::committed(txn.id(), arrival, finish);
         receipt.reads = reads;
@@ -302,22 +270,21 @@ impl TransactionalSystem for TiDb {
     }
 
     fn load(&mut self, records: &[(Key, Value)]) {
-        VersionedKvState::load(&mut self.state, &mut self.engine_db, records);
+        self.db.load(records);
     }
 
     fn share_state(&mut self) -> Option<SharedState> {
-        let state = VersionedKvState::capture(&mut self.state, &self.engine_db);
-        Some(SharedState::new(state))
+        Some(SharedState::new(self.db.capture()))
     }
 
     fn adopt_state(&mut self, state: &SharedState) -> bool {
-        VersionedKvState::adopt(state, &mut self.state, &mut self.engine_db)
+        self.db.adopt_state(state)
     }
 
     fn attach(&mut self, engine: &mut Engine) {
         self.procs = Some(TiDbProcs {
             sql: engine.add_process("tidb-sql", self.tidb_servers.max(1)),
-            storage: engine.add_process("tikv-storage", self.tikv_nodes.max(1)),
+            storage: engine.add_process("tikv-storage", self.db.nodes_per_shard.max(1)),
         });
     }
 
@@ -328,41 +295,29 @@ impl TransactionalSystem for TiDb {
             return;
         }
         let receipt = self.coordinate(txn, arrival, engine);
-        let finish = receipt.finish_time;
-        let token = self.finishing.insert(receipt);
-        engine.schedule_at(finish, SysEvent::stage(ST_COMMITTED, token));
+        self.db.schedule_receipt(receipt, engine);
     }
 
     fn on_stage(&mut self, event: StageEvent, _engine: &mut Engine) {
-        debug_assert_eq!(event.stage, ST_COMMITTED);
-        let receipt = self.finishing.remove(event.token);
-        self.receipts.push_back(receipt);
-    }
-
-    fn drain_receipts(&mut self) -> Vec<TxnReceipt> {
-        self.receipts.drain()
-    }
-
-    fn take_completions(&mut self) -> Vec<Completion> {
-        self.receipts.take_completions()
+        self.db.surface_receipt(event);
     }
 
     fn drain_completions(&mut self, buf: &mut Vec<Completion>) {
-        self.receipts.swap_completions(buf)
+        self.db.receipts.swap_completions(buf)
     }
 
     fn drain_receipts_into(&mut self, buf: &mut Vec<TxnReceipt>) {
-        self.receipts.swap_receipts(buf)
+        self.db.receipts.swap_receipts(buf)
     }
 
     fn footprint(&self) -> StorageBreakdown {
         // No ledger and no authenticated index. The MVCC store keeps every
         // version (no GC runs) and is not counted: the LSM engine alone.
-        self.engine_db.footprint()
+        self.db.engine_db.footprint()
     }
 
     fn node_count(&self) -> usize {
-        self.tidb_servers + self.tikv_nodes
+        self.tidb_servers + self.db.nodes_per_shard
     }
 }
 
@@ -371,6 +326,8 @@ mod tests {
     use super::*;
     use crate::pipeline::drive_arrivals;
     use dichotomy_common::{ClientId, Operation, TxnId};
+    use dichotomy_sharding::Partitioner;
+    use dichotomy_simnet::FaultPlan;
 
     /// Three SQL servers over three storage nodes.
     fn tidb() -> SystemSpec {
@@ -568,7 +525,7 @@ mod tests {
         let mut t = seeded(10);
         let _ = drive_arrivals(&mut t, vec![(rmw(1, 1, "k00001", 500), 0)]);
         assert_eq!(
-            t.engine_db.get(&Key::from_str("k00001")).unwrap().len(),
+            t.db.engine_db.get(&Key::from_str("k00001")).unwrap().len(),
             500
         );
         let fp = t.footprint();
