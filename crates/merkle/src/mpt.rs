@@ -25,8 +25,15 @@
 //!
 //! Updates create new nodes along the path from the root to the touched leaf.
 //! In **archival mode** (the default here and in geth) the superseded nodes
-//! stay in the node store, which is why the paper measures more than a
-//! kilobyte of storage overhead per record for the MPT (Figure 13).
+//! stay in the node store, which is why the paper measures more than a kilobyte
+//! of storage overhead per record for the MPT (Figure 13). A write of the bytes
+//! the key already holds, which is what every YCSB update stores, keeps its
+//! nodes: a leaf or branch value whose bytes would not change returns its own
+//! id, and so does every node above it whose child came back unchanged, which
+//! are the ids interning the rebuilt nodes would have found. The archival
+//! history, node count and footprint are those of the full rewrite, and the
+//! [`UpdateStats`] still count the whole path, so a model's simulated cost
+//! charges it in full.
 
 #[expect(
     clippy::disallowed_types,
@@ -540,7 +547,8 @@ impl MerklePatriciaTrie {
     }
 
     /// Recursive insert; returns the id of the new node replacing `at` for
-    /// the remaining `path`.
+    /// the remaining `path`. A rewrite that would encode like the node it
+    /// replaces returns that node's id, which is what interning it would find.
     fn insert_at(
         &mut self,
         at: Option<NodeId>,
@@ -562,6 +570,9 @@ impl MerklePatriciaTrie {
                 let leaf_path = leaf_path.as_bytes();
                 if leaf_path == path {
                     insertion.replaced = Some(leaf_value.len());
+                    if leaf_value == *value {
+                        return id;
+                    }
                     return self.put_node(Node::leaf(path, value));
                 }
                 let cp = common_prefix_len(leaf_path, path);
@@ -586,6 +597,9 @@ impl MerklePatriciaTrie {
                 if cp == ext_path.len() {
                     // Descend into the child with the remaining path.
                     let new_child = self.insert_at(Some(child), &path[cp..], value, insertion);
+                    if new_child == child {
+                        return id;
+                    }
                     return self.put_node(Node::Extension {
                         path: ext_path,
                         child: new_child,
@@ -608,20 +622,27 @@ impl MerklePatriciaTrie {
             }
             Node::Branch {
                 mut children,
-                value: branch_value,
+                value: old_value,
             } => {
                 let Some((&slot, rest)) = path.split_first() else {
-                    insertion.replaced = branch_value.as_ref().map(Value::len);
+                    insertion.replaced = old_value.as_ref().map(Value::len);
+                    if branch_value(&old_value) == value.as_bytes() {
+                        return id;
+                    }
                     return self.put_node(Node::Branch {
                         children,
                         value: Some(value.clone()),
                     });
                 };
-                let new_child = self.insert_at(children.get(slot), rest, value, insertion);
+                let old_child = children.get(slot);
+                let new_child = self.insert_at(old_child, rest, value, insertion);
+                if old_child == Some(new_child) {
+                    return id;
+                }
                 children.set(slot, new_child);
                 self.put_node(Node::Branch {
                     children,
-                    value: branch_value,
+                    value: old_value,
                 })
             }
         }
@@ -900,6 +921,54 @@ mod tests {
         assert_eq!(observe(&base, &keys), untouched);
         assert_eq!(b.get(&key16(2)).unwrap().len(), 30);
         assert!(b.stored_node_count() > base.stored_node_count());
+    }
+
+    #[test]
+    fn an_unchanged_write_on_a_fork_keeps_its_nodes_and_its_stats() {
+        let mut base = MerklePatriciaTrie::new();
+        for i in 0..300 {
+            base.insert(&key16(i), &Value::filler(40));
+        }
+        base.freeze();
+        let keys: Vec<u64> = (0..300).collect();
+        let loaded = observe(&base, &keys);
+        let (mut same, mut changed) = (base.clone(), base.clone());
+        // Equal bytes in a fresh buffer, then a write of other bytes of the
+        // same length to the same key.
+        let unchanged_stats = same.insert(&key16(42), &Value::filler(40));
+        let changed_stats = changed.insert(&key16(42), &Value::new([b'y'; 40]));
+        assert_eq!(observe(&same, &keys), loaded);
+        assert_eq!(unchanged_stats, changed_stats);
+        assert!(unchanged_stats.nodes_touched >= 2, "{unchanged_stats:?}");
+        assert!(changed.stored_node_count() > same.stored_node_count());
+    }
+
+    /// An unchanged write returns the ids it walked without interning
+    /// anything. With the intern table emptied, any node the write rebuilt
+    /// would be stored a second time, so the node count shows it.
+    #[test]
+    fn an_unchanged_write_never_reaches_the_intern_table() {
+        let mut t = MerklePatriciaTrie::new();
+        // A root branch without a value over slots 1, 2 and 3; slot 3 holds
+        // an extension over a second branch.
+        for key in [&[0x10][..], &[0x20], &[0x30, 0x01], &[0x30, 0x02]] {
+            t.insert(&Key::new(key), &Value::new(key));
+        }
+        let unchanged = |t: &mut MerklePatriciaTrie, key: &[u8], value: &[u8]| {
+            t.store.index.clear();
+            let (count, root) = (t.stored_node_count(), t.root_hash());
+            t.insert(&Key::new(key), &Value::new(value));
+            assert_eq!(t.stored_node_count(), count, "{key:?} <- {value:?}");
+            assert_eq!(t.root_hash(), root, "{key:?} <- {value:?}");
+        };
+        // Leaves under the root branch and under the extension.
+        unchanged(&mut t, &[0x10], &[0x10]);
+        unchanged(&mut t, &[0x30, 0x02], &[0x30, 0x02]);
+        // An empty value on the value-less root branch encodes like none.
+        unchanged(&mut t, &[], &[]);
+        // A branch value rewritten with its own bytes.
+        t.insert(&Key::new([]), &Value::new(b"v"));
+        unchanged(&mut t, &[], b"v");
     }
 
     /// Interning's exact match is encoding equality (children by id, read

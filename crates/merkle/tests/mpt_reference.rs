@@ -405,3 +405,76 @@ fn seeded_histories_match_the_sha_keyed_reference() {
         }
     }
 }
+
+/// YCSB's traffic: `user…` keys preloaded with one shared filler buffer, then
+/// updates that almost always store the bytes the record already holds —
+/// mostly that same buffer, sometimes a fresh buffer of equal bytes — with a
+/// few value-changing writes, inserts of new keys (which fork spines) and
+/// forks of the trie. Every observable is compared after every step, so an
+/// unchanged write that kept its nodes must leave exactly what the
+/// reference's full rewrite leaves.
+#[test]
+fn ycsb_histories_match_the_sha_keyed_reference() {
+    for case in 0..8u64 {
+        let mut rng = seeded(derive_seed(0x0EAC1E, &format!("ycsb {case}")));
+        let record_size = [1, 16, 17, 100, 1_024][case as usize % 5];
+        let shared = Value::filler(record_size);
+        let changed = Value::new(vec![b'y'; record_size]);
+        let preload = 20 + case * 15;
+        let key = |i: u64| Key::from_str(&format!("user{i:012}"));
+        let mut forks = vec![(MerklePatriciaTrie::new(), Reference::default())];
+        for i in 0..preload {
+            let (trie, reference) = &mut forks[0];
+            assert_eq!(
+                trie.insert(&key(i), &shared),
+                reference.insert(&key(i), &shared)
+            );
+        }
+        let mut keys: Vec<Key> = (0..preload).map(key).collect();
+        for step in 0..300 {
+            let at = format!("ycsb case {case} step {step}");
+            let f = rng.gen_range(0..forks.len());
+            let fork_count = forks.len();
+            let (trie, reference) = &mut forks[f];
+            match rng.gen_range(0..50u8) {
+                0 if fork_count < 4 => {
+                    trie.freeze();
+                    let fork = (trie.clone(), reference.clone());
+                    forks.push(fork);
+                }
+                roll => {
+                    // New keys land past the preload, splitting its spines.
+                    let i = if roll < 3 {
+                        preload + rng.gen_range(0..preload)
+                    } else {
+                        rng.gen_range(0..preload)
+                    };
+                    let value = match roll {
+                        3..=5 => changed.clone(),
+                        6..=11 => Value::filler(record_size),
+                        _ => shared.clone(),
+                    };
+                    let k = key(i);
+                    assert_eq!(
+                        trie.insert(&k, &value),
+                        reference.insert(&k, &value),
+                        "stats at {at}"
+                    );
+                    if !keys.contains(&k) {
+                        keys.push(k);
+                    }
+                }
+            }
+            let (trie, reference) = &forks[f];
+            assert_agree(trie, reference, &keys, &at);
+        }
+        for (f, (trie, reference)) in forks.iter().enumerate() {
+            assert_agree(
+                trie,
+                reference,
+                &keys,
+                &format!("ycsb case {case} fork {f}"),
+            );
+        }
+    }
+}

@@ -522,6 +522,40 @@ mod tests {
     }
 
     #[test]
+    fn unchanged_writes_are_charged_the_full_trie_update() {
+        // A loaded state, then one block of ten updates. Storing the bytes the
+        // records already hold keeps the trie's nodes on the host, but the
+        // committer still re-executes every write along its whole path.
+        let commit_phase = |value: &Value| {
+            let mut q = Quorum::new(&cut_at(10));
+            let records: Vec<(Key, Value)> = (0..500)
+                .map(|i| (Key::from_str(&format!("user{i:012}")), Value::filler(500)))
+                .collect();
+            q.load(&records);
+            let nodes = q.state_trie.stored_node_count();
+            let receipts = drive_arrivals(
+                &mut q,
+                (0..10).map(|seq| {
+                    let write =
+                        Operation::write(records[seq as usize * 7].0.clone(), value.clone());
+                    (
+                        Transaction::new(TxnId::new(ClientId(1), seq), vec![write]),
+                        seq,
+                    )
+                }),
+            );
+            assert_eq!(receipts.len(), 10);
+            let commit = receipts[0].phase_latencies[2];
+            assert_eq!(commit.0, "commit");
+            (commit.1, q.state_trie.stored_node_count() > nodes)
+        };
+        let (unchanged, grew_unchanged) = commit_phase(&Value::filler(500));
+        let (changed, grew_changed) = commit_phase(&Value::new([b'y'; 500]));
+        assert!(!grew_unchanged && grew_changed);
+        assert_eq!(unchanged, changed);
+    }
+
+    #[test]
     fn ibft_and_raft_reach_similar_throughput_when_consensus_is_not_the_bottleneck() {
         let run = |consensus| {
             let mut q = Quorum::new(&quorum().with_nodes(7).with_consensus(consensus));

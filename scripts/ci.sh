@@ -312,6 +312,9 @@ grep -q "quorum_fork_5k_1kb" /tmp/ci_microbench.out
 # The Figure 13 probe's substrate work: both indexes over 10 000 keys, no
 # root read.
 grep -q "adr_probe_10k_1kb" /tmp/ci_microbench.out
+# YCSB updates into a loaded trie, each storing the bytes its record already
+# holds (an unchanged write keeps its nodes), with the root read after each.
+grep -q "mpt_overwrite_unchanged_5k_1kb" /tmp/ci_microbench.out
 # What a payload costs between layers (printed, not gated): a key handle, a
 # value handle, one generated transaction, the same with its signature read,
 # one memtable frozen into a run.
