@@ -12,16 +12,18 @@
 //!
 //! This is a dependency-free replacement for the Criterion bench the seed
 //! shipped: each benchmark runs a warmup pass, then times `iters` iterations
-//! with `std::time::Instant`, excluding per-iteration setup. Arguments filter
-//! benchmarks by substring match on the name; `--smoke` scales the iteration
-//! counts down so CI can run every case as an engine-hot-path regression
-//! check in seconds. It is a developer tool: it prints ns/op and records
-//! nothing — the repo's performance record is `benchmark/` (`BENCHMARK.json`).
+//! with `std::time::Instant`, excluding per-iteration setup. Arguments select
+//! every benchmark whose name contains one of them (none selected is a usage
+//! error, exit 2); `--smoke` scales the iteration counts down so CI can run
+//! every case as an engine-hot-path regression check in seconds. It is a
+//! developer tool: it prints ns/op and records nothing — the repo's
+//! performance record is `benchmark/` (`BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 
 use std::hint::black_box;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use dichotomy_core::chaos::{OracleContext, OracleSet};
@@ -52,6 +54,23 @@ use dichotomy_core::workload::{WorkloadSpec, YcsbConfig, YcsbMix, YcsbWorkload};
 /// Whether `--smoke` was passed: scale iteration counts down for CI.
 static SMOKE: AtomicBool = AtomicBool::new(false);
 
+/// The name filters given on the command line; none runs every benchmark.
+static FILTERS: OnceLock<Vec<String>> = OnceLock::new();
+
+/// How many benchmarks the filters selected.
+static SELECTED: AtomicUsize = AtomicUsize::new(0);
+
+/// Whether benchmark `name` runs: its name contains one of the filters, or
+/// there are none. Counts the benchmarks that do.
+fn selected(name: &str) -> bool {
+    let filters = FILTERS.get().map_or(&[][..], Vec::as_slice);
+    let run = filters.is_empty() || filters.iter().any(|f| name.contains(f.as_str()));
+    if run {
+        SELECTED.fetch_add(1, Ordering::Relaxed);
+    }
+    run
+}
+
 fn effective_iters(iters: u32) -> u32 {
     if SMOKE.load(Ordering::Relaxed) {
         (iters / 20).max(2)
@@ -80,6 +99,9 @@ fn bench_batched_ops<S, R>(
     mut setup: impl FnMut() -> S,
     mut routine: impl FnMut(S) -> R,
 ) {
+    if !selected(name) {
+        return;
+    }
     let iters = effective_iters(iters);
     for _ in 0..(iters / 10).max(1) {
         black_box(routine(setup()));
@@ -107,7 +129,7 @@ fn bench<R>(name: &str, iters: u32, mut routine: impl FnMut() -> R) {
 
 fn bench_hashing() {
     // 64 bytes is one block plus a padding block: the short-message path
-    // that key derivation, signing and header hashing take. 1 KB is the bulk
+    // that header hashing and hash combining take. 1 KB is the bulk
     // path of payload and node-encoding digests.
     let data = vec![0xabu8; 1024];
     bench("sha256_64b", 20_000, || {
@@ -662,10 +684,8 @@ fn bench_state_sharing() {
 fn bench_payload_ownership() {
     // What a payload costs as it moves between layers: a key handle, a value
     // handle, one generated transaction (a key rendered on the stack plus the
-    // generator's one shared filler; it is signed when read, so nothing is
-    // hashed), the same plus reading its signature (what a verifier or an
-    // encoder pays) and freezing a full 4 MB memtable into a run (its entries
-    // move; nothing is cloned).
+    // generator's one shared filler; nothing is hashed) and freezing a full
+    // 4 MB memtable into a run (its entries move; nothing is cloned).
     fn bench_clone<T: Clone>(name: &str, handle: &T) {
         const CLONES: u32 = 1_000;
         bench_batched_ops(
@@ -711,12 +731,6 @@ fn bench_payload_ownership() {
             batch
         },
     );
-    bench("ycsb_sign_1kb", 20_000, || {
-        seq += 1;
-        workload
-            .next_transaction(ClientId(seq % 64), seq)
-            .signature()
-    });
     bench_batched(
         "lsm_flush_4mb",
         20,
@@ -749,31 +763,26 @@ fn main() {
     }
     // Every number this run prints depends on the hash kernel; name the lane.
     eprintln!("sha256 kernel: {}", hash::kernel_name());
-    let groups: &[(&str, fn())] = &[
-        ("sha256", bench_hashing),
-        ("mpt mbt adr_probe", bench_authenticated_indexes),
-        ("ledger", bench_ledger),
-        ("lsm btree mvcc", bench_storage_engines),
-        ("occ", bench_occ_validation),
-        ("profile", bench_consensus_profiles),
-        ("metrics latency", bench_metric_sketches),
-        ("event_queue engine driver_loop", bench_event_engine),
-        ("oracle", bench_oracles),
-        ("plan", bench_plan_executor),
-        ("quorum_load quorum_fork", bench_state_sharing),
-        (
-            "key_clone value_clone ycsb_next_txn ycsb_next_transaction ycsb_sign lsm_flush",
-            bench_payload_ownership,
-        ),
-        ("end_to_end", bench_end_to_end),
-    ];
-    for (keys, run) in groups {
-        let selected = filters.is_empty()
-            || filters
-                .iter()
-                .any(|f| keys.split(' ').any(|k| k.contains(f.as_str())));
-        if selected {
-            run();
-        }
+    let filters = FILTERS.get_or_init(|| filters);
+    for group in [
+        bench_hashing,
+        bench_authenticated_indexes,
+        bench_ledger,
+        bench_storage_engines,
+        bench_occ_validation,
+        bench_consensus_profiles,
+        bench_metric_sketches,
+        bench_event_engine,
+        bench_oracles,
+        bench_plan_executor,
+        bench_state_sharing,
+        bench_payload_ownership,
+        bench_end_to_end,
+    ] {
+        group();
+    }
+    if SELECTED.load(Ordering::Relaxed) == 0 {
+        eprintln!("no benchmark name contains any of {filters:?}");
+        std::process::exit(2);
     }
 }

@@ -6,7 +6,6 @@
 //! cargo run -p dichotomy-bench --release --bin repro -- --quick fig04 fig14
 //! cargo run -p dichotomy-bench --release --bin repro -- --list
 //! cargo run -p dichotomy-bench --release --bin repro -- --quick --seed 7 --json out.json all
-//! cargo run -p dichotomy-bench --release --bin repro -- --arrival closed --think-us 500 fig04
 //! ```
 //!
 //! Flags:
@@ -25,12 +24,6 @@
 //! * `--progress` — live per-probe status lines on stderr as probes finish;
 //! * `--fail-fast` — stop scheduling probes after the first failure (queued
 //!   probes report a labelled "skipped" failure instead of running);
-//! * `--arrival open|closed` — override every driving probe's arrival
-//!   process: `open` forces the open-loop default, `closed` a closed loop
-//!   with each probe's configured client count;
-//! * `--think-us N` / `--outstanding N` — the closed-loop override's mean
-//!   think time (default 1000 µs) and outstanding cap (default 1); only
-//!   valid with `--arrival closed`;
 //! * `--metrics exact|streaming` — override every driving probe's metrics
 //!   mode: `exact` retains receipts and computes order-statistic
 //!   percentiles (the default of every experiment except `scale01`),
@@ -87,9 +80,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
-use dichotomy_bench::{
-    cache, json, list_experiments, plan_for, ArrivalOverride, RunOptions, EXPERIMENTS,
-};
+use dichotomy_bench::{cache, json, list_experiments, plan_for, RunOptions, EXPERIMENTS};
 use dichotomy_core::experiments::ExperimentReport;
 use dichotomy_core::metrics::MetricsMode;
 use dichotomy_core::scenario::{
@@ -291,9 +282,6 @@ const RUN_FLAGS: &[FlagSpec] = &[
     ("--txns", Some("N")),
     ("--seed", Some("S")),
     ("--jobs", Some("N")),
-    ("--arrival", Some("open|closed")),
-    ("--think-us", Some("N")),
-    ("--outstanding", Some("N")),
     ("--metrics", Some("exact|streaming")),
     ("--json", Some("PATH")),
 ];
@@ -486,9 +474,6 @@ fn parse_args(args: &[String]) -> Cli {
     let mut list = false;
     let mut fail_fast = false;
     let mut metrics: Option<MetricsMode> = None;
-    let mut think_us: Option<u64> = None;
-    let mut outstanding: Option<u64> = None;
-    let mut arrival: Option<String> = None;
     let (flags, targets) =
         parse_flags(
             args,
@@ -497,15 +482,6 @@ fn parse_args(args: &[String]) -> Cli {
             |flag, v, bad_usage| match flag {
                 "--list" => list = true,
                 "--fail-fast" => fail_fast = true,
-                "--arrival" => match v {
-                    "open" | "closed" => arrival = Some(v.to_string()),
-                    _ => bad_usage.push(format!("--arrival: '{v}' is not open|closed")),
-                },
-                "--think-us" => think_us = parsed(flag, v, "µs", |_| true, bad_usage).or(think_us),
-                "--outstanding" => {
-                    let ok = |n: &u64| *n >= 1;
-                    outstanding = parsed(flag, v, "a cap ≥ 1", ok, bad_usage).or(outstanding);
-                }
                 "--metrics" => match v {
                     "exact" => metrics = Some(MetricsMode::Exact),
                     "streaming" => metrics = Some(MetricsMode::Streaming),
@@ -514,19 +490,6 @@ fn parse_args(args: &[String]) -> Cli {
                 _ => unreachable!("'{flag}' is in RUN_FLAGS but has no parser"),
             },
         );
-
-    let arrival = match arrival.as_deref() {
-        Some("closed") => Some(ArrivalOverride::Closed {
-            think_time_us: think_us.unwrap_or(1_000),
-            max_outstanding: outstanding.unwrap_or(1),
-        }),
-        open_or_none => {
-            if think_us.is_some() || outstanding.is_some() {
-                bad_usage.push("--think-us/--outstanding need --arrival closed".to_string());
-            }
-            open_or_none.map(|_| ArrivalOverride::Open)
-        }
-    };
 
     for id in &targets {
         if id != "all" && !EXPERIMENTS.contains(&id.as_str()) {
@@ -544,7 +507,6 @@ fn parse_args(args: &[String]) -> Cli {
             quick: flags.quick,
             txns: flags.txns,
             seed: flags.seed,
-            arrival,
             metrics,
         },
         flags,

@@ -19,7 +19,6 @@ pub mod cache;
 pub mod claims;
 pub mod json;
 
-use dichotomy_core::driver::ArrivalSpec;
 use dichotomy_core::experiments::{self as exp, ExperimentReport};
 use dichotomy_core::metrics::MetricsMode;
 use dichotomy_core::scenario::{run_plan, ExperimentPlan, Probe};
@@ -31,23 +30,6 @@ pub const EXPERIMENTS: &[&str] = &[
     "chaos01",
 ];
 
-/// A repro-level override of the arrival process of every driving probe in
-/// a plan (`repro --arrival/--think-us/--outstanding`): probe any existing
-/// experiment under a different client model without writing a new plan.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalOverride {
-    /// Force the open-loop default at each probe's configured offered rate.
-    Open,
-    /// Force a closed loop: the client count comes from each probe's driver
-    /// config (`clients`), think time and outstanding cap from the flags.
-    Closed {
-        /// Mean think time (µs).
-        think_time_us: u64,
-        /// Per-client outstanding-request cap.
-        max_outstanding: u64,
-    },
-}
-
 /// How to scale and seed a run.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
@@ -57,8 +39,6 @@ pub struct RunOptions {
     pub txns: Option<u64>,
     /// RNG seed threaded through systems, workloads and the driver.
     pub seed: u64,
-    /// Replace the arrival process of every driving probe.
-    pub arrival: Option<ArrivalOverride>,
     /// Replace the metrics mode of every driving probe
     /// (`repro --metrics exact|streaming`). `None` keeps each plan's own
     /// choice: Exact everywhere except `scale01`.
@@ -71,7 +51,6 @@ impl Default for RunOptions {
             quick: false,
             txns: None,
             seed: dichotomy_core::common::rng::DEFAULT_SEED,
-            arrival: None,
             metrics: None,
         }
     }
@@ -151,35 +130,7 @@ pub fn plan_for(id: &str, opts: &RunOptions) -> Option<ExperimentPlan> {
         "chaos01" => exp::chaos01_plan(n, seed),
         _ => return None,
     };
-    let plan = apply_arrival_override(plan, opts.arrival);
     Some(apply_metrics_override(plan, opts.metrics))
-}
-
-/// Rewrite every driving probe's arrival spec per the override (no-op
-/// without one).
-fn apply_arrival_override(
-    mut plan: ExperimentPlan,
-    over: Option<ArrivalOverride>,
-) -> ExperimentPlan {
-    let Some(over) = over else { return plan };
-    for row in &mut plan.rows {
-        for run in &mut row.runs {
-            if let Probe::Drive { driver, .. } = &mut run.probe {
-                driver.arrival = match over {
-                    ArrivalOverride::Open => None,
-                    ArrivalOverride::Closed {
-                        think_time_us,
-                        max_outstanding,
-                    } => Some(ArrivalSpec::ClosedLoop {
-                        clients: driver.clients,
-                        think_time_us,
-                        max_outstanding,
-                    }),
-                };
-            }
-        }
-    }
-    plan
 }
 
 /// Rewrite every driving probe's metrics mode per the override (no-op
@@ -261,48 +212,6 @@ mod tests {
             distinct.len()
         );
         assert!(total > 0 && !distinct.is_empty());
-    }
-
-    #[test]
-    fn arrival_override_rewrites_every_driving_probe() {
-        let closed = RunOptions {
-            arrival: Some(ArrivalOverride::Closed {
-                think_time_us: 750,
-                max_outstanding: 2,
-            }),
-            ..RunOptions::quick()
-        };
-        let plan = plan_for("fig06", &closed).unwrap();
-        for row in &plan.rows {
-            for run in &row.runs {
-                match &run.probe {
-                    Probe::Drive { driver, .. } => {
-                        assert_eq!(
-                            driver.arrival,
-                            Some(ArrivalSpec::ClosedLoop {
-                                clients: driver.clients,
-                                think_time_us: 750,
-                                max_outstanding: 2,
-                            })
-                        );
-                    }
-                    _ => panic!("fig06 only drives"),
-                }
-            }
-        }
-        // `--arrival open` strips even an experiment's own closed-loop spec.
-        let open = RunOptions {
-            arrival: Some(ArrivalOverride::Open),
-            ..RunOptions::quick()
-        };
-        let plan = plan_for("closed01", &open).unwrap();
-        match &plan.rows[0].runs[0].probe {
-            Probe::Drive { driver, .. } => assert_eq!(driver.arrival, None),
-            _ => panic!("closed01 drives"),
-        }
-        // A closed-loop override still runs end to end.
-        let report = run_report("fig13", &closed).expect("non-driving plans are untouched");
-        assert!(!report.rows.is_empty());
     }
 
     #[test]

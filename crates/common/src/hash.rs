@@ -8,7 +8,7 @@
 //! while keeping digests collision-resistant enough for the data-structure
 //! invariants the tests assert.
 //!
-//! Hashing sits under every layer of the simulator (signatures, block
+//! Hashing sits under every layer of the simulator (transaction and block
 //! digests, MPT/MBT nodes), so the compression function has two kernels
 //! behind one entry point, `compress_blocks`: x86-64 SHA-NI where the CPU
 //! reports it at run time, the portable scalar kernel everywhere else. The

@@ -5,24 +5,10 @@
 //! authenticated indexes). To regenerate them, every storage component in the
 //! workspace reports its footprint through the [`StorageFootprint`] trait,
 //! and the helpers here aggregate per-record costs. Payload sizes come from
-//! the canonical [`Encode`] byte encoding, so accounting matches what would
-//! actually sit on a wire or on disk.
+//! the canonical [`Encode`](crate::codec::Encode) byte encoding, so
+//! accounting matches what would actually sit on a wire or on disk.
 
 use crate::codec;
-use crate::codec::Encode;
-
-/// Total canonical encoded size of a collection of values, in bytes — the
-/// payload term of a [`StorageBreakdown`].
-pub fn encoded_bytes<'a, T, I>(items: I) -> u64
-where
-    T: Encode + 'a,
-    I: IntoIterator<Item = &'a T>,
-{
-    items
-        .into_iter()
-        .map(|item| item.encoded_len() as u64)
-        .sum()
-}
 
 /// Breakdown of a component's storage consumption in bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -72,6 +58,7 @@ pub trait StorageFootprint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Encode;
 
     #[test]
     fn totals_and_per_record() {
@@ -94,10 +81,11 @@ mod tests {
     fn encoded_payload_accounting_matches_the_codec() {
         use crate::types::Value;
         let values = [Value::filler(10), Value::filler(100)];
+        let payload_bytes: u64 = values.iter().map(|v| v.encoded_len() as u64).sum();
         // Each Value encodes as a 4-byte length prefix plus its payload.
-        assert_eq!(encoded_bytes(values.iter()), (4 + 10) + (4 + 100));
+        assert_eq!(payload_bytes, (4 + 10) + (4 + 100));
         let b = StorageBreakdown {
-            payload_bytes: encoded_bytes(values.iter()),
+            payload_bytes,
             index_bytes: 0,
             history_bytes: 0,
         };

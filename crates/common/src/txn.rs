@@ -9,17 +9,16 @@
 //! (Fabric's OCC in `dichotomy-txn`); this module only defines the data.
 //!
 //! A transaction's body is sealed: it is set once, by a constructor, and read
-//! through accessors. The signature is therefore a function of the body and
-//! the signer's key, and a transaction stores *who* signed rather than the
-//! signature bytes: unsigned, signed by its own client (the bytes are
-//! computed whenever [`Transaction::signature`] reads them, identical to
-//! signing at creation), or an explicit signature kept as given (another
-//! key, or a forged or tampered envelope). Generating a workload therefore
-//! hashes nothing; the models charge signature work in simulated time.
+//! through accessors. An envelope records *whether* its client signed it,
+//! not signature bytes: no model reads a signature while it runs. Signing
+//! and verification are costs, which the models charge in simulated time
+//! (`CostModel::sign_us` and `verify_signatures_us` in `dichotomy-simnet`),
+//! and tamper evidence is the ledger's hash chain over the content
+//! [`digest`](Transaction::digest). Generating a workload therefore hashes
+//! nothing.
 
 use crate::codec;
 use crate::codec::Encode;
-use crate::crypto::{KeyPair, Signature};
 use crate::hash::{Hash, Hasher};
 use crate::types::{ClientId, Key, Timestamp, TxnId, Value, Version};
 
@@ -157,28 +156,13 @@ impl Encode for Operations {
 /// transaction runs serializable (ledger order), and this is that level's tag.
 const SERIALIZABLE: u8 = 1;
 
-/// Who signed a [`Transaction`] (the module documentation says why this, and
-/// not the signature bytes, is what a transaction stores).
-#[derive(Debug, Clone, PartialEq)]
-enum Signer {
-    /// No signature.
-    Unsigned,
-    /// Signed with `KeyPair::for_client` of the client in the id.
-    Client,
-    /// A signature carried as given: made with another key, or travelling
-    /// with content it was not made over (a forged or tampered envelope).
-    Explicit(Box<Signature>),
-}
-
 /// A client transaction: a sealed body (id, operations), a submit time, and
-/// who signed the body.
+/// whether the client signed the body.
 ///
 /// The body is private and fixed at construction, so the content
-/// [`digest`](Self::digest) and the [`signature`](Self::signature) over it
-/// cannot drift apart. A different body is a different `Transaction`: build
-/// a tampered envelope with [`from_parts`](Self::from_parts), never by
-/// editing one in place.
-#[derive(Debug, Clone)]
+/// [`digest`](Self::digest) cannot drift from it. A different body is a
+/// different `Transaction`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Transaction {
     /// Globally unique id (client, sequence).
     id: TxnId,
@@ -188,63 +172,27 @@ pub struct Transaction {
     /// envelope the way real systems carry timestamps, and used by the
     /// harness to compute end-to-end latency. Not signed.
     pub submit_time: Timestamp,
-    signer: Signer,
+    /// Whether the issuing client signed the body.
+    signed: bool,
 }
 
 impl Transaction {
-    fn sealed(
-        id: TxnId,
-        ops: impl Into<Operations>,
-        submit_time: Timestamp,
-        signer: Signer,
-    ) -> Self {
+    /// Build an unsigned transaction.
+    pub fn new(id: TxnId, ops: impl Into<Operations>) -> Self {
         Transaction {
             id,
             ops: ops.into(),
-            submit_time,
-            signer,
+            submit_time: 0,
+            signed: false,
         }
     }
 
-    /// Build an unsigned transaction.
-    pub fn new(id: TxnId, ops: impl Into<Operations>) -> Self {
-        Self::sealed(id, ops, 0, Signer::Unsigned)
-    }
-
-    /// Build a transaction signed with its own client's key. Nothing is hashed
-    /// here: [`signature`](Self::signature) computes the bytes
-    /// [`signed`](Self::signed) with `KeyPair::for_client` would store.
+    /// Build a transaction signed by its own client.
     pub fn client_signed(id: TxnId, ops: impl Into<Operations>) -> Self {
-        Self::sealed(id, ops, 0, Signer::Client)
-    }
-
-    /// Build and sign a transaction with `keypair`, now.
-    pub fn signed(
-        id: TxnId,
-        ops: impl Into<Operations>,
-        submit_time: Timestamp,
-        keypair: &KeyPair,
-    ) -> Self {
-        let mut txn = Self::sealed(id, ops, submit_time, Signer::Unsigned);
-        let signature = keypair.sign(txn.digest().as_bytes());
-        txn.signer = Signer::Explicit(Box::new(signature));
-        txn
-    }
-
-    /// A transaction from an envelope produced elsewhere: the content and the
-    /// signature that came with it, kept as given whether or not it was made
-    /// over this content ([`verify_signature`](Self::verify_signature) tells).
-    pub fn from_parts(
-        id: TxnId,
-        ops: impl Into<Operations>,
-        submit_time: Timestamp,
-        signature: Option<Signature>,
-    ) -> Self {
-        let signer = match signature {
-            None => Signer::Unsigned,
-            Some(signature) => Signer::Explicit(Box::new(signature)),
-        };
-        Self::sealed(id, ops, submit_time, signer)
+        Transaction {
+            signed: true,
+            ..Self::new(id, ops)
+        }
     }
 
     /// Globally unique id (client, sequence).
@@ -257,27 +205,13 @@ impl Transaction {
         self.ops.as_slice()
     }
 
-    /// Whether the transaction carries a signature (valid or not).
+    /// Whether the client signed the transaction.
     pub fn is_signed(&self) -> bool {
-        !matches!(self.signer, Signer::Unsigned)
+        self.signed
     }
 
-    /// The signature over the content, if the transaction is signed. A
-    /// client-signed transaction computes it on every call (the client's key
-    /// pair, the content digest, the tag); no model reads it during a run,
-    /// since signature work is charged as simulated time.
-    pub fn signature(&self) -> Option<Signature> {
-        match &self.signer {
-            Signer::Unsigned => None,
-            Signer::Client => {
-                Some(KeyPair::for_client(self.id.client.0).sign(self.digest().as_bytes()))
-            }
-            Signer::Explicit(signature) => Some(**signature),
-        }
-    }
-
-    /// Content digest over id, the isolation byte and operations (excludes
-    /// the signature itself).
+    /// Content digest over id, the isolation byte and operations: what a
+    /// client signs and a block's transactions digest folds.
     pub fn digest(&self) -> Hash {
         let mut h = Hasher::new();
         h.update(&self.id.client.0.to_be_bytes());
@@ -299,17 +233,6 @@ impl Transaction {
             }
         }
         h.finalize()
-    }
-
-    /// Verify the client signature, rederiving the client's key from the
-    /// transaction's client id (stands in for a certificate lookup).
-    pub fn verify_signature(&self) -> bool {
-        self.signature().is_some_and(|sig| {
-            sig.verify(
-                self.digest().as_bytes(),
-                &KeyPair::for_client(self.id.client.0),
-            )
-        })
     }
 
     /// Keys read by this transaction (deduplicated, in first-occurrence order).
@@ -352,7 +275,7 @@ impl Transaction {
     pub fn wire_bytes(&self) -> usize {
         const HEADER: usize = 48;
         const SIGNATURE: usize = 96;
-        HEADER + self.payload_bytes() + if self.is_signed() { SIGNATURE } else { 0 }
+        HEADER + self.payload_bytes() + if self.signed { SIGNATURE } else { 0 }
     }
 
     /// Number of operations.
@@ -366,28 +289,14 @@ impl Transaction {
     }
 }
 
-/// Equal content and equal signature *values*: a client-signed transaction
-/// equals the same content signed eagerly with that client's key.
-impl PartialEq for Transaction {
-    fn eq(&self, other: &Self) -> bool {
-        self.id == other.id
-            && self.submit_time == other.submit_time
-            && self.ops == other.ops
-            // Equal content under equal signers signs to equal bytes.
-            && (self.signer == other.signer || self.signature() == other.signature())
-    }
-}
-
-// Hand-written: the signature is not a stored field (a client-signed
-// transaction records only who signed), so the wire form emits `signature()`
-// where the field list had it and the bytes are the eagerly signed ones.
+// Hand-written: the isolation byte is a constant, not a field.
 impl Encode for Transaction {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.id.encode_into(out);
         self.ops.encode_into(out);
         SERIALIZABLE.encode_into(out);
         self.submit_time.encode_into(out);
-        self.signature().encode_into(out);
+        self.signed.encode_into(out);
     }
 }
 
@@ -580,33 +489,9 @@ mod tests {
         assert!(t.wire_bytes() > t.payload_bytes());
     }
 
-    #[test]
-    fn signature_roundtrip_and_tamper_detection() {
-        let ops = vec![Operation::write(Key::from_str("k"), Value::filler(8))];
-        for t in [
-            Transaction::signed(txn_id(), ops.clone(), 0, &KeyPair::for_client(1)),
-            Transaction::client_signed(txn_id(), ops),
-        ] {
-            assert!(t.verify_signature());
-            // The same envelope rebuilt from its parts, the signature as a value:
-            // the same transaction, byte for byte.
-            let copy = Transaction::from_parts(t.id(), t.ops().to_vec(), 0, t.signature());
-            assert!(copy.verify_signature());
-            assert_eq!(copy, t);
-            assert_eq!(copy.encode(), t.encode());
-            // Tampered content under the original signature: it must not verify.
-            let mut ops = t.ops().to_vec();
-            ops[0].value = Some(Value::filler(9));
-            let tampered = Transaction::from_parts(t.id(), ops, 0, t.signature());
-            assert!(!tampered.verify_signature());
-            assert_ne!(tampered, t);
-        }
-    }
-
-    /// Captured at the commit before the SHA-256 kernel was replaced: sign and
-    /// verify agree with each other under any self-consistent hash, so only a
-    /// fixed digest and tag pin the function itself. Signing at creation and
-    /// signing when read must both produce them.
+    /// Captured at the commit before the SHA-256 kernel was replaced: only a
+    /// fixed digest pins the hash function itself. Signing covers this
+    /// digest, so a signed and an unsigned envelope of one body share it.
     #[test]
     fn signed_transaction_matches_golden_digests() {
         let id = TxnId::new(ClientId(1), 42);
@@ -615,16 +500,12 @@ mod tests {
             Operation::write(Key::from_str("user00000042"), Value::filler(100)),
         ];
         for t in [
-            Transaction::signed(id, ops.clone(), 1_000, &KeyPair::for_client(1)),
-            Transaction::client_signed(id, ops),
+            Transaction::client_signed(id, ops.clone()),
+            Transaction::new(id, ops),
         ] {
             assert_eq!(
                 t.digest().to_hex(),
                 "6149839011409216d45a598a74aba3fecff36361582d843000ccf6ecbcf1dd73"
-            );
-            assert_eq!(
-                t.signature().expect("signed").tag.to_hex(),
-                "f4b12240136aa315766ab8928f81d73a97303303850c7b31e7e79caf41f6e27c"
             );
         }
     }
@@ -660,19 +541,26 @@ mod tests {
 
     /// The wire form and content digest of four fixed transactions, recorded
     /// before one-operation transactions stored their operation inline: no
-    /// operation count and no signer encodes differently, and the isolation
-    /// byte (`1`, serializable) is still written where it always was.
+    /// operation count encodes differently, and the isolation byte (`1`,
+    /// serializable) is still written where it always was. A signed
+    /// envelope ends in the flag byte `01` where it once carried the flag
+    /// and 64 signature bytes.
     #[test]
     fn wire_form_and_digest_match_golden() {
         let long_key = Key::from_str("account-with-a-key-of-thirty-bytes");
         assert!(long_key.len() > 22);
+        let at = |submit_time, mut t: Transaction| {
+            t.submit_time = submit_time;
+            t
+        };
         let cases = [
             Transaction::new(TxnId::new(ClientId(3), 5), Vec::new()),
-            Transaction::from_parts(
-                TxnId::new(ClientId(4), 6),
-                vec![Operation::write(Key::from_str("k1"), Value::filler(5))],
+            at(
                 1_234,
-                None,
+                Transaction::new(
+                    TxnId::new(ClientId(4), 6),
+                    vec![Operation::write(Key::from_str("k1"), Value::filler(5))],
+                ),
             ),
             Transaction::client_signed(
                 TxnId::new(ClientId(5), 7),
@@ -681,15 +569,16 @@ mod tests {
                     Value::filler(3),
                 )],
             ),
-            Transaction::signed(
-                TxnId::new(ClientId(6), 8),
-                vec![
-                    Operation::read(long_key),
-                    Operation::write(Key::from_str("w"), Value::filler(2)),
-                    Operation::read_modify_write(Key::from_str("rmw"), Value::filler(1)),
-                ],
+            at(
                 9_999,
-                &KeyPair::for_client(6),
+                Transaction::client_signed(
+                    TxnId::new(ClientId(6), 8),
+                    vec![
+                        Operation::read(long_key),
+                        Operation::write(Key::from_str("w"), Value::filler(2)),
+                        Operation::read_modify_write(Key::from_str("rmw"), Value::filler(1)),
+                    ],
+                ),
             ),
         ];
         let golden = [
@@ -704,18 +593,14 @@ mod tests {
             ),
             (
                 "0000000000000005000000000000000700000001020000001075736572303030\
-                 303030303030303432010000000378787801000000000000000001994943866f\
-                 3076d95ab4f9bb5497c71f563c5301d84b1a22a987fc8d5aeba713b40c935e05\
-                 e7b0d76a5fe370ce8ba2e6487863fa250c71412ec8c4b2e81dec80",
+                 303030303030303432010000000378787801000000000000000001",
                 "b3390cdbc638807d3e34a3f321d81acd3f3728dd77d4dfe24e173284fcc55613",
             ),
             (
                 "000000000000000600000000000000080000000300000000226163636f756e74\
                  2d776974682d612d6b65792d6f662d7468697274792d62797465730001000000\
                  0177010000000278780200000003726d7701000000017801000000000000270f\
-                 013920d32ce604bae69a2eccb87351e68a9a8643f8c6b73dcfa8e79213fff25b\
-                 742f275805cfc376811f1fb283e1a5822d87808a4a1360256e523f5ff4cff319\
-                 b8",
+                 01",
                 "7739d52cc7e85f8fa47c46120ea02e8d3636b8ace423f2e86b79291f637c1798",
             ),
         ];
@@ -723,25 +608,6 @@ mod tests {
             assert_eq!(hex(&t.encode()), encoded);
             assert_eq!(t.digest().to_hex(), digest);
         }
-    }
-
-    #[test]
-    fn unsigned_transaction_does_not_verify() {
-        let t = Transaction::new(txn_id(), vec![]);
-        assert!(!t.is_signed());
-        assert_eq!(t.signature(), None);
-        assert!(!t.verify_signature());
-        assert_ne!(t, Transaction::client_signed(txn_id(), vec![]));
-    }
-
-    #[test]
-    fn signature_bound_to_client_identity() {
-        // Signed with the wrong client's key: digest check fails.
-        let other = KeyPair::for_client(999);
-        let t = Transaction::signed(txn_id(), vec![], 0, &other);
-        assert!(!t.verify_signature());
-        // Equal content, different signature values: different transactions.
-        assert_ne!(t, Transaction::client_signed(txn_id(), vec![]));
     }
 
     #[test]

@@ -18,11 +18,6 @@ impl NodeId {
     pub const fn new(id: u64) -> Self {
         NodeId(id)
     }
-
-    /// Raw numeric id.
-    pub const fn as_u64(&self) -> u64 {
-        self.0
-    }
 }
 
 impl fmt::Display for NodeId {
@@ -363,7 +358,6 @@ mod tests {
     #[test]
     fn node_id_display_and_accessors() {
         let n = NodeId::new(7);
-        assert_eq!(n.as_u64(), 7);
         assert_eq!(n.to_string(), "node-7");
     }
 

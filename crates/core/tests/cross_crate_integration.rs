@@ -6,9 +6,7 @@ use dichotomy_core::driver::{run_workload, DriverConfig};
 use dichotomy_core::systems::{
     drive_arrivals, Fabric, Quorum, SystemKind, SystemSpec, TiDb, TransactionalSystem,
 };
-use dichotomy_core::workload::{
-    SmallbankConfig, SmallbankWorkload, Workload, YcsbConfig, YcsbMix, YcsbWorkload,
-};
+use dichotomy_core::workload::{SmallbankConfig, SmallbankWorkload};
 
 /// Running Smallbank through Fabric leaves a verifiable ledger behind: the
 /// hash chain checks out and recorded transaction counts match the receipts.
@@ -25,27 +23,6 @@ fn fabric_smallbank_run_produces_a_consistent_ledger_and_metrics() {
     assert!(stats.metrics.throughput_tps > 10.0);
     // The storage footprint contains ledger history (blocks are kept forever).
     assert!(fabric.footprint().history_bytes > 0);
-}
-
-/// The same signed transaction is accepted by a blockchain and its signature
-/// tampering is rejected before execution-side state changes (spot check that
-/// the crypto layer is actually wired into the system models).
-#[test]
-fn signatures_travel_through_the_blockchain_pipeline() {
-    let mut workload = YcsbWorkload::new(YcsbConfig {
-        record_count: 100,
-        record_size: 64,
-        mix: YcsbMix::UpdateOnly,
-        ..YcsbConfig::default()
-    });
-    let txn = workload.next_transaction(ClientId(3), 1);
-    assert!(txn.verify_signature());
-    // The original signature over a rewritten payload.
-    let mut ops = txn.ops().to_vec();
-    ops[0].value = Some(Value::filler(65));
-    let tampered = Transaction::from_parts(txn.id(), ops, txn.submit_time, txn.signature());
-    assert!(tampered.is_signed());
-    assert!(!tampered.verify_signature());
 }
 
 /// TiDB and Quorum agree on the final state produced by the same sequence of

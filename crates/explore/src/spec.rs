@@ -30,7 +30,7 @@ pub enum ArrivalKnob {
         offered_tps: f64,
     },
     /// Closed loop: `clients` clients, 1 ms think time, one outstanding
-    /// request each (the `repro --arrival closed` defaults).
+    /// request each.
     Closed {
         /// Number of closed-loop clients.
         clients: u64,

@@ -200,16 +200,6 @@ pub fn try_forecast_throughput(
     }
 }
 
-/// [`forecast_txn_cost_us`] on the checked path: the same validation as
-/// [`try_forecast_throughput`], then the clamped inversion.
-pub fn try_forecast_txn_cost_us(
-    spec: &HybridSpec,
-    network: &NetworkConfig,
-    costs: &CostModel,
-) -> Result<f64, ForecastError> {
-    try_forecast_throughput(spec, network, costs).map(|tps| 1e6 / tps.max(1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,25 +359,11 @@ mod tests {
             ..good.clone()
         };
         assert_eq!(
-            try_forecast_txn_cost_us(&zero_bytes, &net, &costs),
+            try_forecast_throughput(&zero_bytes, &net, &costs),
             Err(ForecastError::ZeroTxnBytes)
         );
         // Errors render something actionable for diagnostics.
         assert!(ForecastError::ZeroBatch.to_string().contains("batch"));
-    }
-
-    #[test]
-    fn checked_cost_matches_the_unchecked_clamped_inversion() {
-        let (net, costs) = defaults();
-        for profile in all_systems() {
-            let spec = HybridSpec::from_profile(&profile);
-            assert_eq!(
-                try_forecast_txn_cost_us(&spec, &net, &costs).unwrap(),
-                forecast_txn_cost_us(&spec, &net, &costs),
-                "{}",
-                spec.name
-            );
-        }
     }
 
     #[test]

@@ -8,8 +8,8 @@ pub mod forecast;
 pub mod taxonomy;
 
 pub use forecast::{
-    forecast_throughput, forecast_txn_cost_us, try_forecast_throughput, try_forecast_txn_cost_us,
-    ForecastError, HybridSpec, ThroughputBand,
+    forecast_throughput, forecast_txn_cost_us, try_forecast_throughput, ForecastError, HybridSpec,
+    ThroughputBand,
 };
 pub use taxonomy::{
     all_systems, ConcurrencyChoice, LedgerSupport, ReplicationModel, ShardingSupport, StorageIndex,

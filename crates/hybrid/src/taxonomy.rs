@@ -95,12 +95,6 @@ impl SystemProfile {
     pub fn failure_model(&self) -> FailureModel {
         self.protocol.failure_model()
     }
-
-    /// Whether the design is security-oriented on the replication dimension
-    /// (transaction-based replication), the red/blue colouring of Table 2.
-    pub fn security_oriented_replication(&self) -> bool {
-        self.replication == ReplicationModel::TransactionBased
-    }
 }
 
 /// Every system classified in Table 2 (the benchmarked ones and the hybrids).
@@ -351,9 +345,6 @@ mod tests {
         assert_eq!(quorum.failure_model(), FailureModel::Crash);
         let bigchain = systems.iter().find(|s| s.name == "BigchainDB").unwrap();
         assert_eq!(bigchain.failure_model(), FailureModel::Byzantine);
-        assert!(quorum.security_oriented_replication());
-        let tidb = systems.iter().find(|s| s.name == "TiDB v4.0").unwrap();
-        assert!(!tidb.security_oriented_replication());
     }
 
     #[test]

@@ -3,28 +3,31 @@
 //! Every blockchain model in the workspace commits blocks into a [`Ledger`]:
 //! a chain whose integrity can be re-verified end to end and whose storage
 //! footprint counts as *history* (this is the "significant storage overhead"
-//! of Figure 12). Each block keeps every transaction envelope (client
-//! signature included) and one validation flag per transaction, which is
-//! what that history costs; the ledger answers no historical queries.
+//! of Figure 12). Each block keeps every transaction envelope (a signed one
+//! is counted with its signature bytes) and one validation flag per
+//! transaction, which is what that history costs; the ledger answers no
+//! historical queries.
 //!
-//! The ledger hashes on demand. The simulator charges block hashing in
-//! *simulated* time from the cost model, so a block the ledger builds itself
-//! ([`Ledger::append_txns`]) is stored as its header fields, body and flags,
-//! unsealed. Its transactions digest and header hash are computed, forward
-//! from the last sealed block, and memoised when [`Ledger::tip_hash`] or
-//! [`Ledger::verify_chain`] first needs them; they are the hashes eager
-//! assembly produces. A block built elsewhere goes through
-//! [`Ledger::append`], which still checks its height, link, body digest and
-//! flag count before storing it, sealed with the header it checked.
+//! The ledger hashes on demand. No simulated cost depends on when a block's
+//! hashes are computed, so a block ([`Ledger::append_txns`]) is stored as its
+//! header fields, body and flags, unsealed. Its transactions digest
+//! ([`digest_txns`]) and header hash ([`BlockHeader::hash`]) are computed,
+//! forward from the last sealed block, and memoised when
+//! [`Ledger::tip_hash`] or [`Ledger::verify_chain`] first needs them; they
+//! are the hashes of hashing each block as it is appended.
 //! `verify_chain` recomputes every body digest and link and compares them
 //! with every seal, so it catches an edit to any block whose hash was read.
 
 #![forbid(unsafe_code)]
 
+mod block;
+
 use std::sync::OnceLock;
 
 use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
-use dichotomy_common::{Block, BlockHeader, Hash, NodeId, Timestamp, Transaction};
+use dichotomy_common::{Hash, NodeId, Timestamp, Transaction};
+
+pub use block::{digest_txns, BlockHeader};
 
 /// Validation outcome recorded next to each transaction in a block (Fabric
 /// marks invalid transactions in the block rather than removing them).
@@ -48,9 +51,8 @@ struct CommittedBlock {
     txns: Vec<Transaction>,
     /// One flag per transaction, same order as `txns`.
     flags: Vec<TxnValidationFlag>,
-    /// Set when a hash is first read, or by `append` from the header it
-    /// checked. Sealed blocks form a prefix of the chain: sealing a block
-    /// needs its predecessor's hash.
+    /// Set when a hash is first read. Sealed blocks form a prefix of the
+    /// chain: sealing a block needs its predecessor's hash.
     seal: OnceLock<Seal>,
 }
 
@@ -66,7 +68,7 @@ impl CommittedBlock {
     /// The hashes this block's body and fields produce at `height` on top of
     /// a block hashing to `prev_hash`.
     fn compute_seal(&self, height: u64, prev_hash: Hash) -> Seal {
-        let txns_digest = Block::digest_txns(&self.txns);
+        let txns_digest = digest_txns(&self.txns);
         let header = BlockHeader {
             height,
             prev_hash,
@@ -85,12 +87,6 @@ impl CommittedBlock {
 /// Errors returned when appending to the ledger.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LedgerError {
-    /// The block's `prev_hash` does not match the current tip.
-    BrokenChain { expected: Hash, found: Hash },
-    /// The block height is not `tip_height + 1`.
-    WrongHeight { expected: u64, found: u64 },
-    /// The block body does not match its header digest.
-    BadTxnsDigest,
     /// The number of flags does not match the number of transactions.
     FlagMismatch,
 }
@@ -98,16 +94,6 @@ pub enum LedgerError {
 impl std::fmt::Display for LedgerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            LedgerError::BrokenChain { expected, found } => {
-                write!(
-                    f,
-                    "broken chain: expected prev {expected:?}, found {found:?}"
-                )
-            }
-            LedgerError::WrongHeight { expected, found } => {
-                write!(f, "wrong height: expected {expected}, found {found}")
-            }
-            LedgerError::BadTxnsDigest => write!(f, "block body does not match header digest"),
             LedgerError::FlagMismatch => write!(f, "validation flag count mismatch"),
         }
     }
@@ -183,60 +169,9 @@ impl Ledger {
         self.valid_txn_count
     }
 
-    /// Append a block built elsewhere with its validation flags, enforcing
-    /// chain integrity: its height, its link to the tip (which reads the tip
-    /// hash), its body digest and its flag count are checked here, and it is
-    /// stored sealed with the header it was checked against.
-    pub fn append(
-        &mut self,
-        block: Block,
-        flags: Vec<TxnValidationFlag>,
-    ) -> Result<(), LedgerError> {
-        let expected_height = self.tip_height() + 1;
-        if block.header.height != expected_height {
-            return Err(LedgerError::WrongHeight {
-                expected: expected_height,
-                found: block.header.height,
-            });
-        }
-        let expected_prev = self.tip_hash();
-        if block.header.prev_hash != expected_prev {
-            return Err(LedgerError::BrokenChain {
-                expected: expected_prev,
-                found: block.header.prev_hash,
-            });
-        }
-        if !block.verify_txns_digest() {
-            return Err(LedgerError::BadTxnsDigest);
-        }
-        if flags.len() != block.txn_count() {
-            return Err(LedgerError::FlagMismatch);
-        }
-        let BlockHeader {
-            txns_digest,
-            state_root,
-            proposer,
-            timestamp,
-            ..
-        } = block.header;
-        let seal = Seal {
-            txns_digest,
-            hash: block.hash(),
-        };
-        self.push(CommittedBlock {
-            state_root,
-            proposer,
-            timestamp,
-            txns: block.into_txns(),
-            flags,
-            seal: OnceLock::from(seal),
-        });
-        Ok(())
-    }
-
     /// Append a block of `txns` with one validation flag each, proposed by
     /// `proposer` at `time`, optionally committing a state root. The ledger
-    /// builds this block itself, so it is at the next height and linked to
+    /// builds the block itself, so it is at the next height and linked to
     /// the tip by construction; nothing is hashed until a hash is read.
     pub fn append_txns(
         &mut self,
@@ -290,8 +225,8 @@ impl Ledger {
     /// demonstrate that [`verify_chain`](Self::verify_chain) catches it.
     /// Publishing is reading the tip hash, which seals every block: before
     /// that, no hash commits to a body, and an edit is not a tamper. The
-    /// first transaction at `height` is replaced by an envelope with its
-    /// operations dropped and its original signature.
+    /// first transaction at `height` is replaced by an envelope with the same
+    /// id and no operations.
     #[cfg(test)]
     fn tamper_for_test(&mut self, height: u64) {
         self.tip_hash();
@@ -300,7 +235,7 @@ impl Ledger {
             .get_mut(height as usize)
             .and_then(|b| b.txns.first_mut());
         if let Some(txn) = first {
-            *txn = Transaction::from_parts(txn.id(), Vec::new(), txn.submit_time, txn.signature());
+            *txn = Transaction::new(txn.id(), Vec::new());
         }
     }
 }
@@ -389,51 +324,14 @@ mod tests {
     }
 
     #[test]
-    fn append_rejects_wrong_height_and_broken_chain() {
-        let mut l = Ledger::new(NodeId(0));
-        let bogus = Block::assemble(5, l.tip_hash(), vec![], NodeId(0), 0, None);
-        assert!(matches!(
-            l.append(bogus, vec![]),
-            Err(LedgerError::WrongHeight {
-                expected: 1,
-                found: 5
-            })
-        ));
-        let unlinked = Block::assemble(1, Hash::of(b"nope"), vec![], NodeId(0), 0, None);
-        assert!(matches!(
-            l.append(unlinked, vec![]),
-            Err(LedgerError::BrokenChain { .. })
-        ));
-    }
-
-    #[test]
-    fn append_rejects_tampered_body_and_flag_mismatch() {
-        let mut l = Ledger::new(NodeId(0));
-        let header = Block::assemble(1, l.tip_hash(), vec![txn(1, 10)], NodeId(0), 0, None).header;
-        let block = Block::from_parts(header, vec![txn(1, 10), txn(2, 10)]);
-        assert_eq!(
-            l.append(block, vec![TxnValidationFlag::Valid; 2]),
-            Err(LedgerError::BadTxnsDigest)
-        );
-
-        let ok_block = Block::assemble(1, l.tip_hash(), vec![txn(1, 10)], NodeId(0), 0, None);
-        assert_eq!(l.append(ok_block, vec![]), Err(LedgerError::FlagMismatch));
-    }
-
-    #[test]
     fn invalid_flags_are_counted_separately() {
         let mut l = Ledger::new(NodeId(0));
-        let block = Block::assemble(
-            1,
-            l.tip_hash(),
+        l.append_txns(
             vec![txn(1, 10), txn(2, 10)],
+            vec![TxnValidationFlag::Valid, TxnValidationFlag::Invalid],
             NodeId(0),
             0,
             None,
-        );
-        l.append(
-            block,
-            vec![TxnValidationFlag::Valid, TxnValidationFlag::Invalid],
         )
         .unwrap();
         assert_eq!(l.txn_count(), 2);
@@ -473,25 +371,6 @@ mod tests {
         }
         l.tamper_for_test(7);
         assert_eq!(l.verify_chain(), Some(7));
-    }
-
-    #[test]
-    fn verify_chain_detects_tampering_of_an_appended_block() {
-        let mut l = chain(2);
-        for i in 3..=4 {
-            let block = Block::assemble(
-                i,
-                l.tip_hash(),
-                vec![txn(i, 50), txn(i + 100, 50)],
-                NodeId(1),
-                i * 100,
-                Some(Hash::of(b"root")),
-            );
-            l.append(block, valid(2)).unwrap();
-        }
-        assert_eq!(l.verify_chain(), None);
-        l.tamper_for_test(3);
-        assert_eq!(l.verify_chain(), Some(3));
     }
 
     #[test]

@@ -647,15 +647,15 @@ mod tests {
     /// A 32-byte digest memo in `Transaction` (to hash each payload once
     /// instead of twice) was measured and refused: 200k-client `scale_closed`
     /// ran 7 % slower and peaked 7 MB higher, 11 MB with the transaction
-    /// boxed inside `Arrival`. A transaction holds who signed it, not a
-    /// 64-byte signature (computed when read). A one-operation transaction
-    /// (Table 3's default) carries its operation inline: in flight it costs
-    /// these 88 bytes and no heap, where a `Vec` of operations cost 72 bytes
-    /// plus a 64-byte heap chunk.
+    /// boxed inside `Arrival`. A transaction holds whether its client signed
+    /// it, not a 64-byte signature. A one-operation transaction (Table 3's
+    /// default) carries its operation inline: in flight it costs these 80
+    /// bytes and no heap, where a `Vec` of operations cost 72 bytes plus a
+    /// 64-byte heap chunk.
     #[test]
     fn in_flight_arrivals_stay_the_size_they_were() {
-        assert_eq!(std::mem::size_of::<Transaction>(), 88);
-        assert_eq!(std::mem::size_of::<SysEvent>(), 88);
+        assert_eq!(std::mem::size_of::<Transaction>(), 80);
+        assert_eq!(std::mem::size_of::<SysEvent>(), 80);
     }
 
     #[test]

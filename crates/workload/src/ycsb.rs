@@ -225,7 +225,7 @@ mod tests {
         assert_eq!(t.op_count(), 1);
         assert!(t.ops()[0].writes() && !t.ops()[0].reads());
         assert_eq!(t.ops()[0].value.as_ref().unwrap().len(), 100);
-        assert!(t.verify_signature());
+        assert!(t.is_signed());
     }
 
     #[test]
@@ -303,20 +303,23 @@ mod tests {
     /// chosen ops instead of a `BTreeSet<Key>`: the Zipf draws, the redraws on
     /// a duplicate and the read/write coin (tossed only for a distinct key)
     /// must come out in the same order. 50 records at θ = 0.99 redraw often.
+    /// Re-recorded over the wire form without the 64 signature bytes a signed
+    /// envelope once ended in (the digest of every encoding minus those
+    /// bytes, taken before they went).
     #[test]
     fn skewed_transactions_match_golden_digests() {
         for (ops, golden) in [
             (
                 1,
-                "0b51f4feb187fdaffcf6338d32d3ffc2524a12b0593c6e9ae2dc11172c7fc9c8",
+                "e8bc950b624fc72c2c2588e7af88eb34895ea5e5150fee91faa09ef3923bcda5",
             ),
             (
                 4,
-                "9498e1b81c793968127efd2023192eabc7877b2349d5525c9e73df291a239059",
+                "b7d92ae487d78752d564d484094509257c5bdb8fae08ba7d4555963118ae5263",
             ),
             (
                 10,
-                "a33b36258ce750805cb68cdd82f089c14e9031acceb50f26e2fcb0272f1f3f2d",
+                "b5111a8eb46712435461e4fe11ec30dd3a3aeb86df543b0043e3049e176738b4",
             ),
         ] {
             let mut w = YcsbWorkload::new(YcsbConfig {
@@ -337,8 +340,9 @@ mod tests {
     }
 
     /// Recorded when every generated transaction was signed at creation with a
-    /// freshly derived key pair. Each signature enters the digest through
-    /// `signature()`, so this now pins signing when read.
+    /// freshly derived key pair, then re-recorded over the wire form without
+    /// the 64 signature bytes (the digest of every encoding minus those bytes,
+    /// taken before they went).
     #[test]
     fn colliding_client_ids_match_golden_digest() {
         let mut w = YcsbWorkload::new(YcsbConfig {
@@ -351,7 +355,7 @@ mod tests {
         });
         assert_eq!(
             crate::tests::colliding_clients_digest(&mut w, 200),
-            "28f5250df59fcbcf60a373bef100c5b326cab664bad0375251ce45acd3e6d057"
+            "854920e083346bd1edddcab4450136e280c1b04b8bab560726a4bedfaa9c475c"
         );
     }
 

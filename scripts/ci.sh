@@ -37,11 +37,11 @@ done
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test --release -p dichotomy-common -p dichotomy-workload (SHA-256 kernels and signing goldens under optimisation)"
+echo "==> cargo test --release -p dichotomy-common -p dichotomy-workload (SHA-256 kernels and generator goldens under optimisation)"
 # The hash kernels are wrapping arithmetic plus the workspace's one unsafe
 # module; the debug run above checks them with overflow and debug assertions
 # on, this one as they actually ship. The workload goldens pin every
-# generated transaction's signature, computed only when read, the same way.
+# generated transaction's wire form the same way.
 cargo test -q --release -p dichotomy-common -p dichotomy-workload
 
 echo "==> cargo test --release -p dichotomy-core timestamp_ledger (arrival-timestamp bitmap under optimisation)"
@@ -316,12 +316,10 @@ grep -q "adr_probe_10k_1kb" /tmp/ci_microbench.out
 # holds (an unchanged write keeps its nodes), with the root read after each.
 grep -q "mpt_overwrite_unchanged_5k_1kb" /tmp/ci_microbench.out
 # What a payload costs between layers (printed, not gated): a key handle, a
-# value handle, one generated transaction, the same with its signature read,
-# one memtable frozen into a run.
+# value handle, one generated transaction, one memtable frozen into a run.
 grep -q "key_clone_16b" /tmp/ci_microbench.out
 grep -q "value_clone_1kb" /tmp/ci_microbench.out
 grep -q "ycsb_next_txn_1kb" /tmp/ci_microbench.out
-grep -q "ycsb_sign_1kb" /tmp/ci_microbench.out
 grep -q "lsm_flush_4mb" /tmp/ci_microbench.out
 # A model's preload into each storage substrate, built in one sorted pass.
 grep -q "lsm_load_5k_1kb" /tmp/ci_microbench.out
@@ -332,6 +330,20 @@ grep -q "occ_simulate_validate_commit" /tmp/ci_microbench.out
 # One 100 x 1 KB block appended to the ledger: it hashes nothing until the
 # tip is read.
 grep -q "ledger_append_block_100x1kb" /tmp/ci_microbench.out
+# An argument selects benchmarks by name: one name runs that benchmark and
+# none of its neighbours, and a name that selects nothing is refused.
+cargo run -q -p dichotomy-bench --release --bin microbench -- --smoke mpt_insert_1kb \
+    > /tmp/ci_microbench_one.out
+grep -q "^mpt_insert_1kb " /tmp/ci_microbench_one.out
+if grep -qE "^(mbt_|lsm_)" /tmp/ci_microbench_one.out; then
+    echo "ci.sh: microbench mpt_insert_1kb ran other benchmarks" >&2
+    exit 1
+fi
+if cargo run -q -p dichotomy-bench --release --bin microbench -- --smoke no_such_benchmark \
+    > /dev/null 2>&1; then
+    echo "ci.sh: microbench accepted a filter that selects no benchmark" >&2
+    exit 1
+fi
 
 echo "==> benchmark/ (the frozen harness against this tree: smoke check + fidelity digests)"
 # The standalone harness package builds from this checkout's crates, so a
