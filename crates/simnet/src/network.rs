@@ -20,14 +20,11 @@ pub struct NetworkConfig {
     pub jitter_us: u64,
     /// Link bandwidth in bytes per microsecond (125 B/µs = 1 Gb/s).
     pub bandwidth_bytes_per_us: f64,
-    /// Latency of a node messaging itself (loopback), in µs.
-    pub loopback_latency_us: u64,
 }
 codec!(Encode for struct NetworkConfig {
     base_latency_us,
     jitter_us,
     bandwidth_bytes_per_us,
-    loopback_latency_us,
 });
 
 impl Default for NetworkConfig {
@@ -44,7 +41,6 @@ impl NetworkConfig {
             base_latency_us: 250,
             jitter_us: 50,
             bandwidth_bytes_per_us: 125.0,
-            loopback_latency_us: 5,
         }
     }
 
@@ -55,7 +51,6 @@ impl NetworkConfig {
             base_latency_us: 25_000,
             jitter_us: 5_000,
             bandwidth_bytes_per_us: 12.5,
-            loopback_latency_us: 5,
         }
     }
 }
