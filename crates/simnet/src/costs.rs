@@ -29,10 +29,6 @@ use dichotomy_common::codec;
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     // --- cryptography ---------------------------------------------------
-    /// Fixed cost of one hash invocation (setup + finalization).
-    pub hash_base_us: f64,
-    /// Per-byte cost of hashing.
-    pub hash_per_byte_us: f64,
     /// Creating one digital signature (Fabric endorsement ≈ 59 µs).
     pub sig_sign_us: f64,
     /// Verifying one digital signature (ECDSA verify on the testbed CPU).
@@ -88,8 +84,6 @@ pub struct CostModel {
     pub block_header_check_us: f64,
 }
 codec!(Encode for struct CostModel {
-    hash_base_us,
-    hash_per_byte_us,
     sig_sign_us,
     sig_verify_us,
     client_auth_us,
@@ -119,8 +113,6 @@ impl CostModel {
     /// The default calibration described in the module documentation.
     pub fn calibrated() -> Self {
         CostModel {
-            hash_base_us: 0.5,
-            hash_per_byte_us: 0.003,
             sig_sign_us: 59.0,
             sig_verify_us: 210.0,
             client_auth_us: 4294.0,
@@ -144,17 +136,10 @@ impl CostModel {
     /// A cost model with all cryptography zeroed; used by ablation benches to
     /// quantify the "security overhead" the paper attributes to blockchains.
     pub fn without_crypto(mut self) -> Self {
-        self.hash_base_us = 0.0;
-        self.hash_per_byte_us = 0.0;
         self.sig_sign_us = 0.0;
         self.sig_verify_us = 0.0;
         self.client_auth_us = 0.0;
         self
-    }
-
-    /// Cost of hashing `bytes` bytes.
-    pub fn hash_us(&self, bytes: usize) -> u64 {
-        (self.hash_base_us + self.hash_per_byte_us * bytes as f64).ceil() as u64
     }
 
     /// Cost of verifying `count` signatures.
@@ -261,7 +246,6 @@ mod tests {
         assert_eq!(c.client_auth(), 0);
         assert_eq!(c.sign_us(), 0);
         assert_eq!(c.verify_signatures_us(10), 0);
-        assert_eq!(c.hash_us(1_000_000), 0);
         // Non-crypto costs untouched.
         assert!(c.storage_get_us(100) > 0);
         assert!(c.sql_frontend_us() > 0);
@@ -270,7 +254,6 @@ mod tests {
     #[test]
     fn costs_are_monotone_in_size() {
         let c = CostModel::calibrated();
-        assert!(c.hash_us(10_000) > c.hash_us(10));
         assert!(c.storage_put_us(5_000) > c.storage_put_us(10));
         assert!(c.storage_get_us(5_000) >= c.storage_get_us(10));
         assert!(c.evm_exec_us(5_000) > c.evm_exec_us(10));
