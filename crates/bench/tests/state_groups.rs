@@ -156,7 +156,7 @@ fn the_quick_suite_loads_each_distinct_state_once() {
     // declaration moves a digest.
     assert_eq!(
         digest(probes().map(probe_key_bytes)),
-        "2f9f67570ec0823b576476e593a1b091dcd62e572d655125f1724081122c156a"
+        "8dfbaebc872f702aeed38959f349e0ad602bf605f9636e89c727e30729b418b4"
     );
     assert_eq!(
         digest(probes().filter_map(state_group_key)),

@@ -333,7 +333,6 @@ fn candidate(
         ops_per_txn: 1,
         mix: YcsbMix::UpdateOnly,
         seed: spec.seed,
-        ..YcsbConfig::default()
     });
 
     let taxonomy = system.taxonomy();

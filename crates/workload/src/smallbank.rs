@@ -51,8 +51,6 @@ pub struct SmallbankConfig {
     pub zipf_theta: f64,
     /// Bytes per balance record (Smallbank records are small).
     pub record_size: usize,
-    /// Whether to sign transactions.
-    pub sign_transactions: bool,
     /// RNG seed.
     pub seed: u64,
 }
@@ -60,7 +58,6 @@ codec!(Encode for struct SmallbankConfig {
     accounts,
     zipf_theta,
     record_size,
-    sign_transactions,
     seed,
 });
 
@@ -70,7 +67,6 @@ impl Default for SmallbankConfig {
             accounts: 1_000_000,
             zipf_theta: 1.0,
             record_size: 16,
-            sign_transactions: true,
             seed: dichotomy_common::rng::DEFAULT_SEED,
         }
     }
@@ -160,12 +156,7 @@ impl Workload for SmallbankWorkload {
             b = (a + 1) % self.config.accounts.max(1);
         }
         let ops = self.build_ops(proc, a, b);
-        let id = TxnId::new(client, seq);
-        if self.config.sign_transactions {
-            Transaction::client_signed(id, ops)
-        } else {
-            Transaction::new(id, ops)
-        }
+        Transaction::client_signed(TxnId::new(client, seq), ops)
     }
 
     fn name(&self) -> &'static str {

@@ -42,9 +42,6 @@ pub struct YcsbConfig {
     pub ops_per_txn: usize,
     /// Read/write mix.
     pub mix: YcsbMix,
-    /// Whether transactions carry client signatures (blockchains need them;
-    /// databases do not).
-    pub sign_transactions: bool,
     /// RNG seed.
     pub seed: u64,
 }
@@ -54,7 +51,6 @@ codec!(Encode for struct YcsbConfig {
     zipf_theta,
     ops_per_txn,
     mix,
-    sign_transactions,
     seed,
 });
 
@@ -66,7 +62,6 @@ impl Default for YcsbConfig {
             zipf_theta: 0.0,
             ops_per_txn: 1,
             mix: YcsbMix::UpdateOnly,
-            sign_transactions: true,
             seed: dichotomy_common::rng::DEFAULT_SEED,
         }
     }
@@ -163,12 +158,7 @@ impl Workload for YcsbWorkload {
             }
             ops.into()
         };
-        let id = TxnId::new(client, seq);
-        if self.config.sign_transactions {
-            Transaction::client_signed(id, ops)
-        } else {
-            Transaction::new(id, ops)
-        }
+        Transaction::client_signed(TxnId::new(client, seq), ops)
     }
 
     fn name(&self) -> &'static str {
@@ -329,7 +319,6 @@ mod tests {
                 zipf_theta: 0.99,
                 mix: YcsbMix::Mixed { read_fraction: 0.5 },
                 seed: 7,
-                ..YcsbConfig::default()
             });
             let mut h = dichotomy_common::Hasher::new();
             for seq in 0..200 {
@@ -382,14 +371,12 @@ mod tests {
             record_count: 1000,
             ops_per_txn: 4,
             mix: YcsbMix::Mixed { read_fraction: 0.5 },
-            sign_transactions: false,
             ..YcsbConfig::default()
         });
         let mut reads = 0;
         let mut writes = 0;
         for seq in 0..100 {
             let t = w.next_transaction(ClientId(1), seq);
-            assert!(!t.is_signed());
             for op in t.ops() {
                 if op.writes() {
                     writes += 1;
