@@ -156,7 +156,7 @@ fn the_quick_suite_loads_each_distinct_state_once() {
     // declaration moves a digest.
     assert_eq!(
         digest(probes().map(probe_key_bytes)),
-        "8dfbaebc872f702aeed38959f349e0ad602bf605f9636e89c727e30729b418b4"
+        "49e9bbca28b845abf3e9d2bf8b2421d60aa040898435580837f978ee8f31abd9"
     );
     assert_eq!(
         digest(probes().filter_map(state_group_key)),

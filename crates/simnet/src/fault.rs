@@ -20,7 +20,8 @@ use std::collections::BTreeSet;
 
 use dichotomy_common::{codec, Diagnostic, NodeId, Severity, Timestamp};
 
-/// A single fault with a start time and an optional end time.
+/// A crash-stop fault of one node, with a start time and an optional heal
+/// time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeFault {
     /// The affected node.
@@ -29,20 +30,8 @@ pub struct NodeFault {
     pub from: Timestamp,
     /// When the fault heals (`None` = permanent).
     pub until: Option<Timestamp>,
-    /// What kind of fault.
-    pub kind: FaultKind,
 }
-codec!(Encode for struct NodeFault { node, from, until, kind });
-
-/// The kinds of faults the simulator can inject. A plan's faults are all
-/// crashes; the kind stays part of a fault's wire form, so probe keys carry
-/// its tag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// The node stops participating entirely (crash-stop, possibly healing).
-    Crash,
-}
-codec!(Encode for enum FaultKind { Crash = 0 });
+codec!(Encode for struct NodeFault { node, from, until });
 
 impl NodeFault {
     /// A crash starting at `from` and lasting forever.
@@ -51,7 +40,6 @@ impl NodeFault {
             node,
             from,
             until: None,
-            kind: FaultKind::Crash,
         }
     }
 
@@ -61,7 +49,6 @@ impl NodeFault {
             node,
             from,
             until: Some(until),
-            kind: FaultKind::Crash,
         }
     }
 
