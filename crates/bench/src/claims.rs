@@ -62,7 +62,9 @@ impl Claim {
 }
 
 const TIDB_NEVER_ABORTS: &str = "direction 3: TiDB_abort_% is 0.0 in every row";
-const AHL_NEVER_PAUSES: &str = "direction 3: AHL_reconfig_tps equals AHL_fixed_tps in every row";
+const AHL_QUICK_BEFORE_EPOCH: &str = "direction 2: the quick AHL runs end at 0.58-1.96 s, before \
+                                      the first 2 s epoch, so no pause lands and AHL_reconfig_tps \
+                                      equals AHL_fixed_tps in every row";
 const CRASH_INVISIBLE: &str = "unexplained: etcd, TiKV and Spanner-like tps equal baseline in \
                                every fault row, and AHL's on primary-crash";
 const QUICK_RAMP_TOO_SHORT: &str = "direction 2: the quick phase 1 spans 33 ms, so its windows \
@@ -265,8 +267,8 @@ pub const CLAIMS: &[Claim] = &[
             }
             Ok(())
         },
-        quick: Deviates(AHL_NEVER_PAUSES),
-        full: Deviates(AHL_NEVER_PAUSES),
+        quick: Deviates(AHL_QUICK_BEFORE_EPOCH),
+        full: Holds,
     },
     Claim {
         id: "fig15.veritas-over-chainifydb",

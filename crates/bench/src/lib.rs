@@ -280,7 +280,7 @@ mod tests {
             let faults = system.faults.as_ref().unwrap();
             assert_eq!(faults.faults().len(), 1);
             assert_eq!(faults.faults()[0].from, span / 3);
-            assert!(faults.max_time() <= span);
+            assert!(faults.faults()[0].until <= Some(span));
         }
         // A txns override rescales the schedule the same way.
         let opts = RunOptions {

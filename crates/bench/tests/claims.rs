@@ -2,6 +2,15 @@
 //! experiment at the default seed: no probe may fail, every report must
 //! carry rows or text, and every row must evaluate to exactly the status the
 //! table records for that size.
+//!
+//! Model mutations the table must catch, each checked on a throwaway copy of
+//! the tree, with the rows that caught it:
+//! - Outage windows off (`MultiResource::schedule` ignores its `Outages`, so
+//!   AHL's reconfigurations never land and no crash stalls a station):
+//!   `fig14.ahl-reconfig-costs` at full size, `fault01.dip-and-recovery` and
+//!   `chaos01.survives-faults` at both sizes.
+//! - AHL's periodic reconfiguration term alone off:
+//!   `fig14.ahl-reconfig-costs` at full size.
 
 use dichotomy_bench::claims::CLAIMS;
 use dichotomy_bench::{plan_for, RunOptions, EXPERIMENTS};

@@ -156,7 +156,7 @@ fn the_quick_suite_loads_each_distinct_state_once() {
     // declaration moves a digest.
     assert_eq!(
         digest(probes().map(probe_key_bytes)),
-        "49e9bbca28b845abf3e9d2bf8b2421d60aa040898435580837f978ee8f31abd9"
+        "23b5234967211ea2c14c211f5ea6a29c363b0bebfc8a00ced9a06521d8965c96"
     );
     assert_eq!(
         digest(probes().filter_map(state_group_key)),
@@ -185,7 +185,7 @@ fn the_quick_suite_loads_each_distinct_state_once() {
     assert_eq!(results.len(), distinct.len());
     assert_eq!(
         digest(results.values().map(Encode::encode)),
-        "8acd89df9d07cfae45866788f0198b455b8179a87b79551cce79dc5aec990a24"
+        "55cab5488015421924ccb1fcac24fbd2f087edc6374623c94b2e7f072f55e9ca"
     );
     drop(results);
 
@@ -232,6 +232,6 @@ fn the_quick_explorer_measures_the_same_bytes() {
     assert_eq!(results.len(), 20);
     assert_eq!(
         digest(results.values().map(Encode::encode)),
-        "173c4c81f183500a7be2486c384adc5c7b1201fac9f121f1f39e9fa94bd1ba8b"
+        "ee3834c4cbdb787684aca0c882b99b4252a7a7396beb0e42cb73a40f0f4bc776"
     );
 }

@@ -43,26 +43,28 @@ impl SharedLog {
 
     /// Append a batch of `bytes` arriving at the brokers at `arrival`, booking
     /// the broker ingest on the one-server process `ingest`. Returns when the
-    /// append is acknowledged to the producer.
+    /// append is acknowledged to the producer, or `None` when the ingest's
+    /// outages never let it start (the ordering service is down for good).
     ///
     /// The acknowledgement includes one network hop to the brokers, queueing
-    /// behind earlier appends, the replication between the [`BROKERS`] (a
-    /// Raft-style majority round), and the hop back.
+    /// behind earlier appends (and waiting out the ingest's outages), the
+    /// replication between the [`BROKERS`] (a Raft-style majority round),
+    /// and the hop back.
     pub fn append<E>(
         &self,
         engine: &mut SimEngine<E>,
         ingest: ProcessId,
         arrival: Timestamp,
         bytes: usize,
-    ) -> Timestamp {
+    ) -> Option<Timestamp> {
         let hop = self.network.base_latency_us
             + (bytes as f64 / self.network.bandwidth_bytes_per_us) as u64;
         let broker_service = APPEND_OVERHEAD_US + (bytes as f64 / INGEST_BYTES_PER_US) as u64;
-        let (_, ingest_done) = engine.service(ingest, arrival + hop, broker_service);
+        let (_, ingest_done) = engine.try_service(ingest, arrival + hop, broker_service)?;
         // Intra-broker replication: one round trip among the brokers.
         let replication = 2 * self.network.base_latency_us;
         let ack_hop = self.network.base_latency_us;
-        ingest_done + replication + ack_hop
+        Some(ingest_done + replication + ack_hop)
     }
 }
 
@@ -82,7 +84,7 @@ mod tests {
         let mut last = 0;
         // Offered faster than the brokers can ingest: queueing builds up.
         for i in 0..200 {
-            let appended_at = l.append(&mut engine, ingest, i, 100_000);
+            let appended_at = l.append(&mut engine, ingest, i, 100_000).unwrap();
             assert!(appended_at >= last);
             last = appended_at;
         }
@@ -94,7 +96,7 @@ mod tests {
     #[test]
     fn unsaturated_append_latency_is_a_few_hops() {
         let (l, mut engine, ingest) = log();
-        let appended_at = l.append(&mut engine, ingest, 0, 1000);
+        let appended_at = l.append(&mut engine, ingest, 0, 1000).unwrap();
         // to-broker hop + service + broker replication RTT + ack hop.
         assert!(appended_at > 700 && appended_at < 3_000, "{appended_at}");
     }
@@ -104,7 +106,7 @@ mod tests {
         // The sustainable append rate is 1 / the broker time per batch.
         let busy_per_append = |bytes: usize| {
             let (l, mut engine, ingest) = log();
-            l.append(&mut engine, ingest, 0, bytes);
+            l.append(&mut engine, ingest, 0, bytes).unwrap();
             engine.process(ingest).servers().busy_us()
         };
         assert!(busy_per_append(100_000) > busy_per_append(1_000));

@@ -838,9 +838,8 @@ pub fn chaos01_span_us(txns: u64) -> u64 {
 /// The labelled fault schedules of the chaos grid, one per row, over an
 /// arrival span of `span` µs. Together they exercise every class of the
 /// fault algebra: node crash (primary and shard leader), coordinator
-/// failover, network partition, and an epoch-pause reconfiguration. Its
-/// `churn` flag only advances AHL's shard-formation epoch, which no
-/// transaction path reads, so the `reconfig` row measures a pure pause.
+/// failover, network partition, and an epoch-pause reconfiguration (which
+/// only AHL consumes: a pause of every shard pipeline).
 pub fn chaos01_fault_rows(span: u64) -> Vec<(String, FaultPlan)> {
     let (from, until) = (span / 3, 2 * span / 3);
     let mut primary_crash = FaultPlan::none();
@@ -852,7 +851,7 @@ pub fn chaos01_fault_rows(span: u64) -> Vec<(String, FaultPlan)> {
     let mut partition = FaultPlan::none();
     partition.add_partition(vec![NodeId(0)], from, Some(until));
     let mut reconfig = FaultPlan::none();
-    reconfig.add_reconfiguration(from, span / 6, true);
+    reconfig.add_reconfiguration(from, span / 6);
     vec![
         ("baseline".to_string(), FaultPlan::none()),
         ("primary-crash".to_string(), primary_crash),

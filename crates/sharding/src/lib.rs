@@ -2,11 +2,10 @@
 //!
 //! Two concerns, mirrored in two modules:
 //!
-//! * [`partition`] — *shard formation*: keys reach shards through a hash
-//!   [`Partitioner`], and [`ShardPlan::form`] assigns nodes to shards, either
-//!   statically (databases: no adversary) or by a secure random shuffle
-//!   re-run every epoch (AHL's trusted-hardware randomness), which a sharded
-//!   blockchain needs against adaptive corruption.
+//! * [`partition`] — *data placement*: keys reach shards through a hash
+//!   [`Partitioner`], fixed for the whole run. AHL's periodic shard
+//!   re-formation is modelled as its cost only: a pause of every shard
+//!   pipeline (an outage window in `dichotomy-systems`).
 //! * [`two_pc`] — *cross-shard atomicity*: when a two-phase commit is
 //!   decided, with a trusted coordinator for databases versus a
 //!   BFT-replicated coordinator shard for blockchains (AHL), which adds a
@@ -17,5 +16,5 @@
 pub mod partition;
 pub mod two_pc;
 
-pub use partition::{Partitioner, ShardFormation, ShardPlan};
+pub use partition::Partitioner;
 pub use two_pc::{CoordinatorKind, TwoPhaseCommit};

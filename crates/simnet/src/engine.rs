@@ -30,6 +30,7 @@
 use dichotomy_common::Timestamp;
 
 use crate::event::EventQueue;
+use crate::outage::Outages;
 use crate::resource::MultiResource;
 
 /// Handle to a [`Process`] registered on a [`SimEngine`].
@@ -156,15 +157,34 @@ impl<E> SimEngine<E> {
         ProcessId(self.processes.len() - 1)
     }
 
+    /// Set the times process `id` cannot start work (none until set).
+    pub fn set_outages(&mut self, id: ProcessId, outages: Outages) {
+        self.processes[id.0].servers.set_outages(outages);
+    }
+
     /// Schedule `service_us` of work arriving at `arrival` on process `id`.
-    /// Returns `(start, finish)`: the work starts when it has arrived and a
-    /// server is free, FIFO per process.
+    /// Returns `(start, finish)`: the work starts when it has arrived, a
+    /// server is free and no outage of the process would overlap it, FIFO
+    /// per process. Panics where [`try_service`](Self::try_service) is
+    /// `None`.
     pub fn service(
         &mut self,
         id: ProcessId,
         arrival: Timestamp,
         service_us: u64,
     ) -> (Timestamp, Timestamp) {
+        self.try_service(id, arrival, service_us)
+            .expect("process down for good: book it with try_service")
+    }
+
+    /// [`service`](Self::service), or `None` (booking nothing) when the
+    /// process is down for good before the work could finish.
+    pub fn try_service(
+        &mut self,
+        id: ProcessId,
+        arrival: Timestamp,
+        service_us: u64,
+    ) -> Option<(Timestamp, Timestamp)> {
         self.processes[id.0].servers.schedule(arrival, service_us)
     }
 

@@ -10,15 +10,19 @@
 //! model. The addressing convention is role-based: `NodeId(0)` is the
 //! model's primary (Raft leader, Fabric lead orderer, Quorum proposer, the
 //! 2PC coordinator of the sharded models), and `NodeId(1 + s)` is shard
-//! `s`'s replication leader in the sharded models. [`FaultPlan::release_at`]
-//! is the one query models ask on their injection path: "given work that
-//! wants to start at `t` on `node`, when may it actually start?" — chaining
-//! crash heals (+ failover pause) and declarative [`Failover`] windows until
-//! the node is clear, failing closed on unresolvable chains.
+//! `s`'s replication leader in the sharded models. A model compiles the plan
+//! once, per role, into the [`Outages`] of the station that hosts the role
+//! ([`FaultPlan::outages`]): a crash window extended by the re-election
+//! pause, a [`Failover`] window (the primary only) and a partition that cuts
+//! the role off from its peer all become windows in which that station
+//! starts no work. A role no station hosts asks the same
+//! [`Outages::start`] question at its decision point.
 
 use std::collections::BTreeSet;
 
 use dichotomy_common::{codec, Diagnostic, NodeId, Severity, Timestamp};
+
+use crate::outage::Outages;
 
 /// A crash-stop fault of one node, with a start time and an optional heal
 /// time.
@@ -51,11 +55,6 @@ impl NodeFault {
             until: Some(until),
         }
     }
-
-    /// Whether the fault is active at time `t`.
-    pub fn active_at(&self, t: Timestamp) -> bool {
-        t >= self.from && self.until.map_or(true, |u| t < u)
-    }
 }
 
 /// A network partition separating two groups of nodes for a time window.
@@ -71,18 +70,6 @@ pub struct Partition {
 }
 codec!(Encode for struct Partition { group_a, from, until });
 
-impl Partition {
-    /// Whether the partition is active at time `t`.
-    pub fn active_at(&self, t: Timestamp) -> bool {
-        t >= self.from && self.until.map_or(true, |u| t < u)
-    }
-
-    /// Whether the partition separates `a` from `b` at time `t`.
-    pub fn separates(&self, a: NodeId, b: NodeId, t: Timestamp) -> bool {
-        self.active_at(t) && (self.group_a.contains(&a) != self.group_a.contains(&b))
-    }
-}
-
 /// A declarative coordinator/primary handover: the role addressed by
 /// `NodeId(0)` is unavailable for `[at, at + duration_us)` while leadership
 /// moves (a planned leader election, an orderer handover, a 2PC coordinator
@@ -97,34 +84,18 @@ pub struct Failover {
 }
 codec!(Encode for struct Failover { at, duration_us });
 
-impl Failover {
-    /// When the handover completes and the role is serviceable again.
-    pub fn until(&self) -> Timestamp {
-        self.at.saturating_add(self.duration_us)
-    }
-
-    /// Whether the handover is in progress at `t`.
-    pub fn active_at(&self, t: Timestamp) -> bool {
-        t >= self.at && t < self.until()
-    }
-}
-
 /// A declarative membership reconfiguration: at `at`, every shard pipeline
 /// pauses for `pause_us` while the epoch rolls over (AHL's periodic shard
-/// re-formation made schedulable). `churn: true` additionally advances AHL's
-/// shard-formation epoch, which only its node-to-shard plan reads; key→shard
-/// placement is a fixed hash, so for every transaction the event is a pure
-/// pause.
+/// re-formation made schedulable). Key→shard placement is a fixed hash, so
+/// to every transaction the event is a pure pause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reconfiguration {
     /// The epoch boundary.
     pub at: Timestamp,
     /// How long the shard pipelines stall (µs).
     pub pause_us: u64,
-    /// Whether the shard-formation epoch advances at the boundary.
-    pub churn: bool,
 }
-codec!(Encode for struct Reconfiguration { at, pause_us, churn });
+codec!(Encode for struct Reconfiguration { at, pause_us });
 
 /// The complete fault schedule for a run.
 #[derive(Debug, Clone, Default)]
@@ -165,25 +136,6 @@ impl FaultPlan {
         self
     }
 
-    /// If `node` is crashed at `t`, when the crash heals: `Some(Some(u))`
-    /// for a crash healing at `u` (the latest, if several overlap),
-    /// `Some(None)` for a permanent crash, `None` when the node is up.
-    pub fn crashed_until(&self, node: NodeId, t: Timestamp) -> Option<Option<Timestamp>> {
-        let mut hit = None;
-        for f in self
-            .faults
-            .iter()
-            .filter(|f| f.node == node && f.active_at(t))
-        {
-            hit = Some(match (hit, f.until) {
-                (Some(None), _) | (_, None) => None,
-                (Some(Some(prev)), Some(u)) => Some(u.max(prev)),
-                (None, Some(u)) => Some(u),
-            });
-        }
-        hit
-    }
-
     /// Schedule a primary handover (see [`Failover`]).
     pub fn add_failover(&mut self, at: Timestamp, duration_us: u64) -> &mut Self {
         self.failovers.push(Failover { at, duration_us });
@@ -191,12 +143,8 @@ impl FaultPlan {
     }
 
     /// Schedule a membership reconfiguration (see [`Reconfiguration`]).
-    pub fn add_reconfiguration(&mut self, at: Timestamp, pause_us: u64, churn: bool) -> &mut Self {
-        self.reconfigurations.push(Reconfiguration {
-            at,
-            pause_us,
-            churn,
-        });
+    pub fn add_reconfiguration(&mut self, at: Timestamp, pause_us: u64) -> &mut Self {
+        self.reconfigurations.push(Reconfiguration { at, pause_us });
         self
     }
 
@@ -228,104 +176,28 @@ impl FaultPlan {
             && self.reconfigurations.is_empty()
     }
 
-    /// The latest timestamp the plan mentions (fault start/heal, partition
-    /// window, failover end, reconfiguration end), or 0 for an empty plan.
-    /// Permanent faults/partitions count only their start.
-    pub fn max_time(&self) -> Timestamp {
-        let fault_edge = |from: Timestamp, until: Option<Timestamp>| until.unwrap_or(from);
-        self.faults
+    /// Compile the plan into the outages of the station hosting `node`'s
+    /// role: its crash windows, each extended by `failover_us` of
+    /// re-election pause; the [`Failover`] windows if `node` is the primary
+    /// (`NodeId(0)`); and the partitions that separate `node` from `peer`,
+    /// the node the role must reach. A window that never heals is the tail.
+    pub fn outages(&self, node: NodeId, peer: NodeId, failover_us: u64) -> Outages {
+        let crashes = self
+            .faults
             .iter()
-            .map(|f| fault_edge(f.from, f.until))
-            .chain(self.partitions.iter().map(|p| fault_edge(p.from, p.until)))
-            .chain(self.failovers.iter().map(Failover::until))
-            .chain(
-                self.reconfigurations
-                    .iter()
-                    .map(|r| r.at.saturating_add(r.pause_us)),
-            )
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// When work wanting to start at `at` on `node` may actually start:
-    /// `Some(at)` if the node is clear, a later time once overlapping crash
-    /// windows (each adding `failover_us` of re-election pause on heal) and
-    /// [`Failover`] windows have elapsed, or `None` if the node is down for
-    /// good (a permanent crash, or a chain of faults too deep to resolve —
-    /// the query fails *closed* rather than committing inside an unresolved
-    /// window).
-    pub fn release_at(&self, node: NodeId, at: Timestamp, failover_us: u64) -> Option<Timestamp> {
-        let mut t = at;
-        // Bounded chaining: back-to-back faults are legitimate (a crash heals
-        // into a scheduled failover), unbounded chains are a mis-specified
-        // plan.
-        for _ in 0..16 {
-            if let Some(heal) = self.crashed_until(node, t) {
-                match heal {
-                    Some(heal) => t = heal.saturating_add(failover_us),
-                    None => return None,
-                }
-                continue;
-            }
-            if let Some(until) = self
-                .failovers
-                .iter()
-                .filter(|f| f.active_at(t))
-                .map(Failover::until)
-                .max()
-            {
-                t = until;
-                continue;
-            }
-            return Some(t);
-        }
-        None
-    }
-
-    /// When a message between `a` and `b` wanting to leave at `t` may
-    /// actually be delivered: `Some(t)` if no active partition separates
-    /// them, the latest heal time of the separating partitions otherwise,
-    /// `None` if a permanent partition (or an unresolvable chain of
-    /// partitions) keeps them apart. Crash state is *not* consulted — pair
-    /// with [`release_at`](Self::release_at) for that.
-    pub fn partition_release(&self, a: NodeId, b: NodeId, t: Timestamp) -> Option<Timestamp> {
-        let mut t = t;
-        for _ in 0..16 {
-            let mut heal: Option<Option<Timestamp>> = None;
-            for p in self.partitions.iter().filter(|p| p.separates(a, b, t)) {
-                heal = Some(match (heal, p.until) {
-                    (Some(None), _) | (_, None) => None,
-                    (Some(Some(prev)), Some(u)) => Some(u.max(prev)),
-                    (None, Some(u)) => Some(u),
-                });
-            }
-            match heal {
-                None => return Some(t),
-                Some(None) => return None,
-                Some(Some(u)) => t = u,
-            }
-        }
-        None
-    }
-
-    /// The combined primary-role query the pipeline models ask: when may
-    /// work wanting to start at `at` on the primary (`NodeId(0)`, per the
-    /// role-addressing convention) actually start, considering crash windows
-    /// (+ `failover_us` re-election pause per heal), [`Failover`] windows,
-    /// *and* partitions cutting the primary off from the rest of the cluster
-    /// (represented by `NodeId(1)`)? Iterated to a fixed point; `None` means
-    /// the primary is unreachable for good.
-    pub fn primary_release(&self, at: Timestamp, failover_us: u64) -> Option<Timestamp> {
-        let mut t = at;
-        for _ in 0..8 {
-            let clear = self.release_at(NodeId(0), t, failover_us)?;
-            let reachable = self.partition_release(NodeId(0), NodeId(1), clear)?;
-            if reachable == t {
-                return Some(t);
-            }
-            t = reachable;
-        }
-        None
+            .filter(|f| f.node == node)
+            .map(|f| (f.from, f.until.map(|u| u.saturating_add(failover_us))));
+        let failovers = self
+            .failovers
+            .iter()
+            .filter(|_| node == NodeId(0))
+            .map(|f| (f.at, Some(f.at.saturating_add(f.duration_us))));
+        let partitions = self
+            .partitions
+            .iter()
+            .filter(|p| p.group_a.contains(&node) != p.group_a.contains(&peer))
+            .map(|p| (p.from, p.until));
+        Outages::new(crashes.chain(failovers).chain(partitions))
     }
 
     /// Validate the plan against a run horizon (satellite of the chaos
@@ -337,8 +209,8 @@ impl FaultPlan {
     ///   influence the run) are dropped. `None` skips the horizon check.
     /// * `S002` — overlapping (or touching) crash windows on the same node
     ///   are merged into one window healing at the latest end — the
-    ///   semantics [`crashed_until`](Self::crashed_until) already applies,
-    ///   made explicit in the plan.
+    ///   semantics [`outages`](Self::outages) already applies, made explicit
+    ///   in the plan.
     pub fn validate(&self, horizon: Option<Timestamp>) -> (FaultPlan, Vec<Diagnostic>) {
         let mut diags = Vec::new();
         let mut plan = self.clone();
@@ -409,101 +281,92 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
+    /// When an instant at `t` is clear of `node`'s outages (peer `NodeId(1)`
+    /// for the primary, the coordinator for anyone else).
+    fn clear_at(plan: &FaultPlan, node: u64, t: Timestamp, failover_us: u64) -> Option<Timestamp> {
+        let peer = NodeId(u64::from(node == 0));
+        plan.outages(NodeId(node), peer, failover_us).start(t, 0)
+    }
+
     #[test]
     fn crash_window_semantics() {
-        let f = NodeFault::crash_until(NodeId(1), 100, 200);
-        assert!(!f.active_at(99));
-        assert!(f.active_at(100));
-        assert!(f.active_at(199));
-        assert!(!f.active_at(200));
+        let mut plan = FaultPlan::none();
+        plan.add(NodeFault::crash_until(NodeId(1), 100, 200));
+        let at = |t, failover_us| clear_at(&plan, 1, t, failover_us);
+        let healed = [at(99, 0), at(100, 0), at(199, 0), at(200, 0)];
+        assert_eq!(healed, [99, 200, 200, 200].map(Some));
+        // The re-election pause after the heal is part of the outage.
+        assert_eq!([at(100, 50), at(220, 50)], [Some(250); 2]);
     }
 
     #[test]
     fn permanent_crash_never_heals() {
-        let f = NodeFault::crash(NodeId(1), 10);
-        assert!(f.active_at(u64::MAX));
+        let mut plan = FaultPlan::none();
+        plan.add(NodeFault::crash(NodeId(1), 10));
+        let at = |t| clear_at(&plan, 1, t, 1_000);
+        assert_eq!([at(5), at(50), at(u64::MAX - 1)], [Some(5), None, None]);
     }
 
     #[test]
-    fn crashed_until_reports_the_heal_time() {
+    fn overlapping_crashes_heal_at_the_latest_end() {
         let mut plan = FaultPlan::none();
         plan.add(NodeFault::crash_until(NodeId(1), 100, 200));
         plan.add(NodeFault::crash_until(NodeId(1), 150, 400));
         plan.add(NodeFault::crash(NodeId(2), 50));
-        assert_eq!(plan.crashed_until(NodeId(1), 99), None);
-        // Overlapping crashes heal at the latest end.
-        assert_eq!(plan.crashed_until(NodeId(1), 160), Some(Some(400)));
-        assert_eq!(plan.crashed_until(NodeId(1), 399), Some(Some(400)));
-        assert_eq!(plan.crashed_until(NodeId(1), 400), None);
-        assert_eq!(plan.crashed_until(NodeId(2), 60), Some(None));
+        let healed = [99, 160, 399, 400].map(|t| clear_at(&plan, 1, t, 0));
+        assert_eq!(healed, [99, 400, 400, 400].map(Some));
+        assert_eq!(clear_at(&plan, 2, 60, 0), None);
     }
 
     #[test]
     fn partitions_separate_only_across_the_cut() {
         let mut plan = FaultPlan::none();
         plan.add_partition([NodeId(0), NodeId(1)], 10, Some(20));
-        let separated = |a, b, t| plan.partitions()[0].separates(NodeId(a), NodeId(b), t);
-        // Across the cut: separated while active.
-        assert!(separated(0, 3, 15));
-        assert!(separated(3, 1, 15));
-        // Same side: fine.
-        assert!(!separated(0, 1, 15));
-        assert!(!separated(3, 4, 15));
-        // Healed.
-        assert!(!separated(0, 3, 25));
+        let cut = |plan: &FaultPlan, (node, peer), t| {
+            plan.outages(NodeId(node), NodeId(peer), 0).start(t, 0)
+        };
+        // Held up across the cut while active; same side or healed: clear.
+        let across = [(0, 3), (3, 1)].map(|pair| cut(&plan, pair, 15));
+        let same_side = [(0, 1), (3, 4)].map(|pair| cut(&plan, pair, 15));
+        assert_eq!((across, same_side), ([Some(20); 2], [Some(15); 2]));
+        assert_eq!(cut(&plan, (0, 3), 25), Some(25));
+        // A permanent partition is the permanent tail.
+        plan.add_partition([NodeId(0)], 400, None);
+        assert_eq!(cut(&plan, (0, 1), 450), None);
+        assert_eq!(cut(&plan, (0, 1), 150), Some(150));
     }
 
     #[test]
-    fn release_at_passes_a_clear_node_through_unchanged() {
+    fn an_empty_plan_compiles_to_no_outage() {
         let plan = FaultPlan::none();
-        assert_eq!(plan.release_at(NodeId(0), 123, 5_000), Some(123));
+        assert!(plan.outages(NodeId(0), NodeId(1), 5_000).is_empty());
         assert!(plan.is_empty());
-        assert_eq!(plan.max_time(), 0);
     }
 
     #[test]
-    fn release_at_chains_crash_heal_failover_pause_and_failover_windows() {
+    fn crash_heal_failover_pause_and_failover_windows_chain() {
         let mut plan = FaultPlan::none();
         plan.add(NodeFault::crash_until(NodeId(0), 100, 200));
         // A failover window that starts exactly where the crash's failover
-        // pause lands: the chain must ride through both.
+        // pause ends: the chain must ride through both.
         plan.add_failover(250, 100);
         // Before the crash: clear.
-        assert_eq!(plan.release_at(NodeId(0), 50, 50), Some(50));
-        // Inside the crash: heal (200) + failover pause (50) = 250, which is
-        // inside the failover window [250, 350) → released at 350.
-        assert_eq!(plan.release_at(NodeId(0), 150, 50), Some(350));
+        assert_eq!(clear_at(&plan, 0, 50, 50), Some(50));
+        // Inside the crash: heal (200) + failover pause (50) = 250, which
+        // opens the failover window [250, 350) → released at 350.
+        assert_eq!(clear_at(&plan, 0, 150, 50), Some(350));
         // Inside the failover window alone: released at its end.
-        assert_eq!(plan.release_at(NodeId(0), 300, 50), Some(350));
-        // Other nodes are untouched by failovers of the same plan? No —
-        // failover windows model the *role*, not a node, so they apply to
-        // whatever node is queried. Crash faults stay per-node.
-        assert_eq!(plan.release_at(NodeId(3), 150, 50), Some(150));
-        assert_eq!(plan.max_time(), 350);
+        assert_eq!(clear_at(&plan, 0, 300, 50), Some(350));
     }
 
     #[test]
-    fn release_at_fails_closed_on_permanent_crashes() {
+    fn a_failover_holds_up_only_the_primary() {
         let mut plan = FaultPlan::none();
-        plan.add(NodeFault::crash(NodeId(1), 10));
-        assert_eq!(plan.release_at(NodeId(1), 50, 1_000), None);
-        assert_eq!(plan.release_at(NodeId(1), 5, 1_000), Some(5));
-    }
-
-    #[test]
-    fn partition_release_reports_the_heal_time_across_the_cut() {
-        let mut plan = FaultPlan::none();
-        plan.add_partition([NodeId(0)], 100, Some(300));
-        // Same side or inactive: immediate.
-        assert_eq!(plan.partition_release(NodeId(1), NodeId(2), 150), Some(150));
-        assert_eq!(plan.partition_release(NodeId(0), NodeId(1), 50), Some(50));
-        // Across the cut while active: released at the heal.
-        assert_eq!(plan.partition_release(NodeId(0), NodeId(1), 150), Some(300));
-        // A permanent partition never releases.
-        plan.add_partition([NodeId(0)], 400, None);
-        assert_eq!(plan.partition_release(NodeId(0), NodeId(1), 450), None);
-        // ... and a windowed one that heals into it chains to None too.
-        assert_eq!(plan.partition_release(NodeId(0), NodeId(1), 150), Some(300));
+        plan.add_failover(250, 100);
+        assert_eq!(clear_at(&plan, 0, 300, 50), Some(350));
+        // The handover is the primary's: a shard leader serves through it.
+        assert_eq!(clear_at(&plan, 3, 300, 50), Some(300));
+        assert!(plan.outages(NodeId(3), NodeId(0), 50).is_empty());
     }
 
     #[test]
@@ -523,10 +386,10 @@ mod tests {
         assert_eq!(crashes.len(), 2);
         assert_eq!((crashes[0].from, crashes[0].until), (100, Some(400)));
         assert_eq!(crashes[1].node, NodeId(2));
-        // Merged semantics match the query the models actually ask.
+        // Merged semantics match the outages the models compile.
         assert_eq!(
-            sane.crashed_until(NodeId(1), 160),
-            plan.crashed_until(NodeId(1), 160)
+            sane.outages(NodeId(1), NodeId(0), 10),
+            plan.outages(NodeId(1), NodeId(0), 10)
         );
     }
 
@@ -537,7 +400,7 @@ mod tests {
         plan.add(NodeFault::crash_until(NodeId(0), 5_000, 6_000));
         plan.add_partition([NodeId(0)], 7_000, Some(8_000));
         plan.add_failover(9_000, 10);
-        plan.add_reconfiguration(500, 50, true);
+        plan.add_reconfiguration(500, 50);
         let (sane, diags) = plan.validate(Some(1_000));
         assert_eq!(diags.len(), 3, "{diags:?}");
         assert!(diags.iter().all(|d| d.code == "S001"));
@@ -554,17 +417,13 @@ mod tests {
     #[test]
     fn reconfigurations_and_failovers_are_plain_inspectable_data() {
         let mut plan = FaultPlan::none();
-        plan.add_reconfiguration(1_000, 250, false);
-        plan.add_reconfiguration(2_000, 250, true);
-        assert_eq!(plan.reconfigurations().len(), 2);
-        assert!(!plan.reconfigurations()[0].churn);
-        assert!(plan.reconfigurations()[1].churn);
-        assert_eq!(plan.max_time(), 2_250);
+        plan.add_reconfiguration(1_000, 250);
+        plan.add_reconfiguration(2_000, 250);
+        plan.add_failover(10, 5);
+        assert_eq!(plan.reconfigurations()[1].at, 2_000);
+        assert_eq!(plan.failovers()[0].duration_us, 5);
         assert!(!plan.is_empty());
-        let f = Failover {
-            at: 10,
-            duration_us: 5,
-        };
-        assert!(f.active_at(10) && f.active_at(14) && !f.active_at(15));
+        // Reconfigurations are AHL's to apply: no role's outages carry them.
+        assert!(plan.outages(NodeId(1), NodeId(0), 0).is_empty());
     }
 }

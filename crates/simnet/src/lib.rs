@@ -10,7 +10,8 @@
 //! * a [`NetworkConfig`] with the link latency, jitter bound and bandwidth
 //!   the closed-form replication costs are computed from,
 //! * the [`MultiResource`] behind every process: `k` FIFO servers, one for a
-//!   serial stage (the source of all queueing / saturation behaviour), and
+//!   serial stage (the source of all queueing / saturation behaviour), with
+//!   the [`Outages`] in which it starts no work, and
 //! * a [`CostModel`] holding the CPU-cost constants (hashing, signatures,
 //!   SQL parsing, storage access) calibrated against the latency breakdowns
 //!   the paper reports in Figures 8 and 11.
@@ -25,6 +26,7 @@ pub mod engine;
 pub mod event;
 pub mod fault;
 pub mod network;
+pub mod outage;
 pub mod resource;
 
 pub use costs::CostModel;
@@ -32,6 +34,7 @@ pub use engine::{Process, ProcessId, SimEngine, StageEvent};
 pub use event::{EventQueue, ScheduledEvent};
 pub use fault::{Failover, FaultPlan, NodeFault, Partition, Reconfiguration};
 pub use network::NetworkConfig;
+pub use outage::Outages;
 pub use resource::MultiResource;
 
 /// Simulated time in microseconds (re-exported for convenience).

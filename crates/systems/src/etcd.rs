@@ -12,28 +12,27 @@
 //! proposed into the leader's Raft batch and queued on the serial apply
 //! process; the `Applied` stage event fires when the apply completes, at
 //! which point the write lands in the storage engine and the receipt is
-//! stamped with the replication round trip. A [`FaultPlan`] in the spec
-//! makes the leader crash-stop: writes arriving (or due to start) inside a
-//! crash window stall until the crash heals plus a failover pause, which is
+//! stamped with the replication round trip. A
+//! [`FaultPlan`](dichotomy_simnet::FaultPlan) in the spec
+//! takes the leader down: its outages (a crash until the heal plus a
+//! failover pause, a failover, a partition cutting it off) are windows on
+//! `kv-apply`, so writes due to apply inside one wait for its end, which is
 //! what the crash-and-recover scenario measures.
 
 use dichotomy_common::size::StorageBreakdown;
-use dichotomy_common::{AbortReason, Key, NodeId, Timestamp, Transaction, TxnReceipt, Value};
+use dichotomy_common::{Key, Timestamp, Transaction, TxnReceipt, Value};
 use dichotomy_consensus::{ProtocolKind, ReplicationProfile};
-use dichotomy_simnet::{CostModel, FaultPlan, NetworkConfig, ProcessId, StageEvent};
+use dichotomy_simnet::{CostModel, NetworkConfig, Outages, ProcessId, StageEvent};
 use dichotomy_storage::{BPlusTree, KvEngine, LsmTree};
 
 use crate::pipeline::{
     Completion, Engine, ReceiptLog, SharedState, SysEvent, SystemKind, TokenMap,
-    TransactionalSystem, FAILOVER_US,
+    TransactionalSystem,
 };
 use crate::spec::SystemSpec;
 
 /// How many operations the leader batches into one Raft proposal.
 pub const RAFT_BATCH: usize = 32;
-
-/// The Raft leader the fault plan can crash.
-const LEADER: NodeId = NodeId(0);
 
 /// Stage: a write finished its serial apply at the leader.
 const ST_APPLIED: u32 = 0;
@@ -63,9 +62,9 @@ pub struct KvSystem<E: KvEngine> {
     nodes: usize,
     network: NetworkConfig,
     costs: CostModel,
-    /// Crashing the leader (node 0) stalls the replicated write path until
-    /// the crash heals plus [`FAILOVER_US`].
-    faults: FaultPlan,
+    /// When the leader (the primary, node 0) cannot apply: set on
+    /// `kv-apply` at attach.
+    leader_outages: Outages,
     raft: ReplicationProfile,
     procs: Option<KvProcs>,
     store: E,
@@ -113,7 +112,7 @@ impl<E: KvEngine + Clone + 'static> KvSystem<E> {
             ),
             network,
             costs,
-            faults: spec.faults.clone().unwrap_or_default(),
+            leader_outages: spec.primary_outages(),
             procs: None,
             store,
             receipts: ReceiptLog::new(),
@@ -124,17 +123,6 @@ impl<E: KvEngine + Clone + 'static> KvSystem<E> {
 
     fn procs(&self) -> KvProcs {
         self.procs.expect("system not attached to an engine")
-    }
-
-    /// When a write wanting to start at `t` may actually enter the apply
-    /// pipeline: `None` while the leader is permanently down, `Some(t)` when
-    /// no crash interferes, otherwise the heal time plus the failover pause.
-    fn crash_release(&self, t: Timestamp) -> Option<Timestamp> {
-        match self.faults.crashed_until(LEADER, t) {
-            None => Some(t),
-            Some(Some(heal)) => Some(heal + FAILOVER_US),
-            Some(None) => None,
-        }
     }
 }
 
@@ -161,8 +149,10 @@ impl<E: KvEngine + Clone + 'static> TransactionalSystem for KvSystem<E> {
     }
 
     fn attach(&mut self, engine: &mut Engine) {
+        let apply = engine.add_process("kv-apply", 1);
+        engine.set_outages(apply, self.leader_outages.clone());
         self.procs = Some(KvProcs {
-            apply: engine.add_process("kv-apply", 1),
+            apply,
             readers: engine.add_process("kv-readers", self.nodes.max(1) * 4),
         });
     }
@@ -192,37 +182,9 @@ impl<E: KvEngine + Clone + 'static> TransactionalSystem for KvSystem<E> {
         }
         // Write path: the operation is proposed into the Raft log (batched
         // with its neighbours) and queued on the leader's serial apply loop;
-        // the Applied stage fires when that completes. A crash window over
-        // the leader pushes the start past heal + failover — iterate because
-        // the queueing delay itself can land the start inside a crash. Fail
-        // closed: a fault plan that chains more crash windows than the
-        // iteration budget resolves is treated like an unavailable leader
-        // rather than silently committing inside a crash.
-        let mut start_at = arrival;
-        let mut settled = false;
-        for _ in 0..16 {
-            let predicted_start = start_at + engine.queue_delay(self.procs().apply, start_at);
-            match self.crash_release(predicted_start) {
-                None => break, // permanently down
-                Some(release) if release > predicted_start => start_at = release,
-                Some(_) => {
-                    settled = true;
-                    break;
-                }
-            }
-        }
-        if !settled {
-            // Leader permanently down (or crash windows beyond the budget):
-            // the request times out.
-            let finish = arrival + self.network.base_latency_us * 4;
-            self.receipts.push_back(TxnReceipt::aborted(
-                txn.id(),
-                AbortReason::Overload,
-                arrival,
-                finish,
-            ));
-            return;
-        }
+        // the Applied stage fires when that completes. The leader's outages
+        // are windows on the apply loop, so a write due to apply inside one
+        // starts at its end.
         let bytes = txn.payload_bytes();
         let occupancy =
             (self.raft.leader_occupancy_us(bytes * RAFT_BATCH) / RAFT_BATCH as u64).max(1);
@@ -232,7 +194,11 @@ impl<E: KvEngine + Clone + 'static> TransactionalSystem for KvSystem<E> {
             apply_cost += self.costs.storage_put_us(len);
         }
         let apply_us = occupancy + apply_cost;
-        let (_, applied) = engine.service(self.procs().apply, start_at, apply_us);
+        let Some((_, applied)) = engine.try_service(self.procs().apply, arrival, apply_us) else {
+            // The leader is down for good: the request times out.
+            let finish = arrival + self.network.base_latency_us * 4;
+            return self.receipts.push_overload(txn.id(), arrival, finish);
+        };
         let token = self.pending.insert(PendingWrite {
             txn,
             arrival,
@@ -281,9 +247,12 @@ impl<E: KvEngine + Clone + 'static> TransactionalSystem for KvSystem<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::drive_arrivals;
-    use dichotomy_common::{ClientId, Operation, TxnId};
-    use dichotomy_simnet::NodeFault;
+    use crate::pipeline::{drive_arrivals, FAILOVER_US};
+    use dichotomy_common::{AbortReason, ClientId, NodeId, Operation, TxnId};
+    use dichotomy_simnet::{FaultPlan, NodeFault};
+
+    /// The Raft leader: the primary the fault plan addresses.
+    const LEADER: NodeId = NodeId(0);
 
     fn etcd() -> SystemSpec {
         SystemSpec::new(SystemKind::Etcd)

@@ -29,13 +29,13 @@ use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
 use dichotomy_common::{AbortReason, Key, NodeId, Timestamp, Transaction, TxnReceipt, Value};
 use dichotomy_consensus::sharedlog::{SharedLog, BROKERS};
 use dichotomy_ledger::{Ledger, TxnValidationFlag};
-use dichotomy_simnet::{CostModel, FaultPlan, NetworkConfig, ProcessId, StageEvent};
+use dichotomy_simnet::{CostModel, NetworkConfig, Outages, ProcessId, StageEvent};
 use dichotomy_storage::{KvEngine, LsmTree, MvccStore};
 use dichotomy_txn::occ;
 
 use crate::pipeline::{
     Completion, Engine, ReceiptLog, SharedState, SysEvent, SystemKind, TimedCutter, TokenMap,
-    TransactionalSystem, VersionedKvState, FAILOVER_US,
+    TransactionalSystem, VersionedKvState,
 };
 use crate::spec::SystemSpec;
 
@@ -91,11 +91,10 @@ pub struct Fabric {
     endorsement_divergence: f64,
     network: NetworkConfig,
     costs: CostModel,
-    /// `NodeId(0)` addresses the lead orderer (the ordering service's Raft
-    /// leader): crash/failover windows stall block cutting — endorsed
-    /// transactions keep queueing at the cutter, so the recovery burst
-    /// emerges from the backlog, not from a scripted stall.
-    faults: FaultPlan,
+    /// When the lead orderer (the primary, `NodeId(0)`) cannot order: set on
+    /// `fabric-orderer`, so cut blocks queue through an outage and the
+    /// recovery burst emerges from that backlog.
+    orderer_outages: Outages,
     procs: Option<FabricProcs>,
     /// The ordering service's append-latency model.
     orderer: SharedLog,
@@ -123,7 +122,7 @@ impl Fabric {
             block_timeout_us,
             endorsement_divergence: spec.endorsement_divergence.unwrap_or(0.002),
             costs: spec.costs.clone().unwrap_or_default(),
-            faults: spec.faults.clone().unwrap_or_default(),
+            orderer_outages: spec.primary_outages(),
             procs: None,
             orderer: SharedLog::new(network.clone()),
             network,
@@ -204,28 +203,20 @@ impl Fabric {
             return;
         }
         // The ordering service's leader may be crashed, failing over, or cut
-        // off from the peers: the append waits for the role to come back.
-        let cut_time = match self.faults.primary_release(cut_time, FAILOVER_US) {
-            Some(t) => t,
-            None => {
-                // Ordering service down for good: the whole batch times out.
-                for (txn, endorse_done) in &batch {
-                    let arrival = Fabric::client_arrival(txn, *endorse_done);
-                    let finish = cut_time + 2 * self.network.base_latency_us;
-                    self.receipts.push_back(TxnReceipt::aborted(
-                        txn.id(),
-                        AbortReason::Overload,
-                        arrival,
-                        finish,
-                    ));
-                }
-                return;
-            }
-        };
+        // off from the peers: the append waits out the orderer's outages.
         let batch_bytes: usize = batch.iter().map(|(t, _)| t.wire_bytes()).sum();
-        let ordered_at = self
+        let appended = self
             .orderer
             .append(engine, self.procs().orderer, cut_time, batch_bytes);
+        let Some(ordered_at) = appended else {
+            // Ordering service down for good: the whole batch times out.
+            for (txn, endorse_done) in &batch {
+                let arrival = Fabric::client_arrival(txn, *endorse_done);
+                let finish = cut_time + 2 * self.network.base_latency_us;
+                self.receipts.push_overload(txn.id(), arrival, finish);
+            }
+            return;
+        };
         let id = self.in_flight.insert(BlockInFlight {
             batch,
             ordered_at,
@@ -371,9 +362,12 @@ impl TransactionalSystem for Fabric {
     }
 
     fn attach(&mut self, engine: &mut Engine) {
+        let endorsers = engine.add_process("fabric-endorsers", self.peers.max(1) * 4);
+        let orderer = engine.add_process("fabric-orderer", 1);
+        engine.set_outages(orderer, self.orderer_outages.clone());
         self.procs = Some(FabricProcs {
-            endorsers: engine.add_process("fabric-endorsers", self.peers.max(1) * 4),
-            orderer: engine.add_process("fabric-orderer", 1),
+            endorsers,
+            orderer,
             validator: engine.add_process("fabric-validator", 1),
         });
     }
@@ -444,8 +438,9 @@ impl TransactionalSystem for Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::drive_arrivals;
+    use crate::pipeline::{drive_arrivals, FAILOVER_US};
     use dichotomy_common::{ClientId, Operation, TxnId};
+    use dichotomy_simnet::FaultPlan;
 
     /// Blocks cut at `max_block_txns`, and no endorsement divergence: these
     /// tests exercise the pipeline, not the inconsistent-read aborts.

@@ -12,7 +12,9 @@
 use std::collections::VecDeque;
 
 use dichotomy_common::size::StorageBreakdown;
-use dichotomy_common::{ClientId, Key, Timestamp, Transaction, TxnReceipt, Value};
+use dichotomy_common::{
+    AbortReason, ClientId, Key, Timestamp, Transaction, TxnId, TxnReceipt, Value,
+};
 use dichotomy_simnet::{SimEngine, StageEvent};
 use dichotomy_storage::{KvEngine, LsmTree, MvccStore};
 
@@ -170,6 +172,18 @@ impl ReceiptLog {
             finish: receipt.finish_time,
         });
         self.receipts.push(receipt);
+    }
+
+    /// Record the `Overload` abort of `txn`, which arrived at `arrival` and
+    /// which an outage that never ends left unserved: its client gives up at
+    /// `finish`.
+    pub fn push_overload(&mut self, txn: TxnId, arrival: Timestamp, finish: Timestamp) {
+        self.push_back(TxnReceipt::aborted(
+            txn,
+            AbortReason::Overload,
+            arrival,
+            finish,
+        ));
     }
 
     /// Swap-drain the completions recorded since the last call: clears

@@ -21,12 +21,12 @@ use dichotomy_common::{Key, NodeId, Timestamp, Transaction, TxnReceipt, Value};
 use dichotomy_consensus::{ProtocolKind, ReplicationProfile};
 use dichotomy_ledger::{Ledger, TxnValidationFlag};
 use dichotomy_merkle::MerklePatriciaTrie;
-use dichotomy_simnet::{CostModel, FaultPlan, NetworkConfig, ProcessId, StageEvent};
+use dichotomy_simnet::{CostModel, NetworkConfig, Outages, ProcessId, StageEvent};
 use dichotomy_storage::{KvEngine, LsmTree};
 
 use crate::pipeline::{
     Completion, Engine, ReceiptLog, SharedState, SysEvent, SystemKind, TimedCutter, TokenMap,
-    TransactionalSystem, FAILOVER_US,
+    TransactionalSystem,
 };
 use crate::spec::SystemSpec;
 
@@ -76,10 +76,10 @@ pub struct Quorum {
     nodes: usize,
     network: NetworkConfig,
     costs: CostModel,
-    /// `NodeId(0)` addresses the consensus leader (the block proposer):
-    /// crash/failover windows stall block proposal, so cut blocks queue and
-    /// the post-heal recovery burst emerges from that backlog.
-    faults: FaultPlan,
+    /// When the block proposer (the primary, `NodeId(0)`) cannot propose:
+    /// set on `quorum-proposer`, so cut blocks queue through an outage and
+    /// the recovery burst emerges from that backlog.
+    proposer_outages: Outages,
     /// The consensus profile: Raft (CFT, the default) or IBFT (BFT) —
     /// Section 5.2.3.
     profile: ReplicationProfile,
@@ -118,7 +118,7 @@ impl Quorum {
             nodes,
             network,
             costs,
-            faults: spec.faults.clone().unwrap_or_default(),
+            proposer_outages: spec.primary_outages(),
             cutter: TimedCutter::new(
                 spec.block_txns.unwrap_or(200),
                 spec.block_interval_us.unwrap_or(250_000),
@@ -180,25 +180,6 @@ impl Quorum {
         if batch.is_empty() {
             return;
         }
-        // The consensus leader may be crashed, failing over, or partitioned
-        // away: proposal waits until the role is back and reachable.
-        let cut_time = match self.faults.primary_release(cut_time, FAILOVER_US) {
-            Some(t) => t,
-            None => {
-                // No leader ever again: the batch times out at the clients.
-                use dichotomy_common::{AbortReason, TxnReceipt};
-                for (txn, arrival) in &batch {
-                    let finish = cut_time + 2 * self.network.base_latency_us;
-                    self.receipts.push_back(TxnReceipt::aborted(
-                        txn.id(),
-                        AbortReason::Overload,
-                        *arrival,
-                        finish,
-                    ));
-                }
-                return;
-            }
-        };
         let id = self.in_flight.insert(BlockInFlight {
             batch,
             cut_time,
@@ -255,8 +236,10 @@ impl TransactionalSystem for Quorum {
     }
 
     fn attach(&mut self, engine: &mut Engine) {
+        let proposer = engine.add_process("quorum-proposer", 1);
+        engine.set_outages(proposer, self.proposer_outages.clone());
         self.procs = Some(QuorumProcs {
-            proposer: engine.add_process("quorum-proposer", 1),
+            proposer,
             consensus: engine.add_process("quorum-consensus", 1),
             committer: engine.add_process("quorum-committer", 1),
         });
@@ -289,8 +272,18 @@ impl TransactionalSystem for Quorum {
                     proposal_cost += self.costs.verify_signatures_us(1);
                     proposal_cost += self.execution_cost_us(txn, false);
                 }
-                let (_, proposal_done) =
-                    engine.service(self.procs().proposer, block.cut_time, proposal_cost);
+                // The proposer may be crashed, failing over, or partitioned
+                // away: the proposal waits out its outages.
+                let proposed =
+                    engine.try_service(self.procs().proposer, block.cut_time, proposal_cost);
+                let Some((_, proposal_done)) = proposed else {
+                    // No leader ever again: the batch times out at the clients.
+                    for (txn, arrival) in &block.batch {
+                        let finish = block.cut_time + 2 * self.network.base_latency_us;
+                        self.receipts.push_overload(txn.id(), *arrival, finish);
+                    }
+                    return;
+                };
                 block.proposal_done = proposal_done;
                 self.in_flight.restore(id, block);
                 engine.schedule_at(proposal_done, SysEvent::stage(ST_CONSENSUS, id));
@@ -392,8 +385,9 @@ impl TransactionalSystem for Quorum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::drive_arrivals;
+    use crate::pipeline::{drive_arrivals, FAILOVER_US};
     use dichotomy_common::{ClientId, Operation, TxnId};
+    use dichotomy_simnet::FaultPlan;
 
     fn quorum() -> SystemSpec {
         SystemSpec::new(SystemKind::Quorum)

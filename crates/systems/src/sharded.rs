@@ -6,9 +6,10 @@
 //!
 //! All three, and the full-replication [`TiDb`](crate::tidb::TiDb), run on
 //! one database core, `ShardedDb`: the partitioner, the replication
-//! profile, 2PC, the MVCC+LSM state pair with its load and fork, the fault
-//! plan, the receipt log, the receipts parked until their `Committed` stage
-//! fires and the per-key hold table.
+//! profile, 2PC, the MVCC+LSM state pair with its load and fork, the
+//! outages of the coordinator and shard leaders, the receipt log, the
+//! receipts parked until their `Committed` stage fires and the per-key hold
+//! table.
 //!
 //! Contention is a per-key hold window: a committed write holds its keys
 //! until its 2PC decision lands (`busy_until`, written only through the
@@ -23,19 +24,16 @@
 //! `Committed` stage event when the decision lands.
 
 use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
-use dichotomy_common::{
-    AbortReason, Key, KeyMap, NodeId, Timestamp, Transaction, TxnReceipt, Value,
-};
+use dichotomy_common::{AbortReason, Key, KeyMap, Timestamp, Transaction, TxnReceipt, Value};
 use dichotomy_consensus::{ProtocolKind, ReplicationProfile};
 use dichotomy_merkle::MerkleBucketTree;
-use dichotomy_sharding::{CoordinatorKind, Partitioner, ShardPlan, TwoPhaseCommit};
-use dichotomy_simnet::fault::Reconfiguration;
-use dichotomy_simnet::{CostModel, FaultPlan, NetworkConfig, ProcessId, StageEvent};
+use dichotomy_sharding::{CoordinatorKind, Partitioner, TwoPhaseCommit};
+use dichotomy_simnet::{CostModel, NetworkConfig, Outages, ProcessId, StageEvent};
 use dichotomy_storage::{KvEngine, LsmTree, MvccStore};
 
 use crate::pipeline::{
     Completion, Engine, ReceiptLog, SharedState, SysEvent, SystemKind, TokenMap,
-    TransactionalSystem, VersionedKvState, FAILOVER_US,
+    TransactionalSystem, VersionedKvState,
 };
 use crate::spec::SystemSpec;
 
@@ -71,9 +69,12 @@ pub(crate) struct ShardedDb {
     busy_until: KeyMap<Timestamp>,
     /// Receipts scheduled to surface at their finish time (token-keyed).
     finishing: TokenMap<TxnReceipt>,
-    /// Fault schedule: `NodeId(0)` is the 2PC coordinator role,
-    /// `NodeId(1 + shard)` a shard's replication leader.
-    pub(crate) faults: FaultPlan,
+    /// When the 2PC coordinator role (`NodeId(0)`) cannot decide; no station
+    /// hosts it, so the decision asks at its decision point.
+    pub(crate) coordinator: Outages,
+    /// When each shard's replication leader (`NodeId(1 + shard)`) cannot
+    /// serve; set on its `shard-pipe` at [`attach`](Self::attach).
+    pub(crate) leaders: Vec<Outages>,
 }
 
 impl ShardedDb {
@@ -107,7 +108,8 @@ impl ShardedDb {
             receipts: ReceiptLog::new(),
             busy_until: KeyMap::default(),
             finishing: TokenMap::new(),
-            faults: spec.faults.clone().unwrap_or_default(),
+            coordinator: spec.primary_outages(),
+            leaders: (0..shards).map(|s| spec.shard_leader_outages(s)).collect(),
         }
     }
 
@@ -119,12 +121,18 @@ impl ShardedDb {
         }
     }
 
-    /// Register one `shard-pipe` process per shard (a model that books its
-    /// own processes, like TiDB, never calls this).
+    /// Register one `shard-pipe` process per shard, carrying its leader's
+    /// outages (a model that books its own processes, like TiDB, never
+    /// calls this).
     fn attach(&mut self, engine: &mut Engine) {
         self.shard_procs = Some(
-            (0..self.shards)
-                .map(|_| engine.add_process("shard-pipe", 1))
+            self.leaders
+                .iter()
+                .map(|outages| {
+                    let pipe = engine.add_process("shard-pipe", 1);
+                    engine.set_outages(pipe, outages.clone());
+                    pipe
+                })
                 .collect(),
         );
     }
@@ -182,12 +190,7 @@ impl ShardedDb {
     /// `stalled_at`.
     fn abort_stalled(&mut self, txn: &Transaction, arrival: Timestamp, stalled_at: Timestamp) {
         let finish = stalled_at + self.network.base_latency_us;
-        self.receipts.push_back(TxnReceipt::aborted(
-            txn.id(),
-            AbortReason::Overload,
-            arrival,
-            finish,
-        ));
+        self.receipts.push_overload(txn.id(), arrival, finish);
     }
 
     /// Per-shard work + cross-shard 2PC for a transaction whose per-shard
@@ -206,29 +209,18 @@ impl ShardedDb {
         let mut slowest = start;
         let pipe_count = self.shard_procs().len();
         for shard in &shards {
-            // The shard's replication leader must be up and reachable from
-            // the coordinator before its prepare round can start.
-            let shard_node = NodeId(1 + u64::from(shard.0));
-            let shard_start = self
-                .faults
-                .release_at(shard_node, start, FAILOVER_US)
-                .and_then(|t| self.faults.partition_release(NodeId(0), shard_node, t));
-            let shard_start = match shard_start {
-                Some(t) => t,
-                None => return Err(start),
-            };
+            // The pipe starts no work while its leader is down or cut off
+            // from the coordinator.
             let pipe = self.shard_procs()[shard.0 as usize % pipe_count];
-            let (_, done) = engine.service(pipe, shard_start, shard_cost_us);
+            let Some((_, done)) = engine.try_service(pipe, start, shard_cost_us) else {
+                return Err(start);
+            };
             slowest = slowest.max(done);
         }
-        let replication = self.replication.commit_latency_us(txn.payload_bytes() + 64);
+        let replicated = slowest + self.replication.commit_latency_us(txn.payload_bytes() + 64);
         // The 2PC coordinator role itself may be down or partitioned away.
-        let decide_input = match self
-            .faults
-            .primary_release(slowest + replication, FAILOVER_US)
-        {
-            Some(t) => t,
-            None => return Err(slowest + replication),
+        let Some(decide_input) = self.coordinator.start(replicated, 0) else {
+            return Err(replicated);
         };
         let decided_at = self
             .two_pc
@@ -485,40 +477,24 @@ pub(crate) struct AhlState {
 /// shards (default 4) of its `nodes` each (default 3 — trusted hardware
 /// lets AHL keep shards this small, the Figure 14 setup).
 ///
-/// Beyond the crash/partition/failover algebra shared with the other
-/// sharded models, AHL also consumes the fault plan's declarative
-/// [`Reconfiguration`] events: each pauses every shard pipeline for its
-/// `pause_us` at its scheduled time, and `churn` additionally bumps the
-/// epoch that [`Ahl::shard_plan`]'s secure-random formation reads. No
-/// transaction path reads that plan: keys reach shards through a fixed
-/// [`Partitioner::hash`], so to every transaction a reconfiguration is a
-/// pure pause.
+/// AHL also re-forms its shards: every epoch (default 10 s) each shard
+/// pipeline pauses for the hand-off (default 3 s; the trade-off the paper
+/// prices at ≈30 %), as it does for every declared
+/// [`Reconfiguration`](dichotomy_simnet::Reconfiguration). Both are outage
+/// windows on every `shard-pipe`, holding up the work queued behind them.
+/// Keys reach shards through a fixed [`Partitioner::hash`], so a
+/// reconfiguration is a pure pause.
 pub struct Ahl {
     db: ShardedDb,
-    /// Whether shards are periodically re-formed (the security/performance
-    /// trade-off the paper quantifies at ≈30 %; default on).
-    periodic_reconfiguration: bool,
-    /// Epoch length between reconfigurations (µs; default 10 s).
-    epoch_us: u64,
-    /// Pause caused by one reconfiguration — state hand-off and
-    /// re-attestation (µs; default 3 s).
-    reconfig_pause_us: u64,
     /// Authenticated state index (Fabric v0.6 heritage: Merkle Bucket Tree).
     mbt: MerkleBucketTree,
-    /// Time already swallowed by reconfiguration pauses.
-    next_reconfig_at: Timestamp,
-    /// Declarative reconfiguration events from the fault plan, sorted by
-    /// time; `next_declared` indexes the first not yet applied.
-    declared_reconfigs: Vec<Reconfiguration>,
-    next_declared: usize,
-    epoch: u64,
 }
 
 impl Ahl {
     /// Build the AHL deployment `spec` describes.
     pub fn new(spec: &SystemSpec) -> Self {
         let nodes_per_shard = spec.nodes.unwrap_or(3);
-        let db = ShardedDb::new(
+        let mut db = ShardedDb::new(
             spec,
             ShardedDb::shards_or_default(spec),
             nodes_per_shard,
@@ -528,74 +504,23 @@ impl Ahl {
                 n: nodes_per_shard,
             },
         );
-        let mut declared_reconfigs = db.faults.reconfigurations().to_vec();
-        declared_reconfigs.sort_by_key(|r| r.at);
-        let epoch_us = spec.epoch_us.unwrap_or(10_000_000);
-        Ahl {
-            periodic_reconfiguration: spec.periodic_reconfiguration.unwrap_or(true),
-            epoch_us,
-            reconfig_pause_us: spec.reconfig_pause_us.unwrap_or(3_000_000),
-            mbt: MerkleBucketTree::fabric_default(),
-            next_reconfig_at: epoch_us,
-            declared_reconfigs,
-            next_declared: 0,
-            epoch: 0,
-            db,
-        }
-    }
-
-    /// The node-to-shard plan of the current epoch (secure random formation).
-    pub fn shard_plan(&self) -> ShardPlan {
-        let nodes: Vec<_> = (0..(self.db.shards as u64 * self.db.nodes_per_shard as u64))
-            .map(dichotomy_common::NodeId)
+        let declared = spec.faults.iter().flat_map(|f| f.reconfigurations());
+        let pauses: Vec<_> = declared
+            .map(|r| (r.at, Some(r.at.saturating_add(r.pause_us))))
             .collect();
-        ShardPlan::form(
-            &nodes,
-            self.db.nodes_per_shard,
-            dichotomy_sharding::ShardFormation::SecureRandom {
-                epoch_us: self.epoch_us,
-            },
-            self.epoch,
-            7,
-        )
-    }
-
-    /// If a reconfiguration epoch boundary falls before `arrival`, stall every
-    /// shard pipeline for the pause (state hand-off and re-attestation block
-    /// transaction processing) and advance the epoch. Returns the total pause
-    /// charged, for the receipt's phase breakdown.
-    fn reconfiguration_delay(&mut self, arrival: Timestamp, engine: &mut Engine) -> u64 {
-        let mut paused = 0;
-        // Declarative reconfiguration events from the fault plan apply even
-        // when periodic reconfiguration is off: each pauses every shard
-        // pipeline at its scheduled time, and churn advances the epoch the
-        // shard plan reads (placement stays the fixed hash).
-        while let Some(r) = self.declared_reconfigs.get(self.next_declared).copied() {
-            if arrival < r.at {
-                break;
+        for leader in &mut db.leaders {
+            leader.extend(pauses.iter().copied());
+            if spec.periodic_reconfiguration.unwrap_or(true) {
+                leader.every(
+                    spec.epoch_us.unwrap_or(10_000_000),
+                    spec.reconfig_pause_us.unwrap_or(3_000_000),
+                );
             }
-            for pipe in self.db.shard_procs().to_vec() {
-                engine.service(pipe, r.at, r.pause_us);
-            }
-            paused += r.pause_us;
-            if r.churn {
-                self.epoch += 1;
-            }
-            self.next_declared += 1;
         }
-        if !self.periodic_reconfiguration {
-            return paused;
+        Ahl {
+            db,
+            mbt: MerkleBucketTree::fabric_default(),
         }
-        while arrival >= self.next_reconfig_at {
-            let boundary = self.next_reconfig_at;
-            for pipe in self.db.shard_procs().to_vec() {
-                engine.service(pipe, boundary, self.reconfig_pause_us);
-            }
-            paused += self.reconfig_pause_us;
-            self.next_reconfig_at += self.epoch_us;
-            self.epoch += 1;
-        }
-        paused
     }
 }
 
@@ -634,7 +559,6 @@ impl TransactionalSystem for Ahl {
     fn on_arrival(&mut self, txn: Transaction, engine: &mut Engine) {
         let arrival = engine.now();
         let c = self.db.costs.clone();
-        let reconfig = self.reconfiguration_delay(arrival, engine);
         if txn.is_read_only() {
             let mut reads = Vec::new();
             let mut cost = c.client_auth();
@@ -671,10 +595,7 @@ impl TransactionalSystem for Ahl {
             arrival,
             commit_at + self.db.network.base_latency_us,
         );
-        r.phase_latencies = vec![
-            ("reconfiguration", reconfig),
-            ("shard-consensus", commit_at.saturating_sub(arrival)),
-        ];
+        r.phase_latencies = vec![("shard-consensus", commit_at.saturating_sub(arrival))];
         self.db.schedule_receipt(r, engine);
     }
 
@@ -702,8 +623,9 @@ impl TransactionalSystem for Ahl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::drive_arrivals;
-    use dichotomy_common::{ClientId, Operation, TxnId};
+    use crate::pipeline::{drive_arrivals, run_to_completion};
+    use dichotomy_common::{ClientId, NodeId, Operation, TxnId};
+    use dichotomy_simnet::FaultPlan;
 
     fn spanner() -> SystemSpec {
         SystemSpec::new(SystemKind::SpannerLike)
@@ -925,50 +847,73 @@ mod tests {
     }
 
     #[test]
-    fn a_declarative_reconfiguration_pauses_shards_and_churn_reshuffles() {
+    fn a_coordinator_failover_stalls_the_decision_not_the_shard_pipes() {
         let mut faults = FaultPlan::none();
-        faults.add_reconfiguration(50_000, 100_000, true);
+        // The 2PC coordinator hands over for the first 300 ms.
+        faults.add_failover(0, 300_000);
+        let mut s = SpannerLike::new(&spanner().with_faults(faults));
+        s.load(&records(10));
+        let mut engine = Engine::new();
+        s.attach(&mut engine);
+        let mut txn = two_key_txn(1, "k000001", "k000002");
+        txn.submit_time = 1_000;
+        engine.schedule_at(1_000, SysEvent::Arrival(txn));
+        run_to_completion(&mut s, &mut engine);
+        // The shard leaders serve through the handover: their prepare work
+        // is booked at the arrival.
+        let pipes = engine
+            .processes()
+            .iter()
+            .filter(|p| p.servers().served() > 0);
+        let frees: Vec<_> = pipes.map(|p| p.servers().earliest_free()).collect();
+        assert!(
+            !frees.is_empty() && frees.iter().all(|&t| t < 100_000),
+            "{frees:?}"
+        );
+        // The decision waits for the new coordinator.
+        let receipts = s.drain_receipts();
+        assert!(receipts[0].status.is_committed());
+        assert!(receipts[0].finish_time >= 300_000);
+    }
+
+    #[test]
+    fn a_declarative_reconfiguration_pauses_every_shard() {
+        let mut faults = FaultPlan::none();
+        faults.add_reconfiguration(50_000, 100_000);
         let mut ahl = Ahl::new(
             &ahl()
                 .with_periodic_reconfiguration(false)
                 .with_faults(faults),
         );
         ahl.load(&records(100));
-        let plan0 = ahl.shard_plan();
-        let receipts = drive_arrivals(
-            &mut ahl,
-            vec![
-                (two_key_txn(1, "k000001", "k000002"), 1_000),
-                (two_key_txn(2, "k000003", "k000004"), 60_000),
-            ],
-        );
+        // One transaction before the pause, and during it one on every
+        // shard.
+        let mut per_shard = vec![None; 4];
+        for key in (3..100).map(|i| Key::from_str(&format!("k{i:06}"))) {
+            per_shard[Partitioner::hash(4).shard_of(&key).0 as usize].get_or_insert(key);
+        }
+        let mut arrivals = vec![(two_key_txn(1, "k000001", "k000002"), 1_000)];
+        for (seq, key) in (2..).zip(per_shard) {
+            let op = Operation::read_modify_write(key.unwrap(), Value::filler(100));
+            arrivals.push((
+                Transaction::new(TxnId::new(ClientId(seq), seq), vec![op]),
+                60_000,
+            ));
+        }
+        let receipts = drive_arrivals(&mut ahl, arrivals);
         assert!(receipts.iter().all(|r| r.status.is_committed()));
-        let early = receipts.iter().find(|r| r.txn_id.seq == 1).unwrap();
-        let late = receipts.iter().find(|r| r.txn_id.seq == 2).unwrap();
         // The event pauses every shard pipe for 100 ms at t=50 ms: the
-        // transaction arriving after it queues behind the pause.
+        // transactions arriving inside it start when it ends.
+        let early = receipts.iter().find(|r| r.txn_id.seq == 1).unwrap();
         assert!(early.finish_time < 50_000);
-        assert!(
-            late.finish_time >= 150_000,
-            "reconfiguration pause not felt: {}",
-            late.finish_time
-        );
-        // Churn reshuffled the secure-random shard formation.
-        assert_ne!(plan0.assignment, ahl.shard_plan().assignment);
-    }
-
-    #[test]
-    fn ahl_shard_plan_reshuffles_each_epoch() {
-        let mut ahl = Ahl::new(&ahl());
-        ahl.load(&records(10));
-        let plan0 = ahl.shard_plan();
-        // Force time past one epoch.
-        let _ = drive_arrivals(
-            &mut ahl,
-            vec![(two_key_txn(1, "k000001", "k000002"), 11_000_000)],
-        );
-        let plan1 = ahl.shard_plan();
-        assert_ne!(plan0.assignment, plan1.assignment);
-        assert_eq!(plan0.shard_count(), 4);
+        for late in receipts.iter().filter(|r| r.txn_id.seq > 1) {
+            assert!(
+                late.finish_time >= 150_000,
+                "reconfiguration pause not felt: {}",
+                late.finish_time
+            );
+            // The pause is inside the one consensus phase, not beside it.
+            assert_eq!(late.phase_latencies.len(), 1);
+        }
     }
 }

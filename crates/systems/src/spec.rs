@@ -18,16 +18,16 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use dichotomy_common::codec;
+use dichotomy_common::{codec, NodeId};
 use dichotomy_consensus::ProtocolKind;
 use dichotomy_hybrid::taxonomy::{
     ConcurrencyChoice, LedgerSupport, ReplicationModel, ShardingSupport, SystemProfile,
 };
-use dichotomy_simnet::{CostModel, FaultPlan, NetworkConfig};
+use dichotomy_simnet::{CostModel, FaultPlan, NetworkConfig, Outages};
 
 use crate::etcd::{Etcd, Tikv};
 use crate::fabric::Fabric;
-use crate::pipeline::{SystemKind, TransactionalSystem};
+use crate::pipeline::{SystemKind, TransactionalSystem, FAILOVER_US};
 use crate::quorum::Quorum;
 use crate::sharded::{Ahl, ShardedTiDb, SpannerLike};
 use crate::tidb::TiDb;
@@ -88,8 +88,7 @@ pub struct SystemSpec {
     /// convention: `NodeId(0)` is the model's primary (Raft leader, lead
     /// orderer, consensus proposer, 2PC coordinator) and `NodeId(1 + s)`
     /// shard/region `s`'s replication leader. AHL additionally consumes
-    /// declarative `Reconfiguration` events as shard-pipeline pauses (their
-    /// `churn` flag advances an epoch no transaction path reads).
+    /// declarative `Reconfiguration` events as shard-pipeline pauses.
     pub faults: Option<FaultPlan>,
     /// RNG seed for the model's stochastic choices (Fabric's endorsement
     /// divergence is the one that draws).
@@ -217,6 +216,23 @@ impl SystemSpec {
     /// Shard count, defaulting to unsharded.
     pub fn shard_count(&self) -> u32 {
         self.shards.unwrap_or(0)
+    }
+
+    /// When the primary (`NodeId(0)`) cannot serve: cut off from the rest
+    /// of the cluster (`NodeId(1)`), with [`FAILOVER_US`] after each crash.
+    pub(crate) fn primary_outages(&self) -> Outages {
+        self.outages(NodeId(0), NodeId(1))
+    }
+
+    /// When shard `shard`'s leader (`NodeId(1 + shard)`) cannot serve: cut
+    /// off from the coordinator, with [`FAILOVER_US`] after each crash.
+    pub(crate) fn shard_leader_outages(&self, shard: u32) -> Outages {
+        self.outages(NodeId(1 + u64::from(shard)), NodeId(0))
+    }
+
+    fn outages(&self, node: NodeId, peer: NodeId) -> Outages {
+        let faults = self.faults.as_ref();
+        faults.map_or_else(Outages::default, |f| f.outages(node, peer, FAILOVER_US))
     }
 
     /// The part of this spec a model's

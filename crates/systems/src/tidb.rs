@@ -29,15 +29,13 @@
 //! event at the decided finish time.
 
 use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
-use dichotomy_common::{AbortReason, Key, NodeId, Timestamp, Transaction, TxnReceipt, Value};
+use dichotomy_common::{AbortReason, Key, Timestamp, Transaction, TxnReceipt, Value};
 use dichotomy_consensus::ProtocolKind;
 use dichotomy_sharding::CoordinatorKind;
 use dichotomy_simnet::{ProcessId, StageEvent};
 use dichotomy_storage::KvEngine;
 
-use crate::pipeline::{
-    Completion, Engine, SharedState, SystemKind, TransactionalSystem, FAILOVER_US,
-};
+use crate::pipeline::{Completion, Engine, SharedState, SystemKind, TransactionalSystem};
 use crate::sharded::ShardedDb;
 use crate::spec::SystemSpec;
 
@@ -208,32 +206,18 @@ impl TiDb {
 
         // Cross-region 2PC for multi-region write sets.
         let shards = self.db.partitioner.shards_of(&write_keys);
-        // Fault gates before the decision round: every touched region's Raft
+        // No station hosts the region leaders or the coordinator, so the
+        // decision round asks their outages: every touched region's Raft
         // leader must be back up, and the coordinator role reachable.
-        let faults = &self.db.faults;
         let mut decide_input = storage_done + replication_latency;
-        for &s in &shards {
-            decide_input =
-                match faults.release_at(NodeId(1 + u64::from(s.0)), decide_input, FAILOVER_US) {
-                    Some(t) => t,
-                    None => {
-                        let finish = decide_input + base_latency_us;
-                        return TxnReceipt::aborted(
-                            txn.id(),
-                            AbortReason::Overload,
-                            arrival,
-                            finish,
-                        );
-                    }
-                };
-        }
-        let decide_input = match faults.primary_release(decide_input, FAILOVER_US) {
-            Some(t) => t,
-            None => {
+        let regions = shards.iter().map(|s| &self.db.leaders[s.0 as usize]);
+        for outages in regions.chain([&self.db.coordinator]) {
+            let Some(t) = outages.start(decide_input, 0) else {
                 let finish = decide_input + base_latency_us;
                 return TxnReceipt::aborted(txn.id(), AbortReason::Overload, arrival, finish);
-            }
-        };
+            };
+            decide_input = t;
+        }
         let decided_at = self
             .db
             .two_pc
@@ -324,8 +308,8 @@ impl TransactionalSystem for TiDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::drive_arrivals;
-    use dichotomy_common::{ClientId, Operation, TxnId};
+    use crate::pipeline::{drive_arrivals, FAILOVER_US};
+    use dichotomy_common::{ClientId, NodeId, Operation, TxnId};
     use dichotomy_sharding::Partitioner;
     use dichotomy_simnet::FaultPlan;
 
