@@ -506,11 +506,10 @@ fn bench_event_engine() {
     ] {
         let config = DriverConfig {
             transactions: NULL_TXNS,
-            arrival: Some(ArrivalSpec::ClosedLoop {
+            arrival: ArrivalSpec::ClosedLoop {
                 clients,
                 think_time_us: SCALE01_THINK_US,
-                max_outstanding: 1,
-            }),
+            },
             window_us: Some(SCALE01_WINDOW_US),
             metrics: MetricsMode::Streaming,
             ..DriverConfig::default()

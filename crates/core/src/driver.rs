@@ -11,12 +11,13 @@
 //! *How* arrivals are generated is data: an [`ArrivalSpec`] carried by
 //! [`DriverConfig`] (mirroring how `SystemSpec`/`WorkloadSpec` describe the
 //! system and the workload). The default is the paper's Section 5 open loop —
-//! exponential inter-arrival gaps at a fixed offered rate — but closed-loop
-//! client populations (think time + outstanding-request caps, fed by the
-//! incremental completion channel every `TransactionalSystem` exposes),
-//! and phased load (ramps, steps, bursts) compose from the same three
-//! variants. Every variant is seed-deterministic and emits globally unique,
-//! hence strictly monotonically delivered, arrival times.
+//! exponential inter-arrival gaps at a fixed offered rate, round-robin over
+//! 32 clients — but closed-loop client populations (one request in flight
+//! per client plus a think time, fed by the incremental completion channel
+//! every `TransactionalSystem` exposes), and phased load (ramps, steps,
+//! bursts) compose from the same three variants. Every variant is
+//! seed-deterministic and emits globally unique, hence strictly
+//! monotonically delivered, arrival times.
 //!
 //! This file is the event loop; `arrival` (the spec and its client models)
 //! and `ledger` (the handed-out arrival timestamps) are private submodules.
@@ -44,15 +45,8 @@ use crate::metrics::{
 pub struct DriverConfig {
     /// Number of transactions to issue.
     pub transactions: u64,
-    /// Offered load in transactions per second of simulated time (the
-    /// open-loop default; an explicit [`arrival`](Self::arrival) spec takes
-    /// precedence).
-    pub offered_tps: f64,
-    /// Number of simulated clients the open loop spreads arrivals across.
-    pub clients: u64,
-    /// The arrival process. `None` is the historical open loop at
-    /// [`offered_tps`](Self::offered_tps).
-    pub arrival: Option<ArrivalSpec>,
+    /// The arrival process (the default is an open loop at 50 000 tps).
+    pub arrival: ArrivalSpec,
     /// Whether to pre-load the workload's initial records (Figure 4/5 do;
     /// storage-size experiments load their own data).
     pub preload: bool,
@@ -60,9 +54,6 @@ pub struct DriverConfig {
     /// window from the run's makespan (≈ 20 windows) in exact metrics mode
     /// and uses one simulated second in streaming mode.
     pub window_us: Option<u64>,
-    /// Receipts finishing before this simulated time are trimmed from the
-    /// time series (warm-up).
-    pub warmup_us: Timestamp,
     /// RNG seed for arrival jitter and think times.
     pub seed: u64,
     /// The latency estimator of the run's receipt fold. Under
@@ -78,12 +69,9 @@ pub struct DriverConfig {
 // every knob that can change a measurement.
 codec!(Encode for struct DriverConfig {
     transactions,
-    offered_tps,
-    clients,
     arrival,
     preload,
     window_us,
-    warmup_us,
     seed,
     metrics,
 });
@@ -92,12 +80,11 @@ impl Default for DriverConfig {
     fn default() -> Self {
         DriverConfig {
             transactions: 2_000,
-            offered_tps: 50_000.0,
-            clients: 32,
-            arrival: None,
+            arrival: ArrivalSpec::OpenLoop {
+                offered_tps: 50_000.0,
+            },
             preload: true,
             window_us: None,
-            warmup_us: 0,
             seed: rng::DEFAULT_SEED,
             metrics: MetricsMode::Exact,
         }
@@ -106,20 +93,23 @@ impl Default for DriverConfig {
 
 impl DriverConfig {
     /// A configuration that saturates any of the modelled systems (peak
-    /// throughput measurement).
+    /// throughput measurement): an open loop at 200 000 tps.
     pub fn saturating(transactions: u64) -> Self {
         DriverConfig {
             transactions,
-            offered_tps: 200_000.0,
+            arrival: ArrivalSpec::OpenLoop {
+                offered_tps: 200_000.0,
+            },
             ..DriverConfig::default()
         }
     }
 
-    /// A light load for unsaturated latency measurements.
+    /// A light load for unsaturated latency measurements: an open loop at
+    /// 50 tps.
     pub fn unsaturated(transactions: u64) -> Self {
         DriverConfig {
             transactions,
-            offered_tps: 50.0,
+            arrival: ArrivalSpec::OpenLoop { offered_tps: 50.0 },
             ..DriverConfig::default()
         }
     }
@@ -141,16 +131,8 @@ impl DriverConfig {
 
     /// Replace the arrival process.
     pub fn with_arrival(mut self, arrival: ArrivalSpec) -> Self {
-        self.arrival = Some(arrival);
+        self.arrival = arrival;
         self
-    }
-
-    /// The effective arrival spec: the explicit one, or the open-loop
-    /// default at [`offered_tps`](Self::offered_tps).
-    pub fn arrival_spec(&self) -> ArrivalSpec {
-        self.arrival.clone().unwrap_or(ArrivalSpec::OpenLoop {
-            offered_tps: self.offered_tps,
-        })
     }
 }
 
@@ -265,7 +247,7 @@ pub fn drive(
         MetricsMode::Exact => drive_with::<ExactLatency>(system, workload, config, None),
         MetricsMode::Streaming => {
             let window_us = config.window_us.unwrap_or(1_000_000);
-            let fold = ReceiptFold::<StreamingLatency>::new(window_us, config.warmup_us);
+            let fold = ReceiptFold::<StreamingLatency>::new(window_us, 0);
             drive_with(system, workload, config, Some(fold))
         }
     }
@@ -284,10 +266,9 @@ fn drive_with<E: LatencyEstimator>(
     let mut engine = Engine::new();
     system.attach(&mut engine);
 
-    let clients = config.clients.max(1);
-    let arrival = config.arrival_spec();
-    let mut model = arrival.build(rng::derive_seed(config.seed, "driver"), clients);
-    let mut book = ArrivalBook::new(config.transactions, arrival.client_span(clients));
+    let arrival = &config.arrival;
+    let mut model = arrival.build(rng::derive_seed(config.seed, "driver"));
+    let mut book = ArrivalBook::new(config.transactions, arrival.client_span());
     model.start(0, &mut |c, t| book.emit(c, t, &mut engine, workload));
     // One completions buffer for the whole run: each poll swap-drains the
     // system's internal vector into it (and hands the drained allocation
@@ -346,7 +327,7 @@ fn drive_with<E: LatencyEstimator>(
     let mut fold = live.unwrap_or_else(|| {
         let makespan_us = receipts.iter().map(|r| r.finish_time).max();
         let derived = (makespan_us.unwrap_or(engine.now()) / 20).max(1);
-        ReceiptFold::new(config.window_us.unwrap_or(derived), config.warmup_us)
+        ReceiptFold::new(config.window_us.unwrap_or(derived), 0)
     });
     receipts.iter().for_each(|r| fold.observe(r));
     let (metrics, series, makespan_us) = fold.finish(engine.now());

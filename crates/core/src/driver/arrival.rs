@@ -4,6 +4,10 @@
 use dichotomy_common::rng::{self, Rng};
 use dichotomy_common::{codec, ClientId, Timestamp};
 
+/// The open loop's client population: arrivals go round-robin across this
+/// many client ids. Closed loops carry their own count.
+const OPEN_LOOP_CLIENTS: u64 = 32;
+
 /// How the driver turns the clock into client submissions.
 ///
 /// The spec is plan data (like `SystemSpec` and `WorkloadSpec`): cloneable,
@@ -12,25 +16,23 @@ use dichotomy_common::{codec, ClientId, Timestamp};
 /// itself be phased.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalSpec {
-    /// Open loop: Poisson arrivals at `offered_tps`, round-robin across the
-    /// driver's `clients`, regardless of how the system keeps up. This is
-    /// the historical driver behaviour, byte-identical for equal seeds.
+    /// Open loop: Poisson arrivals at `offered_tps`, round-robin across 32
+    /// clients, regardless of how the system keeps up. This is the
+    /// historical driver behaviour, byte-identical for equal seeds.
     OpenLoop {
         /// Offered load in transactions per second of simulated time.
         offered_tps: f64,
     },
-    /// Closed loop: `clients` independent clients, each keeping at most
-    /// `max_outstanding` requests in flight and pausing an exponentially
-    /// distributed think time (mean `think_time_us`, 0 = none) after each
-    /// completion before submitting its next request. Throughput obeys
-    /// Little's law: `tps ≈ clients / (think_time + mean latency)`.
+    /// Closed loop: `clients` independent clients, each keeping one request
+    /// in flight and pausing an exponentially distributed think time (mean
+    /// `think_time_us`, 0 = none) after each completion before submitting
+    /// its next request. Throughput obeys Little's law:
+    /// `tps ≈ clients / (think_time + mean latency)`.
     ClosedLoop {
         /// Number of closed-loop clients.
         clients: u64,
         /// Mean think time between a completion and the next submission (µs).
         think_time_us: u64,
-        /// Maximum requests each client keeps in flight.
-        max_outstanding: u64,
     },
     /// Load phases: each `(duration_us, spec)` runs in sequence (ramps,
     /// steps, bursts). The final phase is open-ended — it runs until the
@@ -44,21 +46,21 @@ pub enum ArrivalSpec {
 }
 codec!(Encode for enum ArrivalSpec {
     OpenLoop { offered_tps } = 0,
-    ClosedLoop { clients, think_time_us, max_outstanding } = 1,
+    ClosedLoop { clients, think_time_us } = 1,
     Phased { phases } = 2,
 });
 
 impl ArrivalSpec {
-    /// How many client ids the spec's populations occupy. Open loops draw
-    /// on the driver-level `clients` knob; closed loops carry their own
-    /// count; phases share one range, as wide as their widest.
-    pub fn client_span(&self, driver_clients: u64) -> u64 {
+    /// How many client ids the spec's populations occupy. Open loops use
+    /// their fixed 32 clients; closed loops carry their own count; phases
+    /// share one range, as wide as their widest.
+    pub fn client_span(&self) -> u64 {
         match self {
-            ArrivalSpec::OpenLoop { .. } => driver_clients.max(1),
+            ArrivalSpec::OpenLoop { .. } => OPEN_LOOP_CLIENTS,
             ArrivalSpec::ClosedLoop { clients, .. } => (*clients).max(1),
             ArrivalSpec::Phased { phases } => phases
                 .iter()
-                .map(|(_, spec)| spec.client_span(driver_clients))
+                .map(|(_, spec)| spec.client_span())
                 .max()
                 .unwrap_or(1),
         }
@@ -67,21 +69,15 @@ impl ArrivalSpec {
     /// Expand the spec into its client model. `seed` is already
     /// driver-derived; phases derive further (`phaseN`) so sibling phases
     /// draw independent streams.
-    pub(super) fn build(&self, seed: u64, driver_clients: u64) -> Box<dyn ClientModel> {
+    pub(super) fn build(&self, seed: u64) -> Box<dyn ClientModel> {
         match self {
             ArrivalSpec::OpenLoop { offered_tps } => {
-                Box::new(OpenLoopModel::new(seed, *offered_tps, driver_clients))
+                Box::new(OpenLoopModel::new(seed, *offered_tps))
             }
             ArrivalSpec::ClosedLoop {
                 clients,
                 think_time_us,
-                max_outstanding,
-            } => Box::new(ClosedLoopModel::new(
-                seed,
-                *clients,
-                *think_time_us,
-                *max_outstanding,
-            )),
+            } => Box::new(ClosedLoopModel::new(seed, *clients, *think_time_us)),
             ArrivalSpec::Phased { phases } => {
                 assert!(!phases.is_empty(), "Phased arrival spec with no phases");
                 let mut cumulative: Timestamp = 0;
@@ -97,7 +93,7 @@ impl ArrivalSpec {
                             cumulative
                         };
                         let child_seed = rng::derive_seed(seed, &format!("phase{i}"));
-                        (end, spec.build(child_seed, driver_clients))
+                        (end, spec.build(child_seed))
                     })
                     .collect();
                 Box::new(PhasedModel {
@@ -118,7 +114,7 @@ impl ArrivalSpec {
 pub(super) trait ClientModel {
     /// The run (or, under [`ArrivalSpec::Phased`], this model's phase)
     /// begins at `at`: emit the initial arrivals. An open loop emits its
-    /// first arrival; a closed loop emits one arrival per client slot.
+    /// first arrival; a closed loop emits one arrival per client.
     fn start(&mut self, at: Timestamp, emit: &mut dyn FnMut(ClientId, Timestamp));
 
     /// The arrival previously emitted for `client` at `at` was dispatched
@@ -155,18 +151,16 @@ pub(super) trait ClientModel {
 struct OpenLoopModel {
     rng: rng::StdRng,
     mean_gap_us: f64,
-    clients: u64,
     issued: u64,
     base: Timestamp,
     last_arrival: Timestamp,
 }
 
 impl OpenLoopModel {
-    fn new(seed: u64, offered_tps: f64, clients: u64) -> Self {
+    fn new(seed: u64, offered_tps: f64) -> Self {
         OpenLoopModel {
             rng: rng::seeded(seed),
             mean_gap_us: 1e6 / offered_tps.max(1e-6),
-            clients: clients.max(1),
             issued: 0,
             base: 0,
             last_arrival: 0,
@@ -174,7 +168,7 @@ impl OpenLoopModel {
     }
 
     fn next(&mut self) -> (ClientId, Timestamp) {
-        let client_idx = self.issued % self.clients;
+        let client_idx = self.issued % OPEN_LOOP_CLIENTS;
         self.issued += 1;
         // Exponential inter-arrival times approximate an open-loop Poisson
         // arrival process at the offered rate.
@@ -211,33 +205,26 @@ impl ClientModel for OpenLoopModel {
     }
 }
 
-/// The closed-loop client population: every completion of one of this
-/// population's requests frees exactly one slot, which the owning client
-/// reoccupies `think` later — so the per-client in-flight count never
-/// exceeds `max_outstanding`. Think times are exponentially distributed
-/// (mean `think_mean_us`); a zero mean submits immediately at the finish
-/// time.
+/// The closed-loop client population: every client keeps one request in
+/// flight, and each completion of one of this population's requests is
+/// followed `think` later by the owning client's next submission. Think
+/// times are exponentially distributed (mean `think_mean_us`); a zero mean
+/// submits immediately at the finish time.
 struct ClosedLoopModel {
     rng: rng::StdRng,
-    clients: u64,
     think_mean_us: u64,
-    max_outstanding: u64,
-    /// Requests in flight per client: incremented per emission, decremented
-    /// per completion. A completion that finds a client idle is foreign
-    /// (not emitted by this population — its owner already dropped it) and
-    /// must not trigger a submission.
-    in_flight: Vec<u64>,
+    /// Whether each client has submitted: a completion for a client that has
+    /// not (or for an id outside the population) is foreign — its owner
+    /// already dropped it — and must not trigger a submission.
+    busy: Vec<bool>,
 }
 
 impl ClosedLoopModel {
-    fn new(seed: u64, clients: u64, think_time_us: u64, max_outstanding: u64) -> Self {
-        let clients = clients.max(1);
+    fn new(seed: u64, clients: u64, think_time_us: u64) -> Self {
         ClosedLoopModel {
             rng: rng::seeded(seed),
-            clients,
             think_mean_us: think_time_us,
-            max_outstanding: max_outstanding.max(1),
-            in_flight: vec![0; clients as usize],
+            busy: vec![false; clients.max(1) as usize],
         }
     }
 
@@ -252,14 +239,12 @@ impl ClosedLoopModel {
 
 impl ClientModel for ClosedLoopModel {
     fn start(&mut self, at: Timestamp, emit: &mut dyn FnMut(ClientId, Timestamp)) {
-        // Fill every client's window: each slot opens after its own think
-        // pause, so clients do not stampede the first microsecond.
-        for _slot in 0..self.max_outstanding {
-            for client in 0..self.clients {
-                let t = at + self.think().max(1);
-                self.in_flight[client as usize] += 1;
-                emit(ClientId(client), t);
-            }
+        // Each client submits after its own think pause, so clients do not
+        // stampede the first microsecond.
+        for client in 0..self.busy.len() {
+            let t = at + self.think().max(1);
+            self.busy[client] = true;
+            emit(ClientId(client as u64), t);
         }
     }
 
@@ -270,16 +255,15 @@ impl ClientModel for ClosedLoopModel {
         finish: Timestamp,
         emit: &mut dyn FnMut(ClientId, Timestamp),
     ) {
-        match self.in_flight.get(client.0 as usize) {
-            // Foreign completion (outside this population, or a client with
-            // nothing of ours in flight): no slot frees up.
-            None | Some(0) => return,
-            Some(_) => {}
+        // Foreign completion (outside this population, or a client with
+        // nothing of ours in flight): the client submits nothing.
+        if self.busy.get(client.0 as usize) != Some(&true) {
+            return;
         }
-        // The freed slot is reoccupied after the think pause, so the
-        // in-flight count holds at its cap. Provenance filtering upstream —
-        // submit-time in `Phased` — keeps other populations' completions from
-        // ever reaching this point.
+        // The client submits again after the think pause, so it keeps one
+        // request in flight. Provenance filtering upstream — submit-time in
+        // `Phased` — keeps other populations' completions from ever reaching
+        // this point.
         let t = finish + self.think();
         emit(client, t);
     }

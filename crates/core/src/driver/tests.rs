@@ -61,7 +61,7 @@ fn unsaturated_latency_is_lower_than_saturated_latency() {
         &mut small_ycsb(0.0),
         &DriverConfig {
             transactions: 50,
-            offered_tps: 20.0,
+            arrival: ArrivalSpec::OpenLoop { offered_tps: 20.0 },
             ..DriverConfig::default()
         },
     );
@@ -162,7 +162,9 @@ fn record_arrivals(config: &DriverConfig) -> ArrivalRecorder {
 fn arrival_times_are_strictly_increasing() {
     let recorder = record_arrivals(&DriverConfig {
         transactions: 2_000,
-        offered_tps: 10_000.0,
+        arrival: ArrivalSpec::OpenLoop {
+            offered_tps: 10_000.0,
+        },
         ..DriverConfig::default()
     });
     assert_eq!(recorder.arrivals.len(), 2_000);
@@ -181,7 +183,9 @@ fn arrivals_never_tie_even_at_extreme_offered_load() {
     // across equal-seed runs.
     let config = DriverConfig {
         transactions: 5_000,
-        offered_tps: 1_000_000.0,
+        arrival: ArrivalSpec::OpenLoop {
+            offered_tps: 1_000_000.0,
+        },
         ..DriverConfig::default()
     };
     let a = record_arrivals(&config);
@@ -189,7 +193,7 @@ fn arrivals_never_tie_even_at_extreme_offered_load() {
         a.arrivals.windows(2).all(|w| w[0] < w[1]),
         "global strict monotonicity"
     );
-    for client in 0..config.clients {
+    for client in 0..config.arrival.client_span() {
         let per_client: Vec<_> = a
             .arrivals
             .iter()
@@ -211,7 +215,7 @@ fn mean_inter_arrival_gap_tracks_the_offered_load() {
     for offered_tps in [1_000.0, 25_000.0] {
         let recorder = record_arrivals(&DriverConfig {
             transactions: 8_000,
-            offered_tps,
+            arrival: ArrivalSpec::OpenLoop { offered_tps },
             ..DriverConfig::default()
         });
         let span = (recorder.arrivals.last().unwrap() - recorder.arrivals[0]) as f64;
@@ -227,15 +231,16 @@ fn mean_inter_arrival_gap_tracks_the_offered_load() {
 
 #[test]
 fn arrivals_cycle_round_robin_across_the_configured_clients() {
-    let clients = 8u64;
     let transactions = 401u64;
-    let recorder = record_arrivals(&DriverConfig {
+    let config = DriverConfig {
         transactions,
-        clients,
         ..DriverConfig::default()
-    });
+    };
+    let clients = config.arrival.client_span();
+    assert_eq!(clients, 32, "the open loop's fixed population");
+    let recorder = record_arrivals(&config);
     // The i-th submission comes from client i mod `clients`, as the
-    // DriverConfig docs promise.
+    // ArrivalSpec docs promise.
     for (i, client) in recorder.clients.iter().enumerate() {
         assert_eq!(*client, i as u64 % clients, "submission {i}");
     }
@@ -324,26 +329,22 @@ fn same_seed_reproduces_identical_results() {
 
 #[test]
 fn open_loop_spec_matches_the_legacy_arrival_process_exactly() {
-    // Three-way byte-identity pin for the refactor: (a) the implicit
-    // open-loop default, (b) an explicit `ArrivalSpec::OpenLoop`, and
-    // (c) an inline replay of the pre-refactor arrival arithmetic must
-    // produce the same schedule, microsecond for microsecond.
+    // Byte-identity pin for the arrival refactors: an explicit
+    // `ArrivalSpec::OpenLoop` and an inline replay of the pre-refactor
+    // arrival arithmetic must produce the same schedule, microsecond for
+    // microsecond.
+    let offered_tps = 30_000.0;
     let config = DriverConfig {
         transactions: 1_000,
-        offered_tps: 30_000.0,
+        arrival: ArrivalSpec::OpenLoop { offered_tps },
         seed: 99,
         ..DriverConfig::default()
     };
-    let implicit = record_arrivals(&config);
-    let explicit = record_arrivals(&config.clone().with_arrival(ArrivalSpec::OpenLoop {
-        offered_tps: 30_000.0,
-    }));
-    assert_eq!(implicit.arrivals, explicit.arrivals);
-    assert_eq!(implicit.clients, explicit.clients);
+    let explicit = record_arrivals(&config);
 
     // The legacy `ArrivalProcess` arithmetic, replayed inline.
     let mut rng = rng::seeded(rng::derive_seed(config.seed, "driver"));
-    let mean_gap_us = 1e6 / config.offered_tps;
+    let mean_gap_us = 1e6 / offered_tps;
     let (mut base, mut last) = (0u64, 0u64);
     let legacy: Vec<Timestamp> = (0..config.transactions)
         .map(|_| {
@@ -354,7 +355,7 @@ fn open_loop_spec_matches_the_legacy_arrival_process_exactly() {
             at
         })
         .collect();
-    assert_eq!(implicit.arrivals, legacy);
+    assert_eq!(explicit.arrivals, legacy);
 }
 
 #[test]
@@ -368,11 +369,10 @@ fn closed_loop_waits_for_completion_plus_think_time() {
     };
     let config = DriverConfig {
         transactions: 400,
-        arrival: Some(ArrivalSpec::ClosedLoop {
+        arrival: ArrivalSpec::ClosedLoop {
             clients: 4,
             think_time_us: 300,
-            max_outstanding: 1,
-        }),
+        },
         ..DriverConfig::default()
     };
     run_workload(&mut recorder, &mut small_ycsb(0.0), &config);
@@ -442,7 +442,10 @@ impl TransactionalSystem for StagedRecorder {
 
 #[test]
 fn closed_loop_outstanding_cap_is_never_exceeded_and_is_reached() {
-    let (clients, cap) = (3u64, 4u64);
+    // A closed-loop client keeps exactly one request in flight: with the
+    // service time far above the think time, every client holds one at
+    // some instant and never two.
+    let clients = 3u64;
     let mut recorder = StagedRecorder {
         service_us: 5_000,
         spans: Vec::new(),
@@ -451,19 +454,17 @@ fn closed_loop_outstanding_cap_is_never_exceeded_and_is_reached() {
     };
     let config = DriverConfig {
         transactions: 600,
-        arrival: Some(ArrivalSpec::ClosedLoop {
+        arrival: ArrivalSpec::ClosedLoop {
             clients,
             think_time_us: 200,
-            max_outstanding: cap,
-        }),
+        },
         ..DriverConfig::default()
     };
     run_workload(&mut recorder, &mut small_ycsb(0.0), &config);
     assert_eq!(recorder.spans.len(), 600);
     assert!(recorder.spans.iter().all(|(_, _, f)| *f > 0));
-    // Recorder-based cap check: per client, count overlapping
-    // [arrival, finish) spans at every arrival instant.
-    let mut overall_max = 0u64;
+    // Recorder-based check: per client, count overlapping [arrival, finish)
+    // spans at every arrival instant.
     for client in 0..clients {
         let spans: Vec<_> = recorder
             .spans
@@ -473,19 +474,11 @@ fn closed_loop_outstanding_cap_is_never_exceeded_and_is_reached() {
             .collect();
         let max_in_flight = spans
             .iter()
-            .map(|(a, _)| spans.iter().filter(|(a2, f2)| a2 <= a && a < f2).count() as u64)
+            .map(|(a, _)| spans.iter().filter(|(a2, f2)| a2 <= a && a < f2).count())
             .max()
             .unwrap_or(0);
-        assert!(
-            max_in_flight <= cap,
-            "client {client} had {max_in_flight} > cap {cap} in flight"
-        );
-        overall_max = overall_max.max(max_in_flight);
+        assert_eq!(max_in_flight, 1, "client {client} in flight");
     }
-    assert_eq!(
-        overall_max, cap,
-        "with service ≫ think the cap should bind for some client"
-    );
 }
 
 fn variant_specs() -> Vec<(&'static str, ArrivalSpec)> {
@@ -501,7 +494,6 @@ fn variant_specs() -> Vec<(&'static str, ArrivalSpec)> {
             ArrivalSpec::ClosedLoop {
                 clients: 6,
                 think_time_us: 400,
-                max_outstanding: 2,
             },
         ),
         (
@@ -533,7 +525,7 @@ fn every_variant_is_seed_deterministic_and_seed_sensitive() {
             let config = DriverConfig {
                 transactions: 600,
                 seed,
-                arrival: Some(spec.clone()),
+                arrival: spec.clone(),
                 ..DriverConfig::default()
             };
             let r = record_arrivals(&config);
@@ -549,7 +541,7 @@ fn every_variant_delivers_strictly_monotonic_unique_arrivals() {
     for (name, spec) in variant_specs() {
         let config = DriverConfig {
             transactions: 600,
-            arrival: Some(spec),
+            arrival: spec,
             ..DriverConfig::default()
         };
         let r = record_arrivals(&config);
@@ -566,7 +558,7 @@ fn phased_ramp_shifts_the_offered_rate_at_the_boundary() {
     let boundary = 100_000u64;
     let config = DriverConfig {
         transactions: 1_100,
-        arrival: Some(ArrivalSpec::Phased {
+        arrival: ArrivalSpec::Phased {
             phases: vec![
                 (
                     boundary,
@@ -581,7 +573,7 @@ fn phased_ramp_shifts_the_offered_rate_at_the_boundary() {
                     },
                 ),
             ],
-        }),
+        },
         ..DriverConfig::default()
     };
     let r = record_arrivals(&config);
@@ -609,9 +601,9 @@ fn a_closed_loop_phase_ignores_the_previous_phases_draining_backlog() {
     // phase while the slow system still holds the burst's backlog. The
     // backlog's completions were submitted before the closed phase began
     // and belong to a retired population — they must not trigger
-    // closed-loop submissions, or the outstanding cap breaks.
+    // closed-loop submissions, or a client holds more than one request.
     let boundary = 20_000u64;
-    let (clients, cap) = (2u64, 1u64);
+    let clients = 2u64;
     let mut recorder = StagedRecorder {
         service_us: 50_000,
         spans: Vec::new(),
@@ -620,7 +612,7 @@ fn a_closed_loop_phase_ignores_the_previous_phases_draining_backlog() {
     };
     let config = DriverConfig {
         transactions: 150,
-        arrival: Some(ArrivalSpec::Phased {
+        arrival: ArrivalSpec::Phased {
             phases: vec![
                 (
                     boundary,
@@ -633,16 +625,16 @@ fn a_closed_loop_phase_ignores_the_previous_phases_draining_backlog() {
                     ArrivalSpec::ClosedLoop {
                         clients,
                         think_time_us: 0,
-                        max_outstanding: cap,
                     },
                 ),
             ],
-        }),
+        },
         ..DriverConfig::default()
     };
     run_workload(&mut recorder, &mut small_ycsb(0.0), &config);
     // Everything submitted from the boundary on comes from the closed
-    // population: its two clients only, never more than `cap` in flight.
+    // population: its two clients only, never more than one request each
+    // in flight.
     let phase2: Vec<_> = recorder
         .spans
         .iter()
@@ -663,13 +655,13 @@ fn a_closed_loop_phase_ignores_the_previous_phases_draining_backlog() {
             .collect();
         let max_in_flight = spans
             .iter()
-            .map(|(a, _)| spans.iter().filter(|(a2, f2)| a2 <= a && a < f2).count() as u64)
+            .map(|(a, _)| spans.iter().filter(|(a2, f2)| a2 <= a && a < f2).count())
             .max()
             .unwrap_or(0);
         assert!(
-            max_in_flight <= cap,
+            max_in_flight <= 1,
             "client {client}: the burst backlog inflated the closed loop \
-             to {max_in_flight} > cap {cap} in flight"
+             to {max_in_flight} requests in flight"
         );
     }
 }

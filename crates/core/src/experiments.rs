@@ -817,7 +817,9 @@ pub fn fault01_plan(txns: u64, seed: u64) -> ExperimentPlan {
         workload: ycsb(YcsbMix::UpdateOnly, 1000, 0.0, 1),
         driver: DriverConfig {
             transactions: txns,
-            offered_tps: 2_000.0,
+            arrival: ArrivalSpec::OpenLoop {
+                offered_tps: 2_000.0,
+            },
             window_us: Some((span / 12).max(1)),
             ..DriverConfig::default()
         },
@@ -896,7 +898,9 @@ pub fn chaos01_plan(txns: u64, seed: u64) -> ExperimentPlan {
         workload: ycsb(YcsbMix::UpdateOnly, 1000, 0.0, 1),
         driver: DriverConfig {
             transactions: txns,
-            offered_tps: 1_000.0,
+            arrival: ArrivalSpec::OpenLoop {
+                offered_tps: 1_000.0,
+            },
             window_us: Some((span / 12).max(1)),
             ..DriverConfig::default()
         },
@@ -935,11 +939,10 @@ pub fn closed01_plan(txns: u64, seed: u64) -> ExperimentPlan {
         workload: ycsb(YcsbMix::UpdateOnly, 1000, 0.0, 1),
         driver: DriverConfig {
             transactions: txns,
-            arrival: Some(ArrivalSpec::ClosedLoop {
+            arrival: ArrivalSpec::ClosedLoop {
                 clients: 1,
                 think_time_us: CLOSED01_THINK_US,
-                max_outstanding: 1,
-            }),
+            },
             ..DriverConfig::default()
         },
         sweep: Sweep::ClosedClients(CLOSED01_CLIENTS.to_vec()),
@@ -984,11 +987,10 @@ pub fn scale01_plan(txns: u64, clients: &[u64], seed: u64) -> ExperimentPlan {
         workload: ycsb(YcsbMix::UpdateOnly, 64, 0.0, 1),
         driver: DriverConfig {
             transactions: txns,
-            arrival: Some(ArrivalSpec::ClosedLoop {
+            arrival: ArrivalSpec::ClosedLoop {
                 clients: 1,
                 think_time_us: SCALE01_THINK_US,
-                max_outstanding: 1,
-            }),
+            },
             window_us: Some(SCALE01_WINDOW_US),
             metrics: MetricsMode::Streaming,
             ..DriverConfig::default()
@@ -1033,12 +1035,12 @@ pub fn ramp01_plan(txns: u64, seed: u64) -> ExperimentPlan {
         workload: ycsb(YcsbMix::UpdateOnly, 1000, 0.0, 1),
         driver: DriverConfig {
             transactions: txns,
-            arrival: Some(ArrivalSpec::Phased {
+            arrival: ArrivalSpec::Phased {
                 phases: RAMP01_RATES
                     .iter()
                     .map(|&offered_tps| (phase_us, ArrivalSpec::OpenLoop { offered_tps }))
                     .collect(),
-            }),
+            },
             // Four windows per phase, so the saturation inflection is
             // visible inside the series, not just across runs.
             window_us: Some((phase_us / 4).max(1)),

@@ -37,7 +37,7 @@ pub mod scenario;
 
 pub use chaos::{OracleContext, OracleOutcome, OracleReport, OracleSet};
 pub use driver::{run_workload, ArrivalSpec, DriverConfig, RunStats};
-pub use lint::{lint_plan, lint_scenario};
+pub use lint::lint_plan;
 pub use metrics::{
     ExactLatency, LatencyEstimator, LatencySummary, Metrics, MetricsMode, P2Quantile, ReceiptFold,
     StreamingAggregator, StreamingLatency, TimeSeries, TimeWindow,

@@ -4,8 +4,9 @@
 //! `repro lint [ids…]` expands every experiment to its [`ExperimentPlan`]
 //! *without executing a single probe* and diagnoses plan-level mistakes
 //! statically — in the spirit of static robustness analysis over declarative
-//! transaction templates: the [`Scenario`] spec is declarative enough that a
-//! whole class of misconfigurations is decidable before any simulation runs.
+//! transaction templates: the [`Scenario`](crate::Scenario) spec is
+//! declarative enough that a whole class of misconfigurations is decidable
+//! before any simulation runs.
 //!
 //! Codes (`S0xx`, in the [`Diagnostic`] model of `dichotomy-common`):
 //!
@@ -14,7 +15,7 @@
 //! | S001 | warn | fault event at/past the arrival horizon (dropped) |
 //! | S002 | warn | overlapping crash windows merged |
 //! | S003 | warn | duplicate probes in one plan (wasted dedup slots) |
-//! | S004 | deny | a sweep axis the arrival spec never reads (`OfferedTps` off an open loop, a closed-loop axis off a `ClosedLoop`) |
+//! | S004 | — | retired with the sweep axes an arrival spec could leave unread; not reused |
 //! | S005 | — | retired with the `Mixed` arrival population it checked; not reused |
 //! | S006 | warn | `window_us` wider than the run's arrival horizon |
 //! | S007 | note | zero-probe experiment riding a bench set |
@@ -30,11 +31,9 @@ use std::collections::BTreeMap;
 
 use dichotomy_common::{Diagnostic, Severity};
 
-use crate::driver::ArrivalSpec;
 use crate::scenario::{
-    arrival_horizon_us, probe_key_bytes, sanitize_fault_plans, ExperimentPlan, Probe, Scenario,
+    arrival_horizon_us, probe_key_bytes, sanitize_fault_plans, ExperimentPlan, Probe,
 };
-use crate::Sweep;
 
 /// Lint a fully expanded plan. Includes the expansion-time findings carried
 /// on `plan.diagnostics` (S001/S002 from `Scenario::plan()`), a fresh fault
@@ -136,119 +135,4 @@ pub fn lint_plan(plan: &ExperimentPlan) -> Vec<Diagnostic> {
     }
 
     diags
-}
-
-/// Lint a scenario *before* expansion: scenario-level mistakes that are
-/// invisible in the expanded plan (S004, duplicate sweep values), then
-/// everything [`lint_plan`] finds on the expansion itself. An S004 finding
-/// stops there: the plan is not expanded.
-pub fn lint_scenario(scenario: &Scenario) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-
-    // S004: a sweep axis the arrival spec never reads.
-    let unread_axis = unread_sweep_axis(&scenario.sweep, scenario.driver.arrival.as_ref())
-        .map(|d| d.at_plan(scenario.id, "", ""));
-    let expandable = unread_axis.is_none();
-    diags.extend(unread_axis);
-
-    // S003 (scenario form): duplicate sweep values expand to byte-identical
-    // probes; report them at the source rather than per expanded row.
-    for (a, b) in duplicate_sweep_points(&scenario.sweep) {
-        diags.push(
-            Diagnostic::new(
-                "S003",
-                Severity::Warn,
-                format!("sweep point {b} duplicates point {a}: identical rows"),
-            )
-            .with_help("drop the duplicate sweep value")
-            .at_plan(scenario.id, "", ""),
-        );
-    }
-
-    // An unread axis expands to identical rows at best, and the closed-loop
-    // axes cannot expand at all: report what the scenario itself shows.
-    if expandable {
-        diags.extend(lint_plan(&scenario.plan()));
-    }
-    diags
-}
-
-/// S004: a sweep axis `arrival` never reads, so every sweep point measures
-/// the same thing. `Sweep::OfferedTps` writes `driver.offered_tps`, which
-/// only an open loop (explicit, or implied by no spec) reads; the closed-loop
-/// axes write a field of a top-level `ClosedLoop` spec, and no other arrival
-/// has one to write (`Sweep::apply` panics).
-fn unread_sweep_axis(sweep: &Sweep, arrival: Option<&ArrivalSpec>) -> Option<Diagnostic> {
-    let deny = |message: String, help: &str| {
-        Some(Diagnostic::new("S004", Severity::Deny, message).with_help(help))
-    };
-    let (axis, points) = match sweep {
-        Sweep::OfferedTps(points) => {
-            return match arrival {
-                Some(ArrivalSpec::ClosedLoop { .. }) => deny(
-                    format!(
-                        "Sweep::OfferedTps ({} points) over a closed-loop arrival: \
-                         closed loops pace on completions, the swept offered_tps is \
-                         never read",
-                        points.len()
-                    ),
-                    "sweep ClosedClients/ThinkTimeUs instead, or drop the arrival spec",
-                ),
-                Some(ArrivalSpec::Phased { .. }) => deny(
-                    format!(
-                        "Sweep::OfferedTps ({} points) over a phased arrival: \
-                         the arrival spec overrides the swept offered_tps",
-                        points.len()
-                    ),
-                    "encode the load axis in the arrival spec itself",
-                ),
-                None | Some(ArrivalSpec::OpenLoop { .. }) => None,
-            };
-        }
-        Sweep::ClosedClients(points) => ("ClosedClients", points.len()),
-        Sweep::ThinkTimeUs(points) => ("ThinkTimeUs", points.len()),
-        Sweep::MaxOutstanding(points) => ("MaxOutstanding", points.len()),
-        _ => return None,
-    };
-    match arrival {
-        Some(ArrivalSpec::ClosedLoop { .. }) => None,
-        _ => deny(
-            format!(
-                "Sweep::{axis} ({points} points) over an arrival that is not a closed \
-                 loop: only a top-level ClosedLoop spec has the swept field"
-            ),
-            "set a ClosedLoop arrival spec, or sweep OfferedTps instead",
-        ),
-    }
-}
-
-/// Indices `(first, dup)` of sweep points equal to an earlier point.
-/// Float axes compare by bit pattern — exactly the equality the probe
-/// content key sees after `Encode`.
-fn duplicate_sweep_points(sweep: &Sweep) -> Vec<(usize, usize)> {
-    fn dups<T, K: Ord>(items: &[T], key: impl Fn(&T) -> K) -> Vec<(usize, usize)> {
-        let mut first: BTreeMap<K, usize> = BTreeMap::new();
-        let mut out = Vec::new();
-        for (i, item) in items.iter().enumerate() {
-            match first.get(&key(item)) {
-                Some(&j) => out.push((j, i)),
-                None => {
-                    first.insert(key(item), i);
-                }
-            }
-        }
-        out
-    }
-    match sweep {
-        Sweep::None | Sweep::Fault(_) => Vec::new(),
-        Sweep::Nodes(v) => dups(v, |&n| n),
-        Sweep::Theta(v) => dups(v, |&t| t.to_bits()),
-        Sweep::OpsPerTxn { counts, .. } => dups(counts, |&c| c),
-        Sweep::RecordSize(v) => dups(v, |&s| s),
-        Sweep::Shards(v) => dups(v, |&s| s),
-        Sweep::OfferedTps(v) => dups(v, |&t| t.to_bits()),
-        Sweep::ClosedClients(v) | Sweep::ThinkTimeUs(v) | Sweep::MaxOutstanding(v) => {
-            dups(v, |&x| x)
-        }
-    }
 }

@@ -7,7 +7,9 @@
 //! declaratively:
 //!
 //! * a [`Scenario`] is the `{systems, workload, driver, sweep}` description;
-//!   [`Scenario::plan`] expands it into an [`ExperimentPlan`];
+//!   [`Scenario::plan`] expands it into an [`ExperimentPlan`]. The sweep
+//!   axes are the ones the experiments vary: θ, operations per transaction,
+//!   record size, shards, closed-loop clients and fault schedules;
 //! * an [`ExperimentPlan`] is the fully elaborated grid — labelled rows of
 //!   [`Probe`]s with the columns each probe reports — and is what the one
 //!   generic engine, [`run_plan`], executes;
@@ -215,8 +217,6 @@ impl ExperimentPlan {
 pub enum Sweep {
     /// No sweep: one row per system.
     None,
-    /// Replica count.
-    Nodes(Vec<usize>),
     /// Zipfian skew θ.
     Theta(Vec<f64>),
     /// Operations per transaction; when `payload_bytes` is set the record
@@ -232,17 +232,9 @@ pub enum Sweep {
     RecordSize(Vec<usize>),
     /// Shard count.
     Shards(Vec<u32>),
-    /// Offered load in transactions per second.
-    OfferedTps(Vec<f64>),
     /// Closed-loop client count (the driver's arrival spec must be
     /// [`ArrivalSpec::ClosedLoop`]).
     ClosedClients(Vec<u64>),
-    /// Closed-loop mean think time in µs (the driver's arrival spec must be
-    /// [`ArrivalSpec::ClosedLoop`]).
-    ThinkTimeUs(Vec<u64>),
-    /// Closed-loop outstanding-request cap (the driver's arrival spec must
-    /// be [`ArrivalSpec::ClosedLoop`]).
-    MaxOutstanding(Vec<u64>),
     /// Declarative fault schedules: one labelled [`FaultPlan`] per row, every
     /// system entry measured under every plan (the chaos grid's axis).
     Fault(Vec<(String, FaultPlan)>),
@@ -253,15 +245,11 @@ impl Sweep {
     pub fn len(&self) -> usize {
         match self {
             Sweep::None => 0,
-            Sweep::Nodes(v) => v.len(),
             Sweep::Theta(v) => v.len(),
             Sweep::OpsPerTxn { counts, .. } => counts.len(),
             Sweep::RecordSize(v) => v.len(),
             Sweep::Shards(v) => v.len(),
-            Sweep::OfferedTps(v) => v.len(),
             Sweep::ClosedClients(v) => v.len(),
-            Sweep::ThinkTimeUs(v) => v.len(),
-            Sweep::MaxOutstanding(v) => v.len(),
             Sweep::Fault(v) => v.len(),
         }
     }
@@ -275,15 +263,11 @@ impl Sweep {
     fn label(&self, i: usize) -> String {
         match self {
             Sweep::None => String::new(),
-            Sweep::Nodes(v) => format!("{} nodes", v[i]),
             Sweep::Theta(v) => format!("theta={:.1}", v[i]),
             Sweep::OpsPerTxn { counts, .. } => format!("{} ops/txn", counts[i]),
             Sweep::RecordSize(v) => format!("{} B", v[i]),
             Sweep::Shards(v) => format!("{} shards", v[i]),
-            Sweep::OfferedTps(v) => format!("{} tps", v[i]),
             Sweep::ClosedClients(v) => format!("{} clients", v[i]),
-            Sweep::ThinkTimeUs(v) => format!("think={} µs", v[i]),
-            Sweep::MaxOutstanding(v) => format!("outstanding={}", v[i]),
             Sweep::Fault(v) => v[i].0.clone(),
         }
     }
@@ -298,7 +282,6 @@ impl Sweep {
     ) {
         match self {
             Sweep::None => {}
-            Sweep::Nodes(v) => spec.nodes = Some(v[i]),
             Sweep::Theta(v) => *workload = workload.clone().with_theta(v[i]),
             Sweep::OpsPerTxn {
                 counts,
@@ -312,32 +295,10 @@ impl Sweep {
             }
             Sweep::RecordSize(v) => *workload = workload.clone().with_record_size(v[i]),
             Sweep::Shards(v) => spec.shards = Some(v[i]),
-            Sweep::OfferedTps(v) => {
-                driver.offered_tps = v[i];
-                // An explicit open-loop spec tracks the sweep too; other
-                // specs keep their own arrival parameters.
-                if let Some(ArrivalSpec::OpenLoop { offered_tps }) = &mut driver.arrival {
-                    *offered_tps = v[i];
-                }
-            }
             Sweep::ClosedClients(v) => match &mut driver.arrival {
-                Some(ArrivalSpec::ClosedLoop { clients, .. }) => *clients = v[i],
+                ArrivalSpec::ClosedLoop { clients, .. } => *clients = v[i],
                 other => {
                     panic!("Sweep::ClosedClients needs a ClosedLoop arrival spec, got {other:?}")
-                }
-            },
-            Sweep::ThinkTimeUs(v) => match &mut driver.arrival {
-                Some(ArrivalSpec::ClosedLoop { think_time_us, .. }) => *think_time_us = v[i],
-                other => {
-                    panic!("Sweep::ThinkTimeUs needs a ClosedLoop arrival spec, got {other:?}")
-                }
-            },
-            Sweep::MaxOutstanding(v) => match &mut driver.arrival {
-                Some(ArrivalSpec::ClosedLoop {
-                    max_outstanding, ..
-                }) => *max_outstanding = v[i],
-                other => {
-                    panic!("Sweep::MaxOutstanding needs a ClosedLoop arrival spec, got {other:?}")
                 }
             },
             // The fault axis overrides whatever schedule the entry carried:
@@ -492,13 +453,10 @@ impl Scenario {
 /// fault schedules and window widths against the same horizon the sanitizer
 /// uses.
 pub fn arrival_horizon_us(driver: &DriverConfig) -> Option<u64> {
-    let open_loop_span = |offered_tps: f64| {
-        (offered_tps > 0.0).then(|| (driver.transactions as f64 / offered_tps * 1e6).ceil() as u64)
-    };
-    match &driver.arrival {
-        None => open_loop_span(driver.offered_tps),
-        Some(ArrivalSpec::OpenLoop { offered_tps }) => open_loop_span(*offered_tps),
-        Some(ArrivalSpec::ClosedLoop { .. }) | Some(ArrivalSpec::Phased { .. }) => None,
+    match driver.arrival {
+        ArrivalSpec::OpenLoop { offered_tps } => (offered_tps > 0.0)
+            .then(|| (driver.transactions as f64 / offered_tps * 1e6).ceil() as u64),
+        ArrivalSpec::ClosedLoop { .. } | ArrivalSpec::Phased { .. } => None,
     }
 }
 

@@ -116,34 +116,23 @@ pub fn predicted_probe_cost(probe: &Probe) -> f64 {
             workload,
             driver,
         } => {
-            let nodes = system.nodes.unwrap_or(4).max(1);
             let txns = driver.transactions.max(1) as f64;
-            let taxonomy = system.taxonomy();
             let (record_size, ops) = match workload {
                 WorkloadSpec::Ycsb(c) => (c.record_size, c.ops_per_txn.max(1)),
                 // Smallbank procedures touch two accounts on average.
                 WorkloadSpec::Smallbank(c) => (c.record_size, 2),
             };
-            let spec = HybridSpec {
-                name: system.label(),
-                replication: taxonomy.replication,
-                protocol: taxonomy.protocol,
-                concurrency: taxonomy.concurrency,
-                nodes,
-                txn_bytes: (record_size * ops).max(1),
-                batch_size: system.block_txns.unwrap_or(500).max(1),
-            };
-            let network = system
-                .network
-                .clone()
-                .unwrap_or_else(NetworkConfig::lan_1gbps);
+            let mut spec = system.hybrid_spec(record_size, ops);
+            spec.nodes = spec.nodes.max(1);
+            spec.txn_bytes = spec.txn_bytes.max(1);
+            spec.batch_size = spec.batch_size.max(1);
             let costs = system.costs.clone().unwrap_or_else(CostModel::calibrated);
-            let per_txn_us = forecast_txn_cost_us(&spec, &network, &costs);
-            let cost = txns * nodes as f64 * per_txn_us;
+            let per_txn_us = forecast_txn_cost_us(&spec, &NetworkConfig::lan_1gbps(), &costs);
+            let cost = txns * spec.nodes as f64 * per_txn_us;
             if cost.is_finite() && cost > 0.0 {
                 cost
             } else {
-                txns * nodes as f64
+                txns * spec.nodes as f64
             }
         }
         Probe::AdrOverhead { records, .. } => (*records).max(1) as f64,

@@ -1,8 +1,9 @@
 use std::sync::Mutex;
 
-use dichotomy_common::{Decode, Encode};
+use dichotomy_common::{Decode, Encode, NodeId};
+use dichotomy_simnet::NodeFault;
 use dichotomy_systems::{SystemKind, SystemRegistry};
-use dichotomy_workload::YcsbMix;
+use dichotomy_workload::{YcsbConfig, YcsbMix};
 
 use super::pool::{plan_batches, Batch};
 use super::*;
@@ -52,7 +53,7 @@ fn sweeps_expand_to_one_row_per_point() {
 #[test]
 fn row_label_overrides_win() {
     let mut scenario = tiny_scenario(1);
-    scenario.sweep = Sweep::Nodes(vec![3, 5]);
+    scenario.sweep = Sweep::Shards(vec![1, 4]);
     scenario.row_labels = Some(vec!["small".into(), "large".into()]);
     let plan = scenario.plan();
     assert_eq!(plan.rows[0].label, "small");
@@ -60,13 +61,84 @@ fn row_label_overrides_win() {
 }
 
 #[test]
-fn node_sweeps_reach_the_built_system() {
-    let mut scenario = tiny_scenario(1);
-    scenario.sweep = Sweep::Nodes(vec![3, 7]);
-    let plan = scenario.plan();
-    match &plan.rows[1].runs[0].probe {
-        Probe::Drive { system, .. } => assert_eq!(system.nodes, Some(7)),
-        _ => panic!("expected a drive probe"),
+fn every_sweep_axis_writes_its_point_into_the_probe() {
+    let mut crash = FaultPlan::none();
+    crash.add(NodeFault::crash_until(NodeId(0), 100, 200));
+    let open = DriverConfig::saturating(150);
+    let closed = DriverConfig {
+        arrival: ArrivalSpec::ClosedLoop {
+            clients: 1,
+            think_time_us: 0,
+        },
+        ..DriverConfig::saturating(150)
+    };
+    // Per axis: two points, the driver regime it needs, and what the second
+    // point must read back from the expanded probe.
+    type Read = fn(&SystemSpec, &YcsbConfig, &DriverConfig) -> String;
+    let axes: Vec<(Sweep, &DriverConfig, Read, String)> = vec![
+        (
+            Sweep::Theta(vec![0.0, 0.7]),
+            &open,
+            |_, w, _| w.zipf_theta.to_string(),
+            "0.7".into(),
+        ),
+        (
+            Sweep::OpsPerTxn {
+                counts: vec![1, 3],
+                payload_bytes: None,
+            },
+            &open,
+            |_, w, _| w.ops_per_txn.to_string(),
+            "3".into(),
+        ),
+        (
+            Sweep::RecordSize(vec![10, 300]),
+            &open,
+            |_, w, _| w.record_size.to_string(),
+            "300".into(),
+        ),
+        (
+            Sweep::Shards(vec![1, 4]),
+            &open,
+            |s, _, _| format!("{:?}", s.shards),
+            "Some(4)".into(),
+        ),
+        (
+            Sweep::ClosedClients(vec![1, 9]),
+            &closed,
+            |_, _, d| format!("{:?}", d.arrival),
+            "ClosedLoop { clients: 9, think_time_us: 0 }".into(),
+        ),
+        (
+            Sweep::Fault(vec![
+                ("none".into(), FaultPlan::none()),
+                ("crash".into(), crash.clone()),
+            ]),
+            &open,
+            |s, _, _| format!("{:?}", s.faults.as_ref().map(FaultPlan::faults)),
+            format!("{:?}", Some(crash.faults())),
+        ),
+    ];
+    for (sweep, driver, read, expected) in axes {
+        let mut scenario = tiny_scenario(1);
+        scenario.sweep = sweep.clone();
+        scenario.driver = driver.clone();
+        let plan = scenario.plan();
+        let points: Vec<String> = plan
+            .rows
+            .iter()
+            .map(|row| match &row.runs[0].probe {
+                Probe::Drive {
+                    system,
+                    workload: WorkloadSpec::Ycsb(w),
+                    driver,
+                } => read(system, w, driver),
+                other => panic!("expected a YCSB drive probe, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(points.len(), 2, "{sweep:?}");
+        assert_eq!(points[1], expected, "{sweep:?}");
+        assert_ne!(points[0], expected, "{sweep:?}: the point, not a constant");
     }
 }
 
@@ -490,7 +562,6 @@ fn a_probe_cache_round_trips_every_kind_and_mode_byte_identically() {
 #[test]
 fn probe_keys_track_every_input_that_changes_the_measurement() {
     use crate::metrics::MetricsMode;
-    use dichotomy_simnet::NodeFault;
     let probe_of = |s: &Scenario| s.plan().rows[0].runs[0].probe.clone();
     let base = tiny_scenario(1);
     let key = probe_key_bytes(&probe_of(&base));
@@ -506,7 +577,7 @@ fn probe_keys_track_every_input_that_changes_the_measurement() {
     assert_ne!(key, probe_key_bytes(&probe_of(&streaming)));
     let mut faulted = tiny_scenario(1);
     let mut faults = dichotomy_simnet::FaultPlan::none();
-    faults.add(NodeFault::crash_until(dichotomy_common::NodeId(0), 10, 20));
+    faults.add(NodeFault::crash_until(NodeId(0), 10, 20));
     faulted.faults = Some(faults);
     assert_ne!(key, probe_key_bytes(&probe_of(&faulted)));
     // The content hash follows the key.
@@ -633,7 +704,6 @@ fn fail_fast_drains_the_queue_after_the_first_failure() {
 
 #[test]
 fn state_group_keys_follow_the_state_shape_and_the_initial_records_only() {
-    use dichotomy_simnet::NodeFault;
     let drive = |system: SystemSpec, workload: WorkloadSpec, driver: DriverConfig| {
         state_group_key(&Probe::Drive {
             system,
@@ -648,7 +718,7 @@ fn state_group_keys_follow_the_state_shape_and_the_initial_records_only() {
     // Nothing `load` may not read, and nothing about the driven
     // transactions, moves a probe to another group.
     let mut faults = FaultPlan::none();
-    faults.add(NodeFault::crash_until(dichotomy_common::NodeId(0), 10, 20));
+    faults.add(NodeFault::crash_until(NodeId(0), 10, 20));
     let elsewhere = SystemSpec::new(SystemKind::TiDb)
         .with_label("other")
         .with_nodes(9)

@@ -1,5 +1,5 @@
-//! Every semantic plan-lint code (`S0xx`) proven live against a synthetic
-//! scenario, plus the zero-finding baseline a well-formed scenario must hit.
+//! Every live semantic plan-lint code (`S0xx`) proven against the expansion
+//! of a synthetic scenario, plus the zero-finding baseline a well-formed scenario must hit.
 //! The real experiments are covered end-to-end by `repro lint` in ci.sh;
 //! these tests pin the *detectors* themselves.
 
@@ -8,7 +8,7 @@ use dichotomy_core::scenario::{ColumnSpec, Metric, Probe, Scenario, SystemEntry}
 use dichotomy_core::simnet::{FaultPlan, NodeFault};
 use dichotomy_core::systems::{SystemKind, SystemSpec};
 use dichotomy_core::workload::{WorkloadSpec, YcsbMix};
-use dichotomy_core::{lint_plan, lint_scenario, ArrivalSpec, DriverConfig, Sweep};
+use dichotomy_core::{lint_plan, ArrivalSpec, DriverConfig, Sweep};
 
 /// A minimal healthy scenario: one system, a short saturating open-loop run.
 /// `saturating(100)` keeps the arrival horizon tiny (100 txns at 200 K tps
@@ -36,7 +36,10 @@ fn codes(diags: &[Diagnostic]) -> Vec<&'static str> {
 
 #[test]
 fn well_formed_scenario_is_clean() {
-    assert_eq!(codes(&lint_scenario(&base_scenario())), Vec::<&str>::new());
+    assert_eq!(
+        codes(&lint_plan(&base_scenario().plan())),
+        Vec::<&str>::new()
+    );
 }
 
 #[test]
@@ -47,7 +50,7 @@ fn s001_fault_past_horizon() {
     faults.add(NodeFault::crash(NodeId(1), 1_000_000));
     scenario.faults = Some(faults);
 
-    let diags = lint_scenario(&scenario);
+    let diags = lint_plan(&scenario.plan());
     assert_eq!(codes(&diags), vec!["S001"]);
     assert_eq!(diags[0].severity, Severity::Warn);
     assert!(diags[0].message.contains("horizon"), "{}", diags[0].message);
@@ -78,7 +81,7 @@ fn s002_overlapping_crash_windows() {
     faults.add(NodeFault::crash_until(NodeId(1), 200, 400));
     scenario.faults = Some(faults);
 
-    let diags = lint_scenario(&scenario);
+    let diags = lint_plan(&scenario.plan());
     assert_eq!(codes(&diags), vec!["S002"]);
     assert_eq!(diags[0].severity, Severity::Warn);
     assert!(diags[0].message.contains("merged"), "{}", diags[0].message);
@@ -89,84 +92,18 @@ fn s003_duplicate_sweep_points() {
     let mut scenario = base_scenario();
     scenario.sweep = Sweep::Theta(vec![0.5, 0.9, 0.5]);
 
-    let diags = lint_scenario(&scenario);
-    // Scenario form: the duplicate sweep value; plan form: the expanded row
-    // whose probe carries the same content key. Both are S003.
+    let diags = lint_plan(&scenario.plan());
+    // The expanded row whose probe carries the same content key as an
+    // earlier one.
     assert!(!diags.is_empty());
     assert!(diags
         .iter()
         .all(|d| d.code == "S003" && d.severity == Severity::Warn));
     assert!(
-        diags.iter().any(|d| d.message.contains("sweep point")),
-        "scenario-level duplicate not reported: {:?}",
-        codes(&diags)
-    );
-    assert!(
         diags.iter().any(|d| d.message.contains("content key")),
         "plan-level duplicate not reported: {:?}",
         codes(&diags)
     );
-}
-
-#[test]
-fn s004_offered_tps_sweep_over_closed_loop() {
-    let mut scenario = base_scenario();
-    scenario.sweep = Sweep::OfferedTps(vec![1_000.0, 2_000.0]);
-    scenario.driver.arrival = Some(ArrivalSpec::ClosedLoop {
-        clients: 4,
-        think_time_us: 1_000,
-        max_outstanding: 1,
-    });
-
-    let diags = lint_scenario(&scenario);
-    assert!(codes(&diags).contains(&"S004"), "{:?}", codes(&diags));
-    let s004 = diags.iter().find(|d| d.code == "S004").unwrap();
-    assert_eq!(s004.severity, Severity::Deny);
-    assert!(s004.message.contains("closed-loop"), "{}", s004.message);
-}
-
-#[test]
-fn s004_offered_tps_sweep_over_phased_arrival() {
-    let open = |offered_tps| ArrivalSpec::OpenLoop { offered_tps };
-    let mut scenario = base_scenario();
-    scenario.sweep = Sweep::OfferedTps(vec![1_000.0, 2_000.0]);
-    scenario.driver.arrival = Some(ArrivalSpec::Phased {
-        phases: vec![(1_000, open(500.0)), (1_000, open(500.0))],
-    });
-
-    let diags = lint_scenario(&scenario);
-    let s004 = diags.iter().find(|d| d.code == "S004").unwrap();
-    assert_eq!(s004.severity, Severity::Deny);
-    assert!(s004.message.contains("phased"), "{}", s004.message);
-}
-
-#[test]
-fn s004_closed_loop_axes_off_a_closed_loop_deny_without_expanding() {
-    let open = |offered_tps| ArrivalSpec::OpenLoop { offered_tps };
-    let arrivals = [
-        None,
-        Some(open(1_000.0)),
-        Some(ArrivalSpec::Phased {
-            phases: vec![(1_000, open(1_000.0)), (1_000, open(10.0))],
-        }),
-    ];
-    let axes = [
-        Sweep::ClosedClients(vec![1, 8]),
-        Sweep::ThinkTimeUs(vec![1_000, 2_000]),
-        Sweep::MaxOutstanding(vec![1, 2]),
-    ];
-    for arrival in &arrivals {
-        for axis in &axes {
-            let mut scenario = base_scenario();
-            scenario.sweep = axis.clone();
-            scenario.driver.arrival = arrival.clone();
-            // Expanding this plan panics in `Sweep::apply`; the linter must
-            // report instead.
-            let diags = lint_scenario(&scenario);
-            assert_eq!(codes(&diags), vec!["S004"], "{axis:?} over {arrival:?}");
-            assert_eq!(diags[0].severity, Severity::Deny);
-        }
-    }
 }
 
 #[test]
@@ -176,15 +113,15 @@ fn phased_final_phase_keeps_faults_past_the_summed_durations() {
     // inside the run and must not be dropped as past the horizon.
     let open = |offered_tps| ArrivalSpec::OpenLoop { offered_tps };
     let mut scenario = base_scenario();
-    scenario.driver.arrival = Some(ArrivalSpec::Phased {
+    scenario.driver.arrival = ArrivalSpec::Phased {
         phases: vec![(1_000, open(1_000.0)), (1_000, open(10.0))],
-    });
+    };
     let crash = NodeFault::crash(NodeId(1), 5_000_000);
     let mut faults = FaultPlan::none();
     faults.add(crash.clone());
     scenario.faults = Some(faults);
 
-    assert_eq!(codes(&lint_scenario(&scenario)), Vec::<&str>::new());
+    assert_eq!(codes(&lint_plan(&scenario.plan())), Vec::<&str>::new());
     let plan = scenario.plan();
     let Probe::Drive { system, .. } = &plan.rows[0].runs[0].probe else {
         panic!("a scenario row is a drive probe");
@@ -199,7 +136,7 @@ fn s006_window_wider_than_horizon() {
     // Horizon ≈ 500 µs, window 1 s: the time series degenerates.
     scenario.driver.window_us = Some(1_000_000);
 
-    let diags = lint_scenario(&scenario);
+    let diags = lint_plan(&scenario.plan());
     assert_eq!(codes(&diags), vec!["S006"]);
     assert_eq!(diags[0].severity, Severity::Warn);
 }
@@ -211,7 +148,7 @@ fn s007_zero_probe_plan() {
     // but with no text to render it reports nothing at all.
     scenario.sweep = Sweep::Theta(vec![]);
 
-    let diags = lint_scenario(&scenario);
+    let diags = lint_plan(&scenario.plan());
     assert_eq!(codes(&diags), vec!["S007"]);
     assert_eq!(diags[0].severity, Severity::Note);
     assert!(
@@ -219,17 +156,4 @@ fn s007_zero_probe_plan() {
         "{}",
         diags[0].message
     );
-}
-
-#[test]
-fn deny_findings_fail_the_command_surface() {
-    let mut scenario = base_scenario();
-    scenario.sweep = Sweep::OfferedTps(vec![1_000.0]);
-    scenario.driver.arrival = Some(ArrivalSpec::ClosedLoop {
-        clients: 4,
-        think_time_us: 1_000,
-        max_outstanding: 1,
-    });
-    let diags = lint_scenario(&scenario);
-    assert!(dichotomy_core::common::diag::has_deny(&diags));
 }

@@ -14,7 +14,7 @@ use dichotomy_core::scenario::{
     probe_key_bytes, run_plan_with, ExperimentPlan, PlannedRow, PlannedRun, Probe, ProbeCache,
     ProbeResult,
 };
-use dichotomy_core::{DriverConfig, ExecOptions};
+use dichotomy_core::{ArrivalSpec, DriverConfig, ExecOptions};
 use dichotomy_simnet::{FaultPlan, NodeFault, StageEvent};
 use dichotomy_systems::{
     Completion, Engine, SystemKind, SystemRegistry, SystemSpec, TransactionalSystem,
@@ -71,7 +71,9 @@ fn measure(probes: &[Probe], registry: &SystemRegistry) -> BTreeMap<Vec<u8>, Vec
 fn group(kind: SystemKind, workload: &WorkloadSpec, faults: &FaultPlan) -> Vec<Probe> {
     let driver = DriverConfig {
         transactions: 120,
-        offered_tps: 20_000.0,
+        arrival: ArrivalSpec::OpenLoop {
+            offered_tps: 20_000.0,
+        },
         ..DriverConfig::default()
     };
     [(11, 0.0, 3), (12, 0.6, 5), (13, 0.99, 4)]

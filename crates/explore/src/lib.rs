@@ -39,6 +39,6 @@ pub use report::{
     measurement_plan, recovery_time_ms, run_explore, CutDesign, Design, ExploreOutcome, PLAN_ID,
 };
 pub use spec::{
-    enumerate, hybrid_spec_for, lint_spec, prune, ArrivalKnob, Candidate, EnumerateError,
-    Enumeration, ExploreSpec, PruneSpec, Pruned,
+    enumerate, lint_spec, prune, ArrivalKnob, Candidate, EnumerateError, Enumeration, ExploreSpec,
+    PruneSpec, Pruned,
 };

@@ -113,7 +113,6 @@ pub fn measurement_plan(survivors: &[Candidate], txns: u64, seed: u64) -> Experi
                 ArrivalKnob::Closed { clients } => ArrivalSpec::ClosedLoop {
                     clients,
                     think_time_us: 1_000,
-                    max_outstanding: 1,
                 },
             };
             let perf = PlannedRun {

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use dichotomy_common::rng::{seeded, Rng};
 use dichotomy_common::{Diagnostic, Severity};
 use dichotomy_consensus::ProtocolKind;
-use dichotomy_hybrid::{try_forecast_throughput, ForecastError, HybridSpec};
+use dichotomy_hybrid::{try_forecast_throughput, ForecastError};
 use dichotomy_simnet::{CostModel, NetworkConfig};
 use dichotomy_systems::{SystemKind, SystemSpec};
 use dichotomy_workload::{WorkloadSpec, YcsbConfig, YcsbMix};
@@ -192,23 +192,6 @@ impl Candidate {
     }
 }
 
-/// Map a `SystemSpec` through its taxonomy point into the forecast model's
-/// [`HybridSpec`] — the same mapping the probe scheduler's cost predictor
-/// uses, minus its defensive clamps: the explorer wants degenerate knobs to
-/// surface as [`ForecastError`]s, not to be silently repaired.
-pub fn hybrid_spec_for(system: &SystemSpec, record_size: usize, ops_per_txn: usize) -> HybridSpec {
-    let taxonomy = system.taxonomy();
-    HybridSpec {
-        name: system.label(),
-        replication: taxonomy.replication,
-        protocol: taxonomy.protocol,
-        concurrency: taxonomy.concurrency,
-        nodes: system.nodes.unwrap_or(4),
-        txn_bytes: record_size * ops_per_txn,
-        batch_size: system.block_txns.unwrap_or(500),
-    }
-}
-
 /// A candidate the generator could not score: its name and the structured
 /// forecast error (never a NaN reaching a comparator).
 #[derive(Debug, Clone, PartialEq)]
@@ -340,14 +323,12 @@ fn candidate(
         "{:?}|{:?}|{:?}",
         taxonomy.replication, taxonomy.protocol, taxonomy.concurrency
     );
-    let hybrid = hybrid_spec_for(&system, record_size, 1);
-    let network = system
-        .network
-        .clone()
-        .unwrap_or_else(NetworkConfig::lan_1gbps);
+    // Unclamped, unlike the probe scheduler's cost predictor: degenerate
+    // knobs surface as `ForecastError`s instead of being silently repaired.
+    let hybrid = system.hybrid_spec(record_size, 1);
     let costs = system.costs.clone().unwrap_or_else(CostModel::calibrated);
-    let forecast_tps =
-        try_forecast_throughput(&hybrid, &network, &costs).map_err(|error| EnumerateError {
+    let forecast_tps = try_forecast_throughput(&hybrid, &NetworkConfig::lan_1gbps(), &costs)
+        .map_err(|error| EnumerateError {
             candidate: name.clone(),
             error,
         })?;

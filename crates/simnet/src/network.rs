@@ -8,8 +8,6 @@
 //! the system models read their message hops from it; crashes and
 //! partitions are a separate [`crate::fault::FaultPlan`].
 
-use dichotomy_common::codec;
-
 /// Static description of the cluster network.
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
@@ -21,17 +19,6 @@ pub struct NetworkConfig {
     /// Link bandwidth in bytes per microsecond (125 B/µs = 1 Gb/s).
     pub bandwidth_bytes_per_us: f64,
 }
-codec!(Encode for struct NetworkConfig {
-    base_latency_us,
-    jitter_us,
-    bandwidth_bytes_per_us,
-});
-
-impl Default for NetworkConfig {
-    fn default() -> Self {
-        NetworkConfig::lan_1gbps()
-    }
-}
 
 impl NetworkConfig {
     /// The paper's evaluation network: 1 Gb Ethernet LAN, ~250 µs one-way
@@ -41,16 +28,6 @@ impl NetworkConfig {
             base_latency_us: 250,
             jitter_us: 50,
             bandwidth_bytes_per_us: 125.0,
-        }
-    }
-
-    /// A wide-area configuration (used by ablations; not needed for the
-    /// paper's figures but useful for exploring the design space).
-    pub fn wan() -> Self {
-        NetworkConfig {
-            base_latency_us: 25_000,
-            jitter_us: 5_000,
-            bandwidth_bytes_per_us: 12.5,
         }
     }
 }

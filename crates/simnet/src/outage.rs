@@ -58,10 +58,21 @@ impl Outages {
     /// holds up. `None` when no start exists: the permanent tail begins
     /// before the work could end, or the work is longer than the gap
     /// between two periodic windows.
+    ///
+    /// # Panics
+    ///
+    /// If a step fails to move `t` forward, or the steps outrun their bound:
+    /// a broken invariant of this search, which would otherwise never end.
     pub fn start(&self, ready: Timestamp, d: u64) -> Option<Timestamp> {
         let span = d.max(1);
         let mut t = ready;
-        loop {
+        // Each step moves `t` strictly forward, past a listed window (each
+        // one at most once, as they are disjoint and sorted) or past a
+        // periodic one (never twice in a row: work that fits between two
+        // periodic windows fits after the first). So a start is found within
+        // this many steps, and more means the loop would never end.
+        let steps = 2 * self.windows.len() + 2;
+        for _ in 0..steps {
             let end = t.saturating_add(span);
             if self.down_from.is_some_and(|from| from < end) {
                 return None;
@@ -70,6 +81,7 @@ impl Outages {
             let next = self.windows.partition_point(|&(_, until)| until <= t);
             if let Some(&(from, until)) = self.windows.get(next) {
                 if from < end {
+                    assert!(until > t, "outage window ends at {until}, not after {t}");
                     t = until;
                     continue;
                 }
@@ -80,12 +92,15 @@ impl Outages {
                     if span > period - len {
                         return None;
                     }
-                    t = from.saturating_add(len);
+                    let after = from.saturating_add(len);
+                    assert!(after > t, "periodic outage ends at {after}, not after {t}");
+                    t = after;
                     continue;
                 }
             }
             return Some(t);
         }
+        panic!("no start for {span} µs of work ready at {ready} within {steps} steps");
     }
 }
 

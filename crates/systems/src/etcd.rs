@@ -99,7 +99,7 @@ impl Tikv {
 impl<E: KvEngine + Clone + 'static> KvSystem<E> {
     fn with_engine(spec: &SystemSpec, kind: SystemKind, store: E, apply_overhead_us: u64) -> Self {
         let nodes = spec.nodes.unwrap_or(3);
-        let network = spec.network.clone().unwrap_or_default();
+        let network = NetworkConfig::lan_1gbps();
         let costs = spec.costs.clone().unwrap_or_default();
         KvSystem {
             kind,

@@ -115,7 +115,7 @@ pub struct Fabric {
 impl Fabric {
     /// Build the Fabric deployment `spec` describes.
     pub fn new(spec: &SystemSpec) -> Self {
-        let network = spec.network.clone().unwrap_or_default();
+        let network = NetworkConfig::lan_1gbps();
         let block_timeout_us = spec.block_interval_us.unwrap_or(250_000);
         Fabric {
             peers: spec.nodes.unwrap_or(5),

@@ -106,7 +106,7 @@ impl Quorum {
     /// transactions, minted every 250 ms unless the spec says otherwise.
     pub fn new(spec: &SystemSpec) -> Self {
         let nodes = spec.nodes.unwrap_or(5);
-        let network = spec.network.clone().unwrap_or_default();
+        let network = NetworkConfig::lan_1gbps();
         let costs = spec.costs.clone().unwrap_or_default();
         Quorum {
             profile: ReplicationProfile::new(

@@ -79,7 +79,7 @@ pub(crate) struct ShardedDb {
 
 impl ShardedDb {
     /// `shards` (at least one) groups of `nodes_per_shard` replicas running
-    /// `protocol`, with the network, costs and faults `spec` describes.
+    /// `protocol` on the LAN, with the costs and faults `spec` describes.
     pub(crate) fn new(
         spec: &SystemSpec,
         shards: u32,
@@ -87,7 +87,7 @@ impl ShardedDb {
         protocol: ProtocolKind,
         coordinator: CoordinatorKind,
     ) -> Self {
-        let network = spec.network.clone().unwrap_or_default();
+        let network = NetworkConfig::lan_1gbps();
         let costs = spec.costs.clone().unwrap_or_default();
         ShardedDb {
             partitioner: Partitioner::hash(shards),

@@ -23,7 +23,8 @@ use dichotomy_consensus::ProtocolKind;
 use dichotomy_hybrid::taxonomy::{
     ConcurrencyChoice, LedgerSupport, ReplicationModel, ShardingSupport, SystemProfile,
 };
-use dichotomy_simnet::{CostModel, FaultPlan, NetworkConfig, Outages};
+use dichotomy_hybrid::HybridSpec;
+use dichotomy_simnet::{CostModel, FaultPlan, Outages};
 
 use crate::etcd::{Etcd, Tikv};
 use crate::fabric::Fabric;
@@ -78,8 +79,6 @@ pub struct SystemSpec {
     pub epoch_us: Option<u64>,
     /// AHL: pause per reconfiguration (µs).
     pub reconfig_pause_us: Option<u64>,
-    /// Network model (defaults to the calibrated 1 Gbps LAN).
-    pub network: Option<NetworkConfig>,
     /// CPU cost model (defaults to the calibrated profile).
     pub costs: Option<CostModel>,
     /// Fault schedule (crashes, partitions, failovers, reconfigurations)
@@ -109,7 +108,6 @@ codec!(Encode for struct SystemSpec {
     periodic_reconfiguration,
     epoch_us,
     reconfig_pause_us,
-    network,
     costs,
     faults,
     seed,
@@ -131,7 +129,6 @@ impl SystemSpec {
             periodic_reconfiguration: None,
             epoch_us: None,
             reconfig_pause_us: None,
-            network: None,
             costs: None,
             faults: None,
             seed: None,
@@ -238,7 +235,7 @@ impl SystemSpec {
     /// The part of this spec a model's
     /// [`load`](TransactionalSystem::load) may depend on. Two specs with
     /// equal shapes load identical state from identical records, whatever
-    /// their nodes, consensus, block cutting, costs, network, faults or seed
+    /// their nodes, consensus, block cutting, costs, faults or seed
     /// — which is what lets the plan executor load once per shape.
     pub fn state_shape(&self) -> StateShape {
         StateShape {
@@ -254,6 +251,22 @@ impl SystemSpec {
     /// Build through the built-in registry.
     pub fn build(&self) -> Result<Box<dyn TransactionalSystem>, UnknownSystem> {
         SystemRegistry::with_builtins().build(self)
+    }
+
+    /// This spec as the Section 5.6 forecast model's input, for transactions
+    /// of `ops_per_txn` operations on `record_size`-byte records. Unset node
+    /// counts and block sizes read as 4 and 500.
+    pub fn hybrid_spec(&self, record_size: usize, ops_per_txn: usize) -> HybridSpec {
+        let taxonomy = self.taxonomy();
+        HybridSpec {
+            name: self.label(),
+            replication: taxonomy.replication,
+            protocol: taxonomy.protocol,
+            concurrency: taxonomy.concurrency,
+            nodes: self.nodes.unwrap_or(4),
+            txn_bytes: record_size * ops_per_txn,
+            batch_size: self.block_txns.unwrap_or(500),
+        }
     }
 
     /// Where this spec sits in the paper's design space.
@@ -679,7 +692,6 @@ mod tests {
                     .with_reconfiguration(77, 7)
                     .with_faults(faults.clone())
                     .with_seed(0xfeed);
-                other.network = Some(NetworkConfig::wan());
                 other.costs = Some(CostModel::calibrated().without_crypto());
                 assert_eq!(plain.state_shape(), other.state_shape());
                 assert_eq!(

@@ -11,6 +11,21 @@ cd "$(dirname "$0")/.."
 tree_state() { git status --porcelain; git diff | cksum; }
 TREE_BEFORE="$(tree_state)"
 
+# Run a test stage under a wall-clock bound (coreutils `timeout`, which kills
+# the whole process group), so a test that never terminates fails CI with
+# the stage named instead of stalling it.
+STAGE_TIMEOUT_S=1800
+bounded() {
+    stage="$1"
+    shift
+    status=0
+    timeout "$STAGE_TIMEOUT_S" "$@" || status=$?
+    if [ "$status" -eq 124 ]; then
+        echo "ci.sh: the $stage stage hung: still running after ${STAGE_TIMEOUT_S} s" >&2
+    fi
+    return "$status"
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -35,7 +50,7 @@ for example in quickstart contention_study hybrid_designer; do
 done
 
 echo "==> cargo test -q"
-cargo test -q
+bounded "cargo test -q" cargo test -q
 
 echo "==> cargo test --release -p dichotomy-common -p dichotomy-workload (SHA-256 kernels and generator goldens under optimisation)"
 # The hash kernels are wrapping arithmetic plus the workspace's one unsafe
@@ -61,7 +76,7 @@ echo "==> cargo test --release -p dichotomy-simnet (the timer wheel against its 
 # differential tests in crates/simnet/tests/wheel_vs_heap.rs pop long sparse
 # and overflowing schedules through it and a BinaryHeap, here as they ship.
 # The stage also requires a nonzero pass count.
-cargo test -q --release -p dichotomy-simnet > /tmp/ci_simnet.out
+bounded "release simnet" cargo test -q --release -p dichotomy-simnet > /tmp/ci_simnet.out
 if ! grep -qE 'test result: ok\. [1-9]' /tmp/ci_simnet.out; then
     echo "ci.sh: the release simnet stage ran no test" >&2
     exit 1
