@@ -50,9 +50,9 @@ pub fn probe_key_bytes(probe: &Probe) -> Vec<u8> {
 }
 
 /// The **state group** of a probe: the canonical bytes of everything its
-/// untimed preload can depend on — the system's
-/// [`state_shape`](dichotomy_systems::SystemSpec::state_shape) (what `load`
-/// may read of the spec) and the workload's
+/// untimed preload can depend on — the system's `kind` (all
+/// [`load`](dichotomy_systems::TransactionalSystem::load) may read of the
+/// spec) and the workload's
 /// [`initial_state_key`](WorkloadSpec::initial_state_key) (variant, record
 /// count, record size; seed-free). Probes with equal keys start from
 /// byte-identical loaded state, so [`run_plans_with`](super::run_plans_with)
@@ -70,7 +70,7 @@ pub fn state_group_key(probe: &Probe) -> Option<Vec<u8>> {
     if !driver.preload {
         return None;
     }
-    let mut out = system.state_shape().encode();
+    let mut out = system.kind.encode();
     let (variant, records, record_size) = workload.initial_state_key();
     variant.encode_into(&mut out);
     records.encode_into(&mut out);
@@ -178,7 +178,7 @@ pub(super) fn observe(
                 match group {
                     Some(GroupState::Shared(state)) => {
                         // Declined only by a registry that builds different
-                        // models for one state shape: load that one afresh.
+                        // models for one kind: load that one afresh.
                         if !sys.adopt_state(state) {
                             sys.load(&wl.initial_records());
                         }

@@ -723,6 +723,7 @@ fn state_group_keys_follow_the_state_shape_and_the_initial_records_only() {
         .with_label("other")
         .with_nodes(9)
         .with_frontends(2)
+        .with_shards(4)
         .with_consensus(dichotomy_consensus::ProtocolKind::Pbft)
         .with_blocks(7, 7)
         .with_faults(faults)
@@ -730,14 +731,9 @@ fn state_group_keys_follow_the_state_shape_and_the_initial_records_only() {
     let skewed = workload().with_theta(0.99).with_ops_per_txn(5).with_seed(3);
     let closed = DriverConfig::unsaturated(7).with_seed(5).with_window(10);
     assert_eq!(key, drive(elsewhere, skewed, closed));
-    // The state shape and the initial records do.
+    // The system kind and the initial records do.
     for other in [
         drive(SystemSpec::new(SystemKind::Tikv), workload(), driver()),
-        drive(
-            SystemSpec::new(SystemKind::TiDb).with_shards(4),
-            workload(),
-            driver(),
-        ),
         drive(
             SystemSpec::new(SystemKind::TiDb),
             workload().with_records(401),
@@ -757,15 +753,6 @@ fn state_group_keys_follow_the_state_shape_and_the_initial_records_only() {
         assert!(other.is_some());
         assert_ne!(key, other);
     }
-    // etcd ignores a shard count, so it cannot split its group.
-    assert_eq!(
-        drive(SystemSpec::new(SystemKind::Etcd), workload(), driver()),
-        drive(
-            SystemSpec::new(SystemKind::Etcd).with_shards(4),
-            workload(),
-            driver()
-        ),
-    );
     // Probes that load nothing belong to no group.
     let unloaded = DriverConfig {
         preload: false,

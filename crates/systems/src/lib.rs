@@ -44,7 +44,5 @@ pub use pipeline::{
 };
 pub use quorum::Quorum;
 pub use sharded::{Ahl, ShardedTiDb, SpannerLike};
-pub use spec::{
-    StateShape, SystemBuilder, SystemRegistry, SystemSpec, TaxonomyPoint, UnknownSystem,
-};
+pub use spec::{SystemBuilder, SystemRegistry, SystemSpec, TaxonomyPoint, UnknownSystem};
 pub use tidb::TiDb;

@@ -294,14 +294,12 @@ pub trait TransactionalSystem {
     /// take the records one at a time.
     ///
     /// **Contract:** the state `load` leaves behind may depend only on
-    /// `records` and on the fields of the building spec that
-    /// [`SystemSpec::state_shape`](crate::spec::SystemSpec::state_shape)
-    /// declares — never on node counts, consensus, block cutting, cost or
-    /// network models, fault schedules or seeds. The plan executor loads
-    /// once per distinct (state shape, initial records) and hands the result
-    /// to every other probe of that shape, so a `load` that reads anything
-    /// else is a bug: probes would silently measure a state built for a
-    /// different spec.
+    /// `records` and on the building spec's `kind` — never on its node or
+    /// shard counts, consensus, block cutting, costs, fault schedule or
+    /// seed. The plan executor loads once per distinct (kind, initial
+    /// records) and hands the result to every other probe of that kind, so
+    /// a `load` that reads anything else is a bug: probes would silently
+    /// measure a state built for a different spec.
     fn load(&mut self, records: &[(Key, Value)]);
 
     /// Right after [`load`](Self::load): freeze the loaded substrates into a
@@ -314,10 +312,10 @@ pub trait TransactionalSystem {
     }
 
     /// Instead of [`load`](Self::load): start from a snapshot another
-    /// instance of this model shared after loading the same records under
-    /// the same state shape. Returns `false` (the default), leaving the
-    /// system untouched, when the snapshot is not one this model produced;
-    /// the caller then falls back to `load`.
+    /// instance of this model shared after loading the same records.
+    /// Returns `false` (the default), leaving the system untouched, when the
+    /// snapshot is not one this model produced; the caller then falls back
+    /// to `load`.
     fn adopt_state(&mut self, state: &SharedState) -> bool {
         let _ = state;
         false

@@ -232,22 +232,6 @@ impl SystemSpec {
         faults.map_or_else(Outages::default, |f| f.outages(node, peer, FAILOVER_US))
     }
 
-    /// The part of this spec a model's
-    /// [`load`](TransactionalSystem::load) may depend on. Two specs with
-    /// equal shapes load identical state from identical records, whatever
-    /// their nodes, consensus, block cutting, costs, faults or seed
-    /// — which is what lets the plan executor load once per shape.
-    pub fn state_shape(&self) -> StateShape {
-        StateShape {
-            kind: self.kind,
-            shards: if self.kind.shards_scale() {
-                self.shard_count()
-            } else {
-                0
-            },
-        }
-    }
-
     /// Build through the built-in registry.
     pub fn build(&self) -> Result<Box<dyn TransactionalSystem>, UnknownSystem> {
         SystemRegistry::with_builtins().build(self)
@@ -350,20 +334,6 @@ impl SystemSpec {
             && point.protocol.failure_model() == profile.protocol.failure_model()
     }
 }
-
-/// What a model's bulk load may read of its spec
-/// ([`SystemSpec::state_shape`]): which model it is and how its data is
-/// partitioned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct StateShape {
-    /// The model.
-    pub kind: SystemKind,
-    /// The shard count for the kinds that honour one
-    /// ([`SystemKind::shards_scale`]; an unsharded TiDB spec builds a
-    /// different model than a sharded one), 0 for the rest.
-    pub shards: u32,
-}
-codec!(Encode for struct StateShape { kind, shards });
 
 /// A spec's coordinates in the paper's design space (Tables 1 and 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -676,43 +646,32 @@ mod tests {
         faults.add(NodeFault::crash_until(NodeId(0), 100, 900));
         faults.add_partition(vec![NodeId(1)], 50, Some(70));
         for kind in SystemKind::ALL {
-            for shards in [None, Some(3)] {
-                let mut plain = SystemSpec::new(kind);
-                plain.shards = shards;
-                // Same shape, every other knob different.
-                let mut other = plain
-                    .clone()
-                    .with_label("elsewhere")
-                    .with_nodes(9)
-                    .with_frontends(5)
-                    .with_consensus(ProtocolKind::Ibft)
-                    .with_blocks(3, 1_234)
-                    .with_endorsement_divergence(0.5)
-                    .with_periodic_reconfiguration(false)
-                    .with_reconfiguration(77, 7)
-                    .with_faults(faults.clone())
-                    .with_seed(0xfeed);
-                other.costs = Some(CostModel::calibrated().without_crypto());
-                assert_eq!(plain.state_shape(), other.state_shape());
-                assert_eq!(
-                    loaded_state_digest(&plain, &records),
-                    loaded_state_digest(&other, &records),
-                    "{kind:?} shards={shards:?}: load read a field outside its state shape"
-                );
-                // The digest does see the records.
-                assert_ne!(
-                    loaded_state_digest(&plain, &records),
-                    loaded_state_digest(&plain, &records[1..]),
-                );
-            }
-            // Only the kinds that honour a shard count put it in the shape.
-            let sharded = SystemSpec::new(kind).with_shards(3).state_shape();
+            let plain = SystemSpec::new(kind);
+            // Same kind, every other knob different.
+            let mut other = plain
+                .clone()
+                .with_label("elsewhere")
+                .with_nodes(9)
+                .with_frontends(5)
+                .with_shards(3)
+                .with_consensus(ProtocolKind::Ibft)
+                .with_blocks(3, 1_234)
+                .with_endorsement_divergence(0.5)
+                .with_periodic_reconfiguration(false)
+                .with_reconfiguration(77, 7)
+                .with_faults(faults.clone())
+                .with_seed(0xfeed);
+            other.costs = Some(CostModel::calibrated().without_crypto());
             assert_eq!(
-                sharded != SystemSpec::new(kind).state_shape(),
-                kind.shards_scale(),
-                "{kind:?}"
+                loaded_state_digest(&plain, &records),
+                loaded_state_digest(&other, &records),
+                "{kind:?}: load read a field other than the kind"
             );
-            assert_eq!(sharded.kind, kind);
+            // The digest does see the records.
+            assert_ne!(
+                loaded_state_digest(&plain, &records),
+                loaded_state_digest(&plain, &records[1..]),
+            );
         }
     }
 
