@@ -36,7 +36,7 @@ use dichotomy_core::scenario::{fnv1a_64, ProbeCache, ProbeResult};
 /// change without the serialized layout changing (e.g. a model fix that
 /// alters what a probe measures). Layout changes move the schema tag by
 /// themselves.
-pub const CACHE_EPOCH: u32 = 2;
+pub const CACHE_EPOCH: u32 = 3;
 
 /// Entry-file magic.
 const MAGIC: &[u8; 4] = b"RPC1";

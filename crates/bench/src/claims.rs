@@ -67,6 +67,9 @@ const AHL_QUICK_BEFORE_EPOCH: &str = "direction 2: the quick AHL runs end at 0.5
                                       equals AHL_fixed_tps in every row";
 const CRASH_INVISIBLE: &str = "unexplained: etcd, TiKV and Spanner-like tps equal baseline in \
                                every fault row, and AHL's on primary-crash";
+const QUICK_TAB05_NOT_SQL_BOUND: &str = "direction 2: at 11 TiDB servers the quick run is not \
+                                         bound by the SQL layer alone, so 7 TiKV read 1.3 % \
+                                         above 3 TiKV";
 const QUICK_RAMP_TOO_SHORT: &str = "direction 2: the quick phase 1 spans 33 ms, so its windows \
                                     see 8 arrivals, no commit and p50 0";
 
@@ -306,7 +309,7 @@ pub const CLAIMS: &[Claim] = &[
                     .try_for_each(|a| cells.iter().try_for_each(|b| less(a, b, 1.01)))
             })
         },
-        quick: Holds,
+        quick: Deviates(QUICK_TAB05_NOT_SQL_BOUND),
         full: Holds,
     },
     Claim {

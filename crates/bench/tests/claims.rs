@@ -11,6 +11,12 @@
 //!   `chaos01.survives-faults` at both sizes.
 //! - AHL's periodic reconfiguration term alone off:
 //!   `fig14.ahl-reconfig-costs` at full size.
+//! - TiDB judging write conflicts at arrival instead of at `sql_done`, so a
+//!   holder that finished before the coordinator reached the key still
+//!   costs contention rounds: `tab05.sql-layer-scales` at quick size (it
+//!   holds again); no full-size row. The unit test
+//!   `tidb::tests::a_conflict_cleared_by_the_coordinators_decision_costs_nothing`
+//!   catches it.
 
 use dichotomy_bench::claims::CLAIMS;
 use dichotomy_bench::{plan_for, RunOptions, EXPERIMENTS};

@@ -650,7 +650,7 @@ pub fn fig14_plan(txns: u64, shard_counts: &[u32], seed: u64) -> ExperimentPlan 
                 columns: vec![col("AHL_fixed_tps", Metric::ThroughputTps)],
             },
             SystemEntry {
-                // A sharded TiDb spec builds the region-partitioned model.
+                // Each shard is a TiDB region with its own 3-node Raft group.
                 spec: SystemSpec::new(SystemKind::TiDb).with_shards(1),
                 columns: vec![col("TiDB_tps", Metric::ThroughputTps)],
             },

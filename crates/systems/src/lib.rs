@@ -43,6 +43,6 @@ pub use pipeline::{
     SystemKind, TimedCutter, TokenMap, TransactionalSystem, FAILOVER_US,
 };
 pub use quorum::Quorum;
-pub use sharded::{Ahl, ShardedTiDb, SpannerLike};
+pub use sharded::{Ahl, SpannerLike};
 pub use spec::{SystemBuilder, SystemRegistry, SystemSpec, TaxonomyPoint, UnknownSystem};
 pub use tidb::TiDb;

@@ -1,30 +1,30 @@
 //! The sharded systems of Figure 14: a Spanner-like NewSQL database
-//! (Paxos-replicated shards, pessimistic waiting, trusted 2PC), a sharded
-//! TiDB (sharding enabled, i.e. no full replication), and AHL — the sharded
-//! permissioned blockchain (PBFT shards, trusted-hardware-reduced shard
-//! size, BFT-replicated 2PC coordinator shard, periodic reconfiguration).
+//! (Paxos-replicated shards, pessimistic waiting, trusted 2PC) and AHL — the
+//! sharded permissioned blockchain (PBFT shards, trusted-hardware-reduced
+//! shard size, BFT-replicated 2PC coordinator shard, periodic
+//! reconfiguration). Figure 14's third system is [`TiDb`](crate::tidb::TiDb)
+//! with a shard count.
 //!
-//! All three, and the full-replication [`TiDb`](crate::tidb::TiDb), run on
-//! one database core, `ShardedDb`: the partitioner, the replication
-//! profile, 2PC, the MVCC+LSM state pair with its load and fork, the
-//! outages of the coordinator and shard leaders, the receipt log, the
-//! receipts parked until their `Committed` stage fires and the per-key hold
-//! table.
+//! All three run on one database core, `ShardedDb`: the partitioner, the
+//! replication profile, 2PC, the MVCC+LSM state pair with its load and
+//! fork, the outages of the coordinator and shard leaders, the receipt log,
+//! the receipts parked until their `Committed` stage fires and the per-key
+//! hold table.
 //!
 //! Contention is a per-key hold window: a committed write holds its keys
-//! until its 2PC decision lands (`busy_until`, written only through the
-//! core's `hold` and read only through its `busy_window`). An arrival that
-//! touches a held key waits the window out in the Spanner-like model, and
-//! aborts at once in the sharded TiDB if it writes that key. AHL does not
-//! look at the window.
+//! until its decision lands (`busy_until`, written only through the core's
+//! `hold` and read only through its `busy_window`). An arrival that touches
+//! a held key waits the window out in the Spanner-like model; TiDB judges
+//! the window when its coordinator reaches the write. AHL does not look at
+//! the window.
 //!
-//! Event pipeline: the conflict decision (wait or abort) happens at arrival;
-//! the surviving transaction is booked through the per-shard service
-//! processes, replication and 2PC, and its receipt surfaces through the
-//! `Committed` stage event when the decision lands.
+//! Event pipeline: the Spanner-like and AHL models decide at arrival; the
+//! transaction is booked through the per-shard service processes,
+//! replication and 2PC, and its receipt surfaces through the `Committed`
+//! stage event when the decision lands.
 
 use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
-use dichotomy_common::{AbortReason, Key, KeyMap, Timestamp, Transaction, TxnReceipt, Value};
+use dichotomy_common::{Key, KeyMap, Timestamp, Transaction, TxnReceipt, Value};
 use dichotomy_consensus::{ProtocolKind, ReplicationProfile};
 use dichotomy_merkle::MerkleBucketTree;
 use dichotomy_sharding::{CoordinatorKind, Partitioner, TwoPhaseCommit};
@@ -40,10 +40,6 @@ use crate::spec::SystemSpec;
 /// Stage: a decided transaction's receipt surfaces to the client at its
 /// commit time (token = in-flight id). Shared by every model on the core.
 const ST_COMMITTED: u32 = 0;
-
-/// Replicas per region of the region-partitioned TiDB: each region is its
-/// own 3-node Raft group whatever the spec's `nodes`.
-pub const REGION_REPLICAS: usize = 3;
 
 /// The database core of the sharded models and of TiDB: `shards` hash
 /// partitions, each a replication group of `nodes_per_shard`, with 2PC
@@ -353,119 +349,6 @@ impl TransactionalSystem for SpannerLike {
     }
 }
 
-/// Sharded TiDB for Figure 14: identical to the full-replication model in
-/// spirit, but each shard is its own [`REGION_REPLICAS`]-node Raft group and
-/// cross-shard transactions pay trusted 2PC; conflicts abort immediately
-/// (optimistic). Faults address `NodeId(0)` as the 2PC coordinator and
-/// `NodeId(1 + shard)` as a region's Raft leader.
-pub struct ShardedTiDb {
-    db: ShardedDb,
-}
-
-impl ShardedTiDb {
-    /// Build a TiDB with the spec's shard count (at least one) of regions,
-    /// each of [`REGION_REPLICAS`] nodes.
-    pub fn new(spec: &SystemSpec) -> Self {
-        ShardedTiDb {
-            db: ShardedDb::new(
-                spec,
-                spec.shard_count().max(1),
-                REGION_REPLICAS,
-                ProtocolKind::Raft,
-                CoordinatorKind::Trusted,
-            ),
-        }
-    }
-}
-
-impl TransactionalSystem for ShardedTiDb {
-    fn kind(&self) -> SystemKind {
-        SystemKind::TiDb
-    }
-
-    fn load(&mut self, records: &[(Key, Value)]) {
-        self.db.load(records);
-    }
-
-    fn share_state(&mut self) -> Option<SharedState> {
-        Some(SharedState::new(self.db.capture()))
-    }
-
-    fn adopt_state(&mut self, state: &SharedState) -> bool {
-        self.db.adopt_state(state)
-    }
-
-    fn attach(&mut self, engine: &mut Engine) {
-        self.db.attach(engine);
-    }
-
-    fn on_arrival(&mut self, txn: Transaction, engine: &mut Engine) {
-        let arrival = engine.now();
-        let c = &self.db.costs;
-        // Optimistic conflict handling: if any written key is still held by
-        // an in-flight transaction, abort immediately (TiDB "instantly aborts
-        // a transaction once detecting a conflict", Section 5.5) instead of
-        // waiting for the lock to clear.
-        let write_keys = txn.write_set();
-        let conflict = self.db.busy_window(&write_keys) > arrival;
-        if conflict {
-            let finish = arrival + c.sql_frontend_us() + self.db.network.base_latency_us;
-            self.db.receipts.push_back(TxnReceipt::aborted(
-                txn.id(),
-                AbortReason::WriteWriteConflict,
-                arrival,
-                finish,
-            ));
-            return;
-        }
-        let per_shard = c.sql_frontend_us()
-            + txn
-                .ops()
-                .iter()
-                .map(|op| {
-                    if op.writes() {
-                        2 * c.storage_put_us(op.value.as_ref().map_or(0, Value::len))
-                    } else {
-                        c.storage_get_us(1000)
-                    }
-                })
-                .sum::<u64>();
-        let commit_at = match self
-            .db
-            .replicate_and_commit(&txn, arrival, per_shard, engine)
-        {
-            Ok(t) => t,
-            Err(stalled_at) => return self.db.abort_stalled(&txn, arrival, stalled_at),
-        };
-        let receipt = TxnReceipt::committed(
-            txn.id(),
-            arrival,
-            commit_at + self.db.network.base_latency_us,
-        );
-        self.db.schedule_receipt(receipt, engine);
-    }
-
-    fn on_stage(&mut self, event: StageEvent, _engine: &mut Engine) {
-        self.db.surface_receipt(event);
-    }
-
-    fn drain_completions(&mut self, buf: &mut Vec<Completion>) {
-        self.db.receipts.swap_completions(buf)
-    }
-
-    fn drain_receipts_into(&mut self, buf: &mut Vec<TxnReceipt>) {
-        self.db.receipts.swap_receipts(buf)
-    }
-
-    fn footprint(&self) -> StorageBreakdown {
-        self.db.engine_db.footprint()
-    }
-
-    fn node_count(&self) -> usize {
-        self.db.shards as usize * REGION_REPLICAS
-    }
-}
-
 /// What [`Ahl::load`](TransactionalSystem::load) builds: the sharded
 /// database's pair plus the authenticated index over the same records.
 pub(crate) struct AhlState {
@@ -624,7 +507,8 @@ impl TransactionalSystem for Ahl {
 mod tests {
     use super::*;
     use crate::pipeline::{drive_arrivals, run_to_completion};
-    use dichotomy_common::{ClientId, NodeId, Operation, TxnId};
+    use crate::tidb::TiDb;
+    use dichotomy_common::{AbortReason, ClientId, NodeId, Operation, TxnId};
     use dichotomy_simnet::FaultPlan;
 
     fn spanner() -> SystemSpec {
@@ -690,7 +574,7 @@ mod tests {
 
     #[test]
     fn sharded_tidb_beats_spanner_beats_ahl() {
-        let mut tidb = ShardedTiDb::new(&SystemSpec::new(SystemKind::TiDb).with_shards(4));
+        let mut tidb = TiDb::new(&SystemSpec::new(SystemKind::TiDb).with_shards(4));
         let mut spanner = SpannerLike::new(&spanner());
         let mut ahl = Ahl::new(&ahl());
         tidb.load(&records(1000));
@@ -700,8 +584,8 @@ mod tests {
         let t_spanner = throughput_skewed(&mut spanner, 400, 100, 20);
         let t_ahl = throughput_skewed(&mut ahl, 400, 100, 20);
         assert!(
-            t_tidb > t_spanner,
-            "TiDB {t_tidb:.0} should beat Spanner {t_spanner:.0}"
+            t_tidb > t_ahl,
+            "TiDB {t_tidb:.0} should beat AHL {t_ahl:.0}"
         );
         assert!(
             t_spanner > t_ahl,
@@ -729,7 +613,7 @@ mod tests {
     #[test]
     fn more_shards_scale_the_databases() {
         let t = |shards: u32| {
-            let mut s = ShardedTiDb::new(&SystemSpec::new(SystemKind::TiDb).with_shards(shards));
+            let mut s = TiDb::new(&SystemSpec::new(SystemKind::TiDb).with_shards(shards));
             s.load(&records(1000));
             throughput_skewed(&mut s, 600, 50, 900)
         };
@@ -786,7 +670,7 @@ mod tests {
             0,
             400_000,
         ));
-        let mut s = ShardedTiDb::new(
+        let mut s = TiDb::new(
             &SystemSpec::new(SystemKind::TiDb)
                 .with_shards(4)
                 .with_faults(faults),

@@ -30,7 +30,7 @@ use crate::etcd::{Etcd, Tikv};
 use crate::fabric::Fabric;
 use crate::pipeline::{SystemKind, TransactionalSystem, FAILOVER_US};
 use crate::quorum::Quorum;
-use crate::sharded::{Ahl, ShardedTiDb, SpannerLike};
+use crate::sharded::{Ahl, SpannerLike};
 use crate::tidb::TiDb;
 
 /// A buildable description of a system deployment: one point in the paper's
@@ -55,15 +55,16 @@ pub struct SystemSpec {
     /// Report label override (defaults to the kind's display name).
     pub label: Option<String>,
     /// Replicas: validators (Quorum), peers (Fabric), storage nodes
-    /// (TiKV/etcd/TiDB), or nodes per shard for Spanner-like and AHL. A
-    /// sharded TiDB ignores it: each region keeps
-    /// [`REGION_REPLICAS`](crate::sharded::REGION_REPLICAS) replicas.
+    /// (TiKV/etcd), replicas of each region's Raft group (TiDB), or nodes
+    /// per shard for Spanner-like and AHL.
     pub nodes: Option<usize>,
     /// Stateless SQL frontends (TiDB servers). `None` derives them from
     /// `nodes` the way the paper's full-replication deployment does.
     pub frontends: Option<usize>,
-    /// Shards; `None`/`Some(0)` means unsharded. A sharded `TiDb` spec
-    /// builds the region-partitioned model of Figure 14.
+    /// Shards; `None`/`Some(0)` means unsharded. A sharded TiDB has this
+    /// many regions, each its own Raft group of `nodes` storage nodes
+    /// (Figure 14); an unsharded one fully replicates
+    /// [`REGIONS`](crate::tidb::REGIONS) regions over `nodes`.
     pub shards: Option<u32>,
     /// Consensus profile override (e.g. Raft vs IBFT for Quorum).
     pub consensus: Option<ProtocolKind>,
@@ -404,14 +405,7 @@ impl SystemRegistry {
         let mut r = SystemRegistry::new();
         r.register(SystemKind::Fabric, |spec| Box::new(Fabric::new(spec)));
         r.register(SystemKind::Quorum, |spec| Box::new(Quorum::new(spec)));
-        r.register(SystemKind::TiDb, |spec| {
-            if spec.shard_count() > 0 {
-                // The region-partitioned TiDB of Figure 14.
-                Box::new(ShardedTiDb::new(spec))
-            } else {
-                Box::new(TiDb::new(spec))
-            }
-        });
+        r.register(SystemKind::TiDb, |spec| Box::new(TiDb::new(spec)));
         r.register(SystemKind::Etcd, |spec| Box::new(Etcd::new(spec)));
         r.register(SystemKind::Tikv, |spec| Box::new(Tikv::new(spec)));
         r.register(SystemKind::SpannerLike, |spec| {
@@ -524,10 +518,19 @@ mod tests {
     #[test]
     fn a_sharded_tidb_spec_builds_the_partitioned_model() {
         let spec = SystemSpec::new(SystemKind::TiDb).with_shards(4);
-        let system = spec.build().unwrap();
+        let mut system = spec.build().unwrap();
         assert_eq!(system.kind(), SystemKind::TiDb);
-        // 4 shards × 3 replicas.
-        assert_eq!(system.node_count(), 12);
+        // 6 SQL servers in front of 4 shards × 3 replicas, one storage
+        // server per replica.
+        assert_eq!(system.node_count(), 18);
+        let mut engine = Engine::new();
+        system.attach(&mut engine);
+        let processes: Vec<(&str, usize)> = engine
+            .processes()
+            .iter()
+            .map(|p| (p.name(), p.servers().capacity()))
+            .collect();
+        assert_eq!(processes, [("tidb-sql", 6), ("tikv-storage", 12)]);
     }
 
     #[test]

@@ -4,10 +4,17 @@
 //!
 //! Write path: a TiDB server parses/compiles the statements and acts as the
 //! transaction coordinator; reads hit TiKV at a snapshot; prewrite + commit
-//! go through the Raft group of every touched region (full replication in the
-//! paper's setup, so every node holds every region), and multi-region
+//! go through the Raft group of every touched region, and multi-region
 //! transactions pay 2PC (Figure 10a). Concurrency comes from many SQL servers
 //! and many storage threads — there is no serial commit order.
+//!
+//! Deployment: the spec's `nodes` (default 3) is the replica count of each
+//! region's Raft group. Unsharded, [`REGIONS`] regions are fully replicated
+//! over `nodes` storage nodes (the paper's default setup). With `shards`
+//! set (sharding enabled, Figure 14), each of the `shards` regions is its
+//! own Raft group, over `shards × nodes` storage nodes. `tikv-storage` has
+//! one server per storage node; `tidb-sql` has the spec's `frontends`, by
+//! default half the storage nodes.
 //!
 //! Regions are shards: the model runs on the sharded models' database core,
 //! `sharded::ShardedDb`, which holds the partitioner, Raft profile, 2PC, the
@@ -16,17 +23,19 @@
 //! servers, its `tidb-sql`/`tikv-storage` processes and `coordinate`.
 //!
 //! Contention is a per-key hold window: a committed write holds its keys
-//! until its finish time (the core's `busy_until`). An arrival that writes a
-//! held key spends [`MAX_LOCK_RETRIES`] contention-resolution rounds on the
-//! SQL servers and aborts if the holder is still in flight after them (Figure
-//! 9a's skew collapse). Otherwise it reads at `start_ts`, the store's latest
-//! version, and commits its writes at the next version.
+//! until its finish time (the core's `busy_until`). The window is judged
+//! when the coordinator reaches the write, at the end of its SQL stage: a
+//! holder that has finished by then costs nothing. A written key still held
+//! there costs [`MAX_LOCK_RETRIES`] contention-resolution rounds on the SQL
+//! servers, and the write aborts if the holder is still in flight after
+//! them (Figure 9a's skew collapse). Otherwise it reads at `start_ts`, the
+//! store's latest version, and commits its writes at the next version.
 //!
-//! Event pipeline: the concurrency-control decision happens at arrival (a
-//! held key must be visible to the next arrival immediately); the SQL,
-//! storage, replication and 2PC latencies are booked on the engine's service
-//! processes, and the receipt surfaces through the core's `Committed` stage
-//! event at the decided finish time.
+//! Event pipeline: the concurrency-control decision is taken in the arrival
+//! handler (a held key must be visible to the next arrival immediately);
+//! the SQL, storage, replication and 2PC latencies are booked on the
+//! engine's service processes, and the receipt surfaces through the core's
+//! `Committed` stage event at the decided finish time.
 
 use dichotomy_common::size::{StorageBreakdown, StorageFootprint};
 use dichotomy_common::{AbortReason, Key, Timestamp, Transaction, TxnReceipt, Value};
@@ -39,8 +48,9 @@ use crate::pipeline::{Completion, Engine, SharedState, SystemKind, Transactional
 use crate::sharded::ShardedDb;
 use crate::spec::SystemSpec;
 
-/// Regions (data shards). With full replication every node holds every
-/// region, but multi-region transactions still pay 2PC.
+/// Regions (data shards) of an unsharded deployment. With full replication
+/// every node holds every region, but multi-region transactions still pay
+/// 2PC.
 pub const REGIONS: u32 = 16;
 
 /// Contention-resolution rounds a coordinator spends on a held key before
@@ -63,33 +73,36 @@ struct TiDbProcs {
 /// The TiDB system model.
 pub struct TiDb {
     /// Stateless TiDB (SQL) servers: the spec's `frontends`, or by default
-    /// half the storage nodes (at least one), the way the paper's
-    /// full-replication deployment splits a cluster.
+    /// half the storage nodes (at least one).
     tidb_servers: usize,
+    /// TiKV storage nodes: `nodes`, or `shards × nodes` when sharded.
+    tikv_nodes: usize,
     procs: Option<TiDbProcs>,
-    /// [`REGIONS`] Raft groups, each of every TiKV storage node (the spec's
-    /// `nodes`, default 3: the replication factor under the paper's
-    /// full-replication setting). `NodeId(0)` addresses the 2PC coordinator
-    /// role and `NodeId(1 + region)` a region's Raft leader: a crashed
-    /// region leader stalls the decision round of every transaction
-    /// touching it, and a coordinator outage stalls all cross-region
+    /// One Raft group of `nodes` replicas per region. `NodeId(0)` addresses
+    /// the 2PC coordinator role and `NodeId(1 + region)` a region's Raft
+    /// leader: a crashed region leader stalls the decision round of every
+    /// transaction touching it, and a coordinator outage stalls all
     /// decisions.
     db: ShardedDb,
 }
 
 impl TiDb {
-    /// Build the full-replication TiDB deployment `spec` describes (its
-    /// shard count is not read: a sharded spec builds
-    /// [`ShardedTiDb`](crate::sharded::ShardedTiDb)).
+    /// Build the TiDB deployment `spec` describes: [`REGIONS`] fully
+    /// replicated regions, or the spec's shard count of region groups.
     pub fn new(spec: &SystemSpec) -> Self {
-        let tikv_nodes = spec.nodes.unwrap_or(3);
+        let replicas = spec.nodes.unwrap_or(3);
+        let (regions, tikv_nodes) = match spec.shard_count() {
+            0 => (REGIONS, replicas),
+            shards => (shards, shards as usize * replicas),
+        };
         TiDb {
             tidb_servers: spec.frontends.unwrap_or((tikv_nodes / 2).max(1)),
+            tikv_nodes,
             procs: None,
             db: ShardedDb::new(
                 spec,
-                REGIONS,
-                tikv_nodes,
+                regions,
+                replicas,
                 ProtocolKind::Raft,
                 CoordinatorKind::Trusted,
             ),
@@ -141,12 +154,12 @@ impl TiDb {
             * txn.op_count().max(1) as u64;
         let (_, sql_done) = engine.service(self.procs().sql, arrival, frontend);
 
-        // Contention against in-flight transactions on the same keys: the
-        // coordinator burns contention-resolution rounds and, if the holder
-        // is still in flight after them, aborts.
+        // Contention against transactions still in flight on the same keys
+        // when the coordinator reaches them: it burns contention-resolution
+        // rounds and, if the holder is still in flight after them, aborts.
         let write_keys = txn.write_set();
         let busy = self.db.busy_window(&write_keys);
-        if busy > arrival {
+        if busy > sql_done {
             let rounds = MAX_LOCK_RETRIES.max(1) as u64;
             let penalty = rounds * LOCK_CONFLICT_PENALTY_US;
             let (_, contention_done) = engine.service(self.procs().sql, sql_done, penalty);
@@ -268,7 +281,7 @@ impl TransactionalSystem for TiDb {
     fn attach(&mut self, engine: &mut Engine) {
         self.procs = Some(TiDbProcs {
             sql: engine.add_process("tidb-sql", self.tidb_servers.max(1)),
-            storage: engine.add_process("tikv-storage", self.db.nodes_per_shard.max(1)),
+            storage: engine.add_process("tikv-storage", self.tikv_nodes.max(1)),
         });
     }
 
@@ -301,7 +314,7 @@ impl TransactionalSystem for TiDb {
     }
 
     fn node_count(&self) -> usize {
-        self.tidb_servers + self.db.nodes_per_shard
+        self.tidb_servers + self.tikv_nodes
     }
 }
 
@@ -390,6 +403,43 @@ mod tests {
         assert_eq!(second.commit_version, Some(v1 + 1));
         assert_eq!(first.reads[0].1.as_ref().unwrap().len(), 1000);
         assert_eq!(second.reads[0].1.as_ref().unwrap().len(), 100);
+    }
+
+    #[test]
+    fn a_conflict_cleared_by_the_coordinators_decision_costs_nothing() {
+        // One SQL server. A writes k00000 at 0; B writes the same key while
+        // A is in flight, queued behind 40 writes on fresh keys, so the
+        // coordinator reaches B after A has finished. A write C follows B.
+        let run = |b_key: &str| {
+            let mut t = TiDb::new(&tidb().with_frontends(1));
+            let recs: Vec<(Key, Value)> = (0..100)
+                .map(|i| (Key::from_str(&format!("k{i:05}")), Value::filler(1000)))
+                .collect();
+            t.load(&recs);
+            let mut arrivals = vec![(rmw(1, 0, "k00000", 100), 0)];
+            arrivals.extend((1..=40).map(|seq| (rmw(2, seq, &format!("k{seq:05}"), 100), 1)));
+            arrivals.push((rmw(3, 41, b_key, 100), 2));
+            arrivals.push((rmw(4, 42, "k00050", 100), 3));
+            let mut receipts = drive_arrivals(&mut t, arrivals);
+            receipts.sort_by_key(|r| r.txn_id.seq);
+            receipts
+        };
+        let conflicting = run("k00000");
+        let renamed = run("k00099");
+        let a_finish = conflicting[0].finish_time;
+        let b_sql = conflicting[41].phase_latencies[0].1 + conflicting[41].submit_time;
+        assert!(
+            a_finish < b_sql,
+            "A {a_finish} outlasts B's SQL stage {b_sql}"
+        );
+        // B read A's write; the renamed B read the loaded record.
+        assert_eq!(conflicting[41].reads[0].1.as_ref().unwrap().len(), 100);
+        assert_eq!(renamed[41].reads[0].1.as_ref().unwrap().len(), 1000);
+        for (mut c, mut r) in conflicting.into_iter().zip(renamed) {
+            c.reads.clear();
+            r.reads.clear();
+            assert_eq!(c, r);
+        }
     }
 
     #[test]
