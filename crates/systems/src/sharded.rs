@@ -296,8 +296,8 @@ impl TransactionalSystem for SpannerLike {
         }
         // Pessimistic waiting: start once every touched key's in-flight
         // holder has committed, then hold the keys through commit. This
-        // waiting — instead of TiDB's instant abort — is what Figure 14
-        // penalizes under contention. The shard work and the 2PC decision
+        // waiting — instead of TiDB's contention rounds and abort — is what
+        // Figure 14 penalizes under contention. The shard work and the 2PC decision
         // are booked now, so later arrivals see the hold window, and the
         // receipt surfaces through its `Committed` stage event.
         let touched: Vec<&Key> = txn.ops().iter().map(|o| &o.key).collect();
